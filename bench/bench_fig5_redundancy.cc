@@ -64,7 +64,8 @@ int main() {
       Row row{};
       row.threshold = exponent;
       for (core::ProvingMode mode :
-           {core::ProvingMode::kPoisson, core::ProvingMode::kCombined}) {
+           {core::ProvingMode::kPoisson,
+            core::ProvingMode::kPoissonAndEffectSize}) {
         core::P3CParams params;
         params.proving = mode;
         params.alpha_poisson = std::pow(10.0, exponent);

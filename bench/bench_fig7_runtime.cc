@@ -1,13 +1,17 @@
 // Figure 7: runtimes of BoW (Light/MVB), P3C+-MR (Light/MVB/Naive) over
 // growing database sizes (paper: 1e4 .. 5e7 on 112 reducers; scaled).
 // Also prints the per-pipeline MapReduce job counts and shuffle volumes,
-// the quantities §7.5.2 uses to explain the runtime ordering.
+// the quantities §7.5.2 uses to explain the runtime ordering. A run that
+// fails prints FAILED with its Status in its cell, and the bench exits 1.
 
+#include <array>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/bow/bow.h"
+#include "src/common/string_util.h"
 #include "src/mr/p3c_mr.h"
 
 namespace {
@@ -15,7 +19,7 @@ namespace {
 using namespace p3c;
 
 struct MrOutcome {
-  double seconds = 0.0;
+  Result<double> seconds = 0.0;
   size_t jobs = 0;
   uint64_t shuffle_bytes = 0;
   double projected_hadoop_seconds = 0.0;
@@ -29,7 +33,9 @@ MrOutcome RunMr(const data::SyntheticData& data, bool light,
   mr::P3CMR algo{options};
   auto result = algo.Cluster(data.dataset);
   MrOutcome outcome;
-  if (result.ok()) {
+  if (!result.ok()) {
+    outcome.seconds = result.status();
+  } else {
     outcome.seconds = result->seconds;
     outcome.jobs = algo.metrics().num_jobs();
     outcome.shuffle_bytes = algo.metrics().TotalShuffleBytes();
@@ -41,14 +47,23 @@ MrOutcome RunMr(const data::SyntheticData& data, bool light,
   return outcome;
 }
 
-double RunBow(const data::SyntheticData& data, bow::PluginVariant variant,
-              size_t samples_per_reducer) {
+Result<double> RunBow(const data::SyntheticData& data,
+                      bow::PluginVariant variant,
+                      size_t samples_per_reducer) {
   bow::BoWOptions options;
   options.variant = variant;
   options.samples_per_reducer = samples_per_reducer;
   bow::BoW algo{options};
   auto result = algo.Cluster(data.dataset);
-  return result.ok() ? result->seconds : 0.0;
+  if (!result.ok()) return result.status();
+  return result->seconds;
+}
+
+/// One runtime cell: the seconds, or FAILED with the run's Status.
+std::string Cell(const Result<double>& seconds, bool* failed) {
+  if (seconds.ok()) return StringPrintf("%10.2fs", *seconds);
+  *failed = true;
+  return "FAILED (" + seconds.status().ToString() + ")";
 }
 
 }  // namespace
@@ -64,19 +79,23 @@ int main() {
   std::printf("%10s %11s %11s %11s %11s %11s\n", "DB size", "BoW(Light)",
               "BoW(MVB)", "MR(Light)", "MR(MVB)", "MR(Naive)");
   std::vector<std::array<MrOutcome, 3>> mr_outcomes;
+  bool failed = false;
   for (size_t n : sizes) {
     const auto data = bench::MakeWorkload(n, 5, 0.10, 71);
-    const double bow_light =
+    const Result<double> bow_light =
         RunBow(data, bow::PluginVariant::kLight, samples_per_reducer);
-    const double bow_mvb =
+    const Result<double> bow_mvb =
         RunBow(data, bow::PluginVariant::kMVB, samples_per_reducer);
     const MrOutcome mr_light = RunMr(data, true, core::OutlierMode::kMVB);
     const MrOutcome mr_mvb = RunMr(data, false, core::OutlierMode::kMVB);
     const MrOutcome mr_naive = RunMr(data, false, core::OutlierMode::kNaive);
     mr_outcomes.push_back({mr_light, mr_mvb, mr_naive});
-    std::printf("%10zu %10.2fs %10.2fs %10.2fs %10.2fs %10.2fs\n", n,
-                bow_light, bow_mvb, mr_light.seconds, mr_mvb.seconds,
-                mr_naive.seconds);
+    std::printf("%10zu %11s %11s %11s %11s %11s\n", n,
+                Cell(bow_light, &failed).c_str(),
+                Cell(bow_mvb, &failed).c_str(),
+                Cell(mr_light.seconds, &failed).c_str(),
+                Cell(mr_mvb.seconds, &failed).c_str(),
+                Cell(mr_naive.seconds, &failed).c_str());
   }
 
   std::printf("\nMapReduce job counts / shuffle volume / projected Hadoop "
@@ -96,5 +115,9 @@ int main() {
       "P3C+-MR variants are the slowest (more MR jobs: EM iterations plus\n"
       "the OD block, with MVB ~10-20%% over Naive), while MR-Light runs\n"
       "close to (or better than) the BoW variants.\n");
+  if (failed) {
+    std::fprintf(stderr, "at least one run FAILED (see the table)\n");
+    return 1;
+  }
   return 0;
 }

@@ -192,8 +192,6 @@ int main(int argc, char** argv) {
         options.num_threads = cell.threads;
         options.metrics = &metrics;
         mr::LocalRunner runner(options);
-        mr::ShuffleOptions<int64_t> shuffle;
-        shuffle.num_reducers = cell.reducers;
         // Memory window per run; the per-cell figure is the max across
         // repeats (the footprint is a property of the work, so repeats
         // agree; max is robust if a repeat ever diverges).
@@ -203,7 +201,8 @@ int main(int argc, char** argv) {
                                  std::pair<int64_t, uint64_t>>(
             "shuffle-bench", records,
             [] { return std::make_unique<KeyedMapper>(); },
-            [] { return std::make_unique<OrderHashReducer>(); }, shuffle);
+            [] { return std::make_unique<OrderHashReducer>(); },
+            cell.reducers);
         cell.peak_bytes = std::max(cell.peak_bytes, mem_tracker.EndPhase());
         if (!result.ok()) {
           std::fprintf(stderr, "run failed: %s\n",

@@ -8,9 +8,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "src/common/threadpool.h"
 #include "src/core/kernels/kernels.h"
 #include "src/data/generator.h"
 
@@ -97,10 +97,10 @@ inline std::string MachineJson() {
   char buf[768];
   std::snprintf(
       buf, sizeof buf,
-      "{\"cores\": %u, \"compiler\": \"%s\", \"build_type\": \"%s\", "
+      "{\"cores\": %zu, \"compiler\": \"%s\", \"build_type\": \"%s\", "
       "\"cxx_flags\": \"%s\", \"kernel_backends\": [%s], "
       "\"bench_scale\": %g, \"repeats\": %zu}",
-      std::thread::hardware_concurrency(), compiler, P3C_BENCH_BUILD_TYPE,
+      ThreadPool::HardwareConcurrency(), compiler, P3C_BENCH_BUILD_TYPE,
       P3C_BENCH_CXX_FLAGS, backends.c_str(), ScaleFactor(), Repeats());
   return std::string(buf);
 }

@@ -5,13 +5,10 @@
 //
 //   ./build/examples/compare_algorithms [num_points]
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
-#include "src/baselines/doc.h"
-#include "src/baselines/proclus.h"
 #include "src/bow/bow.h"
 #include "src/core/p3c.h"
 #include "src/data/generator.h"
@@ -104,27 +101,6 @@ int main(int argc, char** argv) {
     options.samples_per_reducer = n / 4;
     bow::BoW algo{options};
     score("BoW (MVB)", algo.Cluster(data.dataset).value(), 0);
-  }
-  {
-    // PROCLUS needs k and l as user input (§2's usability contrast);
-    // give it the true k and the true average dimensionality.
-    size_t avg_dims = 0;
-    for (const auto& cluster : data.clusters) {
-      avg_dims += cluster.relevant_attrs.size();
-    }
-    avg_dims /= data.clusters.size();
-    baselines::ProclusOptions options;
-    options.num_clusters = config.num_clusters;
-    options.avg_dims = std::max<size_t>(2, avg_dims);
-    score("PROCLUS (true k,l)",
-          baselines::RunProclus(data.dataset, options).value(), 0);
-  }
-  {
-    // DOC's alpha/beta/w describe the desired cluster shape (§2); use
-    // settings matched to the generator's interval widths.
-    baselines::DocOptions options;
-    options.alpha = 0.5 / static_cast<double>(config.num_clusters);
-    score("DOC", baselines::RunDoc(data.dataset, options).value(), 0);
   }
   return 0;
 }

@@ -1,11 +1,26 @@
 #include "src/common/threadpool.h"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <algorithm>
 #include <exception>
 
 namespace p3c {
 
 size_t ThreadPool::HardwareConcurrency() {
+#if defined(__linux__)
+  // The calling thread's affinity mask, i.e. what `nproc` prints: a
+  // process pinned by taskset or a cgroup cpuset gets that many lanes,
+  // not the machine's core count.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return static_cast<size_t>(n);
+  }
+#endif
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<size_t>(n);
 }

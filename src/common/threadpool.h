@@ -69,7 +69,8 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// std::thread::hardware_concurrency with a floor of 1.
+  /// CPUs the calling thread may run on: the sched_getaffinity count on
+  /// Linux, std::thread::hardware_concurrency elsewhere; at least 1.
   static size_t HardwareConcurrency();
 
  private:

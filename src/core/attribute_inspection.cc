@@ -96,7 +96,7 @@ std::vector<std::vector<Interval>> ProveSuggestedIntervals(
       continue;
     }
     const double effect = stats::CohensDcc(observed, expected);
-    if (params.proving == ProvingMode::kCombined &&
+    if (params.proving == ProvingMode::kPoissonAndEffectSize &&
         effect < params.theta_cc) {
       continue;
     }

@@ -103,7 +103,7 @@ size_t ProveBatch(const std::vector<Signature>& batch, uint64_t num_points,
         ok = false;
         break;
       }
-      if (params.proving == ProvingMode::kCombined &&
+      if (params.proving == ProvingMode::kPoissonAndEffectSize &&
           !stats::EffectSizeLargeEnough(observed, expected, params.theta_cc)) {
         ok = false;
         break;

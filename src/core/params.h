@@ -13,7 +13,7 @@ enum class ProvingMode {
   /// Original P3C: Poisson significance test only (Eq. 1).
   kPoisson,
   /// P3C+: Poisson significance AND Cohen's d_cc effect size >= theta_cc.
-  kCombined,
+  kPoissonAndEffectSize,
 };
 
 /// Outlier detection flavor (§4.2.2).
@@ -41,7 +41,7 @@ struct P3CParams {
   // ---- Cluster-core generation -----------------------------------------
   /// Significance level of the Poisson support test (alpha_poi).
   double alpha_poisson = 0.01;
-  ProvingMode proving = ProvingMode::kCombined;
+  ProvingMode proving = ProvingMode::kPoissonAndEffectSize;
   /// Effect-size threshold theta_cc; the paper's calibration yields 0.35.
   double theta_cc = 0.35;
   /// Remove redundant signatures per Eq. 5/6 (§4.2.1).

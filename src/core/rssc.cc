@@ -40,10 +40,9 @@ Rssc::Rssc(const std::vector<Signature>& signatures)
     }
   }
 
-  // Pass 2: build per-attribute bin masks. The build grows the index
-  // piecemeal; index_charge_ takes its exact capacity in one shot at the
-  // end of the constructor, so these sites stay uninstrumented.
-  index_.reserve(attr_of_slot.size());  // NOLINT(p3c-untracked-hot-alloc)
+  // Pass 2: build per-attribute bin masks. index_charge_ takes the
+  // index's exact capacity in one shot at the end of the constructor.
+  index_.reserve(attr_of_slot.size());
   for (size_t s = 0; s < attr_of_slot.size(); ++s) {
     AttrIndex ai;
     ai.attr = attr_of_slot[s];
@@ -53,8 +52,7 @@ Rssc::Rssc(const std::vector<Signature>& signatures)
         std::unique(ai.separators.begin(), ai.separators.end()),
         ai.separators.end());
     const size_t num_bins = ai.separators.size() + 1;
-    // Charged by index_charge_.Set at the end of the build (above).
-    ai.masks.assign(num_bins * num_words_, 0);  // NOLINT(p3c-untracked-hot-alloc)
+    ai.masks.assign(num_bins * num_words_, 0);
     for (size_t j = 0; j < signatures.size(); ++j) {
       const std::optional<Interval> interval = signatures[j].Find(ai.attr);
       for (size_t b = 0; b < num_bins; ++b) {
@@ -129,9 +127,7 @@ constexpr size_t kMaskBatch = 16;
 
 void Rssc::Match(std::span<const double> point,
                  std::vector<uint64_t>& bits_out) const {
-  // Caller-owned per-point scratch bitmap, num_words_ words reused
-  // across calls — transient and bounded, deliberately untracked.
-  bits_out.assign(num_words_, ~uint64_t{0});  // NOLINT(p3c-untracked-hot-alloc)
+  bits_out.assign(num_words_, ~uint64_t{0});
   if (num_words_ == 0) return;
   // Clear the padding bits of the last word, so downstream counters can
   // size their storage to num_signatures() (no phantom high lanes).

@@ -3,7 +3,7 @@
 
 // Pluggable task-execution backends for LocalRunner (DESIGN.md §16).
 //
-// The runner's phase drivers (map / combine / reduce loops, attempt
+// The runner's phase drivers (map / reduce loops, attempt
 // retry, speculation, watchdog) are backend-agnostic: every attempt
 // copy funnels through TaskExecutor::RunCopy. The in-process backend
 // runs the typed task body inline on the calling pool worker — the
@@ -18,9 +18,8 @@
 // function returning serialized bytes, and a driver-side decode+commit
 // function — via BeginPhase (RAII: ScopedExecutorPhase). Backends that
 // execute remotely fork their phase pool here; the in-process backend
-// ignores it. Task kinds without an installed remote form (combine
-// tasks, jobs with non-wire-serializable types) always run inline, on
-// every backend.
+// ignores it. Phases without an installed remote form (jobs with
+// non-wire-serializable types) always run inline, on every backend.
 
 #include <atomic>
 #include <cstdint>

@@ -16,19 +16,13 @@
 
 namespace p3c::mr {
 
-/// The three retryable task kinds of a LocalRunner job. Combine tasks
-/// are listed separately from map tasks because Hadoop runs (and
-/// re-runs) the combiner as part of a map *attempt*; here each gets its
-/// own attempt loop so a crashing combiner cannot take the map output
-/// down with it.
-enum class TaskKind { kMap = 0, kCombine = 1, kReduce = 2 };
+/// The two retryable task kinds of a LocalRunner job.
+enum class TaskKind { kMap = 0, kReduce = 1 };
 
 inline const char* TaskKindName(TaskKind kind) {
   switch (kind) {
     case TaskKind::kMap:
       return "map";
-    case TaskKind::kCombine:
-      return "combine";
     case TaskKind::kReduce:
       return "reduce";
   }

@@ -72,21 +72,6 @@ class Reducer {
                       std::vector<Out>& out) = 0;
 };
 
-/// Optional combiner: collapses one mapper's local values of a key into
-/// a single value before the shuffle (Hadoop's combiner contract; must
-/// be associative/commutative with the reducer's aggregation). Cuts the
-/// shuffle volume of high-fan-in aggregations — see
-/// LocalRunner::RunWithCombiner. `values` follows the same view
-/// contract as Reducer::Reduce.
-template <typename K, typename V>
-class Combiner {
- public:
-  virtual ~Combiner() = default;
-
-  /// Combines `values` (non-empty) into a single value.
-  virtual V Combine(const K& key, std::span<const V> values) = 0;
-};
-
 /// Approximate serialized size of a shuffled pair, used for the
 /// shuffle-volume accounting in JobMetrics. Specialize/overload for
 /// dynamically sized values.

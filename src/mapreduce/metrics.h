@@ -22,7 +22,7 @@ struct JobMetrics {
   uint64_t shuffle_bytes = 0;        ///< approximate serialized volume
   uint64_t output_records = 0;
   // Fault-tolerance accounting (Hadoop's failed/killed task attempt
-  // counters): every map/combine/reduce task of the job runs as one or
+  // counters): every map/reduce task of the job runs as one or
   // more attempts; failed attempts leave no side effects and are
   // retried up to RunnerOptions::max_attempts.
   uint64_t task_attempts = 0;   ///< executed task attempt copies, all kinds

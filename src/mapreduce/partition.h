@@ -2,8 +2,8 @@
 #define P3C_MAPREDUCE_PARTITION_H_
 
 // Hadoop-style partitioned shuffle for the in-process engine (DESIGN.md
-// §9, §14): a Partitioner routes every intermediate key to one of R
-// reduce partitions at map-commit time, each partition holds one
+// §9, §14): a deterministic key hash routes every intermediate key to one
+// of R reduce partitions at map-commit time, each partition holds one
 // key-sorted run per map task, and a staged merge (plan -> chunk merges
 // -> finalize) turns those runs into a grouped, contiguous value buffer
 // that reducers read zero-copy via std::span.
@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <iterator>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -56,8 +55,8 @@ inline uint64_t ShuffleHashBytes(const char* data, size_t len) {
   return ShuffleMix64(h);
 }
 
-/// Deterministic key hash behind HashPartitioner. Overload/extend for
-/// custom key types (or supply a custom Partitioner instead).
+/// Deterministic key hash behind shuffle routing: key k goes to
+/// partition ShuffleKeyHash(k) % R. Overload for new key types.
 template <typename K>
   requires std::is_integral_v<K> || std::is_enum_v<K>
 uint64_t ShuffleKeyHash(const K& key) {
@@ -75,29 +74,6 @@ inline uint64_t ShuffleKeyHash(double key) {
 inline uint64_t ShuffleKeyHash(float key) {
   return ShuffleMix64(std::bit_cast<uint32_t>(key));
 }
-
-/// Routes intermediate keys to reduce partitions — Hadoop's Partitioner
-/// contract. Implementations must be pure functions of (key,
-/// num_partitions): equal keys MUST map to the same partition (grouping
-/// correctness depends on it) and the result must be < num_partitions.
-/// Called concurrently from map-commit paths; must be thread-safe.
-template <typename K>
-class Partitioner {
- public:
-  virtual ~Partitioner() = default;
-
-  virtual size_t Partition(const K& key, size_t num_partitions) const = 0;
-};
-
-/// Default partitioner: deterministic hash modulo partition count (the
-/// analog of Hadoop's HashPartitioner).
-template <typename K>
-class HashPartitioner : public Partitioner<K> {
- public:
-  size_t Partition(const K& key, size_t num_partitions) const override {
-    return static_cast<size_t>(ShuffleKeyHash(key) % num_partitions);
-  }
-};
 
 /// One merged shuffle partition: sorted group keys over a contiguous
 /// value buffer. Group g owns values [group_offsets[g],
@@ -137,10 +113,10 @@ std::vector<std::pair<K, V>> LadderMergeMove(
   const auto merge_two = [&key_less](auto first1, auto last1, auto first2,
                                      auto last2, size_t total) {
     std::vector<Pair> merged;
-    // Merge scratch is deliberately untracked: elements move out of the
-    // already-charged runs, so the ladder's transient peak is bounded by
-    // the run bytes runs_charge_ reports (DESIGN.md §15).
-    merged.reserve(total);  // NOLINT(p3c-untracked-hot-alloc)
+    // Elements move out of the already-charged runs, so the ladder's
+    // transient peak is bounded by the run bytes runs_charge_ reports
+    // (DESIGN.md §15).
+    merged.reserve(total);
     std::merge(std::move_iterator(first1), std::move_iterator(last1),
                std::move_iterator(first2), std::move_iterator(last2),
                std::back_inserter(merged), key_less);
@@ -148,8 +124,7 @@ std::vector<std::pair<K, V>> LadderMergeMove(
   };
 
   std::vector<std::vector<Pair>> level;
-  // Vector-of-vectors headers, O(#slices) — noise next to the payloads.
-  level.reserve(slices.size() / 2 + 1);  // NOLINT(p3c-untracked-hot-alloc)
+  level.reserve(slices.size() / 2 + 1);
   for (size_t i = 0; i + 1 < slices.size(); i += 2) {
     level.push_back(merge_two(slices[i].begin(), slices[i].end(),
                               slices[i + 1].begin(), slices[i + 1].end(),
@@ -158,16 +133,14 @@ std::vector<std::pair<K, V>> LadderMergeMove(
   if (slices.size() % 2 == 1) {
     const std::span<Pair> last = slices.back();
     std::vector<Pair> tail;
-    // Moves the odd slice out of the charged runs; see merge_two above.
-    tail.reserve(last.size());  // NOLINT(p3c-untracked-hot-alloc)
+    tail.reserve(last.size());
     std::move(last.begin(), last.end(), std::back_inserter(tail));
     level.push_back(std::move(tail));
   }
   if (level.empty()) return {};
   while (level.size() > 1) {
     std::vector<std::vector<Pair>> next;
-    // Headers again, O(#slices); payload bytes stay covered by the runs.
-    next.reserve(level.size() / 2 + 1);  // NOLINT(p3c-untracked-hot-alloc)
+    next.reserve(level.size() / 2 + 1);
     for (size_t i = 0; i + 1 < level.size(); i += 2) {
       next.push_back(merge_two(level[i].begin(), level[i].end(),
                                level[i + 1].begin(), level[i + 1].end(),
@@ -210,14 +183,12 @@ class ShuffleBuffers {
   size_t num_partitions() const { return num_partitions_; }
 
   /// Routes one committed map task's output into per-partition sorted
-  /// runs. Routing happens before anything is installed and the final
-  /// installs are noexcept moves, so a throwing Partitioner leaves the
-  /// buffers untouched (task-attempt isolation). Buckets are reserved at
-  /// their exact final size — the map-commit path does no growth
-  /// reallocation. The per-key emit order of the map task survives: the
-  /// scatter keeps emission order and the sort is stable.
-  void CommitMapOutput(size_t map_index, std::vector<std::pair<K, V>> pairs,
-                       const Partitioner<K>& partitioner) {
+  /// runs, key k to partition ShuffleKeyHash(k) % num_partitions. Equal
+  /// keys share a partition, which grouping depends on. Buckets are
+  /// reserved at their exact final size — the map-commit path does no
+  /// growth reallocation. The per-key emit order of the map task
+  /// survives: the scatter keeps emission order and the sort is stable.
+  void CommitMapOutput(size_t map_index, std::vector<std::pair<K, V>> pairs) {
     const size_t committed_pairs = pairs.size();
     std::vector<std::vector<std::pair<K, V>>> buckets(num_partitions_);
     if (num_partitions_ == 1) {
@@ -226,14 +197,9 @@ class ShuffleBuffers {
       std::vector<uint32_t> route(pairs.size());
       std::vector<size_t> counts(num_partitions_, 0);
       for (size_t i = 0; i < pairs.size(); ++i) {
-        const size_t p =
-            partitioner.Partition(pairs[i].first, num_partitions_);
-        if (p >= num_partitions_) {
-          throw std::out_of_range(
-              "Partitioner returned partition " + std::to_string(p) +
-              " for " + std::to_string(num_partitions_) + " partitions");
-        }
-        route[i] = static_cast<uint32_t>(p);
+        const auto p = static_cast<uint32_t>(ShuffleKeyHash(pairs[i].first) %
+                                             num_partitions_);
+        route[i] = p;
         ++counts[p];
       }
       for (size_t p = 0; p < num_partitions_; ++p) {
@@ -274,20 +240,15 @@ class ShuffleBuffers {
             : std::max<size_t>(1, total / target_chunk_records);
     num_chunks = std::min(num_chunks, std::max<size_t>(1, total));
     plan.fragments.clear();
-    // Plan metadata is O(chunks x maps) size_t bookkeeping — orders of
-    // magnitude under the record payloads the charges track.
-    plan.fragments.resize(num_chunks);  // NOLINT(p3c-untracked-hot-alloc)
-    plan.bounds.assign(  // NOLINT(p3c-untracked-hot-alloc)
-        (num_chunks + 1) * num_maps_, 0);
+    plan.fragments.resize(num_chunks);
+    plan.bounds.assign((num_chunks + 1) * num_maps_, 0);
     for (size_t m = 0; m < num_maps_; ++m) {
       plan.bounds[num_chunks * num_maps_ + m] = runs[m].size();
     }
     if (num_chunks == 1) return;
 
     std::vector<K> sample;
-    // Splitter sample: one key per (run, chunk boundary) — plan-sized.
-    sample.reserve(  // NOLINT(p3c-untracked-hot-alloc)
-        num_maps_ * (num_chunks - 1));
+    sample.reserve(num_maps_ * (num_chunks - 1));
     for (const auto& run : runs) {
       if (run.empty()) continue;
       for (size_t c = 1; c < num_chunks; ++c) {
@@ -449,19 +410,6 @@ std::vector<std::pair<K, V>> MergeSortedRuns(
   }
   return shuffle_internal::LadderMergeMove<K, V>(slices);
 }
-
-/// Per-job shuffle overrides, passed alongside the task factories.
-template <typename K>
-struct ShuffleOptions {
-  /// Partition routing; null selects the engine's HashPartitioner<K>.
-  /// The pointee must outlive the job and be thread-safe.
-  const Partitioner<K>* partitioner = nullptr;
-  /// Reduce partitions for this job; 0 defers to
-  /// RunnerOptions::num_reducers (which resolves 0 to the worker count).
-  /// Job wrappers that know their key cardinality cap this to avoid
-  /// empty partitions (e.g. the support job emits a single key).
-  size_t num_reducers = 0;
-};
 
 }  // namespace p3c::mr
 

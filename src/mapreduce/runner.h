@@ -56,16 +56,16 @@ struct RunnerOptions {
   /// Tests pin small values to force many chunks on small inputs.
   size_t merge_chunk_records = 0;
   /// Number of reduce partitions per job; 0 means one partition per
-  /// worker thread. Jobs may override per job via ShuffleOptions (the
-  /// src/mr wrappers cap it at their key cardinality). The partition
-  /// count never changes job output — only how the shuffle and reduce
-  /// work are spread across workers.
+  /// worker thread. Jobs may override it per job through Run's
+  /// `num_reducers` argument (the src/mr wrappers cap it at their key
+  /// cardinality). The partition count never changes job output — only
+  /// how the shuffle and reduce work are spread across workers.
   size_t num_reducers = 0;
   /// Maximum attempts per task before the job fails — Hadoop's
-  /// `mapreduce.{map,reduce}.maxattempts`, default 4. Each map, combine,
-  /// and reduce task runs as up to this many attempts; a failed attempt
-  /// (thrown exception or non-OK Status) is discarded wholesale and the
-  /// task is re-run from its immutable input.
+  /// `mapreduce.{map,reduce}.maxattempts`, default 4. Each map and reduce
+  /// task runs as up to this many attempts; a failed attempt (thrown
+  /// exception or non-OK Status) is discarded wholesale and the task is
+  /// re-run from its immutable input.
   size_t max_attempts = 4;
   /// Deterministic exponential backoff between attempts of one task:
   /// retry r sleeps min(retry_backoff_seconds * 2^(r-1),
@@ -144,32 +144,32 @@ struct RunnerOptions {
 /// shuffle-volume accounting.
 ///
 /// The shuffle is Hadoop-shaped (partition.h, DESIGN.md §9): a
-/// Partitioner routes each map task's committed output into per-reducer
-/// partition buffers at map-commit time (key-sorted runs, built inside
-/// the map workers), each partition k-way merges its runs in parallel
-/// after the map barrier, and reducers consume only their own partition,
-/// reading value groups as std::span views into the merged buffer —
-/// no per-group copies. Output order is deterministic and independent of
-/// the partition count and thread count: within a key, values appear in
-/// (map task, emit order) order exactly as a global stable sort would
-/// produce, and reducer outputs are stitched back together in global key
-/// order by a final deterministic merge over the partitions.
+/// deterministic key hash routes each map task's committed output into
+/// per-reducer partition buffers at map-commit time (key-sorted runs,
+/// built inside the map workers), each partition k-way merges its runs in
+/// parallel after the map barrier, and reducers consume only their own
+/// partition, reading value groups as std::span views into the merged
+/// buffer — no per-group copies. Output order is deterministic and
+/// independent of the partition count and thread count: within a key,
+/// values appear in (map task, emit order) order exactly as a global
+/// stable sort would produce, and reducer outputs are stitched back
+/// together in global key order by a final deterministic merge over the
+/// partitions.
 ///
-/// Fault tolerance mirrors Hadoop's task-attempt model: every map,
-/// combine, and reduce task executes as a sequence of attempts, each of
-/// which either commits its output atomically or is discarded without a
-/// trace — counters, shuffle bytes, and emitted records of failed
-/// attempts never reach the job result, so a job that succeeds after
-/// retries is byte-identical to a fault-free run. A task that exhausts
+/// Fault tolerance mirrors Hadoop's task-attempt model: every map and
+/// reduce task executes as a sequence of attempts, each of which either
+/// commits its output atomically or is discarded without a trace —
+/// counters, shuffle bytes, and emitted records of failed attempts never
+/// reach the job result, so a job that succeeds after retries is
+/// byte-identical to a fault-free run. A task that exhausts
 /// `RunnerOptions::max_attempts` fails the job with a Status naming the
 /// job, task kind, task index, and attempt count; JobMetrics records the
 /// attempt/failure/retry totals either way.
 ///
-/// Retryability contract: mapper/reducer/combiner factories may be
-/// invoked several times per task (once per attempt) and task input is
-/// treated as immutable — reducers see the merged partition through
-/// read-only spans, and combiner retries re-read the intact map output
-/// (`V` must be copyable when a combiner is used).
+/// Retryability contract: mapper/reducer factories may be invoked
+/// several times per task (once per attempt) and task input is treated
+/// as immutable — reducers see the merged partition through read-only
+/// spans.
 ///
 /// Substitution note (DESIGN.md §2): this replaces the paper's Hadoop
 /// cluster; the job decompositions in src/mr are expressed against this
@@ -214,8 +214,9 @@ class LocalRunner {
   ///
   /// The factories are invoked once per task *attempt* from worker
   /// threads and must be thread-safe; the produced mapper/reducer
-  /// instances are used by a single thread only. `shuffle` overrides the
-  /// partitioner and reducer count for this job.
+  /// instances are used by a single thread only. `num_reducers`
+  /// overrides the reduce-partition count for this job (0 defers to
+  /// RunnerOptions::num_reducers).
   template <typename Record, typename K, typename V, typename Out>
   Result<std::vector<Out>> Run(
       const std::string& job_name, std::span<const Record> input,
@@ -223,33 +224,12 @@ class LocalRunner {
           mapper_factory,
       const std::function<std::unique_ptr<Reducer<K, V, Out>>()>&
           reducer_factory,
-      const ShuffleOptions<K>& shuffle = {}) {
-    return RunWithCombiner<Record, K, V, Out>(job_name, input, mapper_factory,
-                                              reducer_factory, nullptr,
-                                              shuffle);
-  }
-
-  /// Run() plus a per-mapper combiner: each map task's output is grouped
-  /// and collapsed by the combiner before entering the shuffle, so the
-  /// shuffle volume (JobMetrics::shuffle_bytes) reflects the combined
-  /// records. `combiner_factory` may be null (no combining). The
-  /// combiner runs as its own retryable attempt: a crashing combiner is
-  /// retried against the intact map output.
-  template <typename Record, typename K, typename V, typename Out>
-  Result<std::vector<Out>> RunWithCombiner(
-      const std::string& job_name, std::span<const Record> input,
-      const std::function<std::unique_ptr<Mapper<Record, K, V>>()>&
-          mapper_factory,
-      const std::function<std::unique_ptr<Reducer<K, V, Out>>()>&
-          reducer_factory,
-      const std::function<std::unique_ptr<Combiner<K, V>>()>&
-          combiner_factory,
-      const ShuffleOptions<K>& shuffle = {}) {
+      size_t num_reducers = 0) {
     Stopwatch total_watch;
     JobMetrics metrics;
     metrics.job_name = job_name;
     metrics.input_records = input.size();
-    const size_t num_partitions = ResolveNumReducers(shuffle.num_reducers);
+    const size_t num_partitions = ResolveNumReducers(num_reducers);
     metrics.num_reducers = num_partitions;
     JobExecState exec;
     HeartbeatState heartbeat;
@@ -266,32 +246,17 @@ class LocalRunner {
                            input.size(), num_partitions)
             : std::string());
 
-    const HashPartitioner<K> default_partitioner;
-    const Partitioner<K>& partitioner = shuffle.partitioner != nullptr
-                                            ? *shuffle.partitioner
-                                            : default_partitioner;
     ShuffleBuffers<K, V> buffers(num_partitions, NumSplits(input.size()));
 
     // ---- Map phase -----------------------------------------------------
-    // Each map task's committed (post-combine) output is partitioned and
-    // run-sorted inside the map worker, so that part of the shuffle
-    // overlaps with other map tasks still running. The commit runs as
-    // engine code after the attempts succeeded: a throwing custom
-    // Partitioner is a deterministic job failure, not a retryable task
-    // fault, and it leaves the buffers untouched.
+    // Each map task's committed output is partitioned and run-sorted
+    // inside the map worker, so that part of the shuffle overlaps with
+    // other map tasks still running.
     Stopwatch map_watch;
     Status map_status = MapPhase<Record, K, V>(
-        job_name, input, mapper_factory, combiner_factory, &metrics,
-        &job_counters, exec,
+        job_name, input, mapper_factory, &metrics, &job_counters, exec,
         [&](size_t s, std::vector<std::pair<K, V>> pairs) {
-          try {
-            buffers.CommitMapOutput(s, std::move(pairs), partitioner);
-          } catch (const std::exception& e) {
-            return Status::InvalidArgument(StringPrintf(
-                "job '%s': partitioning map task %zu output failed: %s",
-                job_name.c_str(), s, e.what()));
-          }
-          return Status::OK();
+          buffers.CommitMapOutput(s, std::move(pairs));
         });
     metrics.map_seconds = map_watch.ElapsedSeconds();
     if (!map_status.ok()) {
@@ -308,9 +273,7 @@ class LocalRunner {
     if (exec.heartbeat != nullptr) {
       exec.heartbeat->stage.store("shuffle", std::memory_order_relaxed);
     }
-    // Per-partition metrics, O(partitions) doubles — not a hot structure.
-    metrics.partition_shuffle_seconds.assign(  // NOLINT(p3c-untracked-hot-alloc)
-        num_partitions, 0.0);
+    metrics.partition_shuffle_seconds.assign(num_partitions, 0.0);
     const size_t chunk_records = options_.merge_chunk_records > 0
                                      ? options_.merge_chunk_records
                                      : kDefaultMergeChunkRecords;
@@ -365,9 +328,7 @@ class LocalRunner {
                                         job_name.c_str(), e.what())));
     }
     metrics.shuffle_seconds = shuffle_watch.ElapsedSeconds();
-    // Skew metrics, O(partitions) counters — not a hot structure.
-    metrics.partition_records.resize(  // NOLINT(p3c-untracked-hot-alloc)
-        num_partitions);
+    metrics.partition_records.resize(num_partitions);
     uint64_t shuffled_total = 0;
     uint64_t shuffled_max = 0;
     for (size_t p = 0; p < num_partitions; ++p) {
@@ -409,10 +370,7 @@ class LocalRunner {
       // intact, and racing speculative copies never share output
       // buffers.
       std::pair<std::vector<Out>, std::vector<size_t>> result;
-      // Group-end offsets: one size_t per group, dwarfed by the
-      // charged merged partition the groups point into.
-      result.second.reserve(  // NOLINT(p3c-untracked-hot-alloc)
-          part.num_groups());
+      result.second.reserve(part.num_groups());
       for (size_t g = 0; g < part.num_groups(); ++g) {
         if ((g & 63u) == 0) cancel.ThrowIfCancelled();
         reducer->Reduce(part.key(g), part.group_values(g), result.first);
@@ -449,11 +407,7 @@ class LocalRunner {
         P3C_RETURN_NOT_OK(r.Finish());
         ctx.Commit([&] {
           task_outputs[p] = std::move(out);
-          // One u64 per reduce group, dwarfed by task_outputs above;
-          // deliberately untracked (the size_t/uint64_t conversion is
-          // why this is an assign and not a move).
-          task_group_ends[p].assign(  // NOLINT(p3c-untracked-hot-alloc)
-              ends.begin(), ends.end());
+          task_group_ends[p].assign(ends.begin(), ends.end());
         });
         return Status::OK();
       };
@@ -502,7 +456,7 @@ class LocalRunner {
     // so merging the partitions' sorted group keys and concatenating
     // each group's output slice reproduces exactly the key-ordered
     // output of a single global sort — byte-identical for any partition
-    // count, partitioner, and thread count.
+    // count and thread count.
     std::vector<Out> output;
     {
       if (exec.heartbeat != nullptr) {
@@ -585,13 +539,12 @@ class LocalRunner {
     std::vector<std::vector<std::pair<K, V>>> runs(NumSplits(input.size()));
     Stopwatch map_watch;
     Status map_status = MapPhase<Record, K, V>(
-        job_name, input, mapper_factory, nullptr, &metrics, &job_counters,
-        exec, [&runs](size_t s, std::vector<std::pair<K, V>> pairs) {
+        job_name, input, mapper_factory, &metrics, &job_counters, exec,
+        [&runs](size_t s, std::vector<std::pair<K, V>> pairs) {
           std::stable_sort(
               pairs.begin(), pairs.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
           runs[s] = std::move(pairs);
-          return Status::OK();
         });
     metrics.map_seconds = map_watch.ElapsedSeconds();
     if (!map_status.ok()) {
@@ -622,7 +575,7 @@ class LocalRunner {
   }
 
   /// Reduce-partition count a job gets when neither the job's
-  /// ShuffleOptions nor RunnerOptions::num_reducers overrides it: one
+  /// `num_reducers` argument nor RunnerOptions::num_reducers overrides it: one
   /// partition per worker thread. Job wrappers cap their per-job reducer
   /// count against this (e.g. min(number of distinct keys, default)).
   size_t DefaultNumReducers() const { return pool_.num_threads(); }
@@ -663,7 +616,7 @@ class LocalRunner {
   /// task paths pay one null test when heartbeat is off).
   struct JobExecState {
     AttemptAccounting acct;
-    TaskDurationStats durations[3];  ///< indexed by TaskKind
+    TaskDurationStats durations[2];  ///< indexed by TaskKind
     CancellationSource job_cancel;
     HeartbeatState* heartbeat = nullptr;
   };
@@ -1066,8 +1019,8 @@ class LocalRunner {
       if (st.ok()) {
         // The backend seam: the in-process executor runs `body` inline
         // right here; the process backend ships the task to a worker
-        // process (falling back to `body` for task kinds without an
-        // installed remote form — combine tasks, degraded pools).
+        // process (falling back to `body` for phases without an
+        // installed remote form — non-wire types, degraded pools).
         st = executor_->RunCopy(
             TaskAttempt{job_name, kind, task, attempt, speculative,
                         ctx.cancel},
@@ -1287,22 +1240,19 @@ class LocalRunner {
     uint64_t emit_calls_ = 0;
   };
 
-  /// Runs the map (+optional combine) tasks and hands each split's
-  /// committed output to `commit` — still inside the worker, so
-  /// per-split shuffle work (partitioning, run sorting) overlaps with
-  /// other map tasks. `commit` is engine code, not a task attempt: it
-  /// runs at most once per split, only after the split's attempts
-  /// succeeded, and a non-OK return fails the job deterministically.
+  /// Runs the map tasks and hands each split's committed output to
+  /// `commit` — still inside the worker, so per-split shuffle work
+  /// (partitioning, run sorting) overlaps with other map tasks. `commit`
+  /// is engine code, not a task attempt: it runs exactly once per split,
+  /// only after the split's attempts succeeded.
   template <typename Record, typename K, typename V>
   Status MapPhase(
       const std::string& job_name, std::span<const Record> input,
       const std::function<std::unique_ptr<Mapper<Record, K, V>>()>&
           mapper_factory,
-      const std::function<std::unique_ptr<Combiner<K, V>>()>&
-          combiner_factory,
       JobMetrics* metrics, Counters* job_counters, JobExecState& exec,
-      const std::function<Status(size_t split,
-                                 std::vector<std::pair<K, V>> pairs)>&
+      const std::function<void(size_t split,
+                               std::vector<std::pair<K, V>> pairs)>&
           commit) {
     const size_t n = input.size();
     const size_t per_split = SplitSize(std::max<size_t>(1, n));
@@ -1317,11 +1267,6 @@ class LocalRunner {
     std::vector<VectorEmitter<Record, K, V>> emitters(num_splits);
     std::atomic<uint64_t> map_output_records{0};
     FailureSlot failure(&exec.job_cancel);
-    // Speculative copies race on the SAME task state; combine attempts
-    // must then work on an isolated copy of the map output instead of
-    // sorting it in place (retries alone never overlap, so the copy is
-    // skipped when speculation is off).
-    const bool isolate_combine = options_.speculative_execution;
 
     // Shared attempt computation: the inline body and the worker-
     // process child run exactly this, so the two backends cannot
@@ -1407,24 +1352,6 @@ class LocalRunner {
             ctx.Commit([&] { emitters[s] = std::move(out); });
             return Status::OK();
           });
-      if (st.ok() && combiner_factory != nullptr) {
-        // The combiner is its own attempt (Hadoop re-runs it with the
-        // map attempt; isolating it here means a crashing combiner
-        // retries against the intact, already-committed map output).
-        // Under speculation the input is snapshotted ONCE, before the
-        // attempt race starts: a racing copy must never read the
-        // emitter the winning copy's commit mutates.
-        std::vector<std::pair<K, V>> combine_snapshot;
-        if (isolate_combine) combine_snapshot = emitters[s].pairs_;
-        const std::vector<std::pair<K, V>>& combine_input =
-            isolate_combine ? combine_snapshot : emitters[s].pairs_;
-        st = ExecuteTask(job_name, TaskKind::kCombine, s, exec,
-                         [&](const TaskContext& ctx) {
-                           return CombineAttempt(combiner_factory,
-                                                 combine_input, emitters[s],
-                                                 ctx, isolate_combine);
-                         });
-      }
       if (st.ok()) {
         map_output_records.fetch_add(emitters[s].pairs_.size(),
                                      std::memory_order_relaxed);
@@ -1434,7 +1361,7 @@ class LocalRunner {
           exec.heartbeat->records.fetch_add(split_records,
                                             std::memory_order_relaxed);
         }
-        st = commit(s, std::move(emitters[s].pairs_));
+        commit(s, std::move(emitters[s].pairs_));
         // The pairs now live in the shuffle buffers (charged there);
         // drop the emitter's charge instead of holding it until the
         // emitters vector dies at the end of the phase.
@@ -1450,64 +1377,6 @@ class LocalRunner {
     }
     metrics->map_output_records =
         map_output_records.load(std::memory_order_relaxed);
-    return Status::OK();
-  }
-
-  /// One combine attempt over one map task's committed output: groups by
-  /// key and collapses each group with a fresh combiner instance. The
-  /// emitter is only mutated inside TaskContext::Commit, after the
-  /// combiner has processed every group, so a failed (or losing
-  /// speculative) attempt leaves the map output intact. With
-  /// speculation off the in-place key sort is safe (attempts of one
-  /// task never overlap) and idempotent across retries; with
-  /// speculation on, racing copies each sort a private copy of the
-  /// pairs (`isolate`). The byte accounting is redone so shuffle_bytes
-  /// reflects the post-combine volume. This is the one shuffle path
-  /// that still copies values: the emitter's pairs are not
-  /// value-contiguous, so a span over them does not exist.
-  template <typename Record, typename K, typename V>
-  static Status CombineAttempt(
-      const std::function<std::unique_ptr<Combiner<K, V>>()>&
-          combiner_factory,
-      const std::vector<std::pair<K, V>>& input,
-      VectorEmitter<Record, K, V>& out, const TaskContext& ctx,
-      bool isolate) {
-    // Isolated (speculation) mode: `input` is an immutable per-task
-    // snapshot shared by the racing copies; each copy sorts a private
-    // copy of it. In-place mode: `input` IS out.pairs_, and the sort
-    // mutates it directly (idempotent across non-overlapping retries).
-    std::vector<std::pair<K, V>> local;
-    if (isolate) local = input;
-    auto& pairs = isolate ? local : out.pairs_;
-    std::stable_sort(
-        pairs.begin(), pairs.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::unique_ptr<Combiner<K, V>> combiner = combiner_factory();
-    std::vector<std::pair<K, V>> combined;
-    std::vector<V> values;
-    uint64_t bytes = 0;
-    size_t group_index = 0;
-    for (size_t i = 0; i < pairs.size();) {
-      if ((group_index++ & 63u) == 0) ctx.cancel.ThrowIfCancelled();
-      size_t j = i + 1;
-      while (j < pairs.size() && !(pairs[i].first < pairs[j].first)) ++j;
-      values.clear();
-      values.reserve(j - i);
-      for (size_t v = i; v < j; ++v) {
-        values.push_back(pairs[v].second);
-      }
-      V result =
-          combiner->Combine(pairs[i].first, std::span<const V>(values));
-      bytes += SerializedSize(pairs[i].first) + SerializedSize(result);
-      combined.emplace_back(pairs[i].first, std::move(result));
-      i = j;
-    }
-    ctx.Commit([&] {
-      out.pairs_ = std::move(combined);
-      out.bytes_ = bytes;
-      out.mem_.Set(static_cast<int64_t>(out.pairs_.capacity() *
-                                        sizeof(std::pair<K, V>)));
-    });
     return Status::OK();
   }
 

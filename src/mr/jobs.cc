@@ -24,9 +24,7 @@ class VectorSumReducer
               std::vector<KeyedDoubles>& out) override {
     std::vector<double> acc;
     for (const auto& v : values) {
-      // Per-group accumulator, moved into the emitted payload whose
-      // top-level bytes the emitter charge already covers.
-      if (acc.empty()) acc.assign(v.size(), 0.0);  // NOLINT(p3c-untracked-hot-alloc)
+      if (acc.empty()) acc.assign(v.size(), 0.0);
       for (size_t i = 0; i < v.size() && i < acc.size(); ++i) acc[i] += v[i];
     }
     out.emplace_back(key, std::move(acc));
@@ -44,8 +42,7 @@ class CountSumReducer
       override {
     std::vector<uint64_t> acc;
     for (const auto& v : values) {
-      // Per-group accumulator; see VectorSumReducer above.
-      if (acc.empty()) acc.assign(v.size(), 0);  // NOLINT(p3c-untracked-hot-alloc)
+      if (acc.empty()) acc.assign(v.size(), 0);
       for (size_t i = 0; i < v.size() && i < acc.size(); ++i) acc[i] += v[i];
     }
     out.emplace_back(key, std::move(acc));
@@ -190,8 +187,7 @@ class MomentMapper : public Mapper<Record, int64_t, std::vector<double>> {
     // Payload layout: [wC, wC2, lC...] (§5.4's first EM job statistics).
     for (size_t c = 0; c < k_; ++c) {
       std::vector<double> stats;
-      // Emit payload (dim+2 doubles), covered by the emitter charge.
-      stats.reserve(dim_ + 2);  // NOLINT(p3c-untracked-hot-alloc)
+      stats.reserve(dim_ + 2);
       stats.push_back(w_[c]);
       stats.push_back(w2_[c]);
       stats.insert(stats.end(), lsum_[c].begin(), lsum_[c].end());
@@ -455,12 +451,8 @@ class TighteningMapper : public Mapper<Record, int64_t, std::vector<double>> {
     auto& lo = lo_[static_cast<size_t>(c)];
     auto& hi = hi_[static_cast<size_t>(c)];
     if (lo.empty()) {
-      // Per-cluster min/max bounds: O(k x attrs) doubles per task,
-      // noise next to the charged dataset the rows come from.
-      lo.assign(  // NOLINT(p3c-untracked-hot-alloc)
-          attrs.size(), std::numeric_limits<double>::infinity());
-      hi.assign(  // NOLINT(p3c-untracked-hot-alloc)
-          attrs.size(), -std::numeric_limits<double>::infinity());
+      lo.assign(attrs.size(), std::numeric_limits<double>::infinity());
+      hi.assign(attrs.size(), -std::numeric_limits<double>::infinity());
     }
     const auto row = config_->dataset->Row(record);
     for (size_t a = 0; a < attrs.size(); ++a) {
@@ -473,8 +465,7 @@ class TighteningMapper : public Mapper<Record, int64_t, std::vector<double>> {
     for (size_t c = 0; c < lo_.size(); ++c) {
       if (lo_[c].empty()) continue;
       std::vector<double> payload;
-      // Emit payload (2 x attrs doubles), covered by the emitter charge.
-      payload.reserve(lo_[c].size() * 2);  // NOLINT(p3c-untracked-hot-alloc)
+      payload.reserve(lo_[c].size() * 2);
       payload.insert(payload.end(), lo_[c].begin(), lo_[c].end());
       payload.insert(payload.end(), hi_[c].begin(), hi_[c].end());
       out.Emit(static_cast<int64_t>(c), std::move(payload));
@@ -553,13 +544,12 @@ Result<std::vector<stats::Histogram>> RunHistogramJob(
   const size_t bins = static_cast<size_t>(
       stats::NumBins(rule, std::max<uint64_t>(1, dataset.num_points())));
   HistogramJobConfig config{&dataset, bins};
-  ShuffleOptions<int64_t> shuffle;
-  shuffle.num_reducers = ReducersForKeys(runner, dataset.num_dims());
+  const size_t num_reducers = ReducersForKeys(runner, dataset.num_dims());
   auto run = runner.Run<Record, int64_t, std::vector<uint64_t>,
                         std::pair<int64_t, std::vector<uint64_t>>>(
       "histogram", records,
       [&config] { return std::make_unique<HistogramMapper>(&config); },
-      [] { return std::make_unique<CountSumReducer>(); }, shuffle);
+      [] { return std::make_unique<CountSumReducer>(); }, num_reducers);
   if (!run.ok()) return run.status();
   auto& out = *run;
   std::vector<stats::Histogram> histograms(dataset.num_dims(),
@@ -577,13 +567,12 @@ Result<std::vector<uint64_t>> RunSupportJob(
   const std::vector<Record> records = MakeRecords(dataset);
   const core::Rssc rssc(signatures);  // "calculated by the main program"
   SupportJobConfig config{&dataset, &rssc};
-  ShuffleOptions<int64_t> shuffle;
-  shuffle.num_reducers = 1;  // the job emits a single key
   auto run = runner.Run<Record, int64_t, std::vector<uint64_t>,
                         std::pair<int64_t, std::vector<uint64_t>>>(
       "support-count", records,
       [&config] { return std::make_unique<SupportMapper>(&config); },
-      [] { return std::make_unique<CountSumReducer>(); }, shuffle);
+      [] { return std::make_unique<CountSumReducer>(); },
+      /*num_reducers=*/1);  // the job emits a single key
   if (!run.ok()) return run.status();
   auto& out = *run;
   std::vector<uint64_t> supports(signatures.size(), 0);
@@ -603,22 +592,19 @@ Result<MomentSums> RunMomentJob(LocalRunner& runner,
                                 const char* job_name) {
   const std::vector<Record> records = MakeRecords(dataset);
   MomentJobConfig config{&dataset, &model, &membership};
-  ShuffleOptions<int64_t> shuffle;
   // k component keys plus the log-likelihood key.
-  shuffle.num_reducers = ReducersForKeys(runner, model.num_components() + 1);
+  const size_t num_reducers =
+      ReducersForKeys(runner, model.num_components() + 1);
   auto run = runner.Run<Record, int64_t, std::vector<double>, KeyedDoubles>(
       job_name, records,
       [&config] { return std::make_unique<MomentMapper>(&config); },
-      [] { return std::make_unique<VectorSumReducer>(); }, shuffle);
+      [] { return std::make_unique<VectorSumReducer>(); }, num_reducers);
   if (!run.ok()) return run.status();
   auto& out = *run;
   MomentSums sums;
-  // Driver-side fold of the job output: O(k x dim) doubles, deliberately
-  // untracked — the kGmmMatrices scope covers the per-task copies.
-  sums.w.assign(model.num_components(), 0.0);  // NOLINT(p3c-untracked-hot-alloc)
-  sums.w2.assign(model.num_components(), 0.0);  // NOLINT(p3c-untracked-hot-alloc)
-  sums.lsum.assign(  // NOLINT(p3c-untracked-hot-alloc)
-      model.num_components(), linalg::Vector(model.dim(), 0.0));
+  sums.w.assign(model.num_components(), 0.0);
+  sums.w2.assign(model.num_components(), 0.0);
+  sums.lsum.assign(model.num_components(), linalg::Vector(model.dim(), 0.0));
   for (auto& [key, stats] : out) {
     if (key == kLogLikelihoodKey) {
       sums.log_likelihood = stats.empty() ? 0.0 : stats[0];
@@ -638,12 +624,11 @@ Result<std::vector<linalg::Matrix>> RunCovarianceJob(
     const std::vector<linalg::Vector>& means, const char* job_name) {
   const std::vector<Record> records = MakeRecords(dataset);
   CovarianceJobConfig config{&dataset, &model, &membership, &means};
-  ShuffleOptions<int64_t> shuffle;
-  shuffle.num_reducers = ReducersForKeys(runner, model.num_components());
+  const size_t num_reducers = ReducersForKeys(runner, model.num_components());
   auto run = runner.Run<Record, int64_t, std::vector<double>, KeyedDoubles>(
       job_name, records,
       [&config] { return std::make_unique<CovarianceMapper>(&config); },
-      [] { return std::make_unique<VectorSumReducer>(); }, shuffle);
+      [] { return std::make_unique<VectorSumReducer>(); }, num_reducers);
   if (!run.ok()) return run.status();
   auto& out = *run;
   const size_t dim = model.dim();
@@ -664,21 +649,18 @@ Result<std::vector<MvbBall>> RunMvbBallJob(
     const core::GmmModel& model, const core::GmmEvaluator& evaluator) {
   const std::vector<Record> records = MakeRecords(dataset);
   MvbBallJobConfig config{&dataset, &model, &evaluator};
-  ShuffleOptions<int64_t> shuffle;
-  shuffle.num_reducers = ReducersForKeys(runner, model.num_components());
+  const size_t num_reducers = ReducersForKeys(runner, model.num_components());
   auto run = runner.Run<Record, int64_t, std::vector<double>, KeyedDoubles>(
       "mvb-ball", records,
       [&config] { return std::make_unique<MvbBallMapper>(&config); },
-      [] { return std::make_unique<MvbBallReducer>(); }, shuffle);
+      [] { return std::make_unique<MvbBallReducer>(); }, num_reducers);
   if (!run.ok()) return run.status();
   auto& out = *run;
   std::vector<MvbBall> balls(model.num_components());
   for (auto& [key, payload] : out) {
     if (key < 0 || payload.empty()) continue;
     MvbBall& ball = balls[static_cast<size_t>(key)];
-    // Driver-side fold, O(k x dim) doubles — deliberately untracked.
-    ball.center.assign(  // NOLINT(p3c-untracked-hot-alloc)
-        payload.begin(), payload.end() - 1);
+    ball.center.assign(payload.begin(), payload.end() - 1);
     ball.radius = payload.back();
   }
   return balls;
@@ -707,23 +689,19 @@ Result<std::vector<std::vector<stats::Histogram>>> RunClusterHistogramJob(
     const std::vector<size_t>& bins_per_cluster) {
   const std::vector<Record> records = MakeRecords(dataset);
   ClusterHistogramJobConfig config{&dataset, &membership, &bins_per_cluster};
-  ShuffleOptions<int64_t> shuffle;
-  shuffle.num_reducers =
+  const size_t num_reducers =
       ReducersForKeys(runner, num_clusters * dataset.num_dims());
   auto run = runner.Run<Record, int64_t, std::vector<uint64_t>,
                         std::pair<int64_t, std::vector<uint64_t>>>(
       "cluster-histograms", records,
       [&config] { return std::make_unique<ClusterHistogramMapper>(&config); },
-      [] { return std::make_unique<CountSumReducer>(); }, shuffle);
+      [] { return std::make_unique<CountSumReducer>(); }, num_reducers);
   if (!run.ok()) return run.status();
   auto& out = *run;
   const size_t d = dataset.num_dims();
   std::vector<std::vector<stats::Histogram>> histograms(num_clusters);
   for (size_t c = 0; c < num_clusters; ++c) {
-    // Driver-side result histograms; the per-task copies are what the
-    // kHistogramBins scope tracks (ClusterHistogramMapper charges them).
-    histograms[c].assign(  // NOLINT(p3c-untracked-hot-alloc)
-        d, stats::Histogram(bins_per_cluster[c]));
+    histograms[c].assign(d, stats::Histogram(bins_per_cluster[c]));
   }
   for (auto& [key, counts] : out) {
     const auto c = static_cast<size_t>(key / static_cast<int64_t>(d));
@@ -739,12 +717,11 @@ Result<std::vector<std::vector<core::Interval>>> RunTighteningJob(
     const std::vector<std::vector<size_t>>& attrs) {
   const std::vector<Record> records = MakeRecords(dataset);
   TighteningJobConfig config{&dataset, &membership, &attrs};
-  ShuffleOptions<int64_t> shuffle;
-  shuffle.num_reducers = ReducersForKeys(runner, attrs.size());
+  const size_t num_reducers = ReducersForKeys(runner, attrs.size());
   auto run = runner.Run<Record, int64_t, std::vector<double>, KeyedDoubles>(
       "interval-tightening", records,
       [&config] { return std::make_unique<TighteningMapper>(&config); },
-      [] { return std::make_unique<TighteningReducer>(); }, shuffle);
+      [] { return std::make_unique<TighteningReducer>(); }, num_reducers);
   if (!run.ok()) return run.status();
   auto& out = *run;
   std::vector<std::vector<core::Interval>> intervals(attrs.size());
@@ -752,8 +729,7 @@ Result<std::vector<std::vector<core::Interval>>> RunTighteningJob(
     if (key < 0) continue;
     const auto c = static_cast<size_t>(key);
     const size_t half = payload.size() / 2;
-    // Driver-side result intervals, O(k x attrs) — deliberately untracked.
-    intervals[c].resize(half);  // NOLINT(p3c-untracked-hot-alloc)
+    intervals[c].resize(half);
     for (size_t a = 0; a < half; ++a) {
       intervals[c][a] = core::Interval{attrs[c][a], payload[a],
                                        payload[half + a]};
@@ -766,12 +742,8 @@ Result<SupportSetJobResult> RunSupportSetJob(
     LocalRunner& runner, const data::Dataset& dataset,
     const std::vector<core::Signature>& signatures) {
   SupportSetJobResult result;
-  // Driver-side result: signature headers plus one int32 per point —
-  // an order under the dataset's charged doubles; deliberately untracked.
-  result.support_sets.resize(  // NOLINT(p3c-untracked-hot-alloc)
-      signatures.size());
-  result.unique_assignment.assign(  // NOLINT(p3c-untracked-hot-alloc)
-      dataset.num_points(), -1);
+  result.support_sets.resize(signatures.size());
+  result.unique_assignment.assign(dataset.num_points(), -1);
   if (signatures.empty()) return result;
   const std::vector<Record> records = MakeRecords(dataset);
   const core::Rssc rssc(signatures);

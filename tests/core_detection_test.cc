@@ -139,7 +139,7 @@ TEST(CoreDetectionTest, EffectSizeGateSuppressesWeakDeviations) {
   EXPECT_EQ(with_poisson.cores[0].signature.size(), 2u);
 
   P3CParams combined;
-  combined.proving = ProvingMode::kCombined;
+  combined.proving = ProvingMode::kPoissonAndEffectSize;
   combined.redundancy_filter = false;
   const auto with_effect =
       GenerateClusterCores(intervals, n, combined, counter2, nullptr);

@@ -62,16 +62,6 @@ class Int64SumReducer
   }
 };
 
-class Int64SumCombiner : public Combiner<int, int64_t> {
- public:
-  int64_t Combine(const int& key, std::span<const int64_t> values) override {
-    (void)key;
-    int64_t total = 0;
-    for (int64_t v : values) total += v;
-    return total;
-  }
-};
-
 std::vector<KeyedRecord> MakeRecords(size_t n) {
   std::vector<KeyedRecord> records(n);
   for (size_t i = 0; i < n; ++i) {
@@ -89,7 +79,7 @@ struct RunOutcome {
 };
 
 RunOutcome RunKeyedSum(
-    FaultInjector* injector, size_t max_attempts, bool with_combiner = false,
+    FaultInjector* injector, size_t max_attempts,
     const std::function<void(RunnerOptions&)>& tweak = {}) {
   RunOutcome outcome;
   RunnerOptions options;
@@ -103,16 +93,11 @@ RunOutcome RunKeyedSum(
   if (tweak) tweak(options);
   LocalRunner runner(options);
   const auto records = MakeRecords(1000);
-  const auto mapper = [] { return std::make_unique<KeyedSumMapper>(); };
-  const auto reducer = [] { return std::make_unique<Int64SumReducer>(); };
   outcome.result =
-      with_combiner
-          ? runner.RunWithCombiner<KeyedRecord, int, int64_t,
-                                   std::pair<int, int64_t>>(
-                "keyed-sum", records, mapper, reducer,
-                [] { return std::make_unique<Int64SumCombiner>(); })
-          : runner.Run<KeyedRecord, int, int64_t, std::pair<int, int64_t>>(
-                "keyed-sum", records, mapper, reducer);
+      runner.Run<KeyedRecord, int, int64_t, std::pair<int, int64_t>>(
+          "keyed-sum", records,
+          [] { return std::make_unique<KeyedSumMapper>(); },
+          [] { return std::make_unique<Int64SumReducer>(); });
   return outcome;
 }
 
@@ -219,7 +204,7 @@ TEST(FaultInjectionTest, TaskPeakGaugeIsExactlyOnceUnderSpeculation) {
   injector.AddRule(std::move(rule));
 
   const RunOutcome spec =
-      RunKeyedSum(&injector, 4, /*with_combiner=*/false, [](RunnerOptions& o) {
+      RunKeyedSum(&injector, 4, [](RunnerOptions& o) {
         o.speculative_execution = true;
         o.speculative_slowness_factor = 1.5;
         o.speculative_min_samples = 3;
@@ -239,13 +224,12 @@ TEST(FaultInjectionTest, TaskPeakGaugeIsExactlyOnceUnderSpeculation) {
 }
 
 TEST(FaultInjectionTest, CrashingTasksAreCaughtAndRetried) {
-  const RunOutcome clean = RunKeyedSum(nullptr, 4, /*with_combiner=*/true);
+  const RunOutcome clean = RunKeyedSum(nullptr, 4);
   ASSERT_TRUE(clean.result.ok());
 
-  // Throwing rules: one per task kind, covering map, combine, reduce.
+  // Throwing rules: one per task kind, covering map and reduce.
   ScriptedFaultInjector injector;
-  for (TaskKind kind :
-       {TaskKind::kMap, TaskKind::kCombine, TaskKind::kReduce}) {
+  for (TaskKind kind : {TaskKind::kMap, TaskKind::kReduce}) {
     ScriptedFaultInjector::Rule rule;
     rule.job_substring = "keyed-sum";
     rule.kind = kind;
@@ -254,13 +238,13 @@ TEST(FaultInjectionTest, CrashingTasksAreCaughtAndRetried) {
     rule.throws = true;
     injector.AddRule(std::move(rule));
   }
-  const RunOutcome flaky = RunKeyedSum(&injector, 4, /*with_combiner=*/true);
+  const RunOutcome flaky = RunKeyedSum(&injector, 4);
   ASSERT_TRUE(flaky.result.ok()) << flaky.result.status().ToString();
-  EXPECT_EQ(injector.injected_faults(), 3u);
+  EXPECT_EQ(injector.injected_faults(), 2u);
   EXPECT_EQ(*flaky.result, *clean.result);
   EXPECT_EQ(flaky.counters.values(), clean.counters.values());
-  EXPECT_EQ(flaky.metrics.jobs().front().task_failures, 3u);
-  EXPECT_EQ(flaky.metrics.jobs().front().retried_tasks, 3u);
+  EXPECT_EQ(flaky.metrics.jobs().front().task_failures, 2u);
+  EXPECT_EQ(flaky.metrics.jobs().front().retried_tasks, 2u);
 }
 
 TEST(FaultInjectionTest, ExhaustedAttemptsFailWithTaskDetail) {

@@ -261,6 +261,23 @@ TEST(LintBannedNondeterminism, FiresOnEntropySources) {
   EXPECT_EQ(RunLint("tests/a_test.cc", src).size(), 4u);  // tests too
 }
 
+TEST(LintBannedNondeterminism, LocalCallableNamedTimeIsNotTheClock) {
+  const std::string src = R"cc(
+    void f() {
+      auto time = [](auto&& fn) { fn(); };
+      time([] {});
+      long a = time(NULL) + time(0);
+      time_t b;
+      time(&b);
+    }
+  )cc";
+  const auto diags = RunLint("src/a.cc", src);
+  ASSERT_EQ(diags.size(), 3u);
+  EXPECT_EQ(diags[0].line, 5);
+  EXPECT_EQ(diags[1].line, 5);
+  EXPECT_EQ(diags[2].line, 7);
+}
+
 TEST(LintBannedNondeterminism, ExemptsTheProjectRng) {
   const std::string src = "void f() { std::random_device rd; }";
   EXPECT_TRUE(RunLint("src/common/random.cc", src).empty());
@@ -348,86 +365,6 @@ TEST(LintRawFileWrite, NolintSuppresses) {
     }
   )cc";
   EXPECT_TRUE(RunLint("src/core/a.cc", src).empty());
-}
-
-// ---------------------------------------------------------------------------
-// p3c-untracked-hot-alloc
-// ---------------------------------------------------------------------------
-
-TEST(LintUntrackedHotAlloc, FiresOnBareGrowthInBlessedFiles) {
-  const std::string src = R"cc(
-    void f(std::vector<int>& v, size_t n) {
-      v.reserve(n);
-      v.resize(n);
-      v.assign(n, 0);
-      int* raw = new int[n];
-    }
-  )cc";
-  const auto diags = RunLint("src/mapreduce/partition.h", src);
-  ASSERT_EQ(diags.size(), 4u);
-  for (const auto& d : diags) {
-    EXPECT_EQ(d.rule, "p3c-untracked-hot-alloc");
-  }
-  EXPECT_EQ(diags[0].line, 3);
-  // Every blessed hot-structure file is in scope.
-  EXPECT_EQ(RunLint("src/mapreduce/runner.h", src).size(), 4u);
-  EXPECT_EQ(RunLint("src/core/rssc.cc", src).size(), 4u);
-  EXPECT_EQ(RunLint("src/core/support_counter.cc", src).size(), 4u);
-  EXPECT_EQ(RunLint("src/mr/jobs.cc", src).size(), 4u);
-}
-
-TEST(LintUntrackedHotAlloc, SilentOutsideBlessedFiles) {
-  const std::string src = R"cc(
-    void f(std::vector<int>& v, size_t n) { v.reserve(n); }
-  )cc";
-  EXPECT_TRUE(RunLint("src/core/other.cc", src).empty());
-  EXPECT_TRUE(RunLint("tools/a.cc", src).empty());
-  EXPECT_TRUE(RunLint("tests/a_test.cc", src).empty());
-}
-
-TEST(LintUntrackedHotAlloc, AccountingNearbyCounts) {
-  // A charge within the 16-line window blesses the growth call; any of
-  // the tracker identifiers (ScopedBytes member convention `mem_`,
-  // Charge/ArenaCharge, TrackedAllocator, MemoryTracker) qualifies.
-  const std::string src = R"cc(
-    void f(std::vector<int>& v, size_t n) {
-      v.reserve(n);
-      mem_.Set(static_cast<int64_t>(v.capacity() * sizeof(int)));
-    }
-    void g(std::vector<int>& v, size_t n) {
-      v.resize(n);
-      runs_charge_.Add(static_cast<int64_t>(n * sizeof(int)));
-    }
-  )cc";
-  EXPECT_TRUE(RunLint("src/mapreduce/partition.h", src).empty());
-}
-
-TEST(LintUntrackedHotAlloc, AccountingOutsideTheWindowDoesNotCount) {
-  std::string src = "void f(std::vector<int>& v, size_t n) {\n";
-  src += "  v.reserve(n);\n";
-  for (int i = 0; i < 20; ++i) src += "  ++n;\n";  // push charge > 16 away
-  src += "  mem_.Set(1);\n}\n";
-  EXPECT_EQ(RunLint("src/mr/jobs.cc", src).size(), 1u);
-}
-
-TEST(LintUntrackedHotAlloc, ScalarNewIsOutOfScope) {
-  const std::string src = R"cc(
-    void f() {
-      auto* one = new Widget(1, 2);
-    }
-  )cc";
-  EXPECT_TRUE(RunLint("src/mr/jobs.cc", src).empty());
-}
-
-TEST(LintUntrackedHotAlloc, NolintSuppresses) {
-  const std::string src = R"cc(
-    void f(std::vector<int>& v, size_t n) {
-      v.reserve(n);  // NOLINT(p3c-untracked-hot-alloc)
-      // NOLINTNEXTLINE(p3c-untracked-hot-alloc)
-      v.resize(n);
-    }
-  )cc";
-  EXPECT_TRUE(RunLint("src/mapreduce/runner.h", src).empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -123,52 +123,6 @@ TEST(LocalRunnerTest, MetricsRecorded) {
   EXPECT_FALSE(metrics.ToString().empty());
 }
 
-// ---- Combiner ---------------------------------------------------------------
-
-class SumCombiner : public Combiner<std::string, uint64_t> {
- public:
-  uint64_t Combine(const std::string& key,
-                   std::span<const uint64_t> values) override {
-    (void)key;
-    uint64_t total = 0;
-    for (uint64_t v : values) total += v;
-    return total;
-  }
-};
-
-TEST(LocalRunnerTest, CombinerPreservesResultAndCutsShuffle) {
-  const std::vector<std::string> words = {"a", "a", "a", "a", "b", "a",
-                                          "a", "b", "a", "a", "a", "b"};
-  MetricsRegistry plain_metrics;
-  MetricsRegistry combined_metrics;
-
-  auto run = [&words](MetricsRegistry* metrics, bool with_combiner) {
-    RunnerOptions options;
-    options.records_per_split = 4;  // 3 splits
-    options.metrics = metrics;
-    LocalRunner runner(options);
-    if (!with_combiner) return RunWordCount(runner, words);
-    auto result =
-        runner.RunWithCombiner<std::string, std::string, uint64_t,
-                               std::pair<std::string, uint64_t>>(
-            "word-count-combined", words,
-            [] { return std::make_unique<WordCountMapper>(); },
-            [] { return std::make_unique<SumReducer>(); },
-            [] { return std::make_unique<SumCombiner>(); });
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    return std::move(result).value();
-  };
-
-  const auto plain = run(&plain_metrics, false);
-  const auto combined = run(&combined_metrics, true);
-  EXPECT_EQ(plain, combined);  // identical final aggregation
-  // 12 records across 3 splits with 2 keys -> at most 6 combined records.
-  EXPECT_EQ(plain_metrics.jobs()[0].map_output_records, 12u);
-  EXPECT_LE(combined_metrics.jobs()[0].map_output_records, 6u);
-  EXPECT_LT(combined_metrics.jobs()[0].shuffle_bytes,
-            plain_metrics.jobs()[0].shuffle_bytes);
-}
-
 TEST(MetricsTest, ProjectedOverheadAddsPerJob) {
   MetricsRegistry metrics;
   JobMetrics job;

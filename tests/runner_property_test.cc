@@ -1,12 +1,14 @@
 // Property suite for the MapReduce engine: a randomized keyed-sum job
 // must agree exactly with a direct single-threaded reference computation
-// for every (threads, split size, reducers) configuration.
+// for every (threads, split size, reducers) configuration, over uniform
+// and skewed key distributions.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "src/common/random.h"
 #include "src/mapreduce/runner.h"
@@ -37,48 +39,42 @@ class Int64SumReducer
   }
 };
 
-class Int64SumCombiner : public Combiner<int, int64_t> {
- public:
-  int64_t Combine(const int& key, std::span<const int64_t> values) override {
-    (void)key;
-    int64_t total = 0;
-    for (int64_t v : values) total += v;
-    return total;
-  }
-};
-
 using Param = std::tuple<uint64_t /*seed*/, size_t /*threads*/,
-                         size_t /*split*/, bool /*combiner*/>;
+                         size_t /*split*/, bool /*skewed_keys*/>;
+
+/// Random records over 40 keys; skewed, about 80% of them carry key 0,
+/// so hash routing piles most of the shuffle onto one partition.
+std::vector<KeyedRecord> MakeRecords(Rng& rng, bool skewed_keys,
+                                     std::map<int, int64_t>& reference) {
+  const size_t n = 500 + rng.UniformInt(2000);
+  std::vector<KeyedRecord> records(n);
+  for (auto& record : records) {
+    record.key = static_cast<int>(rng.UniformInt(40));
+    if (skewed_keys && rng.UniformInt(10) < 8) record.key = 0;
+    record.value = static_cast<int64_t>(rng.UniformInt(1000)) - 500;
+    reference[record.key] += record.value;
+  }
+  return records;
+}
 
 class RunnerProperties : public ::testing::TestWithParam<Param> {};
 
 TEST_P(RunnerProperties, KeyedSumMatchesReference) {
-  const auto [seed, threads, split, with_combiner] = GetParam();
+  const auto [seed, threads, split, skewed_keys] = GetParam();
   Rng rng(seed);
-  const size_t n = 500 + rng.UniformInt(2000);
-  std::vector<KeyedRecord> records(n);
   std::map<int, int64_t> reference;
-  for (auto& record : records) {
-    record.key = static_cast<int>(rng.UniformInt(40));
-    record.value = static_cast<int64_t>(rng.UniformInt(1000)) - 500;
-    reference[record.key] += record.value;
-  }
+  const auto records = MakeRecords(rng, skewed_keys, reference);
 
   RunnerOptions options;
   options.num_threads = threads;
   options.records_per_split = split;
   options.num_reducers = threads;
   LocalRunner runner(options);
-  const auto mapper = [] { return std::make_unique<KeyedSumMapper>(); };
-  const auto reducer = [] { return std::make_unique<Int64SumReducer>(); };
   const auto result =
-      with_combiner
-          ? runner.RunWithCombiner<KeyedRecord, int, int64_t,
-                                   std::pair<int, int64_t>>(
-                "keyed-sum", records, mapper, reducer,
-                [] { return std::make_unique<Int64SumCombiner>(); })
-          : runner.Run<KeyedRecord, int, int64_t, std::pair<int, int64_t>>(
-                "keyed-sum", records, mapper, reducer);
+      runner.Run<KeyedRecord, int, int64_t, std::pair<int, int64_t>>(
+          "keyed-sum", records,
+          [] { return std::make_unique<KeyedSumMapper>(); },
+          [] { return std::make_unique<Int64SumReducer>(); });
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const auto& out = *result;
 
@@ -107,16 +103,10 @@ INSTANTIATE_TEST_SUITE_P(
 class StragglerRunnerProperties : public ::testing::TestWithParam<Param> {};
 
 TEST_P(StragglerRunnerProperties, KeyedSumMatchesReferenceUnderSpeculation) {
-  const auto [seed, threads, split, with_combiner] = GetParam();
+  const auto [seed, threads, split, skewed_keys] = GetParam();
   Rng rng(seed);
-  const size_t n = 500 + rng.UniformInt(2000);
-  std::vector<KeyedRecord> records(n);
   std::map<int, int64_t> reference;
-  for (auto& record : records) {
-    record.key = static_cast<int>(rng.UniformInt(40));
-    record.value = static_cast<int64_t>(rng.UniformInt(1000)) - 500;
-    reference[record.key] += record.value;
-  }
+  const auto records = MakeRecords(rng, skewed_keys, reference);
 
   RunnerOptions options;
   options.num_threads = threads;
@@ -128,16 +118,11 @@ TEST_P(StragglerRunnerProperties, KeyedSumMatchesReferenceUnderSpeculation) {
   options.speculative_min_samples = 1;
   options.speculative_min_runtime_seconds = 0.0;
   LocalRunner runner(options);
-  const auto mapper = [] { return std::make_unique<KeyedSumMapper>(); };
-  const auto reducer = [] { return std::make_unique<Int64SumReducer>(); };
   const auto result =
-      with_combiner
-          ? runner.RunWithCombiner<KeyedRecord, int, int64_t,
-                                   std::pair<int, int64_t>>(
-                "keyed-sum", records, mapper, reducer,
-                [] { return std::make_unique<Int64SumCombiner>(); })
-          : runner.Run<KeyedRecord, int, int64_t, std::pair<int, int64_t>>(
-                "keyed-sum", records, mapper, reducer);
+      runner.Run<KeyedRecord, int, int64_t, std::pair<int, int64_t>>(
+          "keyed-sum", records,
+          [] { return std::make_unique<KeyedSumMapper>(); },
+          [] { return std::make_unique<Int64SumReducer>(); });
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const auto& out = *result;
 

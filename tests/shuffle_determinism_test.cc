@@ -1,7 +1,7 @@
 // Determinism suite for the partitioned shuffle (labeled shuffle-smoke;
 // tools/run_sanitizers.sh runs it under ASan/UBSan and TSan): job output
-// must be byte-identical across thread counts, reducer counts, with and
-// without a combiner, and under injected task faults. The reducer below
+// must be byte-identical across thread counts, reducer counts, skewed
+// key distributions, and under injected task faults. The reducer below
 // folds its values through an order-sensitive polynomial hash, so any
 // change in value order — not just in the multiset of values — flips the
 // output and fails the suite.
@@ -48,20 +48,6 @@ class OrderHashReducer
   }
 };
 
-/// Matching combiner: also an order-sensitive fold, so combined runs
-/// stay order-sensitive. (Combined output differs from uncombined output
-/// by design — the suite compares like with like.)
-class OrderHashCombiner : public Combiner<int64_t, uint64_t> {
- public:
-  uint64_t Combine(const int64_t& key,
-                   std::span<const uint64_t> values) override {
-    (void)key;
-    uint64_t h = 1469598103934665603ull;
-    for (uint64_t v : values) h = h * 31 + v;
-    return h;
-  }
-};
-
 std::vector<KeyedRecord> MakeRecords(size_t n, size_t num_keys) {
   std::vector<KeyedRecord> records(n);
   for (size_t i = 0; i < n; ++i) {
@@ -71,33 +57,33 @@ std::vector<KeyedRecord> MakeRecords(size_t n, size_t num_keys) {
   return records;
 }
 
+/// One heavy-hitter key: about 80% of the records carry key 0, the rest
+/// spread over 36 cold keys, so hash routing leaves the hot key's
+/// partition far above the others.
+std::vector<KeyedRecord> MakeSkewedRecords(size_t n) {
+  std::vector<KeyedRecord> records = MakeRecords(n, 37);
+  for (size_t i = 0; i < n; ++i) {
+    if (ShuffleMix64(i ^ 0x5eed) % 10 < 8) records[i].key = 0;
+  }
+  return records;
+}
+
 using Output = std::vector<std::pair<int64_t, uint64_t>>;
 
 Output RunJob(const std::vector<KeyedRecord>& records, size_t num_threads,
-              size_t num_reducers, bool with_combiner,
-              FaultInjector* injector = nullptr,
-              MetricsRegistry* metrics = nullptr,
-              const Partitioner<int64_t>* partitioner = nullptr) {
+              size_t num_reducers, FaultInjector* injector = nullptr,
+              MetricsRegistry* metrics = nullptr) {
   RunnerOptions options;
   options.num_threads = num_threads;
   options.records_per_split = 64;
   options.fault_injector = injector;
   options.metrics = metrics;
   LocalRunner runner(options);
-  ShuffleOptions<int64_t> shuffle;
-  shuffle.num_reducers = num_reducers;
-  shuffle.partitioner = partitioner;
-  const auto mapper = [] { return std::make_unique<KeyedMapper>(); };
-  const auto reducer = [] { return std::make_unique<OrderHashReducer>(); };
   auto result =
-      with_combiner
-          ? runner.RunWithCombiner<KeyedRecord, int64_t, uint64_t,
-                                   std::pair<int64_t, uint64_t>>(
-                "determinism", records, mapper, reducer,
-                [] { return std::make_unique<OrderHashCombiner>(); }, shuffle)
-          : runner.Run<KeyedRecord, int64_t, uint64_t,
-                       std::pair<int64_t, uint64_t>>(
-                "determinism", records, mapper, reducer, shuffle);
+      runner.Run<KeyedRecord, int64_t, uint64_t, std::pair<int64_t, uint64_t>>(
+          "determinism", records,
+          [] { return std::make_unique<KeyedMapper>(); },
+          [] { return std::make_unique<OrderHashReducer>(); }, num_reducers);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return result.ok() ? std::move(result).value() : Output{};
 }
@@ -105,24 +91,25 @@ Output RunJob(const std::vector<KeyedRecord>& records, size_t num_threads,
 // ---- The equivalence contract ----------------------------------------
 
 using Param = std::tuple<size_t /*threads*/, size_t /*reducers*/,
-                         bool /*combiner*/, bool /*faults*/>;
+                         bool /*skewed_keys*/, bool /*faults*/>;
 
 class ShuffleDeterminism : public ::testing::TestWithParam<Param> {};
 
 TEST_P(ShuffleDeterminism, ByteIdenticalToSerialSingleReducerRun) {
-  const auto [threads, reducers, with_combiner, with_faults] = GetParam();
-  const auto records = MakeRecords(3000, 37);
+  const auto [threads, reducers, skewed_keys, with_faults] = GetParam();
+  const auto records =
+      skewed_keys ? MakeSkewedRecords(3000) : MakeRecords(3000, 37);
   // Baseline: serial, one reducer, fault-free — the configuration whose
   // reduce input order is trivially the global stable-sort order.
-  const Output baseline = RunJob(records, 1, 1, with_combiner);
+  const Output baseline = RunJob(records, 1, 1);
   ASSERT_EQ(baseline.size(), 37u);
 
   SeededFaultInjector injector(/*seed=*/23, /*fail_probability=*/1.0,
                                /*max_faults_per_task=*/1);
   MetricsRegistry metrics;
   const Output out =
-      RunJob(records, threads, reducers, with_combiner,
-             with_faults ? &injector : nullptr, &metrics);
+      RunJob(records, threads, reducers, with_faults ? &injector : nullptr,
+             &metrics);
   EXPECT_EQ(out, baseline);
   if (with_faults) {
     EXPECT_GT(injector.injected_faults(), 0u);
@@ -148,57 +135,97 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(size_t{1}, size_t{3}, size_t{8}),
                        ::testing::Bool(), ::testing::Bool()));
 
-// ---- Partitioner contract --------------------------------------------
+// ---- Skewed key distribution ----------------------------------------
 
-/// A deliberately skewed-but-valid partitioner: all keys below the pivot
-/// on partition 0, the rest spread by hash.
-class PivotPartitioner : public Partitioner<int64_t> {
- public:
-  size_t Partition(const int64_t& key, size_t num_partitions) const override {
-    if (key < 8 || num_partitions == 1) return 0;
-    return 1 + ShuffleKeyHash(key) % (num_partitions - 1);
-  }
-};
-
-TEST(ShuffleDeterminismTest, CustomPartitionerPreservesOutput) {
-  const auto records = MakeRecords(2000, 37);
-  const Output baseline = RunJob(records, 1, 1, /*with_combiner=*/false);
-  const PivotPartitioner partitioner;
+TEST(ShuffleDeterminismTest, SkewedKeysPreserveOutput) {
+  const auto records = MakeSkewedRecords(2000);
+  const Output baseline = RunJob(records, 1, 1);
+  ASSERT_EQ(baseline.size(), 37u);
   for (size_t reducers : {size_t{1}, size_t{3}, size_t{8}}) {
-    const Output out = RunJob(records, 4, reducers, /*with_combiner=*/false,
-                              nullptr, nullptr, &partitioner);
+    MetricsRegistry metrics;
+    const Output out = RunJob(records, 4, reducers, nullptr, &metrics);
     EXPECT_EQ(out, baseline) << reducers << " reducers";
+    if (reducers > 1) {
+      EXPECT_GT(metrics.jobs().front().partition_skew, 2.0)
+          << reducers << " reducers";
+    }
   }
 }
 
-class OutOfRangePartitioner : public Partitioner<int64_t> {
- public:
-  size_t Partition(const int64_t& key, size_t num_partitions) const override {
-    (void)key;
-    return num_partitions;  // one past the end
-  }
-};
+// ---- Routing contract -------------------------------------------------
+//
+// Key k goes to partition ShuffleKeyHash(k) % R, with no other routing
+// policy. Checked on ShuffleBuffers directly (every merged group key sits
+// on its hash partition) and through the runner (per-partition record
+// counts match a histogram computed here), for uniform, skewed and
+// single-key inputs.
 
-TEST(ShuffleDeterminismTest, OutOfRangePartitionerFailsTheJob) {
-  const auto records = MakeRecords(100, 7);
-  RunnerOptions options;
-  options.num_threads = 2;
-  LocalRunner runner(options);
-  const OutOfRangePartitioner partitioner;
-  ShuffleOptions<int64_t> shuffle;
-  shuffle.num_reducers = 3;
-  shuffle.partitioner = &partitioner;
-  auto result = runner.Run<KeyedRecord, int64_t, uint64_t,
-                           std::pair<int64_t, uint64_t>>(
-      "bad-partitioner", records,
-      [] { return std::make_unique<KeyedMapper>(); },
-      [] { return std::make_unique<OrderHashReducer>(); }, shuffle);
-  ASSERT_FALSE(result.ok());
-  // Deterministic misconfiguration, not a transient fault: surfaces as
-  // InvalidArgument so job-level retry does not re-run it.
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(IsRetryableJobFailure(result.status()));
+enum class KeyShape { kUniform, kSkewed, kSingleKey };
+
+std::vector<KeyedRecord> MakeShapedRecords(KeyShape shape, size_t n) {
+  switch (shape) {
+    case KeyShape::kUniform:
+      return MakeRecords(n, 37);
+    case KeyShape::kSkewed:
+      return MakeSkewedRecords(n);
+    case KeyShape::kSingleKey:
+      return MakeRecords(n, 1);
+  }
+  return {};
 }
+
+using RoutingParam = std::tuple<size_t /*reducers*/, KeyShape>;
+
+class ShuffleRouting : public ::testing::TestWithParam<RoutingParam> {};
+
+TEST_P(ShuffleRouting, KeysLandOnTheirHashPartition) {
+  const auto [reducers, shape] = GetParam();
+  const auto records = MakeShapedRecords(shape, 1500);
+  std::vector<uint64_t> expected(reducers, 0);
+  for (const KeyedRecord& r : records) {
+    ++expected[ShuffleKeyHash(r.key) % reducers];
+  }
+
+  const size_t num_maps = 4;
+  ShuffleBuffers<int64_t, uint64_t> buffers(reducers, num_maps);
+  for (size_t m = 0; m < num_maps; ++m) {
+    std::vector<std::pair<int64_t, uint64_t>> pairs;
+    for (size_t i = m; i < records.size(); i += num_maps) {
+      pairs.emplace_back(records[i].key, records[i].value);
+    }
+    buffers.CommitMapOutput(m, std::move(pairs));
+  }
+  for (size_t p = 0; p < reducers; ++p) {
+    buffers.MergePartition(p);
+    const auto& merged = buffers.partition(p);
+    EXPECT_EQ(merged.values.size(), expected[p]) << "partition " << p;
+    for (int64_t key : merged.group_keys) {
+      EXPECT_EQ(ShuffleKeyHash(key) % reducers, p) << "key " << key;
+    }
+  }
+
+  MetricsRegistry metrics;
+  const Output out = RunJob(records, 4, reducers, nullptr, &metrics);
+  EXPECT_EQ(out, RunJob(records, 1, 1));
+  ASSERT_EQ(metrics.num_jobs(), 1u);
+  EXPECT_EQ(metrics.jobs().front().partition_records, expected);
+}
+
+std::string RoutingName(const ::testing::TestParamInfo<RoutingParam>& info) {
+  static const char* const kShapes[] = {"Uniform", "Skewed", "SingleKey"};
+  return "R" + std::to_string(std::get<0>(info.param)) + "_" +
+         kShapes[static_cast<int>(std::get<1>(info.param))];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, ShuffleRouting,
+    ::testing::Combine(::testing::Values(size_t{1}, size_t{2}, size_t{3},
+                                         size_t{4}, size_t{7}, size_t{8},
+                                         size_t{16}),
+                       ::testing::Values(KeyShape::kUniform,
+                                         KeyShape::kSkewed,
+                                         KeyShape::kSingleKey)),
+    RoutingName);
 
 // ---- Within-key value order ------------------------------------------
 
@@ -284,7 +311,6 @@ TEST(ShuffleDeterminismTest, MapOnlyMergeMatchesSerialRun) {
 TEST(ShuffleDeterminismTest, MultiChunkMergeMatchesSingleChunk) {
   const size_t num_partitions = 3;
   const size_t num_maps = 5;
-  const HashPartitioner<int64_t> partitioner;
   auto fill = [&](ShuffleBuffers<int64_t, uint64_t>& buffers) {
     for (size_t m = 0; m < num_maps; ++m) {
       std::vector<std::pair<int64_t, uint64_t>> pairs;
@@ -294,7 +320,7 @@ TEST(ShuffleDeterminismTest, MultiChunkMergeMatchesSingleChunk) {
         // sampled splitters, the hard case for chunk boundaries.
         pairs.emplace_back(static_cast<int64_t>(h % 17), h);
       }
-      buffers.CommitMapOutput(m, std::move(pairs), partitioner);
+      buffers.CommitMapOutput(m, std::move(pairs));
     }
   };
 
@@ -315,18 +341,17 @@ TEST(ShuffleDeterminismTest, MultiChunkMergeMatchesSingleChunk) {
 
 TEST(ShuffleDeterminismTest, TinyMergeChunksPreserveJobOutput) {
   const auto records = MakeRecords(3000, 37);
-  const Output baseline = RunJob(records, 1, 1, /*with_combiner=*/false);
+  const Output baseline = RunJob(records, 1, 1);
   RunnerOptions options;
   options.num_threads = 4;
   options.records_per_split = 64;
   options.merge_chunk_records = 32;  // dozens of chunks per partition
   LocalRunner runner(options);
-  ShuffleOptions<int64_t> shuffle;
-  shuffle.num_reducers = 8;
   auto result = runner.Run<KeyedRecord, int64_t, uint64_t,
                            std::pair<int64_t, uint64_t>>(
       "tiny-chunks", records, [] { return std::make_unique<KeyedMapper>(); },
-      [] { return std::make_unique<OrderHashReducer>(); }, shuffle);
+      [] { return std::make_unique<OrderHashReducer>(); },
+      /*num_reducers=*/8);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(*result, baseline);
 }

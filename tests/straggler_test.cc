@@ -203,20 +203,14 @@ class Int64SumReducer
   }
 };
 
-class Int64SumCombiner : public Combiner<int, int64_t> {
- public:
-  int64_t Combine(const int& key, std::span<const int64_t> values) override {
-    (void)key;
-    int64_t total = 0;
-    for (int64_t v : values) total += v;
-    return total;
-  }
-};
-
-std::vector<KeyedRecord> MakeRecords(size_t n) {
+/// 17 keys round-robin, or — skewed — 80% of the records on key 0 with
+/// the rest still spread over all 17 keys, so one reduce partition and
+/// every map split's key-0 run dominate.
+std::vector<KeyedRecord> MakeRecords(size_t n, bool skewed_keys = false) {
   std::vector<KeyedRecord> records(n);
   for (size_t i = 0; i < n; ++i) {
-    records[i].key = static_cast<int>(i % 17);
+    const bool hot = skewed_keys && i % 5 != 0;
+    records[i].key = hot ? 0 : static_cast<int>(i % 17);
     records[i].value = static_cast<int64_t>(i) - 100;
   }
   return records;
@@ -226,7 +220,7 @@ struct StragglerConfig {
   size_t threads = 4;
   double task_deadline_seconds = 0.0;
   bool speculative = false;
-  bool with_combiner = false;
+  bool skewed_keys = false;
   size_t max_attempts = 4;
 };
 
@@ -256,17 +250,12 @@ RunOutcome RunKeyedSum(FaultInjector* injector, const StragglerConfig& cfg) {
   options.metrics = &outcome.metrics;
   options.counters = &outcome.counters;
   LocalRunner runner(options);
-  const auto records = MakeRecords(1000);
-  const auto mapper = [] { return std::make_unique<KeyedSumMapper>(); };
-  const auto reducer = [] { return std::make_unique<Int64SumReducer>(); };
+  const auto records = MakeRecords(1000, cfg.skewed_keys);
   outcome.result =
-      cfg.with_combiner
-          ? runner.RunWithCombiner<KeyedRecord, int, int64_t,
-                                   std::pair<int, int64_t>>(
-                "keyed-sum", records, mapper, reducer,
-                [] { return std::make_unique<Int64SumCombiner>(); })
-          : runner.Run<KeyedRecord, int, int64_t, std::pair<int, int64_t>>(
-                "keyed-sum", records, mapper, reducer);
+      runner.Run<KeyedRecord, int, int64_t, std::pair<int, int64_t>>(
+          "keyed-sum", records,
+          [] { return std::make_unique<KeyedSumMapper>(); },
+          [] { return std::make_unique<Int64SumReducer>(); });
   return outcome;
 }
 
@@ -450,18 +439,18 @@ TEST(SpeculativeExecutionTest, SpeculationRescuesHungTaskWithoutDeadline) {
   EXPECT_GE(spec.metrics.jobs().front().killed_attempts, 1u);
 }
 
-// ---- The deadline x speculation x fault-mode x threads grid ----------
+// ---- The deadline x speculation x fault-mode x threads x skew grid ---
 
 enum class FaultMode { kDelay, kHang };
 
 using GridParam = std::tuple<size_t /*threads*/, double /*deadline*/,
                              bool /*speculative*/, FaultMode,
-                             bool /*combiner*/>;
+                             bool /*skewed_keys*/>;
 
 class StragglerGrid : public ::testing::TestWithParam<GridParam> {};
 
 TEST_P(StragglerGrid, OutputIsByteIdenticalUnderStragglerControl) {
-  const auto [threads, deadline, speculative, mode, with_combiner] =
+  const auto [threads, deadline, speculative, mode, skewed_keys] =
       GetParam();
   // A hang is unrecoverable without a kill channel; such configurations
   // are excluded from the grid rather than silently skipped.
@@ -469,7 +458,7 @@ TEST_P(StragglerGrid, OutputIsByteIdenticalUnderStragglerControl) {
 
   StragglerConfig base;
   base.threads = threads;
-  base.with_combiner = with_combiner;
+  base.skewed_keys = skewed_keys;
   const RunOutcome reference = RunKeyedSum(nullptr, base);
   ASSERT_TRUE(reference.result.ok());
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -61,6 +65,28 @@ TEST(ThreadPoolTest, SingleThreadPoolWorks) {
 TEST(ThreadPoolTest, HardwareConcurrencyPositive) {
   EXPECT_GE(ThreadPool::HardwareConcurrency(), 1u);
 }
+
+#if defined(__linux__)
+TEST(ThreadPoolTest, HardwareConcurrencyRespectsAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = -1;
+  for (int cpu = 0; cpu < CPU_SETSIZE && first < 0; ++cpu) {
+    if (CPU_ISSET(cpu, &saved)) first = cpu;
+  }
+  ASSERT_GE(first, 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const size_t pinned = ThreadPool::HardwareConcurrency();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(ThreadPool::HardwareConcurrency(),
+            static_cast<size_t>(CPU_COUNT(&saved)));
+}
+#endif
 
 TEST(ThreadPoolTest, ParallelForRethrowsWorkerException) {
   // Regression: an exception escaping the body used to reach a worker

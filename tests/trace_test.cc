@@ -741,15 +741,6 @@ TEST(MetricsJsonTest, FailedJobExportsEmptyCounters) {
 
 // ---- partition_skew edge cases ---------------------------------------
 
-class AllToPartitionZero : public mr::Partitioner<int> {
- public:
-  size_t Partition(const int& key, size_t num_partitions) const override {
-    (void)key;
-    (void)num_partitions;
-    return 0;
-  }
-};
-
 TEST(PartitionSkewTest, ZeroRecordJobHasZeroSkew) {
   mr::MetricsRegistry metrics;
   mr::RunnerOptions options;
@@ -797,28 +788,30 @@ TEST(PartitionSkewTest, MapOnlyJobHasEmptyPartitionVectorsAndDashSkew) {
 }
 
 TEST(PartitionSkewTest, AllRecordsOnOnePartitionMaxesSkew) {
-  const AllToPartitionZero partitioner;
   mr::MetricsRegistry metrics;
   mr::RunnerOptions options;
   options.num_threads = 4;
   options.records_per_split = 64;
   options.metrics = &metrics;
   mr::LocalRunner runner(options);
-  const auto records = MakeRecords(500);
-  mr::ShuffleOptions<int> shuffle;
-  shuffle.num_reducers = 8;
-  shuffle.partitioner = &partitioner;
+  // One key for every record: hash routing sends them all to the single
+  // partition that key hashes to.
+  auto records = MakeRecords(500);
+  for (KeyedRecord& record : records) record.key = 7;
+  const size_t hot = mr::ShuffleKeyHash(7) % 8;
   auto result = runner.Run<KeyedRecord, int, int64_t,
                            std::pair<int, int64_t>>(
       "skewed-job", records,
       [] { return std::make_unique<KeyedSumMapper>(); },
-      [] { return std::make_unique<Int64SumReducer>(); }, shuffle);
+      [] { return std::make_unique<Int64SumReducer>(); },
+      /*num_reducers=*/8);
   ASSERT_TRUE(result.ok());
   const mr::JobMetrics& job = metrics.jobs().front();
   // Worst case: skew equals the reducer count.
   EXPECT_DOUBLE_EQ(job.partition_skew, 8.0);
-  EXPECT_EQ(job.partition_records[0], 500u);
-  for (size_t p = 1; p < 8; ++p) EXPECT_EQ(job.partition_records[p], 0u);
+  for (size_t p = 0; p < 8; ++p) {
+    EXPECT_EQ(job.partition_records[p], p == hot ? 500u : 0u);
+  }
 }
 
 // ---- Logging satellite -----------------------------------------------

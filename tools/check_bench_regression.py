@@ -23,6 +23,10 @@ BENCH_shuffle.json (bench_mr_shuffle):
 BENCH_kernels.json (bench_kernels):
   * The fastest non-scalar backend must hold speedup >= floor on
     rssc_support at every size >= --kernel-min-size (default 256).
+  * No non-scalar row may run below MIN_DISPATCHED_SPEEDUP (0.9x) of
+    scalar: bench_kernels emits a non-scalar row only for an op its
+    backend overrides, and `auto` dispatches every such op, so a
+    slower one ships as a regression.
   * outputs_identical must be true in every row — bit-exactness is the
     contract that makes --kernel-backend a pure performance knob.
   * When rows carry peak_bytes, backends of one (kernel, size) cell
@@ -51,6 +55,11 @@ import argparse
 import json
 import sys
 from collections import defaultdict
+
+
+# Slowest speedup over scalar tolerated for any op a non-scalar backend
+# overrides (below 1.0 to absorb timer noise on near-parity ops).
+MIN_DISPATCHED_SPEEDUP = 0.9
 
 
 def fail(msg):
@@ -189,6 +198,17 @@ def check_kernels(path, floor, min_size, peak_tolerance):
     else:
         print(f"{path}: no peak_bytes column — memory gate skipped "
               "(artifact predates DESIGN.md §15)")
+
+    for i, row in enumerate(rows):
+        if field(row, "backend", path, i) == "scalar":
+            continue
+        speedup = field(row, "speedup", path, i)
+        if speedup < MIN_DISPATCHED_SPEEDUP:
+            failures += fail(
+                f"dispatched kernel slower than scalar: "
+                f"{field(row, 'kernel', path, i)}/{field(row, 'size', path, i)}"
+                f" backend {row['backend']} speedup {speedup:.2f}x < "
+                f"{MIN_DISPATCHED_SPEEDUP:.2f}x")
 
     gated = [r for i, r in enumerate(rows)
              if field(r, "kernel", path, i) == "rssc_support"

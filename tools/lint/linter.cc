@@ -295,7 +295,7 @@ void RuleCancellationPoll(const std::string& path, const LexedFile& file,
       if ((IsPunct(t, j, ".") || IsPunct(t, j, "->")) && IsIdent(t, j + 1) &&
           IsPunct(t, j + 2, "(")) {
         const std::string& m = t[j + 1].text;
-        if (m == "Map" || m == "Reduce" || m == "Combine") dispatches = true;
+        if (m == "Map" || m == "Reduce") dispatches = true;
       }
     }
     for (size_t j = after; j < body_end; ++j) {
@@ -307,7 +307,7 @@ void RuleCancellationPoll(const std::string& path, const LexedFile& file,
     if (dispatches && !polls) {
       out->push_back(
           {path, t[i].line, "p3c-cancellation-poll",
-           "loop drives user task code (Map/Reduce/Combine) but never "
+           "loop drives user task code (Map/Reduce) but never "
            "consults a CancellationToken; the watchdog's deadline kill and "
            "the speculation loser-kill cannot stop it — poll "
            "ThrowIfCancelled() every few iterations"});
@@ -349,7 +349,15 @@ void RuleBannedNondeterminism(const std::string& path, const LexedFile& file,
     if (!IsIdent(t, i)) continue;
     const std::string& s = t[i].text;
     const bool call_like = IsPunct(t, i + 1, "(");
-    if (((s == "rand" || s == "srand" || s == "time") && call_like) ||
+    // The C clock's one argument is a time_t*: nullptr, NULL, 0 or &t.
+    // A local callable that happens to be named `time` takes other
+    // arguments and is not a clock read.
+    const bool clock_call =
+        s == "time" && call_like &&
+        (IsIdent(t, i + 2, "nullptr") || IsIdent(t, i + 2, "NULL") ||
+         IsPunct(t, i + 2, "&") ||
+         (i + 2 < t.size() && t[i + 2].text == "0"));
+    if (((s == "rand" || s == "srand") && call_like) || clock_call ||
         s == "random_device") {
       out->push_back(
           {path, t[i].line, "p3c-banned-nondeterminism",
@@ -422,90 +430,6 @@ void RuleRawFileWrite(const std::string& path, const LexedFile& file,
         }
       }
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// p3c-untracked-hot-alloc
-// ---------------------------------------------------------------------------
-
-// The blessed hot-structure files: the ones whose allocations dominate
-// a run's footprint and are therefore instrumented for the
-// mem.<scope>.peak_bytes gauges (DESIGN.md §15). Everywhere else the
-// shallow-accounting doctrine applies and raw growth is fine.
-bool IsHotStructureFile(const std::string& path) {
-  return PathEndsWith(path, "mapreduce/partition.h") ||
-         PathEndsWith(path, "mapreduce/runner.h") ||
-         PathEndsWith(path, "core/rssc.cc") ||
-         PathEndsWith(path, "core/support_counter.cc") ||
-         PathEndsWith(path, "mr/jobs.cc");
-}
-
-// Identifier evidence that the surrounding code participates in memory
-// accounting. Substring matching on purpose: "harge" catches Charge,
-// Recharge, charge_, ArenaCharge; "mem_" catches the ScopedBytes
-// members the instrumented classes use by convention.
-bool MentionsTracker(const Token& tok) {
-  if (tok.kind != TokKind::kIdentifier) return false;
-  const std::string& s = tok.text;
-  return s.find("harge") != std::string::npos ||
-         s.find("mem_") != std::string::npos ||
-         s.find("ScopedBytes") != std::string::npos ||
-         s.find("TrackedAllocator") != std::string::npos ||
-         s.find("MemoryTracker") != std::string::npos;
-}
-
-void RuleUntrackedHotAlloc(const std::string& path, const LexedFile& file,
-                           std::vector<Diagnostic>* out) {
-  if (!IsHotStructureFile(path)) return;
-  const Tokens& t = file.tokens;
-  // Accounting within this many lines of the growth call counts as
-  // coverage: wide enough for a charge at the end of the function that
-  // sizes the buffers, narrow enough that one charge cannot bless a
-  // whole file.
-  constexpr int kWindow = 16;
-  std::set<int> tracked_lines;
-  for (const Token& tok : t) {
-    if (MentionsTracker(tok)) tracked_lines.insert(tok.line);
-  }
-  auto tracked_near = [&](int line) {
-    auto it = tracked_lines.lower_bound(line - kWindow);
-    return it != tracked_lines.end() && *it <= line + kWindow;
-  };
-  for (size_t i = 0; i < t.size(); ++i) {
-    int line = -1;
-    std::string what;
-    if ((IsPunct(t, i, ".") || IsPunct(t, i, "->")) && IsIdent(t, i + 1) &&
-        IsPunct(t, i + 2, "(")) {
-      const std::string& m = t[i + 1].text;
-      if (m == "reserve" || m == "resize" || m == "assign") {
-        line = t[i + 1].line;
-        what = "'." + m + "(...)'";
-      }
-    } else if (IsIdent(t, i, "new")) {
-      // `new T[n]`: an array bound before the expression moves on to a
-      // constructor call or terminator. Plain `new T(...)` never hits
-      // the '[' first, so it stays out of scope.
-      for (size_t j = i + 1; j < t.size() && j < i + 8; ++j) {
-        if (t[j].kind == TokKind::kPunct &&
-            (t[j].text == ";" || t[j].text == "(" || t[j].text == ",")) {
-          break;
-        }
-        if (IsPunct(t, j, "[")) {
-          line = t[i].line;
-          what = "'new T[n]'";
-          break;
-        }
-      }
-    }
-    if (line < 0 || tracked_near(line)) continue;
-    out->push_back(
-        {path, line, "p3c-untracked-hot-alloc",
-         what +
-             " grows a hot structure with no memory accounting nearby; "
-             "charge it via ScopedBytes/ArenaCharge/TrackedAllocator so "
-             "mem.<scope>.peak_bytes sees it, or add an explanatory "
-             "NOLINT if it is deliberately untracked"});
   }
 }
 
@@ -677,8 +601,7 @@ const std::vector<std::string>& AllRules() {
       "p3c-unchecked-status",   "p3c-unordered-emit",
       "p3c-cancellation-poll",  "p3c-no-iostream",
       "p3c-banned-nondeterminism", "p3c-raw-file-write",
-      "p3c-untracked-hot-alloc", "p3c-naked-mutex",
-      "p3c-implicit-seq-cst",
+      "p3c-naked-mutex",        "p3c-implicit-seq-cst",
   };
   return kRules;
 }
@@ -702,8 +625,6 @@ std::vector<Diagnostic> LintSource(const std::string& path,
       RuleBannedNondeterminism(path, file, &raw);
     } else if (rule == "p3c-raw-file-write") {
       RuleRawFileWrite(path, file, &raw);
-    } else if (rule == "p3c-untracked-hot-alloc") {
-      RuleUntrackedHotAlloc(path, file, &raw);
     } else if (rule == "p3c-naked-mutex") {
       RuleNakedMutex(path, file, &raw);
     } else if (rule == "p3c-implicit-seq-cst") {

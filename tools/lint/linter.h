@@ -25,7 +25,7 @@
 //                              output would not be byte-stable.
 //   p3c-cancellation-poll      A for/while loop whose body dispatches
 //                              into user task code (`->Map(`,
-//                              `->Reduce(`, `->Combine(`) without ever
+//                              `->Reduce(`) without ever
 //                              consulting a CancellationToken — the
 //                              watchdog's deadline kill and the
 //                              speculation loser-kill cannot stop it.
@@ -33,7 +33,8 @@
 //                              code must log through logging.h so
 //                              sinks, levels, and captures work.
 //   p3c-banned-nondeterminism  rand()/srand()/std::random_device/
-//                              time() outside src/common/random.cc —
+//                              the C clock time(nullptr|NULL|0|&t)
+//                              outside src/common/random.cc —
 //                              all entropy flows through the seeded
 //                              project RNG for reproducibility.
 //   p3c-raw-file-write         std::ofstream, or fopen with a
@@ -43,19 +44,6 @@
 //                              temp+fsync+rename writer so a crash
 //                              never leaves a truncated file. Tests
 //                              are exempt.
-//   p3c-untracked-hot-alloc    A container growth call (.reserve/
-//                              .resize/.assign) or `new T[n]` inside a
-//                              blessed hot-structure file (shuffle
-//                              partitions/runner, RSSC, support
-//                              counters, the MR mappers) with no
-//                              memory-accounting identifier
-//                              (ScopedBytes/ArenaCharge/charge/mem_/
-//                              TrackedAllocator/MemoryTracker) within
-//                              16 lines — the allocation would be
-//                              invisible to the mem.<scope>.peak_bytes
-//                              gauges of DESIGN.md §15. Allocations
-//                              deliberately left untracked carry an
-//                              explanatory NOLINT.
 //   p3c-naked-mutex            std::mutex/lock_guard/unique_lock/
 //                              scoped_lock/condition_variable (and
 //                              their timed/recursive/shared variants)

@@ -56,11 +56,9 @@
 //                                      backends are bit-exact, so this
 //                                      never changes results
 //           [--log-level=LEVEL]        debug|info|warning|error|off
-//           [--k K --l L]                    (PROCLUS only)
-//           [--doc-alpha F --doc-beta F --doc-w F]        (DOC only)
 //           [--block-rows N]                 (streaming-light only)
 //           ALGO: p3c | p3c+ | light | mr | mr-light | streaming-light |
-//                 bow | proclus | doc
+//                 bow
 //   p3c_cli evaluate --assignments a.csv --labels labels.csv
 //   p3c_cli evaluate-subspace --found f.txt --truth t.txt
 //   p3c_cli info     --in points.csv
@@ -79,8 +77,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/baselines/doc.h"
-#include "src/baselines/proclus.h"
 #include "src/bow/bow.h"
 #include "src/common/atomic_file.h"
 #include "src/common/cancellation.h"
@@ -389,19 +385,6 @@ Result<core::ClusteringResult> RunAlgo(const std::string& algo,
     options.num_threads = threads;
     bow::BoW pipeline{options};
     return pipeline.Cluster(dataset);
-  }
-  if (algo == "proclus") {
-    baselines::ProclusOptions options;
-    options.num_clusters = static_cast<size_t>(args.GetInt("k", 5));
-    options.avg_dims = static_cast<size_t>(args.GetInt("l", 4));
-    return baselines::RunProclus(dataset, options);
-  }
-  if (algo == "doc") {
-    baselines::DocOptions options;
-    options.alpha = args.GetDouble("doc-alpha", options.alpha);
-    options.beta = args.GetDouble("doc-beta", options.beta);
-    options.w = args.GetDouble("doc-w", options.w);
-    return baselines::RunDoc(dataset, options);
   }
   return Status::InvalidArgument("unknown --algo '" + algo + "'");
 }

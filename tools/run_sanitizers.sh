@@ -94,7 +94,7 @@ case "${MODE}" in
     ;;
   shuffle-smoke)
     # The partitioned-shuffle determinism suite (byte-identical output
-    # across threads/reducers/combiner/faults) under both sanitizers:
+    # across threads/reducers/skewed keys/faults) under both sanitizers:
     # ASan/UBSan catches span-lifetime bugs in the zero-copy reduce path,
     # TSan catches races in the per-partition merge and chunk-claiming
     # ParallelFor.
