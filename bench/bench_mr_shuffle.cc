@@ -37,14 +37,23 @@ struct KeyedRecord {
   uint64_t value;
 };
 
-class KeyedMapper : public Mapper<KeyedRecord, int64_t, uint64_t> {
+class KeyedMapper : public Mapper<int64_t, uint64_t> {
  public:
-  void Map(const KeyedRecord& record,
+  explicit KeyedMapper(const std::vector<KeyedRecord>* records)
+      : records_(records) {}
+
+  void Map(p3c::mr::RecordRange rows,
            Emitter<int64_t, uint64_t>& out) override {
     // A little per-record compute so the map phase resembles the paper's
     // jobs (distance/bin math per point) instead of a pure memcpy.
-    out.Emit(record.key, p3c::mr::ShuffleMix64(record.value));
+    for (size_t i = rows.begin; i < rows.end; ++i) {
+      const KeyedRecord& record = (*records_)[i];
+      out.Emit(record.key, p3c::mr::ShuffleMix64(record.value));
+    }
   }
+
+ private:
+  const std::vector<KeyedRecord>* records_;
 };
 
 class OrderHashReducer
@@ -58,7 +67,7 @@ class OrderHashReducer
   }
 };
 
-std::vector<KeyedRecord> MakeRecords(size_t n) {
+std::vector<KeyedRecord> MakeKeyedRecords(size_t n) {
   const size_t num_keys = std::max<size_t>(1, n / 64);
   std::vector<KeyedRecord> records(n);
   for (size_t i = 0; i < n; ++i) {
@@ -131,10 +140,10 @@ int main(int argc, char** argv) {
   mr::MetricsRegistry sweep_metrics;  // one entry per sweep cell
 
   // Scoped memory accounting is on for the whole sweep: the charge
-  // sites are coarse (per task commit / merge chunk / 256 emits), so
+  // sites are coarse (per task commit / partition merge / 256 emits), so
   // the overhead is uniform noise across cells, and every BENCH row
   // gains a peak_bytes column the regression gate can hold flat across
-  // thread counts (memory, like the merge plan, must not scale with
+  // thread counts (memory, like the merge work, must not scale with
   // parallelism).
   resource::MemoryTracker& mem_tracker = resource::MemoryTracker::Global();
   mem_tracker.Enable(true);
@@ -152,7 +161,7 @@ int main(int argc, char** argv) {
               "threads", "reducers", "map(s)", "shuffle(s)", "serial(s)",
               "speedup", "skew", "peak(MB)", "ok");
   for (size_t n : record_counts) {
-    const auto records = MakeRecords(n);
+    const auto records = MakeKeyedRecords(n);
     const double baseline_sort = MeasureSerialSortBaseline(records);
     std::vector<std::pair<int64_t, uint64_t>> reference;
 
@@ -197,12 +206,12 @@ int main(int argc, char** argv) {
         // agree; max is robust if a repeat ever diverges).
         mem_tracker.BeginPhase(StringPrintf("shuffle-bench/t=%zu/r=%zu",
                                             cell.threads, cell.reducers));
-        auto result = runner.Run<KeyedRecord, int64_t, uint64_t,
-                                 std::pair<int64_t, uint64_t>>(
-            "shuffle-bench", records,
-            [] { return std::make_unique<KeyedMapper>(); },
-            [] { return std::make_unique<OrderHashReducer>(); },
-            cell.reducers);
+        auto result =
+            runner.Run<int64_t, uint64_t, std::pair<int64_t, uint64_t>>(
+                "shuffle-bench", records.size(),
+                [&records] { return std::make_unique<KeyedMapper>(&records); },
+                [] { return std::make_unique<OrderHashReducer>(); },
+                cell.reducers);
         cell.peak_bytes = std::max(cell.peak_bytes, mem_tracker.EndPhase());
         if (!result.ok()) {
           std::fprintf(stderr, "run failed: %s\n",

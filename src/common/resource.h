@@ -45,7 +45,7 @@ namespace p3c::resource {
 /// change (enum + name); the fixed size keeps Charge() lock-free.
 enum class MemScope : uint8_t {
   kShuffleRuns = 0,   ///< sorted map-output runs (partition.h)
-  kShuffleMerged,     ///< merge fragments + MergedPartition buffers
+  kShuffleMerged,     ///< merged pairs + MergedPartition buffers
   kEmitter,           ///< VectorEmitter pair buffers (runner.h)
   kRsscIndex,         ///< RSSC word-packed bitmaps + separators
   kSupportPartials,   ///< per-task support counting partials
@@ -244,7 +244,7 @@ class ScopedBytes {
 };
 
 /// Thread-safe accumulating charge for a structure many workers grow
-/// concurrently (the shuffle's runs and merge fragments). Add/Sub are
+/// concurrently (the shuffle's runs and merged partitions). Add/Sub are
 /// relaxed-atomic; the destructor releases the outstanding remainder.
 class ArenaCharge {
  public:

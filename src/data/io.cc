@@ -146,9 +146,22 @@ Result<BinaryHeader> ReadBinaryHeader(std::FILE* f, const std::string& path) {
 
 Status ValidateBinarySize(const BinaryHeader& header, uint64_t file_size,
                           const std::string& path) {
-  const uint64_t expected =
-      static_cast<uint64_t>(header.header_bytes) +
-      header.num_points * header.num_dims * sizeof(double);
+  // Checked arithmetic: a hostile header whose n * d * 8 wraps around
+  // 2^64 must not alias a small file size and reach the allocations.
+  uint64_t values = 0;
+  uint64_t payload_bytes = 0;
+  uint64_t expected = 0;
+  if (__builtin_mul_overflow(header.num_points, header.num_dims, &values) ||
+      __builtin_mul_overflow(values, uint64_t{sizeof(double)},
+                             &payload_bytes) ||
+      __builtin_add_overflow(static_cast<uint64_t>(header.header_bytes),
+                             payload_bytes, &expected)) {
+    return Status::IOError(StringPrintf(
+        "%s: %llu points x %llu dims overflows the payload size; the "
+        "header is corrupt",
+        path.c_str(), static_cast<unsigned long long>(header.num_points),
+        static_cast<unsigned long long>(header.num_dims)));
+  }
   if (file_size == expected) return Status::OK();
   return Status::IOError(StringPrintf(
       "%s: %llu points x %llu dims implies %llu bytes, file has %llu "

@@ -53,7 +53,8 @@ Result<BinaryHeader> ReadBinaryHeader(std::FILE* f, const std::string& path);
 
 /// Checks that `file_size` is exactly header + n*d doubles — catching
 /// both truncated files and trailing garbage with a Status that names
-/// the expected and found byte counts.
+/// the expected and found byte counts, and rejecting a header whose
+/// payload size overflows 64 bits.
 Status ValidateBinarySize(const BinaryHeader& header, uint64_t file_size,
                           const std::string& path);
 

@@ -27,30 +27,40 @@ class Emitter {
   virtual Counters& counters() = 0;
 };
 
-/// User map task over records of type `Record`, emitting (K, V).
+/// A range of consecutive input records [begin, end). Map input is a
+/// record count: a record is its index, and a mapper reads the rows it
+/// names from the job's own read-only payload (for the P3C+ jobs, the
+/// dataset behind the job-config pointer).
+struct RecordRange {
+  size_t begin = 0;
+  size_t end = 0;
+
+  size_t size() const { return end - begin; }
+};
+
+/// Most records one Map call sees. The engine polls the attempt's
+/// cancellation token between ranges, so this is also the watchdog's kill
+/// granularity for a mapper that never emits.
+inline constexpr size_t kMapRangeRecords = 64;
+
+/// User map task emitting (K, V).
 ///
-/// `Setup` receives the whole split before the per-record calls — the hook
-/// the MVB job uses to cache its split (§5.5) — and `Cleanup` runs after
-/// the last record, which is where split-level aggregates (per-split
-/// medians, per-split histograms) are emitted.
+/// The engine calls `Map` over consecutive ranges of the task's split, in
+/// ascending order, each at most kMapRangeRecords long, together covering
+/// the split exactly. `Cleanup` runs after the last range, which is where
+/// split-level aggregates (per-split medians, per-split histograms) are
+/// emitted — the in-mapper combining of Eq. 8.
 ///
 /// Retry contract (Hadoop task attempts): a fresh instance runs per
 /// attempt over the same immutable split, so mappers may fail (throw or
 /// leave partial emissions) without corrupting the job — but must not
 /// mutate state outside themselves and their emitter.
-template <typename Record, typename K, typename V>
+template <typename K, typename V>
 class Mapper {
  public:
   virtual ~Mapper() = default;
 
-  virtual void Setup(size_t split_index, std::span<const Record> split,
-                     Emitter<K, V>& out) {
-    (void)split_index;
-    (void)split;
-    (void)out;
-  }
-
-  virtual void Map(const Record& record, Emitter<K, V>& out) = 0;
+  virtual void Map(RecordRange rows, Emitter<K, V>& out) = 0;
 
   virtual void Cleanup(Emitter<K, V>& out) { (void)out; }
 };

@@ -2,23 +2,13 @@
 #define P3C_MAPREDUCE_PARTITION_H_
 
 // Hadoop-style partitioned shuffle for the in-process engine (DESIGN.md
-// §9, §14): a deterministic key hash routes every intermediate key to one
-// of R reduce partitions at map-commit time, each partition holds one
-// key-sorted run per map task, and a staged merge (plan -> chunk merges
-// -> finalize) turns those runs into a grouped, contiguous value buffer
-// that reducers read zero-copy via std::span.
-//
-// The merge is *chunked*: PlanMerge splits each partition's key range at
-// sampled splitter keys into chunks of roughly target_chunk_records
-// records, every (partition, chunk) merges independently (a stable
+// §9): a deterministic key hash routes every intermediate key to one of R
+// reduce partitions at map-commit time, each partition holds one
+// key-sorted run per map task, and one merge pass per partition (a stable
 // pairwise ladder of std::merge passes — sequential streaming instead of
-// a per-element heap), and FinalizePartition stitches the chunk
-// fragments back in key order. Chunk boundaries are lower-bound key
-// boundaries, so equal keys never straddle chunks and the merged output
-// is byte-identical for every chunk plan. The plan depends only on the
-// data and the chunk-size target — never on the worker count — which is
-// what keeps shuffle work flat as threads are added (§14's scaling
-// postmortem).
+// a per-element heap) turns those runs into a grouped, contiguous value
+// buffer that reducers read zero-copy via std::span. The merge depends
+// only on the runs, never on the worker count.
 
 #include <algorithm>
 #include <bit>
@@ -161,15 +151,9 @@ std::vector<std::pair<K, V>> LadderMergeMove(
 ///
 /// Stage protocol (the engine's shuffle phase):
 ///   1. CommitMapOutput — concurrent for distinct map_index values
-///      (disjoint slots, lock-free); separated from the merge stages by
-///      the map barrier.
-///   2. PlanMerge — concurrent for distinct partitions.
-///   3. FinishPlan — serial; flattens the per-partition chunk lists.
-///   4. MergeChunk — concurrent for distinct chunk ids (every chunk
-///      writes only its own fragment).
-///   5. ReleaseRuns — serial; all slices have been consumed.
-///   6. FinalizePartition — concurrent for distinct partitions.
-/// Every stage boundary is a ParallelFor barrier in the runner.
+///      (disjoint slots, lock-free); separated from the merge by the map
+///      barrier.
+///   2. MergePartition — concurrent for distinct partitions.
 template <typename K, typename V>
 class ShuffleBuffers {
  public:
@@ -177,7 +161,6 @@ class ShuffleBuffers {
       : num_partitions_(std::max<size_t>(1, num_partitions)),
         num_maps_(num_maps),
         runs_(num_partitions_ * num_maps),
-        plans_(num_partitions_),
         merged_(num_partitions_) {}
 
   size_t num_partitions() const { return num_partitions_; }
@@ -223,172 +206,58 @@ class ShuffleBuffers {
                                           sizeof(std::pair<K, V>)));
   }
 
-  /// Stage 2: splits partition p's merge into chunks of roughly
-  /// target_chunk_records records (0 means one chunk). Splitter keys are
-  /// sampled run quantiles; slice boundaries are lower_bound positions,
-  /// so equal keys land in exactly one chunk and the eventual output is
-  /// independent of the chunk plan. Deterministic: a pure function of
-  /// the run contents and the target, never of the worker count.
-  void PlanMerge(size_t p, size_t target_chunk_records) {
-    const std::span<std::vector<std::pair<K, V>>> runs = RunSpan(p);
-    PartitionPlan& plan = plans_[p];
-    size_t total = 0;
-    for (const auto& run : runs) total += run.size();
-    size_t num_chunks =
-        target_chunk_records == 0
-            ? 1
-            : std::max<size_t>(1, total / target_chunk_records);
-    num_chunks = std::min(num_chunks, std::max<size_t>(1, total));
-    plan.fragments.clear();
-    plan.fragments.resize(num_chunks);
-    plan.bounds.assign((num_chunks + 1) * num_maps_, 0);
-    for (size_t m = 0; m < num_maps_; ++m) {
-      plan.bounds[num_chunks * num_maps_ + m] = runs[m].size();
-    }
-    if (num_chunks == 1) return;
-
-    std::vector<K> sample;
-    sample.reserve(num_maps_ * (num_chunks - 1));
-    for (const auto& run : runs) {
-      if (run.empty()) continue;
-      for (size_t c = 1; c < num_chunks; ++c) {
-        sample.push_back(run[c * run.size() / num_chunks].first);
-      }
-    }
-    std::sort(sample.begin(), sample.end());
-    for (size_t c = 1; c < num_chunks; ++c) {
-      const K& splitter = sample[c * sample.size() / num_chunks];
-      for (size_t m = 0; m < num_maps_; ++m) {
-        plan.bounds[c * num_maps_ + m] = static_cast<size_t>(
-            std::lower_bound(runs[m].begin(), runs[m].end(), splitter,
-                             [](const std::pair<K, V>& kv, const K& key) {
-                               return kv.first < key;
-                             }) -
-            runs[m].begin());
-      }
-    }
-  }
-
-  /// Stage 3: flattens all planned chunks into one global id space
-  /// (partition-major, deterministic) and returns the total chunk count.
-  size_t FinishPlan() {
-    chunk_index_.clear();
-    for (size_t p = 0; p < num_partitions_; ++p) {
-      for (size_t c = 0; c < plans_[p].fragments.size(); ++c) {
-        chunk_index_.emplace_back(static_cast<uint32_t>(p),
-                                  static_cast<uint32_t>(c));
-      }
-    }
-    return chunk_index_.size();
-  }
-
-  /// Partition owning global chunk id `chunk` (metrics attribution).
-  size_t ChunkPartition(size_t chunk) const {
-    return chunk_index_[chunk].first;
-  }
-
-  /// Stage 4: ladder-merges one chunk's run slices into its fragment.
-  void MergeChunk(size_t chunk) {
-    const auto [p, c] = chunk_index_[chunk];
-    const std::span<std::vector<std::pair<K, V>>> runs = RunSpan(p);
-    PartitionPlan& plan = plans_[p];
-    const size_t* lo = plan.bounds.data() + size_t{c} * num_maps_;
-    const size_t* hi = lo + num_maps_;
-    std::vector<std::span<std::pair<K, V>>> slices;
+  /// Stage 2: ladder-merges partition p's runs (in map-task order, so
+  /// within a key values keep their (map task, emit order) order) and
+  /// groups equal keys into its MergedPartition, freeing the runs once
+  /// they are merged.
+  void MergePartition(size_t p) {
+    using Pair = std::pair<K, V>;
+    const std::span<std::vector<Pair>> runs =
+        std::span(runs_).subspan(p * num_maps_, num_maps_);
+    std::vector<std::span<Pair>> slices;
     slices.reserve(num_maps_);
-    for (size_t m = 0; m < num_maps_; ++m) {
-      if (hi[m] > lo[m]) {
-        slices.push_back(
-            std::span(runs[m]).subspan(lo[m], hi[m] - lo[m]));
-      }
+    for (auto& run : runs) {
+      if (!run.empty()) slices.push_back(std::span(run));
     }
-    plan.fragments[c] = shuffle_internal::LadderMergeMove<K, V>(slices);
-    merged_charge_.Add(static_cast<int64_t>(plan.fragments[c].size() *
-                                            sizeof(std::pair<K, V>)));
-  }
+    std::vector<Pair> merged = shuffle_internal::LadderMergeMove<K, V>(slices);
+    const auto merged_bytes =
+        static_cast<int64_t>(merged.size() * sizeof(Pair));
+    merged_charge_.Add(merged_bytes);
+    for (auto& run : runs) run = {};
+    runs_charge_.Sub(merged_bytes);
 
-  /// Stage 5: frees all run storage (every slice has been moved out).
-  void ReleaseRuns() {
-    for (auto& run : runs_) run = {};
-    runs_charge_.ReleaseAll();
-  }
-
-  /// Stage 6: stitches partition p's chunk fragments (already in global
-  /// key order) into its MergedPartition, grouping equal keys — the same
-  /// grouping scan the former heap merge did inline. Releases fragment
-  /// and plan storage as it goes.
-  void FinalizePartition(size_t p) {
-    PartitionPlan& plan = plans_[p];
     MergedPartition<K, V>& out = merged_[p];
-    size_t total = 0;
-    for (const auto& fragment : plan.fragments) total += fragment.size();
-    out.values.reserve(total);
-    for (auto& fragment : plan.fragments) {
-      for (auto& kv : fragment) {
-        if (out.group_keys.empty() || out.group_keys.back() < kv.first) {
-          out.group_offsets.push_back(out.values.size());
-          out.group_keys.push_back(std::move(kv.first));
-        }
-        out.values.push_back(std::move(kv.second));
+    out.values.reserve(merged.size());
+    for (auto& kv : merged) {
+      if (out.group_keys.empty() || out.group_keys.back() < kv.first) {
+        out.group_offsets.push_back(out.values.size());
+        out.group_keys.push_back(std::move(kv.first));
       }
-      fragment = {};
+      out.values.push_back(std::move(kv.second));
     }
     out.group_offsets.push_back(out.values.size());
-    plan = PartitionPlan{};
-    // Swap the accounting from chunk fragments to the merged form:
-    // charge the MergedPartition's buffers first so the stitch-time
-    // overlap registers in the peak, then release the fragment bytes.
+    // Swap the accounting from the merged pairs to the grouped form:
+    // charge the MergedPartition's buffers first so the grouping-time
+    // overlap registers in the peak, then release the pair bytes.
     merged_charge_.Add(static_cast<int64_t>(
         out.values.capacity() * sizeof(V) +
         out.group_keys.capacity() * sizeof(K) +
         out.group_offsets.capacity() * sizeof(size_t)));
-    merged_charge_.Sub(
-        static_cast<int64_t>(total * sizeof(std::pair<K, V>)));
+    merged_charge_.Sub(merged_bytes);
   }
 
-  /// All six stages for partition p, serially — the single-threaded
-  /// convenience used by tests that drive ShuffleBuffers directly.
-  void MergePartition(size_t p, size_t target_chunk_records = 0) {
-    PlanMerge(p, target_chunk_records);
-    const std::span<std::vector<std::pair<K, V>>> runs = RunSpan(p);
-    PartitionPlan& plan = plans_[p];
-    const size_t saved = chunk_index_.size();
-    for (size_t c = 0; c < plan.fragments.size(); ++c) {
-      chunk_index_.emplace_back(static_cast<uint32_t>(p),
-                                static_cast<uint32_t>(c));
-      MergeChunk(chunk_index_.size() - 1);
-    }
-    chunk_index_.resize(saved);
-    for (auto& run : runs) run = {};
-    FinalizePartition(p);
-  }
-
-  /// Merged form of partition p; valid after FinalizePartition(p).
+  /// Merged form of partition p; valid after MergePartition(p).
   const MergedPartition<K, V>& partition(size_t p) const {
     return merged_[p];
   }
 
  private:
-  struct PartitionPlan {
-    /// (num_chunks + 1) rows of num_maps_ slice-begin indices; row c is
-    /// chunk c's per-run begin, row num_chunks holds the run sizes.
-    std::vector<size_t> bounds;
-    /// Chunk merge outputs, in key order across the vector.
-    std::vector<std::vector<std::pair<K, V>>> fragments;
-  };
-
-  std::span<std::vector<std::pair<K, V>>> RunSpan(size_t p) {
-    return std::span(runs_).subspan(p * num_maps_, num_maps_);
-  }
-
   size_t num_partitions_;
   size_t num_maps_;
   std::vector<std::vector<std::pair<K, V>>> runs_;  ///< [p * num_maps_ + m]
-  std::vector<PartitionPlan> plans_;
-  std::vector<std::pair<uint32_t, uint32_t>> chunk_index_;
   std::vector<MergedPartition<K, V>> merged_;
   /// Scoped accounting for the two shuffle lifetimes (DESIGN.md §15):
-  /// sorted runs (released at ReleaseRuns) and fragments + merged
+  /// sorted runs (released as each partition merges) and merged
   /// partitions (released when the buffers die with the job). Their
   /// destructors balance whatever is still outstanding.
   resource::ArenaCharge runs_charge_{resource::MemScope::kShuffleRuns};

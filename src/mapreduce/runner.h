@@ -3,19 +3,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/common/cancellation.h"
-#include "src/common/logging.h"
 #include "src/common/resource.h"
 #include "src/common/status.h"
 #include "src/common/stopwatch.h"
@@ -31,9 +27,10 @@
 #include "src/mapreduce/partition.h"
 #include "src/mapreduce/straggler.h"
 #include "src/mapreduce/wire.h"
-#include "src/mapreduce/worker_backend.h"
 
 namespace p3c::mr {
+
+class WorkerPoolExecutor;
 
 /// Execution knobs for the local MapReduce engine.
 struct RunnerOptions {
@@ -47,14 +44,6 @@ struct RunnerOptions {
   /// four splits per worker) made every added worker multiply the
   /// number of shuffle runs to merge — the measured scaling inversion.
   size_t records_per_split = 0;
-  /// Target records per shuffle merge chunk; 0 means the default
-  /// (128 Ki). Each partition's merge is split at sampled key boundaries
-  /// into about partition_records / merge_chunk_records chunks that
-  /// merge independently (intra-partition parallelism for skewed or
-  /// single-partition jobs). The chunk plan never changes job output —
-  /// chunks split at key boundaries and concatenate in key order.
-  /// Tests pin small values to force many chunks on small inputs.
-  size_t merge_chunk_records = 0;
   /// Number of reduce partitions per job; 0 means one partition per
   /// worker thread. Jobs may override it per job through Run's
   /// `num_reducers` argument (the src/mr wrappers cap it at their key
@@ -138,23 +127,26 @@ struct RunnerOptions {
 /// In-process, multi-threaded MapReduce engine.
 ///
 /// Preserves the framework semantics the paper's algorithm design relies
-/// on: record-parallel mappers over splits with Setup/Map/Cleanup
-/// lifecycle, a partitioned sort-based shuffle that groups equal keys,
-/// key-grouped reducers, per-phase barriers, counters, and
-/// shuffle-volume accounting.
+/// on: mappers over contiguous input splits with Map/Cleanup lifecycle, a
+/// partitioned sort-based shuffle that groups equal keys, key-grouped
+/// reducers, per-phase barriers, counters, and shuffle-volume accounting.
+///
+/// Map input is a record count n: split s covers records
+/// [s * SplitSize(n), min(n, (s + 1) * SplitSize(n))), and the mapper
+/// reads the rows it is handed from its job's own read-only payload.
 ///
 /// The shuffle is Hadoop-shaped (partition.h, DESIGN.md §9): a
 /// deterministic key hash routes each map task's committed output into
 /// per-reducer partition buffers at map-commit time (key-sorted runs,
-/// built inside the map workers), each partition k-way merges its runs in
-/// parallel after the map barrier, and reducers consume only their own
-/// partition, reading value groups as std::span views into the merged
-/// buffer — no per-group copies. Output order is deterministic and
-/// independent of the partition count and thread count: within a key,
-/// values appear in (map task, emit order) order exactly as a global
-/// stable sort would produce, and reducer outputs are stitched back
-/// together in global key order by a final deterministic merge over the
-/// partitions.
+/// built inside the map workers), each partition merges its runs in one
+/// pass, in parallel across partitions, after the map barrier, and
+/// reducers consume only their own partition, reading value groups as
+/// std::span views into the merged buffer — no per-group copies. Output
+/// order is deterministic and independent of the partition count and
+/// thread count: within a key, values appear in (map task, emit order)
+/// order exactly as a global stable sort would produce, and reducer
+/// outputs are stitched back together in global key order by a final
+/// deterministic merge over the partitions.
 ///
 /// Fault tolerance mirrors Hadoop's task-attempt model: every map and
 /// reduce task executes as a sequence of attempts, each of which either
@@ -164,7 +156,9 @@ struct RunnerOptions {
 /// byte-identical to a fault-free run. A task that exhausts
 /// `RunnerOptions::max_attempts` fails the job with a Status naming the
 /// job, task kind, task index, and attempt count; JobMetrics records the
-/// attempt/failure/retry totals either way.
+/// attempt/failure/retry totals either way. The attempt machinery
+/// (retries, deadline kills, speculative copies) lives in runner.cc; this
+/// header holds only the templated map → shuffle → reduce dataflow.
 ///
 /// Retryability contract: mapper/reducer factories may be invoked
 /// several times per task (once per attempt) and task input is treated
@@ -176,21 +170,7 @@ struct RunnerOptions {
 /// API exactly as §5 describes them against Hadoop.
 class LocalRunner {
  public:
-  explicit LocalRunner(RunnerOptions options = {})
-      : options_(std::move(options)), pool_(options_.num_threads) {
-    if (options_.backend == Backend::kProcess) {
-      WorkerBackendOptions wb;
-      wb.num_workers = options_.num_workers > 0 ? options_.num_workers
-                                                : pool_.num_threads();
-      wb.heartbeat_seconds = options_.worker_heartbeat_seconds;
-      wb.fault_injector = options_.fault_injector;
-      auto workers = std::make_unique<WorkerPoolExecutor>(std::move(wb));
-      worker_executor_ = workers.get();
-      executor_ = std::move(workers);
-    } else {
-      executor_ = std::make_unique<InProcessExecutor>();
-    }
-  }
+  explicit LocalRunner(RunnerOptions options = {});
 
   LocalRunner(const LocalRunner&) = delete;
   LocalRunner& operator=(const LocalRunner&) = delete;
@@ -203,32 +183,29 @@ class LocalRunner {
   /// respawns, kills, spawn failures, peak worker RSS). An empty bag on
   /// the in-process backend. Deliberately separate from job counters so
   /// backend bookkeeping never perturbs the deterministic counter JSON.
-  MetricBag SnapshotWorkerMetrics() const {
-    if (worker_executor_ == nullptr) return MetricBag();
-    return worker_executor_->SnapshotMetrics();
-  }
+  MetricBag SnapshotWorkerMetrics() const;
 
-  /// Runs a full map-shuffle-reduce job and returns the concatenated
-  /// reducer outputs (in key order), or the failure of the first task
-  /// that exhausted its attempts. `K` must be strict-weak orderable.
+  /// Runs a full map-shuffle-reduce job over records [0, num_records)
+  /// and returns the concatenated reducer outputs (in key order), or the
+  /// failure of the first task that exhausted its attempts. `K` must be
+  /// strict-weak orderable.
   ///
   /// The factories are invoked once per task *attempt* from worker
   /// threads and must be thread-safe; the produced mapper/reducer
   /// instances are used by a single thread only. `num_reducers`
   /// overrides the reduce-partition count for this job (0 defers to
   /// RunnerOptions::num_reducers).
-  template <typename Record, typename K, typename V, typename Out>
+  template <typename K, typename V, typename Out>
   Result<std::vector<Out>> Run(
-      const std::string& job_name, std::span<const Record> input,
-      const std::function<std::unique_ptr<Mapper<Record, K, V>>()>&
-          mapper_factory,
+      const std::string& job_name, size_t num_records,
+      const std::function<std::unique_ptr<Mapper<K, V>>()>& mapper_factory,
       const std::function<std::unique_ptr<Reducer<K, V, Out>>()>&
           reducer_factory,
       size_t num_reducers = 0) {
     Stopwatch total_watch;
     JobMetrics metrics;
     metrics.job_name = job_name;
-    metrics.input_records = input.size();
+    metrics.input_records = num_records;
     const size_t num_partitions = ResolveNumReducers(num_reducers);
     metrics.num_reducers = num_partitions;
     JobExecState exec;
@@ -243,18 +220,18 @@ class LocalRunner {
         "job:" + job_name,
         tracer.enabled()
             ? StringPrintf("{\"input_records\": %zu, \"num_reducers\": %zu}",
-                           input.size(), num_partitions)
+                           num_records, num_partitions)
             : std::string());
 
-    ShuffleBuffers<K, V> buffers(num_partitions, NumSplits(input.size()));
+    ShuffleBuffers<K, V> buffers(num_partitions, NumSplits(num_records));
 
     // ---- Map phase -----------------------------------------------------
     // Each map task's committed output is partitioned and run-sorted
     // inside the map worker, so that part of the shuffle overlaps with
     // other map tasks still running.
     Stopwatch map_watch;
-    Status map_status = MapPhase<Record, K, V>(
-        job_name, input, mapper_factory, &metrics, &job_counters, exec,
+    Status map_status = MapPhase<K, V>(
+        job_name, num_records, mapper_factory, &metrics, &job_counters, exec,
         [&](size_t s, std::vector<std::pair<K, V>> pairs) {
           buffers.CommitMapOutput(s, std::move(pairs));
         });
@@ -263,46 +240,21 @@ class LocalRunner {
       return RecordFailure(metrics, exec.acct, total_watch, map_status);
     }
 
-    // ---- Shuffle: staged chunked merge (DESIGN.md §14) -----------------
-    // Plan (per partition) -> chunk merges (parallel across ALL chunks
-    // of all partitions, so a single skewed partition still spreads over
-    // the pool) -> finalize (per partition). Chunk plans depend only on
-    // the data, so the merge work — and the merged bytes — are identical
-    // at every thread count.
+    // ---- Shuffle: one merge pass per partition (DESIGN.md §9) ----------
+    // Shuffle bodies are pure engine compute — no task attempts, nothing
+    // that can hang — so they are always capped at hardware concurrency,
+    // even in straggler configurations where ExecWidth() leaves the task
+    // phases oversubscribed.
     Stopwatch shuffle_watch;
     if (exec.heartbeat != nullptr) {
       exec.heartbeat->stage.store("shuffle", std::memory_order_relaxed);
     }
     metrics.partition_shuffle_seconds.assign(num_partitions, 0.0);
-    const size_t chunk_records = options_.merge_chunk_records > 0
-                                     ? options_.merge_chunk_records
-                                     : kDefaultMergeChunkRecords;
-    // Shuffle bodies are pure engine compute — no task attempts, nothing
-    // that can hang — so they are always capped at hardware concurrency,
-    // even in straggler configurations where ExecWidth() leaves the task
-    // phases oversubscribed.
-    const size_t shuffle_width = ThreadPool::HardwareConcurrency();
     try {
       TraceSpan shuffle_span("shuffle-phase");
-      pool_.ParallelForCapped(num_partitions, shuffle_width, /*grain=*/1,
-                              [&](size_t p) {
-        buffers.PlanMerge(p, chunk_records);
-      });
-      const size_t total_chunks = buffers.FinishPlan();
-      std::vector<double> chunk_seconds(total_chunks, 0.0);
-      pool_.ParallelForCapped(total_chunks, shuffle_width, /*grain=*/1,
-                              [&](size_t c) {
-        Stopwatch chunk_watch;
-        buffers.MergeChunk(c);
-        chunk_seconds[c] = chunk_watch.ElapsedSeconds();
-      });
-      buffers.ReleaseRuns();
-      for (size_t c = 0; c < total_chunks; ++c) {
-        metrics.partition_shuffle_seconds[buffers.ChunkPartition(c)] +=
-            chunk_seconds[c];
-      }
-      pool_.ParallelForCapped(num_partitions, shuffle_width, /*grain=*/1,
-                              [&](size_t p) {
+      pool_.ParallelForCapped(num_partitions,
+                              ThreadPool::HardwareConcurrency(),
+                              /*grain=*/1, [&](size_t p) {
         // Per-partition merge spans live on synthetic partition lanes,
         // so reducer-side skew shows up as lane-length imbalance.
         const uint32_t lane =
@@ -315,10 +267,10 @@ class LocalRunner {
         TraceSpan partition_span(
             tracing ? StringPrintf("merge partition %zu", p) : std::string(),
             std::string(), lane);
-        Stopwatch finalize_watch;
-        buffers.FinalizePartition(p);
-        metrics.partition_shuffle_seconds[p] +=
-            finalize_watch.ElapsedSeconds();
+        Stopwatch partition_watch;
+        buffers.MergePartition(p);
+        metrics.partition_shuffle_seconds[p] =
+            partition_watch.ElapsedSeconds();
       });
     } catch (const std::exception& e) {
       metrics.shuffle_seconds = shuffle_watch.ElapsedSeconds();
@@ -506,21 +458,20 @@ class LocalRunner {
     return output;
   }
 
-  /// Runs a map-only job (the paper's OD job, §5.5): the mappers'
-  /// emissions are the job output, sorted by key for determinism. Each
-  /// split's output is sorted inside its map worker (a stable per-split
-  /// run); the only serial work left is the final k-way merge, whose
-  /// lower-run-index tie-break reproduces the order of a global stable
-  /// sort exactly.
-  template <typename Record, typename K, typename V>
+  /// Runs a map-only job (the paper's OD job, §5.5) over records
+  /// [0, num_records): the mappers' emissions are the job output, sorted
+  /// by key for determinism. Each split's output is sorted inside its map
+  /// worker (a stable per-split run); the only serial work left is the
+  /// final k-way merge, whose lower-run-index tie-break reproduces the
+  /// order of a global stable sort exactly.
+  template <typename K, typename V>
   Result<std::vector<std::pair<K, V>>> RunMapOnly(
-      const std::string& job_name, std::span<const Record> input,
-      const std::function<std::unique_ptr<Mapper<Record, K, V>>()>&
-          mapper_factory) {
+      const std::string& job_name, size_t num_records,
+      const std::function<std::unique_ptr<Mapper<K, V>>()>& mapper_factory) {
     Stopwatch total_watch;
     JobMetrics metrics;
     metrics.job_name = job_name;
-    metrics.input_records = input.size();
+    metrics.input_records = num_records;
     metrics.num_reducers = 0;
     JobExecState exec;
     HeartbeatState heartbeat;
@@ -533,13 +484,13 @@ class LocalRunner {
         "job:" + job_name,
         Tracer::Global().enabled()
             ? StringPrintf("{\"input_records\": %zu, \"map_only\": true}",
-                           input.size())
+                           num_records)
             : std::string());
 
-    std::vector<std::vector<std::pair<K, V>>> runs(NumSplits(input.size()));
+    std::vector<std::vector<std::pair<K, V>>> runs(NumSplits(num_records));
     Stopwatch map_watch;
-    Status map_status = MapPhase<Record, K, V>(
-        job_name, input, mapper_factory, &metrics, &job_counters, exec,
+    Status map_status = MapPhase<K, V>(
+        job_name, num_records, mapper_factory, &metrics, &job_counters, exec,
         [&runs](size_t s, std::vector<std::pair<K, V>> pairs) {
           std::stable_sort(
               pairs.begin(), pairs.end(),
@@ -644,33 +595,6 @@ class LocalRunner {
     TaskWatchdog* watchdog_ = nullptr;
   };
 
-  /// One heartbeat line: progress counters, tracked per-scope bytes
-  /// (when the MemoryTracker is on), and sampled RSS (where /proc
-  /// exists). Runs on the watchdog thread under its mutex — reads
-  /// relaxed atomics, formats, logs; nothing blocking.
-  static void EmitHeartbeat(const HeartbeatState& state) {
-    std::string line = StringPrintf(
-        "heartbeat job=%s stage=%s records=%llu live_attempts=%lld "
-        "attempts=%llu",
-        state.job_name.c_str(), state.stage.load(std::memory_order_relaxed),
-        static_cast<unsigned long long>(
-            state.records.load(std::memory_order_relaxed)),
-        static_cast<long long>(
-            state.live_attempts.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            state.acct == nullptr
-                ? 0
-                : state.acct->attempts.load(std::memory_order_relaxed)));
-    const resource::MemoryTracker& tracker =
-        resource::MemoryTracker::Global();
-    if (tracker.enabled()) line += " mem{" + tracker.DebugString() + "}";
-    if (const auto rss = resource::MemoryTracker::SampleRss()) {
-      line += StringPrintf(" rss_bytes=%lld",
-                           static_cast<long long>(rss->vm_rss_bytes));
-    }
-    P3C_LOG(kInfo) << line;
-  }
-
   /// First-error-wins slot shared by the tasks of one phase: the first
   /// task to exhaust its attempts parks its Status here and later tasks
   /// short-circuit via has_failed(). Setting the slot also cancels the
@@ -710,497 +634,56 @@ class LocalRunner {
     CancellationSource* wake_ = nullptr;
   };
 
-  /// Kill flags of one attempt copy. The watchdog (deadline) or the
-  /// rival copy (speculation) sets the flag explaining WHY before
-  /// cancelling, so the resolution can classify a cancelled copy.
-  struct CopyControl {
-    CancellationSource cancel;
-    std::atomic<bool> deadline_killed{false};
-    std::atomic<bool> loser_killed{false};
-  };
+  /// The attempts of one task — retry loop, deadline kills, speculative
+  /// copies and their accounting. Defined in runner.cc.
+  class TaskAttempts;
 
-  /// How one attempt copy ended: its status, and whether it ended by
-  /// cooperative cancellation (CancelledError) rather than on its own.
-  struct CopyOutcome {
-    Status status;
-    bool cancelled = false;
-  };
+  // ---- Non-template engine code (runner.cc) ----------------------------
 
-  /// Rendezvous between the primary copy (inline on the pool worker)
-  /// and the speculative copy (dedicated thread, launched by the
-  /// watchdog). Guarded by `mu`; the worker always joins `spec_thread`
-  /// before the attempt resolves, so copy-local state outlives both
-  /// copies.
-  /// Lock order: the watchdog's launch closure takes `mu` while
-  /// holding TaskWatchdog::mu_, so `mu` sits below the watchdog lock;
-  /// nothing is acquired while `mu` is held.
-  struct AttemptRace {
-    Mutex mu{"AttemptRace::mu"};
-    CondVar cv;
-    bool spec_launched P3C_GUARDED_BY(mu) = false;
-    bool spec_done P3C_GUARDED_BY(mu) = false;
-    CopyOutcome spec_outcome P3C_GUARDED_BY(mu);
-    std::thread spec_thread P3C_GUARDED_BY(mu);
-    std::shared_ptr<CopyControl> spec_ctl P3C_GUARDED_BY(mu);
-  };
-
-  // TaskContext and TaskBody (the per-copy view and the in-memory body
-  // form) live in executor.h since the backend split — they are the
-  // currency both backends trade in.
-
-  /// Auto split policy (SplitSize): ~32 map tasks per job, never tiny.
-  static constexpr size_t kDefaultTargetSplits = 32;
-  static constexpr size_t kMinSplitRecords = 1024;
-  /// Default shuffle merge chunk target (RunnerOptions::
-  /// merge_chunk_records == 0): big enough that chunk bookkeeping is
-  /// noise, small enough that a 1M-record single-partition merge still
-  /// yields ~8 parallelizable chunks.
-  static constexpr size_t kDefaultMergeChunkRecords = size_t{128} * 1024;
-
-  size_t SplitSize(size_t n) const {
-    if (options_.records_per_split > 0) return options_.records_per_split;
-    // Thread-count-independent by design (DESIGN.md §14): the map-task
-    // count is derived from the data, so the number of sorted runs the
-    // shuffle merges — and with it the merge work — stays flat as
-    // workers are added. (Beyond 8 workers the task count grows again
-    // purely to keep every worker busy.)
-    const size_t target_tasks =
-        std::max<size_t>(kDefaultTargetSplits, pool_.num_threads() * 4);
-    const size_t per_split = (n + target_tasks - 1) / target_tasks;
-    return std::max<size_t>(kMinSplitRecords, per_split);
-  }
-
-  /// Claimant cap for the task phases (map/reduce): the attempts are
-  /// CPU-bound, so claimants beyond the machine's core count add context
-  /// switches without adding throughput — `--threads 8` on a 1-core box
-  /// must not run slower than `--threads 1`. The straggler machinery is
-  /// the deliberate exception: deadline kills and speculative copies
-  /// assume a victim can sit on a lane while its replacement proceeds,
-  /// so those configurations keep the full (oversubscribed) pool.
-  size_t ExecWidth() const {
-    if (options_.speculative_execution ||
-        options_.task_deadline_seconds > 0) {
-      return 0;  // uncapped
-    }
-    return ThreadPool::HardwareConcurrency();
-  }
-
+  /// Records per split for an n-record input.
+  size_t SplitSize(size_t n) const;
+  /// Claimant cap for the map and reduce task phases; 0 means uncapped.
+  size_t ExecWidth() const;
   /// Effective reduce-partition count: per-job override, then
   /// RunnerOptions::num_reducers, then one partition per worker.
-  size_t ResolveNumReducers(size_t job_override) const {
-    if (job_override > 0) return job_override;
-    if (options_.num_reducers > 0) return options_.num_reducers;
-    return pool_.num_threads();
-  }
+  size_t ResolveNumReducers(size_t job_override) const;
 
-  /// Deterministic exponential backoff before retry number `retry`
-  /// (1-based): min(base * 2^(retry-1), max). No jitter — retry timing
-  /// must not introduce nondeterminism into tests. The sleep waits on
-  /// the job's cancellation token, so a job that has already failed
-  /// (FailureSlot::Set) wakes its sleeping workers immediately instead
-  /// of holding a pool thread hostage for the full backoff.
-  void SleepBackoff(size_t retry, const CancellationToken& wake) const {
-    double seconds = options_.retry_backoff_seconds;
-    if (seconds <= 0.0) return;
-    for (size_t r = 1; r < retry; ++r) seconds *= 2.0;
-    seconds = std::min(seconds, options_.retry_backoff_max_seconds);
-    if (seconds > 0.0) wake.WaitFor(seconds);
-  }
-
-  bool StragglerControlEnabled() const {
-    return options_.task_deadline_seconds > 0.0 ||
-           options_.speculative_execution;
-  }
-
-  /// Runs one task as up to `max_attempts` attempts of `body`. Each
-  /// attempt first consults the fault injector, then runs the body;
-  /// exceptions from either are converted to Status so a crashing task
-  /// is indistinguishable from a cleanly failing one. The body must
-  /// publish side effects only through TaskContext::Commit on its
-  /// success path (attempt isolation is the body's contract; the loop
-  /// supplies the retry policy, the watchdog supplies deadlines and
-  /// speculation).
-  ///
-  /// Tracing: each attempt copy is its own span on `lane` (0 = the
-  /// executing thread's lane; reduce tasks pass their partition lane),
-  /// a retry is stitched to the attempt it replaces with a "task-retry"
-  /// flow arrow, and a speculative copy is stitched to its launch
-  /// decision with a "speculative-copy" flow arrow.
+  /// Runs one task as up to `max_attempts` attempts of `body`. The body
+  /// must publish side effects only through TaskContext::Commit on its
+  /// success path. `lane` is the trace lane of the attempt spans (0 =
+  /// the executing thread's lane; reduce tasks pass their partition
+  /// lane).
   Status ExecuteTask(const std::string& job_name, TaskKind kind, size_t task,
                      JobExecState& exec, const TaskBody& body,
-                     uint32_t lane = 0) {
-    const size_t max_attempts = std::max<size_t>(1, options_.max_attempts);
-    const CancellationToken job_token = exec.job_cancel.token();
-    std::atomic<bool> commit_slot{false};
-    Status last;
-    uint64_t pending_flow = 0;
-    for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
-      if (attempt > 0) SleepBackoff(attempt, job_token);
-      Stopwatch attempt_watch;
-      Status st = RunAttemptRace(job_name, kind, task, attempt, exec, body,
-                                 lane, commit_slot, pending_flow);
-      if (st.ok()) {
-        if (options_.speculative_execution) {
-          exec.durations[static_cast<size_t>(kind)].Add(
-              attempt_watch.ElapsedSeconds());
-        }
-        return st;
-      }
-      if (attempt == 0 && max_attempts > 1) {
-        exec.acct.retried.fetch_add(1, std::memory_order_relaxed);
-      }
-      last = std::move(st);
-    }
-    return Status(
-        last.code(),
-        StringPrintf("job '%s': %s task %zu failed after %zu attempt(s): %s",
-                     job_name.c_str(), TaskKindName(kind), task, max_attempts,
-                     last.message().c_str()));
-  }
+                     uint32_t lane = 0);
 
-  /// One attempt of one task, run as a race between the primary copy
-  /// (inline, on the calling pool worker) and at most one speculative
-  /// copy (dedicated thread, launched by the watchdog when the primary
-  /// looks like a straggler). The attempt succeeds when EITHER copy
-  /// succeeds; the commit slot guarantees exactly one of them
-  /// published. The loser is cancelled and counted as killed, never as
-  /// failed. Always joins the speculative thread before returning, so
-  /// attempt-local state (the body's captures, the race object) is
-  /// never touched after the attempt resolves.
-  Status RunAttemptRace(const std::string& job_name, TaskKind kind,
-                        size_t task, size_t attempt, JobExecState& exec,
-                        const TaskBody& body, uint32_t lane,
-                        std::atomic<bool>& commit_slot,
-                        uint64_t& pending_flow) {
-    auto primary_ctl = std::make_shared<CopyControl>();
-    auto race = std::make_shared<AttemptRace>();
-    Tracer& tracer = Tracer::Global();
-    TaskWatchdog* watchdog =
-        StragglerControlEnabled() ? &watchdog_ : nullptr;
-    uint64_t entry_id = 0;
-    if (watchdog != nullptr) {
-      TaskWatchdog::Entry entry;
-      entry.deadline_seconds = options_.task_deadline_seconds;
-      entry.kill = MakeKillClosure(primary_ctl, job_name, kind, task, attempt,
-                                   /*speculative=*/false, lane);
-      if (options_.speculative_execution) {
-        entry.stats = &exec.durations[static_cast<size_t>(kind)];
-        entry.slowness_factor = options_.speculative_slowness_factor;
-        entry.min_samples = options_.speculative_min_samples;
-        entry.min_runtime_seconds = options_.speculative_min_runtime_seconds;
-        entry.max_concurrent = std::max<size_t>(
-            1, options_.max_concurrent_speculative);
-        // Runs on the watchdog thread, under the watchdog mutex. Spawns
-        // the speculative copy on its own thread — NEVER on the pool,
-        // where it could queue behind the very straggler it bypasses.
-        entry.launch = [this, race, primary_ctl, &job_name, kind, task,
-                        attempt, &exec, &body, lane, &commit_slot,
-                        watchdog] {
-          LaunchSpeculativeCopy(race, primary_ctl, job_name, kind, task,
-                                attempt, exec, body, lane, commit_slot,
-                                watchdog);
-        };
-      }
-      entry_id = watchdog->Register(std::move(entry));
-    }
+  /// One heartbeat line for the sampler (runs on the watchdog thread).
+  static void EmitHeartbeat(const HeartbeatState& state);
 
-    CopyOutcome primary =
-        RunAttemptCopy(job_name, kind, task, attempt, /*speculative=*/false,
-                       primary_ctl, exec, body, lane, commit_slot,
-                       &pending_flow, /*spec_flow=*/0);
-    if (watchdog != nullptr) watchdog->Deregister(entry_id);
-
-    // Resolve the race. Deregister happened first, so spec_launched is
-    // stable: no new launch can occur, and any launch that did occur
-    // has fully stored the thread handle (both run under the watchdog
-    // mutex).
-    bool spec_launched = false;
-    CopyOutcome spec;
-    std::shared_ptr<CopyControl> spec_ctl;
-    std::thread spec_thread;
-    {
-      MutexLock lock(race->mu);
-      spec_launched = race->spec_launched;
-      if (spec_launched) {
-        spec_ctl = race->spec_ctl;
-        if (primary.status.ok() && !race->spec_done) {
-          // Primary won; the speculative copy is the loser.
-          spec_ctl->loser_killed.store(true, std::memory_order_relaxed);
-          spec_ctl->cancel.Cancel();
-        }
-        race->cv.Wait(race->mu,
-                      [&race]() P3C_REQUIRES(race->mu) {
-                        return race->spec_done;
-                      });
-        spec = std::move(race->spec_outcome);
-        spec_thread = std::move(race->spec_thread);
-      }
-    }
-    if (spec_thread.joinable()) spec_thread.join();
-
-    // Classify both copies for the accounting (Hadoop FAILED vs
-    // KILLED): a cancelled copy was killed by the engine, anything
-    // else that ended non-OK genuinely failed.
-    ClassifyCopy(exec.acct, primary, *primary_ctl);
-    if (spec_launched) ClassifyCopy(exec.acct, spec, *spec_ctl);
-
-    const bool primary_ok = primary.status.ok();
-    const bool spec_ok = spec_launched && spec.status.ok();
-    if (primary_ok || spec_ok) return Status::OK();
-
-    Status st = FailureStatusFor(primary, *primary_ctl);
-    if (tracer.enabled()) {
-      tracer.RecordInstant(
-          StringPrintf("%s task %zu attempt %zu failed", TaskKindName(kind),
-                       task, attempt),
-          StringPrintf("{\"job\": \"%s\", \"error\": \"%s\"}",
-                       JsonEscape(job_name).c_str(),
-                       JsonEscape(st.message()).c_str()),
-          lane);
-      if (attempt + 1 < std::max<size_t>(1, options_.max_attempts)) {
-        pending_flow = tracer.NextFlowId();
-        tracer.RecordFlowStart(pending_flow, "task-retry", lane);
-      }
-    }
-    return st;
-  }
-
-  /// Executes one copy of one attempt: fault injector, then body, with
-  /// every exception converted to a CopyOutcome. CancelledError is the
-  /// cooperative-cancellation channel and is flagged separately so the
-  /// resolution can tell a killed copy from a failed one.
-  CopyOutcome RunAttemptCopy(const std::string& job_name, TaskKind kind,
-                             size_t task, size_t attempt, bool speculative,
-                             const std::shared_ptr<CopyControl>& ctl,
-                             JobExecState& exec, const TaskBody& body,
-                             uint32_t lane, std::atomic<bool>& commit_slot,
-                             uint64_t* pending_flow, uint64_t spec_flow) {
-    exec.acct.attempts.fetch_add(1, std::memory_order_relaxed);
-    if (speculative) {
-      exec.acct.speculative.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (exec.heartbeat != nullptr) {
-      exec.heartbeat->live_attempts.fetch_add(1, std::memory_order_relaxed);
-    }
-    Tracer& tracer = Tracer::Global();
-    const bool tracing = tracer.enabled();
-    // Speculative copies run on their own thread and therefore on
-    // their own trace lane; forcing them onto the primary's lane would
-    // overlap two concurrent spans on one row.
-    const uint32_t copy_lane = speculative ? 0 : lane;
-    TraceSpan attempt_span(
-        tracing ? StringPrintf("%s task %zu attempt %zu%s",
-                               TaskKindName(kind), task, attempt,
-                               speculative ? " (speculative)" : "")
-                : std::string(),
-        tracing ? StringPrintf("{\"job\": \"%s\"}",
-                               JsonEscape(job_name).c_str())
-                : std::string(),
-        copy_lane);
-    if (tracing && pending_flow != nullptr && *pending_flow != 0) {
-      tracer.RecordFlowEnd(*pending_flow, "task-retry", copy_lane);
-      *pending_flow = 0;
-    }
-    if (tracing && spec_flow != 0) {
-      tracer.RecordFlowEnd(spec_flow, "speculative-copy", copy_lane);
-    }
-    TaskContext ctx;
-    ctx.attempt = attempt;
-    ctx.speculative = speculative;
-    ctx.cancel = ctl->cancel.token();
-    ctx.commit_slot = &commit_slot;
-    CopyOutcome out;
-    try {
-      Status st;
-      if (options_.fault_injector != nullptr) {
-        st = options_.fault_injector->OnAttemptStart(TaskAttempt{
-            job_name, kind, task, attempt, speculative, ctx.cancel});
-      }
-      if (st.ok()) {
-        // The backend seam: the in-process executor runs `body` inline
-        // right here; the process backend ships the task to a worker
-        // process (falling back to `body` for phases without an
-        // installed remote form — non-wire types, degraded pools).
-        st = executor_->RunCopy(
-            TaskAttempt{job_name, kind, task, attempt, speculative,
-                        ctx.cancel},
-            ctx, body);
-      }
-      out.status = std::move(st);
-    } catch (const CancelledError&) {
-      out.status = Status::Internal("task attempt cancelled");
-      out.cancelled = true;
-    } catch (const std::exception& e) {
-      out.status =
-          Status::Internal(StringPrintf("uncaught exception: %s", e.what()));
-    } catch (...) {
-      out.status = Status::Internal("uncaught non-standard exception");
-    }
-    if (exec.heartbeat != nullptr) {
-      exec.heartbeat->live_attempts.fetch_sub(1, std::memory_order_relaxed);
-    }
-    return out;
-  }
-
-  /// Launched on the watchdog thread (under the watchdog mutex) when
-  /// the primary copy looks like a straggler. Stores the speculative
-  /// thread handle into the race under its mutex; the primary joins it
-  /// at resolution.
-  void LaunchSpeculativeCopy(const std::shared_ptr<AttemptRace>& race,
-                             const std::shared_ptr<CopyControl>& primary_ctl,
-                             const std::string& job_name, TaskKind kind,
-                             size_t task, size_t attempt, JobExecState& exec,
-                             const TaskBody& body, uint32_t lane,
-                             std::atomic<bool>& commit_slot,
-                             TaskWatchdog* watchdog) {
-    MutexLock lock(race->mu);
-    if (race->spec_launched) return;
-    race->spec_launched = true;
-    race->spec_ctl = std::make_shared<CopyControl>();
-    std::shared_ptr<CopyControl> spec_ctl = race->spec_ctl;
-    Tracer& tracer = Tracer::Global();
-    uint64_t flow = 0;
-    if (tracer.enabled()) {
-      flow = tracer.NextFlowId();
-      tracer.RecordInstant(
-          StringPrintf("speculating %s task %zu attempt %zu",
-                       TaskKindName(kind), task, attempt),
-          StringPrintf("{\"job\": \"%s\"}", JsonEscape(job_name).c_str()),
-          lane);
-      tracer.RecordFlowStart(flow, "speculative-copy", lane);
-    }
-    race->spec_thread = std::thread([this, race, primary_ctl, spec_ctl,
-                                     &job_name, kind, task, attempt, &exec,
-                                     &body, lane, &commit_slot, watchdog,
-                                     flow] {
-      // The speculative copy gets its own deadline entry — a hung
-      // speculative copy must be killable too.
-      uint64_t spec_entry = 0;
-      if (options_.task_deadline_seconds > 0.0) {
-        TaskWatchdog::Entry entry;
-        entry.deadline_seconds = options_.task_deadline_seconds;
-        entry.kill = MakeKillClosure(spec_ctl, job_name, kind, task, attempt,
-                                     /*speculative=*/true, /*lane=*/0);
-        spec_entry = watchdog->Register(std::move(entry));
-      }
-      CopyOutcome out = RunAttemptCopy(job_name, kind, task, attempt,
-                                       /*speculative=*/true, spec_ctl, exec,
-                                       body, lane, commit_slot,
-                                       /*pending_flow=*/nullptr, flow);
-      if (spec_entry != 0) watchdog->Deregister(spec_entry);
-      if (out.status.ok()) {
-        // Speculative winner: cancel the straggling primary so the
-        // pool worker unblocks. If the primary already finished, the
-        // flags are set but never observed — harmless.
-        primary_ctl->loser_killed.store(true, std::memory_order_relaxed);
-        primary_ctl->cancel.Cancel();
-      }
-      {
-        MutexLock inner(race->mu);
-        race->spec_outcome = std::move(out);
-        race->spec_done = true;
-      }
-      race->cv.NotifyAll();
-      watchdog->OnSpeculativeFinished();
-    });
-  }
-
-  /// Kill closure for the watchdog: flags the copy as deadline-killed,
-  /// cancels it, and drops a trace instant at the kill decision.
-  std::function<void()> MakeKillClosure(
-      const std::shared_ptr<CopyControl>& ctl, std::string job_name,
-      TaskKind kind, size_t task, size_t attempt, bool speculative,
-      uint32_t lane) const {
-    const double deadline = options_.task_deadline_seconds;
-    return [ctl, job_name = std::move(job_name), kind, task, attempt,
-            speculative, lane, deadline] {
-      ctl->deadline_killed.store(true, std::memory_order_relaxed);
-      ctl->cancel.Cancel();
-      Tracer& tracer = Tracer::Global();
-      if (tracer.enabled()) {
-        tracer.RecordInstant(
-            StringPrintf("deadline-kill %s task %zu attempt %zu%s",
-                         TaskKindName(kind), task, attempt,
-                         speculative ? " (speculative)" : ""),
-            StringPrintf("{\"job\": \"%s\", \"deadline_seconds\": %.3f}",
-                         JsonEscape(job_name).c_str(), deadline),
-            lane);
-      }
-    };
-  }
-
-  static void ClassifyCopy(AttemptAccounting& acct, const CopyOutcome& out,
-                           const CopyControl& ctl) {
-    if (!out.cancelled) {
-      if (!out.status.ok()) {
-        acct.failures.fetch_add(1, std::memory_order_relaxed);
-      }
-      return;
-    }
-    acct.killed.fetch_add(1, std::memory_order_relaxed);
-    if (ctl.deadline_killed.load(std::memory_order_relaxed)) {
-      acct.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  /// Failure status of a resolved attempt whose copies all failed,
-  /// converting engine kills into kDeadlineExceeded (the retryable
-  /// "too slow" failure class).
-  Status FailureStatusFor(const CopyOutcome& primary,
-                          const CopyControl& ctl) const {
-    if (primary.cancelled &&
-        ctl.deadline_killed.load(std::memory_order_relaxed)) {
-      return Status::DeadlineExceeded(
-          StringPrintf("attempt exceeded the %.3fs task deadline and was "
-                       "killed by the watchdog",
-                       options_.task_deadline_seconds));
-    }
-    return primary.status;
-  }
-
-  static void StampAccounting(JobMetrics& metrics,
-                              const AttemptAccounting& acct, bool succeeded) {
-    metrics.task_attempts = acct.attempts.load(std::memory_order_relaxed);
-    metrics.task_failures = acct.failures.load(std::memory_order_relaxed);
-    metrics.retried_tasks = acct.retried.load(std::memory_order_relaxed);
-    metrics.speculative_attempts =
-        acct.speculative.load(std::memory_order_relaxed);
-    metrics.killed_attempts = acct.killed.load(std::memory_order_relaxed);
-    metrics.deadline_exceeded =
-        acct.deadline_exceeded.load(std::memory_order_relaxed);
-    metrics.succeeded = succeeded;
-  }
-
-  /// Failure epilogue: stamps the accounting, records the (failed) job
-  /// metrics, and passes the status through. Framework counters are NOT
-  /// merged — a failed job has no observable side effects, so a
-  /// pipeline-level re-run starts from a clean slate (exactly-once).
+  /// Failure epilogue: records the failed job's metrics and passes the
+  /// status through. Framework counters are NOT merged — a failed job
+  /// has no observable side effects, so a pipeline-level re-run starts
+  /// from a clean slate (exactly-once).
   Status RecordFailure(JobMetrics& metrics, const AttemptAccounting& acct,
-                       const Stopwatch& total_watch, Status status) {
-    StampAccounting(metrics, acct, /*succeeded=*/false);
-    metrics.total_seconds = total_watch.ElapsedSeconds();
-    if (options_.metrics != nullptr) options_.metrics->Record(metrics);
-    return status;
-  }
-
-  /// Success epilogue: stamps the accounting, snapshots the job's
-  /// merged user counters into its JobMetrics row, and commits them to
-  /// the cross-job sink in one merge.
+                       const Stopwatch& total_watch, Status status);
+  /// Success epilogue: snapshots the job's merged user counters into its
+  /// JobMetrics row, records it, and commits the counters to the
+  /// cross-job sink in one merge.
   void FinishSucceeded(JobMetrics& metrics, const AttemptAccounting& acct,
-                       const Stopwatch& total_watch, Counters& job_counters) {
-    StampAccounting(metrics, acct, /*succeeded=*/true);
-    metrics.total_seconds = total_watch.ElapsedSeconds();
-    metrics.counters = job_counters.Snapshot();
-    if (options_.metrics != nullptr) options_.metrics->Record(metrics);
-    if (options_.counters != nullptr) options_.counters->Merge(job_counters);
-  }
+                       const Stopwatch& total_watch, Counters& job_counters);
+  /// Stamps the attempt accounting and wall time into `metrics` and
+  /// hands the row to RunnerOptions::metrics.
+  void RecordJob(JobMetrics& metrics, const AttemptAccounting& acct,
+                 const Stopwatch& total_watch, bool succeeded);
 
-  template <typename Record, typename K, typename V>
+  // ---- Map phase --------------------------------------------------------
+
+  template <typename K, typename V>
   class VectorEmitter : public Emitter<K, V> {
    public:
     void Emit(K key, V value) override {
       // Cooperative cancellation checkpoint: a wide-emit mapper that
-      // never returns to the engine's record loop is still killable.
+      // never returns to the engine's range loop is still killable.
       // One relaxed load every 256 emits; null tokens never cancel.
       // The memory charge refreshes at the same cadence — bounded
       // staleness without per-emit tracker traffic.
@@ -1245,16 +728,14 @@ class LocalRunner {
   /// (partitioning, run sorting) overlaps with other map tasks. `commit`
   /// is engine code, not a task attempt: it runs exactly once per split,
   /// only after the split's attempts succeeded.
-  template <typename Record, typename K, typename V>
+  template <typename K, typename V>
   Status MapPhase(
-      const std::string& job_name, std::span<const Record> input,
-      const std::function<std::unique_ptr<Mapper<Record, K, V>>()>&
-          mapper_factory,
+      const std::string& job_name, size_t n,
+      const std::function<std::unique_ptr<Mapper<K, V>>()>& mapper_factory,
       JobMetrics* metrics, Counters* job_counters, JobExecState& exec,
       const std::function<void(size_t split,
                                std::vector<std::pair<K, V>> pairs)>&
           commit) {
-    const size_t n = input.size();
     const size_t per_split = SplitSize(std::max<size_t>(1, n));
     const size_t num_splits = n == 0 ? 0 : (n + per_split - 1) / per_split;
     metrics->num_splits = num_splits;
@@ -1264,7 +745,7 @@ class LocalRunner {
             ? StringPrintf("{\"num_splits\": %zu}", num_splits)
             : std::string());
 
-    std::vector<VectorEmitter<Record, K, V>> emitters(num_splits);
+    std::vector<VectorEmitter<K, V>> emitters(num_splits);
     std::atomic<uint64_t> map_output_records{0};
     FailureSlot failure(&exec.job_cancel);
 
@@ -1275,21 +756,19 @@ class LocalRunner {
     auto compute_split = [&](size_t s, const CancellationToken& cancel) {
       const size_t begin = s * per_split;
       const size_t end = std::min(n, begin + per_split);
-      std::span<const Record> split = input.subspan(begin, end - begin);
       // Fresh emitter per attempt copy: records, counters, and byte
       // accounting of a failed attempt are discarded wholesale; only
       // the winning copy's output is committed to the split slot.
-      VectorEmitter<Record, K, V> out;
+      VectorEmitter<K, V> out;
       out.set_cancel(cancel);
-      out.Reserve(split.size());
-      std::unique_ptr<Mapper<Record, K, V>> mapper = mapper_factory();
-      mapper->Setup(s, split, out);
-      size_t record_index = 0;
-      for (const Record& record : split) {
-        // Cooperative cancellation checkpoint for mappers that
-        // emit rarely (the emitter checkpoint never fires).
-        if ((record_index++ & 63u) == 0) cancel.ThrowIfCancelled();
-        mapper->Map(record, out);
+      out.Reserve(end - begin);
+      std::unique_ptr<Mapper<K, V>> mapper = mapper_factory();
+      for (size_t row = begin; row < end; row += kMapRangeRecords) {
+        // Cooperative cancellation checkpoint between ranges, for
+        // mappers that emit rarely (the emitter checkpoint never fires).
+        cancel.ThrowIfCancelled();
+        mapper->Map(RecordRange{row, std::min(end, row + kMapRangeRecords)},
+                    out);
       }
       mapper->Cleanup(out);
       if (resource::MemoryTracker::Global().enabled()) {
@@ -1315,7 +794,7 @@ class LocalRunner {
     PhaseCommitFn map_commit;
     if constexpr (wire::kIsWireSerializable<std::pair<K, V>>) {
       map_run = [&](uint64_t s) -> Result<std::string> {
-        VectorEmitter<Record, K, V> out =
+        VectorEmitter<K, V> out =
             compute_split(static_cast<size_t>(s), CancellationToken{});
         wire::WireWriter w;
         w.PutU64(out.bytes_);
@@ -1326,7 +805,7 @@ class LocalRunner {
       map_commit = [&emitters](const TaskContext& ctx, uint64_t s,
                                std::string payload) -> Status {
         wire::WireReader r(payload, "map task payload");
-        VectorEmitter<Record, K, V> out;
+        VectorEmitter<K, V> out;
         out.bytes_ = r.GetU64();
         auto bag = wire::DecodeMetricBag(r);
         P3C_RETURN_NOT_OK(bag.status());
@@ -1348,7 +827,7 @@ class LocalRunner {
       if (failure.has_failed()) return;
       Status st = ExecuteTask(
           job_name, TaskKind::kMap, s, exec, [&](const TaskContext& ctx) {
-            VectorEmitter<Record, K, V> out = compute_split(s, ctx.cancel);
+            VectorEmitter<K, V> out = compute_split(s, ctx.cancel);
             ctx.Commit([&] { emitters[s] = std::move(out); });
             return Status::OK();
           });

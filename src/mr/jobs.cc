@@ -67,7 +67,7 @@ struct HistogramJobConfig {
   size_t bins;
 };
 
-class HistogramMapper : public Mapper<Record, int64_t, std::vector<uint64_t>> {
+class HistogramMapper : public Mapper<int64_t, std::vector<uint64_t>> {
  public:
   explicit HistogramMapper(const HistogramJobConfig* config)
       : config_(config),
@@ -77,12 +77,14 @@ class HistogramMapper : public Mapper<Record, int64_t, std::vector<uint64_t>> {
                                   sizeof(uint64_t)));
   }
 
-  void Map(const Record& record,
+  void Map(RecordRange rows,
            Emitter<int64_t, std::vector<uint64_t>>& out) override {
     (void)out;
-    const auto row = config_->dataset->Row(record);
-    for (size_t j = 0; j < local_.size(); ++j) local_[j].Add(row[j]);
-    ++points_;
+    for (size_t i = rows.begin; i < rows.end; ++i) {
+      const auto row = config_->dataset->Row(static_cast<data::PointId>(i));
+      for (size_t j = 0; j < local_.size(); ++j) local_[j].Add(row[j]);
+    }
+    points_ += rows.size();
   }
 
   void Cleanup(Emitter<int64_t, std::vector<uint64_t>>& out) override {
@@ -113,7 +115,7 @@ struct SupportJobConfig {
   const core::Rssc* rssc;  // "distributed cache" payload
 };
 
-class SupportMapper : public Mapper<Record, int64_t, std::vector<uint64_t>> {
+class SupportMapper : public Mapper<int64_t, std::vector<uint64_t>> {
  public:
   explicit SupportMapper(const SupportJobConfig* config)
       : config_(config),
@@ -121,12 +123,15 @@ class SupportMapper : public Mapper<Record, int64_t, std::vector<uint64_t>> {
         // the padding lanes of its last bitmap word.
         supports_(config->rssc->num_signatures(), 0) {}
 
-  void Map(const Record& record,
+  void Map(RecordRange rows,
            Emitter<int64_t, std::vector<uint64_t>>& out) override {
     (void)out;
-    config_->rssc->Accumulate(config_->dataset->Row(record), scratch_,
-                              supports_);
-    ++points_;
+    for (size_t i = rows.begin; i < rows.end; ++i) {
+      config_->rssc->Accumulate(
+          config_->dataset->Row(static_cast<data::PointId>(i)), scratch_,
+          supports_);
+    }
+    points_ += rows.size();
   }
 
   void Cleanup(Emitter<int64_t, std::vector<uint64_t>>& out) override {
@@ -156,7 +161,7 @@ struct MomentJobConfig {
 
 constexpr int64_t kLogLikelihoodKey = -1;
 
-class MomentMapper : public Mapper<Record, int64_t, std::vector<double>> {
+class MomentMapper : public Mapper<int64_t, std::vector<double>> {
  public:
   explicit MomentMapper(const MomentJobConfig* config)
       : config_(config),
@@ -168,19 +173,22 @@ class MomentMapper : public Mapper<Record, int64_t, std::vector<double>> {
     mem_.Set(static_cast<int64_t>((2 * k_ + k_ * dim_) * sizeof(double)));
   }
 
-  void Map(const Record& record,
+  void Map(RecordRange rows,
            Emitter<int64_t, std::vector<double>>& out) override {
     (void)out;
-    const linalg::Vector x =
-        config_->model->Project(config_->dataset->Row(record));
-    contributions_.clear();
-    config_->membership->Contributions(record, x, contributions_);
-    for (const auto& [c, weight] : contributions_) {
-      w_[c] += weight;
-      w2_[c] += weight * weight;
-      for (size_t j = 0; j < dim_; ++j) lsum_[c][j] += weight * x[j];
+    for (size_t i = rows.begin; i < rows.end; ++i) {
+      const auto point = static_cast<data::PointId>(i);
+      const linalg::Vector x =
+          config_->model->Project(config_->dataset->Row(point));
+      contributions_.clear();
+      config_->membership->Contributions(point, x, contributions_);
+      for (const auto& [c, weight] : contributions_) {
+        w_[c] += weight;
+        w2_[c] += weight * weight;
+        for (size_t j = 0; j < dim_; ++j) lsum_[c][j] += weight * x[j];
+      }
+      log_likelihood_ += config_->membership->LogLikelihood(x);
     }
-    log_likelihood_ += config_->membership->LogLikelihood(x);
   }
 
   void Cleanup(Emitter<int64_t, std::vector<double>>& out) override {
@@ -215,7 +223,7 @@ struct CovarianceJobConfig {
   const std::vector<linalg::Vector>* means;
 };
 
-class CovarianceMapper : public Mapper<Record, int64_t, std::vector<double>> {
+class CovarianceMapper : public Mapper<int64_t, std::vector<double>> {
  public:
   explicit CovarianceMapper(const CovarianceJobConfig* config)
       : config_(config),
@@ -225,16 +233,20 @@ class CovarianceMapper : public Mapper<Record, int64_t, std::vector<double>> {
     mem_.Set(static_cast<int64_t>(k_ * dim_ * dim_ * sizeof(double)));
   }
 
-  void Map(const Record& record,
+  void Map(RecordRange rows,
            Emitter<int64_t, std::vector<double>>& out) override {
     (void)out;
-    const linalg::Vector x =
-        config_->model->Project(config_->dataset->Row(record));
-    contributions_.clear();
-    config_->membership->Contributions(record, x, contributions_);
-    for (const auto& [c, weight] : contributions_) {
-      const linalg::Vector centered = linalg::VecSub(x, (*config_->means)[c]);
-      acc_[c].AddOuterProduct(centered, weight);
+    for (size_t i = rows.begin; i < rows.end; ++i) {
+      const auto point = static_cast<data::PointId>(i);
+      const linalg::Vector x =
+          config_->model->Project(config_->dataset->Row(point));
+      contributions_.clear();
+      config_->membership->Contributions(point, x, contributions_);
+      for (const auto& [c, weight] : contributions_) {
+        const linalg::Vector centered =
+            linalg::VecSub(x, (*config_->means)[c]);
+        acc_[c].AddOuterProduct(centered, weight);
+      }
     }
   }
 
@@ -263,30 +275,24 @@ struct MvbBallJobConfig {
   const core::GmmEvaluator* evaluator;
 };
 
-class MvbBallMapper : public Mapper<Record, int64_t, std::vector<double>> {
+class MvbBallMapper : public Mapper<int64_t, std::vector<double>> {
  public:
   explicit MvbBallMapper(const MvbBallJobConfig* config)
       : config_(config),
         members_(config->model->num_components()) {}
 
-  void Setup(size_t split_index, std::span<const Record> split,
-             Emitter<int64_t, std::vector<double>>& out) override {
+  void Map(RecordRange rows,
+           Emitter<int64_t, std::vector<double>>& out) override {
     // "mapper j caches the set of all data points Xsplit of the current
-    // split" -- here the projected coordinates, grouped by cluster.
-    (void)split_index;
+    // split" -- here the projected coordinates, grouped by cluster; the
+    // per-split statistics are computed in Cleanup.
     (void)out;
-    for (const Record& record : split) {
-      const linalg::Vector x =
-          config_->model->Project(config_->dataset->Row(record));
+    for (size_t i = rows.begin; i < rows.end; ++i) {
+      const linalg::Vector x = config_->model->Project(
+          config_->dataset->Row(static_cast<data::PointId>(i)));
       const size_t c = config_->evaluator->HardAssign(x);
       members_[c].push_back(x);
     }
-  }
-
-  void Map(const Record& record,
-           Emitter<int64_t, std::vector<double>>& out) override {
-    (void)record;
-    (void)out;  // all work happens in Setup/Cleanup
   }
 
   void Cleanup(Emitter<int64_t, std::vector<double>>& out) override {
@@ -337,27 +343,30 @@ struct OdJobConfig {
   double critical;
 };
 
-class OdMapper : public Mapper<Record, data::PointId, int32_t> {
+class OdMapper : public Mapper<data::PointId, int32_t> {
  public:
   explicit OdMapper(const OdJobConfig* config) : config_(config) {}
 
-  void Map(const Record& record,
-           Emitter<data::PointId, int32_t>& out) override {
-    const linalg::Vector x =
-        config_->model->Project(config_->dataset->Row(record));
-    const size_t c = config_->evaluator->HardAssign(x);
-    const double d2 =
-        (*config_->factors)[c].MahalanobisSquared(x, (*config_->centers)[c]);
-    const bool outlier = d2 > config_->critical;
-    if (outlier) {
-      ++outliers_;
-    } else {
-      ++members_;
-      // Integer observations: the histogram's double sum stays exact, so
-      // the exported bucket counts AND sum are thread-count invariant.
-      out.counters().Observe("od/cluster", static_cast<double>(c));
+  void Map(RecordRange rows, Emitter<data::PointId, int32_t>& out) override {
+    for (size_t i = rows.begin; i < rows.end; ++i) {
+      const auto point = static_cast<data::PointId>(i);
+      const linalg::Vector x =
+          config_->model->Project(config_->dataset->Row(point));
+      const size_t c = config_->evaluator->HardAssign(x);
+      const double d2 = (*config_->factors)[c].MahalanobisSquared(
+          x, (*config_->centers)[c]);
+      const bool outlier = d2 > config_->critical;
+      if (outlier) {
+        ++outliers_;
+      } else {
+        ++members_;
+        // Integer observations: the histogram's double sum stays exact,
+        // so the exported bucket counts AND sum are thread-count
+        // invariant.
+        out.counters().Observe("od/cluster", static_cast<double>(c));
+      }
+      out.Emit(point, outlier ? -1 : static_cast<int32_t>(c));
     }
-    out.Emit(record, outlier ? -1 : static_cast<int32_t>(c));
   }
 
   void Cleanup(Emitter<data::PointId, int32_t>& out) override {
@@ -382,30 +391,32 @@ struct ClusterHistogramJobConfig {
 };
 
 class ClusterHistogramMapper
-    : public Mapper<Record, int64_t, std::vector<uint64_t>> {
+    : public Mapper<int64_t, std::vector<uint64_t>> {
  public:
   explicit ClusterHistogramMapper(const ClusterHistogramJobConfig* config)
       : config_(config),
         local_(config->bins_per_cluster->size()) {}
 
-  void Map(const Record& record,
+  void Map(RecordRange rows,
            Emitter<int64_t, std::vector<uint64_t>>& out) override {
     (void)out;
-    const int32_t c = (*config_->membership)[record];
-    if (c < 0) return;
-    auto& cluster_local = local_[static_cast<size_t>(c)];
     const size_t d = config_->dataset->num_dims();
-    if (cluster_local.empty()) {
-      const size_t bins =
-          (*config_->bins_per_cluster)[static_cast<size_t>(c)];
-      cluster_local.assign(d, stats::Histogram(bins));
-      // Lazy materialization is once per (cluster, task), so the charge
-      // update stays off the per-record path.
-      mem_bytes_ += static_cast<int64_t>(d * bins * sizeof(uint64_t));
-      mem_.Set(mem_bytes_);
+    for (size_t i = rows.begin; i < rows.end; ++i) {
+      const int32_t c = (*config_->membership)[i];
+      if (c < 0) continue;
+      auto& cluster_local = local_[static_cast<size_t>(c)];
+      if (cluster_local.empty()) {
+        const size_t bins =
+            (*config_->bins_per_cluster)[static_cast<size_t>(c)];
+        cluster_local.assign(d, stats::Histogram(bins));
+        // Lazy materialization is once per (cluster, task), so the
+        // charge update stays off the per-record path.
+        mem_bytes_ += static_cast<int64_t>(d * bins * sizeof(uint64_t));
+        mem_.Set(mem_bytes_);
+      }
+      const auto row = config_->dataset->Row(static_cast<data::PointId>(i));
+      for (size_t j = 0; j < d; ++j) cluster_local[j].Add(row[j]);
     }
-    const auto row = config_->dataset->Row(record);
-    for (size_t j = 0; j < d; ++j) cluster_local[j].Add(row[j]);
   }
 
   void Cleanup(Emitter<int64_t, std::vector<uint64_t>>& out) override {
@@ -435,29 +446,31 @@ struct TighteningJobConfig {
   const std::vector<std::vector<size_t>>* attrs;
 };
 
-class TighteningMapper : public Mapper<Record, int64_t, std::vector<double>> {
+class TighteningMapper : public Mapper<int64_t, std::vector<double>> {
  public:
   explicit TighteningMapper(const TighteningJobConfig* config)
       : config_(config),
         lo_(config->attrs->size()),
         hi_(config->attrs->size()) {}
 
-  void Map(const Record& record,
+  void Map(RecordRange rows,
            Emitter<int64_t, std::vector<double>>& out) override {
     (void)out;
-    const int32_t c = (*config_->membership)[record];
-    if (c < 0) return;
-    const auto& attrs = (*config_->attrs)[static_cast<size_t>(c)];
-    auto& lo = lo_[static_cast<size_t>(c)];
-    auto& hi = hi_[static_cast<size_t>(c)];
-    if (lo.empty()) {
-      lo.assign(attrs.size(), std::numeric_limits<double>::infinity());
-      hi.assign(attrs.size(), -std::numeric_limits<double>::infinity());
-    }
-    const auto row = config_->dataset->Row(record);
-    for (size_t a = 0; a < attrs.size(); ++a) {
-      lo[a] = std::min(lo[a], row[attrs[a]]);
-      hi[a] = std::max(hi[a], row[attrs[a]]);
+    for (size_t i = rows.begin; i < rows.end; ++i) {
+      const int32_t c = (*config_->membership)[i];
+      if (c < 0) continue;
+      const auto& attrs = (*config_->attrs)[static_cast<size_t>(c)];
+      auto& lo = lo_[static_cast<size_t>(c)];
+      auto& hi = hi_[static_cast<size_t>(c)];
+      if (lo.empty()) {
+        lo.assign(attrs.size(), std::numeric_limits<double>::infinity());
+        hi.assign(attrs.size(), -std::numeric_limits<double>::infinity());
+      }
+      const auto row = config_->dataset->Row(static_cast<data::PointId>(i));
+      for (size_t a = 0; a < attrs.size(); ++a) {
+        lo[a] = std::min(lo[a], row[attrs[a]]);
+        hi[a] = std::max(hi[a], row[attrs[a]]);
+      }
     }
   }
 
@@ -508,17 +521,20 @@ struct SupportSetJobConfig {
 };
 
 class SupportSetMapper
-    : public Mapper<Record, data::PointId, std::vector<uint32_t>> {
+    : public Mapper<data::PointId, std::vector<uint32_t>> {
  public:
   explicit SupportSetMapper(const SupportSetJobConfig* config)
       : config_(config) {}
 
-  void Map(const Record& record,
+  void Map(RecordRange rows,
            Emitter<data::PointId, std::vector<uint32_t>>& out) override {
-    config_->rssc->Match(config_->dataset->Row(record), bits_);
-    ids_.clear();
-    core::Rssc::BitsToIds(bits_, config_->num_signatures, ids_);
-    if (!ids_.empty()) out.Emit(record, ids_);
+    for (size_t i = rows.begin; i < rows.end; ++i) {
+      const auto point = static_cast<data::PointId>(i);
+      config_->rssc->Match(config_->dataset->Row(point), bits_);
+      ids_.clear();
+      core::Rssc::BitsToIds(bits_, config_->num_signatures, ids_);
+      if (!ids_.empty()) out.Emit(point, ids_);
+    }
   }
 
  private:
@@ -529,25 +545,16 @@ class SupportSetMapper
 
 }  // namespace
 
-std::vector<Record> MakeRecords(const data::Dataset& dataset) {
-  std::vector<Record> records(dataset.num_points());
-  for (size_t i = 0; i < records.size(); ++i) {
-    records[i] = static_cast<Record>(i);
-  }
-  return records;
-}
-
 Result<std::vector<stats::Histogram>> RunHistogramJob(
     LocalRunner& runner, const data::Dataset& dataset,
     stats::BinningRule rule) {
-  const std::vector<Record> records = MakeRecords(dataset);
   const size_t bins = static_cast<size_t>(
       stats::NumBins(rule, std::max<uint64_t>(1, dataset.num_points())));
   HistogramJobConfig config{&dataset, bins};
   const size_t num_reducers = ReducersForKeys(runner, dataset.num_dims());
-  auto run = runner.Run<Record, int64_t, std::vector<uint64_t>,
+  auto run = runner.Run<int64_t, std::vector<uint64_t>,
                         std::pair<int64_t, std::vector<uint64_t>>>(
-      "histogram", records,
+      "histogram", dataset.num_points(),
       [&config] { return std::make_unique<HistogramMapper>(&config); },
       [] { return std::make_unique<CountSumReducer>(); }, num_reducers);
   if (!run.ok()) return run.status();
@@ -564,12 +571,11 @@ Result<std::vector<uint64_t>> RunSupportJob(
     LocalRunner& runner, const data::Dataset& dataset,
     const std::vector<core::Signature>& signatures) {
   if (signatures.empty()) return std::vector<uint64_t>{};
-  const std::vector<Record> records = MakeRecords(dataset);
   const core::Rssc rssc(signatures);  // "calculated by the main program"
   SupportJobConfig config{&dataset, &rssc};
-  auto run = runner.Run<Record, int64_t, std::vector<uint64_t>,
+  auto run = runner.Run<int64_t, std::vector<uint64_t>,
                         std::pair<int64_t, std::vector<uint64_t>>>(
-      "support-count", records,
+      "support-count", dataset.num_points(),
       [&config] { return std::make_unique<SupportMapper>(&config); },
       [] { return std::make_unique<CountSumReducer>(); },
       /*num_reducers=*/1);  // the job emits a single key
@@ -590,13 +596,12 @@ Result<MomentSums> RunMomentJob(LocalRunner& runner,
                                 const core::GmmModel& model,
                                 const MembershipFn& membership,
                                 const char* job_name) {
-  const std::vector<Record> records = MakeRecords(dataset);
   MomentJobConfig config{&dataset, &model, &membership};
   // k component keys plus the log-likelihood key.
   const size_t num_reducers =
       ReducersForKeys(runner, model.num_components() + 1);
-  auto run = runner.Run<Record, int64_t, std::vector<double>, KeyedDoubles>(
-      job_name, records,
+  auto run = runner.Run<int64_t, std::vector<double>, KeyedDoubles>(
+      job_name, dataset.num_points(),
       [&config] { return std::make_unique<MomentMapper>(&config); },
       [] { return std::make_unique<VectorSumReducer>(); }, num_reducers);
   if (!run.ok()) return run.status();
@@ -622,11 +627,10 @@ Result<std::vector<linalg::Matrix>> RunCovarianceJob(
     LocalRunner& runner, const data::Dataset& dataset,
     const core::GmmModel& model, const MembershipFn& membership,
     const std::vector<linalg::Vector>& means, const char* job_name) {
-  const std::vector<Record> records = MakeRecords(dataset);
   CovarianceJobConfig config{&dataset, &model, &membership, &means};
   const size_t num_reducers = ReducersForKeys(runner, model.num_components());
-  auto run = runner.Run<Record, int64_t, std::vector<double>, KeyedDoubles>(
-      job_name, records,
+  auto run = runner.Run<int64_t, std::vector<double>, KeyedDoubles>(
+      job_name, dataset.num_points(),
       [&config] { return std::make_unique<CovarianceMapper>(&config); },
       [] { return std::make_unique<VectorSumReducer>(); }, num_reducers);
   if (!run.ok()) return run.status();
@@ -647,11 +651,10 @@ Result<std::vector<linalg::Matrix>> RunCovarianceJob(
 Result<std::vector<MvbBall>> RunMvbBallJob(
     LocalRunner& runner, const data::Dataset& dataset,
     const core::GmmModel& model, const core::GmmEvaluator& evaluator) {
-  const std::vector<Record> records = MakeRecords(dataset);
   MvbBallJobConfig config{&dataset, &model, &evaluator};
   const size_t num_reducers = ReducersForKeys(runner, model.num_components());
-  auto run = runner.Run<Record, int64_t, std::vector<double>, KeyedDoubles>(
-      "mvb-ball", records,
+  auto run = runner.Run<int64_t, std::vector<double>, KeyedDoubles>(
+      "mvb-ball", dataset.num_points(),
       [&config] { return std::make_unique<MvbBallMapper>(&config); },
       [] { return std::make_unique<MvbBallReducer>(); }, num_reducers);
   if (!run.ok()) return run.status();
@@ -671,11 +674,10 @@ Result<std::vector<int32_t>> RunOdJob(
     const core::GmmModel& model, const core::GmmEvaluator& evaluator,
     const std::vector<linalg::Vector>& centers,
     const std::vector<linalg::Cholesky>& factors, double critical) {
-  const std::vector<Record> records = MakeRecords(dataset);
   OdJobConfig config{&dataset, &model,   &evaluator,
                      &centers, &factors, critical};
-  auto run = runner.RunMapOnly<Record, data::PointId, int32_t>(
-      "outlier-detection", records,
+  auto run = runner.RunMapOnly<data::PointId, int32_t>(
+      "outlier-detection", dataset.num_points(),
       [&config] { return std::make_unique<OdMapper>(&config); });
   if (!run.ok()) return run.status();
   std::vector<int32_t> assignment(dataset.num_points(), -1);
@@ -687,13 +689,12 @@ Result<std::vector<std::vector<stats::Histogram>>> RunClusterHistogramJob(
     LocalRunner& runner, const data::Dataset& dataset,
     const std::vector<int32_t>& membership, size_t num_clusters,
     const std::vector<size_t>& bins_per_cluster) {
-  const std::vector<Record> records = MakeRecords(dataset);
   ClusterHistogramJobConfig config{&dataset, &membership, &bins_per_cluster};
   const size_t num_reducers =
       ReducersForKeys(runner, num_clusters * dataset.num_dims());
-  auto run = runner.Run<Record, int64_t, std::vector<uint64_t>,
+  auto run = runner.Run<int64_t, std::vector<uint64_t>,
                         std::pair<int64_t, std::vector<uint64_t>>>(
-      "cluster-histograms", records,
+      "cluster-histograms", dataset.num_points(),
       [&config] { return std::make_unique<ClusterHistogramMapper>(&config); },
       [] { return std::make_unique<CountSumReducer>(); }, num_reducers);
   if (!run.ok()) return run.status();
@@ -715,11 +716,10 @@ Result<std::vector<std::vector<core::Interval>>> RunTighteningJob(
     LocalRunner& runner, const data::Dataset& dataset,
     const std::vector<int32_t>& membership,
     const std::vector<std::vector<size_t>>& attrs) {
-  const std::vector<Record> records = MakeRecords(dataset);
   TighteningJobConfig config{&dataset, &membership, &attrs};
   const size_t num_reducers = ReducersForKeys(runner, attrs.size());
-  auto run = runner.Run<Record, int64_t, std::vector<double>, KeyedDoubles>(
-      "interval-tightening", records,
+  auto run = runner.Run<int64_t, std::vector<double>, KeyedDoubles>(
+      "interval-tightening", dataset.num_points(),
       [&config] { return std::make_unique<TighteningMapper>(&config); },
       [] { return std::make_unique<TighteningReducer>(); }, num_reducers);
   if (!run.ok()) return run.status();
@@ -745,11 +745,10 @@ Result<SupportSetJobResult> RunSupportSetJob(
   result.support_sets.resize(signatures.size());
   result.unique_assignment.assign(dataset.num_points(), -1);
   if (signatures.empty()) return result;
-  const std::vector<Record> records = MakeRecords(dataset);
   const core::Rssc rssc(signatures);
   SupportSetJobConfig config{&dataset, &rssc, signatures.size()};
-  auto run = runner.RunMapOnly<Record, data::PointId, std::vector<uint32_t>>(
-      "support-sets", records,
+  auto run = runner.RunMapOnly<data::PointId, std::vector<uint32_t>>(
+      "support-sets", dataset.num_points(),
       [&config] { return std::make_unique<SupportSetMapper>(&config); });
   if (!run.ok()) return run.status();
   for (auto& [point, ids] : *run) {

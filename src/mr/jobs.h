@@ -18,14 +18,9 @@
 
 namespace p3c::mr {
 
-/// The record type of every job: a row index into the dataset (the
-/// dataset itself travels via the distributed-cache analog, i.e. a shared
-/// immutable reference).
-using Record = data::PointId;
-
-/// Identity record list [0, n) for a dataset; the "input file" every job
-/// reads.
-std::vector<Record> MakeRecords(const data::Dataset& dataset);
+// Every job reads records [0, n) of its dataset: the runner hands each
+// mapper contiguous row ranges, and the dataset itself travels through
+// the job-config pointer as a shared immutable reference.
 
 /// §5.1 histogram job: per-split partial histograms (in-mapper combining
 /// of Eq. 8), merged per attribute by the reducers. Returns one histogram
@@ -87,7 +82,7 @@ Result<std::vector<linalg::Matrix>> RunCovarianceJob(
     const core::GmmModel& model, const MembershipFn& membership,
     const std::vector<linalg::Vector>& means, const char* job_name);
 
-/// §5.5 MVB ball job: each mapper caches its split (Setup), computes the
+/// §5.5 MVB ball job: each mapper caches its split (Map), computes the
 /// per-split dimension-wise median and median radius per cluster in
 /// Cleanup, and the reducer takes the dimension-wise median of the means
 /// and the median of the radii.

@@ -31,16 +31,23 @@ struct KeyedRecord {
   int64_t value;
 };
 
-class KeyedSumMapper : public Mapper<KeyedRecord, int, int64_t> {
+class KeyedSumMapper : public Mapper<int, int64_t> {
  public:
-  void Map(const KeyedRecord& record, Emitter<int, int64_t>& out) override {
-    out.counters().Increment("records_mapped");
-    // All three metric kinds ride through the exactly-once checks below:
-    // a faulty run must reproduce counter, gauge AND histogram state.
-    out.counters().Observe("abs_value",
-                           std::abs(static_cast<double>(record.value)));
-    max_abs_ = std::max<int64_t>(max_abs_, std::abs(record.value));
-    out.Emit(record.key, record.value);
+  explicit KeyedSumMapper(const std::vector<KeyedRecord>* records)
+      : records_(records) {}
+
+  void Map(RecordRange rows, Emitter<int, int64_t>& out) override {
+    for (size_t i = rows.begin; i < rows.end; ++i) {
+      const KeyedRecord& record = (*records_)[i];
+      out.counters().Increment("records_mapped");
+      // All three metric kinds ride through the exactly-once checks
+      // below: a faulty run must reproduce counter, gauge AND histogram
+      // state.
+      out.counters().Observe("abs_value",
+                             std::abs(static_cast<double>(record.value)));
+      max_abs_ = std::max<int64_t>(max_abs_, std::abs(record.value));
+      out.Emit(record.key, record.value);
+    }
   }
 
   void Cleanup(Emitter<int, int64_t>& out) override {
@@ -48,6 +55,7 @@ class KeyedSumMapper : public Mapper<KeyedRecord, int, int64_t> {
   }
 
  private:
+  const std::vector<KeyedRecord>* records_;
   int64_t max_abs_ = 0;
 };
 
@@ -62,7 +70,7 @@ class Int64SumReducer
   }
 };
 
-std::vector<KeyedRecord> MakeRecords(size_t n) {
+std::vector<KeyedRecord> MakeKeyedRecords(size_t n) {
   std::vector<KeyedRecord> records(n);
   for (size_t i = 0; i < n; ++i) {
     records[i].key = static_cast<int>(i % 17);
@@ -92,11 +100,11 @@ RunOutcome RunKeyedSum(
   options.counters = &outcome.counters;
   if (tweak) tweak(options);
   LocalRunner runner(options);
-  const auto records = MakeRecords(1000);
+  const auto records = MakeKeyedRecords(1000);
   outcome.result =
-      runner.Run<KeyedRecord, int, int64_t, std::pair<int, int64_t>>(
-          "keyed-sum", records,
-          [] { return std::make_unique<KeyedSumMapper>(); },
+      runner.Run<int, int64_t, std::pair<int, int64_t>>(
+          "keyed-sum", records.size(),
+          [&records] { return std::make_unique<KeyedSumMapper>(&records); },
           [] { return std::make_unique<Int64SumReducer>(); });
   return outcome;
 }

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <string>
 
+#include "src/core/streaming.h"
 #include "src/data/colon.h"
 
 namespace p3c::data {
@@ -216,6 +217,60 @@ TEST(ColonLikeTest, DeterministicInSeed) {
   const ColonLikeData b = MakeColonLikeDataset();
   EXPECT_EQ(a.dataset.values(), b.dataset.values());
   EXPECT_EQ(a.labels, b.labels);
+}
+
+/// Writes a bare v2 header (no payload) claiming n points x d dims.
+void WriteHeaderOnly(const std::string& path, uint64_t n, uint64_t d) {
+  FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const char magic[4] = {'P', '3', 'C', 'D'};
+  const uint32_t version = 2;
+  const uint64_t checksum = 0;
+  ASSERT_EQ(std::fwrite(magic, 1, sizeof(magic), f), sizeof(magic));
+  ASSERT_EQ(std::fwrite(&version, sizeof(version), 1, f), 1u);
+  ASSERT_EQ(std::fwrite(&n, sizeof(n), 1, f), 1u);
+  ASSERT_EQ(std::fwrite(&d, sizeof(d), 1, f), 1u);
+  ASSERT_EQ(std::fwrite(&checksum, sizeof(checksum), 1, f), 1u);
+  std::fclose(f);
+}
+
+// n * d * 8 = 2^64 wraps to 0, so an unchecked size check sees exactly
+// the 32-byte header it expects and lets the allocation through.
+constexpr uint64_t kWrappingCount = uint64_t{1} << 61;
+
+void ExpectOverflowRejected(const Status& status) {
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kIOError);
+  EXPECT_NE(status.message().find("overflows"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(BinaryIoTest, ReadBinaryRejectsOverflowingPointCount) {
+  const std::string path = TempPath("overflow_n.p3cd");
+  WriteHeaderOnly(path, kWrappingCount, 1);
+  ExpectOverflowRejected(ReadBinary(path).status());
+  std::remove(path.c_str());
+}
+
+TEST(BinaryIoTest, ReadBinaryRejectsOverflowingDimCount) {
+  const std::string path = TempPath("overflow_d.p3cd");
+  WriteHeaderOnly(path, 1, kWrappingCount);
+  ExpectOverflowRejected(ReadBinary(path).status());
+  std::remove(path.c_str());
+}
+
+TEST(BinaryIoTest, ReaderOpenRejectsOverflowingPointCount) {
+  const std::string path = TempPath("open_overflow_n.p3cd");
+  WriteHeaderOnly(path, kWrappingCount, 1);
+  ExpectOverflowRejected(core::BinaryDatasetReader::Open(path).status());
+  std::remove(path.c_str());
+}
+
+TEST(BinaryIoTest, ReaderOpenRejectsOverflowingDimCount) {
+  const std::string path = TempPath("open_overflow_d.p3cd");
+  WriteHeaderOnly(path, 1, kWrappingCount);
+  ExpectOverflowRejected(core::BinaryDatasetReader::Open(path).status());
+  std::remove(path.c_str());
 }
 
 }  // namespace

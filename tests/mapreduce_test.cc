@@ -1,14 +1,15 @@
 // Tests of the in-process MapReduce engine: a word-count-style job, the
-// Setup/Map/Cleanup lifecycle, map-only jobs, counters, metrics and
+// range Map/Cleanup contract, map-only jobs, counters, metrics and
 // determinism under varying parallelism.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
-#include "src/mapreduce/cache.h"
 #include "src/mapreduce/counters.h"
 #include "src/mapreduce/runner.h"
 
@@ -17,13 +18,20 @@ namespace {
 
 // ---- Word count ------------------------------------------------------------
 
-class WordCountMapper : public Mapper<std::string, std::string, uint64_t> {
+class WordCountMapper : public Mapper<std::string, uint64_t> {
  public:
-  void Map(const std::string& record,
-           Emitter<std::string, uint64_t>& out) override {
-    out.Emit(record, 1);
-    out.counters().Increment("records_mapped");
+  explicit WordCountMapper(const std::vector<std::string>* words)
+      : words_(words) {}
+
+  void Map(RecordRange rows, Emitter<std::string, uint64_t>& out) override {
+    for (size_t i = rows.begin; i < rows.end; ++i) {
+      out.Emit((*words_)[i], 1);
+      out.counters().Increment("records_mapped");
+    }
   }
+
+ private:
+  const std::vector<std::string>* words_;
 };
 
 class SumReducer
@@ -39,10 +47,11 @@ class SumReducer
 
 std::vector<std::pair<std::string, uint64_t>> RunWordCount(
     LocalRunner& runner, const std::vector<std::string>& words) {
-  auto result = runner.Run<std::string, std::string, uint64_t,
-                           std::pair<std::string, uint64_t>>(
-      "word-count", words, [] { return std::make_unique<WordCountMapper>(); },
-      [] { return std::make_unique<SumReducer>(); });
+  auto result =
+      runner.Run<std::string, uint64_t, std::pair<std::string, uint64_t>>(
+          "word-count", words.size(),
+          [&words] { return std::make_unique<WordCountMapper>(&words); },
+          [] { return std::make_unique<SumReducer>(); });
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).value();
 }
@@ -133,73 +142,93 @@ TEST(MetricsTest, ProjectedOverheadAddsPerJob) {
   EXPECT_DOUBLE_EQ(metrics.ProjectedSecondsWithOverhead(30.0), 62.0);
 }
 
-// ---- Mapper lifecycle -------------------------------------------------------
+// ---- Map ranges ---------------------------------------------------------------
 
-class LifecycleMapper : public Mapper<int, int, int> {
+/// Records every range it is handed and emits them, keyed by the first
+/// record of its split, from Cleanup.
+class RangeRecordingMapper : public Mapper<size_t, RecordRange> {
  public:
-  void Setup(size_t split_index, std::span<const int> split,
-             Emitter<int, int>& out) override {
-    (void)split_index;
+  void Map(RecordRange rows, Emitter<size_t, RecordRange>& out) override {
     (void)out;
-    split_size_ = static_cast<int>(split.size());
+    ranges_.push_back(rows);
   }
-  void Map(const int& record, Emitter<int, int>& out) override {
-    (void)record;
-    (void)out;
-    ++seen_;
-  }
-  void Cleanup(Emitter<int, int>& out) override {
-    // Emit (split size as seen in Setup, records seen in Map).
-    out.Emit(split_size_, seen_);
+  void Cleanup(Emitter<size_t, RecordRange>& out) override {
+    for (const RecordRange& rows : ranges_) out.Emit(ranges_[0].begin, rows);
   }
 
  private:
-  int split_size_ = -1;
-  int seen_ = 0;
+  std::vector<RecordRange> ranges_;
 };
 
-class IdentityReducer : public Reducer<int, int, std::pair<int, int>> {
+class SplitRangesReducer
+    : public Reducer<size_t, RecordRange,
+                     std::pair<size_t, std::vector<RecordRange>>> {
  public:
-  void Reduce(const int& key, std::span<const int> values,
-              std::vector<std::pair<int, int>>& out) override {
-    for (int v : values) out.emplace_back(key, v);
+  void Reduce(
+      const size_t& key, std::span<const RecordRange> values,
+      std::vector<std::pair<size_t, std::vector<RecordRange>>>& out)
+      override {
+    out.emplace_back(key,
+                     std::vector<RecordRange>(values.begin(), values.end()));
   }
 };
 
-TEST(LocalRunnerTest, SetupSeesWholeSplitBeforeMap) {
+TEST(LocalRunnerTest, MapRangesAreContiguousBoundedAndCoverTheSplit) {
   RunnerOptions options;
-  options.records_per_split = 4;
+  options.records_per_split = 150;  // 3 splits: 150 + 150 + 1
+  options.num_threads = 2;
   LocalRunner runner(options);
-  const std::vector<int> input(10, 7);  // 3 splits: 4 + 4 + 2
-  const auto result = runner.Run<int, int, int, std::pair<int, int>>(
-      "lifecycle", input, [] { return std::make_unique<LifecycleMapper>(); },
-      [] { return std::make_unique<IdentityReducer>(); });
+  const size_t n = 301;
+  const auto result =
+      runner.Run<size_t, RecordRange,
+                 std::pair<size_t, std::vector<RecordRange>>>(
+          "map-ranges", n,
+          [] { return std::make_unique<RangeRecordingMapper>(); },
+          [] { return std::make_unique<SplitRangesReducer>(); });
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const auto& out = *result;
-  ASSERT_EQ(out.size(), 3u);
-  // Each record is (split size, seen records) and they must agree.
-  uint64_t total = 0;
-  for (const auto& [split_size, seen] : out) {
-    EXPECT_EQ(split_size, seen);
-    total += static_cast<uint64_t>(seen);
+  ASSERT_EQ(result->size(), 3u);
+  for (size_t s = 0; s < result->size(); ++s) {
+    const auto& [split_begin, ranges] = (*result)[s];
+    const size_t split_end = std::min(n, split_begin + 150);
+    EXPECT_EQ(split_begin, s * 150);
+    ASSERT_FALSE(ranges.empty());
+    // One attempt's ranges, in call order: ascending and gap-free, each
+    // non-empty and at most kMapRangeRecords long, and together exactly
+    // the split.
+    size_t next = split_begin;
+    for (const RecordRange& rows : ranges) {
+      EXPECT_EQ(rows.begin, next) << "split " << s;
+      EXPECT_GT(rows.size(), 0u) << "split " << s;
+      EXPECT_LE(rows.size(), kMapRangeRecords) << "split " << s;
+      next = rows.end;
+    }
+    EXPECT_EQ(next, split_end) << "split " << s;
   }
-  EXPECT_EQ(total, 10u);
 }
 
 // ---- Map-only jobs -----------------------------------------------------------
 
-class EchoMapper : public Mapper<int, int, int> {
+class EchoMapper : public Mapper<int, int> {
  public:
-  void Map(const int& record, Emitter<int, int>& out) override {
-    out.Emit(record, record * record);
+  explicit EchoMapper(const std::vector<int>* input) : input_(input) {}
+
+  void Map(RecordRange rows, Emitter<int, int>& out) override {
+    for (size_t i = rows.begin; i < rows.end; ++i) {
+      const int record = (*input_)[i];
+      out.Emit(record, record * record);
+    }
   }
+
+ private:
+  const std::vector<int>* input_;
 };
 
 TEST(LocalRunnerTest, MapOnlySortedByKey) {
   LocalRunner runner;
   const std::vector<int> input = {5, 3, 9, 1};
-  const auto result = runner.RunMapOnly<int, int, int>(
-      "echo", input, [] { return std::make_unique<EchoMapper>(); });
+  const auto result = runner.RunMapOnly<int, int>(
+      "echo", input.size(),
+      [&input] { return std::make_unique<EchoMapper>(&input); });
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const auto& pairs = *result;
   ASSERT_EQ(pairs.size(), 4u);
@@ -218,7 +247,7 @@ TEST(LocalRunnerTest, NumSplits) {
   EXPECT_EQ(runner.NumSplits(100), 10u);
 }
 
-// ---- Counters / cache --------------------------------------------------------
+// ---- Counters --------------------------------------------------------
 
 TEST(CountersTest, IncrementAndMerge) {
   Counters a;
@@ -232,30 +261,6 @@ TEST(CountersTest, IncrementAndMerge) {
   EXPECT_EQ(a.Get("y"), 1u);
   a.Clear();
   EXPECT_EQ(a.Get("x"), 0u);
-}
-
-TEST(DistributedCacheTest, TypedRoundTrip) {
-  DistributedCache cache;
-  cache.Put("masks", std::vector<int>{1, 2, 3});
-  auto masks = cache.Get<std::vector<int>>("masks");
-  ASSERT_NE(masks, nullptr);
-  EXPECT_EQ(masks->size(), 3u);
-  EXPECT_TRUE(cache.Contains("masks"));
-}
-
-TEST(DistributedCacheTest, WrongTypeIsNull) {
-  DistributedCache cache;
-  cache.Put("value", 42);
-  EXPECT_EQ(cache.Get<double>("value"), nullptr);
-  EXPECT_NE(cache.Get<int>("value"), nullptr);
-}
-
-TEST(DistributedCacheTest, MissingAndRemove) {
-  DistributedCache cache;
-  EXPECT_EQ(cache.Get<int>("nope"), nullptr);
-  cache.Put("x", 1);
-  cache.Remove("x");
-  EXPECT_FALSE(cache.Contains("x"));
 }
 
 }  // namespace

@@ -21,11 +21,19 @@ struct KeyedRecord {
   int64_t value;
 };
 
-class KeyedSumMapper : public Mapper<KeyedRecord, int, int64_t> {
+class KeyedSumMapper : public Mapper<int, int64_t> {
  public:
-  void Map(const KeyedRecord& record, Emitter<int, int64_t>& out) override {
-    out.Emit(record.key, record.value);
+  explicit KeyedSumMapper(const std::vector<KeyedRecord>* records)
+      : records_(records) {}
+
+  void Map(RecordRange rows, Emitter<int, int64_t>& out) override {
+    for (size_t i = rows.begin; i < rows.end; ++i) {
+      out.Emit((*records_)[i].key, (*records_)[i].value);
+    }
   }
+
+ private:
+  const std::vector<KeyedRecord>* records_;
 };
 
 class Int64SumReducer
@@ -44,8 +52,8 @@ using Param = std::tuple<uint64_t /*seed*/, size_t /*threads*/,
 
 /// Random records over 40 keys; skewed, about 80% of them carry key 0,
 /// so hash routing piles most of the shuffle onto one partition.
-std::vector<KeyedRecord> MakeRecords(Rng& rng, bool skewed_keys,
-                                     std::map<int, int64_t>& reference) {
+std::vector<KeyedRecord> MakeKeyedRecords(Rng& rng, bool skewed_keys,
+                                          std::map<int, int64_t>& reference) {
   const size_t n = 500 + rng.UniformInt(2000);
   std::vector<KeyedRecord> records(n);
   for (auto& record : records) {
@@ -63,7 +71,7 @@ TEST_P(RunnerProperties, KeyedSumMatchesReference) {
   const auto [seed, threads, split, skewed_keys] = GetParam();
   Rng rng(seed);
   std::map<int, int64_t> reference;
-  const auto records = MakeRecords(rng, skewed_keys, reference);
+  const auto records = MakeKeyedRecords(rng, skewed_keys, reference);
 
   RunnerOptions options;
   options.num_threads = threads;
@@ -71,9 +79,9 @@ TEST_P(RunnerProperties, KeyedSumMatchesReference) {
   options.num_reducers = threads;
   LocalRunner runner(options);
   const auto result =
-      runner.Run<KeyedRecord, int, int64_t, std::pair<int, int64_t>>(
-          "keyed-sum", records,
-          [] { return std::make_unique<KeyedSumMapper>(); },
+      runner.Run<int, int64_t, std::pair<int, int64_t>>(
+          "keyed-sum", records.size(),
+          [&records] { return std::make_unique<KeyedSumMapper>(&records); },
           [] { return std::make_unique<Int64SumReducer>(); });
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const auto& out = *result;
@@ -106,7 +114,7 @@ TEST_P(StragglerRunnerProperties, KeyedSumMatchesReferenceUnderSpeculation) {
   const auto [seed, threads, split, skewed_keys] = GetParam();
   Rng rng(seed);
   std::map<int, int64_t> reference;
-  const auto records = MakeRecords(rng, skewed_keys, reference);
+  const auto records = MakeKeyedRecords(rng, skewed_keys, reference);
 
   RunnerOptions options;
   options.num_threads = threads;
@@ -119,9 +127,9 @@ TEST_P(StragglerRunnerProperties, KeyedSumMatchesReferenceUnderSpeculation) {
   options.speculative_min_runtime_seconds = 0.0;
   LocalRunner runner(options);
   const auto result =
-      runner.Run<KeyedRecord, int, int64_t, std::pair<int, int64_t>>(
-          "keyed-sum", records,
-          [] { return std::make_unique<KeyedSumMapper>(); },
+      runner.Run<int, int64_t, std::pair<int, int64_t>>(
+          "keyed-sum", records.size(),
+          [&records] { return std::make_unique<KeyedSumMapper>(&records); },
           [] { return std::make_unique<Int64SumReducer>(); });
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const auto& out = *result;

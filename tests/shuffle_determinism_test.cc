@@ -27,12 +27,19 @@ struct KeyedRecord {
   uint64_t value;
 };
 
-class KeyedMapper : public Mapper<KeyedRecord, int64_t, uint64_t> {
+class KeyedMapper : public Mapper<int64_t, uint64_t> {
  public:
-  void Map(const KeyedRecord& record,
-           Emitter<int64_t, uint64_t>& out) override {
-    out.Emit(record.key, record.value);
+  explicit KeyedMapper(const std::vector<KeyedRecord>* records)
+      : records_(records) {}
+
+  void Map(RecordRange rows, Emitter<int64_t, uint64_t>& out) override {
+    for (size_t i = rows.begin; i < rows.end; ++i) {
+      out.Emit((*records_)[i].key, (*records_)[i].value);
+    }
   }
+
+ private:
+  const std::vector<KeyedRecord>* records_;
 };
 
 /// Order-sensitive fold: h = h * 31 + v. Detects any reordering of a
@@ -48,7 +55,7 @@ class OrderHashReducer
   }
 };
 
-std::vector<KeyedRecord> MakeRecords(size_t n, size_t num_keys) {
+std::vector<KeyedRecord> MakeKeyedRecords(size_t n, size_t num_keys) {
   std::vector<KeyedRecord> records(n);
   for (size_t i = 0; i < n; ++i) {
     records[i].key = static_cast<int64_t>(ShuffleMix64(i) % num_keys);
@@ -61,7 +68,7 @@ std::vector<KeyedRecord> MakeRecords(size_t n, size_t num_keys) {
 /// spread over 36 cold keys, so hash routing leaves the hot key's
 /// partition far above the others.
 std::vector<KeyedRecord> MakeSkewedRecords(size_t n) {
-  std::vector<KeyedRecord> records = MakeRecords(n, 37);
+  std::vector<KeyedRecord> records = MakeKeyedRecords(n, 37);
   for (size_t i = 0; i < n; ++i) {
     if (ShuffleMix64(i ^ 0x5eed) % 10 < 8) records[i].key = 0;
   }
@@ -79,10 +86,9 @@ Output RunJob(const std::vector<KeyedRecord>& records, size_t num_threads,
   options.fault_injector = injector;
   options.metrics = metrics;
   LocalRunner runner(options);
-  auto result =
-      runner.Run<KeyedRecord, int64_t, uint64_t, std::pair<int64_t, uint64_t>>(
-          "determinism", records,
-          [] { return std::make_unique<KeyedMapper>(); },
+  auto result = runner.Run<int64_t, uint64_t, std::pair<int64_t, uint64_t>>(
+      "determinism", records.size(),
+      [&records] { return std::make_unique<KeyedMapper>(&records); },
           [] { return std::make_unique<OrderHashReducer>(); }, num_reducers);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return result.ok() ? std::move(result).value() : Output{};
@@ -98,7 +104,7 @@ class ShuffleDeterminism : public ::testing::TestWithParam<Param> {};
 TEST_P(ShuffleDeterminism, ByteIdenticalToSerialSingleReducerRun) {
   const auto [threads, reducers, skewed_keys, with_faults] = GetParam();
   const auto records =
-      skewed_keys ? MakeSkewedRecords(3000) : MakeRecords(3000, 37);
+      skewed_keys ? MakeSkewedRecords(3000) : MakeKeyedRecords(3000, 37);
   // Baseline: serial, one reducer, fault-free — the configuration whose
   // reduce input order is trivially the global stable-sort order.
   const Output baseline = RunJob(records, 1, 1);
@@ -165,11 +171,11 @@ enum class KeyShape { kUniform, kSkewed, kSingleKey };
 std::vector<KeyedRecord> MakeShapedRecords(KeyShape shape, size_t n) {
   switch (shape) {
     case KeyShape::kUniform:
-      return MakeRecords(n, 37);
+      return MakeKeyedRecords(n, 37);
     case KeyShape::kSkewed:
       return MakeSkewedRecords(n);
     case KeyShape::kSingleKey:
-      return MakeRecords(n, 1);
+      return MakeKeyedRecords(n, 1);
   }
   return {};
 }
@@ -232,11 +238,10 @@ INSTANTIATE_TEST_SUITE_P(
 /// Emits each record's global index under one shared key; the reducer
 /// must then see 0, 1, 2, ... — the (map task, emit order) order a
 /// global stable sort produces.
-class IndexMapper : public Mapper<uint64_t, int64_t, uint64_t> {
+class IndexMapper : public Mapper<int64_t, uint64_t> {
  public:
-  void Map(const uint64_t& record,
-           Emitter<int64_t, uint64_t>& out) override {
-    out.Emit(0, record);
+  void Map(RecordRange rows, Emitter<int64_t, uint64_t>& out) override {
+    for (size_t i = rows.begin; i < rows.end; ++i) out.Emit(0, i);
   }
 };
 
@@ -254,16 +259,13 @@ class AscendingCheckReducer
 };
 
 TEST(ShuffleDeterminismTest, ValuesArriveInMapTaskEmitOrder) {
-  std::vector<uint64_t> records(1000);
-  for (size_t i = 0; i < records.size(); ++i) records[i] = i;
   RunnerOptions options;
   options.num_threads = 8;
   options.records_per_split = 33;
   LocalRunner runner(options);
-  auto result =
-      runner.Run<uint64_t, int64_t, uint64_t, std::pair<int64_t, uint64_t>>(
-          "value-order", records,
-          [] { return std::make_unique<IndexMapper>(); },
+  auto result = runner.Run<int64_t, uint64_t, std::pair<int64_t, uint64_t>>(
+      "value-order", /*num_records=*/1000,
+      [] { return std::make_unique<IndexMapper>(); },
           [] { return std::make_unique<AscendingCheckReducer>(); });
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->size(), 1u);
@@ -272,88 +274,34 @@ TEST(ShuffleDeterminismTest, ValuesArriveInMapTaskEmitOrder) {
 
 // ---- Map-only path ----------------------------------------------------
 
-class EchoMapper : public Mapper<uint64_t, uint64_t, uint64_t> {
+class EchoMapper : public Mapper<uint64_t, uint64_t> {
  public:
-  void Map(const uint64_t& record,
-           Emitter<uint64_t, uint64_t>& out) override {
-    out.Emit(ShuffleMix64(record) % 97, record);
+  void Map(RecordRange rows, Emitter<uint64_t, uint64_t>& out) override {
+    for (size_t i = rows.begin; i < rows.end; ++i) {
+      out.Emit(ShuffleMix64(i) % 97, i);
+    }
   }
 };
 
 TEST(ShuffleDeterminismTest, MapOnlyMergeMatchesSerialRun) {
-  std::vector<uint64_t> records(2000);
-  for (size_t i = 0; i < records.size(); ++i) records[i] = i;
+  const size_t num_records = 2000;
   std::vector<std::pair<uint64_t, uint64_t>> baseline;
   for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
     RunnerOptions options;
     options.num_threads = threads;
     options.records_per_split = 61;
     LocalRunner runner(options);
-    auto result = runner.RunMapOnly<uint64_t, uint64_t, uint64_t>(
-        "map-only", records, [] { return std::make_unique<EchoMapper>(); });
+    auto result = runner.RunMapOnly<uint64_t, uint64_t>(
+        "map-only", num_records,
+        [] { return std::make_unique<EchoMapper>(); });
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     if (threads == 1) {
       baseline = std::move(result).value();
-      ASSERT_EQ(baseline.size(), records.size());
+      ASSERT_EQ(baseline.size(), num_records);
     } else {
       EXPECT_EQ(*result, baseline) << threads << " threads";
     }
   }
-}
-
-// ---- Chunked merge plan ------------------------------------------------
-//
-// The staged merge cuts each partition's runs into data-derived chunks
-// (§14's scaling fix). The chunk plan must never change the merged
-// bytes: a tiny chunk target that forces many chunks per partition has
-// to produce exactly what the single-chunk serial merge produces.
-
-TEST(ShuffleDeterminismTest, MultiChunkMergeMatchesSingleChunk) {
-  const size_t num_partitions = 3;
-  const size_t num_maps = 5;
-  auto fill = [&](ShuffleBuffers<int64_t, uint64_t>& buffers) {
-    for (size_t m = 0; m < num_maps; ++m) {
-      std::vector<std::pair<int64_t, uint64_t>> pairs;
-      for (size_t i = 0; i < 400; ++i) {
-        const uint64_t h = ShuffleMix64(m * 1000 + i);
-        // Few distinct keys -> long duplicate tie groups straddling the
-        // sampled splitters, the hard case for chunk boundaries.
-        pairs.emplace_back(static_cast<int64_t>(h % 17), h);
-      }
-      buffers.CommitMapOutput(m, std::move(pairs));
-    }
-  };
-
-  ShuffleBuffers<int64_t, uint64_t> single(num_partitions, num_maps);
-  ShuffleBuffers<int64_t, uint64_t> chunked(num_partitions, num_maps);
-  fill(single);
-  fill(chunked);
-  for (size_t p = 0; p < num_partitions; ++p) {
-    single.MergePartition(p);  // default target: everything in one chunk
-    chunked.MergePartition(p, /*target_chunk_records=*/16);  // many chunks
-    const auto& a = single.partition(p);
-    const auto& b = chunked.partition(p);
-    EXPECT_EQ(b.group_keys, a.group_keys) << "partition " << p;
-    EXPECT_EQ(b.group_offsets, a.group_offsets) << "partition " << p;
-    EXPECT_EQ(b.values, a.values) << "partition " << p;
-  }
-}
-
-TEST(ShuffleDeterminismTest, TinyMergeChunksPreserveJobOutput) {
-  const auto records = MakeRecords(3000, 37);
-  const Output baseline = RunJob(records, 1, 1);
-  RunnerOptions options;
-  options.num_threads = 4;
-  options.records_per_split = 64;
-  options.merge_chunk_records = 32;  // dozens of chunks per partition
-  LocalRunner runner(options);
-  auto result = runner.Run<KeyedRecord, int64_t, uint64_t,
-                           std::pair<int64_t, uint64_t>>(
-      "tiny-chunks", records, [] { return std::make_unique<KeyedMapper>(); },
-      [] { return std::make_unique<OrderHashReducer>(); },
-      /*num_reducers=*/8);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(*result, baseline);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <map>
@@ -184,12 +185,20 @@ struct KeyedRecord {
   int64_t value;
 };
 
-class KeyedSumMapper : public Mapper<KeyedRecord, int, int64_t> {
+class KeyedSumMapper : public Mapper<int, int64_t> {
  public:
-  void Map(const KeyedRecord& record, Emitter<int, int64_t>& out) override {
-    out.counters().Increment("records_mapped");
-    out.Emit(record.key, record.value);
+  explicit KeyedSumMapper(const std::vector<KeyedRecord>* records)
+      : records_(records) {}
+
+  void Map(RecordRange rows, Emitter<int, int64_t>& out) override {
+    for (size_t i = rows.begin; i < rows.end; ++i) {
+      out.counters().Increment("records_mapped");
+      out.Emit((*records_)[i].key, (*records_)[i].value);
+    }
   }
+
+ private:
+  const std::vector<KeyedRecord>* records_;
 };
 
 class Int64SumReducer
@@ -206,7 +215,7 @@ class Int64SumReducer
 /// 17 keys round-robin, or — skewed — 80% of the records on key 0 with
 /// the rest still spread over all 17 keys, so one reduce partition and
 /// every map split's key-0 run dominate.
-std::vector<KeyedRecord> MakeRecords(size_t n, bool skewed_keys = false) {
+std::vector<KeyedRecord> MakeKeyedRecords(size_t n, bool skewed_keys = false) {
   std::vector<KeyedRecord> records(n);
   for (size_t i = 0; i < n; ++i) {
     const bool hot = skewed_keys && i % 5 != 0;
@@ -250,11 +259,11 @@ RunOutcome RunKeyedSum(FaultInjector* injector, const StragglerConfig& cfg) {
   options.metrics = &outcome.metrics;
   options.counters = &outcome.counters;
   LocalRunner runner(options);
-  const auto records = MakeRecords(1000, cfg.skewed_keys);
+  const auto records = MakeKeyedRecords(1000, cfg.skewed_keys);
   outcome.result =
-      runner.Run<KeyedRecord, int, int64_t, std::pair<int, int64_t>>(
-          "keyed-sum", records,
-          [] { return std::make_unique<KeyedSumMapper>(); },
+      runner.Run<int, int64_t, std::pair<int, int64_t>>(
+          "keyed-sum", records.size(),
+          [&records] { return std::make_unique<KeyedSumMapper>(&records); },
           [] { return std::make_unique<Int64SumReducer>(); });
   return outcome;
 }
@@ -294,6 +303,92 @@ TEST(TaskDeadlineTest, HungMapTaskRecoversViaDeadlineKillAndRetry) {
   EXPECT_EQ(job.retried_tasks, 1u);
   EXPECT_EQ(hung.metrics.TotalKilledAttempts(), job.killed_attempts);
   EXPECT_EQ(hung.metrics.TotalDeadlineExceeded(), job.deadline_exceeded);
+}
+
+/// Keyed sum with in-mapper combining whose Map itself is slow for one
+/// attempt: the first mapper instance handed `slow_begin` (the first
+/// record of a split) sleeps inside every Map call. Map never emits —
+/// the sums go out in Cleanup — so neither the fault injector nor the
+/// emitter checkpoint can stop that attempt; only the engine's poll
+/// between ranges can.
+struct SlowMapState {
+  size_t slow_begin = 0;
+  double sleep_seconds = 0.0;
+  std::atomic<bool> claimed{false};
+  std::atomic<size_t> slow_ranges{0};  ///< Map calls of the slow attempt
+};
+
+class SlowCombiningMapper : public Mapper<int, int64_t> {
+ public:
+  SlowCombiningMapper(const std::vector<KeyedRecord>* records,
+                      SlowMapState* state)
+      : records_(records), state_(state) {}
+
+  void Map(RecordRange rows, Emitter<int, int64_t>& out) override {
+    (void)out;
+    if (state_ != nullptr && rows.begin == state_->slow_begin &&
+        !state_->claimed.exchange(true)) {
+      slow_ = true;
+    }
+    if (slow_) {
+      state_->slow_ranges.fetch_add(1);
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(state_->sleep_seconds));
+    }
+    for (size_t i = rows.begin; i < rows.end; ++i) {
+      sums_[(*records_)[i].key] += (*records_)[i].value;
+    }
+  }
+
+  void Cleanup(Emitter<int, int64_t>& out) override {
+    for (const auto& [key, sum] : sums_) out.Emit(key, sum);
+  }
+
+ private:
+  const std::vector<KeyedRecord>* records_;
+  SlowMapState* state_;
+  bool slow_ = false;
+  std::map<int, int64_t> sums_;
+};
+
+TEST(TaskDeadlineTest, SlowMapIsKilledAtTheNextRangeBoundary) {
+  const auto records = MakeKeyedRecords(1000);
+  auto run = [&records](SlowMapState* state, MetricsRegistry* metrics) {
+    RunnerOptions options;
+    options.num_threads = 4;
+    options.records_per_split = 100;  // each split is two Map ranges
+    options.num_reducers = 3;
+    options.task_deadline_seconds = state != nullptr ? 0.15 : 0.0;
+    options.metrics = metrics;
+    LocalRunner runner(options);
+    return runner.Run<int, int64_t, std::pair<int, int64_t>>(
+        "slow-map", records.size(),
+        [&records, state] {
+          return std::make_unique<SlowCombiningMapper>(&records, state);
+        },
+        [] { return std::make_unique<Int64SumReducer>(); });
+  };
+  const auto clean = run(nullptr, nullptr);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+
+  // Split 2's first attempt sleeps 0.6 s in its first range, well past
+  // the 0.15 s deadline. The watchdog cancels it mid-sleep; the kill
+  // lands when Map returns, before the split's second range.
+  SlowMapState state;
+  state.slow_begin = 200;
+  state.sleep_seconds = 0.6;
+  MetricsRegistry metrics;
+  const auto slow = run(&state, &metrics);
+  ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+  EXPECT_EQ(state.slow_ranges.load(), 1u);
+  EXPECT_EQ(*slow, *clean);
+
+  ASSERT_EQ(metrics.num_jobs(), 1u);
+  const JobMetrics& job = metrics.jobs().front();
+  EXPECT_EQ(job.killed_attempts, 1u);
+  EXPECT_EQ(job.deadline_exceeded, 1u);
+  EXPECT_EQ(job.task_failures, 0u);
+  EXPECT_EQ(job.retried_tasks, 1u);
 }
 
 TEST(TaskDeadlineTest, HungReduceTaskRecoversToo) {

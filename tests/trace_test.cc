@@ -341,17 +341,22 @@ struct KeyedRecord {
   int64_t value;
 };
 
-class KeyedSumMapper : public mr::Mapper<KeyedRecord, int, int64_t> {
+class KeyedSumMapper : public mr::Mapper<int, int64_t> {
  public:
-  void Map(const KeyedRecord& record,
-           mr::Emitter<int, int64_t>& out) override {
-    out.counters().Increment("records_mapped");
-    // Integer-valued observation: the histogram's double sum stays
-    // exact, keeping the exported JSON thread-count invariant.
-    out.counters().Observe("abs_value",
-                           std::abs(static_cast<double>(record.value)));
-    max_abs_ = std::max<int64_t>(max_abs_, std::abs(record.value));
-    out.Emit(record.key, record.value);
+  explicit KeyedSumMapper(const std::vector<KeyedRecord>* records)
+      : records_(records) {}
+
+  void Map(mr::RecordRange rows, mr::Emitter<int, int64_t>& out) override {
+    for (size_t i = rows.begin; i < rows.end; ++i) {
+      const KeyedRecord& record = (*records_)[i];
+      out.counters().Increment("records_mapped");
+      // Integer-valued observation: the histogram's double sum stays
+      // exact, keeping the exported JSON thread-count invariant.
+      out.counters().Observe("abs_value",
+                             std::abs(static_cast<double>(record.value)));
+      max_abs_ = std::max<int64_t>(max_abs_, std::abs(record.value));
+      out.Emit(record.key, record.value);
+    }
   }
 
   void Cleanup(mr::Emitter<int, int64_t>& out) override {
@@ -360,6 +365,7 @@ class KeyedSumMapper : public mr::Mapper<KeyedRecord, int, int64_t> {
   }
 
  private:
+  const std::vector<KeyedRecord>* records_;
   int64_t max_abs_ = 0;
 };
 
@@ -374,7 +380,7 @@ class Int64SumReducer
   }
 };
 
-std::vector<KeyedRecord> MakeRecords(size_t n) {
+std::vector<KeyedRecord> MakeKeyedRecords(size_t n) {
   std::vector<KeyedRecord> records(n);
   for (size_t i = 0; i < n; ++i) {
     records[i].key = static_cast<int>(i % 13);
@@ -402,11 +408,11 @@ RunOutcome RunKeyedSum(size_t threads, size_t reducers,
   options.metrics = &outcome.metrics;
   options.counters = &outcome.counters;
   mr::LocalRunner runner(options);
-  const auto records = MakeRecords(num_records);
+  const auto records = MakeKeyedRecords(num_records);
   outcome.result =
-      runner.Run<KeyedRecord, int, int64_t, std::pair<int, int64_t>>(
-          "keyed-sum", records,
-          [] { return std::make_unique<KeyedSumMapper>(); },
+      runner.Run<int, int64_t, std::pair<int, int64_t>>(
+          "keyed-sum", records.size(),
+          [&records] { return std::make_unique<KeyedSumMapper>(&records); },
           [] { return std::make_unique<Int64SumReducer>(); });
   return outcome;
 }
@@ -582,10 +588,10 @@ TEST(TracerTest, MapOnlyJobTracesWithoutPartitionLanes) {
   options.num_threads = 2;
   options.records_per_split = 64;
   mr::LocalRunner runner(options);
-  const auto records = MakeRecords(200);
-  auto result = runner.RunMapOnly<KeyedRecord, int, int64_t>(
-      "map-only-job", records,
-      [] { return std::make_unique<KeyedSumMapper>(); });
+  const auto records = MakeKeyedRecords(200);
+  auto result = runner.RunMapOnly<int, int64_t>(
+      "map-only-job", records.size(),
+      [&records] { return std::make_unique<KeyedSumMapper>(&records); });
   ASSERT_TRUE(result.ok());
 
   const TraceStats stats = ValidateTrace(Tracer::Global().ToJson());
@@ -749,9 +755,9 @@ TEST(PartitionSkewTest, ZeroRecordJobHasZeroSkew) {
   options.metrics = &metrics;
   mr::LocalRunner runner(options);
   const std::vector<KeyedRecord> empty;
-  auto result = runner.Run<KeyedRecord, int, int64_t,
-                           std::pair<int, int64_t>>(
-      "empty-job", empty, [] { return std::make_unique<KeyedSumMapper>(); },
+  auto result = runner.Run<int, int64_t, std::pair<int, int64_t>>(
+      "empty-job", empty.size(),
+      [&empty] { return std::make_unique<KeyedSumMapper>(&empty); },
       [] { return std::make_unique<Int64SumReducer>(); });
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
@@ -770,10 +776,10 @@ TEST(PartitionSkewTest, MapOnlyJobHasEmptyPartitionVectorsAndDashSkew) {
   options.records_per_split = 64;
   options.metrics = &metrics;
   mr::LocalRunner runner(options);
-  const auto records = MakeRecords(200);
-  auto result = runner.RunMapOnly<KeyedRecord, int, int64_t>(
-      "map-only-skew", records,
-      [] { return std::make_unique<KeyedSumMapper>(); });
+  const auto records = MakeKeyedRecords(200);
+  auto result = runner.RunMapOnly<int, int64_t>(
+      "map-only-skew", records.size(),
+      [&records] { return std::make_unique<KeyedSumMapper>(&records); });
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(metrics.num_jobs(), 1u);
   const mr::JobMetrics& job = metrics.jobs().front();
@@ -796,13 +802,12 @@ TEST(PartitionSkewTest, AllRecordsOnOnePartitionMaxesSkew) {
   mr::LocalRunner runner(options);
   // One key for every record: hash routing sends them all to the single
   // partition that key hashes to.
-  auto records = MakeRecords(500);
+  auto records = MakeKeyedRecords(500);
   for (KeyedRecord& record : records) record.key = 7;
   const size_t hot = mr::ShuffleKeyHash(7) % 8;
-  auto result = runner.Run<KeyedRecord, int, int64_t,
-                           std::pair<int, int64_t>>(
-      "skewed-job", records,
-      [] { return std::make_unique<KeyedSumMapper>(); },
+  auto result = runner.Run<int, int64_t, std::pair<int, int64_t>>(
+      "skewed-job", records.size(),
+      [&records] { return std::make_unique<KeyedSumMapper>(&records); },
       [] { return std::make_unique<Int64SumReducer>(); },
       /*num_reducers=*/8);
   ASSERT_TRUE(result.ok());

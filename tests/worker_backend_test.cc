@@ -172,13 +172,20 @@ TEST(WireTest, ResultFrameRoundTrips) {
 // Backend determinism + crash recovery (word count on LocalRunner)
 // ---------------------------------------------------------------------------
 
-class WordCountMapper : public Mapper<std::string, std::string, uint64_t> {
+class WordCountMapper : public Mapper<std::string, uint64_t> {
  public:
-  void Map(const std::string& record,
-           Emitter<std::string, uint64_t>& out) override {
-    out.Emit(record, 1);
-    out.counters().Increment("records_mapped");
+  explicit WordCountMapper(const std::vector<std::string>* words)
+      : words_(words) {}
+
+  void Map(RecordRange rows, Emitter<std::string, uint64_t>& out) override {
+    for (size_t i = rows.begin; i < rows.end; ++i) {
+      out.Emit((*words_)[i], 1);
+      out.counters().Increment("records_mapped");
+    }
   }
+
+ private:
+  const std::vector<std::string>* words_;
 };
 
 class SumReducer
@@ -213,10 +220,11 @@ WordCountRun RunWordCount(RunnerOptions options,
   Counters counters;
   options.counters = &counters;
   LocalRunner runner(options);
-  auto result = runner.Run<std::string, std::string, uint64_t,
-                           std::pair<std::string, uint64_t>>(
-      "word-count", words, [] { return std::make_unique<WordCountMapper>(); },
-      [] { return std::make_unique<SumReducer>(); });
+  auto result =
+      runner.Run<std::string, uint64_t, std::pair<std::string, uint64_t>>(
+          "word-count", words.size(),
+          [&words] { return std::make_unique<WordCountMapper>(&words); },
+          [] { return std::make_unique<SumReducer>(); });
   WordCountRun run;
   run.worker_metrics = runner.SnapshotWorkerMetrics();
   if (!result.ok()) {

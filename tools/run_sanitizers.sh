@@ -96,8 +96,7 @@ case "${MODE}" in
     # The partitioned-shuffle determinism suite (byte-identical output
     # across threads/reducers/skewed keys/faults) under both sanitizers:
     # ASan/UBSan catches span-lifetime bugs in the zero-copy reduce path,
-    # TSan catches races in the per-partition merge and chunk-claiming
-    # ParallelFor.
+    # TSan catches races in the per-partition merge ParallelFor.
     LABEL="shuffle-smoke"
     run_suite "ASan+UBSan shuffle-smoke" Sanitize build-asan \
       "ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1"
