@@ -82,6 +82,18 @@ void ForEachRange(size_t n, ThreadPool* pool, const Fn& fn) {
   });
 }
 
+/// log sum_i exp(logw[i]) over k log-weighted densities: std::max for
+/// the max, an in-order exp sum, then max + log(sum). The one definition
+/// behind both LogLikelihood and Responsibilities' log-likelihood, so the
+/// two cannot drift apart.
+double LogSumExp(const double* logw, size_t k) {
+  double max_log = -std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < k; ++i) max_log = std::max(max_log, logw[i]);
+  double sum = 0.0;
+  for (size_t i = 0; i < k; ++i) sum += std::exp(logw[i] - max_log);
+  return max_log + std::log(sum);
+}
+
 linalg::Matrix SmallIdentity(size_t dim) {
   linalg::Matrix m = linalg::Matrix::Identity(dim);
   return m.Scale(1e-2);
@@ -90,9 +102,15 @@ linalg::Matrix SmallIdentity(size_t dim) {
 }  // namespace
 
 linalg::Vector GmmModel::Project(std::span<const double> row) const {
-  linalg::Vector out(arel.size());
-  for (size_t i = 0; i < arel.size(); ++i) out[i] = row[arel[i]];
+  linalg::Vector out;
+  Project(row, out);
   return out;
+}
+
+void GmmModel::Project(std::span<const double> row,
+                       linalg::Vector& out) const {
+  out.resize(arel.size());
+  for (size_t i = 0; i < arel.size(); ++i) out[i] = row[arel[i]];
 }
 
 std::vector<size_t> RelevantAttributeUnion(
@@ -140,10 +158,12 @@ double GmmEvaluator::LogWeightedDensity(size_t k,
 }
 
 size_t GmmEvaluator::Responsibilities(const linalg::Vector& x,
-                                      std::vector<double>& r) const {
+                                      std::vector<double>& r,
+                                      double* log_likelihood) const {
   const size_t k = factors_.size();
   r.resize(k);
   for (size_t i = 0; i < k; ++i) r[i] = LogWeightedDensity(i, x);
+  if (log_likelihood != nullptr) *log_likelihood = LogSumExp(r.data(), k);
   // In-place log-sum-exp softmax; every backend is bit-exact with the
   // scalar reference (kernel-smoke), so results don't depend on which
   // backend dispatch picked.
@@ -169,15 +189,10 @@ double GmmEvaluator::MahalanobisSquared(size_t k,
 }
 
 double GmmEvaluator::LogLikelihood(const linalg::Vector& x) const {
-  double max_log = -std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < factors_.size(); ++i) {
-    max_log = std::max(max_log, LogWeightedDensity(i, x));
-  }
-  double sum = 0.0;
-  for (size_t i = 0; i < factors_.size(); ++i) {
-    sum += std::exp(LogWeightedDensity(i, x) - max_log);
-  }
-  return max_log + std::log(sum);
+  thread_local std::vector<double> logw;
+  logw.resize(factors_.size());
+  for (size_t i = 0; i < logw.size(); ++i) logw[i] = LogWeightedDensity(i, x);
+  return LogSumExp(logw.data(), logw.size());
 }
 
 Result<GmmModel> InitializeFromCores(const data::Dataset& dataset,
@@ -207,6 +222,7 @@ Result<GmmModel> InitializeFromCores(const data::Dataset& dataset,
   ForEachRange(n, pool, [&](size_t task, size_t begin, size_t end) {
     std::vector<uint64_t> bits;
     std::vector<uint32_t> ids;
+    linalg::Vector x;
     auto& accs = locals[task];
     for (size_t i = begin; i < end; ++i) {
       const auto row = dataset.Row(static_cast<data::PointId>(i));
@@ -217,7 +233,7 @@ Result<GmmModel> InitializeFromCores(const data::Dataset& dataset,
         local_orphans[task].push_back(static_cast<data::PointId>(i));
         continue;
       }
-      const linalg::Vector x = model.Project(row);
+      model.Project(row, x);
       for (uint32_t id : ids) accs[id].Add(x, 1.0);
     }
   });
@@ -243,8 +259,9 @@ Result<GmmModel> InitializeFromCores(const data::Dataset& dataset,
       num_tasks, std::vector<MomentAccumulator>(k, MomentAccumulator(dim)));
   auto assign_orphans = [&](size_t task) {
     auto& accs = orphan_locals[task];
+    linalg::Vector x;
     for (data::PointId p : local_orphans[task]) {
-      const linalg::Vector x = model.Project(dataset.Row(p));
+      model.Project(dataset.Row(p), x);
       size_t best = 0;
       double best_dist = std::numeric_limits<double>::infinity();
       for (size_t c = 0; c < k; ++c) {
@@ -302,12 +319,13 @@ Result<EmResult> RunEm(const data::Dataset& dataset, GmmModel initial,
     std::vector<double> local_ll(num_tasks, 0.0);
     ForEachRange(n, pool, [&](size_t task, size_t begin, size_t end) {
       std::vector<double> r;
+      linalg::Vector x;
       auto& accs = locals[task];
       for (size_t i = begin; i < end; ++i) {
-        const linalg::Vector x =
-            result.model.Project(dataset.Row(static_cast<data::PointId>(i)));
-        evaluator->Responsibilities(x, r);
-        local_ll[task] += evaluator->LogLikelihood(x);
+        result.model.Project(dataset.Row(static_cast<data::PointId>(i)), x);
+        double ll = 0.0;
+        evaluator->Responsibilities(x, r, &ll);
+        local_ll[task] += ll;
         for (size_t c = 0; c < k; ++c) {
           if (r[c] > 1e-12) accs[c].Add(x, r[c]);
         }

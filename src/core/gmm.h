@@ -33,6 +33,10 @@ struct GmmModel {
 
   /// Projects a full d-dimensional row onto the Arel coordinates.
   linalg::Vector Project(std::span<const double> row) const;
+
+  /// Same, into a caller-owned buffer (resized to dim()): the per-point
+  /// loops reuse one buffer instead of allocating a Vector per row.
+  void Project(std::span<const double> row, linalg::Vector& out) const;
 };
 
 /// Computes the union of relevant attributes over all cluster cores
@@ -53,8 +57,12 @@ class GmmEvaluator {
   double LogWeightedDensity(size_t k, const linalg::Vector& x) const;
 
   /// Posterior responsibilities r_k(x); returns the argmax component.
-  size_t Responsibilities(const linalg::Vector& x,
-                          std::vector<double>& r) const;
+  /// Evaluates each of the k log-weighted densities once. When
+  /// `log_likelihood` is non-null it receives log p(x), taken from those
+  /// same k values before the softmax with LogLikelihood's arithmetic, so
+  /// it is bit-identical to a separate LogLikelihood(x) call.
+  size_t Responsibilities(const linalg::Vector& x, std::vector<double>& r,
+                          double* log_likelihood = nullptr) const;
 
   /// Hard assignment: argmax_k posterior (ties to the lowest index).
   size_t HardAssign(const linalg::Vector& x) const;
@@ -62,7 +70,8 @@ class GmmEvaluator {
   /// Squared Mahalanobis distance of x to component k.
   double MahalanobisSquared(size_t k, const linalg::Vector& x) const;
 
-  /// log p(x) under the mixture (log-sum-exp over components).
+  /// log p(x) under the mixture (log-sum-exp over components, each
+  /// density evaluated once).
   double LogLikelihood(const linalg::Vector& x) const;
 
  private:

@@ -72,8 +72,10 @@ double Cholesky::MahalanobisSquared(const Vector& x, const Vector& mu) const {
   const size_t n = l_.rows();
   assert(x.size() == n && mu.size() == n);
   // Forward substitution of (x - mu) through L; the squared norm of the
-  // result equals (x-mu)^T A^{-1} (x-mu).
-  Vector y(n);
+  // result equals (x-mu)^T A^{-1} (x-mu). The per-point hot paths call
+  // this k times per row, so y lives in per-thread scratch.
+  thread_local Vector y;
+  y.resize(n);
   double acc_sq = 0.0;
   for (size_t i = 0; i < n; ++i) {
     double acc = x[i] - mu[i];

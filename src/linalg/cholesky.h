@@ -31,6 +31,8 @@ class Cholesky {
 
   /// Mahalanobis squared distance (x - mu)^T A^{-1} (x - mu) without
   /// forming the inverse: forward-substitute L y = (x - mu), return |y|^2.
+  /// y lives in per-thread scratch, so calls allocate nothing once a
+  /// thread has seen the largest dimension.
   double MahalanobisSquared(const Vector& x, const Vector& mu) const;
 
   size_t dim() const { return l_.rows(); }

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "src/common/resource.h"
+#include "src/common/string_util.h"
 #include "src/core/rssc.h"
 #include "src/stats/descriptive.h"
 
@@ -13,7 +14,15 @@ namespace p3c::mr {
 
 namespace {
 
-using KeyedDoubles = std::pair<int64_t, std::vector<double>>;
+/// True when every value has the front value's length. The double-valued
+/// reducers below emit an empty payload for a key whose values disagree,
+/// which the job's unpack step then rejects with a Status.
+bool SameLengths(std::span<const std::vector<double>> values) {
+  for (const auto& v : values) {
+    if (v.size() != values.front().size()) return false;
+  }
+  return true;
+}
 
 /// Generic sum reducer for (int64, vector<double>) stats records.
 class VectorSumReducer
@@ -23,9 +32,11 @@ class VectorSumReducer
               std::span<const std::vector<double>> values,
               std::vector<KeyedDoubles>& out) override {
     std::vector<double> acc;
-    for (const auto& v : values) {
-      if (acc.empty()) acc.assign(v.size(), 0.0);
-      for (size_t i = 0; i < v.size() && i < acc.size(); ++i) acc[i] += v[i];
+    if (!values.empty() && SameLengths(values)) {
+      acc.assign(values.front().size(), 0.0);
+      for (const auto& v : values) {
+        for (size_t i = 0; i < v.size(); ++i) acc[i] += v[i];
+      }
     }
     out.emplace_back(key, std::move(acc));
   }
@@ -56,6 +67,24 @@ class CountSumReducer
 size_t ReducersForKeys(const LocalRunner& runner, size_t num_keys) {
   return std::max<size_t>(
       1, std::min(num_keys, runner.DefaultNumReducers()));
+}
+
+/// Checks one reducer record of `job_name` before its payload is read:
+/// the key must lie in [0, num_keys) and the payload hold `expected`
+/// values.
+Status CheckRecord(const char* job_name, int64_t key, size_t num_keys,
+                   size_t payload_size, size_t expected) {
+  if (key < 0 || static_cast<uint64_t>(key) >= num_keys) {
+    return Status::Internal(StringPrintf(
+        "%s: result key %lld outside [0, %zu)", job_name,
+        static_cast<long long>(key), num_keys));
+  }
+  if (payload_size != expected) {
+    return Status::Internal(StringPrintf(
+        "%s: result for key %lld holds %zu values, expected %zu", job_name,
+        static_cast<long long>(key), payload_size, expected));
+  }
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -178,16 +207,15 @@ class MomentMapper : public Mapper<int64_t, std::vector<double>> {
     (void)out;
     for (size_t i = rows.begin; i < rows.end; ++i) {
       const auto point = static_cast<data::PointId>(i);
-      const linalg::Vector x =
-          config_->model->Project(config_->dataset->Row(point));
+      config_->model->Project(config_->dataset->Row(point), x_);
       contributions_.clear();
-      config_->membership->Contributions(point, x, contributions_);
+      log_likelihood_ +=
+          config_->membership->Contributions(point, x_, contributions_);
       for (const auto& [c, weight] : contributions_) {
         w_[c] += weight;
         w2_[c] += weight * weight;
-        for (size_t j = 0; j < dim_; ++j) lsum_[c][j] += weight * x[j];
+        for (size_t j = 0; j < dim_; ++j) lsum_[c][j] += weight * x_[j];
       }
-      log_likelihood_ += config_->membership->LogLikelihood(x);
     }
   }
 
@@ -212,6 +240,7 @@ class MomentMapper : public Mapper<int64_t, std::vector<double>> {
   std::vector<double> w2_;
   std::vector<linalg::Vector> lsum_;
   double log_likelihood_ = 0.0;
+  linalg::Vector x_;  // the current row in Arel coordinates
   std::vector<std::pair<uint32_t, double>> contributions_;
   resource::ScopedBytes mem_{resource::MemScope::kGmmMatrices};
 };
@@ -229,7 +258,8 @@ class CovarianceMapper : public Mapper<int64_t, std::vector<double>> {
       : config_(config),
         k_(config->model->num_components()),
         dim_(config->model->dim()),
-        acc_(k_, linalg::Matrix(dim_, dim_)) {
+        acc_(k_, linalg::Matrix(dim_, dim_)),
+        centered_(dim_) {
     mem_.Set(static_cast<int64_t>(k_ * dim_ * dim_ * sizeof(double)));
   }
 
@@ -238,14 +268,13 @@ class CovarianceMapper : public Mapper<int64_t, std::vector<double>> {
     (void)out;
     for (size_t i = rows.begin; i < rows.end; ++i) {
       const auto point = static_cast<data::PointId>(i);
-      const linalg::Vector x =
-          config_->model->Project(config_->dataset->Row(point));
+      config_->model->Project(config_->dataset->Row(point), x_);
       contributions_.clear();
-      config_->membership->Contributions(point, x, contributions_);
+      config_->membership->Contributions(point, x_, contributions_);
       for (const auto& [c, weight] : contributions_) {
-        const linalg::Vector centered =
-            linalg::VecSub(x, (*config_->means)[c]);
-        acc_[c].AddOuterProduct(centered, weight);
+        const linalg::Vector& mean = (*config_->means)[c];
+        for (size_t j = 0; j < dim_; ++j) centered_[j] = x_[j] - mean[j];
+        acc_[c].AddOuterProduct(centered_, weight);
       }
     }
   }
@@ -261,6 +290,8 @@ class CovarianceMapper : public Mapper<int64_t, std::vector<double>> {
   size_t k_;
   size_t dim_;
   std::vector<linalg::Matrix> acc_;
+  linalg::Vector x_;         // the current row in Arel coordinates
+  linalg::Vector centered_;  // x_ minus the contribution's mean
   std::vector<std::pair<uint32_t, double>> contributions_;
   resource::ScopedBytes mem_{resource::MemScope::kGmmMatrices};
 };
@@ -318,6 +349,10 @@ class MvbBallReducer
               std::span<const std::vector<double>> values,
               std::vector<KeyedDoubles>& out) override {
     if (values.empty()) return;
+    if (values.front().empty() || !SameLengths(values)) {
+      out.emplace_back(key, std::vector<double>{});
+      return;
+    }
     const size_t dim = values.front().size() - 1;
     // Dimension-wise median of the split means; median of the radii.
     std::vector<double> result(dim + 1, 0.0);
@@ -350,11 +385,10 @@ class OdMapper : public Mapper<data::PointId, int32_t> {
   void Map(RecordRange rows, Emitter<data::PointId, int32_t>& out) override {
     for (size_t i = rows.begin; i < rows.end; ++i) {
       const auto point = static_cast<data::PointId>(i);
-      const linalg::Vector x =
-          config_->model->Project(config_->dataset->Row(point));
-      const size_t c = config_->evaluator->HardAssign(x);
+      config_->model->Project(config_->dataset->Row(point), x_);
+      const size_t c = config_->evaluator->HardAssign(x_);
       const double d2 = (*config_->factors)[c].MahalanobisSquared(
-          x, (*config_->centers)[c]);
+          x_, (*config_->centers)[c]);
       const bool outlier = d2 > config_->critical;
       if (outlier) {
         ++outliers_;
@@ -376,6 +410,7 @@ class OdMapper : public Mapper<data::PointId, int32_t> {
 
  private:
   const OdJobConfig* config_;
+  linalg::Vector x_;  // the current row in Arel coordinates
   uint64_t outliers_ = 0;
   uint64_t members_ = 0;
 };
@@ -498,6 +533,10 @@ class TighteningReducer
               std::span<const std::vector<double>> values,
               std::vector<KeyedDoubles>& out) override {
     if (values.empty()) return;
+    if (values.front().size() % 2 != 0 || !SameLengths(values)) {
+      out.emplace_back(key, std::vector<double>{});
+      return;
+    }
     const size_t half = values.front().size() / 2;
     std::vector<double> acc = values.front();
     for (size_t i = 1; i < values.size(); ++i) {
@@ -605,20 +644,32 @@ Result<MomentSums> RunMomentJob(LocalRunner& runner,
       [&config] { return std::make_unique<MomentMapper>(&config); },
       [] { return std::make_unique<VectorSumReducer>(); }, num_reducers);
   if (!run.ok()) return run.status();
-  auto& out = *run;
+  return UnpackMomentSums(*run, model.num_components(), model.dim(),
+                          job_name);
+}
+
+Result<MomentSums> UnpackMomentSums(const std::vector<KeyedDoubles>& out,
+                                    size_t k, size_t dim,
+                                    const char* job_name) {
   MomentSums sums;
-  sums.w.assign(model.num_components(), 0.0);
-  sums.w2.assign(model.num_components(), 0.0);
-  sums.lsum.assign(model.num_components(), linalg::Vector(model.dim(), 0.0));
-  for (auto& [key, stats] : out) {
+  sums.w.assign(k, 0.0);
+  sums.w2.assign(k, 0.0);
+  sums.lsum.assign(k, linalg::Vector(dim, 0.0));
+  for (const auto& [key, stats] : out) {
     if (key == kLogLikelihoodKey) {
-      sums.log_likelihood = stats.empty() ? 0.0 : stats[0];
+      if (stats.size() != 1) {
+        return Status::Internal(StringPrintf(
+            "%s: log-likelihood result holds %zu values, expected 1",
+            job_name, stats.size()));
+      }
+      sums.log_likelihood = stats[0];
       continue;
     }
+    P3C_RETURN_NOT_OK(CheckRecord(job_name, key, k, stats.size(), dim + 2));
     const auto c = static_cast<size_t>(key);
     sums.w[c] = stats[0];
     sums.w2[c] = stats[1];
-    for (size_t j = 0; j < model.dim(); ++j) sums.lsum[c][j] = stats[2 + j];
+    for (size_t j = 0; j < dim; ++j) sums.lsum[c][j] = stats[2 + j];
   }
   return sums;
 }
@@ -634,14 +685,18 @@ Result<std::vector<linalg::Matrix>> RunCovarianceJob(
       [&config] { return std::make_unique<CovarianceMapper>(&config); },
       [] { return std::make_unique<VectorSumReducer>(); }, num_reducers);
   if (!run.ok()) return run.status();
-  auto& out = *run;
-  const size_t dim = model.dim();
-  std::vector<linalg::Matrix> sums(model.num_components(),
-                                   linalg::Matrix(dim, dim));
-  for (auto& [key, flat] : out) {
-    if (key < 0) continue;
+  return UnpackCovarianceSums(*run, model.num_components(), model.dim(),
+                              job_name);
+}
+
+Result<std::vector<linalg::Matrix>> UnpackCovarianceSums(
+    const std::vector<KeyedDoubles>& out, size_t k, size_t dim,
+    const char* job_name) {
+  std::vector<linalg::Matrix> sums(k, linalg::Matrix(dim, dim));
+  for (const auto& [key, flat] : out) {
+    P3C_RETURN_NOT_OK(CheckRecord(job_name, key, k, flat.size(), dim * dim));
     linalg::Matrix& m = sums[static_cast<size_t>(key)];
-    for (size_t i = 0; i < dim && i * dim < flat.size(); ++i) {
+    for (size_t i = 0; i < dim; ++i) {
       for (size_t j = 0; j < dim; ++j) m(i, j) = flat[i * dim + j];
     }
   }
@@ -658,10 +713,15 @@ Result<std::vector<MvbBall>> RunMvbBallJob(
       [&config] { return std::make_unique<MvbBallMapper>(&config); },
       [] { return std::make_unique<MvbBallReducer>(); }, num_reducers);
   if (!run.ok()) return run.status();
-  auto& out = *run;
-  std::vector<MvbBall> balls(model.num_components());
-  for (auto& [key, payload] : out) {
-    if (key < 0 || payload.empty()) continue;
+  return UnpackMvbBalls(*run, model.num_components(), model.dim());
+}
+
+Result<std::vector<MvbBall>> UnpackMvbBalls(
+    const std::vector<KeyedDoubles>& out, size_t k, size_t dim) {
+  std::vector<MvbBall> balls(k);
+  for (const auto& [key, payload] : out) {
+    P3C_RETURN_NOT_OK(
+        CheckRecord("mvb-ball", key, k, payload.size(), dim + 1));
     MvbBall& ball = balls[static_cast<size_t>(key)];
     ball.center.assign(payload.begin(), payload.end() - 1);
     ball.radius = payload.back();
@@ -723,12 +783,22 @@ Result<std::vector<std::vector<core::Interval>>> RunTighteningJob(
       [&config] { return std::make_unique<TighteningMapper>(&config); },
       [] { return std::make_unique<TighteningReducer>(); }, num_reducers);
   if (!run.ok()) return run.status();
-  auto& out = *run;
+  return UnpackTightening(*run, attrs);
+}
+
+Result<std::vector<std::vector<core::Interval>>> UnpackTightening(
+    const std::vector<KeyedDoubles>& out,
+    const std::vector<std::vector<size_t>>& attrs) {
   std::vector<std::vector<core::Interval>> intervals(attrs.size());
-  for (auto& [key, payload] : out) {
-    if (key < 0) continue;
+  for (const auto& [key, payload] : out) {
+    const bool known_key =
+        key >= 0 && static_cast<uint64_t>(key) < attrs.size();
+    const size_t expected =
+        known_key ? 2 * attrs[static_cast<size_t>(key)].size() : 0;
+    P3C_RETURN_NOT_OK(CheckRecord("interval-tightening", key, attrs.size(),
+                                  payload.size(), expected));
     const auto c = static_cast<size_t>(key);
-    const size_t half = payload.size() / 2;
+    const size_t half = attrs[c].size();
     intervals[c].resize(half);
     for (size_t a = 0; a < half; ++a) {
       intervals[c][a] = core::Interval{attrs[c][a], payload[a],

@@ -56,15 +56,13 @@ class MembershipFn {
  public:
   virtual ~MembershipFn() = default;
   /// Appends (component, weight) contributions of `x` (Arel coordinates,
-  /// with `point` available for containment tests on the full row).
-  virtual void Contributions(
+  /// with `point` available for containment tests on the full row) and
+  /// returns the point's log-likelihood contribution: log p(x) for the
+  /// soft E step, which takes it from the densities it already computed
+  /// for the weights; 0 for the hard memberships.
+  virtual double Contributions(
       data::PointId point, const linalg::Vector& x,
       std::vector<std::pair<uint32_t, double>>& out) const = 0;
-  /// Optional log-likelihood contribution of the point (EM E-step).
-  virtual double LogLikelihood(const linalg::Vector& x) const {
-    (void)x;
-    return 0.0;
-  }
 };
 
 /// First EM job of a step (and of the init rounds): accumulates w_C and
@@ -104,6 +102,27 @@ Result<std::vector<int32_t>> RunOdJob(
     const core::GmmModel& model, const core::GmmEvaluator& evaluator,
     const std::vector<linalg::Vector>& centers,
     const std::vector<linalg::Cholesky>& factors, double critical);
+
+/// The (key, payload) records the double-valued jobs' reducers return.
+using KeyedDoubles = std::pair<int64_t, std::vector<double>>;
+
+/// Unpack steps of the moment, covariance, MVB ball and tightening jobs:
+/// each turns the reducers' records into the job's result. A key outside
+/// the job's key range or a payload of the wrong length (a record the job
+/// cannot have produced) yields Status::Internal naming the job and the
+/// lengths instead of an out-of-bounds read. `k` and `dim` are the
+/// model's component count and Arel dimension.
+Result<MomentSums> UnpackMomentSums(const std::vector<KeyedDoubles>& out,
+                                    size_t k, size_t dim,
+                                    const char* job_name);
+Result<std::vector<linalg::Matrix>> UnpackCovarianceSums(
+    const std::vector<KeyedDoubles>& out, size_t k, size_t dim,
+    const char* job_name);
+Result<std::vector<MvbBall>> UnpackMvbBalls(
+    const std::vector<KeyedDoubles>& out, size_t k, size_t dim);
+Result<std::vector<std::vector<core::Interval>>> UnpackTightening(
+    const std::vector<KeyedDoubles>& out,
+    const std::vector<std::vector<size_t>>& attrs);
 
 /// §5.6 per-cluster histogram job. `membership[i]` is the cluster of
 /// point i or negative for none; returns histograms[cluster][attr] with

@@ -124,7 +124,7 @@ class CoreMembership : public MembershipFn {
                  const std::vector<core::Signature>& signatures)
       : dataset_(dataset), rssc_(signatures), k_(signatures.size()) {}
 
-  void Contributions(
+  double Contributions(
       data::PointId point, const linalg::Vector& x,
       std::vector<std::pair<uint32_t, double>>& out) const override {
     (void)x;
@@ -134,6 +134,7 @@ class CoreMembership : public MembershipFn {
     ids.clear();
     core::Rssc::BitsToIds(bits, k_, ids);
     for (uint32_t id : ids) out.emplace_back(id, 1.0);
+    return 0.0;
   }
 
   const core::Rssc& rssc() const { return rssc_; }
@@ -152,12 +153,12 @@ class OrphanAssigningMembership : public MembershipFn {
                             const core::GmmEvaluator& evaluator)
       : cores_(cores), evaluator_(evaluator) {}
 
-  void Contributions(
+  double Contributions(
       data::PointId point, const linalg::Vector& x,
       std::vector<std::pair<uint32_t, double>>& out) const override {
     const size_t before = out.size();
     cores_.Contributions(point, x, out);
-    if (out.size() != before) return;
+    if (out.size() != before) return 0.0;
     size_t best = 0;
     double best_dist = std::numeric_limits<double>::infinity();
     for (size_t c = 0; c < evaluator_.num_components(); ++c) {
@@ -168,6 +169,7 @@ class OrphanAssigningMembership : public MembershipFn {
       }
     }
     out.emplace_back(static_cast<uint32_t>(best), 1.0);
+    return 0.0;
   }
 
  private:
@@ -175,25 +177,25 @@ class OrphanAssigningMembership : public MembershipFn {
   const core::GmmEvaluator& evaluator_;
 };
 
-/// Soft EM membership: posterior responsibilities (E step).
+/// Soft EM membership: posterior responsibilities (E step). The k
+/// densities are evaluated once per point; the log-likelihood comes from
+/// the same values.
 class SoftMembership : public MembershipFn {
  public:
   explicit SoftMembership(const core::GmmEvaluator& evaluator)
       : evaluator_(evaluator) {}
 
-  void Contributions(
+  double Contributions(
       data::PointId point, const linalg::Vector& x,
       std::vector<std::pair<uint32_t, double>>& out) const override {
     (void)point;
     thread_local std::vector<double> r;
-    evaluator_.Responsibilities(x, r);
+    double log_likelihood = 0.0;
+    evaluator_.Responsibilities(x, r, &log_likelihood);
     for (size_t c = 0; c < r.size(); ++c) {
       if (r[c] > 1e-12) out.emplace_back(static_cast<uint32_t>(c), r[c]);
     }
-  }
-
-  double LogLikelihood(const linalg::Vector& x) const override {
-    return evaluator_.LogLikelihood(x);
+    return log_likelihood;
   }
 
  private:
@@ -208,16 +210,17 @@ class BallMembership : public MembershipFn {
                  const std::vector<MvbBall>& balls)
       : evaluator_(evaluator), balls_(balls) {}
 
-  void Contributions(
+  double Contributions(
       data::PointId point, const linalg::Vector& x,
       std::vector<std::pair<uint32_t, double>>& out) const override {
     (void)point;
     const size_t c = evaluator_.HardAssign(x);
     const MvbBall& ball = balls_[c];
-    if (ball.center.empty()) return;
+    if (ball.center.empty()) return 0.0;
     if (std::sqrt(linalg::SquaredDistance(x, ball.center)) <= ball.radius) {
       out.emplace_back(static_cast<uint32_t>(c), 1.0);
     }
+    return 0.0;
   }
 
  private:

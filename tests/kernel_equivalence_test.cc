@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -17,10 +18,12 @@
 #include <vector>
 
 #include "src/common/random.h"
+#include "src/core/gmm.h"
 #include "src/core/rssc.h"
 #include "src/core/signature.h"
 #include "src/core/support_counter.h"
 #include "src/data/dataset.h"
+#include "src/linalg/matrix.h"
 #include "src/stats/histogram.h"
 
 namespace p3c::core::kernels {
@@ -394,6 +397,109 @@ TEST_P(KernelEquivalenceTest, AccumulateNeedsOnlyLiveCounters) {
     // The empty signature matches every point.
     EXPECT_EQ(storage[empty_at], dataset.num_points()) << "count=" << count;
   }
+}
+
+// ---- GMM one-pass E step ----------------------------------------------------
+
+/// The bits of a double: EXPECT_EQ on these tells -0.0 from +0.0 and
+/// compares NaN payloads, where EXPECT_EQ on doubles would not.
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// A seeded random mixture: means in [0, 1), SPD covariances
+/// B B^T / dim + 0.01 I, random weights except component 0, which gets
+/// weight 1e-300 when k > 1.
+GmmModel RandomMixture(size_t k, size_t dim, Rng& rng) {
+  GmmModel model;
+  for (size_t a = 0; a < dim; ++a) model.arel.push_back(a);
+  double total = 0.0;
+  for (size_t c = 0; c < k; ++c) {
+    GaussianComponent comp;
+    comp.mean.resize(dim);
+    for (double& m : comp.mean) m = rng.Uniform();
+    linalg::Matrix b(dim, dim);
+    for (size_t i = 0; i < dim; ++i) {
+      for (size_t j = 0; j < dim; ++j) b(i, j) = rng.Uniform(-0.3, 0.3);
+    }
+    comp.cov = linalg::Matrix(dim, dim);
+    for (size_t i = 0; i < dim; ++i) {
+      for (size_t j = 0; j < dim; ++j) {
+        for (size_t l = 0; l < dim; ++l) {
+          comp.cov(i, j) += b(i, l) * b(j, l) / static_cast<double>(dim);
+        }
+      }
+      comp.cov(i, i) += 0.01;
+    }
+    comp.weight = rng.Uniform(0.1, 1.0);
+    total += comp.weight;
+    model.components.push_back(std::move(comp));
+  }
+  for (auto& comp : model.components) comp.weight /= total;
+  if (k > 1) model.components[0].weight = 1e-300;
+  return model;
+}
+
+TEST_P(KernelEquivalenceTest, GmmOnePassEStepMatchesSeparateCalls) {
+  // Responsibilities(x, r, &ll) evaluates each density once and takes ll
+  // from those values. It must give the two-argument call's r and the
+  // separate LogLikelihood(x) bit for bit, and both must equal the
+  // two-pass reference (max over the densities, then an in-order exp sum
+  // that evaluates every density again).
+  Rng rng(41);
+  ASSERT_TRUE(SetBackend(GetParam()).ok());
+  for (size_t k : {size_t{1}, size_t{3}, size_t{7}}) {
+    for (size_t dim : {size_t{1}, size_t{5}, size_t{30}}) {
+      const GmmModel model = RandomMixture(k, dim, rng);
+      const auto evaluator = GmmEvaluator::Make(model, 1e-6);
+      ASSERT_TRUE(evaluator.ok()) << evaluator.status().ToString();
+      std::vector<linalg::Vector> points;
+      for (int p = 0; p < 25; ++p) {
+        linalg::Vector x(dim);
+        for (double& v : x) v = rng.Uniform(-0.2, 1.2);
+        points.push_back(std::move(x));
+      }
+      // Far enough out that every density underflows to 0 outside
+      // log space.
+      points.emplace_back(dim, 1e4);
+      for (const linalg::Vector& x : points) {
+        double max_log = -kInf;
+        for (size_t c = 0; c < k; ++c) {
+          max_log = std::max(max_log, evaluator->LogWeightedDensity(c, x));
+        }
+        double sum = 0.0;
+        for (size_t c = 0; c < k; ++c) {
+          sum += std::exp(evaluator->LogWeightedDensity(c, x) - max_log);
+        }
+        const double reference_ll = max_log + std::log(sum);
+        std::vector<double> reference_r(k);
+        for (size_t c = 0; c < k; ++c) {
+          reference_r[c] = evaluator->LogWeightedDensity(c, x);
+        }
+        const size_t reference_argmax =
+            ScalarOps().softmax_normalize(reference_r.data(), k);
+
+        std::vector<double> r_two;
+        std::vector<double> r_three;
+        double ll = 0.0;
+        const size_t argmax_two = evaluator->Responsibilities(x, r_two);
+        const size_t argmax_three =
+            evaluator->Responsibilities(x, r_three, &ll);
+        const std::string where =
+            "k=" + std::to_string(k) + " dim=" + std::to_string(dim);
+        EXPECT_EQ(argmax_three, argmax_two) << where;
+        EXPECT_EQ(argmax_two, reference_argmax) << where;
+        EXPECT_TRUE(BitEqual(r_three, r_two)) << where;
+        EXPECT_TRUE(BitEqual(r_two, reference_r)) << where;
+        EXPECT_EQ(Bits(ll), Bits(evaluator->LogLikelihood(x))) << where;
+        EXPECT_EQ(Bits(ll), Bits(reference_ll)) << where;
+        EXPECT_TRUE(std::isfinite(ll)) << where;
+      }
+    }
+  }
+  ASSERT_TRUE(SetBackend("auto").ok());
 }
 
 }  // namespace

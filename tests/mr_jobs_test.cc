@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/common/random.h"
 #include "src/core/attribute_inspection.h"
 #include "src/core/interval_tightening.h"
@@ -71,7 +74,7 @@ TEST(SupportJobTest, MatchesSerialCounter) {
 
 class UniformWeightMembership : public MembershipFn {
  public:
-  void Contributions(
+  double Contributions(
       data::PointId point, const linalg::Vector& x,
       std::vector<std::pair<uint32_t, double>>& out) const override {
     (void)x;
@@ -81,9 +84,6 @@ class UniformWeightMembership : public MembershipFn {
     } else {
       out.emplace_back(1, 0.5);
     }
-  }
-  double LogLikelihood(const linalg::Vector& x) const override {
-    (void)x;
     return 1.0;  // one per point: easy to verify the reducer sum
   }
 };
@@ -303,6 +303,87 @@ TEST(OdJobTest, FlagsFarPoints) {
     const double d2 = factors[0].MahalanobisSquared(x, centers[0]);
     EXPECT_EQ(assignment[i], d2 > critical ? -1 : 0) << i;
   }
+}
+
+/// Expects an Internal status whose message names `job`.
+void ExpectInternalNaming(const Status& status, const std::string& job) {
+  EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
+  EXPECT_NE(status.message().find(job), std::string::npos)
+      << status.ToString();
+}
+
+TEST(JobUnpackTest, ShortPayloadsAndUnknownKeysReturnInternal) {
+  // k = 2 components in dim = 3; every unpack step first accepts a
+  // well-formed record set, then rejects a short payload and a key
+  // outside its range instead of reading past either.
+  constexpr size_t kK = 2;
+  constexpr size_t kDim = 3;
+  const std::vector<double> ll = {-4.0};
+
+  // Moment job: [wC, wC2, lC...] per component plus the log-likelihood.
+  std::vector<KeyedDoubles> moments = {
+      {0, std::vector<double>(kDim + 2, 1.0)},
+      {1, std::vector<double>(kDim + 2, 2.0)},
+      {-1, ll}};
+  const auto sums = UnpackMomentSums(moments, kK, kDim, "em-step-means");
+  ASSERT_TRUE(sums.ok()) << sums.status().ToString();
+  EXPECT_EQ(sums->w[1], 2.0);
+  EXPECT_EQ(sums->lsum[0][kDim - 1], 1.0);
+  EXPECT_EQ(sums->log_likelihood, -4.0);
+  moments[1].second = {2.0, 2.0};  // wC and wC2 only
+  ExpectInternalNaming(
+      UnpackMomentSums(moments, kK, kDim, "em-step-means").status(),
+      "em-step-means");
+  moments[1] = {7, std::vector<double>(kDim + 2, 2.0)};
+  ExpectInternalNaming(
+      UnpackMomentSums(moments, kK, kDim, "em-step-means").status(),
+      "em-step-means");
+  moments[1] = {-1, std::vector<double>{}};
+  ExpectInternalNaming(
+      UnpackMomentSums(moments, kK, kDim, "em-step-means").status(),
+      "em-step-means");
+
+  // Covariance job: a row-major dim x dim matrix per component.
+  std::vector<KeyedDoubles> covs = {{0, std::vector<double>(kDim * kDim, 1.0)},
+                                    {1, std::vector<double>(kDim * kDim, 3.0)}};
+  const auto matrices = UnpackCovarianceSums(covs, kK, kDim, "em-step-covs");
+  ASSERT_TRUE(matrices.ok()) << matrices.status().ToString();
+  EXPECT_EQ((*matrices)[1](kDim - 1, kDim - 1), 3.0);
+  covs[1].second.resize(kDim + 1);  // row 0 and one value of row 1
+  ExpectInternalNaming(
+      UnpackCovarianceSums(covs, kK, kDim, "em-step-covs").status(),
+      "em-step-covs");
+  covs[1] = {-3, std::vector<double>(kDim * kDim, 3.0)};
+  ExpectInternalNaming(
+      UnpackCovarianceSums(covs, kK, kDim, "em-step-covs").status(),
+      "em-step-covs");
+
+  // MVB ball job: the center then the radius.
+  std::vector<KeyedDoubles> balls = {{1, {0.1, 0.2, 0.3, 0.5}}};
+  const auto unpacked = UnpackMvbBalls(balls, kK, kDim);
+  ASSERT_TRUE(unpacked.ok()) << unpacked.status().ToString();
+  EXPECT_TRUE((*unpacked)[0].center.empty());
+  EXPECT_EQ((*unpacked)[1].center, (linalg::Vector{0.1, 0.2, 0.3}));
+  EXPECT_EQ((*unpacked)[1].radius, 0.5);
+  balls[0].second = {};
+  ExpectInternalNaming(UnpackMvbBalls(balls, kK, kDim).status(), "mvb-ball");
+  balls[0] = {kK, {0.1, 0.2, 0.3, 0.5}};
+  ExpectInternalNaming(UnpackMvbBalls(balls, kK, kDim).status(), "mvb-ball");
+
+  // Tightening job: per cluster the lower then the upper bounds.
+  const std::vector<std::vector<size_t>> attrs = {{4, 7}, {2}};
+  std::vector<KeyedDoubles> bounds = {{0, {0.1, 0.2, 0.3, 0.4}},
+                                      {1, {0.5, 0.6}}};
+  const auto intervals = UnpackTightening(bounds, attrs);
+  ASSERT_TRUE(intervals.ok()) << intervals.status().ToString();
+  EXPECT_EQ((*intervals)[0][1].attr, 7u);
+  EXPECT_EQ((*intervals)[0][1].upper, 0.4);
+  bounds[0].second = {0.1, 0.2};  // one attribute's bounds for two
+  ExpectInternalNaming(UnpackTightening(bounds, attrs).status(),
+                       "interval-tightening");
+  bounds[0] = {5, {0.1, 0.2, 0.3, 0.4}};
+  ExpectInternalNaming(UnpackTightening(bounds, attrs).status(),
+                       "interval-tightening");
 }
 
 }  // namespace

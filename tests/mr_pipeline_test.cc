@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/core/p3c.h"
 #include "src/data/generator.h"
 #include "src/eval/e4sc.h"
@@ -156,6 +160,74 @@ TEST(P3CMRTest, DeterministicAcrossRuns) {
   for (size_t c = 0; c < ra->clusters.size(); ++c) {
     EXPECT_EQ(ra->clusters[c].points, rb->clusters[c].points);
     EXPECT_EQ(ra->clusters[c].attrs, rb->clusters[c].attrs);
+  }
+}
+
+/// Everything the output contract covers, as text: Arel, and per cluster
+/// its attributes, intervals and points.
+std::string CanonicalClusters(const core::ClusteringResult& r) {
+  std::string out = "arel:";
+  for (size_t a : r.arel) out += " " + std::to_string(a);
+  for (const auto& cluster : r.clusters) {
+    out += "\ncluster attrs:";
+    for (size_t a : cluster.attrs) out += " " + std::to_string(a);
+    out += " intervals:";
+    for (const auto& iv : cluster.intervals) out += " " + iv.ToString();
+    out += " points:";
+    for (data::PointId p : cluster.points) out += " " + std::to_string(p);
+  }
+  return out;
+}
+
+TEST(P3CMRTest, FullMvbDeterministicAcrossThreadsAndReducers) {
+  // The full pipeline (EM + MVB outlier detection, not Light): clusters,
+  // counter JSON and the job count must not depend on the thread count,
+  // the reducer count or the backend.
+  const auto data = MakeData(76, 4000);
+  struct Run {
+    std::string label;
+    std::string clusters;
+    std::string counters_json;
+    size_t num_jobs = 0;
+  };
+  auto run = [&data](std::string label, RunnerOptions runner) {
+    P3CMROptions options;
+    options.params.outlier = core::OutlierMode::kMVB;
+    options.runner = runner;
+    P3CMR mr{options};
+    auto result = mr.Cluster(data.dataset);
+    EXPECT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+    Run out{std::move(label), "", "", mr.metrics().num_jobs()};
+    if (result.ok()) {
+      out.clusters = CanonicalClusters(*result);
+      out.counters_json = mr.counters().Snapshot().ToJson();
+    }
+    return out;
+  };
+  std::vector<Run> runs;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    for (size_t reducers : {size_t{1}, size_t{3}}) {
+      RunnerOptions runner;
+      runner.num_threads = threads;
+      runner.num_reducers = reducers;
+      runs.push_back(run("threads=" + std::to_string(threads) +
+                             " reducers=" + std::to_string(reducers),
+                         runner));
+    }
+  }
+  RunnerOptions process;
+  process.backend = Backend::kProcess;
+  process.num_threads = 2;
+  process.num_workers = 2;
+  process.num_reducers = 3;
+  runs.push_back(run("process backend", process));
+
+  ASSERT_FALSE(runs[0].clusters.empty());
+  EXPECT_NE(runs[0].clusters.find("cluster"), std::string::npos);
+  for (const Run& r : runs) {
+    EXPECT_EQ(r.clusters, runs[0].clusters) << r.label;
+    EXPECT_EQ(r.counters_json, runs[0].counters_json) << r.label;
+    EXPECT_EQ(r.num_jobs, runs[0].num_jobs) << r.label;
   }
 }
 
