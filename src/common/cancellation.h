@@ -11,8 +11,8 @@
 //     in per-record map loops and per-group reduce loops.
 //   - Waiting (`WaitFor`) must wake *immediately* on Cancel(): the
 //     engine's retry backoff and the fault injector's delay/hang rules
-//     block in it, and a watchdog kill or a speculation loser-kill must
-//     not be delayed by a sleeping worker (condvar, not sleep_for).
+//     block in it, and a watchdog deadline kill must not be delayed by
+//     a sleeping worker (condvar, not sleep_for).
 //   - A default-constructed token is a valid "never cancelled" token so
 //     the non-straggler fast path carries no state (null shared_ptr).
 //
@@ -100,8 +100,7 @@ class CancellationToken {
 };
 
 /// Owner side: created by whoever may need to stop the work (the
-/// watchdog's deadline kill, the speculation winner's loser-kill, the
-/// job driver waking retry backoffs). Cancel is idempotent, sticky, and
+/// watchdog's deadline kill, the job driver waking retry backoffs). Cancel is idempotent, sticky, and
 /// safe to call concurrently with polls and waits.
 class CancellationSource {
  public:

@@ -3,9 +3,9 @@
 
 // Pluggable task-execution backends for LocalRunner (DESIGN.md §16).
 //
-// The runner's phase drivers (map / reduce loops, attempt
-// retry, speculation, watchdog) are backend-agnostic: every attempt
-// copy funnels through TaskExecutor::RunCopy. The in-process backend
+// The runner's phase drivers (map / reduce loops, attempt retry,
+// deadline watchdog) are backend-agnostic: every task attempt funnels
+// through TaskExecutor::RunAttempt. The in-process backend
 // runs the typed task body inline on the calling pool worker — the
 // zero-overhead path the engine always had. The worker-process backend
 // (worker_backend.h) ships the task to a forked worker process over
@@ -59,16 +59,16 @@ inline Result<Backend> ParseBackend(const std::string& name) {
                                  "' (expected inprocess|process)");
 }
 
-/// Per-copy view handed to task bodies. Bodies must (a) poll `cancel`
-/// in their long loops (emit / per-record / per-group) and surface it
-/// via ThrowIfCancelled, and (b) publish their side effects only
-/// through Commit. The CAS commit slot is shared by all copies of all
-/// attempts of one task, so exactly one copy ever commits — racing
-/// copies compute identical results from the same immutable input,
-/// and whichever loses the CAS simply discards its (identical) work.
+/// Per-attempt view handed to task bodies. Bodies must (a) poll
+/// `cancel` in their long loops (emit / per-record / per-group) and
+/// surface it via ThrowIfCancelled, and (b) publish their side effects
+/// only through Commit. The CAS commit slot is shared by all attempts
+/// of one task, so at most one attempt ever publishes: a body that
+/// fails after its Commit (throws, returns an error, or is cancelled)
+/// is retried, and the retry's result is discarded here instead of
+/// being published twice.
 struct TaskContext {
   size_t attempt = 0;
-  bool speculative = false;
   CancellationToken cancel{};
   std::atomic<bool>* commit_slot = nullptr;
 
@@ -85,7 +85,7 @@ struct TaskContext {
   }
 };
 
-/// In-memory body of one attempt copy (the engine's native form).
+/// In-memory body of one task attempt (the engine's native form).
 using TaskBody = std::function<Status(const TaskContext&)>;
 
 /// Child-side compute of one task of the installed phase: runs the
@@ -101,10 +101,9 @@ using PhaseTaskFn = std::function<Result<std::string>(uint64_t task_index)>;
 using PhaseCommitFn = std::function<Status(
     const TaskContext& ctx, uint64_t task_index, std::string payload)>;
 
-/// Backend interface. One executor belongs to one LocalRunner; RunCopy
-/// is called concurrently from pool workers (and speculative-copy
-/// threads), BeginPhase/EndPhase only from the job thread between
-/// parallel loops.
+/// Backend interface. One executor belongs to one LocalRunner; RunAttempt
+/// is called concurrently from pool workers, BeginPhase/EndPhase only
+/// from the job thread between parallel loops.
 class TaskExecutor {
  public:
   virtual ~TaskExecutor() = default;
@@ -122,15 +121,16 @@ class TaskExecutor {
   /// worker pool here). Paired with every BeginPhase.
   virtual void EndPhase() = 0;
 
-  /// Runs one attempt copy of `attempt` and publishes its result
-  /// through `ctx`. `inline_body` is always available as the native
-  /// in-memory execution of this copy; backends without a usable
-  /// remote path for this task must fall back to it.
-  virtual Status RunCopy(const TaskAttempt& attempt, const TaskContext& ctx,
-                         const TaskBody& inline_body) = 0;
+  /// Runs `attempt` once and publishes its result through `ctx`.
+  /// `inline_body` is always available as the native in-memory
+  /// execution of this attempt; backends without a usable remote path
+  /// for this task must fall back to it.
+  virtual Status RunAttempt(const TaskAttempt& attempt,
+                            const TaskContext& ctx,
+                            const TaskBody& inline_body) = 0;
 };
 
-/// The engine's native backend: every copy runs its typed body inline
+/// The engine's native backend: every attempt runs its typed body inline
 /// on the calling thread. BeginPhase/EndPhase are no-ops.
 class InProcessExecutor final : public TaskExecutor {
  public:
@@ -138,8 +138,8 @@ class InProcessExecutor final : public TaskExecutor {
   void BeginPhase(const std::string&, TaskKind, size_t, PhaseTaskFn,
                   PhaseCommitFn) override {}
   void EndPhase() override {}
-  Status RunCopy(const TaskAttempt&, const TaskContext& ctx,
-                 const TaskBody& inline_body) override {
+  Status RunAttempt(const TaskAttempt&, const TaskContext& ctx,
+                    const TaskBody& inline_body) override {
     return inline_body(ctx);
   }
 };

@@ -25,17 +25,17 @@ struct JobMetrics {
   // counters): every map/reduce task of the job runs as one or
   // more attempts; failed attempts leave no side effects and are
   // retried up to RunnerOptions::max_attempts.
-  uint64_t task_attempts = 0;   ///< executed task attempt copies, all kinds
+  uint64_t task_attempts = 0;   ///< executed task attempts, all kinds
   uint64_t task_failures = 0;   ///< attempts that failed (throw/Status)
   uint64_t retried_tasks = 0;   ///< tasks that needed > 1 attempt
   // Straggler accounting (DESIGN.md §11). Engine kills are counted
   // separately from genuine failures, mirroring Hadoop's FAILED vs
   // KILLED attempt states; deadline_exceeded is the subset of kills
   // caused by RunnerOptions::task_deadline_seconds (the rest are
-  // speculation losers). All three are 0 when straggler control is off.
-  uint64_t speculative_attempts = 0;  ///< duplicate copies launched
-  uint64_t killed_attempts = 0;       ///< copies cancelled by the engine
-  uint64_t deadline_exceeded = 0;     ///< kills caused by the task deadline
+  // bodies that surfaced CancelledError on their own). Both are 0 on a
+  // run whose attempts are never cancelled.
+  uint64_t killed_attempts = 0;    ///< attempts cancelled, not failed
+  uint64_t deadline_exceeded = 0;  ///< kills caused by the task deadline
   bool succeeded = true;        ///< false: a task exhausted its attempts
   double map_seconds = 0.0;
   double shuffle_seconds = 0.0;
@@ -82,11 +82,9 @@ class MetricsRegistry {
   /// on a fault-free run.
   [[nodiscard]] uint64_t TotalTaskFailures() const;
   [[nodiscard]] uint64_t TotalRetriedTasks() const;
-  /// Sums of the straggler accounting across jobs: speculative copies
-  /// launched, attempt copies killed by the engine, and the subset of
-  /// kills caused by the task deadline. All 0 when straggler control
-  /// (deadlines, speculation) is disabled.
-  [[nodiscard]] uint64_t TotalSpeculativeAttempts() const;
+  /// Sums of the straggler accounting across jobs: attempts killed by
+  /// cancellation, and the subset of kills caused by the task deadline.
+  /// Both 0 when no attempt is cancelled.
   [[nodiscard]] uint64_t TotalKilledAttempts() const;
   [[nodiscard]] uint64_t TotalDeadlineExceeded() const;
   /// Sum of map input records over all jobs — the "I/O workload" proxy:

@@ -1,11 +1,11 @@
 // The non-template half of LocalRunner: executor selection, the split and
-// width policies, the per-task attempt machinery (retries, deadline kills,
-// speculative copies and their accounting), the heartbeat line and the
-// job epilogues. runner.h keeps only the templated dataflow.
+// width policies, the per-task attempt machinery (retries, deadline kills
+// and their accounting), the heartbeat line and the job epilogues.
+// runner.h keeps only the templated dataflow.
 
 #include "src/mapreduce/runner.h"
 
-#include <thread>
+#include <optional>
 
 #include "src/common/logging.h"
 #include "src/mapreduce/worker_backend.h"
@@ -18,38 +18,37 @@ namespace {
 constexpr size_t kDefaultTargetSplits = 32;
 constexpr size_t kMinSplitRecords = 1024;
 
-/// Kill flags of one attempt copy. The watchdog (deadline) or the
-/// rival copy (speculation) sets the flag explaining WHY before
-/// cancelling, so the resolution can classify a cancelled copy.
-struct CopyControl {
+/// Cancellation of one task attempt. The watchdog sets
+/// `deadline_killed` before cancelling, so the attempt can tell a
+/// deadline kill from any other cancellation.
+struct AttemptControl {
   CancellationSource cancel;
   std::atomic<bool> deadline_killed{false};
-  std::atomic<bool> loser_killed{false};
 };
 
-/// How one attempt copy ended: its status, and whether it ended by
+/// How one attempt ended: its status, and whether it ended by
 /// cooperative cancellation (CancelledError) rather than on its own.
-struct CopyOutcome {
+struct AttemptOutcome {
   Status status;
   bool cancelled = false;
 };
 
-/// Rendezvous between the primary copy (inline on the pool worker)
-/// and the speculative copy (dedicated thread, launched by the
-/// watchdog). Guarded by `mu`; the worker always joins `spec_thread`
-/// before the attempt resolves, so copy-local state outlives both
-/// copies.
-/// Lock order: the watchdog's launch closure takes `mu` while
-/// holding TaskWatchdog::mu_, so `mu` sits below the watchdog lock;
-/// nothing is acquired while `mu` is held.
-struct AttemptRace {
-  Mutex mu{"AttemptRace::mu"};
-  CondVar cv;
-  bool spec_launched P3C_GUARDED_BY(mu) = false;
-  bool spec_done P3C_GUARDED_BY(mu) = false;
-  CopyOutcome spec_outcome P3C_GUARDED_BY(mu);
-  std::thread spec_thread P3C_GUARDED_BY(mu);
-  std::shared_ptr<CopyControl> spec_ctl P3C_GUARDED_BY(mu);
+/// Keeps one attempt registered with the watchdog for its lifetime.
+/// Deregistering in the destructor means the kill closure never runs
+/// after the attempt's AttemptControl dies, even when an exception
+/// unwinds the attempt.
+class DeadlineRegistration {
+ public:
+  DeadlineRegistration(TaskWatchdog& watchdog, TaskWatchdog::Entry entry)
+      : watchdog_(watchdog), id_(watchdog.Register(std::move(entry))) {}
+  ~DeadlineRegistration() { watchdog_.Deregister(id_); }
+
+  DeadlineRegistration(const DeadlineRegistration&) = delete;
+  DeadlineRegistration& operator=(const DeadlineRegistration&) = delete;
+
+ private:
+  TaskWatchdog& watchdog_;
+  const uint64_t id_;
 };
 
 /// Deterministic exponential backoff before retry number `retry`
@@ -67,43 +66,28 @@ void SleepBackoff(const RunnerOptions& options, size_t retry,
   if (seconds > 0.0) wake.WaitFor(seconds);
 }
 
-/// Kill closure for the watchdog: flags the copy as deadline-killed,
-/// cancels it, and drops a trace instant at the kill decision.
-std::function<void()> MakeKillClosure(const std::shared_ptr<CopyControl>& ctl,
+/// Kill closure for the watchdog: flags the attempt as deadline-killed,
+/// cancels it, and drops a trace instant at the kill decision. The
+/// watchdog never runs it after Deregister, so `ctl` outlives every
+/// call.
+std::function<void()> MakeKillClosure(AttemptControl* ctl,
                                       std::string job_name, TaskKind kind,
                                       size_t task, size_t attempt,
-                                      bool speculative, uint32_t lane,
-                                      double deadline) {
-  return [ctl, job_name = std::move(job_name), kind, task, attempt,
-          speculative, lane, deadline] {
+                                      uint32_t lane, double deadline) {
+  return [ctl, job_name = std::move(job_name), kind, task, attempt, lane,
+          deadline] {
     ctl->deadline_killed.store(true, std::memory_order_relaxed);
     ctl->cancel.Cancel();
     Tracer& tracer = Tracer::Global();
     if (tracer.enabled()) {
       tracer.RecordInstant(
-          StringPrintf("deadline-kill %s task %zu attempt %zu%s",
-                       TaskKindName(kind), task, attempt,
-                       speculative ? " (speculative)" : ""),
+          StringPrintf("deadline-kill %s task %zu attempt %zu",
+                       TaskKindName(kind), task, attempt),
           StringPrintf("{\"job\": \"%s\", \"deadline_seconds\": %.3f}",
                        JsonEscape(job_name).c_str(), deadline),
           lane);
     }
   };
-}
-
-/// Failure status of a resolved attempt whose copies all failed,
-/// converting engine kills into kDeadlineExceeded (the retryable
-/// "too slow" failure class).
-Status FailureStatusFor(const CopyOutcome& primary, const CopyControl& ctl,
-                        double deadline) {
-  if (primary.cancelled &&
-      ctl.deadline_killed.load(std::memory_order_relaxed)) {
-    return Status::DeadlineExceeded(
-        StringPrintf("attempt exceeded the %.3fs task deadline and was "
-                     "killed by the watchdog",
-                     deadline));
-  }
-  return primary.status;
 }
 
 }  // namespace
@@ -146,14 +130,12 @@ size_t LocalRunner::SplitSize(size_t n) const {
 
 // The attempts are CPU-bound, so claimants beyond the machine's core
 // count add context switches without adding throughput — `--threads 8`
-// on a 1-core box must not run slower than `--threads 1`. The straggler
-// machinery is the deliberate exception: deadline kills and speculative
-// copies assume a victim can sit on a lane while its replacement
-// proceeds, so those configurations keep the full (oversubscribed) pool.
+// on a 1-core box must not run slower than `--threads 1`. Task deadlines
+// are the deliberate exception: a deadline kill assumes a hung attempt
+// can sit on a lane while other tasks proceed, so an armed deadline keeps
+// the full (oversubscribed) pool.
 size_t LocalRunner::ExecWidth() const {
-  if (options_.speculative_execution || options_.task_deadline_seconds > 0) {
-    return 0;  // uncapped
-  }
+  if (options_.task_deadline_seconds > 0) return 0;  // uncapped
   return ThreadPool::HardwareConcurrency();
 }
 
@@ -169,12 +151,10 @@ size_t LocalRunner::ResolveNumReducers(size_t job_override) const {
 /// exceptions from either are converted to Status so a crashing task is
 /// indistinguishable from a cleanly failing one. Attempt isolation is
 /// the body's contract; this class supplies the retry policy, and the
-/// watchdog supplies deadlines and speculation.
+/// watchdog supplies deadlines.
 ///
-/// Tracing: each attempt copy is its own span on `lane`, a retry is
-/// stitched to the attempt it replaces with a "task-retry" flow arrow,
-/// and a speculative copy is stitched to its launch decision with a
-/// "speculative-copy" flow arrow.
+/// Tracing: each attempt is its own span on `lane`, and a retry is
+/// stitched to the attempt it replaces with a "task-retry" flow arrow.
 class LocalRunner::TaskAttempts {
  public:
   TaskAttempts(LocalRunner& runner, const std::string& job_name,
@@ -195,15 +175,8 @@ class LocalRunner::TaskAttempts {
     Status last;
     for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
       if (attempt > 0) SleepBackoff(options_, attempt, job_token);
-      Stopwatch attempt_watch;
-      Status st = RunAttemptRace(attempt);
-      if (st.ok()) {
-        if (options_.speculative_execution) {
-          exec_.durations[static_cast<size_t>(kind_)].Add(
-              attempt_watch.ElapsedSeconds());
-        }
-        return st;
-      }
+      Status st = RunAttempt(attempt);
+      if (st.ok()) return st;
       if (attempt == 0 && max_attempts > 1) {
         exec_.acct.retried.fetch_add(1, std::memory_order_relaxed);
       }
@@ -217,94 +190,45 @@ class LocalRunner::TaskAttempts {
   }
 
  private:
-  bool StragglerControlEnabled() const {
-    return options_.task_deadline_seconds > 0.0 ||
-           options_.speculative_execution;
-  }
-
-  /// One attempt, run as a race between the primary copy (inline, on
-  /// the calling pool worker) and at most one speculative copy
-  /// (dedicated thread, launched by the watchdog when the primary looks
-  /// like a straggler). The attempt succeeds when EITHER copy succeeds;
-  /// the commit slot guarantees exactly one of them published. The
-  /// loser is cancelled and counted as killed, never as failed. Always
-  /// joins the speculative thread before returning, so attempt-local
-  /// state (the body's captures, the race object) is never touched
-  /// after the attempt resolves.
-  Status RunAttemptRace(size_t attempt) {
-    auto primary_ctl = std::make_shared<CopyControl>();
-    auto race = std::make_shared<AttemptRace>();
-    Tracer& tracer = Tracer::Global();
-    TaskWatchdog* watchdog =
-        StragglerControlEnabled() ? &runner_.watchdog_ : nullptr;
-    uint64_t entry_id = 0;
-    if (watchdog != nullptr) {
+  /// One attempt: register a deadline entry (when armed), run the body,
+  /// deregister, and classify the attempt as ok, failed (Hadoop FAILED)
+  /// or killed (Hadoop KILLED). A deadline kill fails the attempt with
+  /// kDeadlineExceeded, the retryable "too slow" failure class.
+  Status RunAttempt(size_t attempt) {
+    const double deadline = options_.task_deadline_seconds;
+    AttemptControl ctl;
+    std::optional<DeadlineRegistration> registration;
+    if (deadline > 0.0) {
       TaskWatchdog::Entry entry;
-      entry.deadline_seconds = options_.task_deadline_seconds;
-      entry.kill = MakeKillClosure(primary_ctl, job_name_, kind_, task_,
-                                   attempt, /*speculative=*/false, lane_,
-                                   options_.task_deadline_seconds);
-      if (options_.speculative_execution) {
-        entry.stats = &exec_.durations[static_cast<size_t>(kind_)];
-        entry.slowness_factor = options_.speculative_slowness_factor;
-        entry.min_samples = options_.speculative_min_samples;
-        entry.min_runtime_seconds = options_.speculative_min_runtime_seconds;
-        entry.max_concurrent =
-            std::max<size_t>(1, options_.max_concurrent_speculative);
-        // Runs on the watchdog thread, under the watchdog mutex. Spawns
-        // the speculative copy on its own thread — NEVER on the pool,
-        // where it could queue behind the very straggler it bypasses.
-        entry.launch = [this, race, primary_ctl, attempt, watchdog] {
-          LaunchSpeculativeCopy(race, primary_ctl, attempt, watchdog);
-        };
-      }
-      entry_id = watchdog->Register(std::move(entry));
+      entry.deadline_seconds = deadline;
+      entry.kill = MakeKillClosure(&ctl, job_name_, kind_, task_, attempt,
+                                   lane_, deadline);
+      registration.emplace(runner_.watchdog_, std::move(entry));
     }
+    AttemptOutcome out = RunBody(attempt, ctl);
+    // Deregistered first, so the flag the kill closure sets is stable.
+    registration.reset();
+    const bool deadline_killed =
+        out.cancelled && ctl.deadline_killed.load(std::memory_order_relaxed);
 
-    CopyOutcome primary = RunAttemptCopy(attempt, /*speculative=*/false,
-                                         *primary_ctl, /*spec_flow=*/0);
-    if (watchdog != nullptr) watchdog->Deregister(entry_id);
-
-    // Resolve the race. Deregister happened first, so spec_launched is
-    // stable: no new launch can occur, and any launch that did occur
-    // has fully stored the thread handle (both run under the watchdog
-    // mutex).
-    bool spec_launched = false;
-    CopyOutcome spec;
-    std::shared_ptr<CopyControl> spec_ctl;
-    std::thread spec_thread;
-    {
-      MutexLock lock(race->mu);
-      spec_launched = race->spec_launched;
-      if (spec_launched) {
-        spec_ctl = race->spec_ctl;
-        if (primary.status.ok() && !race->spec_done) {
-          // Primary won; the speculative copy is the loser.
-          spec_ctl->loser_killed.store(true, std::memory_order_relaxed);
-          spec_ctl->cancel.Cancel();
-        }
-        race->cv.Wait(race->mu,
-                      [&race]() P3C_REQUIRES(race->mu) {
-                        return race->spec_done;
-                      });
-        spec = std::move(race->spec_outcome);
-        spec_thread = std::move(race->spec_thread);
+    AttemptAccounting& acct = exec_.acct;
+    if (out.cancelled) {
+      acct.killed.fetch_add(1, std::memory_order_relaxed);
+      if (deadline_killed) {
+        acct.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
       }
+    } else if (!out.status.ok()) {
+      acct.failures.fetch_add(1, std::memory_order_relaxed);
     }
-    if (spec_thread.joinable()) spec_thread.join();
+    if (out.status.ok()) return Status::OK();
 
-    // Classify both copies for the accounting (Hadoop FAILED vs
-    // KILLED): a cancelled copy was killed by the engine, anything
-    // else that ended non-OK genuinely failed.
-    ClassifyCopy(primary, *primary_ctl);
-    if (spec_launched) ClassifyCopy(spec, *spec_ctl);
-
-    const bool primary_ok = primary.status.ok();
-    const bool spec_ok = spec_launched && spec.status.ok();
-    if (primary_ok || spec_ok) return Status::OK();
-
-    Status st = FailureStatusFor(primary, *primary_ctl,
-                                 options_.task_deadline_seconds);
+    Status st = deadline_killed
+                    ? Status::DeadlineExceeded(StringPrintf(
+                          "attempt exceeded the %.3fs task deadline and was "
+                          "killed by the watchdog",
+                          deadline))
+                    : std::move(out.status);
+    Tracer& tracer = Tracer::Global();
     if (tracer.enabled()) {
       tracer.RecordInstant(
           StringPrintf("%s task %zu attempt %zu failed", TaskKindName(kind_),
@@ -321,50 +245,35 @@ class LocalRunner::TaskAttempts {
     return st;
   }
 
-  /// Executes one copy of one attempt: fault injector, then body, with
-  /// every exception converted to a CopyOutcome. CancelledError is the
+  /// Executes one attempt: fault injector, then body, with every
+  /// exception converted to an AttemptOutcome. CancelledError is the
   /// cooperative-cancellation channel and is flagged separately so the
-  /// resolution can tell a killed copy from a failed one.
-  CopyOutcome RunAttemptCopy(size_t attempt, bool speculative,
-                             const CopyControl& ctl, uint64_t spec_flow) {
+  /// attempt can tell a killed body from a failed one.
+  AttemptOutcome RunBody(size_t attempt, const AttemptControl& ctl) {
     exec_.acct.attempts.fetch_add(1, std::memory_order_relaxed);
-    if (speculative) {
-      exec_.acct.speculative.fetch_add(1, std::memory_order_relaxed);
-    }
     if (exec_.heartbeat != nullptr) {
       exec_.heartbeat->live_attempts.fetch_add(1, std::memory_order_relaxed);
     }
     Tracer& tracer = Tracer::Global();
     const bool tracing = tracer.enabled();
-    // Speculative copies run on their own thread and therefore on
-    // their own trace lane; forcing them onto the primary's lane would
-    // overlap two concurrent spans on one row.
-    const uint32_t copy_lane = speculative ? 0 : lane_;
     TraceSpan attempt_span(
-        tracing ? StringPrintf("%s task %zu attempt %zu%s",
-                               TaskKindName(kind_), task_, attempt,
-                               speculative ? " (speculative)" : "")
+        tracing ? StringPrintf("%s task %zu attempt %zu", TaskKindName(kind_),
+                               task_, attempt)
                 : std::string(),
         tracing ? StringPrintf("{\"job\": \"%s\"}",
                                JsonEscape(job_name_).c_str())
                 : std::string(),
-        copy_lane);
-    // Only the primary (pool-worker) copy touches pending_flow_.
-    if (tracing && !speculative && pending_flow_ != 0) {
-      tracer.RecordFlowEnd(pending_flow_, "task-retry", copy_lane);
+        lane_);
+    if (tracing && pending_flow_ != 0) {
+      tracer.RecordFlowEnd(pending_flow_, "task-retry", lane_);
       pending_flow_ = 0;
-    }
-    if (tracing && spec_flow != 0) {
-      tracer.RecordFlowEnd(spec_flow, "speculative-copy", copy_lane);
     }
     TaskContext ctx;
     ctx.attempt = attempt;
-    ctx.speculative = speculative;
     ctx.cancel = ctl.cancel.token();
     ctx.commit_slot = &commit_slot_;
-    const TaskAttempt identity{job_name_, kind_,       task_,
-                               attempt,   speculative, ctx.cancel};
-    CopyOutcome out;
+    const TaskAttempt identity{job_name_, kind_, task_, attempt, ctx.cancel};
+    AttemptOutcome out;
     try {
       Status st;
       if (options_.fault_injector != nullptr) {
@@ -375,7 +284,7 @@ class LocalRunner::TaskAttempts {
         // right here; the process backend ships the task to a worker
         // process (falling back to `body_` for phases without an
         // installed remote form — non-wire types, degraded pools).
-        st = runner_.executor_->RunCopy(identity, ctx, body_);
+        st = runner_.executor_->RunAttempt(identity, ctx, body_);
       }
       out.status = std::move(st);
     } catch (const CancelledError&) {
@@ -393,77 +302,6 @@ class LocalRunner::TaskAttempts {
     return out;
   }
 
-  /// Launched on the watchdog thread (under the watchdog mutex) when
-  /// the primary copy looks like a straggler. Stores the speculative
-  /// thread handle into the race under its mutex; the primary joins it
-  /// at resolution.
-  void LaunchSpeculativeCopy(const std::shared_ptr<AttemptRace>& race,
-                             const std::shared_ptr<CopyControl>& primary_ctl,
-                             size_t attempt, TaskWatchdog* watchdog) {
-    MutexLock lock(race->mu);
-    if (race->spec_launched) return;
-    race->spec_launched = true;
-    race->spec_ctl = std::make_shared<CopyControl>();
-    std::shared_ptr<CopyControl> spec_ctl = race->spec_ctl;
-    Tracer& tracer = Tracer::Global();
-    uint64_t flow = 0;
-    if (tracer.enabled()) {
-      flow = tracer.NextFlowId();
-      tracer.RecordInstant(
-          StringPrintf("speculating %s task %zu attempt %zu",
-                       TaskKindName(kind_), task_, attempt),
-          StringPrintf("{\"job\": \"%s\"}", JsonEscape(job_name_).c_str()),
-          lane_);
-      tracer.RecordFlowStart(flow, "speculative-copy", lane_);
-    }
-    race->spec_thread = std::thread([this, race, primary_ctl, spec_ctl,
-                                     attempt, watchdog, flow] {
-      // The speculative copy gets its own deadline entry — a hung
-      // speculative copy must be killable too.
-      uint64_t spec_entry = 0;
-      if (options_.task_deadline_seconds > 0.0) {
-        TaskWatchdog::Entry entry;
-        entry.deadline_seconds = options_.task_deadline_seconds;
-        entry.kill = MakeKillClosure(spec_ctl, job_name_, kind_, task_,
-                                     attempt, /*speculative=*/true,
-                                     /*lane=*/0,
-                                     options_.task_deadline_seconds);
-        spec_entry = watchdog->Register(std::move(entry));
-      }
-      CopyOutcome out =
-          RunAttemptCopy(attempt, /*speculative=*/true, *spec_ctl, flow);
-      if (spec_entry != 0) watchdog->Deregister(spec_entry);
-      if (out.status.ok()) {
-        // Speculative winner: cancel the straggling primary so the
-        // pool worker unblocks. If the primary already finished, the
-        // flags are set but never observed — harmless.
-        primary_ctl->loser_killed.store(true, std::memory_order_relaxed);
-        primary_ctl->cancel.Cancel();
-      }
-      {
-        MutexLock inner(race->mu);
-        race->spec_outcome = std::move(out);
-        race->spec_done = true;
-      }
-      race->cv.NotifyAll();
-      watchdog->OnSpeculativeFinished();
-    });
-  }
-
-  void ClassifyCopy(const CopyOutcome& out, const CopyControl& ctl) {
-    AttemptAccounting& acct = exec_.acct;
-    if (!out.cancelled) {
-      if (!out.status.ok()) {
-        acct.failures.fetch_add(1, std::memory_order_relaxed);
-      }
-      return;
-    }
-    acct.killed.fetch_add(1, std::memory_order_relaxed);
-    if (ctl.deadline_killed.load(std::memory_order_relaxed)) {
-      acct.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
   LocalRunner& runner_;
   const RunnerOptions& options_;
   const std::string& job_name_;
@@ -472,9 +310,9 @@ class LocalRunner::TaskAttempts {
   JobExecState& exec_;
   const TaskBody& body_;
   const uint32_t lane_;
-  /// Shared by every copy of every attempt: exactly one ever commits.
+  /// Shared by every attempt of the task: at most one ever commits.
   std::atomic<bool> commit_slot_{false};
-  /// Flow id of the "task-retry" arrow the next primary copy ends.
+  /// Flow id of the "task-retry" arrow the next attempt ends.
   uint64_t pending_flow_ = 0;
 };
 
@@ -517,8 +355,6 @@ void LocalRunner::RecordJob(JobMetrics& metrics, const AttemptAccounting& acct,
   metrics.task_attempts = acct.attempts.load(std::memory_order_relaxed);
   metrics.task_failures = acct.failures.load(std::memory_order_relaxed);
   metrics.retried_tasks = acct.retried.load(std::memory_order_relaxed);
-  metrics.speculative_attempts =
-      acct.speculative.load(std::memory_order_relaxed);
   metrics.killed_attempts = acct.killed.load(std::memory_order_relaxed);
   metrics.deadline_exceeded =
       acct.deadline_exceeded.load(std::memory_order_relaxed);

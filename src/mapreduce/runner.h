@@ -61,40 +61,16 @@ struct RunnerOptions {
   /// retry_backoff_max_seconds). 0 disables sleeping (tests).
   double retry_backoff_seconds = 0.0;
   double retry_backoff_max_seconds = 0.05;
-  /// Wall-clock deadline per task-attempt copy, Hadoop's
+  /// Wall-clock deadline per task attempt, Hadoop's
   /// `mapreduce.task.timeout` collapsed to elapsed time (there is no
-  /// progress reporting in-process). 0 disables. An overdue copy is
+  /// progress reporting in-process). 0 disables. An overdue attempt is
   /// cooperatively cancelled by the runner's watchdog, counted in
   /// JobMetrics::killed_attempts / deadline_exceeded, converted to
   /// StatusCode::kDeadlineExceeded, and re-run under the normal
-  /// max_attempts loop.
+  /// max_attempts loop. This is the in-process straggler path; the
+  /// process backend also kills silent workers through
+  /// worker_heartbeat_seconds.
   double task_deadline_seconds = 0.0;
-  /// Hadoop-style speculative execution: once an attempt has run
-  /// `speculative_slowness_factor ×` the median completed-attempt
-  /// duration of its (job, task kind) population, the watchdog launches
-  /// a duplicate copy of the SAME attempt on a dedicated thread; the
-  /// first copy to finish commits (exactly once, via a CAS commit
-  /// slot) and the loser is cancelled. Output is byte-identical to a
-  /// non-speculative run: copies execute the same deterministic body
-  /// over the same immutable input, and results are always assembled
-  /// in task-index order, never finish order.
-  bool speculative_execution = false;
-  /// Slowness multiple over the median that marks a straggler
-  /// (Hadoop's 1.0-progress-score analog). Values <= 1 are treated
-  /// as 1 (the CLI rejects them outright).
-  double speculative_slowness_factor = 4.0;
-  /// Completed attempts of the same (job, kind) required before the
-  /// median is trusted.
-  size_t speculative_min_samples = 3;
-  /// Never speculate before an attempt has run at least this long —
-  /// a near-zero median must not turn every task into a speculation
-  /// candidate.
-  double speculative_min_runtime_seconds = 0.02;
-  /// Cap on concurrently running speculative copies (each runs on its
-  /// own dedicated thread, never on a pool worker — a speculative copy
-  /// queued behind the hung task it is meant to bypass would deadlock
-  /// the job).
-  size_t max_concurrent_speculative = 2;
   /// Optional fault-injection hook consulted at the start of every task
   /// attempt (see fault.h); the test substrate for the retry machinery.
   FaultInjector* fault_injector = nullptr;
@@ -157,8 +133,8 @@ struct RunnerOptions {
 /// `RunnerOptions::max_attempts` fails the job with a Status naming the
 /// job, task kind, task index, and attempt count; JobMetrics records the
 /// attempt/failure/retry totals either way. The attempt machinery
-/// (retries, deadline kills, speculative copies) lives in runner.cc; this
-/// header holds only the templated map → shuffle → reduce dataflow.
+/// (retries, deadline kills) lives in runner.cc; this header holds only
+/// the templated map → shuffle → reduce dataflow.
 ///
 /// Retryability contract: mapper/reducer factories may be invoked
 /// several times per task (once per attempt) and task input is treated
@@ -317,10 +293,8 @@ class LocalRunner {
     auto compute_partition = [&](size_t p, const CancellationToken& cancel) {
       const MergedPartition<K, V>& part = buffers.partition(p);
       std::unique_ptr<Reducer<K, V, Out>> reducer = reducer_factory();
-      // Fresh output per attempt copy; the merged partition is
-      // read-only so a failed attempt leaves the shuffled input
-      // intact, and racing speculative copies never share output
-      // buffers.
+      // Fresh output per attempt; the merged partition is read-only
+      // so a failed attempt leaves the shuffled input intact.
       std::pair<std::vector<Out>, std::vector<size_t>> result;
       result.second.reserve(part.num_groups());
       for (size_t g = 0; g < part.num_groups(); ++g) {
@@ -535,14 +509,14 @@ class LocalRunner {
   /// Attempt/failure/retry totals of one job, accumulated lock-free from
   /// worker threads and copied into JobMetrics when the job finishes.
   /// `failures` counts genuine failures (thrown exception / non-OK
-  /// Status); engine kills (deadline, speculation loser) count in
-  /// `killed` instead so the two causes stay distinguishable, exactly
-  /// like Hadoop's FAILED vs KILLED attempt states.
+  /// Status); cancelled attempts (a deadline kill, or a body that
+  /// surfaced CancelledError on its own) count in `killed` instead so
+  /// the two causes stay distinguishable, exactly like Hadoop's FAILED
+  /// vs KILLED attempt states.
   struct AttemptAccounting {
     std::atomic<uint64_t> attempts{0};
     std::atomic<uint64_t> failures{0};
     std::atomic<uint64_t> retried{0};
-    std::atomic<uint64_t> speculative{0};
     std::atomic<uint64_t> killed{0};
     std::atomic<uint64_t> deadline_exceeded{0};
   };
@@ -560,14 +534,12 @@ class LocalRunner {
   };
 
   /// Per-job execution state shared by every task of the job: the
-  /// attempt accounting, the completed-duration populations feeding
-  /// speculation, the job-wide cancellation source that wakes
+  /// attempt accounting, the job-wide cancellation source that wakes
   /// retry-backoff sleepers the moment the job has already failed, and
   /// the heartbeat hook (null unless --heartbeat-seconds is set — the
   /// task paths pay one null test when heartbeat is off).
   struct JobExecState {
     AttemptAccounting acct;
-    TaskDurationStats durations[2];  ///< indexed by TaskKind
     CancellationSource job_cancel;
     HeartbeatState* heartbeat = nullptr;
   };
@@ -634,8 +606,8 @@ class LocalRunner {
     CancellationSource* wake_ = nullptr;
   };
 
-  /// The attempts of one task — retry loop, deadline kills, speculative
-  /// copies and their accounting. Defined in runner.cc.
+  /// The attempts of one task — retry loop, deadline kills and their
+  /// accounting. Defined in runner.cc.
   class TaskAttempts;
 
   // ---- Non-template engine code (runner.cc) ----------------------------
@@ -756,9 +728,9 @@ class LocalRunner {
     auto compute_split = [&](size_t s, const CancellationToken& cancel) {
       const size_t begin = s * per_split;
       const size_t end = std::min(n, begin + per_split);
-      // Fresh emitter per attempt copy: records, counters, and byte
+      // Fresh emitter per attempt: records, counters, and byte
       // accounting of a failed attempt are discarded wholesale; only
-      // the winning copy's output is committed to the split slot.
+      // the successful attempt's output is committed to the split slot.
       VectorEmitter<K, V> out;
       out.set_cancel(cancel);
       out.Reserve(end - begin);
@@ -773,11 +745,11 @@ class LocalRunner {
       mapper->Cleanup(out);
       if (resource::MemoryTracker::Global().enabled()) {
         // Deterministic task-footprint gauge: serialized emit bytes,
-        // identical for every attempt copy of this task (and for a
+        // identical for every attempt of this task (and for a
         // worker child, whose tracker enabled flag is inherited at
         // fork). It rides the attempt-local counters, so failed
         // attempts drop it with the attempt and the job-level merge
-        // (gauge = max) is exactly-once under retry and speculation.
+        // (gauge = max) is exactly-once under retries and kills.
         out.counters_.SetGauge("mem.task.peak_bytes",
                                static_cast<double>(out.bytes_));
       }
@@ -861,13 +833,13 @@ class LocalRunner {
 
   RunnerOptions options_;
   ThreadPool pool_;
-  /// Deadline/speculation monitor; its thread starts lazily on the
-  /// first registered attempt, so runners with straggler control
-  /// disabled never create it. Destroyed (and joined) after the
-  /// executor, while the pool and options are still alive.
+  /// Deadline and heartbeat monitor; its thread starts lazily on the
+  /// first registered attempt or sampler, so runners with neither never
+  /// create it. Destroyed (and joined) after the executor, while the
+  /// pool and options are still alive.
   TaskWatchdog watchdog_;
-  /// Pluggable task-execution backend (executor.h); every attempt copy
-  /// funnels through executor_->RunCopy. Declared last so a process
+  /// Pluggable task-execution backend (executor.h); every task attempt
+  /// funnels through executor_->RunAttempt. Declared last so a process
   /// backend's worker pool is torn down before anything it observes.
   std::unique_ptr<TaskExecutor> executor_;
   /// Aliases executor_ when the process backend is active (worker

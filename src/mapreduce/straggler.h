@@ -1,21 +1,18 @@
 #ifndef P3C_MAPREDUCE_STRAGGLER_H_
 #define P3C_MAPREDUCE_STRAGGLER_H_
 
-// Straggler detection for the MapReduce engine (DESIGN.md §11): a
-// per-runner watchdog thread that enforces wall-clock task deadlines
-// and launches Hadoop-style speculative task copies.
+// Deadlines for the MapReduce engine (DESIGN.md §11): a per-runner
+// watchdog thread that kills task attempts at their wall-clock
+// deadline and runs the heartbeat sampler (DESIGN.md §15).
 //
 // The watchdog never touches task state directly — it only invokes the
-// `kill` / `launch` closures the runner registered, which flip flags on
-// the attempt's CopyControl and cancel its CancellationSource. All
-// policy inputs (deadline, slowness threshold, concurrency cap) are
+// `kill` closure the runner registered, which flags the attempt as
+// deadline-killed and cancels its CancellationSource. The deadline is
 // carried per entry so the watchdog itself is stateless across jobs.
 //
 // Lock ordering: watchdog `mu_` is taken FIRST, then any lock the kill
-// or launch closures take (the attempt race mutex, the cancellation
-// state mutex) and the TaskDurationStats lock the speculation check
-// reads through. Runner code deregisters an entry (watchdog `mu_`)
-// before inspecting race state, never while holding the race mutex.
+// closure takes (the cancellation state mutex). Runner code
+// deregisters an entry (watchdog `mu_`) before classifying the attempt.
 // The debug lock-order checker enforces these edges by lock name.
 
 #include <algorithm>
@@ -25,81 +22,27 @@
 #include <thread>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "src/common/sync.h"
 
 namespace p3c::mr {
 
-/// Completed-attempt durations of one (job, task kind) population —
-/// the baseline against which the watchdog judges slowness. Hadoop
-/// speculates against the mean progress rate of completed tasks; with
-/// no progress reporting in-process, the median completed duration is
-/// the robust equivalent (immune to the stragglers themselves).
-class TaskDurationStats {
- public:
-  void Add(double seconds) {
-    MutexLock lock(mu_);
-    samples_.push_back(seconds);
-  }
-
-  /// Median completed duration, or a negative value while fewer than
-  /// `min_samples` completions exist — the estimate is not trusted
-  /// until enough siblings have finished (Hadoop's
-  /// MINIMUM_COMPLETE_NUMBER_TO_SPECULATE).
-  double Median(size_t min_samples) const {
-    MutexLock lock(mu_);
-    if (samples_.empty() || samples_.size() < std::max<size_t>(1, min_samples)) {
-      return -1.0;
-    }
-    std::vector<double> copy = samples_;
-    const size_t mid = copy.size() / 2;
-    std::nth_element(copy.begin(), copy.begin() + mid, copy.end());
-    return copy[mid];
-  }
-
-  size_t count() const {
-    MutexLock lock(mu_);
-    return samples_.size();
-  }
-
- private:
-  /// Leaf lock, but sits BELOW TaskWatchdog::mu_ in the order graph:
-  /// the watchdog's speculation check calls Median() while holding its
-  /// own mutex. Nothing is acquired while this lock is held.
-  mutable Mutex mu_{"TaskDurationStats::mu_"};
-  std::vector<double> samples_ P3C_GUARDED_BY(mu_);
-};
-
 /// Monitors in-flight task attempts. One instance per LocalRunner; the
-/// thread starts lazily on the first Register, so runners that never
-/// enable deadlines or speculation pay nothing.
+/// thread starts lazily on the first Register or StartSampler, so
+/// runners that enable neither deadlines nor heartbeats pay nothing.
 class TaskWatchdog {
  public:
   using Clock = std::chrono::steady_clock;
 
   struct Entry {
     Clock::time_point start{};
-    /// Wall-clock deadline for this attempt copy; 0 disables. `kill`
-    /// must be set when non-zero — it is invoked exactly once, under
-    /// the watchdog mutex, when the deadline passes.
+    /// Wall-clock deadline for this attempt; 0 disables. `kill` must be
+    /// set when non-zero — it is invoked exactly once, under the
+    /// watchdog mutex, when the deadline passes.
     double deadline_seconds = 0.0;
     std::function<void()> kill;
-    /// Speculation policy; `launch` empty disables it for this entry.
-    /// `launch` is invoked at most once, under the watchdog mutex, when
-    /// the attempt has run `slowness_factor ×` the median completed
-    /// duration of its population (but never sooner than
-    /// `min_runtime_seconds` — near-zero medians must not trigger a
-    /// speculation storm) and a concurrency slot is free.
-    const TaskDurationStats* stats = nullptr;
-    double slowness_factor = 4.0;
-    size_t min_samples = 3;
-    double min_runtime_seconds = 0.0;
-    size_t max_concurrent = 2;
-    std::function<void()> launch;
     // Internal state, owned by the watchdog.
     bool killed = false;
-    bool speculated = false;
   };
 
   TaskWatchdog() = default;
@@ -108,8 +51,8 @@ class TaskWatchdog {
   TaskWatchdog(const TaskWatchdog&) = delete;
   TaskWatchdog& operator=(const TaskWatchdog&) = delete;
 
-  /// Registers an attempt copy; the returned id must be passed to
-  /// Deregister when the copy finishes (success or failure). `start`
+  /// Registers an attempt; the returned id must be passed to
+  /// Deregister when the attempt finishes (success or failure). `start`
   /// is stamped here so registration latency never counts against the
   /// deadline.
   uint64_t Register(Entry entry) {
@@ -123,10 +66,9 @@ class TaskWatchdog {
     return id;
   }
 
-  /// Removes an entry. On return it is guaranteed that neither `kill`
-  /// nor `launch` is running or will run for this entry (both execute
-  /// under the same mutex), so the caller may inspect the race state
-  /// they mutate.
+  /// Removes an entry. On return it is guaranteed that `kill` is not
+  /// running and will not run for this entry (it executes under the
+  /// same mutex), so the caller may read the flag it sets.
   void Deregister(uint64_t id) {
     MutexLock lock(mu_);
     entries_.erase(id);
@@ -137,8 +79,8 @@ class TaskWatchdog {
   /// `interval_seconds`, reusing this thread instead of spawning a
   /// second monitor. One sampler at a time (a runner executes jobs
   /// sequentially); installing a new one replaces the old. `fn` runs
-  /// under the watchdog mutex, same contract as the kill/launch
-  /// closures — keep it short (read counters, format, log).
+  /// under the watchdog mutex, same contract as the kill closure —
+  /// keep it short (read counters, format, log).
   void StartSampler(double interval_seconds, std::function<void()> fn) {
     MutexLock lock(mu_);
     sampler_fn_ = std::move(fn);
@@ -158,20 +100,6 @@ class TaskWatchdog {
     sampler_fn_ = nullptr;
   }
 
-  /// Called by the runner when a speculative copy finishes, releasing
-  /// its concurrency slot (acquired by the watchdog at launch time).
-  void OnSpeculativeFinished() {
-    MutexLock lock(mu_);
-    if (active_speculative_ > 0) --active_speculative_;
-    ++epoch_;
-    cv_.NotifyAll();
-  }
-
-  size_t active_speculative() const {
-    MutexLock lock(mu_);
-    return active_speculative_;
-  }
-
   /// Stops and joins the watchdog thread. Entries must already be
   /// deregistered (jobs complete before the runner is destroyed).
   void Shutdown() {
@@ -187,12 +115,6 @@ class TaskWatchdog {
   }
 
  private:
-  /// How often the watchdog re-evaluates speculation candidates whose
-  /// threshold is not yet computable (median pending) or whose
-  /// concurrency slot is taken. Deadlines do not rely on this — their
-  /// wake-ups are scheduled exactly.
-  static constexpr std::chrono::milliseconds kPollInterval{2};
-
   void EnsureThreadLocked() P3C_REQUIRES(mu_) {
     if (thread_.joinable()) return;
     shutdown_ = false;
@@ -204,47 +126,21 @@ class TaskWatchdog {
     while (!shutdown_) {
       const Clock::time_point now = Clock::now();
       // Default wake-up far in the future; tightened below by the
-      // nearest deadline / speculation threshold.
+      // nearest deadline.
       Clock::time_point next_wake = now + std::chrono::seconds(1);
       for (auto& [id, e] : entries_) {
+        if (e.deadline_seconds <= 0.0 || e.killed) continue;
         const double elapsed =
             std::chrono::duration<double>(now - e.start).count();
-        if (e.deadline_seconds > 0.0 && !e.killed) {
-          if (elapsed >= e.deadline_seconds) {
-            e.killed = true;
-            if (e.kill) e.kill();
-          } else {
-            next_wake = std::min(
-                next_wake,
-                e.start + std::chrono::duration_cast<Clock::duration>(
-                              std::chrono::duration<double>(
-                                  e.deadline_seconds)));
-          }
-        }
-        if (e.launch && e.stats != nullptr && !e.speculated && !e.killed) {
-          const double median = e.stats->Median(e.min_samples);
-          if (median < 0.0) {
-            // Not enough completed siblings yet; re-check shortly.
-            next_wake = std::min(next_wake, now + kPollInterval);
-            continue;
-          }
-          const double threshold = std::max(
-              e.min_runtime_seconds,
-              std::max(1.0, e.slowness_factor) * median);
-          if (elapsed < threshold) {
-            next_wake = std::min(
-                next_wake,
-                e.start + std::chrono::duration_cast<Clock::duration>(
-                              std::chrono::duration<double>(threshold)));
-          } else if (active_speculative_ < e.max_concurrent) {
-            e.speculated = true;
-            ++active_speculative_;
-            e.launch();
-          } else {
-            // Cap reached; OnSpeculativeFinished notifies, but poll as
-            // a backstop.
-            next_wake = std::min(next_wake, now + kPollInterval);
-          }
+        if (elapsed >= e.deadline_seconds) {
+          e.killed = true;
+          if (e.kill) e.kill();
+        } else {
+          next_wake = std::min(
+              next_wake,
+              e.start + std::chrono::duration_cast<Clock::duration>(
+                            std::chrono::duration<double>(
+                                e.deadline_seconds)));
         }
       }
       if (sampler_fn_) {
@@ -276,7 +172,6 @@ class TaskWatchdog {
   /// the Loop's wait predicate re-waits until it moves or shutdown.
   uint64_t epoch_ P3C_GUARDED_BY(mu_) = 0;
   uint64_t next_id_ P3C_GUARDED_BY(mu_) = 1;
-  size_t active_speculative_ P3C_GUARDED_BY(mu_) = 0;
   std::unordered_map<uint64_t, Entry> entries_ P3C_GUARDED_BY(mu_);
   // Heartbeat sampler state, all under mu_.
   std::function<void()> sampler_fn_ P3C_GUARDED_BY(mu_);

@@ -531,9 +531,9 @@ struct WorkerPoolExecutor::Impl {
       }
 
       if (ctx.cancel.cancelled()) {
-        // Deadline kill, speculation loser-kill, or job failure: the
-        // worker may be mid-task with nobody left to read its result —
-        // kill it; the slot respawns on its next lease.
+        // Deadline kill: the worker may be mid-task with nobody left
+        // to read its result — kill it; the slot respawns on its next
+        // lease.
         ReapSlot(*slot, SIGKILL);
         TraceWorker(*slot, "worker killed (attempt cancelled)");
         ReleaseSlot(*slot);
@@ -682,9 +682,9 @@ void WorkerPoolExecutor::EndPhase() {
   impl.commit = nullptr;
 }
 
-Status WorkerPoolExecutor::RunCopy(const TaskAttempt& attempt,
-                                   const TaskContext& ctx,
-                                   const TaskBody& inline_body) {
+Status WorkerPoolExecutor::RunAttempt(const TaskAttempt& attempt,
+                                      const TaskContext& ctx,
+                                      const TaskBody& inline_body) {
   Impl& impl = *impl_;
   PhaseCommitFn commit;
   {

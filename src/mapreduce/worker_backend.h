@@ -58,8 +58,8 @@ struct WorkerBackendOptions {
 };
 
 /// TaskExecutor running the installed phase's tasks in forked worker
-/// processes. Thread-safe for concurrent RunCopy calls (pool workers
-/// and speculative-copy threads lease workers under a mutex);
+/// processes. Thread-safe for concurrent RunAttempt calls (pool workers
+/// lease workers under a mutex);
 /// BeginPhase/EndPhase run on the job thread between parallel loops.
 class WorkerPoolExecutor final : public TaskExecutor {
  public:
@@ -71,8 +71,8 @@ class WorkerPoolExecutor final : public TaskExecutor {
                   size_t num_tasks, PhaseTaskFn run,
                   PhaseCommitFn commit) override;
   void EndPhase() override;
-  Status RunCopy(const TaskAttempt& attempt, const TaskContext& ctx,
-                 const TaskBody& inline_body) override;
+  Status RunAttempt(const TaskAttempt& attempt, const TaskContext& ctx,
+                    const TaskBody& inline_body) override;
 
   /// Driver-side worker observability: `worker.spawn_total`,
   /// `worker.respawn_total`, `worker.kill_total`,

@@ -17,7 +17,8 @@ namespace {
 /// True when every value has the front value's length. The double-valued
 /// reducers below emit an empty payload for a key whose values disagree,
 /// which the job's unpack step then rejects with a Status.
-bool SameLengths(std::span<const std::vector<double>> values) {
+template <typename T>
+bool SameLengths(std::span<const std::vector<T>> values) {
   for (const auto& v : values) {
     if (v.size() != values.front().size()) return false;
   }
@@ -42,19 +43,21 @@ class VectorSumReducer
   }
 };
 
-/// Generic sum reducer for (int64, vector<uint64>) count records.
+/// Generic sum reducer for (int64, vector<uint64>) count records. Like
+/// VectorSumReducer, values of different lengths yield an empty payload,
+/// which the job's unpack step rejects.
 class CountSumReducer
-    : public Reducer<int64_t, std::vector<uint64_t>,
-                     std::pair<int64_t, std::vector<uint64_t>>> {
+    : public Reducer<int64_t, std::vector<uint64_t>, KeyedCounts> {
  public:
   void Reduce(const int64_t& key,
               std::span<const std::vector<uint64_t>> values,
-              std::vector<std::pair<int64_t, std::vector<uint64_t>>>& out)
-      override {
+              std::vector<KeyedCounts>& out) override {
     std::vector<uint64_t> acc;
-    for (const auto& v : values) {
-      if (acc.empty()) acc.assign(v.size(), 0);
-      for (size_t i = 0; i < v.size() && i < acc.size(); ++i) acc[i] += v[i];
+    if (!values.empty() && SameLengths(values)) {
+      acc.assign(values.front().size(), 0);
+      for (const auto& v : values) {
+        for (size_t i = 0; i < v.size(); ++i) acc[i] += v[i];
+      }
     }
     out.emplace_back(key, std::move(acc));
   }
@@ -591,16 +594,20 @@ Result<std::vector<stats::Histogram>> RunHistogramJob(
       stats::NumBins(rule, std::max<uint64_t>(1, dataset.num_points())));
   HistogramJobConfig config{&dataset, bins};
   const size_t num_reducers = ReducersForKeys(runner, dataset.num_dims());
-  auto run = runner.Run<int64_t, std::vector<uint64_t>,
-                        std::pair<int64_t, std::vector<uint64_t>>>(
+  auto run = runner.Run<int64_t, std::vector<uint64_t>, KeyedCounts>(
       "histogram", dataset.num_points(),
       [&config] { return std::make_unique<HistogramMapper>(&config); },
       [] { return std::make_unique<CountSumReducer>(); }, num_reducers);
   if (!run.ok()) return run.status();
-  auto& out = *run;
-  std::vector<stats::Histogram> histograms(dataset.num_dims(),
-                                           stats::Histogram(bins));
+  return UnpackHistograms(std::move(*run), dataset.num_dims(), bins);
+}
+
+Result<std::vector<stats::Histogram>> UnpackHistograms(
+    std::vector<KeyedCounts> out, size_t num_dims, size_t bins) {
+  std::vector<stats::Histogram> histograms(num_dims, stats::Histogram(bins));
   for (auto& [attr, counts] : out) {
+    P3C_RETURN_NOT_OK(
+        CheckRecord("histogram", attr, num_dims, counts.size(), bins));
     histograms[static_cast<size_t>(attr)].counts() = std::move(counts);
   }
   return histograms;
@@ -612,20 +619,23 @@ Result<std::vector<uint64_t>> RunSupportJob(
   if (signatures.empty()) return std::vector<uint64_t>{};
   const core::Rssc rssc(signatures);  // "calculated by the main program"
   SupportJobConfig config{&dataset, &rssc};
-  auto run = runner.Run<int64_t, std::vector<uint64_t>,
-                        std::pair<int64_t, std::vector<uint64_t>>>(
+  auto run = runner.Run<int64_t, std::vector<uint64_t>, KeyedCounts>(
       "support-count", dataset.num_points(),
       [&config] { return std::make_unique<SupportMapper>(&config); },
       [] { return std::make_unique<CountSumReducer>(); },
       /*num_reducers=*/1);  // the job emits a single key
   if (!run.ok()) return run.status();
-  auto& out = *run;
-  std::vector<uint64_t> supports(signatures.size(), 0);
+  return UnpackSupports(std::move(*run), signatures.size());
+}
+
+Result<std::vector<uint64_t>> UnpackSupports(std::vector<KeyedCounts> out,
+                                             size_t num_signatures) {
+  // Key 0 is the only key; an input with no points has no record.
+  std::vector<uint64_t> supports(num_signatures, 0);
   for (auto& [key, counts] : out) {
-    (void)key;
-    for (size_t i = 0; i < supports.size() && i < counts.size(); ++i) {
-      supports[i] += counts[i];
-    }
+    P3C_RETURN_NOT_OK(CheckRecord("support-count", key, /*num_keys=*/1,
+                                  counts.size(), num_signatures));
+    supports = std::move(counts);
   }
   return supports;
 }
@@ -752,22 +762,34 @@ Result<std::vector<std::vector<stats::Histogram>>> RunClusterHistogramJob(
   ClusterHistogramJobConfig config{&dataset, &membership, &bins_per_cluster};
   const size_t num_reducers =
       ReducersForKeys(runner, num_clusters * dataset.num_dims());
-  auto run = runner.Run<int64_t, std::vector<uint64_t>,
-                        std::pair<int64_t, std::vector<uint64_t>>>(
+  auto run = runner.Run<int64_t, std::vector<uint64_t>, KeyedCounts>(
       "cluster-histograms", dataset.num_points(),
       [&config] { return std::make_unique<ClusterHistogramMapper>(&config); },
       [] { return std::make_unique<CountSumReducer>(); }, num_reducers);
   if (!run.ok()) return run.status();
-  auto& out = *run;
-  const size_t d = dataset.num_dims();
-  std::vector<std::vector<stats::Histogram>> histograms(num_clusters);
-  for (size_t c = 0; c < num_clusters; ++c) {
-    histograms[c].assign(d, stats::Histogram(bins_per_cluster[c]));
+  return UnpackClusterHistograms(std::move(*run), dataset.num_dims(),
+                                 bins_per_cluster);
+}
+
+Result<std::vector<std::vector<stats::Histogram>>> UnpackClusterHistograms(
+    std::vector<KeyedCounts> out, size_t num_dims,
+    const std::vector<size_t>& bins_per_cluster) {
+  const size_t k = bins_per_cluster.size();
+  std::vector<std::vector<stats::Histogram>> histograms(k);
+  for (size_t c = 0; c < k; ++c) {
+    histograms[c].assign(num_dims, stats::Histogram(bins_per_cluster[c]));
   }
+  const size_t num_keys = k * num_dims;
   for (auto& [key, counts] : out) {
-    const auto c = static_cast<size_t>(key / static_cast<int64_t>(d));
-    const auto attr = static_cast<size_t>(key % static_cast<int64_t>(d));
-    histograms[c][attr].counts() = std::move(counts);
+    // CheckRecord rejects an out-of-range key before the bin count it
+    // picks is compared.
+    const bool in_range = key >= 0 && static_cast<uint64_t>(key) < num_keys;
+    const size_t c = in_range ? static_cast<size_t>(key) / num_dims : 0;
+    P3C_RETURN_NOT_OK(CheckRecord("cluster-histograms", key, num_keys,
+                                  counts.size(),
+                                  in_range ? bins_per_cluster[c] : 0));
+    histograms[c][static_cast<size_t>(key) % num_dims].counts() =
+        std::move(counts);
   }
   return histograms;
 }

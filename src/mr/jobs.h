@@ -103,15 +103,18 @@ Result<std::vector<int32_t>> RunOdJob(
     const std::vector<linalg::Vector>& centers,
     const std::vector<linalg::Cholesky>& factors, double critical);
 
-/// The (key, payload) records the double-valued jobs' reducers return.
+/// The (key, payload) records the double- and count-valued jobs'
+/// reducers return.
 using KeyedDoubles = std::pair<int64_t, std::vector<double>>;
+using KeyedCounts = std::pair<int64_t, std::vector<uint64_t>>;
 
-/// Unpack steps of the moment, covariance, MVB ball and tightening jobs:
-/// each turns the reducers' records into the job's result. A key outside
-/// the job's key range or a payload of the wrong length (a record the job
-/// cannot have produced) yields Status::Internal naming the job and the
-/// lengths instead of an out-of-bounds read. `k` and `dim` are the
-/// model's component count and Arel dimension.
+/// Unpack steps of the jobs with a reduce phase: each turns the
+/// reducers' records into the job's result. A key outside the job's key
+/// range or a payload of the wrong length (a record the job cannot have
+/// produced) yields Status::Internal naming the job and the lengths
+/// instead of an out-of-bounds read. `k` and `dim` are the model's
+/// component count and Arel dimension; cluster c's histograms have
+/// `bins_per_cluster[c]` bins.
 Result<MomentSums> UnpackMomentSums(const std::vector<KeyedDoubles>& out,
                                     size_t k, size_t dim,
                                     const char* job_name);
@@ -123,6 +126,13 @@ Result<std::vector<MvbBall>> UnpackMvbBalls(
 Result<std::vector<std::vector<core::Interval>>> UnpackTightening(
     const std::vector<KeyedDoubles>& out,
     const std::vector<std::vector<size_t>>& attrs);
+Result<std::vector<stats::Histogram>> UnpackHistograms(
+    std::vector<KeyedCounts> out, size_t num_dims, size_t bins);
+Result<std::vector<uint64_t>> UnpackSupports(std::vector<KeyedCounts> out,
+                                             size_t num_signatures);
+Result<std::vector<std::vector<stats::Histogram>>> UnpackClusterHistograms(
+    std::vector<KeyedCounts> out, size_t num_dims,
+    const std::vector<size_t>& bins_per_cluster);
 
 /// §5.6 per-cluster histogram job. `membership[i]` is the cluster of
 /// point i or negative for none; returns histograms[cluster][attr] with

@@ -228,15 +228,15 @@ class BallMembership : public MembershipFn {
   const std::vector<MvbBall>& balls_;
 };
 
-/// Turns moment/covariance job sums into component parameters using the
-/// paper's unbiased weighted covariance Sigma_C = wC / (wC^2 - wC2) *
-/// sum w (x - mu)(x - mu)^T (§5.4); keeps the previous values when a
-/// component received (almost) no mass.
+/// Turns moment/covariance job sums into component weights and
+/// covariances using the paper's unbiased weighted covariance
+/// Sigma_C = wC / (wC^2 - wC2) * sum w (x - mu)(x - mu)^T (§5.4); keeps
+/// the previous values when a component received (almost) no mass. The
+/// caller installs the means the covariance sums were centred on.
 void UpdateModel(const MomentSums& moments,
                  const std::vector<linalg::Matrix>& cov_sums,
                  core::GmmModel& model) {
   const size_t k = model.num_components();
-  const size_t dim = model.dim();
   double total_w = 0.0;
   for (double w : moments.w) total_w += w;
   for (size_t c = 0; c < k; ++c) {
@@ -245,9 +245,6 @@ void UpdateModel(const MomentSums& moments,
     if (moments.w[c] < 1e-9 || denom <= 1e-12) continue;  // keep previous
     comp.weight = total_w > 0.0 ? moments.w[c] / total_w
                                 : 1.0 / static_cast<double>(k);
-    for (size_t j = 0; j < dim; ++j) {
-      comp.mean[j] = moments.lsum[c][j] / moments.w[c];
-    }
     comp.cov = cov_sums[c].Scale(moments.w[c] / denom);
   }
 }
@@ -650,6 +647,39 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
       // detection below runs live.
       model = std::move(resume.gmm->model);
     } else {
+      // One EM round of two jobs (§5.4): the moment job under the
+      // `weights` membership, its interim means for the covariance job,
+      // then the model update. A component with mass takes the interim
+      // means even when UpdateModel keeps its previous covariance. The
+      // EM loop reads the returned log-likelihood.
+      auto em_round = [&](const MembershipFn& weights, const char* phase,
+                          const char* means_job,
+                          const char* covs_job) -> Result<MomentSums> {
+        auto moments = RunPipelineJob(retry, phase, [&] {
+          return RunMomentJob(runner, dataset, model, weights, means_job);
+        });
+        if (!moments.ok()) return moments.status();
+        std::vector<linalg::Vector> means = Means(model);
+        for (size_t c = 0; c < k; ++c) {
+          if (moments->w[c] < 1e-9) continue;
+          for (size_t j = 0; j < dim; ++j) {
+            means[c][j] = moments->lsum[c][j] / moments->w[c];
+          }
+        }
+        auto covs = RunPipelineJob(retry, phase, [&] {
+          return RunCovarianceJob(runner, dataset, model, weights, means,
+                                  covs_job);
+        });
+        if (!covs.ok()) return covs.status();
+        UpdateModel(*moments, *covs, model);
+        for (size_t c = 0; c < k; ++c) {
+          if (moments->w[c] >= 1e-9) {
+            model.components[c].mean = std::move(means[c]);
+          }
+        }
+        return moments;
+      };
+
       // ---- EM initialization: two rounds of two jobs (§5.4) --------------
       model.arel = result.arel;
       model.components.assign(k,
@@ -659,63 +689,16 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
                                   1.0 / static_cast<double>(k)});
 
       CoreMembership core_membership(dataset, signatures);
-      auto m1_result = RunPipelineJob(retry, "em-init", [&] {
-        return RunMomentJob(runner, dataset, model, core_membership,
-                            "em-init-1a");
-      });
-      if (!m1_result.ok()) return m1_result.status();
-      MomentSums m1 = std::move(m1_result).value();
-      // Interim means for the covariance job.
-      {
-        core::GmmModel tmp = model;
-        for (size_t c = 0; c < k; ++c) {
-          if (m1.w[c] < 1e-9) continue;
-          for (size_t j = 0; j < dim; ++j) {
-            tmp.components[c].mean[j] = m1.lsum[c][j] / m1.w[c];
-          }
-        }
-        auto cov1 = RunPipelineJob(retry, "em-init", [&] {
-          return RunCovarianceJob(runner, dataset, tmp, core_membership,
-                                  Means(tmp), "em-init-1b");
-        });
-        if (!cov1.ok()) return cov1.status();
-        UpdateModel(m1, *cov1, model);
-        for (size_t c = 0; c < k; ++c) {
-          if (m1.w[c] >= 1e-9) {
-            model.components[c].mean = tmp.components[c].mean;
-          }
-        }
-      }
+      P3C_RETURN_NOT_OK(em_round(core_membership, "em-init", "em-init-1a",
+                                 "em-init-1b")
+                            .status());
       Result<core::GmmEvaluator> eval1 =
           core::GmmEvaluator::Make(model, params.covariance_ridge);
       if (!eval1.ok()) return eval1.status();
       OrphanAssigningMembership full_membership(core_membership, *eval1);
-      auto m2_result = RunPipelineJob(retry, "em-init", [&] {
-        return RunMomentJob(runner, dataset, model, full_membership,
-                            "em-init-2a");
-      });
-      if (!m2_result.ok()) return m2_result.status();
-      MomentSums m2 = std::move(m2_result).value();
-      {
-        core::GmmModel tmp = model;
-        for (size_t c = 0; c < k; ++c) {
-          if (m2.w[c] < 1e-9) continue;
-          for (size_t j = 0; j < dim; ++j) {
-            tmp.components[c].mean[j] = m2.lsum[c][j] / m2.w[c];
-          }
-        }
-        auto cov2 = RunPipelineJob(retry, "em-init", [&] {
-          return RunCovarianceJob(runner, dataset, tmp, full_membership,
-                                  Means(tmp), "em-init-2b");
-        });
-        if (!cov2.ok()) return cov2.status();
-        UpdateModel(m2, *cov2, model);
-        for (size_t c = 0; c < k; ++c) {
-          if (m2.w[c] >= 1e-9) {
-            model.components[c].mean = tmp.components[c].mean;
-          }
-        }
-      }
+      P3C_RETURN_NOT_OK(em_round(full_membership, "em-init", "em-init-2a",
+                                 "em-init-2b")
+                            .status());
 
       // ---- EM iterations: two jobs per step (§5.4) ------------------------
       double prev_ll = -std::numeric_limits<double>::infinity();
@@ -724,36 +707,16 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
             core::GmmEvaluator::Make(model, params.covariance_ridge);
         if (!evaluator.ok()) return evaluator.status();
         SoftMembership soft(*evaluator);
-        auto moments_result = RunPipelineJob(retry, "em-step", [&] {
-          return RunMomentJob(runner, dataset, model, soft, "em-step-means");
-        });
-        if (!moments_result.ok()) return moments_result.status();
-        MomentSums moments = std::move(moments_result).value();
-        core::GmmModel tmp = model;
-        for (size_t c = 0; c < k; ++c) {
-          if (moments.w[c] < 1e-9) continue;
-          for (size_t j = 0; j < dim; ++j) {
-            tmp.components[c].mean[j] = moments.lsum[c][j] / moments.w[c];
-          }
-        }
-        auto covs = RunPipelineJob(retry, "em-step", [&] {
-          return RunCovarianceJob(runner, dataset, tmp, soft, Means(tmp),
-                                  "em-step-covs");
-        });
-        if (!covs.ok()) return covs.status();
-        UpdateModel(moments, *covs, model);
-        for (size_t c = 0; c < k; ++c) {
-          if (moments.w[c] >= 1e-9) {
-            model.components[c].mean = tmp.components[c].mean;
-          }
-        }
+        Result<MomentSums> moments =
+            em_round(soft, "em-step", "em-step-means", "em-step-covs");
+        if (!moments.ok()) return moments.status();
         const double denom = std::fabs(prev_ll) + 1e-12;
         if (iter > 0 &&
-            std::fabs(moments.log_likelihood - prev_ll) / denom <
+            std::fabs(moments->log_likelihood - prev_ll) / denom <
                 params.em_tolerance) {
           break;
         }
-        prev_ll = moments.log_likelihood;
+        prev_ll = moments->log_likelihood;
       }
 
       if (ckpt.enabled()) {

@@ -192,43 +192,35 @@ TEST(FaultInjectionTest, TaskPeakGaugeIsExactlyOnceUnderRetry) {
   EXPECT_EQ(flaky.counters.values(), clean.counters.values());
 }
 
-TEST(FaultInjectionTest, TaskPeakGaugeIsExactlyOnceUnderSpeculation) {
+TEST(FaultInjectionTest, TaskPeakGaugeIsExactlyOnceUnderDeadlineKill) {
   ScopedMemoryTracking tracking;
   const RunOutcome clean = RunKeyedSum(nullptr, 4);
   ASSERT_TRUE(clean.result.ok());
 
-  // A pure straggler: the primary copy of map task 7 sleeps 30 s (with
-  // an OK status — slow but correct), so the speculative duplicate must
-  // rescue the job (straggler_test idiom).
+  // A pure straggler: attempt 0 of map task 7 sleeps 30 s (with an OK
+  // status — slow but correct), so the watchdog must kill it at the
+  // deadline and the retry must complete the task (straggler_test
+  // idiom).
   ScriptedFaultInjector injector;
-  ScriptedFaultInjector::Rule rule;
-  rule.job_substring = "keyed-sum";
-  rule.kind = TaskKind::kMap;
-  rule.task_index = 7;
-  rule.attempt = 0;
-  rule.speculative = false;
-  rule.delay_seconds = 30.0;
-  rule.status = Status::OK();
-  injector.AddRule(std::move(rule));
+  injector.DelayOnce("keyed-sum", /*task_index=*/7, /*attempt=*/0,
+                     /*delay_seconds=*/30.0);
 
-  const RunOutcome spec =
+  const RunOutcome killed =
       RunKeyedSum(&injector, 4, [](RunnerOptions& o) {
-        o.speculative_execution = true;
-        o.speculative_slowness_factor = 1.5;
-        o.speculative_min_samples = 3;
-        o.speculative_min_runtime_seconds = 0.01;
+        o.task_deadline_seconds = 0.2;
       });
-  ASSERT_TRUE(spec.result.ok()) << spec.result.status().ToString();
-  ASSERT_EQ(spec.metrics.num_jobs(), 1u);
-  EXPECT_GE(spec.metrics.jobs().front().speculative_attempts, 1u);
+  ASSERT_TRUE(killed.result.ok()) << killed.result.status().ToString();
+  ASSERT_EQ(killed.metrics.num_jobs(), 1u);
+  EXPECT_EQ(killed.metrics.jobs().front().deadline_exceeded, 1u);
+  EXPECT_EQ(killed.metrics.jobs().front().retried_tasks, 1u);
 
-  // Both copies of the duplicated task compute the same bytes and only
-  // the winner's counters merge, so the job gauge neither doubles nor
-  // drifts: byte-identical to the speculation-free run.
-  EXPECT_EQ(*spec.result, *clean.result);
-  EXPECT_EQ(spec.counters.GetGauge("mem.task.peak_bytes"),
+  // The killed attempt's counters are dropped with it and only the
+  // retry's merge, so the job gauge neither doubles nor drifts:
+  // byte-identical to the kill-free run.
+  EXPECT_EQ(*killed.result, *clean.result);
+  EXPECT_EQ(killed.counters.GetGauge("mem.task.peak_bytes"),
             clean.counters.GetGauge("mem.task.peak_bytes"));
-  EXPECT_EQ(spec.counters.values(), clean.counters.values());
+  EXPECT_EQ(killed.counters.values(), clean.counters.values());
 }
 
 TEST(FaultInjectionTest, CrashingTasksAreCaughtAndRetried) {

@@ -384,6 +384,49 @@ TEST(JobUnpackTest, ShortPayloadsAndUnknownKeysReturnInternal) {
   bounds[0] = {5, {0.1, 0.2, 0.3, 0.4}};
   ExpectInternalNaming(UnpackTightening(bounds, attrs).status(),
                        "interval-tightening");
+
+  // Histogram job: one count per bin for each attribute. An empty
+  // payload is what CountSumReducer emits when partial histograms
+  // disagree in length.
+  std::vector<KeyedCounts> hists = {{0, {1, 2, 3}}, {1, {4, 5, 6}}};
+  const auto histograms =
+      UnpackHistograms(hists, /*num_dims=*/2, /*bins=*/3);
+  ASSERT_TRUE(histograms.ok()) << histograms.status().ToString();
+  EXPECT_EQ((*histograms)[1].counts(), (std::vector<uint64_t>{4, 5, 6}));
+  hists[1].second = {4, 5};
+  ExpectInternalNaming(UnpackHistograms(hists, 2, 3).status(), "histogram");
+  hists[1].second = {};
+  ExpectInternalNaming(UnpackHistograms(hists, 2, 3).status(), "histogram");
+  hists[1] = {2, {4, 5, 6}};
+  ExpectInternalNaming(UnpackHistograms(hists, 2, 3).status(), "histogram");
+
+  // Support job: key 0 carries one count per signature.
+  std::vector<KeyedCounts> supports = {{0, {7, 8}}};
+  const auto counted = UnpackSupports(supports, /*num_signatures=*/2);
+  ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+  EXPECT_EQ(*counted, (std::vector<uint64_t>{7, 8}));
+  supports[0].second = {7};
+  ExpectInternalNaming(UnpackSupports(supports, 2).status(), "support-count");
+  supports[0] = {1, {7, 8}};
+  ExpectInternalNaming(UnpackSupports(supports, 2).status(), "support-count");
+
+  // Cluster-histogram job: key c * num_dims + attr, with cluster c's
+  // bin count.
+  const std::vector<size_t> bins_per_cluster = {2, 3};
+  std::vector<KeyedCounts> members = {{1, {1, 1}}, {2, {1, 2, 3}}};
+  const auto per_cluster =
+      UnpackClusterHistograms(members, /*num_dims=*/2, bins_per_cluster);
+  ASSERT_TRUE(per_cluster.ok()) << per_cluster.status().ToString();
+  EXPECT_EQ((*per_cluster)[0][1].counts(), (std::vector<uint64_t>{1, 1}));
+  EXPECT_EQ((*per_cluster)[1][0].counts(), (std::vector<uint64_t>{1, 2, 3}));
+  members[1].second = {1, 2};  // cluster 0's bin count on cluster 1
+  ExpectInternalNaming(
+      UnpackClusterHistograms(members, 2, bins_per_cluster).status(),
+      "cluster-histograms");
+  members[1] = {4, {1, 2, 3}};
+  ExpectInternalNaming(
+      UnpackClusterHistograms(members, 2, bins_per_cluster).status(),
+      "cluster-histograms");
 }
 
 }  // namespace

@@ -102,15 +102,14 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 7u, 1000u),
                        ::testing::Bool()));
 
-// Straggler-control variant of the property: with a (non-firing)
-// deadline armed and a deliberately trigger-happy speculation policy
-// (slowness 1.0, no minimum runtime), duplicate attempt copies race on
-// ordinary healthy tasks — and the output must STILL match the
-// reference exactly, whichever copy wins each commit. This is the
-// determinism argument of DESIGN.md §11 exercised as a property.
+// Straggler-control variant of the property: with a task deadline
+// armed that healthy tasks never reach, every attempt registers with
+// the watchdog and the pool runs uncapped (ExecWidth) — and the output
+// must STILL match the reference exactly. This is the determinism
+// argument of DESIGN.md §11 exercised as a property.
 class StragglerRunnerProperties : public ::testing::TestWithParam<Param> {};
 
-TEST_P(StragglerRunnerProperties, KeyedSumMatchesReferenceUnderSpeculation) {
+TEST_P(StragglerRunnerProperties, KeyedSumMatchesReferenceUnderDeadline) {
   const auto [seed, threads, split, skewed_keys] = GetParam();
   Rng rng(seed);
   std::map<int, int64_t> reference;
@@ -121,10 +120,8 @@ TEST_P(StragglerRunnerProperties, KeyedSumMatchesReferenceUnderSpeculation) {
   options.records_per_split = split;
   options.num_reducers = threads;
   options.task_deadline_seconds = 30.0;  // armed, but healthy tasks fit
-  options.speculative_execution = true;
-  options.speculative_slowness_factor = 1.0;  // everything is "slow"
-  options.speculative_min_samples = 1;
-  options.speculative_min_runtime_seconds = 0.0;
+  MetricsRegistry metrics;
+  options.metrics = &metrics;
   LocalRunner runner(options);
   const auto result =
       runner.Run<int, int64_t, std::pair<int, int64_t>>(
@@ -141,6 +138,9 @@ TEST_P(StragglerRunnerProperties, KeyedSumMatchesReferenceUnderSpeculation) {
     EXPECT_EQ(out[i].second, total);
     ++i;
   }
+  // The deadline never fired.
+  ASSERT_EQ(metrics.num_jobs(), 1u);
+  EXPECT_EQ(metrics.jobs().front().killed_attempts, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,16 +1,14 @@
 // Straggler-control tests (DESIGN.md §11): cooperative cancellation,
-// task deadlines with watchdog kills, and speculative re-execution.
+// task deadlines with watchdog kills, and the phase budget.
 //
-// The two acceptance scenarios of the straggler layer live here:
-//   - a permanently hung map task completes the job via deadline-kill +
-//     retry, with no test-harness timeout;
-//   - a job with speculation enabled on a delay-injected straggler
-//     produces output byte-identical to the same job with speculation
-//     disabled (whichever attempt copy wins the race).
+// The acceptance scenario of the straggler layer lives here: a
+// permanently hung map task completes the job via deadline-kill +
+// retry, with no test-harness timeout, and its output and counters are
+// byte-identical to a clean run.
 // This suite builds as its own binary (p3c_straggler_tests) under the
 // straggler-smoke ctest label so tools/run_sanitizers.sh can run it in
-// isolation under ASan/UBSan and — the real reviewer of the attempt
-// race — TSan.
+// isolation under ASan/UBSan and — the sanitizer that matters most for
+// the watchdog's kill and heartbeat paths — TSan.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +30,6 @@
 #include "src/data/generator.h"
 #include "src/mapreduce/fault.h"
 #include "src/mapreduce/runner.h"
-#include "src/mapreduce/straggler.h"
 #include "src/mr/p3c_mr.h"
 
 namespace p3c::mr {
@@ -87,31 +84,6 @@ TEST(CancellationTest, WaitForWakesEarlyOnCancel) {
   EXPECT_LT(watch.ElapsedSeconds(), 10.0);
 }
 
-// ---- Straggler-detection statistics ----------------------------------
-
-TEST(TaskDurationStatsTest, MedianWithheldBelowMinSamples) {
-  TaskDurationStats stats;
-  EXPECT_LT(stats.Median(3), 0.0);
-  stats.Add(0.010);
-  stats.Add(0.012);
-  EXPECT_EQ(stats.count(), 2u);
-  EXPECT_LT(stats.Median(3), 0.0);
-  stats.Add(0.011);
-  EXPECT_GE(stats.Median(3), 0.0);
-  EXPECT_DOUBLE_EQ(stats.Median(3), 0.011);
-}
-
-TEST(TaskDurationStatsTest, MedianIsRobustToStragglerSamples) {
-  TaskDurationStats stats;
-  stats.Add(0.010);
-  stats.Add(0.010);
-  stats.Add(0.010);
-  // The straggler itself must not drag the baseline up — that is the
-  // reason the watchdog uses the median rather than the mean.
-  stats.Add(100.0);
-  EXPECT_DOUBLE_EQ(stats.Median(3), 0.010);
-}
-
 // ---- Injected delays and hangs (unit level) --------------------------
 
 TEST(StragglerInjectionTest, DelayRuleIsSlowButSucceeds) {
@@ -126,7 +98,7 @@ TEST(StragglerInjectionTest, DelayRuleIsSlowButSucceeds) {
   EXPECT_TRUE(st.ok());
   EXPECT_GE(watch.ElapsedSeconds(), 0.05);
   EXPECT_EQ(injector.injected_faults(), 1u);
-  // One-shot: the retry (or the speculative copy) is fast.
+  // One-shot: the retry is fast.
   EXPECT_TRUE(
       injector.OnAttemptStart(TaskAttempt{job, TaskKind::kMap, 0, 0}).ok());
 }
@@ -153,22 +125,6 @@ TEST(StragglerInjectionTest, HangRuleBlocksUntilCancelled) {
   source.Cancel();
   hung.join();
   EXPECT_TRUE(cancelled_seen.load());
-}
-
-TEST(StragglerInjectionTest, SpeculativeFilterMatchesOnlyThatCopy) {
-  ScriptedFaultInjector injector;
-  ScriptedFaultInjector::Rule rule;
-  rule.job_substring = "job";
-  rule.speculative = true;
-  injector.AddRule(std::move(rule));
-  const std::string job = "job";
-  // The primary copy of the attempt sails through...
-  TaskAttempt primary{job, TaskKind::kMap, 0, 0};
-  EXPECT_TRUE(injector.OnAttemptStart(primary).ok());
-  // ...only the duplicate speculative copy trips the rule.
-  TaskAttempt spec{job, TaskKind::kMap, 0, 0};
-  spec.speculative = true;
-  EXPECT_FALSE(injector.OnAttemptStart(spec).ok());
 }
 
 TEST(StragglerInjectionTest, DeadlineExceededIsRetryableAtJobLevel) {
@@ -228,7 +184,7 @@ std::vector<KeyedRecord> MakeKeyedRecords(size_t n, bool skewed_keys = false) {
 struct StragglerConfig {
   size_t threads = 4;
   double task_deadline_seconds = 0.0;
-  bool speculative = false;
+  double heartbeat_seconds = 0.0;
   bool skewed_keys = false;
   size_t max_attempts = 4;
 };
@@ -248,13 +204,7 @@ RunOutcome RunKeyedSum(FaultInjector* injector, const StragglerConfig& cfg) {
   options.num_reducers = 3;
   options.max_attempts = cfg.max_attempts;
   options.task_deadline_seconds = cfg.task_deadline_seconds;
-  options.speculative_execution = cfg.speculative;
-  // Aggressive policy so tests see speculation without waiting: any
-  // attempt 1.5x slower than the median is a straggler, judged after
-  // only 10ms of runtime.
-  options.speculative_slowness_factor = 1.5;
-  options.speculative_min_samples = 3;
-  options.speculative_min_runtime_seconds = 0.01;
+  options.heartbeat_seconds = cfg.heartbeat_seconds;
   options.fault_injector = injector;
   options.metrics = &outcome.metrics;
   options.counters = &outcome.counters;
@@ -453,103 +403,26 @@ TEST(TaskDeadlineTest, StragglerAccountingIsZeroWhenDisabled) {
   const RunOutcome clean = RunKeyedSum(nullptr, {});
   ASSERT_TRUE(clean.result.ok());
   const JobMetrics& job = clean.metrics.jobs().front();
-  EXPECT_EQ(job.speculative_attempts, 0u);
   EXPECT_EQ(job.killed_attempts, 0u);
   EXPECT_EQ(job.deadline_exceeded, 0u);
 }
 
-// ---- Speculative execution -------------------------------------------
-
-// Acceptance scenario 2: a delay-injected straggler (slow but correct)
-// with speculation enabled. The duplicate copy overtakes the delayed
-// primary; output and user counters are byte-identical to the same job
-// with speculation disabled.
-TEST(SpeculativeExecutionTest, RescuesDelayedStragglerWithIdenticalOutput) {
-  const RunOutcome baseline = RunKeyedSum(nullptr, {});
-  ASSERT_TRUE(baseline.result.ok());
-
-  ScriptedFaultInjector injector;
-  // The delay rule matches only the primary copy, so the speculative
-  // duplicate of the same attempt runs at full speed and wins.
-  ScriptedFaultInjector::Rule rule;
-  rule.job_substring = "keyed-sum";
-  rule.kind = TaskKind::kMap;
-  rule.task_index = 7;
-  rule.attempt = 0;
-  rule.speculative = false;
-  rule.delay_seconds = 30.0;
-  rule.status = Status::OK();
-  injector.AddRule(std::move(rule));
-
-  StragglerConfig cfg;
-  cfg.speculative = true;
-  Stopwatch watch;
-  const RunOutcome spec = RunKeyedSum(&injector, cfg);
-  ASSERT_TRUE(spec.result.ok()) << spec.result.status().ToString();
-  // The speculative copy must have rescued the job: waiting out the
-  // full 30s delay would blow the test timeout, and the cancelled
-  // primary never finishes its sleep.
-  EXPECT_LT(watch.ElapsedSeconds(), 25.0);
-
-  EXPECT_EQ(*spec.result, *baseline.result);
-  EXPECT_EQ(spec.counters.values(), baseline.counters.values());
-  EXPECT_EQ(spec.counters.Get("records_mapped"), 1000u);
-
-  const JobMetrics& job = spec.metrics.jobs().front();
-  EXPECT_TRUE(job.succeeded);
-  EXPECT_GE(job.speculative_attempts, 1u);
-  // The delayed primary lost the race and was killed — an engine kill,
-  // not a failure — and no deadline was configured.
-  EXPECT_GE(job.killed_attempts, 1u);
-  EXPECT_EQ(job.task_failures, 0u);
-  EXPECT_EQ(job.deadline_exceeded, 0u);
-  EXPECT_EQ(spec.metrics.TotalSpeculativeAttempts(),
-            job.speculative_attempts);
-}
-
-TEST(SpeculativeExecutionTest, SpeculationRescuesHungTaskWithoutDeadline) {
-  // Even with no deadline configured, a hung primary is recovered:
-  // the speculative duplicate wins and cancels it (the loser-kill
-  // channel, independent of the watchdog's deadline kill).
-  const RunOutcome baseline = RunKeyedSum(nullptr, {});
-  ASSERT_TRUE(baseline.result.ok());
-
-  ScriptedFaultInjector injector;
-  ScriptedFaultInjector::Rule rule;
-  rule.job_substring = "keyed-sum";
-  rule.kind = TaskKind::kMap;
-  rule.task_index = 3;
-  rule.attempt = 0;
-  rule.speculative = false;  // only the primary hangs
-  rule.hang = true;
-  injector.AddRule(std::move(rule));
-
-  StragglerConfig cfg;
-  cfg.speculative = true;
-  const RunOutcome spec = RunKeyedSum(&injector, cfg);
-  ASSERT_TRUE(spec.result.ok()) << spec.result.status().ToString();
-  EXPECT_EQ(*spec.result, *baseline.result);
-  EXPECT_EQ(spec.counters.values(), baseline.counters.values());
-  EXPECT_GE(spec.metrics.jobs().front().speculative_attempts, 1u);
-  EXPECT_GE(spec.metrics.jobs().front().killed_attempts, 1u);
-}
-
-// ---- The deadline x speculation x fault-mode x threads x skew grid ---
+// ---- The deadline x heartbeat x fault-mode x threads x skew grid -----
 
 enum class FaultMode { kDelay, kHang };
 
 using GridParam = std::tuple<size_t /*threads*/, double /*deadline*/,
-                             bool /*speculative*/, FaultMode,
+                             bool /*heartbeat*/, FaultMode,
                              bool /*skewed_keys*/>;
 
 class StragglerGrid : public ::testing::TestWithParam<GridParam> {};
 
 TEST_P(StragglerGrid, OutputIsByteIdenticalUnderStragglerControl) {
-  const auto [threads, deadline, speculative, mode, skewed_keys] =
-      GetParam();
-  // A hang is unrecoverable without a kill channel; such configurations
-  // are excluded from the grid rather than silently skipped.
-  ASSERT_TRUE(mode != FaultMode::kHang || deadline > 0.0 || speculative);
+  const auto [threads, deadline, heartbeat, mode, skewed_keys] = GetParam();
+  // A straggler is unrecoverable without a kill channel; such
+  // configurations are excluded from the grid rather than silently
+  // skipped.
+  ASSERT_GT(deadline, 0.0);
 
   StragglerConfig base;
   base.threads = threads;
@@ -563,23 +436,23 @@ TEST_P(StragglerGrid, OutputIsByteIdenticalUnderStragglerControl) {
   rule.kind = TaskKind::kMap;
   rule.task_index = 1;
   rule.attempt = 0;
-  rule.speculative = false;  // the injected straggler is the primary
   if (mode == FaultMode::kHang) {
     rule.hang = true;
   } else {
-    rule.delay_seconds = 30.0;  // rescued by deadline kill or speculation
+    rule.delay_seconds = 30.0;  // rescued by the deadline kill
     rule.status = Status::OK();
   }
   injector.AddRule(std::move(rule));
 
   StragglerConfig cfg = base;
   cfg.task_deadline_seconds = deadline;
-  cfg.speculative = speculative;
+  // The heartbeat sampler shares the watchdog thread with the kills.
+  cfg.heartbeat_seconds = heartbeat ? 0.01 : 0.0;
   const RunOutcome out = RunKeyedSum(&injector, cfg);
   ASSERT_TRUE(out.result.ok()) << out.result.status().ToString();
 
-  // Exactly-once, whichever copy won: output and every user counter
-  // match the unperturbed reference byte for byte.
+  // Exactly-once: output and every user counter match the unperturbed
+  // reference byte for byte.
   EXPECT_EQ(*out.result, *reference.result);
   EXPECT_EQ(out.counters.values(), reference.counters.values());
   EXPECT_EQ(out.counters.ToJson(), reference.counters.ToJson());
@@ -599,15 +472,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool()));
 
 INSTANTIATE_TEST_SUITE_P(
-    SpeculationOnly, StragglerGrid,
-    ::testing::Combine(::testing::Values<size_t>(2, 4),
-                       ::testing::Values(0.0),
-                       ::testing::Values(true),
-                       ::testing::Values(FaultMode::kDelay, FaultMode::kHang),
-                       ::testing::Bool()));
-
-INSTANTIATE_TEST_SUITE_P(
-    DeadlinePlusSpeculation, StragglerGrid,
+    DeadlinePlusHeartbeat, StragglerGrid,
     ::testing::Combine(::testing::Values<size_t>(2, 4),
                        ::testing::Values(0.15),
                        ::testing::Values(true),
@@ -616,27 +481,21 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- Trace surface of the straggler machinery ------------------------
 
-TEST(StragglerTraceTest, KillsAndSpeculationAreVisibleInTheTrace) {
+TEST(StragglerTraceTest, DeadlineKillsAreVisibleInTheTrace) {
   Tracer& tracer = Tracer::Global();
   tracer.Clear();
   tracer.Enable(true);
+  if (!tracer.enabled()) {
+    GTEST_SKIP() << "built with P3C_ENABLE_TRACING=OFF";
+  }
 
-  // One hung map task under deadline + speculation: however the race
-  // resolves, the trace must show at least one engine intervention —
-  // a watchdog deadline-kill instant or a speculative-copy flow (with
-  // its "(speculative)" attempt span).
+  // One hung map task under a deadline: the trace shows the watchdog's
+  // deadline-kill instant, the failed attempt, and the retry arrow
+  // that stitches it to the attempt that completes the task.
   ScriptedFaultInjector injector;
-  ScriptedFaultInjector::Rule rule;
-  rule.job_substring = "keyed-sum";
-  rule.kind = TaskKind::kMap;
-  rule.task_index = 2;
-  rule.attempt = 0;
-  rule.speculative = false;
-  rule.hang = true;
-  injector.AddRule(std::move(rule));
+  injector.HangOnce("keyed-sum", /*task_index=*/2, /*attempt=*/0);
   StragglerConfig cfg;
   cfg.task_deadline_seconds = 0.15;
-  cfg.speculative = true;
   const RunOutcome out = RunKeyedSum(&injector, cfg);
   const std::string json = tracer.ToJson();
   tracer.Enable(false);
@@ -644,14 +503,11 @@ TEST(StragglerTraceTest, KillsAndSpeculationAreVisibleInTheTrace) {
 
   ASSERT_TRUE(out.result.ok()) << out.result.status().ToString();
   const JobMetrics& job = out.metrics.jobs().front();
-  if (job.deadline_exceeded > 0) {
-    EXPECT_NE(json.find("deadline-kill"), std::string::npos);
-  }
-  if (job.speculative_attempts > 0) {
-    EXPECT_NE(json.find("speculative-copy"), std::string::npos);
-    EXPECT_NE(json.find("(speculative)"), std::string::npos);
-  }
-  EXPECT_GT(job.deadline_exceeded + job.speculative_attempts, 0u);
+  EXPECT_EQ(job.deadline_exceeded, 1u);
+  EXPECT_NE(json.find("deadline-kill map task 2 attempt 0"),
+            std::string::npos);
+  EXPECT_NE(json.find("map task 2 attempt 0 failed"), std::string::npos);
+  EXPECT_NE(json.find("task-retry"), std::string::npos);
 }
 
 // ---- Phase-level wall-clock budget -----------------------------------

@@ -27,8 +27,7 @@
 //                              into user task code (`->Map(`,
 //                              `->Reduce(`) without ever
 //                              consulting a CancellationToken — the
-//                              watchdog's deadline kill and the
-//                              speculation loser-kill cannot stop it.
+//                              watchdog's deadline kill cannot stop it.
 //   p3c-no-iostream            std::cout/cerr/clog in src/ — library
 //                              code must log through logging.h so
 //                              sinks, levels, and captures work.

@@ -12,10 +12,8 @@
 //                                      (mr / mr-light only)
 //           [--max-attempts N]         task attempts per task (>= 1)
 //           [--task-deadline S]        wall-clock deadline per task
-//                                      attempt in seconds (0 = off)
-//           [--speculative]            enable speculative execution
-//           [--speculative-slowness F] straggler threshold: F x median
-//                                      completed duration (> 1)
+//                                      attempt in seconds (0 = off); a
+//                                      hung attempt is killed and retried
 //           [--phase-budget S]         wall-clock budget per pipeline
 //                                      phase in seconds (0 = off)
 //           [--heartbeat-seconds S]    periodic structured progress line
@@ -57,13 +55,17 @@
 //                                      never changes results
 //           [--log-level=LEVEL]        debug|info|warning|error|off
 //           [--block-rows N]                 (streaming-light only)
+//           [--samples-per-reducer N]        (bow only)
 //           ALGO: p3c | p3c+ | light | mr | mr-light | streaming-light |
 //                 bow
 //   p3c_cli evaluate --assignments a.csv --labels labels.csv
 //   p3c_cli evaluate-subspace --found f.txt --truth t.txt
 //   p3c_cli info     --in points.csv
 //
-// Exit code 0 on success; errors go to stderr with a non-zero exit.
+// --log-level, --track-memory and --trace-out apply to every command.
+// A flag the command does not read is rejected with a usage error
+// (exit 2). Exit code 0 on success; errors go to stderr with a non-zero
+// exit.
 
 #include <atomic>
 #include <chrono>
@@ -73,6 +75,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -102,6 +105,34 @@
 namespace {
 
 using namespace p3c;
+
+/// Flags read by main for every command.
+const std::set<std::string> kGlobalFlags = {"log-level", "track-memory",
+                                            "trace-out"};
+
+/// Flags each command reads besides kGlobalFlags, or null for an
+/// unknown command. main rejects any other flag before the command
+/// runs, so a typo such as --task-dealine fails instead of running with
+/// the default.
+const std::set<std::string>* CommandFlags(const std::string& command) {
+  static const std::map<std::string, std::set<std::string>> kFlags = {
+      {"generate",
+       {"out", "labels", "truth", "points", "dims", "clusters", "noise",
+        "seed", "binary"}},
+      {"cluster",
+       {"in", "algo", "out", "clusters-out", "normalize", "threads", "theta",
+        "alpha-poisson", "job-log", "metrics-out", "max-attempts",
+        "task-deadline", "phase-budget", "heartbeat-seconds", "backend",
+        "num-workers", "worker-heartbeat-seconds", "checkpoint-dir",
+        "crash-after-phase", "kernel-backend", "block-rows",
+        "samples-per-reducer"}},
+      {"evaluate", {"assignments", "labels"}},
+      {"evaluate-subspace", {"found", "truth"}},
+      {"info", {"in"}},
+  };
+  const auto it = kFlags.find(command);
+  return it == kFlags.end() ? nullptr : &it->second;
+}
 
 /// Minimal --flag value parser; accepts both `--flag value` and
 /// `--flag=value`; flags without a value get "1".
@@ -137,6 +168,14 @@ class Args {
   }
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
 
+  /// The first flag that is neither in `known` nor global, or "".
+  std::string FirstUnknown(const std::set<std::string>& known) const {
+    for (const auto& [key, value] : values_) {
+      if (known.count(key) == 0 && kGlobalFlags.count(key) == 0) return key;
+    }
+    return "";
+  }
+
  private:
   std::map<std::string, std::string> values_;
 };
@@ -148,7 +187,8 @@ int Fail(const std::string& message) {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: p3c_cli <generate|cluster|evaluate|info> [--flags]\n"
+               "usage: p3c_cli <generate|cluster|evaluate|evaluate-subspace|"
+               "info> [--flags]\n"
                "see the header of tools/p3c_cli.cc for the full flag "
                "list\n");
   return 2;
@@ -307,15 +347,6 @@ Result<core::ClusteringResult> RunAlgo(const std::string& algo,
           "--task-deadline must be >= 0 seconds (0 disables the deadline)");
     }
     options.runner.task_deadline_seconds = task_deadline;
-    options.runner.speculative_execution = args.Has("speculative");
-    const double slowness = args.GetDouble(
-        "speculative-slowness", options.runner.speculative_slowness_factor);
-    if (slowness <= 1.0) {
-      return Status::InvalidArgument(
-          "--speculative-slowness must be > 1 (an attempt is a straggler "
-          "only when slower than the median of its siblings)");
-    }
-    options.runner.speculative_slowness_factor = slowness;
     const double phase_budget = args.GetDouble("phase-budget", 0.0);
     if (phase_budget < 0.0) {
       return Status::InvalidArgument(
@@ -549,7 +580,15 @@ int RunCommand(const std::string& command, const Args& args) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
+  const std::set<std::string>* known = CommandFlags(command);
+  if (known == nullptr) return Usage();
   const Args args(argc, argv);
+  const std::string unknown = args.FirstUnknown(*known);
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "error: unknown flag --%s for '%s'\n",
+                 unknown.c_str(), command.c_str());
+    return Usage();
+  }
 
   // Graceful SIGINT/SIGTERM: the handler only sets a flag; this watcher
   // trips the cancellation source the MR driver polls. Joined before

@@ -17,9 +17,9 @@
 #                                      # per-thread buffered spans)
 #   tools/run_sanitizers.sh straggler-smoke
 #                                      # straggler suite (ctest -L
-#                                      # straggler-smoke): deadlines,
-#                                      # cancellation, speculative attempt
-#                                      # races under both sanitizers
+#                                      # straggler-smoke): deadline kills,
+#                                      # cancellation and the heartbeat
+#                                      # sampler under both sanitizers
 #   tools/run_sanitizers.sh kernel-smoke
 #                                      # kernel-backend equivalence suite
 #                                      # (ctest -L kernel-smoke): every
@@ -114,10 +114,11 @@ case "${MODE}" in
     ;;
   straggler-smoke)
     # The straggler-control suite: watchdog deadline kills, cooperative
-    # cancellation, and the primary-vs-speculative attempt race. TSan is
-    # the real reviewer here — the race commits via a CAS slot, the
-    # watchdog thread launches/kills from under its own mutex, and the
-    # loser's cancellation must never tear a committed result.
+    # cancellation, and the heartbeat sampler. TSan matters most here —
+    # the watchdog thread kills attempts and samples heartbeats
+    # from under its own mutex while pool workers run, deregister and
+    # commit through the CAS slot, and a kill must never tear a
+    # committed result.
     LABEL="straggler-smoke"
     run_suite "ASan+UBSan straggler-smoke" Sanitize build-asan \
       "ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1"
