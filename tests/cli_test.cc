@@ -55,6 +55,58 @@ TEST(CliFlagsTest, UnknownFlagIsAUsageErrorNamingIt) {
       << other.stderr_text;
 }
 
+TEST(CliFlagsTest, EveryCommandRejectsAFlagItDoesNotRead) {
+  // Each command has its own flag table: a flag another command reads
+  // is unknown here, and the message names both flag and command.
+  struct Case {
+    const char* args;
+    const char* flag;
+    const char* command;
+  };
+  for (const Case& c : {
+           Case{"generate --out /no/such/dir/p.csv --algo mr", "--algo",
+                "'generate'"},
+           Case{"cluster --in /no/such/p.csv --labels /no/such/l.csv",
+                "--labels", "'cluster'"},
+           Case{"evaluate --assignments /no/a.csv --labels /no/l.csv "
+                "--in /no/p.csv",
+                "--in", "'evaluate'"},
+           Case{"evaluate-subspace --found /no/f.txt --truth /no/t.txt "
+                "--assignments /no/a.csv",
+                "--assignments", "'evaluate-subspace'"},
+           Case{"info --in /no/such/p.csv --threads 4", "--threads",
+                "'info'"},
+       }) {
+    const CliRun run = RunCli(c.args);
+    EXPECT_EQ(run.exit_code, 2) << c.args << "\n" << run.stderr_text;
+    EXPECT_NE(run.stderr_text.find(c.flag), std::string::npos)
+        << c.args << "\n" << run.stderr_text;
+    EXPECT_NE(run.stderr_text.find(c.command), std::string::npos)
+        << c.args << "\n" << run.stderr_text;
+  }
+}
+
+TEST(CliFlagsTest, GlobalFlagsAreAcceptedByEveryCommand) {
+  // --log-level, --track-memory and --trace-out are read by main, not
+  // by a command, so every command must let them through; the runs
+  // then fail on the missing input (exit 1).
+  for (const char* args : {
+           "generate --out /no/such/dir/p.csv --points 40 --dims 3",
+           "cluster --in /no/such/p.csv --algo light",
+           "evaluate --assignments /no/such/a.csv --labels /no/such/l.csv",
+           "evaluate-subspace --found /no/such/f.txt --truth /no/such/t.txt",
+           "info --in /no/such/p.csv",
+       }) {
+    const std::string line = std::string(args) +
+                             " --log-level=error --track-memory"
+                             " --trace-out /no/such/dir/trace.json";
+    const CliRun run = RunCli(line);
+    EXPECT_EQ(run.exit_code, 1) << line << "\n" << run.stderr_text;
+    EXPECT_EQ(run.stderr_text.find("unknown flag"), std::string::npos)
+        << line << "\n" << run.stderr_text;
+  }
+}
+
 TEST(CliFlagsTest, KnownFlagsPassValidation) {
   // The command lines of CI's kill-resume-smoke job, pointed at a
   // missing path: validation passes and the run fails on the I/O

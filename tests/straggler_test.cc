@@ -1,5 +1,6 @@
 // Straggler-control tests (DESIGN.md §11): cooperative cancellation,
-// task deadlines with watchdog kills, and the phase budget.
+// the watchdog on its own, task deadlines with watchdog kills, and the
+// phase budget.
 //
 // The acceptance scenario of the straggler layer lives here: a
 // permanently hung map task completes the job via deadline-kill +
@@ -16,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
 #include <span>
@@ -30,6 +32,7 @@
 #include "src/data/generator.h"
 #include "src/mapreduce/fault.h"
 #include "src/mapreduce/runner.h"
+#include "src/mapreduce/straggler.h"
 #include "src/mr/p3c_mr.h"
 
 namespace p3c::mr {
@@ -82,6 +85,212 @@ TEST(CancellationTest, WaitForWakesEarlyOnCancel) {
   EXPECT_TRUE(token.WaitFor(30.0));
   canceller.join();
   EXPECT_LT(watch.ElapsedSeconds(), 10.0);
+}
+
+// ---- The watchdog (unit level) ---------------------------------------
+
+/// Polls `done` every millisecond for up to `timeout_seconds`; true
+/// once it holds. The generous timeouts below only bound a broken
+/// watchdog — a working one meets each wait in milliseconds. Each test
+/// declares its watchdog after the state its closures touch, so the
+/// watchdog thread is joined before that state is destroyed.
+template <typename Pred>
+bool PollUntil(Pred done, double timeout_seconds = 5.0) {
+  Stopwatch watch;
+  while (!done()) {
+    if (watch.ElapsedSeconds() > timeout_seconds) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TaskWatchdog::Entry DeadlineEntry(double deadline_seconds,
+                                  std::function<void()> kill) {
+  TaskWatchdog::Entry entry;
+  entry.deadline_seconds = deadline_seconds;
+  entry.kill = std::move(kill);
+  return entry;
+}
+
+TEST(TaskWatchdogTest, KillFiresOnceNoEarlierThanTheDeadline) {
+  std::atomic<int> kills{0};
+  std::atomic<double> killed_at{0.0};
+  Stopwatch watch;
+  TaskWatchdog watchdog;
+  const uint64_t id = watchdog.Register(DeadlineEntry(0.05, [&] {
+    killed_at.store(watch.ElapsedSeconds());
+    kills.fetch_add(1);
+  }));
+  ASSERT_TRUE(PollUntil([&] { return kills.load() > 0; }));
+  EXPECT_GE(killed_at.load(), 0.05);
+  // An entry stays registered after its kill until the attempt
+  // deregisters; the watchdog must not kill it again meanwhile.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(kills.load(), 1);
+  watchdog.Deregister(id);
+}
+
+TEST(TaskWatchdogTest, DeregisteredEntryIsNeverKilled) {
+  std::atomic<int> kills{0};
+  TaskWatchdog watchdog;
+  const uint64_t id =
+      watchdog.Register(DeadlineEntry(0.05, [&] { kills.fetch_add(1); }));
+  watchdog.Deregister(id);
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  EXPECT_EQ(kills.load(), 0);
+}
+
+TEST(TaskWatchdogTest, ZeroDeadlineDisablesTheKill) {
+  std::atomic<int> disabled_kills{0};
+  std::atomic<int> armed_kills{0};
+  TaskWatchdog watchdog;
+  const uint64_t disabled = watchdog.Register(
+      DeadlineEntry(0.0, [&] { disabled_kills.fetch_add(1); }));
+  // A second, armed entry proves the loop ran past the disabled one.
+  const uint64_t armed = watchdog.Register(
+      DeadlineEntry(0.02, [&] { armed_kills.fetch_add(1); }));
+  ASSERT_TRUE(PollUntil([&] { return armed_kills.load() > 0; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(disabled_kills.load(), 0);
+  watchdog.Deregister(armed);
+  watchdog.Deregister(disabled);
+}
+
+// The loop parks until its nearest deadline (at most 1 s ahead). A
+// registration carrying an earlier deadline must wake it, or the kill
+// would land up to a second late.
+TEST(TaskWatchdogTest, EarlierDeadlineRegisteredLaterWakesTheLoop) {
+  std::atomic<int> far_kills{0};
+  std::atomic<int> near_kills{0};
+  TaskWatchdog watchdog;
+  const uint64_t far = watchdog.Register(
+      DeadlineEntry(30.0, [&] { far_kills.fetch_add(1); }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Stopwatch watch;
+  const uint64_t near = watchdog.Register(
+      DeadlineEntry(0.02, [&] { near_kills.fetch_add(1); }));
+  ASSERT_TRUE(PollUntil([&] { return near_kills.load() > 0; }));
+  EXPECT_LT(watch.ElapsedSeconds(), 0.5);
+  EXPECT_EQ(far_kills.load(), 0);
+  watchdog.Deregister(near);
+  watchdog.Deregister(far);
+}
+
+TEST(TaskWatchdogTest, EntriesAreKilledInDeadlineOrder) {
+  // Registered out of deadline order, 100 ms apart in deadline.
+  const double deadlines[] = {0.3, 0.1, 0.2};
+  std::atomic<int> next_rank{0};
+  std::atomic<int> rank[3] = {-1, -1, -1};
+  TaskWatchdog watchdog;
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 3; ++i) {
+    ids.push_back(watchdog.Register(DeadlineEntry(
+        deadlines[i], [&, i] { rank[i].store(next_rank.fetch_add(1)); })));
+  }
+  ASSERT_TRUE(PollUntil([&] { return next_rank.load() == 3; }));
+  EXPECT_EQ(rank[1].load(), 0);
+  EXPECT_EQ(rank[2].load(), 1);
+  EXPECT_EQ(rank[0].load(), 2);
+  for (uint64_t id : ids) watchdog.Deregister(id);
+}
+
+TEST(TaskWatchdogTest, EachOfManyEntriesIsKilledExactlyOnce) {
+  constexpr int kEntries = 32;
+  std::vector<std::atomic<int>> kills(kEntries);
+  std::atomic<int> total{0};
+  TaskWatchdog watchdog;
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < kEntries; ++i) {
+    ids.push_back(watchdog.Register(DeadlineEntry(0.01 + 0.002 * i, [&, i] {
+      kills[i].fetch_add(1);
+      total.fetch_add(1);
+    })));
+  }
+  ASSERT_TRUE(PollUntil([&] { return total.load() == kEntries; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (int i = 0; i < kEntries; ++i) EXPECT_EQ(kills[i].load(), 1) << i;
+  for (uint64_t id : ids) watchdog.Deregister(id);
+}
+
+// The runner reads the flag the kill closure sets right after
+// Deregister returns; that is only safe if Deregister waits out a kill
+// already in flight.
+TEST(TaskWatchdogTest, DeregisterWaitsForARunningKill) {
+  std::atomic<bool> started{false};
+  bool finished = false;  // written by the kill, read after Deregister
+  TaskWatchdog watchdog;
+  const uint64_t id = watchdog.Register(DeadlineEntry(0.01, [&] {
+    started.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    finished = true;
+  }));
+  ASSERT_TRUE(PollUntil([&] { return started.load(); }));
+  watchdog.Deregister(id);
+  EXPECT_TRUE(finished);
+}
+
+TEST(TaskWatchdogTest, SamplerRunsPeriodicallyUntilStopped) {
+  std::atomic<int> ticks{0};
+  TaskWatchdog watchdog;
+  watchdog.StartSampler(0.005, [&] { ticks.fetch_add(1); });
+  ASSERT_TRUE(PollUntil([&] { return ticks.load() >= 3; }));
+  watchdog.StopSampler();
+  const int stopped_at = ticks.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(ticks.load(), stopped_at);
+}
+
+TEST(TaskWatchdogTest, StartSamplerReplacesThePreviousSampler) {
+  std::atomic<int> first{0};
+  std::atomic<int> second{0};
+  TaskWatchdog watchdog;
+  watchdog.StartSampler(0.005, [&] { first.fetch_add(1); });
+  ASSERT_TRUE(PollUntil([&] { return first.load() >= 1; }));
+  watchdog.StartSampler(0.005, [&] { second.fetch_add(1); });
+  // The old sampler only runs under the mutex StartSampler held, so it
+  // is frozen from here on.
+  const int replaced_at = first.load();
+  ASSERT_TRUE(PollUntil([&] { return second.load() >= 3; }));
+  EXPECT_EQ(first.load(), replaced_at);
+  watchdog.StopSampler();
+}
+
+// Kills and the heartbeat sampler share one monitor thread rather than
+// each spawning its own, and neither runs on the caller's thread.
+TEST(TaskWatchdogTest, KillsAndSamplerRunOnTheOneWatchdogThread) {
+  std::thread::id sampler_thread;
+  std::thread::id kill_thread;
+  std::atomic<bool> sampled{false};
+  std::atomic<bool> killed{false};
+  TaskWatchdog watchdog;
+  watchdog.StartSampler(0.005, [&] {
+    if (sampled.load()) return;
+    sampler_thread = std::this_thread::get_id();
+    sampled.store(true);
+  });
+  const uint64_t id = watchdog.Register(DeadlineEntry(0.02, [&] {
+    kill_thread = std::this_thread::get_id();
+    killed.store(true);
+  }));
+  ASSERT_TRUE(PollUntil([&] { return sampled.load() && killed.load(); }));
+  watchdog.StopSampler();
+  watchdog.Deregister(id);
+  EXPECT_EQ(sampler_thread, kill_thread);
+  EXPECT_NE(kill_thread, std::this_thread::get_id());
+}
+
+TEST(TaskWatchdogTest, RegisterAfterShutdownRestartsTheThread) {
+  std::atomic<int> kills{0};
+  TaskWatchdog watchdog;
+  watchdog.Deregister(
+      watchdog.Register(DeadlineEntry(10.0, [&] { kills.fetch_add(1); })));
+  watchdog.Shutdown();
+  watchdog.Shutdown();  // idempotent
+  const uint64_t id =
+      watchdog.Register(DeadlineEntry(0.02, [&] { kills.fetch_add(1); }));
+  ASSERT_TRUE(PollUntil([&] { return kills.load() > 0; }));
+  EXPECT_EQ(kills.load(), 1);
+  watchdog.Deregister(id);
 }
 
 // ---- Injected delays and hangs (unit level) --------------------------
