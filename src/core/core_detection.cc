@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
-#include <unordered_set>
+#include <cstddef>
+#include <set>
+#include <span>
 
 #include "src/common/logging.h"
+#include "src/common/trace.h"
 #include "src/core/candidate_gen.h"
 #include "src/stats/effect_size.h"
 #include "src/stats/poisson.h"
@@ -14,110 +16,205 @@ namespace p3c::core {
 
 namespace {
 
-using SupportTable = std::unordered_map<Signature, uint64_t, SignatureHash>;
-using SignatureSet = std::unordered_set<Signature, SignatureHash>;
+/// Every signature counted in one detection run, interned and grouped by
+/// size: level p holds the p-signatures with their supports and
+/// provenness. A signature is added when it is queued for counting, and
+/// counted in the same proving batch.
+struct Lattice {
+  struct Level {
+    IdSignatureSet sigs;
+    std::vector<uint64_t> support;
+    std::vector<char> proven;
+    /// subs[r * p + i]: the level p-1 row of row r without its interval
+    /// at position i (p > 1). Filled by the closure that counts row r.
+    std::vector<uint32_t> subs;
+  };
+  std::vector<Level> levels;  // levels[p]; levels[0] stays empty
 
-/// Shared proving state across batches of one detection run.
-struct ProvingState {
-  SupportTable supports;
-  SignatureSet proven;
-  std::vector<Signature> all_proven;  // insertion-ordered
+  /// Adds levels up to size p. Invalidates references to levels.
+  void Reserve(size_t p) {
+    while (levels.size() <= p) {
+      levels.push_back(Level{IdSignatureSet(levels.size()), {}, {}, {}});
+    }
+  }
+
+  bool IsProven(std::span<const IntervalId> row) const {
+    const Level& level = levels[row.size()];
+    const uint32_t r = level.sigs.Find(row);
+    return r != IdSignatureSet::kMissing && level.proven[r] != 0;
+  }
 };
+
+/// `row` without its interval at position `skip` (the S \ {I} of Eq. 1).
+void RowWithout(std::span<const IntervalId> row, size_t skip,
+                std::vector<IntervalId>& out) {
+  out.assign(row.begin(), row.end());
+  out.erase(out.begin() + static_cast<std::ptrdiff_t>(skip));
+}
 
 /// Counts every not-yet-counted signature reachable from `batch` by
 /// removing intervals (downward closure), then decides provenness bottom
 /// up. Returns the number of newly proven signatures.
-size_t ProveBatch(const std::vector<Signature>& batch, uint64_t num_points,
+size_t ProveBatch(const std::vector<IdRows>& batch,
+                  const IntervalTable& table, uint64_t num_points,
                   const P3CParams& params,
-                  const SupportCountFn& count_supports, ProvingState& state,
+                  const SupportCountFn& count_supports, Lattice& lattice,
                   CoreDetectionStats& stats) {
-  // ---- Downward closure of uncounted signatures -----------------------
-  std::vector<Signature> to_count;
-  SignatureSet queued;
-  std::vector<Signature> frontier;
-  for (const Signature& s : batch) {
-    if (state.supports.count(s) == 0 && queued.insert(s).second) {
-      frontier.push_back(s);
-    }
+  size_t max_p = 0;
+  for (const IdRows& rows : batch) max_p = std::max(max_p, rows.p);
+  lattice.Reserve(max_p);
+  // Rows a level gains in this batch are exactly the ones to evaluate.
+  std::vector<size_t> first_new(max_p + 1);
+  for (size_t p = 1; p <= max_p; ++p) {
+    first_new[p] = lattice.levels[p].sigs.size();
   }
-  while (!frontier.empty()) {
-    Signature s = std::move(frontier.back());
-    frontier.pop_back();
-    if (s.size() > 1) {
-      for (size_t i = 0; i < s.size(); ++i) {
-        Signature sub = s.Without(i);
-        if (state.supports.count(sub) == 0 && queued.insert(sub).second) {
-          frontier.push_back(sub);
+
+  // ---- Downward closure of uncounted signatures -----------------------
+  // Depth-first from the batch members in batch order: the order handed
+  // to the support counter is part of the reproducible job input.
+  struct Ref {
+    size_t p;
+    uint32_t row;
+  };
+  std::vector<Ref> to_count;
+  std::vector<Signature> signatures;
+  {
+    TraceSpan span("core:closure");
+    std::vector<Ref> frontier;
+    const auto queue = [&lattice, &frontier](std::span<const IntervalId> row) {
+      Lattice::Level& level = lattice.levels[row.size()];
+      const auto [r, added] = level.sigs.Insert(row);
+      if (added) {
+        level.support.push_back(0);
+        level.proven.push_back(0);
+        if (row.size() > 1) level.subs.resize(level.subs.size() + row.size());
+        frontier.push_back({row.size(), r});
+      }
+      return r;
+    };
+    for (const IdRows& rows : batch) {
+      for (size_t r = 0; r < rows.size(); ++r) queue(rows.row(r));
+    }
+    std::vector<IntervalId> sub;
+    while (!frontier.empty()) {
+      const Ref s = frontier.back();
+      frontier.pop_back();
+      if (s.p > 1) {
+        Lattice::Level& level = lattice.levels[s.p];
+        const std::span<const IntervalId> row = level.sigs.row(s.row);
+        for (size_t i = 0; i < s.p; ++i) {
+          RowWithout(row, i, sub);
+          level.subs[s.row * s.p + i] = queue(sub);
         }
       }
+      to_count.push_back(s);
     }
-    to_count.push_back(std::move(s));
+    signatures.reserve(to_count.size());
+    for (const Ref& s : to_count) {
+      signatures.push_back(
+          table.ToSignature(lattice.levels[s.p].sigs.row(s.row)));
+    }
   }
 
   if (!to_count.empty()) {
-    const std::vector<uint64_t> counts = count_supports(to_count);
+    const std::vector<uint64_t> counts = count_supports(signatures);
     for (size_t i = 0; i < to_count.size(); ++i) {
-      state.supports.emplace(std::move(to_count[i]), counts[i]);
+      lattice.levels[to_count[i].p].support[to_count[i].row] = counts[i];
     }
     stats.num_signatures_counted += to_count.size();
   }
 
   // ---- Provenness, bottom-up by signature size -------------------------
-  // Evaluate everything we just counted plus the batch itself (some batch
-  // members may have been counted earlier but never evaluated: not
-  // possible, evaluation happens in the same call as counting — so only
-  // the closure set needs evaluation).
-  std::vector<const Signature*> order;
-  order.reserve(queued.size());
-  for (const Signature& s : queued) order.push_back(&s);
-  std::sort(order.begin(), order.end(),
-            [](const Signature* a, const Signature* b) {
-              if (a->size() != b->size()) return a->size() < b->size();
-              return *a < *b;
-            });
-
+  // A p-signature's subsets are smaller, so they are decided before it:
+  // earlier in this pass or in an earlier batch.
+  TraceSpan span("core:prove");
   const double log_alpha = std::log(params.alpha_poisson);
   size_t newly_proven = 0;
-  for (const Signature* sp : order) {
-    const Signature& s = *sp;
-    if (state.proven.count(s) != 0) continue;
-    const double observed = static_cast<double>(state.supports.at(s));
-    bool ok = true;
-    for (size_t i = 0; ok && i < s.size(); ++i) {
-      const Interval& interval = s.intervals()[i];
-      double expected;
-      if (s.size() == 1) {
-        expected = static_cast<double>(num_points) * interval.width();
-      } else {
-        const Signature sub = s.Without(i);
-        auto it = state.proven.find(sub);
-        if (it == state.proven.end()) {
-          ok = false;  // Definition 5 recursion: all subsets proven.
+  for (size_t p = 1; p <= max_p; ++p) {
+    Lattice::Level& level = lattice.levels[p];
+    for (size_t r = first_new[p]; r < level.sigs.size(); ++r) {
+      const std::span<const IntervalId> row = level.sigs.row(r);
+      const double observed = static_cast<double>(level.support[r]);
+      bool ok = true;
+      for (size_t i = 0; ok && i < p; ++i) {
+        const Interval& interval = table.interval(row[i]);
+        double expected;
+        if (p == 1) {
+          expected = static_cast<double>(num_points) * interval.width();
+        } else {
+          const Lattice::Level& lower = lattice.levels[p - 1];
+          const uint32_t sub_row = level.subs[r * p + i];
+          if (lower.proven[sub_row] == 0) {
+            ok = false;  // Definition 5 recursion: all subsets proven.
+            break;
+          }
+          expected =
+              static_cast<double>(lower.support[sub_row]) * interval.width();
+        }
+        if (!stats::PoissonSignificantlyLargerLog(observed, expected,
+                                                  log_alpha)) {
+          ok = false;
           break;
         }
-        expected =
-            static_cast<double>(state.supports.at(sub)) * interval.width();
+        if (params.proving == ProvingMode::kPoissonAndEffectSize &&
+            !stats::EffectSizeLargeEnough(observed, expected,
+                                          params.theta_cc)) {
+          ok = false;
+          break;
+        }
       }
-      if (!stats::PoissonSignificantlyLargerLog(observed, expected,
-                                                log_alpha)) {
-        ok = false;
-        break;
+      if (ok) {
+        level.proven[r] = 1;
+        ++newly_proven;
       }
-      if (params.proving == ProvingMode::kPoissonAndEffectSize &&
-          !stats::EffectSizeLargeEnough(observed, expected, params.theta_cc)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
-      state.proven.insert(s);
-      state.all_proven.push_back(s);
-      ++newly_proven;
     }
   }
   stats.num_proven += newly_proven;
   ++stats.num_support_batches;
   return newly_proven;
+}
+
+/// The maximal proven signatures (Definition 5(2)) in canonical order.
+///
+/// A proven p-signature is proven only if all its (p-1)-subsets are, so
+/// the proven set is downward closed. A proven s with a proven strict
+/// superset therefore has a proven superset of size |s| + 1, and s is
+/// maximal iff no proven (|s|+1)-signature contains it. Marking the
+/// immediate subsets of every proven signature finds them in O(P * p)
+/// instead of comparing all P^2 pairs.
+std::vector<ClusterCore> MaximalCores(const Lattice& lattice,
+                                      const IntervalTable& table,
+                                      uint64_t num_points) {
+  TraceSpan span("core:maximal");
+  std::vector<std::vector<char>> covered(lattice.levels.size());
+  for (size_t p = 1; p < lattice.levels.size(); ++p) {
+    covered[p].assign(lattice.levels[p].sigs.size(), 0);
+  }
+  for (size_t p = 2; p < lattice.levels.size(); ++p) {
+    const Lattice::Level& level = lattice.levels[p];
+    for (size_t r = 0; r < level.sigs.size(); ++r) {
+      if (level.proven[r] == 0) continue;
+      for (size_t i = 0; i < p; ++i) covered[p - 1][level.subs[r * p + i]] = 1;
+    }
+  }
+  std::vector<ClusterCore> maximal;
+  for (size_t p = 1; p < lattice.levels.size(); ++p) {
+    const Lattice::Level& level = lattice.levels[p];
+    for (size_t r = 0; r < level.sigs.size(); ++r) {
+      if (level.proven[r] == 0 || covered[p][r] != 0) continue;
+      ClusterCore core;
+      core.signature = table.ToSignature(level.sigs.row(r));
+      core.support = level.support[r];
+      core.expected_support =
+          static_cast<double>(num_points) * core.signature.VolumeFraction();
+      maximal.push_back(std::move(core));
+    }
+  }
+  std::sort(maximal.begin(), maximal.end(),
+            [](const ClusterCore& a, const ClusterCore& b) {
+              return a.signature < b.signature;
+            });
+  return maximal;
 }
 
 }  // namespace
@@ -133,13 +230,7 @@ std::vector<ClusterCore> FilterRedundant(
     return cores[a].InterestRatio() > cores[b].InterestRatio();
   });
 
-  struct IntervalHash {
-    size_t operator()(const Interval& i) const {
-      SignatureHash h;
-      return h(Signature::Single(i));
-    }
-  };
-  std::unordered_set<Interval, IntervalHash> pool;
+  std::set<Interval> pool;
   auto covered = [&pool](const Signature& s) {
     for (const Interval& interval : s.intervals()) {
       if (pool.count(interval) == 0) return false;
@@ -182,20 +273,24 @@ CoreDetectionResult GenerateClusterCores(
   CoreDetectionStats& stats = result.stats;
   if (relevant_intervals.empty()) return result;
 
-  ProvingState state;
+  // The lattice runs on interned intervals; Signatures are built only for
+  // the support counter and the returned cores.
+  const IntervalTable table(relevant_intervals);
+  Lattice lattice;
 
   // Level 1: every relevant interval is a candidate 1-signature.
-  std::vector<Signature> current;
-  current.reserve(relevant_intervals.size());
+  IdRows current;
+  current.p = 1;
+  current.ids.reserve(relevant_intervals.size());
   for (const Interval& interval : relevant_intervals) {
-    current.push_back(Signature::Single(interval));
+    current.ids.push_back(table.Id(interval));
   }
-  std::sort(current.begin(), current.end());
+  std::sort(current.ids.begin(), current.ids.end());
   stats.num_candidates_generated += current.size();
   stats.num_levels = 1;
 
-  std::vector<Signature> pending = current;  // awaiting a proving round
-  size_t csum = pending.size();
+  std::vector<IdRows> pending = {current};  // awaiting a proving round
+  size_t csum = current.size();
   size_t prev_level_size = current.size();
 
   while (true) {
@@ -203,25 +298,29 @@ CoreDetectionResult GenerateClusterCores(
     if (params.multilevel_candidates) {
       // §5.3 heuristic: keep collecting while the candidate sets shrink
       // or the collected total stays below Tc.
-      prove_now = current.empty() ||
+      prove_now = current.size() == 0 ||
                   (csum > params.t_c && current.size() > prev_level_size);
     }
 
-    std::vector<Signature> base;
+    IdRows base;
     if (prove_now && !pending.empty()) {
-      ProveBatch(pending, num_points, params, count_supports, state, stats);
+      ProveBatch(pending, table, num_points, params, count_supports, lattice,
+                 stats);
       pending.clear();
       csum = 0;
       // Continue the A-priori expansion from the proven members of the
       // newest level.
-      base.reserve(current.size());
-      for (const Signature& s : current) {
-        if (state.proven.count(s) != 0) base.push_back(s);
+      base.p = current.p;
+      for (size_t r = 0; r < current.size(); ++r) {
+        const std::span<const IntervalId> row = current.row(r);
+        if (lattice.IsProven(row)) {
+          base.ids.insert(base.ids.end(), row.begin(), row.end());
+        }
       }
     } else {
       base = current;
     }
-    if (base.empty()) break;
+    if (base.size() == 0) break;
 
     prev_level_size = current.size();
     const uint64_t pairs =
@@ -233,11 +332,15 @@ CoreDetectionResult GenerateClusterCores(
                         << ")";
       stats.truncated = true;
       if (!pending.empty()) {
-        ProveBatch(pending, num_points, params, count_supports, state, stats);
+        ProveBatch(pending, table, num_points, params, count_supports,
+                   lattice, stats);
       }
       break;
     }
-    current = GenerateCandidates(base, pool, params.t_gen);
+    {
+      TraceSpan span("core:join");
+      current = GenerateCandidateRows(base, table.attrs(), pool, params.t_gen);
+    }
     stats.num_candidates_generated += current.size();
     if (current.size() > params.max_candidates_per_level) {
       // Combinatorial blow-up guard: stop expanding, prove what we have.
@@ -246,43 +349,23 @@ CoreDetectionResult GenerateClusterCores(
                         << current.size() << " candidates (cap "
                         << params.max_candidates_per_level << ")";
       stats.truncated = true;
-      current.clear();
+      current.ids.clear();
     }
-    if (current.empty()) {
+    if (current.size() == 0) {
       if (!pending.empty()) {
-        ProveBatch(pending, num_points, params, count_supports, state, stats);
+        ProveBatch(pending, table, num_points, params, count_supports,
+                   lattice, stats);
         pending.clear();
       }
       break;
     }
     ++stats.num_levels;
-    pending.insert(pending.end(), current.begin(), current.end());
+    pending.push_back(current);
     csum += current.size();
   }
 
   // ---- Maximality (Definition 5(2)) ------------------------------------
-  std::vector<ClusterCore> maximal;
-  for (const Signature& s : state.all_proven) {
-    bool is_maximal = true;
-    for (const Signature& t : state.all_proven) {
-      if (t.size() > s.size() && s.IsSubsetOf(t)) {
-        is_maximal = false;
-        break;
-      }
-    }
-    if (!is_maximal) continue;
-    ClusterCore core;
-    core.support = state.supports.at(s);
-    core.expected_support =
-        static_cast<double>(num_points) * s.VolumeFraction();
-    core.signature = s;
-    maximal.push_back(std::move(core));
-  }
-  // Canonical order for reproducible downstream numbering.
-  std::sort(maximal.begin(), maximal.end(),
-            [](const ClusterCore& a, const ClusterCore& b) {
-              return a.signature < b.signature;
-            });
+  std::vector<ClusterCore> maximal = MaximalCores(lattice, table, num_points);
   stats.num_maximal = maximal.size();
 
   // ---- Redundancy filter (§4.2.1) ---------------------------------------

@@ -61,9 +61,11 @@ struct P3CParams {
   /// inputs where thousands of 1-signatures pass the tests and the
   /// candidate lattice grows combinatorially.
   size_t max_candidates_per_level = 2000000;
-  /// Companion valve: maximum number of pair joins one candidate
-  /// generation round may attempt (the join is quadratic in the level
-  /// width, so the level cap alone does not bound it).
+  /// Companion valve: maximum k(k-1)/2 over the k base signatures of one
+  /// candidate-generation round (the all-pairs join is quadratic in the
+  /// level width, so the level cap alone does not bound it). The bucket
+  /// join examines far fewer pairs, but the cap still counts all k(k-1)/2,
+  /// so a round truncates exactly when it did under the all-pairs join.
   uint64_t max_join_pairs = 500000000ULL;
 
   // ---- EM ----------------------------------------------------------------

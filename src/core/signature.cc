@@ -1,7 +1,6 @@
 #include "src/core/signature.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "src/common/string_util.h"
 
@@ -59,15 +58,6 @@ double Signature::VolumeFraction() const {
   return v;
 }
 
-Signature Signature::Without(size_t index) const {
-  Signature s;
-  s.intervals_.reserve(intervals_.size() - 1);
-  for (size_t i = 0; i < intervals_.size(); ++i) {
-    if (i != index) s.intervals_.push_back(intervals_[i]);
-  }
-  return s;
-}
-
 Result<Signature> Signature::With(const Interval& interval) const {
   if (HasAttr(interval.attr)) {
     return Status::InvalidArgument("attribute already present: " +
@@ -76,95 +66,6 @@ Result<Signature> Signature::With(const Interval& interval) const {
   std::vector<Interval> merged = intervals_;
   merged.push_back(interval);
   return Make(std::move(merged));
-}
-
-Result<Signature> Signature::JoinWith(const Signature& other) const {
-  if (size() != other.size() || empty()) {
-    return Status::InvalidArgument("join requires equal-size, non-empty "
-                                   "signatures");
-  }
-  // Merge the two sorted interval lists; count shared/unique entries.
-  std::vector<Interval> merged;
-  merged.reserve(size() + 1);
-  size_t i = 0;
-  size_t j = 0;
-  size_t shared = 0;
-  while (i < intervals_.size() && j < other.intervals_.size()) {
-    if (intervals_[i] == other.intervals_[j]) {
-      merged.push_back(intervals_[i]);
-      ++shared;
-      ++i;
-      ++j;
-    } else if (intervals_[i] < other.intervals_[j]) {
-      merged.push_back(intervals_[i]);
-      ++i;
-    } else {
-      merged.push_back(other.intervals_[j]);
-      ++j;
-    }
-  }
-  for (; i < intervals_.size(); ++i) merged.push_back(intervals_[i]);
-  for (; j < other.intervals_.size(); ++j) merged.push_back(other.intervals_[j]);
-
-  if (shared + 2 != merged.size()) {
-    return Status::InvalidArgument("signatures do not share p-1 intervals");
-  }
-  // Attribute uniqueness of the union (the two odd intervals must not sit
-  // on the same attribute with different bounds).
-  for (size_t k = 1; k < merged.size(); ++k) {
-    if (merged[k].attr == merged[k - 1].attr) {
-      return Status::InvalidArgument(
-          "join would place two intervals on one attribute");
-    }
-  }
-  Signature s;
-  s.intervals_ = std::move(merged);
-  return s;
-}
-
-bool Signature::IsSubsetOf(const Signature& other) const {
-  if (size() > other.size()) return false;
-  size_t j = 0;
-  for (const Interval& mine : intervals_) {
-    while (j < other.intervals_.size() && other.intervals_[j] < mine) ++j;
-    if (j == other.intervals_.size() || !(other.intervals_[j] == mine)) {
-      return false;
-    }
-    ++j;
-  }
-  return true;
-}
-
-bool Signature::IsCoveredBy(const std::vector<Interval>& pool) const {
-  for (const Interval& mine : intervals_) {
-    bool found = false;
-    for (const Interval& candidate : pool) {
-      if (candidate == mine) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) return false;
-  }
-  return true;
-}
-
-uint64_t Signature::Hash() const {
-  uint64_t h = 1469598103934665603ULL;  // FNV offset basis
-  auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ULL;  // FNV prime
-  };
-  for (const Interval& i : intervals_) {
-    mix(static_cast<uint64_t>(i.attr));
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(i.lower));
-    std::memcpy(&bits, &i.lower, sizeof(bits));
-    mix(bits);
-    std::memcpy(&bits, &i.upper, sizeof(bits));
-    mix(bits);
-  }
-  return h;
 }
 
 std::string Signature::ToString() const {

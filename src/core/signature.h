@@ -2,7 +2,6 @@
 #define P3C_CORE_SIGNATURE_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
@@ -14,8 +13,8 @@
 namespace p3c::core {
 
 /// A p-signature (Definition 2): a set of intervals on pairwise-distinct
-/// attributes. Intervals are stored sorted by attribute, making equality,
-/// hashing and subset tests cheap and canonical.
+/// attributes. Intervals are stored sorted by attribute, making equality
+/// and ordering cheap and canonical.
 class Signature {
  public:
   Signature() = default;
@@ -51,25 +50,9 @@ class Signature {
   /// assumption (Eq. 7).
   [[nodiscard]] double VolumeFraction() const;
 
-  /// New signature with the interval at position `index` removed (the
-  /// S \ {I} of Eq. 1).
-  [[nodiscard]] Signature Without(size_t index) const;
-
   /// New signature with `interval` added. Fails if the attribute is
   /// already present.
   [[nodiscard]] Result<Signature> With(const Interval& interval) const;
-
-  /// A-priori join: succeeds iff the two signatures have the same size p,
-  /// share exactly p-1 identical intervals, and the two odd intervals lie
-  /// on distinct attributes; the result is the (p+1)-signature union.
-  [[nodiscard]] Result<Signature> JoinWith(const Signature& other) const;
-
-  /// Subset test on interval sets (identical attribute AND bounds).
-  [[nodiscard]] bool IsSubsetOf(const Signature& other) const;
-
-  /// Subset test against an arbitrary pool of intervals (used by the
-  /// redundancy filter, Eq. 5: S ⊆ ∪ S_i).
-  [[nodiscard]] bool IsCoveredBy(const std::vector<Interval>& pool) const;
 
   friend bool operator==(const Signature& a, const Signature& b) {
     return a.intervals_ == b.intervals_;
@@ -78,21 +61,11 @@ class Signature {
     return a.intervals_ <=> b.intervals_;
   }
 
-  /// FNV-style hash over the canonical interval sequence.
-  [[nodiscard]] uint64_t Hash() const;
-
   /// "{a1:[0,0.1], a3:[0.5,0.7]}" debug rendering.
   [[nodiscard]] std::string ToString() const;
 
  private:
   std::vector<Interval> intervals_;  // sorted by attr, unique attrs
-};
-
-/// Hash functor for unordered containers.
-struct SignatureHash {
-  size_t operator()(const Signature& s) const {
-    return static_cast<size_t>(s.Hash());
-  }
 };
 
 }  // namespace p3c::core

@@ -5,16 +5,14 @@
 // §9): a deterministic key hash routes every intermediate key to one of R
 // reduce partitions at map-commit time, each partition holds one
 // key-sorted run per map task, and one merge pass per partition (a stable
-// pairwise ladder of std::merge passes — sequential streaming instead of
-// a per-element heap) turns those runs into a grouped, contiguous value
-// buffer that reducers read zero-copy via std::span. The merge depends
-// only on the runs, never on the worker count.
+// loser-tree k-way merge) turns those runs into a grouped, contiguous
+// value buffer that reducers read zero-copy via std::span. The merge
+// depends only on the runs, never on the worker count.
 
 #include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -86,62 +84,71 @@ struct MergedPartition {
 
 namespace shuffle_internal {
 
-/// Stable pairwise-ladder merge of key-sorted slices into one key-sorted
-/// vector, moving elements out of the slices. Slices must be ordered by
-/// run (map-task) index: std::merge keeps first-range elements first on
-/// equal keys and adjacent pairing preserves slice order across rounds,
-/// so within a key the result is in (run index, in-run order) order —
-/// the same tie-break the former per-element k-way heap produced, at
-/// sequential-streaming cost (log2(#slices) linear passes).
-template <typename K, typename V>
-std::vector<std::pair<K, V>> LadderMergeMove(
-    std::span<const std::span<std::pair<K, V>>> slices) {
+/// Stable k-way merge of key-sorted slices, moving every element into
+/// `sink` in key order. Slices must be ordered by run (map-task) index:
+/// on equal keys the lower slice wins, so within a key the output is in
+/// (run index, in-run order) order. A loser tree picks each element in
+/// log2(#slices) comparisons, and the merge writes nothing but its
+/// output: no intermediate buffers.
+template <typename K, typename V, typename Sink>
+void MergeRunsInto(std::span<const std::span<std::pair<K, V>>> slices,
+                   Sink&& sink) {
+  const size_t m = slices.size();
+  if (m == 0) return;
+  if (m == 1) {
+    for (auto& kv : slices[0]) sink(std::move(kv));
+    return;
+  }
   using Pair = std::pair<K, V>;
-  const auto key_less = [](const Pair& a, const Pair& b) {
-    return a.first < b.first;
-  };
-  const auto merge_two = [&key_less](auto first1, auto last1, auto first2,
-                                     auto last2, size_t total) {
-    std::vector<Pair> merged;
-    // Elements move out of the already-charged runs, so the ladder's
-    // transient peak is bounded by the run bytes runs_charge_ reports
-    // (DESIGN.md §15).
-    merged.reserve(total);
-    std::merge(std::move_iterator(first1), std::move_iterator(last1),
-               std::move_iterator(first2), std::move_iterator(last2),
-               std::back_inserter(merged), key_less);
-    return merged;
-  };
-
-  std::vector<std::vector<Pair>> level;
-  level.reserve(slices.size() / 2 + 1);
-  for (size_t i = 0; i + 1 < slices.size(); i += 2) {
-    level.push_back(merge_two(slices[i].begin(), slices[i].end(),
-                              slices[i + 1].begin(), slices[i + 1].end(),
-                              slices[i].size() + slices[i + 1].size()));
+  std::vector<Pair*> head(m);
+  std::vector<Pair*> end(m);
+  size_t total = 0;
+  for (size_t i = 0; i < m; ++i) {
+    head[i] = slices[i].data();
+    end[i] = slices[i].data() + slices[i].size();
+    total += slices[i].size();
   }
-  if (slices.size() % 2 == 1) {
-    const std::span<Pair> last = slices.back();
-    std::vector<Pair> tail;
-    tail.reserve(last.size());
-    std::move(last.begin(), last.end(), std::back_inserter(tail));
-    level.push_back(std::move(tail));
-  }
-  if (level.empty()) return {};
-  while (level.size() > 1) {
-    std::vector<std::vector<Pair>> next;
-    next.reserve(level.size() / 2 + 1);
-    for (size_t i = 0; i + 1 < level.size(); i += 2) {
-      next.push_back(merge_two(level[i].begin(), level[i].end(),
-                               level[i + 1].begin(), level[i + 1].end(),
-                               level[i].size() + level[i + 1].size()));
-      level[i] = {};
-      level[i + 1] = {};
+  // Leaf m stands for an exhausted slice and loses every match, so the
+  // hot comparison never checks for the end of a slice. Equal keys go in
+  // slice order.
+  const size_t done = m;
+  const auto beats = [&head, done](size_t a, size_t b) {
+    if (b == done) return a != done;
+    if (a == done) return false;
+    const K& ka = head[a]->first;
+    const K& kb = head[b]->first;
+    return ka < kb || (!(kb < ka) && a < b);
+  };
+  // Heap-shaped tree: leaf i at node m + i, internal nodes 1 .. m-1 keep
+  // the loser of their subtree's match.
+  std::vector<size_t> loser(m);
+  size_t w = 0;
+  {
+    std::vector<size_t> winner(2 * m);
+    for (size_t i = 0; i < m; ++i) {
+      winner[m + i] = slices[i].empty() ? done : i;
     }
-    if (level.size() % 2 == 1) next.push_back(std::move(level.back()));
-    level = std::move(next);
+    for (size_t node = m - 1; node >= 1; --node) {
+      const size_t l = winner[2 * node];
+      const size_t r = winner[2 * node + 1];
+      const bool left_wins = beats(l, r);
+      winner[node] = left_wins ? l : r;
+      loser[node] = left_wins ? r : l;
+    }
+    w = winner[1];
   }
-  return std::move(level.front());
+  for (size_t n = 0; n < total; ++n) {
+    const size_t leaf = w;
+    sink(std::move(*head[leaf]));
+    if (++head[leaf] == end[leaf]) w = done;
+    for (size_t node = (m + leaf) / 2; node >= 1; node /= 2) {
+      const size_t l = loser[node];
+      if (beats(l, w)) {
+        loser[node] = w;
+        w = l;
+      }
+    }
+  }
 }
 
 }  // namespace shuffle_internal
@@ -206,44 +213,45 @@ class ShuffleBuffers {
                                           sizeof(std::pair<K, V>)));
   }
 
-  /// Stage 2: ladder-merges partition p's runs (in map-task order, so
-  /// within a key values keep their (map task, emit order) order) and
-  /// groups equal keys into its MergedPartition, freeing the runs once
-  /// they are merged.
+  /// Stage 2: merges partition p's runs (in map-task order, so within a
+  /// key values keep their (map task, emit order) order) straight into
+  /// its MergedPartition, grouping equal keys on the way, and frees the
+  /// runs. The grouped buffers are the only memory the merge allocates.
   void MergePartition(size_t p) {
     using Pair = std::pair<K, V>;
     const std::span<std::vector<Pair>> runs =
         std::span(runs_).subspan(p * num_maps_, num_maps_);
     std::vector<std::span<Pair>> slices;
     slices.reserve(num_maps_);
+    size_t total = 0;
     for (auto& run : runs) {
       if (!run.empty()) slices.push_back(std::span(run));
+      total += run.size();
     }
-    std::vector<Pair> merged = shuffle_internal::LadderMergeMove<K, V>(slices);
-    const auto merged_bytes =
-        static_cast<int64_t>(merged.size() * sizeof(Pair));
-    merged_charge_.Add(merged_bytes);
-    for (auto& run : runs) run = {};
-    runs_charge_.Sub(merged_bytes);
-
     MergedPartition<K, V>& out = merged_[p];
-    out.values.reserve(merged.size());
-    for (auto& kv : merged) {
+    // Every buffer is sized once: growing a large vector frees its old
+    // block, and returning that to the kernel stalls the threads merging
+    // other partitions. The group buffers shrink to their size after, and
+    // are charged then: their reserved tail is never written.
+    out.values.reserve(total);
+    out.group_keys.reserve(total);
+    out.group_offsets.reserve(total + 1);
+    shuffle_internal::MergeRunsInto<K, V>(slices, [&out](Pair&& kv) {
       if (out.group_keys.empty() || out.group_keys.back() < kv.first) {
         out.group_offsets.push_back(out.values.size());
         out.group_keys.push_back(std::move(kv.first));
       }
       out.values.push_back(std::move(kv.second));
-    }
+    });
     out.group_offsets.push_back(out.values.size());
-    // Swap the accounting from the merged pairs to the grouped form:
-    // charge the MergedPartition's buffers first so the grouping-time
-    // overlap registers in the peak, then release the pair bytes.
+    out.group_keys.shrink_to_fit();
+    out.group_offsets.shrink_to_fit();
     merged_charge_.Add(static_cast<int64_t>(
         out.values.capacity() * sizeof(V) +
         out.group_keys.capacity() * sizeof(K) +
         out.group_offsets.capacity() * sizeof(size_t)));
-    merged_charge_.Sub(merged_bytes);
+    for (auto& run : runs) run = {};
+    runs_charge_.Sub(static_cast<int64_t>(total * sizeof(Pair)));
   }
 
   /// Merged form of partition p; valid after MergePartition(p).
@@ -267,17 +275,24 @@ class ShuffleBuffers {
 /// Merge of key-sorted pair runs into one sorted vector (ties break
 /// toward the lower run index). The map-only shuffle: per-split runs are
 /// sorted in parallel at map-commit time and only the merge is left,
-/// replacing the former O(n log n) global sort with log2(M) sequential
-/// std::merge passes.
+/// replacing the former O(n log n) global sort with one k-way pass.
 template <typename K, typename V>
 std::vector<std::pair<K, V>> MergeSortedRuns(
     std::vector<std::vector<std::pair<K, V>>> runs) {
   std::vector<std::span<std::pair<K, V>>> slices;
   slices.reserve(runs.size());
+  size_t total = 0;
   for (auto& run : runs) {
     if (!run.empty()) slices.push_back(std::span(run));
+    total += run.size();
   }
-  return shuffle_internal::LadderMergeMove<K, V>(slices);
+  std::vector<std::pair<K, V>> merged;
+  merged.reserve(total);
+  shuffle_internal::MergeRunsInto<K, V>(
+      slices, [&merged](std::pair<K, V>&& kv) {
+        merged.push_back(std::move(kv));
+      });
+  return merged;
 }
 
 }  // namespace p3c::mr

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <string>
 
 #include "src/common/random.h"
 #include "src/common/threadpool.h"
@@ -240,6 +243,129 @@ TEST(CoreDetectionTest, StatsAreCoherent) {
   EXPECT_GE(s.num_levels, 2u);
 }
 
+// ---- Oracle: maximality against its O(P^2) definition ----------------
+//
+// A synthetic counter makes exactly the sub-signatures of a few random
+// "target" signatures proven: a sub-signature of a target has support
+// n * prod(4 w) (4x its expectation from every (p-1)-subset), anything
+// else has its expected support (1-signatures) or none. The proven set
+// is then the downward closure of the targets, and the maximal cores
+// must be exactly its members without a proven strict superset.
+
+bool IsSubset(const Signature& small, const Signature& big) {
+  const std::vector<Interval>& a = small.intervals();
+  const std::vector<Interval>& b = big.intervals();
+  return std::includes(b.begin(), b.end(), a.begin(), a.end());
+}
+
+TEST(CoreDetectionOracleTest, MaximalityMatchesQuadraticDefinition) {
+  const uint64_t n = 1000000;
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    Rng rng(seed + 77);
+    // 6 attributes with 2 intervals of width 0.2 each.
+    std::vector<Interval> pool;
+    for (size_t a = 0; a < 6; ++a) {
+      pool.push_back(I(a, 0.1, 0.3));
+      pool.push_back(I(a, 0.5, 0.7));
+    }
+    std::vector<Signature> targets;
+    const size_t num_targets = 1 + rng.UniformInt(5);
+    for (size_t t = 0; t < num_targets; ++t) {
+      std::vector<size_t> attrs = {0, 1, 2, 3, 4, 5};
+      rng.Shuffle(attrs);
+      std::vector<Interval> intervals;
+      const size_t size = 1 + rng.UniformInt(6);
+      for (size_t k = 0; k < size; ++k) {
+        intervals.push_back(pool[2 * attrs[k] + rng.UniformInt(2)]);
+      }
+      targets.push_back(Signature::Make(std::move(intervals)).value());
+    }
+
+    // Expected proven set: every non-empty sub-signature of a target.
+    std::set<Signature> proven;
+    for (const Signature& t : targets) {
+      for (uint32_t mask = 1; mask < (1u << t.size()); ++mask) {
+        std::vector<Interval> sub;
+        for (size_t k = 0; k < t.size(); ++k) {
+          if ((mask >> k) & 1u) sub.push_back(t.intervals()[k]);
+        }
+        proven.insert(Signature::Make(std::move(sub)).value());
+      }
+    }
+    std::vector<Signature> expected_maximal;
+    for (const Signature& s : proven) {
+      bool maximal = true;
+      for (const Signature& t : proven) {
+        if (t.size() > s.size() && IsSubset(s, t)) maximal = false;
+      }
+      if (maximal) expected_maximal.push_back(s);
+    }
+
+    const SupportCountFn counter = [&](const std::vector<Signature>& sigs) {
+      std::vector<uint64_t> counts;
+      for (const Signature& s : sigs) {
+        if (proven.count(s) != 0) {
+          counts.push_back(static_cast<uint64_t>(
+              static_cast<double>(n) * std::pow(0.8, s.size())));
+        } else if (s.size() == 1) {
+          counts.push_back(static_cast<uint64_t>(
+              static_cast<double>(n) * s.VolumeFraction()));
+        } else {
+          counts.push_back(0);
+        }
+      }
+      return counts;
+    };
+    P3CParams params;
+    params.redundancy_filter = false;
+    const auto result = GenerateClusterCores(pool, n, params, counter, nullptr);
+    EXPECT_EQ(result.stats.num_proven, proven.size()) << "seed " << seed;
+    std::vector<Signature> got;
+    for (const ClusterCore& core : result.cores) got.push_back(core.signature);
+    EXPECT_EQ(got, expected_maximal) << "seed " << seed;
+  }
+}
+
+TEST(CoreDetectionTest, SameAttrOtherBoundsIsNoSuperset) {
+  // {a0:[0.1,0.3], a1} is not a subset of {a0:[0.5,0.7], a1, a2}: an
+  // interval on the same attribute with other bounds is another interval.
+  const Interval a0 = I(0, 0.1, 0.3);
+  const Interval a0_other = I(0, 0.5, 0.7);
+  const Interval a1 = I(1, 0.1, 0.3);
+  const Interval a2 = I(2, 0.1, 0.3);
+  const std::set<Signature> proven = {
+      Signature::Single(a0),
+      Signature::Single(a0_other),
+      Signature::Single(a1),
+      Signature::Single(a2),
+      Signature::Make({a0, a1}).value(),
+      Signature::Make({a0_other, a1}).value(),
+      Signature::Make({a0_other, a2}).value(),
+      Signature::Make({a1, a2}).value(),
+      Signature::Make({a0_other, a1, a2}).value(),
+  };
+  const uint64_t n = 1000000;
+  const SupportCountFn counter = [&](const std::vector<Signature>& sigs) {
+    std::vector<uint64_t> counts;
+    for (const Signature& s : sigs) {
+      counts.push_back(
+          proven.count(s) != 0
+              ? static_cast<uint64_t>(static_cast<double>(n) *
+                                      std::pow(0.8, s.size()))
+              : 0);
+    }
+    return counts;
+  };
+  P3CParams params;
+  params.redundancy_filter = false;
+  const auto result =
+      GenerateClusterCores({a0, a0_other, a1, a2}, n, params, counter, nullptr);
+  ASSERT_EQ(result.cores.size(), 2u);
+  EXPECT_EQ(result.cores[0].signature, Signature::Make({a0, a1}).value());
+  EXPECT_EQ(result.cores[1].signature,
+            Signature::Make({a0_other, a1, a2}).value());
+}
+
 TEST(FilterRedundantTest, EmptyAndSingle) {
   EXPECT_TRUE(FilterRedundant({}).empty());
   ClusterCore core;
@@ -247,6 +373,32 @@ TEST(FilterRedundantTest, EmptyAndSingle) {
   core.support = 100;
   core.expected_support = 10.0;
   EXPECT_EQ(FilterRedundant({core}).size(), 1u);
+}
+
+TEST(FilterRedundantTest, CoverRequiresIdenticalIntervals) {
+  // The better core's intervals cover {a0, a1} only if they are the same
+  // intervals: an interval on a0 with other bounds does not cover a0.
+  const Interval a0 = I(0, 0.1, 0.2);
+  const Interval a1 = I(1, 0.1, 0.2);
+  ClusterCore better;
+  better.signature = Signature::Make({I(0, 0.1, 0.25), a1}).value();
+  better.support = 1000;
+  better.expected_support = 10.0;
+  ClusterCore worse;
+  worse.signature = Signature::Make({a0, a1}).value();
+  worse.support = 100;
+  worse.expected_support = 10.0;
+  EXPECT_EQ(FilterRedundant({better, worse}).size(), 2u);
+
+  // With an identical interval on a0 among the better cores it is covered.
+  ClusterCore cover;
+  cover.signature = Signature::Make({a0, I(2, 0.5, 0.6)}).value();
+  cover.support = 1000;
+  cover.expected_support = 10.0;
+  const auto kept = FilterRedundant({better, worse, cover});
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_EQ(kept[0].signature, better.signature);
+  EXPECT_EQ(kept[1].signature, cover.signature);
 }
 
 TEST(FilterRedundantTest, EqualRatiosDoNotEliminateEachOther) {
@@ -260,6 +412,154 @@ TEST(FilterRedundantTest, EqualRatiosDoNotEliminateEachOther) {
   c1.expected_support = 10.0;
   ClusterCore c2 = c1;
   EXPECT_EQ(FilterRedundant({c1, c2}).size(), 2u);
+}
+
+// ---- Lattice stress: full-dimensional boxes plus uniform noise -------
+//
+// Every cluster is a box over all attributes, so every subset of a
+// cluster's intervals is a proven signature and the A-priori lattice
+// grows as 2^d per cluster: the worst case for candidate generation. The
+// small caps below stop the expansion early; the cores and stats are
+// pinned so that a change to the join, the closure or the maximality
+// pass cannot silently change what a truncated run reports.
+
+struct StressRun {
+  CoreDetectionResult result;
+  size_t num_intervals = 0;
+};
+
+StressRun RunLatticeStress(const P3CParams& params) {
+  data::GeneratorConfig config;
+  config.num_points = 3000;
+  config.num_dims = 10;
+  config.num_clusters = 3;
+  config.noise_fraction = 0.20;
+  config.min_cluster_dims = config.num_dims;
+  config.max_cluster_dims = config.num_dims;
+  config.seed = 17;
+  const data::SyntheticData data = data::GenerateSynthetic(config).value();
+  const data::Dataset& dataset = data.dataset;
+
+  const size_t bins = static_cast<size_t>(
+      stats::NumBins(params.binning, dataset.num_points()));
+  std::vector<stats::Histogram> hists(dataset.num_dims(),
+                                      stats::Histogram(bins));
+  for (size_t i = 0; i < dataset.num_points(); ++i) {
+    const auto row = dataset.Row(static_cast<data::PointId>(i));
+    for (size_t j = 0; j < dataset.num_dims(); ++j) hists[j].Add(row[j]);
+  }
+  StressRun run;
+  const std::vector<Interval> intervals =
+      FindAllRelevantIntervals(hists, params.alpha_chi2);
+  run.num_intervals = intervals.size();
+  ThreadPool pool(2);
+  run.result = GenerateClusterCores(
+      intervals, dataset.num_points(), params,
+      [&](const std::vector<Signature>& sigs) {
+        return CountSupports(dataset, sigs, &pool);
+      },
+      &pool);
+  return run;
+}
+
+std::string Describe(const StressRun& run) {
+  const CoreDetectionStats& s = run.result.stats;
+  std::string out = "intervals=" + std::to_string(run.num_intervals) +
+                    " levels=" + std::to_string(s.num_levels) +
+                    " generated=" + std::to_string(s.num_candidates_generated) +
+                    " counted=" + std::to_string(s.num_signatures_counted) +
+                    " proven=" + std::to_string(s.num_proven) +
+                    " batches=" + std::to_string(s.num_support_batches) +
+                    " maximal=" + std::to_string(s.num_maximal) +
+                    " after_redundancy=" +
+                    std::to_string(s.num_after_redundancy) +
+                    " truncated=" + std::to_string(s.truncated) + "\n";
+  for (const ClusterCore& core : run.result.cores) {
+    out += core.signature.ToString() + " " + std::to_string(core.support) +
+           "\n";
+  }
+  return out;
+}
+
+TEST(LatticeStressTest, FullLatticeMatchesPinnedCores) {
+  const StressRun run = RunLatticeStress(P3CParams{});
+  EXPECT_FALSE(run.result.stats.truncated);
+  EXPECT_EQ(Describe(run),
+            "intervals=16 levels=10 generated=2737 counted=2737 proven=1455 "
+            "batches=10 maximal=5 after_redundancy=4 truncated=0\n"
+            "{a0:[0.333333,0.533333], a1:[0.533333,0.733333], "
+            "a2:[0.533333,0.866667], a3:[0,0.533333], "
+            "a4:[0.333333,0.866667], a5:[0,0.333333], "
+            "a7:[0.266667,0.866667], a8:[0.466667,0.933333], "
+            "a9:[0.6,0.933333]} 755\n"
+            "{a0:[0.333333,0.533333], a1:[0.533333,0.733333], "
+            "a3:[0,0.533333], a4:[0.333333,0.866667], a5:[0,0.333333], "
+            "a6:[0.466667,0.866667], a7:[0.266667,0.866667], "
+            "a8:[0.466667,0.933333], a9:[0.6,0.933333]} 758\n"
+            "{a0:[0.866667,1], a1:[0.0666667,0.4], a2:[0.0666667,0.266667], "
+            "a3:[0,0.533333], a4:[0.333333,0.866667], a5:[0,0.333333], "
+            "a7:[0.266667,0.866667], a8:[0.466667,0.933333], "
+            "a9:[0.6,0.933333]} 774\n"
+            "{a0:[0.866667,1], a1:[0.0666667,0.4], a2:[0.533333,0.866667], "
+            "a3:[0,0.533333], a4:[0.333333,0.866667], "
+            "a7:[0.266667,0.866667], a8:[0.466667,0.933333], a9:[0.2,0.4]} "
+            "798\n");
+}
+
+TEST(LatticeStressTest, CandidateCapTruncatesToPinnedCores) {
+  P3CParams params;
+  params.max_candidates_per_level = 400;
+  const StressRun run = RunLatticeStress(params);
+  EXPECT_TRUE(run.result.stats.truncated);
+  EXPECT_EQ(Describe(run),
+            "intervals=16 levels=3 generated=985 counted=396 proven=301 "
+            "batches=3 maximal=212 after_redundancy=10 truncated=1\n"
+            "{a0:[0.333333,0.533333], a1:[0.533333,0.733333], "
+            "a5:[0,0.333333]} 787\n"
+            "{a0:[0.333333,0.533333], a1:[0.533333,0.733333], "
+            "a6:[0.466667,0.866667]} 786\n"
+            "{a0:[0.866667,1], a1:[0.0666667,0.4], a3:[0,0.533333]} 1594\n"
+            "{a0:[0.866667,1], a1:[0.0666667,0.4], a4:[0.333333,0.866667]} "
+            "1591\n"
+            "{a0:[0.866667,1], a1:[0.0666667,0.4], a7:[0.266667,0.866667]} "
+            "1594\n"
+            "{a0:[0.866667,1], a1:[0.0666667,0.4], a8:[0.466667,0.933333]} "
+            "1588\n"
+            "{a0:[0.866667,1], a1:[0.0666667,0.4], a9:[0.2,0.4]} 803\n"
+            "{a0:[0.866667,1], a2:[0.0666667,0.266667], a5:[0,0.333333]} "
+            "775\n"
+            "{a0:[0.866667,1], a2:[0.0666667,0.266667], a9:[0.6,0.933333]} "
+            "777\n"
+            "{a0:[0.866667,1], a2:[0.533333,0.866667], a9:[0.2,0.4]} 805\n");
+}
+
+TEST(LatticeStressTest, JoinPairCapTruncatesToPinnedCores) {
+  P3CParams params;
+  params.max_join_pairs = 20000;
+  params.multilevel_candidates = true;
+  params.t_c = 300;
+  const StressRun run = RunLatticeStress(params);
+  EXPECT_TRUE(run.result.stats.truncated);
+  EXPECT_EQ(Describe(run),
+            "intervals=16 levels=3 generated=606 counted=606 proven=301 "
+            "batches=1 maximal=212 after_redundancy=10 truncated=1\n"
+            "{a0:[0.333333,0.533333], a1:[0.533333,0.733333], "
+            "a5:[0,0.333333]} 787\n"
+            "{a0:[0.333333,0.533333], a1:[0.533333,0.733333], "
+            "a6:[0.466667,0.866667]} 786\n"
+            "{a0:[0.866667,1], a1:[0.0666667,0.4], a3:[0,0.533333]} 1594\n"
+            "{a0:[0.866667,1], a1:[0.0666667,0.4], a4:[0.333333,0.866667]} "
+            "1591\n"
+            "{a0:[0.866667,1], a1:[0.0666667,0.4], a7:[0.266667,0.866667]} "
+            "1594\n"
+            "{a0:[0.866667,1], a1:[0.0666667,0.4], a8:[0.466667,0.933333]} "
+            "1588\n"
+            "{a0:[0.866667,1], a1:[0.0666667,0.4], a9:[0.2,0.4]} 803\n"
+            "{a0:[0.866667,1], a2:[0.0666667,0.266667], a5:[0,0.333333]} "
+            "775\n"
+            "{a0:[0.866667,1], a2:[0.0666667,0.266667], a9:[0.6,0.933333]} "
+            "777\n"
+            "{a0:[0.866667,1], a2:[0.533333,0.866667], a9:[0.2,0.4]} 805\n");
 }
 
 // ---- Paper shape: Fig. 5 (§7.4.2) -------------------------------------

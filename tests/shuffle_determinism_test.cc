@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -301,6 +302,36 @@ TEST(ShuffleDeterminismTest, MapOnlyMergeMatchesSerialRun) {
     } else {
       EXPECT_EQ(*result, baseline) << threads << " threads";
     }
+  }
+}
+
+// ---- The k-way merge itself --------------------------------------------
+
+TEST(ShuffleDeterminismTest, MergeSortedRunsEqualsStableSortOfConcatenation) {
+  // Run counts around powers of two exercise every shape of the loser
+  // tree; few distinct keys make ties the common case. A stable sort of
+  // the runs laid end to end breaks ties by (run index, in-run order),
+  // which is the merge's contract.
+  for (size_t num_runs = 0; num_runs <= 9; ++num_runs) {
+    std::vector<std::vector<std::pair<uint64_t, uint64_t>>> runs(num_runs);
+    std::vector<std::pair<uint64_t, uint64_t>> expected;
+    uint64_t serial = 0;
+    for (size_t r = 0; r < num_runs; ++r) {
+      const size_t length = ShuffleMix64(num_runs * 31 + r) % 40;
+      for (size_t i = 0; i < length; ++i) {
+        runs[r].emplace_back(ShuffleMix64(serial) % 7, serial);
+        ++serial;
+      }
+      std::stable_sort(
+          runs[r].begin(), runs[r].end(),
+          [](const auto& a, const auto& b) { return a.first < b.first; });
+      expected.insert(expected.end(), runs[r].begin(), runs[r].end());
+    }
+    std::stable_sort(
+        expected.begin(), expected.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    EXPECT_EQ(MergeSortedRuns(std::move(runs)), expected)
+        << num_runs << " runs";
   }
 }
 

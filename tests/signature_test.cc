@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unordered_set>
-
 namespace p3c::core {
 namespace {
 
@@ -75,81 +73,17 @@ TEST(SignatureTest, VolumeFraction) {
   EXPECT_DOUBLE_EQ(Signature().VolumeFraction(), 1.0);
 }
 
-TEST(SignatureTest, WithoutAndWith) {
+TEST(SignatureTest, With) {
   const Signature s = Signature::Make({MakeInterval(0, 0, 1),
                                        MakeInterval(1, 0, 1),
                                        MakeInterval(2, 0, 1)})
                           .value();
-  const Signature without = s.Without(1);
-  EXPECT_EQ(without.attrs(), (std::vector<size_t>{0, 2}));
+  const Signature without =
+      Signature::Make({MakeInterval(0, 0, 1), MakeInterval(2, 0, 1)}).value();
   Result<Signature> with = without.With(MakeInterval(1, 0, 1));
   ASSERT_TRUE(with.ok());
   EXPECT_EQ(*with, s);
   EXPECT_FALSE(without.With(MakeInterval(0, 0.5, 0.6)).ok());
-}
-
-TEST(SignatureTest, JoinSharingAllButOne) {
-  const Interval shared = MakeInterval(0, 0.1, 0.2);
-  const Signature a =
-      Signature::Make({shared, MakeInterval(1, 0.3, 0.4)}).value();
-  const Signature b =
-      Signature::Make({shared, MakeInterval(2, 0.5, 0.6)}).value();
-  Result<Signature> joined = a.JoinWith(b);
-  ASSERT_TRUE(joined.ok());
-  EXPECT_EQ(joined->attrs(), (std::vector<size_t>{0, 1, 2}));
-}
-
-TEST(SignatureTest, JoinRejectsTooDifferent) {
-  const Signature a = Signature::Make({MakeInterval(0, 0.1, 0.2),
-                                       MakeInterval(1, 0.3, 0.4)})
-                          .value();
-  const Signature b = Signature::Make({MakeInterval(2, 0.5, 0.6),
-                                       MakeInterval(3, 0.7, 0.8)})
-                          .value();
-  EXPECT_FALSE(a.JoinWith(b).ok());
-}
-
-TEST(SignatureTest, JoinRejectsSameAttrDifferentBounds) {
-  // Both share interval on attr 0, but their second intervals sit on the
-  // SAME attribute with different bounds -> union would be invalid.
-  const Interval shared = MakeInterval(0, 0.1, 0.2);
-  const Signature a =
-      Signature::Make({shared, MakeInterval(1, 0.3, 0.4)}).value();
-  const Signature b =
-      Signature::Make({shared, MakeInterval(1, 0.5, 0.6)}).value();
-  EXPECT_FALSE(a.JoinWith(b).ok());
-}
-
-TEST(SignatureTest, JoinRejectsIdentical) {
-  const Signature a = Signature::Make({MakeInterval(0, 0.1, 0.2),
-                                       MakeInterval(1, 0.3, 0.4)})
-                          .value();
-  EXPECT_FALSE(a.JoinWith(a).ok());
-}
-
-TEST(SignatureTest, SubsetSemantics) {
-  const Interval i0 = MakeInterval(0, 0.1, 0.2);
-  const Interval i1 = MakeInterval(1, 0.3, 0.4);
-  const Interval i2 = MakeInterval(2, 0.5, 0.6);
-  const Signature small = Signature::Make({i0, i1}).value();
-  const Signature big = Signature::Make({i0, i1, i2}).value();
-  EXPECT_TRUE(small.IsSubsetOf(big));
-  EXPECT_TRUE(small.IsSubsetOf(small));
-  EXPECT_FALSE(big.IsSubsetOf(small));
-  // Same attr, different bounds is NOT a subset.
-  const Signature other =
-      Signature::Make({MakeInterval(0, 0.1, 0.25), i1}).value();
-  EXPECT_FALSE(other.IsSubsetOf(big));
-}
-
-TEST(SignatureTest, IsCoveredBy) {
-  const Interval i0 = MakeInterval(0, 0.1, 0.2);
-  const Interval i1 = MakeInterval(1, 0.3, 0.4);
-  const Signature s = Signature::Make({i0, i1}).value();
-  EXPECT_TRUE(s.IsCoveredBy({i1, MakeInterval(9, 0, 1), i0}));
-  EXPECT_FALSE(s.IsCoveredBy({i0}));
-  EXPECT_FALSE(s.IsCoveredBy({}));
-  EXPECT_TRUE(Signature().IsCoveredBy({}));
 }
 
 TEST(SignatureTest, OrderingAndEquality) {
@@ -160,16 +94,6 @@ TEST(SignatureTest, OrderingAndEquality) {
   EXPECT_TRUE(b < c);
   EXPECT_TRUE(a == a);
   EXPECT_FALSE(a == b);
-}
-
-TEST(SignatureTest, HashDistinguishes) {
-  std::unordered_set<Signature, SignatureHash> set;
-  set.insert(Signature::Single(MakeInterval(0, 0.1, 0.2)));
-  set.insert(Signature::Single(MakeInterval(0, 0.1, 0.3)));
-  set.insert(Signature::Single(MakeInterval(1, 0.1, 0.2)));
-  EXPECT_EQ(set.size(), 3u);
-  set.insert(Signature::Single(MakeInterval(0, 0.1, 0.2)));  // duplicate
-  EXPECT_EQ(set.size(), 3u);
 }
 
 TEST(SignatureTest, ToString) {

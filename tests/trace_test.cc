@@ -664,6 +664,11 @@ TEST(TracerTest, PipelineTraceCoversEveryRecordedJob) {
     if (name.rfind("phase:", 0) == 0) ++phase_spans;
   }
   EXPECT_GT(phase_spans, 0u);
+  // The driver-side A-priori work between the support-count jobs.
+  for (const char* name :
+       {"core:join", "core:closure", "core:prove", "core:maximal"}) {
+    EXPECT_TRUE(stats.begin_names.count(name)) << "no span " << name;
+  }
 }
 
 // ---- Metrics JSON export ---------------------------------------------
