@@ -165,10 +165,11 @@ class WireWriter {
   std::string out_;
 };
 
-/// Decodes what WireWriter wrote. Sticky-status style like the
-/// checkpoint BlobReader: over-runs set a kIOError status once and
-/// every later Get returns zero values; callers check status()/Finish()
-/// after decoding instead of after every field.
+/// Decodes what WireWriter wrote — worker frames and the checkpoint
+/// record (src/mr/checkpoint.cc) alike. Sticky status: over-runs set a
+/// kIOError status once and every later Get returns zero values;
+/// callers check status()/Finish() after decoding instead of after
+/// every field.
 class WireReader {
  public:
   explicit WireReader(std::string_view data, std::string context)
@@ -210,7 +211,7 @@ class WireReader {
   std::string GetString() {
     const uint64_t n = GetU64();
     if (!status_.ok()) return {};
-    if (pos_ + n > data_.size()) {
+    if (n > data_.size() - pos_) {
       status_ = Status::IOError(context_ + ": string length over-runs");
       return {};
     }
@@ -270,7 +271,7 @@ class WireReader {
   const Status& status() const { return status_; }
 
   /// OK only when every payload byte was decoded — trailing garbage is
-  /// corruption, same contract as the checkpoint BlobReader.
+  /// corruption.
   Status Finish() const {
     if (!status_.ok()) return status_;
     if (pos_ != data_.size()) {

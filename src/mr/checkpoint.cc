@@ -3,6 +3,7 @@
 #include <sys/stat.h>
 #include <sys/types.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -14,15 +15,15 @@
 #include "src/core/interval.h"
 #include "src/core/signature.h"
 #include "src/data/io.h"
+#include "src/mapreduce/wire.h"
 
 namespace p3c::mr {
 
 namespace {
 
-/// Bound on manifest/payload element counts: no real pipeline has more
-/// than a handful of phases, and hostile payloads must not drive
-/// multi-gigabyte allocations before validation finishes.
-constexpr uint64_t kMaxPhases = 64;
+/// Bound on the completed-phase list: no pipeline has more than a
+/// handful of phases, and a hostile count must not drive the decoder.
+constexpr uint64_t kMaxPhases = 16;
 
 Status MakeDirectories(const std::string& dir) {
   // mkdir -p: create each prefix, tolerating ones that already exist.
@@ -48,6 +49,273 @@ bool FileExists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
+// ---- Record codec ----------------------------------------------------------
+//
+// Field by field through wire::WireWriter: structs with padding
+// (ClusterCore, CoreDetectionStats, Metric) are never memcpy'd, so the
+// bytes — and the P3CK checksum over them — are deterministic.
+
+std::string EncodeRecord(uint64_t fingerprint, uint64_t params_hash,
+                         const PipelineCheckpoint& state) {
+  wire::WireWriter w;
+  w.PutU32(kCheckpointFormatVersion);
+  w.PutU64(fingerprint);
+  w.PutU64(params_hash);
+  w.Put(state.completed);
+  w.PutU64(state.histograms.size());
+  for (const stats::Histogram& h : state.histograms) w.Put(h.counts());
+  const core::CoreDetectionStats& core_stats = state.core_stats;
+  w.PutU64(core_stats.num_levels);
+  w.PutU64(core_stats.num_candidates_generated);
+  w.PutU64(core_stats.num_signatures_counted);
+  w.PutU64(core_stats.num_proven);
+  w.PutU64(core_stats.num_support_batches);
+  w.PutU64(core_stats.num_maximal);
+  w.PutU32(core_stats.truncated ? 1 : 0);
+  w.PutU64(core_stats.num_after_redundancy);
+  w.PutU64(state.cores.size());
+  for (const core::ClusterCore& core : state.cores) {
+    w.PutU64(core.signature.intervals().size());
+    for (const core::Interval& interval : core.signature.intervals()) {
+      w.PutU64(interval.attr);
+      w.PutDouble(interval.lower);
+      w.PutDouble(interval.upper);
+    }
+    w.PutU64(core.support);
+    w.PutDouble(core.expected_support);
+  }
+  w.PutU64(state.support_sets.size());
+  for (const std::vector<data::PointId>& set : state.support_sets) w.Put(set);
+  w.Put(state.model.arel);
+  w.PutU64(state.model.components.size());
+  for (const core::GaussianComponent& comp : state.model.components) {
+    w.Put(comp.mean);
+    w.PutU64(comp.cov.rows());
+    w.PutU64(comp.cov.cols());
+    w.Put(comp.cov.data());
+    w.PutDouble(comp.weight);
+  }
+  w.Put(state.membership);
+  wire::EncodeMetricBag(state.counters, w);
+  return w.Take();
+}
+
+/// rows x cols == size, checked without the overflow a hostile shape
+/// could use to pass.
+bool ShapeMatches(uint64_t rows, uint64_t cols, size_t size) {
+  if (rows == 0 || cols == 0) return size == 0;
+  return size % rows == 0 && size / rows == cols;
+}
+
+/// Decodes the state after the record header. Element counts are never
+/// used to size an allocation: vectors of scalars are read through the
+/// reader's bounded Get, and every other loop consumes bytes per
+/// iteration, so it stops once a false count runs the reader dry.
+Result<PipelineCheckpoint> DecodeState(wire::WireReader& r) {
+  PipelineCheckpoint state;
+  const uint64_t num_phases = r.GetU64();
+  if (num_phases > kMaxPhases) {
+    return Status::IOError(StringPrintf(
+        "checkpoint lists an implausible %llu phases",
+        static_cast<unsigned long long>(num_phases)));
+  }
+  for (uint64_t i = 0; i < num_phases && r.status().ok(); ++i) {
+    state.completed.push_back(r.GetString());
+  }
+  const uint64_t num_histograms = r.GetU64();
+  for (uint64_t i = 0; i < num_histograms && r.status().ok(); ++i) {
+    r.Get(&state.histograms.emplace_back().counts());
+  }
+  core::CoreDetectionStats& core_stats = state.core_stats;
+  core_stats.num_levels = r.GetU64();
+  core_stats.num_candidates_generated = r.GetU64();
+  core_stats.num_signatures_counted = r.GetU64();
+  core_stats.num_proven = r.GetU64();
+  core_stats.num_support_batches = r.GetU64();
+  core_stats.num_maximal = r.GetU64();
+  core_stats.truncated = r.GetU32() != 0;
+  core_stats.num_after_redundancy = r.GetU64();
+  const uint64_t num_cores = r.GetU64();
+  for (uint64_t i = 0; i < num_cores && r.status().ok(); ++i) {
+    const uint64_t num_intervals = r.GetU64();
+    std::vector<core::Interval> intervals;
+    for (uint64_t j = 0; j < num_intervals && r.status().ok(); ++j) {
+      core::Interval& interval = intervals.emplace_back();
+      interval.attr = r.GetU64();
+      interval.lower = r.GetDouble();
+      interval.upper = r.GetDouble();
+    }
+    if (!r.status().ok()) break;
+    Result<core::Signature> signature =
+        core::Signature::Make(std::move(intervals));
+    if (!signature.ok()) return signature.status();
+    core::ClusterCore& core = state.cores.emplace_back();
+    core.signature = std::move(signature).value();
+    core.support = r.GetU64();
+    core.expected_support = r.GetDouble();
+  }
+  const uint64_t num_sets = r.GetU64();
+  for (uint64_t i = 0; i < num_sets && r.status().ok(); ++i) {
+    r.Get(&state.support_sets.emplace_back());
+  }
+  r.Get(&state.model.arel);
+  const uint64_t num_components = r.GetU64();
+  for (uint64_t c = 0; c < num_components && r.status().ok(); ++c) {
+    core::GaussianComponent& comp = state.model.components.emplace_back();
+    r.Get(&comp.mean);
+    const uint64_t rows = r.GetU64();
+    const uint64_t cols = r.GetU64();
+    std::vector<double> cov;
+    r.Get(&cov);
+    if (!r.status().ok()) break;
+    if (!ShapeMatches(rows, cols, cov.size())) {
+      return Status::IOError("checkpoint covariance shape disagrees with "
+                             "its entry count");
+    }
+    comp.cov = linalg::Matrix(rows, cols);
+    comp.cov.data() = std::move(cov);
+    comp.weight = r.GetDouble();
+  }
+  r.Get(&state.membership);
+  Result<MetricBag> counters = wire::DecodeMetricBag(r);
+  if (!counters.ok()) return counters.status();
+  state.counters = std::move(counters).value();
+  P3C_RETURN_NOT_OK(r.Finish());
+  return state;
+}
+
+/// The checks a checksum cannot make: a record committed through the
+/// public encoder can still carry values that do not fit this run, and
+/// the driver indexes per-cluster and per-point arrays with them.
+Status CheckFitsRun(const PipelineCheckpoint& state, size_t n, size_t d,
+                    const core::P3CParams& params) {
+  const std::vector<std::string>& phases = PipelinePhases(params.light);
+  const size_t done = state.completed.size();
+  if (done > phases.size() ||
+      !std::equal(state.completed.begin(), state.completed.end(),
+                  phases.begin())) {
+    return Status::FailedPrecondition(
+        "completed phases are not a prefix of this pipeline's phases");
+  }
+  if (done >= 1) {
+    if (state.histograms.size() != d) {
+      return Status::FailedPrecondition(StringPrintf(
+          "%zu histograms for a %zu-dim dataset", state.histograms.size(),
+          d));
+    }
+    const uint64_t bins = stats::NumBins(params.binning, n);
+    for (const stats::Histogram& h : state.histograms) {
+      if (h.num_bins() != bins) {
+        return Status::FailedPrecondition(StringPrintf(
+            "histogram with %zu bins where the binning rule gives %llu",
+            h.num_bins(), static_cast<unsigned long long>(bins)));
+      }
+    }
+  }
+  if (done >= 2) {
+    for (const core::ClusterCore& core : state.cores) {
+      for (const core::Interval& interval : core.signature.intervals()) {
+        if (interval.attr >= d ||
+            !(0.0 <= interval.lower && interval.lower <= interval.upper &&
+              interval.upper <= 1.0)) {
+          return Status::FailedPrecondition(
+              "core interval " + interval.ToString() +
+              " lies outside the dataset");
+        }
+      }
+    }
+  }
+  const int64_t k = static_cast<int64_t>(state.cores.size());
+  if (done == phases.size()) {  // Light's m' or the full OD membership
+    if (state.membership.size() != n) {
+      return Status::FailedPrecondition(StringPrintf(
+          "membership of %zu points for a %zu-point dataset",
+          state.membership.size(), n));
+    }
+    for (int32_t c : state.membership) {
+      if (c < -2 || c >= k) {
+        return Status::FailedPrecondition(StringPrintf(
+            "membership entry %d outside [-2, %lld)", c,
+            static_cast<long long>(k)));
+      }
+    }
+  }
+  if (params.light && done >= 3) {
+    if (state.support_sets.size() != state.cores.size()) {
+      return Status::FailedPrecondition("support-set count disagrees with "
+                                        "the core count");
+    }
+    for (const std::vector<data::PointId>& set : state.support_sets) {
+      for (size_t i = 0; i < set.size(); ++i) {
+        if (set[i] >= n) {
+          return Status::FailedPrecondition(StringPrintf(
+              "support-set point id %u outside a %zu-point dataset", set[i],
+              n));
+        }
+        if (i > 0 && set[i] <= set[i - 1]) {
+          return Status::FailedPrecondition(
+              "support set is not strictly ascending");
+        }
+      }
+    }
+  }
+  if (!params.light && done >= 3) {
+    const std::vector<size_t> arel = core::RelevantAttributeUnion(state.cores);
+    if (state.model.components.size() != state.cores.size() ||
+        state.model.arel != arel) {
+      return Status::FailedPrecondition(
+          "EM model disagrees with the restored cores");
+    }
+    for (const core::GaussianComponent& comp : state.model.components) {
+      if (comp.mean.size() != arel.size() ||
+          comp.cov.rows() != arel.size() || comp.cov.cols() != arel.size()) {
+        return Status::FailedPrecondition(
+            "EM component shape disagrees with |Arel|");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+/// Reads the record at `path` and checks it against the live run.
+Result<PipelineCheckpoint> LoadRecord(const std::string& path,
+                                      uint64_t dataset_fingerprint,
+                                      uint64_t params_hash,
+                                      const data::Dataset& dataset,
+                                      const core::P3CParams& params) {
+  Result<std::string> blob = data::ReadBlobFile(path, kCheckpointBlobKind);
+  if (!blob.ok()) return blob.status();
+  wire::WireReader r(*blob, path);
+  const uint32_t version = r.GetU32();
+  const uint64_t file_fingerprint = r.GetU64();
+  const uint64_t file_params_hash = r.GetU64();
+  P3C_RETURN_NOT_OK(r.status());
+  if (version != kCheckpointFormatVersion) {
+    return Status::FailedPrecondition(StringPrintf(
+        "checkpoint format version skew (file %u, this build %u)", version,
+        kCheckpointFormatVersion));
+  }
+  if (file_fingerprint != dataset_fingerprint) {
+    return Status::FailedPrecondition(StringPrintf(
+        "dataset fingerprint mismatch (file %016llx, this run %016llx) — "
+        "checkpoint belongs to different data",
+        static_cast<unsigned long long>(file_fingerprint),
+        static_cast<unsigned long long>(dataset_fingerprint)));
+  }
+  if (file_params_hash != params_hash) {
+    return Status::FailedPrecondition(StringPrintf(
+        "parameter hash mismatch (file %016llx, this run %016llx) — "
+        "checkpoint belongs to a different configuration",
+        static_cast<unsigned long long>(file_params_hash),
+        static_cast<unsigned long long>(params_hash)));
+  }
+  Result<PipelineCheckpoint> state = DecodeState(r);
+  if (!state.ok()) return state.status();
+  P3C_RETURN_NOT_OK(CheckFitsRun(*state, dataset.num_points(),
+                                 dataset.num_dims(), params));
+  return state;
+}
+
 }  // namespace
 
 uint64_t DatasetFingerprint(const data::Dataset& dataset) {
@@ -60,11 +328,11 @@ uint64_t DatasetFingerprint(const data::Dataset& dataset) {
 }
 
 uint64_t ParamsHash(const core::P3CParams& params) {
-  // Serialize every field through the exact encoder the checkpoints
-  // use, then hash the bytes. Adding a parameter to P3CParams and to
-  // this list invalidates old checkpoints automatically — the safe
-  // default for a knob that changes pipeline output.
-  BlobWriter w;
+  // Serialize every field through the checkpoint's byte codec, then
+  // hash the bytes. Adding a parameter to P3CParams and to this list
+  // invalidates old checkpoints automatically — the safe default for a
+  // knob that changes pipeline output.
+  wire::WireWriter w;
   w.PutU32(kCheckpointFormatVersion);
   w.PutU32(static_cast<uint32_t>(params.binning));
   w.PutDouble(params.alpha_chi2);
@@ -84,383 +352,16 @@ uint64_t ParamsHash(const core::P3CParams& params) {
   w.PutDouble(params.outlier_alpha);
   w.PutU32(params.ai_proving ? 1 : 0);
   w.PutU32(params.light ? 1 : 0);
-  return data::Fnv1a64(w.buffer().data(), w.buffer().size());
+  const std::string bytes = w.Take();
+  return data::Fnv1a64(bytes.data(), bytes.size());
 }
 
-// ---- BlobWriter / BlobReader ----------------------------------------------
-
-void BlobWriter::PutU32(uint32_t v) {
-  out_.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void BlobWriter::PutU64(uint64_t v) {
-  out_.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void BlobWriter::PutI32(int32_t v) {
-  out_.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void BlobWriter::PutDouble(double v) {
-  out_.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void BlobWriter::PutString(const std::string& s) {
-  PutU64(s.size());
-  out_.append(s);
-}
-
-BlobReader::BlobReader(const std::string& buffer, std::string context)
-    : buffer_(buffer), context_(std::move(context)) {}
-
-bool BlobReader::Take(void* dst, size_t len) {
-  if (!status_.ok()) return false;
-  if (len > buffer_.size() - pos_ || pos_ > buffer_.size()) {
-    status_ = Status::IOError(StringPrintf(
-        "%s: truncated checkpoint payload (need %zu bytes at offset %zu of "
-        "%zu)",
-        context_.c_str(), len, pos_, buffer_.size()));
-    return false;
-  }
-  std::memcpy(dst, buffer_.data() + pos_, len);
-  pos_ += len;
-  return true;
-}
-
-uint32_t BlobReader::GetU32() {
-  uint32_t v = 0;
-  Take(&v, sizeof(v));
-  return v;
-}
-
-uint64_t BlobReader::GetU64() {
-  uint64_t v = 0;
-  Take(&v, sizeof(v));
-  return v;
-}
-
-int32_t BlobReader::GetI32() {
-  int32_t v = 0;
-  Take(&v, sizeof(v));
-  return v;
-}
-
-double BlobReader::GetDouble() {
-  double v = 0.0;
-  Take(&v, sizeof(v));
-  return v;
-}
-
-std::string BlobReader::GetString() {
-  const uint64_t len = GetU64();
-  if (!status_.ok()) return {};
-  if (len > buffer_.size() - pos_) {
-    status_ = Status::IOError(StringPrintf(
-        "%s: string length %llu overruns payload (%zu bytes left)",
-        context_.c_str(), static_cast<unsigned long long>(len),
-        buffer_.size() - pos_));
-    return {};
-  }
-  std::string out = buffer_.substr(pos_, static_cast<size_t>(len));
-  pos_ += static_cast<size_t>(len);
-  return out;
-}
-
-Status BlobReader::Finish() const {
-  P3C_RETURN_NOT_OK(status_);
-  if (pos_ != buffer_.size()) {
-    return Status::IOError(StringPrintf(
-        "%s: %zu trailing bytes after the last decoded field",
-        context_.c_str(), buffer_.size() - pos_));
-  }
-  return Status::OK();
-}
-
-// ---- MetricBag codec -------------------------------------------------------
-
-void EncodeMetricBag(const MetricBag& bag, BlobWriter& writer) {
-  writer.PutU64(bag.values().size());
-  for (const auto& [name, metric] : bag.values()) {
-    writer.PutString(name);
-    writer.PutU32(static_cast<uint32_t>(metric.kind));
-    writer.PutU64(metric.count);
-    writer.PutDouble(metric.sum);
-    writer.PutDouble(metric.min);
-    writer.PutDouble(metric.max);
-    for (uint64_t bucket : metric.buckets) writer.PutU64(bucket);
-  }
-}
-
-Result<MetricBag> DecodeMetricBag(BlobReader& reader) {
-  MetricBag bag;
-  const uint64_t n = reader.GetU64();
-  for (uint64_t i = 0; i < n && reader.status().ok(); ++i) {
-    const std::string name = reader.GetString();
-    Metric metric;
-    const uint32_t kind = reader.GetU32();
-    if (kind > static_cast<uint32_t>(MetricKind::kHistogram)) {
-      return Status::IOError(
-          StringPrintf("metric '%s' has unknown kind %u", name.c_str(), kind));
-    }
-    metric.kind = static_cast<MetricKind>(kind);
-    metric.count = reader.GetU64();
-    metric.sum = reader.GetDouble();
-    metric.min = reader.GetDouble();
-    metric.max = reader.GetDouble();
-    for (size_t b = 0; b < Metric::kNumBuckets; ++b) {
-      metric.buckets[b] = reader.GetU64();
-    }
-    bag.Set(name, metric);
-  }
-  P3C_RETURN_NOT_OK(reader.status());
-  return bag;
-}
-
-// ---- Phase state codecs ----------------------------------------------------
-
-namespace {
-
-void EncodeSignature(const core::Signature& signature, BlobWriter& writer) {
-  writer.PutU64(signature.intervals().size());
-  for (const core::Interval& interval : signature.intervals()) {
-    writer.PutU64(interval.attr);
-    writer.PutDouble(interval.lower);
-    writer.PutDouble(interval.upper);
-  }
-}
-
-Result<core::Signature> DecodeSignature(BlobReader& reader) {
-  const uint64_t n = reader.GetU64();
-  std::vector<core::Interval> intervals;
-  for (uint64_t i = 0; i < n && reader.status().ok(); ++i) {
-    core::Interval interval;
-    interval.attr = static_cast<size_t>(reader.GetU64());
-    interval.lower = reader.GetDouble();
-    interval.upper = reader.GetDouble();
-    intervals.push_back(interval);
-  }
-  P3C_RETURN_NOT_OK(reader.status());
-  return core::Signature::Make(std::move(intervals));
-}
-
-}  // namespace
-
-std::string EncodeHistogramState(const HistogramPhaseState& state) {
-  BlobWriter w;
-  w.PutU64(state.histograms.size());
-  for (const stats::Histogram& h : state.histograms) {
-    w.PutU64(h.num_bins());
-    for (uint64_t count : h.counts()) w.PutU64(count);
-  }
-  EncodeMetricBag(state.counters, w);
-  return w.Take();
-}
-
-Result<HistogramPhaseState> DecodeHistogramState(const std::string& payload) {
-  BlobReader r(payload, "histogram state");
-  HistogramPhaseState state;
-  const uint64_t n = r.GetU64();
-  for (uint64_t i = 0; i < n && r.status().ok(); ++i) {
-    const uint64_t bins = r.GetU64();
-    if (!r.status().ok()) break;
-    if (bins > payload.size()) {
-      return Status::IOError("histogram state: implausible bin count");
-    }
-    stats::Histogram h(static_cast<size_t>(bins));
-    for (uint64_t b = 0; b < bins; ++b) h.counts()[b] = r.GetU64();
-    state.histograms.push_back(std::move(h));
-  }
-  Result<MetricBag> counters = DecodeMetricBag(r);
-  if (!counters.ok()) return counters.status();
-  state.counters = std::move(counters).value();
-  P3C_RETURN_NOT_OK(r.Finish());
-  return state;
-}
-
-std::string EncodeCoresState(const CoresPhaseState& state) {
-  BlobWriter w;
-  w.PutU64(state.stats.num_levels);
-  w.PutU64(state.stats.num_candidates_generated);
-  w.PutU64(state.stats.num_signatures_counted);
-  w.PutU64(state.stats.num_proven);
-  w.PutU64(state.stats.num_support_batches);
-  w.PutU64(state.stats.num_maximal);
-  w.PutU32(state.stats.truncated ? 1 : 0);
-  w.PutU64(state.stats.num_after_redundancy);
-  w.PutU64(state.cores.size());
-  for (const core::ClusterCore& core : state.cores) {
-    EncodeSignature(core.signature, w);
-    w.PutU64(core.support);
-    w.PutDouble(core.expected_support);
-  }
-  EncodeMetricBag(state.counters, w);
-  return w.Take();
-}
-
-Result<CoresPhaseState> DecodeCoresState(const std::string& payload) {
-  BlobReader r(payload, "cluster-cores state");
-  CoresPhaseState state;
-  state.stats.num_levels = static_cast<size_t>(r.GetU64());
-  state.stats.num_candidates_generated = r.GetU64();
-  state.stats.num_signatures_counted = r.GetU64();
-  state.stats.num_proven = r.GetU64();
-  state.stats.num_support_batches = static_cast<size_t>(r.GetU64());
-  state.stats.num_maximal = static_cast<size_t>(r.GetU64());
-  state.stats.truncated = r.GetU32() != 0;
-  state.stats.num_after_redundancy = static_cast<size_t>(r.GetU64());
-  const uint64_t n = r.GetU64();
-  for (uint64_t i = 0; i < n && r.status().ok(); ++i) {
-    Result<core::Signature> signature = DecodeSignature(r);
-    if (!signature.ok()) return signature.status();
-    core::ClusterCore core;
-    core.signature = std::move(signature).value();
-    core.support = r.GetU64();
-    core.expected_support = r.GetDouble();
-    state.cores.push_back(std::move(core));
-  }
-  Result<MetricBag> counters = DecodeMetricBag(r);
-  if (!counters.ok()) return counters.status();
-  state.counters = std::move(counters).value();
-  P3C_RETURN_NOT_OK(r.Finish());
-  return state;
-}
-
-std::string EncodeSupportSetsState(const SupportSetsPhaseState& state) {
-  BlobWriter w;
-  w.PutU64(state.support_sets.size());
-  for (const auto& set : state.support_sets) {
-    w.PutU64(set.size());
-    for (data::PointId point : set) w.PutU32(point);
-  }
-  w.PutU64(state.unique_assignment.size());
-  for (int32_t c : state.unique_assignment) w.PutI32(c);
-  EncodeMetricBag(state.counters, w);
-  return w.Take();
-}
-
-Result<SupportSetsPhaseState> DecodeSupportSetsState(
-    const std::string& payload) {
-  BlobReader r(payload, "support-sets state");
-  SupportSetsPhaseState state;
-  const uint64_t k = r.GetU64();
-  if (k > payload.size()) {
-    return Status::IOError("support-sets state: implausible cluster count");
-  }
-  state.support_sets.resize(static_cast<size_t>(k));
-  for (uint64_t c = 0; c < k && r.status().ok(); ++c) {
-    const uint64_t size = r.GetU64();
-    if (size > payload.size()) {
-      return Status::IOError("support-sets state: implausible set size");
-    }
-    state.support_sets[c].reserve(static_cast<size_t>(size));
-    for (uint64_t i = 0; i < size && r.status().ok(); ++i) {
-      state.support_sets[c].push_back(r.GetU32());
-    }
-  }
-  const uint64_t n = r.GetU64();
-  if (n > payload.size()) {
-    return Status::IOError("support-sets state: implausible point count");
-  }
-  state.unique_assignment.reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n && r.status().ok(); ++i) {
-    state.unique_assignment.push_back(r.GetI32());
-  }
-  Result<MetricBag> counters = DecodeMetricBag(r);
-  if (!counters.ok()) return counters.status();
-  state.counters = std::move(counters).value();
-  P3C_RETURN_NOT_OK(r.Finish());
-  return state;
-}
-
-std::string EncodeGmmState(const GmmPhaseState& state) {
-  BlobWriter w;
-  w.PutU64(state.model.arel.size());
-  for (size_t attr : state.model.arel) w.PutU64(attr);
-  w.PutU64(state.model.components.size());
-  for (const core::GaussianComponent& comp : state.model.components) {
-    w.PutU64(comp.mean.size());
-    for (double v : comp.mean) w.PutDouble(v);
-    w.PutU64(comp.cov.rows());
-    w.PutU64(comp.cov.cols());
-    for (double v : comp.cov.data()) w.PutDouble(v);
-    w.PutDouble(comp.weight);
-  }
-  EncodeMetricBag(state.counters, w);
-  return w.Take();
-}
-
-Result<GmmPhaseState> DecodeGmmState(const std::string& payload) {
-  BlobReader r(payload, "em-refinement state");
-  GmmPhaseState state;
-  const uint64_t arel_size = r.GetU64();
-  if (arel_size > payload.size()) {
-    return Status::IOError("em-refinement state: implausible Arel size");
-  }
-  for (uint64_t i = 0; i < arel_size && r.status().ok(); ++i) {
-    state.model.arel.push_back(static_cast<size_t>(r.GetU64()));
-  }
-  const uint64_t k = r.GetU64();
-  if (k > payload.size()) {
-    return Status::IOError("em-refinement state: implausible component count");
-  }
-  for (uint64_t c = 0; c < k && r.status().ok(); ++c) {
-    core::GaussianComponent comp;
-    const uint64_t dim = r.GetU64();
-    if (dim > payload.size()) {
-      return Status::IOError("em-refinement state: implausible mean size");
-    }
-    comp.mean.reserve(static_cast<size_t>(dim));
-    for (uint64_t j = 0; j < dim && r.status().ok(); ++j) {
-      comp.mean.push_back(r.GetDouble());
-    }
-    const uint64_t rows = r.GetU64();
-    const uint64_t cols = r.GetU64();
-    if (!r.status().ok()) break;
-    if (rows > payload.size() || cols > payload.size() ||
-        (rows != 0 && rows * cols / rows != cols) ||
-        rows * cols * sizeof(double) > payload.size()) {
-      return Status::IOError(
-          "em-refinement state: implausible covariance shape");
-    }
-    linalg::Matrix cov(static_cast<size_t>(rows), static_cast<size_t>(cols));
-    for (double& v : cov.data()) v = r.GetDouble();
-    comp.cov = std::move(cov);
-    comp.weight = r.GetDouble();
-    state.model.components.push_back(std::move(comp));
-  }
-  Result<MetricBag> counters = DecodeMetricBag(r);
-  if (!counters.ok()) return counters.status();
-  state.counters = std::move(counters).value();
-  P3C_RETURN_NOT_OK(r.Finish());
-  return state;
-}
-
-std::string EncodeMembershipState(const MembershipPhaseState& state) {
-  BlobWriter w;
-  w.PutU64(state.membership.size());
-  for (int32_t c : state.membership) w.PutI32(c);
-  EncodeMetricBag(state.counters, w);
-  return w.Take();
-}
-
-Result<MembershipPhaseState> DecodeMembershipState(
-    const std::string& payload) {
-  BlobReader r(payload, "outlier-detection state");
-  MembershipPhaseState state;
-  const uint64_t n = r.GetU64();
-  if (n > payload.size()) {
-    return Status::IOError(
-        "outlier-detection state: implausible membership size");
-  }
-  state.membership.reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n && r.status().ok(); ++i) {
-    state.membership.push_back(r.GetI32());
-  }
-  Result<MetricBag> counters = DecodeMetricBag(r);
-  if (!counters.ok()) return counters.status();
-  state.counters = std::move(counters).value();
-  P3C_RETURN_NOT_OK(r.Finish());
-  return state;
+const std::vector<std::string>& PipelinePhases(bool light) {
+  static const std::vector<std::string> kLight = {
+      "histogram", "cluster-cores", "support-sets"};
+  static const std::vector<std::string> kFull = {
+      "histogram", "cluster-cores", "em-refinement", "outlier-detection"};
+  return light ? kLight : kFull;
 }
 
 // ---- CheckpointManager -----------------------------------------------------
@@ -468,22 +369,12 @@ Result<MembershipPhaseState> DecodeMembershipState(
 CheckpointManager::CheckpointManager(Options options)
     : options_(std::move(options)) {}
 
-std::string CheckpointManager::ManifestPath() const {
-  return options_.dir + "/" + kManifestFilename;
-}
-
-void CheckpointManager::Discard(const std::string& reason) {
-  P3C_LOG(kWarning) << "discarding checkpoint in '" << options_.dir
-                   << "' and starting fresh: " << reason;
-  if (options_.driver_metrics != nullptr) {
-    options_.driver_metrics->Increment(kCorruptCounter);
-  }
-  phases_.clear();
-}
-
-void CheckpointManager::Initialize() {
-  phases_.clear();
+void CheckpointManager::Initialize(const data::Dataset& dataset,
+                                   const core::P3CParams& params) {
+  state_ = PipelineCheckpoint();
   if (!enabled()) return;
+  dataset_fingerprint_ = DatasetFingerprint(dataset);
+  params_hash_ = ParamsHash(params);
   Status mkdir_status = MakeDirectories(options_.dir);
   if (!mkdir_status.ok()) {
     // Leave the manager "fresh"; the first CommitPhase will surface the
@@ -491,169 +382,46 @@ void CheckpointManager::Initialize() {
     P3C_LOG(kWarning) << mkdir_status.ToString();
     return;
   }
-  const std::string manifest_path = ManifestPath();
-  if (!FileExists(manifest_path)) {
-    P3C_LOG(kInfo) << "no checkpoint manifest in '" << options_.dir
-                  << "'; starting fresh";
+  const std::string path = options_.dir + "/" + kCheckpointFilename;
+  if (!FileExists(path)) {
+    P3C_LOG(kInfo) << "no checkpoint in '" << options_.dir
+                   << "'; starting fresh";
     return;
   }
-  Result<std::string> blob =
-      data::ReadBlobFile(manifest_path, kManifestBlobKind);
-  if (!blob.ok()) {
-    Discard("manifest unreadable: " + blob.status().ToString());
-    return;
-  }
-  BlobReader r(*blob, manifest_path);
-  const uint32_t version = r.GetU32();
-  const uint64_t fingerprint = r.GetU64();
-  const uint64_t params_hash = r.GetU64();
-  const uint64_t num_phases = r.GetU64();
-  if (!r.status().ok()) {
-    Discard("manifest truncated: " + r.status().ToString());
-    return;
-  }
-  if (version != kCheckpointFormatVersion) {
-    Discard(StringPrintf(
-        "checkpoint format version skew (manifest %u, this build %u)",
-        version, kCheckpointFormatVersion));
-    return;
-  }
-  if (fingerprint != options_.dataset_fingerprint) {
-    Discard(StringPrintf(
-        "dataset fingerprint mismatch (manifest %016llx, this run %016llx) — "
-        "checkpoint belongs to different data",
-        static_cast<unsigned long long>(fingerprint),
-        static_cast<unsigned long long>(options_.dataset_fingerprint)));
-    return;
-  }
-  if (params_hash != options_.params_hash) {
-    Discard(StringPrintf(
-        "parameter hash mismatch (manifest %016llx, this run %016llx) — "
-        "checkpoint belongs to a different configuration",
-        static_cast<unsigned long long>(params_hash),
-        static_cast<unsigned long long>(options_.params_hash)));
-    return;
-  }
-  if (num_phases > kMaxPhases) {
-    Discard(StringPrintf("manifest lists an implausible %llu phases",
-                         static_cast<unsigned long long>(num_phases)));
-    return;
-  }
-  std::vector<PhaseEntry> loaded;
-  for (uint64_t i = 0; i < num_phases; ++i) {
-    PhaseEntry entry;
-    entry.name = r.GetString();
-    entry.filename = r.GetString();
-    entry.payload_checksum = r.GetU64();
-    if (!r.status().ok()) {
-      Discard("manifest truncated: " + r.status().ToString());
-      return;
+  Result<PipelineCheckpoint> loaded =
+      LoadRecord(path, dataset_fingerprint_, params_hash_, dataset, params);
+  if (!loaded.ok()) {
+    P3C_LOG(kWarning) << "discarding checkpoint in '" << options_.dir
+                      << "' and starting fresh: "
+                      << loaded.status().ToString();
+    if (options_.driver_metrics != nullptr) {
+      options_.driver_metrics->Increment(kCorruptCounter);
     }
-    if (entry.name.empty() || entry.filename.empty() ||
-        entry.filename.find('/') != std::string::npos) {
-      Discard(StringPrintf("manifest entry %llu is malformed",
-                           static_cast<unsigned long long>(i)));
-      return;
-    }
-    const std::string path = options_.dir + "/" + entry.filename;
-    Result<std::string> state_blob =
-        data::ReadBlobFile(path, kPhaseBlobKind);
-    if (!state_blob.ok()) {
-      Discard("phase state unreadable: " + state_blob.status().ToString());
-      return;
-    }
-    const uint64_t checksum =
-        data::Fnv1a64(state_blob->data(), state_blob->size());
-    if (checksum != entry.payload_checksum) {
-      Discard(StringPrintf(
-          "phase file '%s' does not match the manifest (checksum %016llx vs "
-          "recorded %016llx) — stale file from another run",
-          entry.filename.c_str(), static_cast<unsigned long long>(checksum),
-          static_cast<unsigned long long>(entry.payload_checksum)));
-      return;
-    }
-    BlobReader state_reader(*state_blob, path);
-    const uint32_t state_version = state_reader.GetU32();
-    const uint64_t state_index = state_reader.GetU64();
-    const std::string state_name = state_reader.GetString();
-    const uint64_t state_fingerprint = state_reader.GetU64();
-    const uint64_t state_params = state_reader.GetU64();
-    entry.payload = state_reader.GetString();
-    Status state_status = state_reader.Finish();
-    if (!state_status.ok()) {
-      Discard("phase state malformed: " + state_status.ToString());
-      return;
-    }
-    if (state_version != kCheckpointFormatVersion || state_index != i ||
-        state_name != entry.name ||
-        state_fingerprint != options_.dataset_fingerprint ||
-        state_params != options_.params_hash) {
-      Discard(StringPrintf(
-          "phase file '%s' header disagrees with the manifest chain",
-          entry.filename.c_str()));
-      return;
-    }
-    loaded.push_back(std::move(entry));
-  }
-  Status trailing = r.Finish();
-  if (!trailing.ok()) {
-    Discard("manifest malformed: " + trailing.ToString());
     return;
   }
-  phases_ = std::move(loaded);
-  if (!phases_.empty()) {
+  state_ = std::move(loaded).value();
+  if (!state_.completed.empty()) {
     P3C_LOG(kInfo) << "checkpoint in '" << options_.dir << "' is valid: "
-                  << phases_.size() << " completed phase(s), last '"
-                  << phases_.back().name << "'";
+                   << state_.completed.size() << " completed phase(s), last '"
+                   << state_.completed.back() << "'";
   }
 }
 
-Status CheckpointManager::WriteManifest() {
-  BlobWriter w;
-  w.PutU32(kCheckpointFormatVersion);
-  w.PutU64(options_.dataset_fingerprint);
-  w.PutU64(options_.params_hash);
-  w.PutU64(phases_.size());
-  for (const PhaseEntry& entry : phases_) {
-    w.PutString(entry.name);
-    w.PutString(entry.filename);
-    w.PutU64(entry.payload_checksum);
-  }
-  return data::WriteBlobFile(ManifestPath(), kManifestBlobKind, w.Take());
-}
-
-Status CheckpointManager::CommitPhase(const std::string& name,
-                                      const std::string& payload) {
+Status CheckpointManager::CommitPhase(const std::string& name) {
   if (!enabled()) return Status::OK();
   TraceSpan span(Tracer::Global().enabled()
                      ? std::string("checkpoint:write:") + name
                      : std::string());
   Stopwatch watch;
-  const size_t index = phases_.size();
-  PhaseEntry entry;
-  entry.name = name;
-  entry.filename = StringPrintf("phase-%zu-%s.p3ck", index, name.c_str());
-  BlobWriter state;
-  state.PutU32(kCheckpointFormatVersion);
-  state.PutU64(index);
-  state.PutString(name);
-  state.PutU64(options_.dataset_fingerprint);
-  state.PutU64(options_.params_hash);
-  state.PutString(payload);
-  std::string state_blob = state.Take();
-  entry.payload_checksum =
-      data::Fnv1a64(state_blob.data(), state_blob.size());
-  entry.payload = payload;
-  P3C_RETURN_NOT_OK(data::WriteBlobFile(options_.dir + "/" + entry.filename,
-                                        kPhaseBlobKind, state_blob));
-  phases_.push_back(std::move(entry));
-  // The manifest rename is the commit point: a crash before it leaves
-  // the previous manifest (which simply does not list the new file), a
-  // crash after it leaves a fully committed phase.
-  Status manifest_status = WriteManifest();
-  if (!manifest_status.ok()) {
-    phases_.pop_back();
-    return manifest_status;
+  state_.completed.push_back(name);
+  // The rename inside WriteBlobFile is the commit point: a crash before
+  // it leaves the previous record, a crash after it the new one.
+  Status status = data::WriteBlobFile(
+      options_.dir + "/" + kCheckpointFilename, kCheckpointBlobKind,
+      EncodeRecord(dataset_fingerprint_, params_hash_, state_));
+  if (!status.ok()) {
+    state_.completed.pop_back();
+    return status;
   }
   if (options_.driver_metrics != nullptr) {
     options_.driver_metrics->SetGauge(

@@ -6,20 +6,19 @@
 // The driver persists its state after every completed pipeline phase so
 // a killed run resumes at the first incomplete phase instead of
 // restarting from scratch — the in-process analog of Hadoop keeping
-// each job's output on HDFS. The on-disk layout is one directory:
+// each job's output on HDFS. The on-disk layout is one file:
 //
-//   MANIFEST.p3ck                 commit point; lists the completed
-//                                 phases with their file checksums
-//   phase-<i>-<name>.p3ck         serialized driver state of phase i
+//   <dir>/checkpoint.p3ck         the cumulative driver-state record
 //
-// All files are checksummed P3CK blobs (src/data/io.h) written through
-// the atomic temp+fsync+rename writer, and the manifest additionally
-// binds the dataset fingerprint, the parameter hash, the checkpoint
-// format version, and each phase file's payload checksum. Validation is
-// all-or-nothing: any corruption, truncation, version skew, or
-// fingerprint/parameter mismatch is logged, counted, and discards the
-// whole checkpoint — the run degrades to a clean fresh execution, never
-// a crash and never a resume from stale state.
+// a checksummed P3CK blob (src/data/io.h) rewritten through the atomic
+// temp+fsync+rename writer after every phase, so the rename is the
+// commit point. The record binds the checkpoint format version, the
+// dataset fingerprint and the parameter hash to the completed phase
+// names and one PipelineCheckpoint. Validation is all-or-nothing: any
+// corruption, truncation, version skew, fingerprint/parameter mismatch,
+// or state that does not fit the live run is logged, counted, and
+// discards the whole checkpoint — the run degrades to a clean fresh
+// execution, never a crash and never a resume from stale state.
 
 #include <cstdint>
 #include <string>
@@ -35,18 +34,17 @@
 
 namespace p3c::mr {
 
-/// Version of the checkpoint payload schema. Bumped whenever any
-/// encoder below changes shape; a manifest carrying a different version
-/// is discarded as unusable (version skew), not misparsed.
-inline constexpr uint32_t kCheckpointFormatVersion = 1;
+/// Version of the checkpoint record schema. Bumped whenever the encoder
+/// changes shape; a record carrying a different version is discarded as
+/// unusable (version skew), not misparsed.
+inline constexpr uint32_t kCheckpointFormatVersion = 2;
 
-/// P3CK blob kind tags of the two checkpoint file types (see
-/// data::WriteBlobFile). Public so tests can craft hostile files.
-inline constexpr uint32_t kManifestBlobKind = 0x4d414e49;  // "MANI"
-inline constexpr uint32_t kPhaseBlobKind = 0x50484153;     // "PHAS"
+/// P3CK blob kind tag of the checkpoint file (see data::WriteBlobFile).
+/// Public so tests can craft hostile files.
+inline constexpr uint32_t kCheckpointBlobKind = 0x44525652;  // "DRVR"
 
-/// Name of the commit-point file inside a checkpoint directory.
-inline constexpr char kManifestFilename[] = "MANIFEST.p3ck";
+/// Name of the checkpoint file inside a checkpoint directory.
+inline constexpr char kCheckpointFilename[] = "checkpoint.p3ck";
 
 /// FNV-1a over (n, d, raw values): identifies the exact dataset a
 /// checkpoint was taken against.
@@ -59,128 +57,45 @@ uint64_t DatasetFingerprint(const data::Dataset& dataset);
 /// count is sound.
 uint64_t ParamsHash(const core::P3CParams& params);
 
-/// Little-endian byte encoder for checkpoint payloads. Doubles are
-/// stored as bit patterns, so every value round-trips exactly — the
-/// resume-determinism contract depends on it.
-class BlobWriter {
- public:
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
-  void PutI32(int32_t v);
-  void PutDouble(double v);
-  /// u64 length followed by the raw bytes.
-  void PutString(const std::string& s);
+/// Phase names of a pipeline variant, in pipeline order.
+const std::vector<std::string>& PipelinePhases(bool light);
 
-  [[nodiscard]] const std::string& buffer() const { return out_; }
-  std::string Take() { return std::move(out_); }
-
- private:
-  std::string out_;
-};
-
-/// Bounds-checked decoder with a sticky error: getters return zero
-/// values once a read has run past the end, and `status()` reports the
-/// first failure. Callers decode a full record, then check status()
-/// once — hostile payloads degrade into one descriptive error instead
-/// of undefined reads.
-class BlobReader {
- public:
-  BlobReader(const std::string& buffer, std::string context);
-
-  uint32_t GetU32();
-  uint64_t GetU64();
-  int32_t GetI32();
-  double GetDouble();
-  std::string GetString();
-
-  /// OK until a getter over-ran the buffer; then the first error.
-  [[nodiscard]] const Status& status() const { return status_; }
-  /// Fails when undecoded bytes remain (a payload longer than its
-  /// schema is as suspect as a short one).
-  [[nodiscard]] Status Finish() const;
-
- private:
-  bool Take(void* dst, size_t len);
-
-  const std::string& buffer_;
-  std::string context_;
-  size_t pos_ = 0;
-  Status status_;
-};
-
-// ---- Per-phase driver state -----------------------------------------------
-//
-// Every payload carries the cumulative framework-counter snapshot at
-// the instant the phase completed, so a resumed run restores the
-// counters of the skipped phases and its final counter JSON is
-// byte-identical to an uninterrupted run's.
-
-struct HistogramPhaseState {
-  std::vector<stats::Histogram> histograms;
-  MetricBag counters;
-};
-
-struct CoresPhaseState {
-  core::CoreDetectionStats stats;
-  std::vector<core::ClusterCore> cores;
-  MetricBag counters;
-};
-
-struct SupportSetsPhaseState {
+/// The driver's state between MR jobs, extended phase by phase. A field
+/// is meaningful once the phase that produces it has completed.
+struct PipelineCheckpoint {
+  /// Completed phases: a prefix of PipelinePhases(light).
+  std::vector<std::string> completed;
+  std::vector<stats::Histogram> histograms;  ///< "histogram"
+  core::CoreDetectionStats core_stats;       ///< "cluster-cores"
+  std::vector<core::ClusterCore> cores;      ///< "cluster-cores"
+  /// Light "support-sets": each core's sorted support set.
   std::vector<std::vector<data::PointId>> support_sets;
-  std::vector<int32_t> unique_assignment;
-  MetricBag counters;
-};
-
-struct GmmPhaseState {
-  core::GmmModel model;
-  MetricBag counters;
-};
-
-struct MembershipPhaseState {
+  core::GmmModel model;  ///< full "em-refinement"
+  /// Per point: cluster or negative. Light's m' ("support-sets") or the
+  /// full pipeline's OD membership ("outlier-detection").
   std::vector<int32_t> membership;
+  /// Cumulative framework counters at the last commit, so a resumed run
+  /// restores the skipped phases' counters and its counter JSON is
+  /// byte-identical to an uninterrupted run's.
   MetricBag counters;
 };
-
-std::string EncodeHistogramState(const HistogramPhaseState& state);
-Result<HistogramPhaseState> DecodeHistogramState(const std::string& payload);
-
-std::string EncodeCoresState(const CoresPhaseState& state);
-Result<CoresPhaseState> DecodeCoresState(const std::string& payload);
-
-std::string EncodeSupportSetsState(const SupportSetsPhaseState& state);
-Result<SupportSetsPhaseState> DecodeSupportSetsState(
-    const std::string& payload);
-
-std::string EncodeGmmState(const GmmPhaseState& state);
-Result<GmmPhaseState> DecodeGmmState(const std::string& payload);
-
-std::string EncodeMembershipState(const MembershipPhaseState& state);
-Result<MembershipPhaseState> DecodeMembershipState(
-    const std::string& payload);
-
-void EncodeMetricBag(const MetricBag& bag, BlobWriter& writer);
-Result<MetricBag> DecodeMetricBag(BlobReader& reader);
 
 /// Owns one checkpoint directory for one pipeline run.
 ///
-/// Lifecycle: construct with the run's identity, call Initialize() to
-/// scan and validate any existing checkpoint, consult num_completed() /
-/// PhaseName() / PhasePayload() to skip finished phases, and call
-/// CommitPhase() after each phase the run executes live. Disabled
-/// (empty dir) it is inert: every query says "nothing completed" and
-/// commits are no-ops.
+/// Lifecycle: construct, call Initialize() to load and validate any
+/// existing checkpoint, read num_completed() / state() to skip finished
+/// phases, and after each phase the run executes live, extend state()
+/// and call CommitPhase(). Disabled (empty dir) it is inert: nothing is
+/// ever completed and commits are no-ops.
 class CheckpointManager {
  public:
   struct Options {
     /// Checkpoint directory; empty disables checkpointing entirely.
     std::string dir;
-    uint64_t dataset_fingerprint = 0;
-    uint64_t params_hash = 0;
-    /// Driver-side observability sink (corruption counter, resume
-    /// gauge, per-phase write timings). Kept separate from the
-    /// framework-counter sink so resume bookkeeping never perturbs the
-    /// deterministic counter JSON. May be null.
+    /// Driver-side observability sink (corruption counter, per-phase
+    /// write timings). Kept separate from the framework-counter sink so
+    /// resume bookkeeping never perturbs the deterministic counter
+    /// JSON. May be null.
     MetricBag* driver_metrics = nullptr;
   };
 
@@ -192,53 +107,32 @@ class CheckpointManager {
 
   [[nodiscard]] bool enabled() const { return !options_.dir.empty(); }
 
-  /// Creates the directory if needed and validates any existing
-  /// manifest chain. A missing manifest is a normal fresh start; every
-  /// validation failure logs its reason, increments kCorruptCounter,
-  /// and leaves the manager in the fresh state. Never fails the run —
-  /// only CommitPhase can do that.
-  void Initialize();
+  /// Binds the manager to this run's dataset and parameters, creates
+  /// the directory if needed, and loads any existing checkpoint. A
+  /// missing file is a normal fresh start; a record that fails to
+  /// decode, belongs to another dataset, configuration or format
+  /// version, or does not fit the run (see the checks in the .cc) logs
+  /// its reason, increments kCorruptCounter, and leaves the manager in
+  /// the fresh state. Never fails the run — only CommitPhase can do
+  /// that.
+  void Initialize(const data::Dataset& dataset, const core::P3CParams& params);
 
-  /// Completed, fully validated phases available for resume.
-  [[nodiscard]] size_t num_completed() const { return phases_.size(); }
-  [[nodiscard]] const std::string& PhaseName(size_t index) const {
-    return phases_[index].name;
+  [[nodiscard]] size_t num_completed() const {
+    return state_.completed.size();
   }
-  /// Decoded payload of completed phase `index`.
-  [[nodiscard]] const std::string& PhasePayload(size_t index) const {
-    return phases_[index].payload;
-  }
+  /// The record: restored on resume, extended by the live phases.
+  PipelineCheckpoint& state() { return state_; }
 
-  /// Serializes `payload` as the next completed phase: writes the phase
-  /// state blob, then the manifest, both atomically — the manifest
-  /// rename is the commit point. Failures propagate: the caller asked
+  /// Appends `name` to the completed phases and atomically rewrites the
+  /// checkpoint file from state(). Failures propagate: the caller asked
   /// for durability, so an unwritable checkpoint is a real error.
-  Status CommitPhase(const std::string& name, const std::string& payload);
-
-  /// Driver-side fallback hook: a payload that validated here can still
-  /// fail the driver's phase-specific decode (schema drift inside one
-  /// phase). Logs `reason`, increments kCorruptCounter, and resets to
-  /// the fresh state so the run re-executes — and re-commits — every
-  /// phase. No-op while disabled.
-  void DiscardAll(const std::string& reason) {
-    if (enabled()) Discard(reason);
-  }
+  Status CommitPhase(const std::string& name);
 
  private:
-  struct PhaseEntry {
-    std::string name;
-    std::string filename;
-    uint64_t payload_checksum = 0;
-    std::string payload;  ///< inner phase payload (decoded from the blob)
-  };
-
-  /// Logs `reason`, bumps the corruption counter, and resets to fresh.
-  void Discard(const std::string& reason);
-  Status WriteManifest();
-  [[nodiscard]] std::string ManifestPath() const;
-
   Options options_;
-  std::vector<PhaseEntry> phases_;
+  uint64_t dataset_fingerprint_ = 0;
+  uint64_t params_hash_ = 0;
+  PipelineCheckpoint state_;
 };
 
 }  // namespace p3c::mr

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <thread>
 
 #include "src/common/logging.h"
@@ -277,121 +276,6 @@ Result<std::vector<linalg::Cholesky>> FactorizeAll(
   return factors;
 }
 
-/// Decoded driver state of every phase a valid checkpoint completed.
-/// All payloads are decoded up front: a single undecodable phase
-/// discards the whole checkpoint (DiscardAll), so resume never mixes
-/// restored and stale state.
-struct ResumeState {
-  std::optional<HistogramPhaseState> histogram;
-  std::optional<CoresPhaseState> cores;
-  std::optional<SupportSetsPhaseState> support_sets;  // light pipeline
-  std::optional<GmmPhaseState> gmm;                   // full pipeline
-  std::optional<MembershipPhaseState> od;             // full pipeline
-};
-
-/// Phase names in pipeline order. The parameter hash pins `light`, so a
-/// validated manifest always belongs to the matching variant; the name
-/// check below is defense in depth.
-std::vector<std::string> ExpectedPhaseNames(bool light) {
-  if (light) return {"histogram", "cluster-cores", "support-sets"};
-  return {"histogram", "cluster-cores", "em-refinement",
-          "outlier-detection"};
-}
-
-ResumeState DecodeResumeState(CheckpointManager& ckpt, bool light,
-                              size_t num_points, size_t num_dims) {
-  ResumeState state;
-  const std::vector<std::string> expected = ExpectedPhaseNames(light);
-  if (ckpt.num_completed() > expected.size()) {
-    ckpt.DiscardAll(StringPrintf(
-        "manifest lists %zu phases but the pipeline has %zu",
-        ckpt.num_completed(), expected.size()));
-    return {};
-  }
-  for (size_t i = 0; i < ckpt.num_completed(); ++i) {
-    const std::string& name = ckpt.PhaseName(i);
-    if (name != expected[i]) {
-      ckpt.DiscardAll(StringPrintf(
-          "phase %zu is '%s' where '%s' was expected", i, name.c_str(),
-          expected[i].c_str()));
-      return {};
-    }
-    const std::string& payload = ckpt.PhasePayload(i);
-    Status decode_status;
-    if (name == "histogram") {
-      auto decoded = DecodeHistogramState(payload);
-      if (decoded.ok()) {
-        state.histogram = std::move(decoded).value();
-      } else {
-        decode_status = decoded.status();
-      }
-    } else if (name == "cluster-cores") {
-      auto decoded = DecodeCoresState(payload);
-      if (decoded.ok()) {
-        state.cores = std::move(decoded).value();
-      } else {
-        decode_status = decoded.status();
-      }
-    } else if (name == "support-sets") {
-      auto decoded = DecodeSupportSetsState(payload);
-      if (decoded.ok()) {
-        state.support_sets = std::move(decoded).value();
-      } else {
-        decode_status = decoded.status();
-      }
-    } else if (name == "em-refinement") {
-      auto decoded = DecodeGmmState(payload);
-      if (decoded.ok()) {
-        state.gmm = std::move(decoded).value();
-      } else {
-        decode_status = decoded.status();
-      }
-    } else {  // "outlier-detection"
-      auto decoded = DecodeMembershipState(payload);
-      if (decoded.ok()) {
-        state.od = std::move(decoded).value();
-      } else {
-        decode_status = decoded.status();
-      }
-    }
-    if (!decode_status.ok()) {
-      ckpt.DiscardAll(StringPrintf("phase '%s' payload undecodable: %s",
-                                   name.c_str(),
-                                   decode_status.ToString().c_str()));
-      return {};
-    }
-  }
-  // Cross-phase consistency: every restored structure must agree with
-  // the dataset shape and with the other phases. The checksums already
-  // reject accidental corruption; these checks reject a checkpoint that
-  // is internally coherent but wrong for this run.
-  std::string inconsistency;
-  if (state.histogram && state.histogram->histograms.size() != num_dims) {
-    inconsistency = "histogram count disagrees with the dataset dims";
-  }
-  const size_t k = state.cores ? state.cores->cores.size() : 0;
-  if (inconsistency.empty() && state.support_sets &&
-      (state.support_sets->unique_assignment.size() != num_points ||
-       state.support_sets->support_sets.size() != k)) {
-    inconsistency = "support-sets state disagrees with dataset/cores";
-  }
-  if (inconsistency.empty() && state.gmm && state.cores &&
-      (state.gmm->model.components.size() != k ||
-       state.gmm->model.arel !=
-           core::RelevantAttributeUnion(state.cores->cores))) {
-    inconsistency = "EM model disagrees with the restored cores";
-  }
-  if (inconsistency.empty() && state.od &&
-      state.od->membership.size() != num_points) {
-    inconsistency = "membership size disagrees with the dataset";
-  }
-  if (!inconsistency.empty()) {
-    ckpt.DiscardAll(inconsistency);
-    return {};
-  }
-  return state;
-}
-
 }  // namespace
 
 P3CMR::P3CMR(P3CMROptions options) : options_(std::move(options)) {
@@ -450,32 +334,20 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
   core::ClusteringResult result;
 
   // ---- 0. Checkpoint scan (DESIGN.md §13) ---------------------------------
-  CheckpointManager::Options ckpt_options;
-  ckpt_options.dir = options_.checkpoint_dir;
-  if (!options_.checkpoint_dir.empty()) {
-    ckpt_options.dataset_fingerprint = DatasetFingerprint(dataset);
-    ckpt_options.params_hash = ParamsHash(params);
-  }
-  ckpt_options.driver_metrics = &driver_metrics_;
-  CheckpointManager ckpt(ckpt_options);
-  ckpt.Initialize();
-  ResumeState resume = DecodeResumeState(ckpt, params.light,
-                                         dataset.num_points(),
-                                         dataset.num_dims());
+  // The checkpoint record is the driver's state: each phase below reads
+  // it when a resumed run skips the phase, and extends it when the phase
+  // runs live.
+  CheckpointManager ckpt({options_.checkpoint_dir, &driver_metrics_});
+  ckpt.Initialize(dataset, params);
+  PipelineCheckpoint& state = ckpt.state();
   const size_t completed = ckpt.num_completed();
   if (completed > 0) {
     // Replay the framework-counter snapshot persisted with the last
     // completed phase, so the skipped phases' counters are present and
     // the final counter JSON matches an uninterrupted run's byte for
     // byte. The resume bookkeeping itself goes to driver_metrics_ only.
-    const std::string& last = ckpt.PhaseName(completed - 1);
-    const MetricBag* snapshot = nullptr;
-    if (last == "histogram") snapshot = &resume.histogram->counters;
-    if (last == "cluster-cores") snapshot = &resume.cores->counters;
-    if (last == "support-sets") snapshot = &resume.support_sets->counters;
-    if (last == "em-refinement") snapshot = &resume.gmm->counters;
-    if (last == "outlier-detection") snapshot = &resume.od->counters;
-    if (snapshot != nullptr) counters_.MergeBag(*snapshot);
+    const std::string& last = state.completed.back();
+    counters_.MergeBag(state.counters);
     driver_metrics_.SetGauge("checkpoint.resumed_from_phase",
                              static_cast<double>(completed));
     if (Tracer::Global().enabled()) {
@@ -489,19 +361,6 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
                    << "'";
   }
 
-  // Commits one finished phase and then gives the fault injector its
-  // crash point: the checkpoint is durable when the hook fires, so an
-  // injected failure here models a driver killed at the phase boundary.
-  auto commit_phase = [&](const char* name,
-                          const std::string& payload) -> Status {
-    P3C_RETURN_NOT_OK(ckpt.CommitPhase(name, payload));
-    if (options_.runner.fault_injector != nullptr) {
-      const std::string phase_name(name);
-      P3C_RETURN_NOT_OK(options_.runner.fault_injector->OnPhaseCommit(
-          PhaseCommit{phase_name, ckpt.num_completed() - 1}));
-    }
-    return Status::OK();
-  };
   // Cooperative shutdown: between phases the driver's own token is the
   // cancellation authority (task-level tokens stop individual attempts;
   // this stops the pipeline). Checked right after each commit, so a
@@ -514,31 +373,37 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
                          "can resume from the checkpoint directory"
                        : ""));
   };
+  // Commits the record as extended by one finished phase, then gives the
+  // fault injector its crash point: the checkpoint is durable when the
+  // hook fires, so an injected failure here models a driver killed at
+  // the phase boundary.
+  auto finish_phase = [&](const char* name) -> Status {
+    if (ckpt.enabled()) {
+      state.counters = counters_.Snapshot();
+      P3C_RETURN_NOT_OK(ckpt.CommitPhase(name));
+      if (options_.runner.fault_injector != nullptr) {
+        const std::string phase_name(name);
+        P3C_RETURN_NOT_OK(options_.runner.fault_injector->OnPhaseCommit(
+            PhaseCommit{phase_name, ckpt.num_completed() - 1}));
+      }
+    }
+    return check_cancel(name);
+  };
   P3C_RETURN_NOT_OK(check_cancel("<none>"));
 
   // ---- 1. Histogram job (§5.1) -------------------------------------------
-  std::vector<stats::Histogram> histograms;
-  if (completed >= 1) {
-    histograms = std::move(resume.histogram->histograms);
-  } else {
+  if (completed < 1) {
     auto histograms_result = RunPipelineJob(retry, "histogram", [&] {
       return RunHistogramJob(runner, dataset, params.binning);
     });
     if (!histograms_result.ok()) return histograms_result.status();
-    histograms = std::move(histograms_result).value();
-    if (ckpt.enabled()) {
-      HistogramPhaseState state;
-      state.histograms = histograms;
-      state.counters = counters_.Snapshot();
-      P3C_RETURN_NOT_OK(
-          commit_phase("histogram", EncodeHistogramState(state)));
-    }
-    P3C_RETURN_NOT_OK(check_cancel("histogram"));
+    state.histograms = std::move(histograms_result).value();
+    P3C_RETURN_NOT_OK(finish_phase("histogram"));
   }
 
   // ---- 2. Relevant intervals — driver-side, "computationally cheap" (§5.2)
   const std::vector<core::Interval> relevant =
-      core::FindAllRelevantIntervals(histograms, params.alpha_chi2);
+      core::FindAllRelevantIntervals(state.histograms, params.alpha_chi2);
 
   // ---- 3. Cluster-core generation with support jobs (§5.3) ----------------
   // core::SupportCountFn cannot carry a Status, so the counter parks the
@@ -570,83 +435,53 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
   // block checkpoints as one "cluster-cores" phase: its driver state
   // (the proven cores and their stats) is small, while mid-generation
   // state (the A-priori lattice frontier) is not worth persisting.
-  core::CoreDetectionResult detection;
-  if (completed >= 2) {
-    detection.stats = resume.cores->stats;
-    detection.cores = std::move(resume.cores->cores);
-  } else {
-    detection = core::GenerateClusterCores(
+  if (completed < 2) {
+    core::CoreDetectionResult detection = core::GenerateClusterCores(
         relevant, dataset.num_points(), params, counter, &runner.pool());
     if (!support_job_error.ok()) return support_job_error;
-    if (ckpt.enabled()) {
-      CoresPhaseState state;
-      state.stats = detection.stats;
-      state.cores = detection.cores;
-      state.counters = counters_.Snapshot();
-      P3C_RETURN_NOT_OK(
-          commit_phase("cluster-cores", EncodeCoresState(state)));
-    }
-    P3C_RETURN_NOT_OK(check_cancel("cluster-cores"));
+    state.core_stats = detection.stats;
+    state.cores = std::move(detection.cores);
+    P3C_RETURN_NOT_OK(finish_phase("cluster-cores"));
   }
-  result.core_stats = detection.stats;
-  result.cores = detection.cores;
-  if (detection.cores.empty()) {
+  const std::vector<core::ClusterCore>& cores = state.cores;
+  result.core_stats = state.core_stats;
+  result.cores = cores;
+  if (cores.empty()) {
     result.seconds = watch.ElapsedSeconds();
     return result;
   }
-  result.arel = core::RelevantAttributeUnion(detection.cores);
+  result.arel = core::RelevantAttributeUnion(cores);
 
-  const size_t k = detection.cores.size();
+  const size_t k = cores.size();
   std::vector<core::Signature> signatures;
   signatures.reserve(k);
-  for (const auto& core : detection.cores) signatures.push_back(core.signature);
+  for (const auto& core : cores) signatures.push_back(core.signature);
 
-  std::vector<int32_t> membership;  // per point: cluster or negative
-  std::vector<std::vector<data::PointId>> reported_points(k);
+  // Per point: cluster or negative.
+  std::vector<int32_t>& membership = state.membership;
+  std::vector<std::vector<data::PointId>>& reported_points =
+      state.support_sets;
 
   if (params.light) {
     // ---- Light path (§6) --------------------------------------------------
-    if (completed >= 3) {
-      reported_points = std::move(resume.support_sets->support_sets);
-      membership = std::move(resume.support_sets->unique_assignment);
-    } else {
+    if (completed < 3) {
       auto sets = RunPipelineJob(retry, "support-sets", [&] {
         return RunSupportSetJob(runner, dataset, signatures);
       });
       if (!sets.ok()) return sets.status();
       reported_points = std::move(sets->support_sets);
       membership = std::move(sets->unique_assignment);
-      if (ckpt.enabled()) {
-        SupportSetsPhaseState state;
-        state.support_sets = reported_points;
-        state.unique_assignment = membership;
-        state.counters = counters_.Snapshot();
-        P3C_RETURN_NOT_OK(
-            commit_phase("support-sets", EncodeSupportSetsState(state)));
-      }
-      P3C_RETURN_NOT_OK(check_cancel("support-sets"));
+      P3C_RETURN_NOT_OK(finish_phase("support-sets"));
     }
     // m': multi-core points carry -2 and are excluded from histograms and
     // tightening by the jobs' `c < 0` guard.
-  } else if (completed >= 4) {
-    // ---- Full path, both refinement phases checkpointed -------------------
-    // The model itself is no longer needed: attribute inspection and
-    // tightening run on the membership alone.
-    membership = std::move(resume.od->membership);
-    for (size_t i = 0; i < membership.size(); ++i) {
-      if (membership[i] >= 0) {
-        reported_points[static_cast<size_t>(membership[i])].push_back(
-            static_cast<data::PointId>(i));
-      }
-    }
-  } else {
-    core::GmmModel model;
+  } else if (completed < 4) {
+    // ---- Full path: EM, then outlier detection ----------------------------
+    // A run resumed after 'em-refinement' restored the converged model
+    // and runs outlier detection live.
+    core::GmmModel& model = state.model;
     const size_t dim = result.arel.size();
-    if (completed >= 3) {
-      // Resume: 'em-refinement' persisted the converged model; outlier
-      // detection below runs live.
-      model = std::move(resume.gmm->model);
-    } else {
+    if (completed < 3) {
       // One EM round of two jobs (§5.4): the moment job under the
       // `weights` membership, its interim means for the covariance job,
       // then the model update. A component with mass takes the interim
@@ -719,14 +554,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
         prev_ll = moments->log_likelihood;
       }
 
-      if (ckpt.enabled()) {
-        GmmPhaseState state;
-        state.model = model;
-        state.counters = counters_.Snapshot();
-        P3C_RETURN_NOT_OK(
-            commit_phase("em-refinement", EncodeGmmState(state)));
-      }
-      P3C_RETURN_NOT_OK(check_cancel("em-refinement"));
+      P3C_RETURN_NOT_OK(finish_phase("em-refinement"));
     }
 
     // ---- Outlier detection (§5.5) ------------------------------------------
@@ -790,14 +618,12 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
     });
     if (!od.ok()) return od.status();
     membership = std::move(od).value();
-    if (ckpt.enabled()) {
-      MembershipPhaseState state;
-      state.membership = membership;
-      state.counters = counters_.Snapshot();
-      P3C_RETURN_NOT_OK(
-          commit_phase("outlier-detection", EncodeMembershipState(state)));
-    }
-    P3C_RETURN_NOT_OK(check_cancel("outlier-detection"));
+    P3C_RETURN_NOT_OK(finish_phase("outlier-detection"));
+  }
+  if (!params.light) {
+    // The full pipeline reports each cluster's OD members. Derived after
+    // the last commit, so its record never carries support sets.
+    reported_points.assign(k, {});
     for (size_t i = 0; i < membership.size(); ++i) {
       if (membership[i] >= 0) {
         reported_points[static_cast<size_t>(membership[i])].push_back(
@@ -830,10 +656,10 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
   for (size_t c = 0; c < k; ++c) {
     if (member_counts[c] == 0) continue;
     suggestions[c] = core::SuggestNewIntervals(
-        detection.cores[c].signature, member_histograms[c], params.alpha_chi2);
+        cores[c].signature, member_histograms[c], params.alpha_chi2);
   }
   const std::vector<std::vector<core::Interval>> accepted =
-      core::ProveSuggestedIntervals(detection.cores, suggestions, params,
+      core::ProveSuggestedIntervals(cores, suggestions, params,
                                     counter);
   if (!support_job_error.ok()) return support_job_error;
 
@@ -841,7 +667,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
   std::vector<std::vector<size_t>> final_attrs(k);
   for (size_t c = 0; c < k; ++c) {
     final_attrs[c] =
-        core::FinalAttributes(detection.cores[c].signature, accepted[c]);
+        core::FinalAttributes(cores[c].signature, accepted[c]);
   }
   auto tightened_result = RunPipelineJob(retry, "interval-tightening", [&] {
     return RunTighteningJob(runner, dataset, membership, final_attrs);
@@ -855,8 +681,8 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
     core::ProjectedCluster cluster;
     cluster.points = reported_points[c];
     if (member_counts[c] == 0) {
-      cluster.attrs = detection.cores[c].signature.attrs();
-      cluster.intervals = detection.cores[c].signature.intervals();
+      cluster.attrs = cores[c].signature.attrs();
+      cluster.intervals = cores[c].signature.intervals();
     } else {
       cluster.attrs = final_attrs[c];
       cluster.intervals = tightened[c];

@@ -10,8 +10,10 @@
 //      bit flips, version skew, parameter/dataset mismatch, a
 //      directory from a different run — is detected, logged, counted,
 //      and degrades to a clean fresh run with correct output.
-//   3. Plumbing: the atomic writer's durable-replace protocol and the
-//      checkpoint blob codecs round-trip exactly.
+//   3. Plumbing: the atomic writer's durable-replace protocol, the P3CK
+//      container, and the parameter hash's field coverage. The record's
+//      byte codec is wire::WireWriter/WireReader, tested with the
+//      worker frames (tests/worker_backend_test.cc, WireTest.*).
 
 #include "src/mr/checkpoint.h"
 
@@ -21,7 +23,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/atomic_file.h"
@@ -29,10 +34,13 @@
 #include "src/common/logging.h"
 #include "src/common/status.h"
 #include "src/core/params.h"
+#include "src/core/signature.h"
 #include "src/data/generator.h"
 #include "src/data/io.h"
+#include "src/linalg/matrix.h"
 #include "src/mapreduce/fault.h"
 #include "src/mr/p3c_mr.h"
+#include "src/stats/histogram.h"
 
 namespace p3c::mr {
 namespace {
@@ -133,24 +141,13 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// The checkpointed phase file of phase `index` in `dir`, via the
-/// manifest-independent naming convention.
-std::string PhaseFile(const std::string& dir, size_t index,
-                      const std::string& name) {
-  return dir + "/phase-" + std::to_string(index) + "-" + name + ".p3ck";
+std::string CheckpointFile(const std::string& dir) {
+  return dir + "/" + kCheckpointFilename;
 }
 
-const std::vector<std::string>& FullPhases() {
-  static const std::vector<std::string> kPhases = {
-      "histogram", "cluster-cores", "em-refinement", "outlier-detection"};
-  return kPhases;
-}
+const std::vector<std::string>& FullPhases() { return PipelinePhases(false); }
 
-const std::vector<std::string>& LightPhases() {
-  static const std::vector<std::string> kPhases = {
-      "histogram", "cluster-cores", "support-sets"};
-  return kPhases;
-}
+const std::vector<std::string>& LightPhases() { return PipelinePhases(true); }
 
 // ---------------------------------------------------------------------------
 // Atomic writer
@@ -203,76 +200,72 @@ TEST(AtomicFileWriter, StreamedWritesReachTheFile) {
 }
 
 // ---------------------------------------------------------------------------
-// Blob container + codecs
+// Blob container + parameter hash
 // ---------------------------------------------------------------------------
 
 TEST(BlobFile, RoundTripsAndRejectsCorruption) {
   const std::string dir = TempDir("blob");
   const std::string path = dir + "/x.p3ck";
   const std::string payload = "some payload bytes \x01\x02\x03";
-  ASSERT_TRUE(data::WriteBlobFile(path, kPhaseBlobKind, payload).ok());
-  auto read = data::ReadBlobFile(path, kPhaseBlobKind);
+  ASSERT_TRUE(data::WriteBlobFile(path, kCheckpointBlobKind, payload).ok());
+  auto read = data::ReadBlobFile(path, kCheckpointBlobKind);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, payload);
 
   // Wrong kind tag.
-  EXPECT_FALSE(data::ReadBlobFile(path, kManifestBlobKind).ok());
+  EXPECT_FALSE(data::ReadBlobFile(path, kCheckpointBlobKind ^ 1).ok());
 
   // Truncation.
   const std::string bytes = ReadFileBytes(path);
   WriteFileBytes(path, bytes.substr(0, bytes.size() - 3));
-  EXPECT_FALSE(data::ReadBlobFile(path, kPhaseBlobKind).ok());
+  EXPECT_FALSE(data::ReadBlobFile(path, kCheckpointBlobKind).ok());
 
   // Single flipped payload bit.
   std::string flipped = bytes;
   flipped[flipped.size() - 1] = static_cast<char>(flipped.back() ^ 0x40);
   WriteFileBytes(path, flipped);
-  EXPECT_FALSE(data::ReadBlobFile(path, kPhaseBlobKind).ok());
+  EXPECT_FALSE(data::ReadBlobFile(path, kCheckpointBlobKind).ok());
 }
 
-TEST(BlobCodec, ReaderRejectsTrailingAndTruncatedPayloads) {
-  BlobWriter w;
-  w.PutU32(7);
-  w.PutDouble(0.25);
-  w.PutString("abc");
-  const std::string payload = w.Take();
-  {
-    BlobReader r(payload, "test");
-    EXPECT_EQ(r.GetU32(), 7u);
-    EXPECT_EQ(r.GetDouble(), 0.25);
-    EXPECT_EQ(r.GetString(), "abc");
-    EXPECT_TRUE(r.status().ok());
-    EXPECT_TRUE(r.Finish().ok());
+TEST(ParamsHashTest, EveryFieldChangesTheHash) {
+  using core::P3CParams;
+  using Edit = std::function<void(P3CParams&)>;
+  const std::vector<std::pair<const char*, Edit>> edits = {
+      {"binning",
+       [](P3CParams& p) { p.binning = stats::BinningRule::kSturges; }},
+      {"alpha_chi2", [](P3CParams& p) { p.alpha_chi2 *= 2; }},
+      {"alpha_poisson", [](P3CParams& p) { p.alpha_poisson *= 2; }},
+      {"proving",
+       [](P3CParams& p) { p.proving = core::ProvingMode::kPoisson; }},
+      {"theta_cc", [](P3CParams& p) { p.theta_cc *= 2; }},
+      {"redundancy_filter",
+       [](P3CParams& p) { p.redundancy_filter = !p.redundancy_filter; }},
+      {"multilevel_candidates",
+       [](P3CParams& p) {
+         p.multilevel_candidates = !p.multilevel_candidates;
+       }},
+      {"t_c", [](P3CParams& p) { p.t_c += 1; }},
+      {"t_gen", [](P3CParams& p) { p.t_gen += 1; }},
+      {"max_candidates_per_level",
+       [](P3CParams& p) { p.max_candidates_per_level += 1; }},
+      {"max_join_pairs", [](P3CParams& p) { p.max_join_pairs += 1; }},
+      {"max_em_iterations", [](P3CParams& p) { p.max_em_iterations += 1; }},
+      {"em_tolerance", [](P3CParams& p) { p.em_tolerance *= 2; }},
+      {"covariance_ridge", [](P3CParams& p) { p.covariance_ridge *= 2; }},
+      {"outlier",
+       [](P3CParams& p) { p.outlier = core::OutlierMode::kNaive; }},
+      {"outlier_alpha", [](P3CParams& p) { p.outlier_alpha *= 2; }},
+      {"ai_proving", [](P3CParams& p) { p.ai_proving = !p.ai_proving; }},
+      {"light", [](P3CParams& p) { p.light = !p.light; }},
+  };
+  ASSERT_EQ(edits.size(), 18u);  // one per P3CParams field
+  const uint64_t base = ParamsHash(P3CParams());
+  EXPECT_EQ(ParamsHash(P3CParams()), base);
+  for (const auto& [field, edit] : edits) {
+    P3CParams params;
+    edit(params);
+    EXPECT_NE(ParamsHash(params), base) << field;
   }
-  {
-    BlobReader r(payload, "test");
-    EXPECT_EQ(r.GetU32(), 7u);
-    EXPECT_FALSE(r.Finish().ok());  // undecoded bytes remain
-  }
-  {
-    const std::string cut = payload.substr(0, payload.size() - 1);
-    BlobReader r(cut, "test");
-    r.GetU32();
-    r.GetDouble();
-    r.GetString();
-    EXPECT_FALSE(r.status().ok());  // over-ran the buffer
-  }
-}
-
-TEST(BlobCodec, MetricBagRoundTripsExactly) {
-  MetricBag bag;
-  bag.Increment("records", 42);
-  bag.SetGauge("peak", 17.5);
-  bag.Observe("sizes", 3.0);
-  bag.Observe("sizes", 1000.0);
-  BlobWriter w;
-  EncodeMetricBag(bag, w);
-  const std::string payload = w.Take();
-  BlobReader r(payload, "test");
-  auto decoded = DecodeMetricBag(r);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->ToJson(), bag.ToJson());
-  EXPECT_TRUE(decoded->values() == bag.values());
 }
 
 // ---------------------------------------------------------------------------
@@ -303,8 +296,10 @@ TEST_P(KillResumeTest, ResumeAtEveryBoundaryIsByteIdentical) {
         RunPipeline(data.dataset, MakeOptions(light, dir), &injector);
     ASSERT_FALSE(killed.status.ok());
     EXPECT_NE(killed.status.ToString().find(phases[i]), std::string::npos);
-    EXPECT_TRUE(fs::exists(dir + "/" + kManifestFilename));
-    EXPECT_TRUE(fs::exists(PhaseFile(dir, i, phases[i])));
+    // One file holds every phase committed so far.
+    CheckpointManager probe({dir, nullptr});
+    probe.Initialize(data.dataset, MakeOptions(light, dir).params);
+    EXPECT_EQ(probe.num_completed(), i + 1);
 
     // Run 2: resume. Output and counter JSON must match the
     // uninterrupted run byte for byte.
@@ -381,28 +376,29 @@ TEST(CheckpointResume, CancellationIsNotRetriedAsAJobFailure) {
 // Hostile checkpoints: every corruption falls back to a clean fresh run
 // ---------------------------------------------------------------------------
 
-/// Runs the pipeline against `dir` after `corrupt` has sabotaged it and
+/// Runs the pipeline against `dir` after it has been sabotaged and
 /// checks the fallback contract: a warning is logged, the corruption
 /// counter increments, no resume gauge is set, and the output is
 /// byte-identical to the uninterrupted baseline.
 void ExpectCleanFallback(const data::Dataset& dataset,
                          const RunOutput& baseline, const std::string& dir,
-                         const std::string& scenario) {
+                         const std::string& scenario, bool light = false) {
   SCOPED_TRACE(scenario);
   MetricBag driver_metrics;
   std::vector<std::string> log_lines;
   RunOutput rerun;
   {
     ScopedLogCapture capture;
-    rerun = RunPipeline(dataset, MakeOptions(false, dir), nullptr, &driver_metrics);
+    rerun = RunPipeline(dataset, MakeOptions(light, dir), nullptr,
+                        &driver_metrics);
     log_lines = capture.lines();
   }
-  ASSERT_TRUE(rerun.status.ok());
+  ASSERT_TRUE(rerun.status.ok()) << rerun.status.ToString();
   EXPECT_EQ(rerun.canonical, baseline.canonical);
   EXPECT_EQ(rerun.counters_json, baseline.counters_json);
-  EXPECT_GE(driver_metrics.Get(CheckpointManager::kCorruptCounter), 1u);
+  EXPECT_EQ(driver_metrics.Get(CheckpointManager::kCorruptCounter), 1u);
   EXPECT_EQ(driver_metrics.GetGauge("checkpoint.resumed_from_phase"), 0.0);
-  EXPECT_TRUE(LogsContain(log_lines, "checkpoint"));
+  EXPECT_TRUE(LogsContain(log_lines, "discarding checkpoint"));
 }
 
 class HostileCheckpointTest : public ::testing::Test {
@@ -421,22 +417,52 @@ class HostileCheckpointTest : public ::testing::Test {
     return dir;
   }
 
+  /// A complete checkpoint of the `light` or full pipeline whose record
+  /// `edit` changed, re-committed through CheckpointManager: the file is
+  /// checksum-valid and decodes, whatever values `edit` wrote.
+  std::string CraftCheckpoint(
+      const std::string& name, bool light,
+      const std::function<void(PipelineCheckpoint&)>& edit) {
+    const std::string dir = TempDir(name);
+    const RunOutput seeded =
+        RunPipeline(data_.dataset, MakeOptions(light, dir));
+    EXPECT_TRUE(seeded.status.ok());
+    CheckpointManager manager({dir, nullptr});
+    manager.Initialize(data_.dataset, MakeOptions(light, dir).params);
+    PipelineCheckpoint& state = manager.state();
+    if (state.completed.size() != PipelinePhases(light).size()) {
+      ADD_FAILURE() << "seeded checkpoint did not load";
+      return dir;
+    }
+    edit(state);
+    const std::string last = state.completed.back();
+    state.completed.pop_back();
+    EXPECT_TRUE(manager.CommitPhase(last).ok());
+    return dir;
+  }
+
+  RunOutput LightBaseline() const {
+    RunOutput out = RunPipeline(data_.dataset, MakeOptions(true, ""));
+    EXPECT_TRUE(out.status.ok());
+    return out;
+  }
+
   data::SyntheticData data_;
   RunOutput baseline_;
 };
 
-TEST_F(HostileCheckpointTest, TruncatedPhaseFile) {
-  const std::string dir = MakeCheckpoint("trunc_phase");
-  const std::string path = PhaseFile(dir, 1, "cluster-cores");
+TEST_F(HostileCheckpointTest, TruncatedCheckpointFile) {
+  const std::string dir = MakeCheckpoint("trunc_file");
+  const std::string path = CheckpointFile(dir);
   const std::string bytes = ReadFileBytes(path);
   ASSERT_FALSE(bytes.empty());
   WriteFileBytes(path, bytes.substr(0, bytes.size() / 2));
-  ExpectCleanFallback(data_.dataset, baseline_, dir, "truncated phase file");
+  ExpectCleanFallback(data_.dataset, baseline_, dir, "truncated file");
 }
 
-TEST_F(HostileCheckpointTest, BitFlippedPhasePayload) {
-  const std::string dir = MakeCheckpoint("bitflip_phase");
-  const std::string path = PhaseFile(dir, 0, "histogram");
+TEST_F(HostileCheckpointTest, BitFlippedCheckpointPayload) {
+  const std::string dir = MakeCheckpoint("bitflip");
+  const std::string path = CheckpointFile(dir);
   std::string bytes = ReadFileBytes(path);
   ASSERT_GT(bytes.size(), 64u);
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x01);
@@ -444,25 +470,18 @@ TEST_F(HostileCheckpointTest, BitFlippedPhasePayload) {
   ExpectCleanFallback(data_.dataset, baseline_, dir, "bit-flipped payload");
 }
 
-TEST_F(HostileCheckpointTest, TruncatedManifest) {
-  const std::string dir = MakeCheckpoint("trunc_manifest");
-  const std::string path = dir + "/" + kManifestFilename;
-  const std::string bytes = ReadFileBytes(path);
-  WriteFileBytes(path, bytes.substr(0, bytes.size() - 5));
-  ExpectCleanFallback(data_.dataset, baseline_, dir, "truncated manifest");
-}
-
-TEST_F(HostileCheckpointTest, VersionSkewedManifest) {
+TEST_F(HostileCheckpointTest, VersionSkewedCheckpoint) {
   const std::string dir = MakeCheckpoint("version_skew");
   // A structurally valid blob whose payload announces a future format
   // version: must be rejected as skew, not misparsed.
-  BlobWriter w;
-  w.PutU32(kCheckpointFormatVersion + 1);
-  ASSERT_TRUE(data::WriteBlobFile(dir + "/" + kManifestFilename,
-                                  kManifestBlobKind, w.Take())
-                  .ok());
+  const std::string path = CheckpointFile(dir);
+  std::string payload = data::ReadBlobFile(path, kCheckpointBlobKind).value();
+  const uint32_t future = kCheckpointFormatVersion + 1;
+  payload.replace(0, sizeof(future), reinterpret_cast<const char*>(&future),
+                  sizeof(future));
+  ASSERT_TRUE(data::WriteBlobFile(path, kCheckpointBlobKind, payload).ok());
   ExpectCleanFallback(data_.dataset, baseline_, dir,
-                      "version-skewed manifest");
+                      "version-skewed checkpoint");
 }
 
 TEST_F(HostileCheckpointTest, ParameterMismatch) {
@@ -503,7 +522,7 @@ TEST_F(HostileCheckpointTest, DirectoryFromADifferentPipelineVariant) {
                       "checkpoint from the light variant");
 }
 
-TEST_F(HostileCheckpointTest, MissingManifestIsAFreshStartNotCorruption) {
+TEST_F(HostileCheckpointTest, MissingCheckpointIsAFreshStartNotCorruption) {
   const std::string dir = TempDir("fresh_start");
   MetricBag driver_metrics;
   const RunOutput rerun =
@@ -513,11 +532,30 @@ TEST_F(HostileCheckpointTest, MissingManifestIsAFreshStartNotCorruption) {
   EXPECT_EQ(driver_metrics.Get(CheckpointManager::kCorruptCounter), 0u);
 }
 
+TEST_F(HostileCheckpointTest, OldManifestLayoutIsAFreshStart) {
+  // A directory from a build that wrote MANIFEST.p3ck plus one file per
+  // phase: nothing here reads that layout, so the run starts fresh.
+  const std::string dir = TempDir("old_layout");
+  ASSERT_TRUE(data::WriteBlobFile(dir + "/MANIFEST.p3ck", 0x4d414e49,
+                                  "version-1 manifest")
+                  .ok());
+  WriteFileBytes(dir + "/phase-0-histogram.p3ck", "version-1 phase state");
+  MetricBag driver_metrics;
+  const RunOutput rerun = RunPipeline(data_.dataset, MakeOptions(false, dir),
+                                      nullptr, &driver_metrics);
+  ASSERT_TRUE(rerun.status.ok());
+  EXPECT_EQ(rerun.canonical, baseline_.canonical);
+  EXPECT_EQ(rerun.counters_json, baseline_.counters_json);
+  EXPECT_EQ(driver_metrics.Get(CheckpointManager::kCorruptCounter), 0u);
+  EXPECT_EQ(driver_metrics.GetGauge("checkpoint.resumed_from_phase"), 0.0);
+  EXPECT_TRUE(fs::exists(CheckpointFile(dir)));
+}
+
 TEST_F(HostileCheckpointTest, CorruptionDoesNotStickAcrossRecommit) {
   // After a fallback run re-executed and re-committed every phase, the
   // directory is healthy again: a third run resumes cleanly.
   const std::string dir = MakeCheckpoint("recommit");
-  const std::string path = PhaseFile(dir, 0, "histogram");
+  const std::string path = CheckpointFile(dir);
   std::string bytes = ReadFileBytes(path);
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
   WriteFileBytes(path, bytes);
@@ -530,6 +568,197 @@ TEST_F(HostileCheckpointTest, CorruptionDoesNotStickAcrossRecommit) {
   EXPECT_EQ(driver_metrics.Get(CheckpointManager::kCorruptCounter), 0u);
   EXPECT_EQ(driver_metrics.GetGauge("checkpoint.resumed_from_phase"),
             static_cast<double>(FullPhases().size()));
+}
+
+// ---------------------------------------------------------------------------
+// Checksum-valid records that do not fit the live run
+// ---------------------------------------------------------------------------
+
+TEST_F(HostileCheckpointTest, UneditedCraftedCheckpointResumes) {
+  // Control for the tests below: re-committing a record unchanged yields
+  // a checkpoint that resumes, so each fallback there is the edit's.
+  const std::string dir =
+      CraftCheckpoint("crafted_control", false, [](PipelineCheckpoint&) {});
+  MetricBag driver_metrics;
+  const RunOutput resumed = RunPipeline(data_.dataset, MakeOptions(false, dir),
+                                        nullptr, &driver_metrics);
+  ASSERT_TRUE(resumed.status.ok());
+  EXPECT_EQ(resumed.canonical, baseline_.canonical);
+  EXPECT_EQ(resumed.counters_json, baseline_.counters_json);
+  EXPECT_EQ(driver_metrics.Get(CheckpointManager::kCorruptCounter), 0u);
+  EXPECT_EQ(driver_metrics.GetGauge("checkpoint.resumed_from_phase"),
+            static_cast<double>(FullPhases().size()));
+}
+
+TEST_F(HostileCheckpointTest, PhasesOutOfPipelineOrderAreRejected) {
+  const std::string dir =
+      CraftCheckpoint("bad_order", false, [](PipelineCheckpoint& state) {
+        std::swap(state.completed[0], state.completed[1]);
+      });
+  ExpectCleanFallback(data_.dataset, baseline_, dir, "phase order");
+}
+
+TEST_F(HostileCheckpointTest, HistogramWithWrongBinCountIsRejected) {
+  const std::string dir =
+      CraftCheckpoint("bad_bins", false, [](PipelineCheckpoint& state) {
+        state.histograms[3].counts().push_back(0);
+      });
+  ExpectCleanFallback(data_.dataset, baseline_, dir, "histogram bin count");
+}
+
+TEST_F(HostileCheckpointTest, CoreIntervalOutsideTheDatasetIsRejected) {
+  const size_t d = data_.dataset.num_dims();
+  const std::string dir =
+      CraftCheckpoint("bad_attr", false, [d](PipelineCheckpoint& state) {
+        core::Interval interval;
+        interval.attr = d;
+        interval.lower = 0.25;
+        interval.upper = 0.5;
+        state.cores[0].signature =
+            state.cores[0].signature.With(interval).value();
+      });
+  ExpectCleanFallback(data_.dataset, baseline_, dir, "core attribute >= d");
+}
+
+TEST_F(HostileCheckpointTest, MembershipOutsideTheClustersIsRejected) {
+  // Unchecked, an entry >= k indexes past the per-cluster arrays.
+  for (const bool above : {true, false}) {
+    const std::string dir = CraftCheckpoint(
+        above ? "bad_member_hi" : "bad_member_lo", false,
+        [above](PipelineCheckpoint& state) {
+          state.membership[7] =
+              above ? static_cast<int32_t>(state.cores.size()) : -3;
+        });
+    ExpectCleanFallback(data_.dataset, baseline_, dir,
+                        above ? "membership >= k" : "membership < -2");
+  }
+}
+
+TEST_F(HostileCheckpointTest, SupportSetIdOutsideTheDatasetIsRejected) {
+  // Unchecked, an id >= n indexes past every per-point array.
+  const auto n = static_cast<data::PointId>(data_.dataset.num_points());
+  const std::string dir =
+      CraftCheckpoint("bad_point_id", true, [n](PipelineCheckpoint& state) {
+        state.support_sets[0].push_back(n);
+      });
+  ExpectCleanFallback(data_.dataset, LightBaseline(), dir, "point id >= n",
+                      /*light=*/true);
+}
+
+TEST_F(HostileCheckpointTest, UnsortedSupportSetIsRejected) {
+  const std::string dir =
+      CraftCheckpoint("unsorted_set", true, [](PipelineCheckpoint& state) {
+        std::vector<data::PointId>& set = state.support_sets[0];
+        ASSERT_GE(set.size(), 2u);
+        std::swap(set[0], set[1]);
+      });
+  ExpectCleanFallback(data_.dataset, LightBaseline(), dir,
+                      "support set out of order", /*light=*/true);
+}
+
+TEST_F(HostileCheckpointTest, GmmMeanOfWrongLengthIsRejected) {
+  const std::string dir =
+      CraftCheckpoint("bad_mean", false, [](PipelineCheckpoint& state) {
+        state.model.components[0].mean.push_back(0.5);
+      });
+  ExpectCleanFallback(data_.dataset, baseline_, dir, "mean length");
+}
+
+TEST_F(HostileCheckpointTest, GmmCovarianceOfWrongShapeIsRejected) {
+  const std::string dir =
+      CraftCheckpoint("bad_cov", false, [](PipelineCheckpoint& state) {
+        const size_t dim = state.model.arel.size();
+        state.model.components[0].cov = linalg::Matrix(dim + 1, dim + 1);
+      });
+  ExpectCleanFallback(data_.dataset, baseline_, dir, "covariance shape");
+}
+
+// ---------------------------------------------------------------------------
+// Mutation test over checkpoint.p3ck
+// ---------------------------------------------------------------------------
+
+/// Byte offsets of structural 8-byte words in a full-pipeline record
+/// payload (layout: EncodeRecord in src/mr/checkpoint.cc): the
+/// completed-phase count, each phase name's length, the histogram count,
+/// each histogram's bin count, the core count, and the first core's
+/// interval count.
+std::vector<size_t> LengthPrefixOffsets(size_t dims, uint64_t bins) {
+  std::vector<size_t> offsets;
+  size_t offset = 4 + 8 + 8;  // version, dataset fingerprint, params hash
+  offsets.push_back(offset);
+  offset += 8;
+  for (const std::string& name : FullPhases()) {
+    offsets.push_back(offset);
+    offset += 8 + name.size();
+  }
+  offsets.push_back(offset);
+  offset += 8;
+  for (size_t a = 0; a < dims; ++a) {
+    offsets.push_back(offset);
+    offset += 8 + 8 * bins;
+  }
+  offset += 7 * 8 + 4;  // CoreDetectionStats
+  offsets.push_back(offset);
+  offsets.push_back(offset + 8);
+  return offsets;
+}
+
+TEST_F(HostileCheckpointTest, MutatedCheckpointFallsBackCleanly) {
+  const std::string seeded = MakeCheckpoint("mutation_seed");
+  const std::string file = ReadFileBytes(CheckpointFile(seeded));
+  const std::string payload =
+      data::ReadBlobFile(CheckpointFile(seeded), kCheckpointBlobKind).value();
+  const std::vector<size_t> words = LengthPrefixOffsets(
+      data_.dataset.num_dims(),
+      stats::NumBins(core::P3CParams().binning, data_.dataset.num_points()));
+  // Resealed bit flips hit the record header or a length prefix.
+  std::vector<size_t> structural_bytes;
+  for (size_t b = 0; b < words.front(); ++b) structural_bytes.push_back(b);
+  for (size_t word : words) {
+    for (size_t b = 0; b < 8; ++b) structural_bytes.push_back(word + b);
+  }
+  constexpr uint64_t kHugeLength = uint64_t{1} << 62;
+  for (const uint64_t seed : {11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22}) {
+    // Seeds cycle through the three mutations, and every other triple
+    // re-seals the P3CK checksum over the mutated payload. An unsealed
+    // mutation may land anywhere in the file: the container's size and
+    // checksum catch it. A resealed one is up to the decoder, so it
+    // changes what the decoder judges: a truncation anywhere, or a
+    // header word or length prefix. A resealed flip of a stored value
+    // (a count, a mean) would be a different but well-formed record.
+    std::mt19937_64 rng(seed);
+    const uint64_t kind = seed % 3;
+    const bool reseal = (seed / 3) % 2 == 1;
+    std::string bytes = reseal ? payload : file;
+    std::string scenario;
+    if (kind == 0) {
+      const size_t at = reseal
+                            ? structural_bytes[rng() % structural_bytes.size()]
+                            : rng() % bytes.size();
+      bytes[at] = static_cast<char>(bytes[at] ^ (1 << (rng() % 8)));
+      scenario = "bit flip at " + std::to_string(at);
+    } else if (kind == 1) {
+      bytes.resize(rng() % bytes.size());
+      scenario = "truncation to " + std::to_string(bytes.size());
+    } else {
+      const size_t at =
+          reseal ? words[rng() % words.size()] : rng() % (bytes.size() - 8);
+      bytes.replace(at, sizeof(kHugeLength),
+                    reinterpret_cast<const char*>(&kHugeLength),
+                    sizeof(kHugeLength));
+      scenario = "huge length at " + std::to_string(at);
+    }
+    scenario += reseal ? " (resealed)" : "";
+    const std::string dir = TempDir("mutation_" + std::to_string(seed));
+    if (reseal) {
+      ASSERT_TRUE(data::WriteBlobFile(CheckpointFile(dir), kCheckpointBlobKind,
+                                      bytes)
+                      .ok());
+    } else {
+      WriteFileBytes(CheckpointFile(dir), bytes);
+    }
+    ExpectCleanFallback(data_.dataset, baseline_, dir, scenario);
+  }
 }
 
 }  // namespace

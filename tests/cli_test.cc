@@ -120,8 +120,8 @@ TEST(CliFlagsTest, KnownFlagsPassValidation) {
            "/tmp/ckpt --crash-after-phase cluster-cores --out /tmp/a.csv "
            "--clusters-out /tmp/c.txt",
            "cluster --in /no/such/points.csv --algo mr --checkpoint-dir "
-           "/tmp/ckpt --backend=process --num-workers 2 --out /tmp/a.csv "
-           "--clusters-out /tmp/c.txt",
+           "/tmp/ckpt --backend=process --num-workers 2 --log-level=info "
+           "--out /tmp/a.csv --clusters-out /tmp/c.txt",
            "cluster --in /no/such/points.csv --algo mr --threads 4 "
            "--task-deadline 60 --out /tmp/a.csv --clusters-out /tmp/c.txt",
            "info --in /no/such/points.csv --log-level=error",

@@ -137,11 +137,24 @@ TEST(WireTest, TruncatedPayloadIsSticky) {
   EXPECT_FALSE(r.Finish().ok());
 }
 
+TEST(WireTest, HugeStringLengthIsRejected) {
+  wire::WireWriter w;
+  w.PutU32(1);
+  w.PutU64(~uint64_t{0});  // a length that would wrap the read offset
+  w.PutString("x");
+  const std::string bytes = w.Take();
+  wire::WireReader r(bytes, "test");
+  EXPECT_EQ(r.GetU32(), 1u);
+  EXPECT_EQ(r.GetString(), "");
+  EXPECT_FALSE(r.status().ok());
+}
+
 TEST(WireTest, MetricBagRoundTrips) {
   MetricBag bag;
   bag.Increment("records", 12);
   bag.SetGauge("peak", 4096);
   bag.Observe("latency", 0.25);
+  bag.Observe("latency", 1000.0);
   wire::WireWriter w;
   wire::EncodeMetricBag(bag, w);
   const std::string bytes = w.Take();
@@ -150,6 +163,8 @@ TEST(WireTest, MetricBagRoundTrips) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ASSERT_TRUE(r.Finish().ok());
   EXPECT_EQ(decoded->ToJson(), bag.ToJson());
+  // Exact: every field of every metric, histogram buckets included.
+  EXPECT_TRUE(decoded->values() == bag.values());
 }
 
 TEST(WireTest, ResultFrameRoundTrips) {
