@@ -56,7 +56,7 @@ Status BinaryDatasetReader::ForEachBlock(
   // Running payload checksum: whole-file corruption detection amortized
   // over the pass, verified only when the pass reaches the end (a
   // callback abort leaves the tail unread).
-  uint64_t checksum = 14695981039346656037ull;
+  data::Hasher checksum;
   std::vector<double> buffer;
   while (row < header_.num_points) {
     const uint64_t rows =
@@ -67,8 +67,7 @@ Status BinaryDatasetReader::ForEachBlock(
       status = Status::IOError("truncated payload: " + path_);
       break;
     }
-    checksum = data::Fnv1a64(buffer.data(), buffer.size() * sizeof(double),
-                             checksum);
+    checksum.Update(buffer.data(), buffer.size() * sizeof(double));
     Result<data::Dataset> block = data::Dataset::FromRowMajor(
         std::move(buffer), static_cast<size_t>(header_.num_dims));
     if (!block.ok()) {
@@ -80,13 +79,16 @@ Status BinaryDatasetReader::ForEachBlock(
     buffer = std::vector<double>();  // FromRowMajor consumed it
     row += rows;
   }
-  if (status.ok() && row >= header_.num_points && header_.version >= 2 &&
-      checksum != header_.checksum) {
-    status = Status::IOError(StringPrintf(
-        "%s: payload checksum mismatch (header %016llx, computed %016llx): "
-        "file is corrupt",
-        path_.c_str(), static_cast<unsigned long long>(header_.checksum),
-        static_cast<unsigned long long>(checksum)));
+  // v1 files carry no checksum.
+  if (status.ok() && row >= header_.num_points && header_.version > 1) {
+    const uint64_t computed = checksum.Digest();
+    if (computed != header_.checksum) {
+      status = Status::IOError(StringPrintf(
+          "%s: payload checksum mismatch (header %016llx, computed %016llx): "
+          "file is corrupt",
+          path_.c_str(), static_cast<unsigned long long>(header_.checksum),
+          static_cast<unsigned long long>(computed)));
+    }
   }
   std::fclose(f);
   return status;

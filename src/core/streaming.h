@@ -33,7 +33,7 @@ class BinaryDatasetReader {
   /// One sequential pass: invokes `fn(first_row_id, block)` for
   /// consecutive blocks of up to `block_rows` rows. Stops at the first
   /// failing callback. A pass that streams the whole payload also
-  /// verifies the container checksum (version >= 2) and fails with a
+  /// verifies the container checksum (version 3) and fails with a
   /// descriptive Status on corrupt data.
   Status ForEachBlock(
       size_t block_rows,

@@ -1,9 +1,29 @@
 #include "src/data/dataset.h"
 
+#ifdef __linux__
+#include <sys/mman.h>
+#endif
+
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
 namespace p3c::data {
+
+void ResizeOnHugePages(std::vector<double>& values, size_t count) {
+  values.reserve(count);
+#ifdef __linux__
+  constexpr uintptr_t kHugePage = uintptr_t{2} << 20;
+  const auto start = reinterpret_cast<uintptr_t>(values.data());
+  const uintptr_t begin = (start + kHugePage - 1) & ~(kHugePage - 1);
+  const uintptr_t end = (start + count * sizeof(double)) & ~(kHugePage - 1);
+  if (end > begin) {
+    (void)::madvise(reinterpret_cast<void*>(begin), end - begin,
+                    MADV_HUGEPAGE);
+  }
+#endif
+  values.resize(count);
+}
 
 Result<Dataset> Dataset::FromRowMajor(std::vector<double> values,
                                       size_t num_dims) {

@@ -1,6 +1,7 @@
 #include "src/data/io.h"
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -15,13 +16,34 @@ namespace p3c::data {
 namespace {
 
 constexpr char kMagic[4] = {'P', '3', 'C', 'D'};
-/// v1: magic + version + n + d. v2 appends a u64 FNV-1a payload
-/// checksum. Writers emit v2; readers accept both.
-constexpr uint32_t kVersion = 2;
+/// v1: magic + version + n + d. v2 appended a u64 FNV-1a payload
+/// checksum; v3 has the same layout with a Hash64 checksum. Writers emit
+/// v3; readers accept v1 and v3 and reject v2, whose checksum no reader
+/// computes any more.
+constexpr uint32_t kVersion = 3;
 constexpr uint32_t kMinVersion = 1;
+constexpr uint32_t kRetiredVersion = 2;
 constexpr size_t kHeaderBytesV1 = sizeof(kMagic) + sizeof(uint32_t) +
                                   2 * sizeof(uint64_t);
-constexpr size_t kHeaderBytesV2 = kHeaderBytesV1 + sizeof(uint64_t);
+constexpr size_t kHeaderBytesV3 = kHeaderBytesV1 + sizeof(uint64_t);
+
+uint64_t LoadWord(const unsigned char* p) {
+  uint64_t word = 0;
+  std::memcpy(&word, p, sizeof(word));
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
+  }
+  return word;
+}
+
+/// Bijective 64-bit finalizer (MurmurHash3's fmix64).
+uint64_t Finalize(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdull;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ull;
+  return x ^ (x >> 33);
+}
 
 /// RAII FILE* wrapper.
 class File {
@@ -104,12 +126,65 @@ Result<Dataset> ReadCsv(const std::string& path) {
   return out;
 }
 
-uint64_t Fnv1a64(const void* data, size_t len, uint64_t state) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    state = (state ^ bytes[i]) * 1099511628211ull;
+void Hasher::Update(const void* data, size_t len) {
+  if (len == 0) return;
+  const auto* p = static_cast<const unsigned char*>(data);
+  bytes_ += len;
+  if (tail_len_ > 0) {
+    const size_t take = std::min(len, sizeof(tail_) - tail_len_);
+    std::memcpy(tail_ + tail_len_, p, take);
+    tail_len_ += take;
+    p += take;
+    len -= take;
+    if (tail_len_ < sizeof(tail_)) return;
+    Absorb(LoadWord(tail_));
+    tail_len_ = 0;
   }
-  return state;
+  while (len >= 8 && next_lane_ != 0) {
+    Absorb(LoadWord(p));
+    p += 8;
+    len -= 8;
+  }
+  // Four independent lanes in registers: the multiplies overlap, so the
+  // loop runs at memory bandwidth.
+  uint64_t a = lanes_[0], b = lanes_[1], c = lanes_[2], d = lanes_[3];
+  const size_t blocks = len / 32;
+  for (size_t i = 0; i < blocks; ++i, p += 32) {
+    a = Step(a, LoadWord(p));
+    b = Step(b, LoadWord(p + 8));
+    c = Step(c, LoadWord(p + 16));
+    d = Step(d, LoadWord(p + 24));
+  }
+  lanes_[0] = a;
+  lanes_[1] = b;
+  lanes_[2] = c;
+  lanes_[3] = d;
+  len -= 32 * blocks;
+  while (len >= 8) {
+    Absorb(LoadWord(p));
+    p += 8;
+    len -= 8;
+  }
+  std::memcpy(tail_, p, len);
+  tail_len_ = len;
+}
+
+uint64_t Hasher::Digest() const {
+  Hasher last = *this;
+  if (last.tail_len_ > 0) {
+    std::memset(last.tail_ + last.tail_len_, 0,
+                sizeof(last.tail_) - last.tail_len_);
+    last.Absorb(LoadWord(last.tail_));
+  }
+  uint64_t h = Finalize(bytes_);
+  for (uint64_t lane : last.lanes_) h = Finalize(h ^ lane);
+  return h;
+}
+
+uint64_t Hash64(const void* data, size_t len) {
+  Hasher hasher;
+  hasher.Update(data, len);
+  return hasher.Digest();
 }
 
 Result<BinaryHeader> ReadBinaryHeader(std::FILE* f, const std::string& path) {
@@ -122,6 +197,13 @@ Result<BinaryHeader> ReadBinaryHeader(std::FILE* f, const std::string& path) {
   if (std::fread(&header.version, sizeof(header.version), 1, f) != 1) {
     return Status::IOError("truncated header: " + path);
   }
+  if (header.version == kRetiredVersion) {
+    return Status::IOError(StringPrintf(
+        "container version %u carries the retired FNV-1a payload checksum, "
+        "which this build no longer verifies; regenerate the file (this "
+        "build writes version %u): %s",
+        header.version, kVersion, path.c_str()));
+  }
   if (header.version < kMinVersion || header.version > kVersion) {
     return Status::IOError(StringPrintf(
         "unsupported container version %u (supported: %u..%u): %s",
@@ -132,11 +214,11 @@ Result<BinaryHeader> ReadBinaryHeader(std::FILE* f, const std::string& path) {
     return Status::IOError("truncated header: " + path);
   }
   header.header_bytes = kHeaderBytesV1;
-  if (header.version >= 2) {
+  if (header.version == kVersion) {
     if (std::fread(&header.checksum, sizeof(header.checksum), 1, f) != 1) {
       return Status::IOError("truncated header (missing checksum): " + path);
     }
-    header.header_bytes = kHeaderBytesV2;
+    header.header_bytes = kHeaderBytesV3;
   }
   if (header.num_dims == 0 && header.num_points > 0) {
     return Status::IOError("zero dimensionality: " + path);
@@ -179,7 +261,7 @@ Status WriteBinary(const Dataset& dataset, const std::string& path) {
   const uint64_t d = dataset.num_dims();
   const auto& values = dataset.values();
   const uint64_t checksum =
-      Fnv1a64(values.data(), values.size() * sizeof(double));
+      Hash64(values.data(), values.size() * sizeof(double));
   P3C_RETURN_NOT_OK(writer.Append(kMagic, sizeof(kMagic)));
   P3C_RETURN_NOT_OK(writer.Append(&kVersion, sizeof(kVersion)));
   P3C_RETURN_NOT_OK(writer.Append(&n, sizeof(n)));
@@ -213,15 +295,16 @@ Result<Dataset> ReadBinary(const std::string& path) {
   }
   const uint64_t n = header->num_points;
   const uint64_t d = header->num_dims;
-  std::vector<double> values(n * d);
+  std::vector<double> values;
+  ResizeOnHugePages(values, n * d);
   if (!values.empty() &&
       std::fread(values.data(), sizeof(double), values.size(), f.get()) !=
           values.size()) {
     return Status::IOError("truncated payload: " + path);
   }
-  if (header->version >= 2) {
+  if (header->version == kVersion) {
     const uint64_t checksum =
-        Fnv1a64(values.data(), values.size() * sizeof(double));
+        Hash64(values.data(), values.size() * sizeof(double));
     if (checksum != header->checksum) {
       return Status::IOError(StringPrintf(
           "%s: payload checksum mismatch (header %016llx, computed %016llx): "
@@ -237,7 +320,8 @@ Result<Dataset> ReadBinary(const std::string& path) {
 namespace {
 
 constexpr char kBlobMagic[4] = {'P', '3', 'C', 'K'};
-constexpr uint32_t kBlobVersion = 1;
+/// v1 sealed the payload with FNV-1a; v2 with Hash64.
+constexpr uint32_t kBlobVersion = 2;
 constexpr size_t kBlobHeaderBytes = sizeof(kBlobMagic) + 2 * sizeof(uint32_t) +
                                     2 * sizeof(uint64_t);
 
@@ -248,7 +332,7 @@ Status WriteBlobFile(const std::string& path, uint32_t kind,
   AtomicFileWriter writer(path);
   P3C_RETURN_NOT_OK(writer.Open());
   const uint64_t size = payload.size();
-  const uint64_t checksum = Fnv1a64(payload.data(), payload.size());
+  const uint64_t checksum = Hash64(payload.data(), payload.size());
   P3C_RETURN_NOT_OK(writer.Append(kBlobMagic, sizeof(kBlobMagic)));
   P3C_RETURN_NOT_OK(writer.Append(&kBlobVersion, sizeof(kBlobVersion)));
   P3C_RETURN_NOT_OK(writer.Append(&kind, sizeof(kind)));
@@ -315,7 +399,7 @@ Result<std::string> ReadBlobFile(const std::string& path,
           payload.size()) {
     return Status::IOError("truncated blob payload: " + path);
   }
-  const uint64_t computed = Fnv1a64(payload.data(), payload.size());
+  const uint64_t computed = Hash64(payload.data(), payload.size());
   if (computed != checksum) {
     return Status::IOError(StringPrintf(
         "%s: blob payload checksum mismatch (header %016llx, computed "

@@ -18,8 +18,8 @@ Status WriteCsv(const Dataset& dataset, const std::string& path);
 /// of fields. Empty files yield an empty dataset.
 Result<Dataset> ReadCsv(const std::string& path);
 
-/// Writes the dataset in the library's binary container (version 2):
-/// magic "P3CD", u32 version, u64 n, u64 d, u64 FNV-1a checksum of the
+/// Writes the dataset in the library's binary container (version 3):
+/// magic "P3CD", u32 version, u64 n, u64 d, u64 Hash64 checksum of the
 /// payload, then n*d little-endian doubles. Compact and fast for the
 /// large benchmark inputs; the checksum lets readers reject silent
 /// corruption and the exact size implied by (n, d) lets them reject
@@ -27,17 +27,49 @@ Result<Dataset> ReadCsv(const std::string& path);
 Status WriteBinary(const Dataset& dataset, const std::string& path);
 
 /// Reads the binary container written by WriteBinary, validating magic,
-/// version, exact payload size, and (version >= 2) the payload checksum.
-/// Version-1 files (no checksum field) are still readable.
+/// version, exact payload size, and (version 3) the payload checksum.
+/// Version-1 files (no checksum field) are still readable; version-2
+/// files carry the retired FNV-1a checksum and are rejected with a
+/// Status asking for the file to be regenerated.
 Result<Dataset> ReadBinary(const std::string& path);
 
-/// 64-bit FNV-1a over `len` bytes; pass a previous return value as
-/// `state` to hash incrementally (block readers).
-uint64_t Fnv1a64(const void* data, size_t len,
-                 uint64_t state = 14695981039346656037ull);
+/// Streaming 64-bit checksum of a byte stream, word-wise so a 400 MB
+/// dataset hashes at memory speed. Little-endian 8-byte word i updates
+/// lane i mod 4 as `s = (s ^ w) * K; s ^= s >> 29`; a final partial
+/// word is zero-padded. The digest folds the total byte length, then
+/// each lane, through a bijective finalizer. Every step is a bijection
+/// of the word, so a change confined to one word always changes the
+/// digest, and the digest does not depend on how the stream was split
+/// into Update calls. Not cryptographic: it detects corruption, not
+/// tampering.
+class Hasher {
+ public:
+  void Update(const void* data, size_t len);
+  [[nodiscard]] uint64_t Digest() const;
+
+ private:
+  void Absorb(uint64_t word) {
+    lanes_[next_lane_] = Step(lanes_[next_lane_], word);
+    next_lane_ = (next_lane_ + 1) % 4;
+  }
+  static uint64_t Step(uint64_t lane, uint64_t word) {
+    lane = (lane ^ word) * 0x9fb21c651e98df25ull;
+    return lane ^ (lane >> 29);
+  }
+
+  uint64_t lanes_[4] = {0x243f6a8885a308d3ull, 0x13198a2e03707344ull,
+                        0xa4093822299f31d0ull, 0x082efa98ec4e6c89ull};
+  size_t next_lane_ = 0;  ///< lane of the next full word
+  uint64_t bytes_ = 0;    ///< total bytes seen
+  unsigned char tail_[8] = {};
+  size_t tail_len_ = 0;  ///< bytes of a partial word held in tail_
+};
+
+/// One-shot Hasher over `len` bytes.
+uint64_t Hash64(const void* data, size_t len);
 
 /// Parsed header of the binary container. `header_bytes` is the payload
-/// offset (24 for v1, 32 for v2); `checksum` is 0 for v1 files.
+/// offset (24 for v1, 32 for v3); `checksum` is 0 for v1 files.
 struct BinaryHeader {
   uint32_t version = 0;
   uint64_t num_points = 0;
@@ -48,7 +80,8 @@ struct BinaryHeader {
 
 /// Reads and validates the container header from `f` (positioned at the
 /// file start). Returns a descriptive Status naming `path` on bad magic,
-/// unsupported version, truncated header, or zero dimensionality.
+/// unsupported or retired version, truncated header, or zero
+/// dimensionality.
 Result<BinaryHeader> ReadBinaryHeader(std::FILE* f, const std::string& path);
 
 /// Checks that `file_size` is exactly header + n*d doubles — catching
@@ -60,7 +93,7 @@ Status ValidateBinarySize(const BinaryHeader& header, uint64_t file_size,
 
 /// Generic checksummed blob container, the checkpoint sibling of the
 /// dataset container above: magic "P3CK", u32 container version, u32
-/// caller-chosen kind tag, u64 payload size, u64 FNV-1a checksum of the
+/// caller-chosen kind tag, u64 payload size, u64 Hash64 checksum of the
 /// payload, then the payload bytes. The size field rejects truncation
 /// and trailing garbage, the checksum rejects bit flips, and the kind
 /// tag rejects a structurally valid blob of the wrong species (a phase

@@ -33,7 +33,7 @@ std::string EncodeFrame(FrameType type, std::string_view payload) {
   const uint32_t version = kVersion;
   const uint32_t type_u32 = static_cast<uint32_t>(type);
   const uint64_t size = payload.size();
-  const uint64_t checksum = data::Fnv1a64(payload.data(), payload.size());
+  const uint64_t checksum = data::Hash64(payload.data(), payload.size());
   out.append(reinterpret_cast<const char*>(&version), sizeof(version));
   out.append(reinterpret_cast<const char*>(&type_u32), sizeof(type_u32));
   out.append(reinterpret_cast<const char*>(&size), sizeof(size));
@@ -101,7 +101,7 @@ Result<std::optional<Frame>> FrameReader::Next() {
   frame.payload.assign(p + kHeaderBytes, size);
   consumed_ += kHeaderBytes + size;
   const uint64_t actual =
-      data::Fnv1a64(frame.payload.data(), frame.payload.size());
+      data::Hash64(frame.payload.data(), frame.payload.size());
   if (actual != checksum) {
     return Status::IOError(
         StringPrintf("worker %s frame: checksum mismatch",

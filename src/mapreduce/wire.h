@@ -6,10 +6,10 @@
 // a worker process is one frame:
 //
 //   magic "P3CW" | version u32 | type u32 | payload_size u64 |
-//   fnv1a64(payload) u64 | payload bytes
+//   Hash64(payload) u64 | payload bytes
 //
-// — the pipe-stream sibling of the v2 binary container and the P3CK
-// blob container (src/data/io.*): same fixed header + FNV-1a checksum
+// — the pipe-stream sibling of the v3 binary container and the P3CK
+// blob container (src/data/io.*): same fixed header + Hash64 checksum
 // discipline, so a torn write, a short read, or a worker that died
 // mid-frame is detected as corruption instead of being half-parsed.
 //
@@ -41,7 +41,8 @@ namespace p3c::mr::wire {
 // ---------------------------------------------------------------------------
 
 inline constexpr char kMagic[4] = {'P', '3', 'C', 'W'};
-inline constexpr uint32_t kVersion = 1;
+/// v1 sealed payloads with FNV-1a; v2 with data::Hash64.
+inline constexpr uint32_t kVersion = 2;
 /// Frame header size on the wire: magic + version + type + size + checksum.
 inline constexpr size_t kHeaderBytes = 4 + 4 + 4 + 8 + 8;
 /// Upper bound a reader accepts for one frame payload (defense against

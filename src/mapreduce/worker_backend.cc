@@ -17,6 +17,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/resource.h"
+#include "src/common/stopwatch.h"
 #include "src/common/string_util.h"
 #include "src/common/sync.h"
 #include "src/common/trace.h"
@@ -97,17 +98,18 @@ std::string DescribeExit(int wait_status) {
                                        wire::EncodeHelloFrame(hello));
     if (!st.ok()) ::_exit(3);
   }
-  std::atomic<bool> done{false};
+  // The ping thread waits out each interval on `done_cv`, so SHUTDOWN
+  // wakes it at once instead of after the rest of an interval.
+  Mutex done_mu;
+  CondVar done_cv;
+  bool done = false;
   std::thread ping_thread([&] {
-    // Sleep in small steps so SHUTDOWN never waits a full ping
-    // interval for this thread to notice `done`.
-    const auto step = std::chrono::milliseconds(5);
-    double slept = 0.0;
-    while (!done.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(step);
-      slept += 0.005;
-      if (slept + 1e-9 < ping_seconds) continue;
-      slept = 0.0;
+    const std::chrono::duration<double> interval(ping_seconds);
+    for (;;) {
+      {
+        MutexLock lock(done_mu);
+        if (done_cv.WaitFor(done_mu, interval, [&] { return done; })) return;
+      }
       MutexLock lock(write_mu);
       if (!wire::WriteFrame(wfd, wire::FrameType::kPing, "").ok()) return;
     }
@@ -169,7 +171,11 @@ std::string DescribeExit(int wait_status) {
     if (n <= 0) break;  // driver closed its end: orphan-proof exit
     reader.Append(buf, static_cast<size_t>(n));
   }
-  done.store(true, std::memory_order_relaxed);
+  {
+    MutexLock lock(done_mu);
+    done = true;
+  }
+  done_cv.NotifyAll();
   ping_thread.join();
   ::_exit(exit_code);
 }
@@ -233,6 +239,12 @@ struct WorkerPoolExecutor::Impl {
     if (value > metrics.GetGauge(name)) metrics.SetGauge(name, value);
   }
 
+  /// Adds `seconds` to a running-total gauge.
+  void AddSeconds(const char* name, double seconds) {
+    MutexLock lock(metrics_mu);
+    metrics.SetGauge(name, metrics.GetGauge(name) + seconds);
+  }
+
   // -- tracing helpers ------------------------------------------------------
 
   static uint32_t SlotLane(const Slot& slot) {
@@ -280,7 +292,24 @@ struct WorkerPoolExecutor::Impl {
     }
     const double ping_seconds =
         std::max(0.01, options.heartbeat_seconds / 4.0);
-    const pid_t pid = ::fork();
+    const Stopwatch fork_watch;
+    pid_t pid = -1;
+    {
+      TraceSpan span("worker:fork",
+                     Tracer::Global().enabled()
+                         ? StringPrintf("{\"slot\": %zu}", slot.index)
+                         : std::string());
+      pid = ::fork();
+      if (pid == 0) {
+        // Child: keep only this worker's two pipe ends. Never returns,
+        // so the span's end is recorded by the driver alone.
+        ::close(to_child[1]);
+        ::close(from_child[0]);
+        for (int fd : sibling_fds) ::close(fd);
+        WorkerChildMain(to_child[0], from_child[1], run, ping_seconds);
+      }
+    }
+    AddSeconds("worker.fork_seconds", fork_watch.ElapsedSeconds());
     if (pid < 0) {
       const int saved = errno;
       ::close(to_child[0]);
@@ -289,13 +318,6 @@ struct WorkerPoolExecutor::Impl {
       ::close(from_child[1]);
       return Status::Internal(
           StringPrintf("fork: %s", std::strerror(saved)));
-    }
-    if (pid == 0) {
-      // Child: keep only this worker's two pipe ends.
-      ::close(to_child[1]);
-      ::close(from_child[0]);
-      for (int fd : sibling_fds) ::close(fd);
-      WorkerChildMain(to_child[0], from_child[1], run, ping_seconds);
     }
     ::close(to_child[0]);
     ::close(from_child[1]);
@@ -306,7 +328,6 @@ struct WorkerPoolExecutor::Impl {
     slot.reader = wire::FrameReader();
     RegisterWorker(pid);
     Count("worker.spawn_total");
-    TraceWorker(slot, "worker spawn");
     return Status::OK();
   }
 
@@ -578,32 +599,50 @@ struct WorkerPoolExecutor::Impl {
     }
   }
 
+  /// Ends every live worker: SHUTDOWN to all, then wait for each
+  /// pipe's EOF (a worker closes its end only by exiting) within one
+  /// shared 1 s deadline, then reap with a blocking waitpid. A worker
+  /// still open at the deadline (wedged, or SIGSTOPped) is SIGKILLed.
   void ShutdownAllWorkers() {
     MutexLock lock(mu);
+    if (slots.empty()) return;
+    const Stopwatch watch;
+    std::vector<struct pollfd> pipes;
     for (Slot& slot : slots) {
       if (!slot.live) continue;
       // Best-effort graceful shutdown; a wedged worker is killed below.
       (void)wire::WriteFrame(slot.to_child, wire::FrameType::kShutdown, "");
+      pipes.push_back({slot.from_child, POLLIN, 0});
     }
     const double deadline = NowSeconds() + 1.0;
+    size_t open = pipes.size();
+    char buf[4096];
+    while (open > 0) {
+      const double left = deadline - NowSeconds();
+      if (left <= 0.0) break;
+      const int rc = ::poll(pipes.data(), pipes.size(),
+                            static_cast<int>(left * 1000.0) + 1);
+      if (rc < 0 && errno != EINTR) break;
+      if (rc <= 0) continue;  // revents are stale after EINTR
+      for (struct pollfd& pipe : pipes) {
+        if (pipe.fd < 0 || pipe.revents == 0) continue;
+        // Drain trailing PINGs; 0 (or a dead pipe) is the worker's exit.
+        const ssize_t n = ::read(pipe.fd, buf, sizeof(buf));
+        if (n == 0 || (n < 0 && errno != EINTR && errno != EAGAIN)) {
+          pipe.fd = -1;  // poll ignores negative fds
+          --open;
+        }
+      }
+    }
+    size_t next_pipe = 0;
     for (Slot& slot : slots) {
       if (!slot.live) continue;
-      bool reaped = false;
-      while (NowSeconds() < deadline) {
-        int wait_status = 0;
-        const pid_t rc = ::waitpid(slot.pid, &wait_status, WNOHANG);
-        if (rc == slot.pid || (rc < 0 && errno != EINTR)) {
-          reaped = true;
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
-      if (!reaped) {
+      if (pipes[next_pipe++].fd >= 0) {
         ::kill(slot.pid, SIGKILL);
-        int wait_status = 0;
-        while (::waitpid(slot.pid, &wait_status, 0) < 0 && errno == EINTR) {
-        }
         Count("worker.kill_total");
+      }
+      int wait_status = 0;
+      while (::waitpid(slot.pid, &wait_status, 0) < 0 && errno == EINTR) {
       }
       UnregisterWorker(slot.pid);
       if (slot.to_child >= 0) ::close(slot.to_child);
@@ -614,6 +653,7 @@ struct WorkerPoolExecutor::Impl {
       slot.live = false;
     }
     slots.clear();
+    AddSeconds("worker.shutdown_seconds", watch.ElapsedSeconds());
   }
 };
 

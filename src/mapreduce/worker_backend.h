@@ -76,7 +76,10 @@ class WorkerPoolExecutor final : public TaskExecutor {
 
   /// Driver-side worker observability: `worker.spawn_total`,
   /// `worker.respawn_total`, `worker.kill_total`,
-  /// `worker.spawn_failures`, and the `worker.peak_rss_bytes` gauge.
+  /// `worker.spawn_failures`, the `worker.peak_rss_bytes` gauge, and
+  /// the running totals `worker.fork_seconds` (the driver's time inside
+  /// fork) and `worker.shutdown_seconds` (EndPhase's SHUTDOWN-to-reaped
+  /// time). Every value accumulates over the executor's lifetime.
   /// Deliberately a separate bag from job counters, so backend
   /// bookkeeping never perturbs the deterministic counter JSON
   /// (same split as checkpoint resume bookkeeping, §13).

@@ -321,10 +321,12 @@ Result<PipelineCheckpoint> LoadRecord(const std::string& path,
 uint64_t DatasetFingerprint(const data::Dataset& dataset) {
   const uint64_t n = dataset.num_points();
   const uint64_t d = dataset.num_dims();
-  uint64_t h = data::Fnv1a64(&n, sizeof(n));
-  h = data::Fnv1a64(&d, sizeof(d), h);
+  data::Hasher hasher;
+  hasher.Update(&n, sizeof(n));
+  hasher.Update(&d, sizeof(d));
   const auto& values = dataset.values();
-  return data::Fnv1a64(values.data(), values.size() * sizeof(double), h);
+  hasher.Update(values.data(), values.size() * sizeof(double));
+  return hasher.Digest();
 }
 
 uint64_t ParamsHash(const core::P3CParams& params) {
@@ -353,7 +355,7 @@ uint64_t ParamsHash(const core::P3CParams& params) {
   w.PutU32(params.ai_proving ? 1 : 0);
   w.PutU32(params.light ? 1 : 0);
   const std::string bytes = w.Take();
-  return data::Fnv1a64(bytes.data(), bytes.size());
+  return data::Hash64(bytes.data(), bytes.size());
 }
 
 const std::vector<std::string>& PipelinePhases(bool light) {
@@ -373,7 +375,10 @@ void CheckpointManager::Initialize(const data::Dataset& dataset,
                                    const core::P3CParams& params) {
   state_ = PipelineCheckpoint();
   if (!enabled()) return;
-  dataset_fingerprint_ = DatasetFingerprint(dataset);
+  {
+    TraceSpan span("checkpoint:fingerprint");
+    dataset_fingerprint_ = DatasetFingerprint(dataset);
+  }
   params_hash_ = ParamsHash(params);
   Status mkdir_status = MakeDirectories(options_.dir);
   if (!mkdir_status.ok()) {

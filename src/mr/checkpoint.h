@@ -37,7 +37,7 @@ namespace p3c::mr {
 /// Version of the checkpoint record schema. Bumped whenever the encoder
 /// changes shape; a record carrying a different version is discarded as
 /// unusable (version skew), not misparsed.
-inline constexpr uint32_t kCheckpointFormatVersion = 2;
+inline constexpr uint32_t kCheckpointFormatVersion = 3;
 
 /// P3CK blob kind tag of the checkpoint file (see data::WriteBlobFile).
 /// Public so tests can craft hostile files.
@@ -46,11 +46,11 @@ inline constexpr uint32_t kCheckpointBlobKind = 0x44525652;  // "DRVR"
 /// Name of the checkpoint file inside a checkpoint directory.
 inline constexpr char kCheckpointFilename[] = "checkpoint.p3ck";
 
-/// FNV-1a over (n, d, raw values): identifies the exact dataset a
+/// data::Hasher over (n, d, raw values): identifies the exact dataset a
 /// checkpoint was taken against.
 uint64_t DatasetFingerprint(const data::Dataset& dataset);
 
-/// FNV-1a over every P3CParams field (including `light`, which selects
+/// data::Hash64 over every P3CParams field (including `light`, which selects
 /// the pipeline variant). Engine knobs (threads, reducers, splits) are
 /// deliberately excluded: the engine's determinism contract makes them
 /// irrelevant to pipeline output, so resuming under a different thread

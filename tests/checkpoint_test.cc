@@ -484,6 +484,33 @@ TEST_F(HostileCheckpointTest, VersionSkewedCheckpoint) {
                       "version-skewed checkpoint");
 }
 
+TEST_F(HostileCheckpointTest, FormatVersion2RecordFallsBackCleanly) {
+  // Format 2 fingerprinted the dataset with FNV-1a: its fingerprints
+  // can never match, so the version alone must discard the record.
+  const std::string dir = MakeCheckpoint("format_v2");
+  const std::string path = CheckpointFile(dir);
+  std::string payload = data::ReadBlobFile(path, kCheckpointBlobKind).value();
+  const uint32_t old_version = 2;
+  payload.replace(0, sizeof(old_version),
+                  reinterpret_cast<const char*>(&old_version),
+                  sizeof(old_version));
+  ASSERT_TRUE(data::WriteBlobFile(path, kCheckpointBlobKind, payload).ok());
+  ExpectCleanFallback(data_.dataset, baseline_, dir, "format-2 record");
+}
+
+TEST_F(HostileCheckpointTest, BlobContainerVersion1FallsBackCleanly) {
+  // A P3CK v1 container sealed its payload with FNV-1a.
+  const std::string dir = MakeCheckpoint("blob_v1");
+  const std::string path = CheckpointFile(dir);
+  std::string bytes = ReadFileBytes(path);
+  const uint32_t old_version = 1;
+  bytes.replace(4, sizeof(old_version),
+                reinterpret_cast<const char*>(&old_version),
+                sizeof(old_version));
+  WriteFileBytes(path, bytes);
+  ExpectCleanFallback(data_.dataset, baseline_, dir, "P3CK v1 container");
+}
+
 TEST_F(HostileCheckpointTest, ParameterMismatch) {
   const std::string dir = MakeCheckpoint("params_mismatch");
   MetricBag driver_metrics;

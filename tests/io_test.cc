@@ -70,6 +70,23 @@ TEST(BinaryIoTest, RoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(BinaryIoTest, WritesVersion3SealedByHash64) {
+  const std::string path = TempPath("v3.p3cd");
+  const Dataset original = SampleData();
+  ASSERT_TRUE(WriteBinary(original, path).ok());
+  FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  Result<BinaryHeader> header = ReadBinaryHeader(f, path);
+  std::fclose(f);
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  EXPECT_EQ(header->version, 3u);
+  EXPECT_EQ(header->header_bytes, 32u);
+  const auto& values = original.values();
+  EXPECT_EQ(header->checksum,
+            Hash64(values.data(), values.size() * sizeof(double)));
+  std::remove(path.c_str());
+}
+
 TEST(BinaryIoTest, RejectsBadMagic) {
   const std::string path = TempPath("bad.p3cd");
   FILE* f = std::fopen(path.c_str(), "wb");
@@ -219,12 +236,12 @@ TEST(ColonLikeTest, DeterministicInSeed) {
   EXPECT_EQ(a.labels, b.labels);
 }
 
-/// Writes a bare v2 header (no payload) claiming n points x d dims.
-void WriteHeaderOnly(const std::string& path, uint64_t n, uint64_t d) {
+/// Writes a bare 32-byte header (no payload) claiming n points x d dims.
+void WriteHeaderOnly(const std::string& path, uint64_t n, uint64_t d,
+                     uint32_t version = 3) {
   FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   const char magic[4] = {'P', '3', 'C', 'D'};
-  const uint32_t version = 2;
   const uint64_t checksum = 0;
   ASSERT_EQ(std::fwrite(magic, 1, sizeof(magic), f), sizeof(magic));
   ASSERT_EQ(std::fwrite(&version, sizeof(version), 1, f), 1u);
@@ -270,6 +287,33 @@ TEST(BinaryIoTest, ReaderOpenRejectsOverflowingDimCount) {
   const std::string path = TempPath("open_overflow_d.p3cd");
   WriteHeaderOnly(path, 1, kWrappingCount);
   ExpectOverflowRejected(core::BinaryDatasetReader::Open(path).status());
+  std::remove(path.c_str());
+}
+
+// A v2 file's checksum is FNV-1a, which no reader computes any more.
+// The header claims 2^40 doubles that are not there: the rejection must
+// come from the version alone, before anything is sized by the header.
+void ExpectRetiredVersionRejected(const Status& status) {
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kIOError);
+  EXPECT_NE(status.message().find("version 2"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("retired FNV-1a"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(BinaryIoTest, ReadBinaryRejectsRetiredVersion2) {
+  const std::string path = TempPath("retired_v2.p3cd");
+  WriteHeaderOnly(path, uint64_t{1} << 40, 1, /*version=*/2);
+  ExpectRetiredVersionRejected(ReadBinary(path).status());
+  std::remove(path.c_str());
+}
+
+TEST(BinaryIoTest, ReaderOpenRejectsRetiredVersion2) {
+  const std::string path = TempPath("open_retired_v2.p3cd");
+  WriteHeaderOnly(path, uint64_t{1} << 40, 1, /*version=*/2);
+  ExpectRetiredVersionRejected(
+      core::BinaryDatasetReader::Open(path).status());
   std::remove(path.c_str());
 }
 

@@ -12,14 +12,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/counters.h"
 #include "src/common/resource.h"
+#include "src/data/dataset.h"
 #include "src/data/generator.h"
+#include "src/data/io.h"
 #include "src/mr/p3c_mr.h"
 
 namespace p3c::resource {
@@ -373,6 +377,73 @@ TEST_F(ResourceTest, PipelineOutputIsIdenticalWithTrackingOn) {
   EXPECT_GT(on.driver_metrics().GetGauge("mem.dataset.peak_bytes"), 0.0);
   EXPECT_EQ(off.counters().Find("mem.task.peak_bytes"), nullptr);
   EXPECT_EQ(off.driver_metrics().Find("mem.total.peak_bytes"), nullptr);
+}
+
+// ---- Dataset buffers ----------------------------------------------------
+
+// Whether or not a buffer lands on huge pages, every way a dataset is
+// born keeps its contents, an exact capacity and the matching charge.
+TEST_F(ResourceTest, DatasetBuffersKeepContentsCapacityAndCharge) {
+  MemoryTracker& t = MemoryTracker::Global();
+  const int64_t before = t.CurrentBytes(MemScope::kDataset);
+  const auto charged = [&] {
+    return t.CurrentBytes(MemScope::kDataset) - before;
+  };
+  // 3 MiB spans a 2 MiB-aligned interior; 240 bytes does not.
+  for (const size_t n : {size_t{49152}, size_t{3}}) {
+    SCOPED_TRACE(std::to_string(n) + " points");
+    const size_t d = 10;
+    data::Dataset zeros(n, d);
+    EXPECT_EQ(zeros.values().capacity(), n * d);
+    EXPECT_EQ(charged(), static_cast<int64_t>(n * d * sizeof(double)));
+    EXPECT_TRUE(std::all_of(zeros.values().begin(), zeros.values().end(),
+                            [](double v) { return v == 0.0; }));
+    for (size_t i = 0; i < n; ++i) {
+      zeros.Set(static_cast<data::PointId>(i), i % d,
+                static_cast<double>(i) / static_cast<double>(n));
+    }
+
+    const std::string path =
+        std::string(::testing::TempDir()) + "/resource_dataset.p3cd";
+    ASSERT_TRUE(data::WriteBinary(zeros, path).ok());
+    {
+      Result<data::Dataset> read = data::ReadBinary(path);
+      std::remove(path.c_str());
+      ASSERT_TRUE(read.ok()) << read.status().ToString();
+      EXPECT_EQ(read->values(), zeros.values());
+      EXPECT_EQ(read->values().capacity(), n * d);
+      EXPECT_EQ(charged(), static_cast<int64_t>(2 * n * d * sizeof(double)));
+    }
+
+    std::vector<data::PointId> rows;
+    for (size_t i = 0; i < n; i += 2) {
+      rows.push_back(static_cast<data::PointId>(i));
+    }
+    {
+      const data::Dataset selected = zeros.Select(rows);
+      EXPECT_EQ(selected.values().capacity(), rows.size() * d);
+      EXPECT_EQ(charged(), static_cast<int64_t>((n + rows.size()) * d *
+                                                sizeof(double)));
+      for (size_t i = 0; i < rows.size(); ++i) {
+        const auto row = selected.Row(static_cast<data::PointId>(i));
+        const auto source = zeros.Row(rows[i]);
+        ASSERT_TRUE(std::equal(row.begin(), row.end(), source.begin()));
+      }
+    }
+
+    std::vector<double> values = zeros.values();
+    values.reserve(values.size() + d);  // FromRowMajor keeps what it gets
+    const size_t capacity = values.capacity();
+    {
+      const data::Dataset wrapped =
+          data::Dataset::FromRowMajor(std::move(values), d).value();
+      EXPECT_EQ(wrapped.values(), zeros.values());
+      EXPECT_EQ(wrapped.values().capacity(), capacity);
+      EXPECT_EQ(charged(), static_cast<int64_t>((n * d + capacity) *
+                                                sizeof(double)));
+    }
+  }
+  EXPECT_EQ(charged(), 0);
 }
 
 }  // namespace

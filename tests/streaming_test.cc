@@ -137,6 +137,42 @@ TEST(BinaryDatasetReaderTest, FullPassDetectsFlippedPayloadByte) {
   std::remove(path.c_str());
 }
 
+TEST(BinaryDatasetReaderTest, VerifiesChecksumAtEveryBlockSize) {
+  // The running checksum sees the payload in blocks of any row count;
+  // the digest must not depend on where the blocks split it.
+  const size_t n = 300;
+  const auto data = MakeData(58, n);
+  const std::string clean = TempPath("reader_blocks.p3cd");
+  const std::string flipped = TempPath("reader_blocks_flip.p3cd");
+  ASSERT_TRUE(data::WriteBinary(data.dataset, clean).ok());
+  ASSERT_TRUE(data::WriteBinary(data.dataset, flipped).ok());
+  std::FILE* f = std::fopen(flipped.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, 1000, SEEK_SET), 0);
+  const int byte = std::fgetc(f);
+  ASSERT_NE(byte, EOF);
+  ASSERT_EQ(std::fseek(f, 1000, SEEK_SET), 0);
+  std::fputc(byte ^ 0x40, f);
+  std::fclose(f);
+  for (size_t block_rows : {size_t{1}, size_t{7}, n}) {
+    SCOPED_TRACE("block_rows " + std::to_string(block_rows));
+    const auto ok = [](data::PointId, const data::Dataset&) {
+      return Status::OK();
+    };
+    auto reader = BinaryDatasetReader::Open(clean);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    EXPECT_TRUE(reader->ForEachBlock(block_rows, ok).ok());
+    auto corrupt = BinaryDatasetReader::Open(flipped);
+    ASSERT_TRUE(corrupt.ok()) << corrupt.status().ToString();
+    const Status st = corrupt->ForEachBlock(block_rows, ok);
+    ASSERT_FALSE(st.ok());
+    EXPECT_NE(st.message().find("checksum mismatch"), std::string::npos)
+        << st.ToString();
+  }
+  std::remove(clean.c_str());
+  std::remove(flipped.c_str());
+}
+
 TEST(BinaryDatasetReaderTest, AbortedPassSkipsChecksumVerification) {
   // A callback abort leaves the tail unread, so the pass must report
   // the callback's error, not a bogus checksum failure.

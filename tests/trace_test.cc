@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
@@ -669,6 +670,35 @@ TEST(TracerTest, PipelineTraceCoversEveryRecordedJob) {
        {"core:join", "core:closure", "core:prove", "core:maximal"}) {
     EXPECT_TRUE(stats.begin_names.count(name)) << "no span " << name;
   }
+}
+
+TEST(TracerTest, CheckpointedRunTracesTheDatasetFingerprint) {
+  data::GeneratorConfig config;
+  config.num_points = 2000;
+  config.num_dims = 10;
+  config.num_clusters = 2;
+  config.seed = 93;
+  const auto data = data::GenerateSynthetic(config).value();
+  const std::string dir =
+      std::string(::testing::TempDir()) + "/trace_fingerprint_ckpt";
+  std::filesystem::remove_all(dir);
+
+  ScopedTracing tracing;
+  if (!Tracer::Global().enabled()) {
+    GTEST_SKIP() << "built with P3C_ENABLE_TRACING=OFF";
+  }
+  mr::P3CMROptions options;
+  options.params.light = true;
+  options.checkpoint_dir = dir;
+  mr::P3CMR pipeline{options};
+  auto result = pipeline.Cluster(data.dataset);
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  // Hashing the dataset is its own span, not unattributed driver time.
+  const TraceStats stats = ValidateTrace(Tracer::Global().ToJson());
+  EXPECT_TRUE(stats.begin_names.count("checkpoint:fingerprint"));
+  EXPECT_TRUE(stats.begin_names.count("checkpoint:write:histogram"));
 }
 
 // ---- Metrics JSON export ---------------------------------------------

@@ -27,6 +27,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <span>
@@ -37,6 +38,7 @@
 #include "src/common/cancellation.h"
 #include "src/common/counters.h"
 #include "src/common/status.h"
+#include "src/common/trace.h"
 #include "src/data/generator.h"
 #include "src/mapreduce/counters.h"
 #include "src/mapreduce/executor.h"
@@ -92,6 +94,22 @@ TEST(WireTest, BadMagicIsCorruption) {
   wire::FrameReader reader;
   reader.Append(stream.data(), stream.size());
   EXPECT_FALSE(reader.Next().ok());
+}
+
+TEST(WireTest, Version1FrameIsRejected) {
+  // Wire v1 sealed payloads with FNV-1a; a v1 peer must get a Status,
+  // not a checksum computed the wrong way.
+  std::string stream = wire::EncodeFrame(wire::FrameType::kTask, "task");
+  const uint32_t v1 = 1;
+  std::memcpy(stream.data() + 4, &v1, sizeof(v1));
+  wire::FrameReader reader;
+  reader.Append(stream.data(), stream.size());
+  auto next = reader.Next();
+  ASSERT_FALSE(next.ok());
+  EXPECT_EQ(next.status().code(), StatusCode::kIOError);
+  EXPECT_NE(next.status().message().find("protocol version 1"),
+            std::string::npos)
+      << next.status().ToString();
 }
 
 TEST(WireTest, CodecRoundTripsJobTypes) {
@@ -358,6 +376,68 @@ TEST(WorkerBackendTest, NoWorkersOutliveTheirJobs) {
   ASSERT_TRUE(RunWordCount(options, words).status.ok());
   // Every pool tears its workers down at EndPhase; nothing may leak,
   // even on the crash-recovery path.
+  EXPECT_EQ(LiveWorkerCount(), 0u);
+}
+
+TEST(WorkerBackendTest, ForkAndShutdownTimesReported) {
+  const WordCountRun run = RunWordCount(ProcessOptions(), ManyWords(80));
+  ASSERT_TRUE(run.status.ok());
+  EXPECT_GT(run.worker_metrics.GetGauge("worker.fork_seconds"), 0.0);
+  EXPECT_GT(run.worker_metrics.GetGauge("worker.shutdown_seconds"), 0.0);
+  // Healthy workers exit on SHUTDOWN; none needs the SIGKILL fallback.
+  EXPECT_EQ(run.worker_metrics.Get("worker.kill_total"), 0u);
+}
+
+TEST(WorkerBackendTest, TraceShowsOneForkSpanPerWorker) {
+  Tracer::Global().Enable(true);
+  if (!Tracer::Global().enabled()) {
+    GTEST_SKIP() << "built with P3C_ENABLE_TRACING=OFF";
+  }
+  Tracer::Global().Clear();
+  const WordCountRun run = RunWordCount(ProcessOptions(), ManyWords(80));
+  const std::string json = Tracer::Global().ToJson();
+  Tracer::Global().Enable(false);
+  Tracer::Global().Clear();
+  ASSERT_TRUE(run.status.ok());
+  // Each fork opens one worker:fork span on the driver (end events
+  // carry no name).
+  size_t fork_spans = 0;
+  for (size_t at = json.find("\"worker:fork\""); at != std::string::npos;
+       at = json.find("\"worker:fork\"", at + 1)) {
+    ++fork_spans;
+  }
+  EXPECT_EQ(fork_spans, run.worker_metrics.Get("worker.spawn_total"));
+  EXPECT_GT(fork_spans, 0u);
+}
+
+/// Installs a phase of `workers` tasks on `executor`, forking its pool.
+void BeginIdlePhase(WorkerPoolExecutor& executor, size_t workers) {
+  executor.BeginPhase(
+      "idle", TaskKind::kMap, workers,
+      [](uint64_t) { return Result<std::string>(std::string()); },
+      [](const TaskContext&, uint64_t, std::string) { return Status::OK(); });
+}
+
+TEST(WorkerBackendTest, StoppedIdleWorkerIsKilledAtShutdownDeadline) {
+  // A SIGSTOPped worker never reads SHUTDOWN and never closes its pipe:
+  // EndPhase must give up on it at the 1 s deadline, SIGKILL it, reap
+  // it, and count the kill.
+  WorkerBackendOptions options;
+  options.num_workers = 1;
+  WorkerPoolExecutor executor(options);
+  BeginIdlePhase(executor, 1);
+  ASSERT_EQ(LiveWorkerCount(), 1u);
+  ASSERT_EQ(SignalLiveWorkers(SIGSTOP), 1u);
+  executor.EndPhase();
+  const MetricBag metrics = executor.SnapshotMetrics();
+  EXPECT_EQ(metrics.Get("worker.kill_total"), 1u);
+  EXPECT_GE(metrics.GetGauge("worker.shutdown_seconds"), 0.9);
+  EXPECT_EQ(LiveWorkerCount(), 0u);
+
+  // The next phase forks a fresh, healthy pool that exits on SHUTDOWN.
+  BeginIdlePhase(executor, 1);
+  executor.EndPhase();
+  EXPECT_EQ(executor.SnapshotMetrics().Get("worker.kill_total"), 1u);
   EXPECT_EQ(LiveWorkerCount(), 0u);
 }
 
