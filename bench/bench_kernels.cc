@@ -1,7 +1,8 @@
 // Kernel-backend microbenchmark: every backend AvailableBackends()
-// reports, timed against the scalar reference on the three ported hot
-// loops — RSSC support counting, histogram binning, and the GMM E-step
-// softmax — with the outputs verified bit-identical in-bench (a speedup
+// reports, timed against the scalar reference on the ported hot loops —
+// RSSC support counting, histogram binning, the GMM E-step softmax and
+// the blocked Mahalanobis forward substitution — with the outputs
+// verified bit-identical in-bench (a speedup
 // that changes results is a bug, not a win). The scalar reference gets
 // every row (the peak_bytes gate compares against it); any other backend
 // only the ops it overrides (its function pointer differs from
@@ -15,8 +16,9 @@
 // seconds, the scalar seconds on the identical workload, the speedup,
 // and outputs_identical. tools/check_bench_regression.py gates the
 // committed numbers: the fastest non-scalar backend must hold a >= 2x
-// speedup on rssc_support at >= 256 signatures, and no non-scalar row
-// may fall below 0.9x of scalar.
+// speedup on rssc_support at >= 256 signatures, the avx2 backend >= 2x
+// on every mahalanobis_rows row, and no non-scalar row may fall below
+// 0.9x of scalar.
 
 #include <cmath>
 #include <cstdint>
@@ -198,6 +200,64 @@ Row BenchSoftmax(const Ops& ops, size_t k) {
   return row;
 }
 
+// ---- Blocked Mahalanobis distances -------------------------------------------
+//
+// The density pass of the E step, MVB and OD: k = 5 components, each
+// evaluated over column blocks of 64 projected rows (the MR map range),
+// at the |Arel| of the mvb-250k workload (19) and at 50.
+
+Row BenchMahalanobisRows(const Ops& ops, size_t dim) {
+  constexpr size_t kComponents = 5;
+  constexpr size_t kBlockRows = 64;
+  const size_t num_blocks = p3c::bench::Scaled(512);
+  Rng rng(dim);
+  // Lower factors with a dominant diagonal, so distances stay finite.
+  std::vector<double> factors(kComponents * dim * dim, 0.0);
+  std::vector<double> means(kComponents * dim);
+  for (size_t c = 0; c < kComponents; ++c) {
+    double* l = factors.data() + c * dim * dim;
+    for (size_t i = 0; i < dim; ++i) {
+      for (size_t k = 0; k < i; ++k) l[i * dim + k] = rng.Uniform(-0.1, 0.1);
+      l[i * dim + i] = rng.Uniform(0.5, 1.5);
+    }
+  }
+  for (auto& m : means) m = rng.Uniform();
+  std::vector<double> xs(num_blocks * dim * kBlockRows);
+  for (auto& x : xs) x = rng.Uniform();
+
+  auto run = [&](const Ops& backend, std::vector<double>& out) {
+    return MinSeconds([&] {
+      for (size_t b = 0; b < num_blocks; ++b) {
+        const double* block = xs.data() + b * dim * kBlockRows;
+        for (size_t c = 0; c < kComponents; ++c) {
+          backend.mahalanobis_rows(factors.data() + c * dim * dim,
+                                   means.data() + c * dim, block, dim,
+                                   kBlockRows,
+                                   out.data() + (b * kComponents + c) *
+                                                    kBlockRows);
+        }
+      }
+    });
+  };
+
+  std::vector<double> expected(num_blocks * kComponents * kBlockRows);
+  std::vector<double> actual(expected.size());
+  CellMemory mem("mahalanobis_rows");
+  mem.Charge(static_cast<int64_t>(
+      (factors.capacity() + means.capacity() + xs.capacity() +
+       expected.capacity() + actual.capacity()) *
+      sizeof(double)));
+  Row row{"mahalanobis_rows", dim, ops.name};
+  row.scalar_seconds = run(p3c::core::kernels::ScalarOps(), expected);
+  row.seconds = run(ops, actual);
+  row.speedup = row.seconds > 0.0 ? row.scalar_seconds / row.seconds : 0.0;
+  row.peak_bytes = mem.Finish();
+  row.outputs_identical =
+      std::memcmp(expected.data(), actual.data(),
+                  expected.size() * sizeof(double)) == 0;
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -215,7 +275,7 @@ int main(int argc, char** argv) {
   resource::MemoryTracker::Global().Enable(true);
 
   std::vector<Row> rows;
-  std::printf("%14s %6s %8s %12s %12s %9s %5s\n", "kernel", "size", "backend",
+  std::printf("%16s %6s %8s %12s %12s %9s %5s\n", "kernel", "size", "backend",
               "seconds", "scalar(s)", "speedup", "ok");
   const Ops& scalar = p3c::core::kernels::ScalarOps();
   for (const Ops* ops : AvailableBackends()) {
@@ -235,10 +295,15 @@ int main(int argc, char** argv) {
         rows.push_back(BenchSoftmax(*ops, k));
       }
     }
+    if (reference || ops->mahalanobis_rows != scalar.mahalanobis_rows) {
+      for (size_t dim : {size_t{19}, size_t{50}}) {
+        rows.push_back(BenchMahalanobisRows(*ops, dim));
+      }
+    }
   }
   bool all_identical = true;
   for (const Row& r : rows) {
-    std::printf("%14s %6zu %8s %12.6f %12.6f %8.2fx %5s\n", r.kernel.c_str(),
+    std::printf("%16s %6zu %8s %12.6f %12.6f %8.2fx %5s\n", r.kernel.c_str(),
                 r.size, r.backend.c_str(), r.seconds, r.scalar_seconds,
                 r.speedup, r.outputs_identical ? "yes" : "NO");
     all_identical = all_identical && r.outputs_identical;
@@ -284,7 +349,8 @@ int main(int argc, char** argv) {
       "Shape check: every backend's outputs are bit-identical to the\n"
       "scalar reference (enforced above — divergence exits non-zero);\n"
       "on an AVX2 machine the vectorized backend holds >= 2x on\n"
-      "rssc_support at >= 256 signatures and every overridden op\n"
-      ">= 0.9x of scalar (gated by tools/check_bench_regression.py).\n");
+      "rssc_support at >= 256 signatures and on mahalanobis_rows, and\n"
+      "every overridden op >= 0.9x of scalar (gated by\n"
+      "tools/check_bench_regression.py).\n");
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "src/core/gmm.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 
@@ -94,6 +95,14 @@ double LogSumExp(const double* logw, size_t k) {
   return max_log + std::log(sum);
 }
 
+/// Squared Mahalanobis distances of a column block's rows to (mu, L L^T):
+/// one mahalanobis_rows call on the active backend.
+void MahalanobisBlock(const linalg::Cholesky& chol, const linalg::Vector& mu,
+                      const double* xs, size_t rows, double* out) {
+  kernels::Active().mahalanobis_rows(chol.lower().data().data(), mu.data(),
+                                     xs, chol.dim(), rows, out);
+}
+
 linalg::Matrix SmallIdentity(size_t dim) {
   linalg::Matrix m = linalg::Matrix::Identity(dim);
   return m.Scale(1e-2);
@@ -113,6 +122,42 @@ void GmmModel::Project(std::span<const double> row,
   for (size_t i = 0; i < arel.size(); ++i) out[i] = row[arel[i]];
 }
 
+void GmmModel::ProjectRows(const data::Dataset& dataset, size_t begin,
+                           size_t end, std::vector<double>& xs) const {
+  const size_t rows = end - begin;
+  xs.resize(arel.size() * rows);
+  for (size_t r = 0; r < rows; ++r) {
+    const auto row = dataset.Row(static_cast<data::PointId>(begin + r));
+    for (size_t i = 0; i < arel.size(); ++i) xs[i * rows + r] = row[arel[i]];
+  }
+}
+
+void GmmModel::ProjectRows(const data::Dataset& dataset,
+                           std::span<const data::PointId> points,
+                           std::vector<double>& xs) const {
+  const size_t rows = points.size();
+  xs.resize(arel.size() * rows);
+  for (size_t r = 0; r < rows; ++r) {
+    const auto row = dataset.Row(points[r]);
+    for (size_t i = 0; i < arel.size(); ++i) xs[i * rows + r] = row[arel[i]];
+  }
+}
+
+void BlockRow(const double* xs, size_t rows, size_t dim, size_t r,
+              linalg::Vector& x) {
+  x.resize(dim);
+  for (size_t i = 0; i < dim; ++i) x[i] = xs[i * rows + r];
+}
+
+void GatherBlockRows(const double* xs, size_t rows, size_t dim,
+                     const uint32_t* picks, size_t m,
+                     std::vector<double>& out) {
+  out.resize(dim * m);
+  for (size_t i = 0; i < dim; ++i) {
+    for (size_t j = 0; j < m; ++j) out[i * m + j] = xs[i * rows + picks[j]];
+  }
+}
+
 std::vector<size_t> RelevantAttributeUnion(
     const std::vector<ClusterCore>& cores) {
   std::vector<size_t> out;
@@ -126,7 +171,9 @@ std::vector<size_t> RelevantAttributeUnion(
 }
 
 Result<GmmEvaluator> GmmEvaluator::Make(const GmmModel& model, double ridge) {
-  std::vector<Factor> factors;
+  std::vector<linalg::Cholesky> factors;
+  std::vector<linalg::Vector> means;
+  std::vector<double> log_norms;
   factors.reserve(model.components.size());
   const double dim = static_cast<double>(model.dim());
   for (const GaussianComponent& comp : model.components) {
@@ -144,55 +191,126 @@ Result<GmmEvaluator> GmmEvaluator::Make(const GmmModel& model, double ridge) {
     }
     const double weight = comp.weight > 0.0 ? comp.weight : 1e-300;
     const double log_det = chol.value().LogDet();
-    factors.push_back(Factor{
-        std::move(chol).value(), comp.mean,
-        std::log(weight) - 0.5 * log_det - 0.5 * dim * kLog2Pi});
+    factors.push_back(std::move(chol).value());
+    means.push_back(comp.mean);
+    log_norms.push_back(std::log(weight) - 0.5 * log_det -
+                        0.5 * dim * kLog2Pi);
   }
-  return GmmEvaluator(std::move(factors));
+  return GmmEvaluator(std::move(factors), std::move(means),
+                      std::move(log_norms));
 }
 
-double GmmEvaluator::LogWeightedDensity(size_t k,
-                                        const linalg::Vector& x) const {
-  const Factor& f = factors_[k];
-  return f.log_norm - 0.5 * f.chol.MahalanobisSquared(x, f.mean);
+void GmmEvaluator::MahalanobisRows(size_t c, const double* xs, size_t rows,
+                                   double* out) const {
+  MahalanobisBlock(factors_[c], means_[c], xs, rows, out);
 }
 
-size_t GmmEvaluator::Responsibilities(const linalg::Vector& x,
-                                      std::vector<double>& r,
+void GmmEvaluator::LogWeightedDensities(const double* xs, size_t rows,
+                                        double* logw) const {
+  assert(rows <= kMaxBlockRows);
+  const size_t k = factors_.size();
+  double d2[kMaxBlockRows]{};
+  for (size_t c = 0; c < k; ++c) {
+    MahalanobisRows(c, xs, rows, d2);
+    for (size_t r = 0; r < rows; ++r) {
+      logw[r * k + c] = log_norms_[c] - 0.5 * d2[r];
+    }
+  }
+}
+
+void GmmEvaluator::NearestComponents(const double* xs, size_t rows,
+                                     uint32_t* out) const {
+  assert(rows <= kMaxBlockRows);
+  double best[kMaxBlockRows]{};
+  double d2[kMaxBlockRows]{};
+  std::fill(best, best + rows, std::numeric_limits<double>::infinity());
+  std::fill(out, out + rows, 0u);
+  for (size_t c = 0; c < factors_.size(); ++c) {
+    MahalanobisRows(c, xs, rows, d2);
+    for (size_t r = 0; r < rows; ++r) {
+      if (d2[r] < best[r]) {
+        best[r] = d2[r];
+        out[r] = static_cast<uint32_t>(c);
+      }
+    }
+  }
+}
+
+size_t GmmEvaluator::Responsibilities(double* logw,
                                       double* log_likelihood) const {
   const size_t k = factors_.size();
-  r.resize(k);
-  for (size_t i = 0; i < k; ++i) r[i] = LogWeightedDensity(i, x);
-  if (log_likelihood != nullptr) *log_likelihood = LogSumExp(r.data(), k);
+  if (log_likelihood != nullptr) *log_likelihood = LogSumExp(logw, k);
   // In-place log-sum-exp softmax; every backend is bit-exact with the
   // scalar reference (kernel-smoke), so results don't depend on which
   // backend dispatch picked.
-  return kernels::Active().softmax_normalize(r.data(), k);
+  return kernels::Active().softmax_normalize(logw, k);
 }
 
-size_t GmmEvaluator::HardAssign(const linalg::Vector& x) const {
+size_t GmmEvaluator::ArgMax(const double* logw) const {
   double best = -std::numeric_limits<double>::infinity();
   size_t argmax = 0;
-  for (size_t i = 0; i < factors_.size(); ++i) {
-    const double l = LogWeightedDensity(i, x);
-    if (l > best) {
-      best = l;
-      argmax = i;
+  for (size_t c = 0; c < factors_.size(); ++c) {
+    if (logw[c] > best) {
+      best = logw[c];
+      argmax = c;
     }
   }
   return argmax;
 }
 
+double GmmEvaluator::LogWeightedDensity(size_t k,
+                                        const linalg::Vector& x) const {
+  double d2 = 0.0;
+  MahalanobisRows(k, x.data(), 1, &d2);
+  return log_norms_[k] - 0.5 * d2;
+}
+
+size_t GmmEvaluator::Responsibilities(const linalg::Vector& x,
+                                      std::vector<double>& r,
+                                      double* log_likelihood) const {
+  r.resize(factors_.size());
+  LogWeightedDensities(x.data(), 1, r.data());
+  return Responsibilities(r.data(), log_likelihood);
+}
+
+size_t GmmEvaluator::HardAssign(const linalg::Vector& x) const {
+  std::vector<double> logw(factors_.size());
+  LogWeightedDensities(x.data(), 1, logw.data());
+  return ArgMax(logw.data());
+}
+
 double GmmEvaluator::MahalanobisSquared(size_t k,
                                         const linalg::Vector& x) const {
-  return factors_[k].chol.MahalanobisSquared(x, factors_[k].mean);
+  double d2 = 0.0;
+  MahalanobisRows(k, x.data(), 1, &d2);
+  return d2;
 }
 
 double GmmEvaluator::LogLikelihood(const linalg::Vector& x) const {
-  thread_local std::vector<double> logw;
-  logw.resize(factors_.size());
-  for (size_t i = 0; i < logw.size(); ++i) logw[i] = LogWeightedDensity(i, x);
+  std::vector<double> logw(factors_.size());
+  LogWeightedDensities(x.data(), 1, logw.data());
   return LogSumExp(logw.data(), logw.size());
+}
+
+void MahalanobisToAssigned(const std::vector<linalg::Cholesky>& factors,
+                           const std::vector<linalg::Vector>& centers,
+                           const double* xs, size_t rows,
+                           const uint32_t* labels, double* out) {
+  assert(rows <= GmmEvaluator::kMaxBlockRows);
+  const size_t dim = centers.empty() ? 0 : centers.front().size();
+  thread_local std::vector<double> gathered;
+  uint32_t picks[GmmEvaluator::kMaxBlockRows]{};
+  double d2[GmmEvaluator::kMaxBlockRows]{};
+  for (size_t c = 0; c < factors.size(); ++c) {
+    size_t m = 0;
+    for (size_t r = 0; r < rows; ++r) {
+      if (labels[r] == c) picks[m++] = static_cast<uint32_t>(r);
+    }
+    if (m == 0) continue;
+    GatherBlockRows(xs, rows, dim, picks, m, gathered);
+    MahalanobisBlock(factors[c], centers[c], gathered.data(), m, d2);
+    for (size_t j = 0; j < m; ++j) out[picks[j]] = d2[j];
+  }
 }
 
 Result<GmmModel> InitializeFromCores(const data::Dataset& dataset,
@@ -259,19 +377,19 @@ Result<GmmModel> InitializeFromCores(const data::Dataset& dataset,
       num_tasks, std::vector<MomentAccumulator>(k, MomentAccumulator(dim)));
   auto assign_orphans = [&](size_t task) {
     auto& accs = orphan_locals[task];
+    const std::vector<data::PointId>& orphans = local_orphans[task];
+    std::vector<double> xs;
     linalg::Vector x;
-    for (data::PointId p : local_orphans[task]) {
-      model.Project(dataset.Row(p), x);
-      size_t best = 0;
-      double best_dist = std::numeric_limits<double>::infinity();
-      for (size_t c = 0; c < k; ++c) {
-        const double dist = evaluator->MahalanobisSquared(c, x);
-        if (dist < best_dist) {
-          best_dist = dist;
-          best = c;
-        }
+    uint32_t nearest[GmmEvaluator::kMaxBlockRows]{};
+    for (size_t b = 0; b < orphans.size(); b += GmmEvaluator::kMaxBlockRows) {
+      const size_t rows =
+          std::min(GmmEvaluator::kMaxBlockRows, orphans.size() - b);
+      model.ProjectRows(dataset, std::span(orphans).subspan(b, rows), xs);
+      evaluator->NearestComponents(xs.data(), rows, nearest);
+      for (size_t r = 0; r < rows; ++r) {
+        BlockRow(xs.data(), rows, dim, r, x);
+        accs[nearest[r]].Add(x, 1.0);
       }
-      accs[best].Add(x, 1.0);
     }
   };
   if (pool != nullptr) {
@@ -318,16 +436,23 @@ Result<EmResult> RunEm(const data::Dataset& dataset, GmmModel initial,
         num_tasks, std::vector<MomentAccumulator>(k, MomentAccumulator(dim)));
     std::vector<double> local_ll(num_tasks, 0.0);
     ForEachRange(n, pool, [&](size_t task, size_t begin, size_t end) {
-      std::vector<double> r;
+      std::vector<double> xs;
+      std::vector<double> logw(GmmEvaluator::kMaxBlockRows * k);
       linalg::Vector x;
       auto& accs = locals[task];
-      for (size_t i = begin; i < end; ++i) {
-        result.model.Project(dataset.Row(static_cast<data::PointId>(i)), x);
-        double ll = 0.0;
-        evaluator->Responsibilities(x, r, &ll);
-        local_ll[task] += ll;
-        for (size_t c = 0; c < k; ++c) {
-          if (r[c] > 1e-12) accs[c].Add(x, r[c]);
+      for (size_t b = begin; b < end; b += GmmEvaluator::kMaxBlockRows) {
+        const size_t rows = std::min(GmmEvaluator::kMaxBlockRows, end - b);
+        result.model.ProjectRows(dataset, b, b + rows, xs);
+        evaluator->LogWeightedDensities(xs.data(), rows, logw.data());
+        for (size_t row = 0; row < rows; ++row) {
+          double* r = logw.data() + row * k;
+          double ll = 0.0;
+          evaluator->Responsibilities(r, &ll);
+          local_ll[task] += ll;
+          BlockRow(xs.data(), rows, dim, row, x);
+          for (size_t c = 0; c < k; ++c) {
+            if (r[c] > 1e-12) accs[c].Add(x, r[c]);
+          }
         }
       }
     });

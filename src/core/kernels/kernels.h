@@ -3,7 +3,8 @@
 
 // Runtime-dispatched compute kernels for the per-point hot loops
 // (DESIGN.md §14): RSSC bitmap matching / support counting, histogram
-// binning, and the GMM E-step inner operations. Every backend implements
+// binning, and the GMM inner operations (Mahalanobis distances of a row
+// block, the E-step softmax, moment accumulation). Every backend implements
 // the same Ops table and every operation is *bit-exact* across backends —
 // integer kernels trivially so, floating-point kernels by restricting
 // vectorization to elementwise IEEE-exact operations (no FMA, no
@@ -70,6 +71,19 @@ struct Ops {
   /// is part of the contract (it preserves existing entries exactly,
   /// including signed zeros and NaN propagation).
   void (*outer_accumulate)(double* out, const double* x, double w, size_t d);
+
+  /// Squared Mahalanobis distances of a column block of `rows` points:
+  /// for each r < rows, solves L y = x_r - mu by forward substitution
+  /// and writes |y|^2 to out[r]. Coordinate i of point r is
+  /// xs[i * rows + r]; `l` is the d x d row-major lower factor (entries
+  /// above the diagonal are not read). Every row runs
+  /// linalg::Cholesky::MahalanobisSquared's operation sequence —
+  /// acc = x_i - mu_i, acc -= l_ik * y_k in k order, y_i = acc / l_ii,
+  /// sum += y_i * y_i in i order, each operation rounded on its own — so
+  /// a backend may vectorize across rows but never within one.
+  void (*mahalanobis_rows)(const double* l, const double* mu,
+                           const double* xs, size_t d, size_t rows,
+                           double* out);
 };
 
 /// The scalar reference backend (always available).

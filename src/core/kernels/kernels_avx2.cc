@@ -21,6 +21,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace p3c::core::kernels {
 namespace {
@@ -147,6 +148,73 @@ void OuterAccumulate(double* out, const double* x, double w, size_t d) {
   }
 }
 
+// Forward substitution for 4 * kVecs consecutive rows starting at row r0
+// of the column block, one row per lane: lane for lane it is the scalar
+// sequence (sub, then mul and sub per k in k order, div, then mul and
+// add into the lane's sum), with no FMA. `y` holds 4 * kVecs * d doubles.
+template <size_t kVecs>
+void MahalanobisLanes(const double* l, const double* mu, const double* xs,
+                      size_t d, size_t rows, size_t r0, double* y,
+                      double* out) {
+  constexpr size_t kWidth = 4 * kVecs;
+  __m256d sq[kVecs];
+  for (size_t v = 0; v < kVecs; ++v) sq[v] = _mm256_setzero_pd();
+  for (size_t i = 0; i < d; ++i) {
+    const double* li = l + i * d;
+    const double* xi = xs + i * rows + r0;
+    const __m256d vmu = _mm256_set1_pd(mu[i]);
+    __m256d acc[kVecs];
+    for (size_t v = 0; v < kVecs; ++v) {
+      acc[v] = _mm256_sub_pd(_mm256_loadu_pd(xi + 4 * v), vmu);
+    }
+    for (size_t k = 0; k < i; ++k) {
+      const __m256d lik = _mm256_set1_pd(li[k]);
+      const double* yk = y + k * kWidth;
+      for (size_t v = 0; v < kVecs; ++v) {
+        acc[v] = _mm256_sub_pd(
+            acc[v], _mm256_mul_pd(lik, _mm256_loadu_pd(yk + 4 * v)));
+      }
+    }
+    const __m256d lii = _mm256_set1_pd(li[i]);
+    double* yi = y + i * kWidth;
+    for (size_t v = 0; v < kVecs; ++v) {
+      const __m256d yv = _mm256_div_pd(acc[v], lii);
+      _mm256_storeu_pd(yi + 4 * v, yv);
+      sq[v] = _mm256_add_pd(sq[v], _mm256_mul_pd(yv, yv));
+    }
+  }
+  for (size_t v = 0; v < kVecs; ++v) {
+    _mm256_storeu_pd(out + r0 + 4 * v, sq[v]);
+  }
+}
+
+void MahalanobisRows(const double* l, const double* mu, const double* xs,
+                     size_t d, size_t rows, double* out) {
+  // Vectorized across rows: 16 rows in four independent accumulators
+  // (enough to hide the sub latency of the k loop), then 4-row chunks,
+  // then the scalar sequence for the last rows % 4.
+  thread_local std::vector<double> y;
+  y.resize(16 * d);
+  size_t r = 0;
+  for (; r + 16 <= rows; r += 16) {
+    MahalanobisLanes<4>(l, mu, xs, d, rows, r, y.data(), out);
+  }
+  for (; r + 4 <= rows; r += 4) {
+    MahalanobisLanes<1>(l, mu, xs, d, rows, r, y.data(), out);
+  }
+  for (; r < rows; ++r) {
+    double acc_sq = 0.0;
+    for (size_t i = 0; i < d; ++i) {
+      const double* li = l + i * d;
+      double acc = xs[i * rows + r] - mu[i];
+      for (size_t k = 0; k < i; ++k) acc -= li[k] * y[k];
+      y[i] = acc / li[i];
+      acc_sq += y[i] * y[i];
+    }
+    out[r] = acc_sq;
+  }
+}
+
 }  // namespace
 
 namespace detail {
@@ -161,6 +229,7 @@ const Ops* Avx2OpsOrNull() {
       ScalarOps().softmax_normalize,
       Axpy,
       OuterAccumulate,
+      MahalanobisRows,
   };
   return &kAvx2Ops;
 }

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "src/core/kernels/kernels.h"
 
@@ -82,9 +83,28 @@ void OuterAccumulate(double* out, const double* x, double w, size_t d) {
   }
 }
 
+void MahalanobisRows(const double* l, const double* mu, const double* xs,
+                     size_t d, size_t rows, double* out) {
+  // One row at a time: the forward substitution of
+  // linalg::Cholesky::MahalanobisSquared, reading the row from its column.
+  thread_local std::vector<double> y;
+  y.resize(d);
+  for (size_t r = 0; r < rows; ++r) {
+    double acc_sq = 0.0;
+    for (size_t i = 0; i < d; ++i) {
+      const double* li = l + i * d;
+      double acc = xs[i * rows + r] - mu[i];
+      for (size_t k = 0; k < i; ++k) acc -= li[k] * y[k];
+      y[i] = acc / li[i];
+      acc_sq += y[i] * y[i];
+    }
+    out[r] = acc_sq;
+  }
+}
+
 constexpr Ops kScalarOps = {
-    "scalar",          BitmapAndReduce, SupportAccumulate, HistogramBin,
-    SoftmaxNormalize, Axpy,            OuterAccumulate,
+    "scalar",         BitmapAndReduce, SupportAccumulate, HistogramBin,
+    SoftmaxNormalize, Axpy,            OuterAccumulate,   MahalanobisRows,
 };
 
 }  // namespace

@@ -32,26 +32,51 @@ void ForEachRange(size_t n, ThreadPool* pool, const Fn& fn) {
 
 }  // namespace
 
+MvbBall ComputeMvbBall(const double* points, size_t num, size_t dim,
+                       std::vector<double>* distances) {
+  MvbBall ball;
+  if (num == 0) return ball;
+
+  // Dimension-wise median center.
+  ball.center.resize(dim);
+  std::vector<double> column(num);
+  for (size_t j = 0; j < dim; ++j) {
+    for (size_t i = 0; i < num; ++i) column[i] = points[i * dim + j];
+    ball.center[j] = stats::Median(column);
+  }
+
+  // Radius: median Euclidean distance to the center.
+  std::vector<double> local;
+  std::vector<double>& dist = distances != nullptr ? *distances : local;
+  dist.resize(num);
+  for (size_t i = 0; i < num; ++i) {
+    const double* p = points + i * dim;
+    double acc = 0.0;
+    for (size_t j = 0; j < dim; ++j) {
+      const double diff = p[j] - ball.center[j];
+      acc += diff * diff;
+    }
+    dist[i] = std::sqrt(acc);
+  }
+  ball.radius = stats::Median(dist);
+  return ball;
+}
+
 MvbStatistics ComputeMvbStatistics(const std::vector<linalg::Vector>& members) {
   MvbStatistics stats;
   stats.num_members = members.size();
   if (members.empty()) return stats;
   const size_t dim = members.front().size();
 
-  // Dimension-wise median center.
-  stats.center.resize(dim);
-  std::vector<double> column(members.size());
-  for (size_t j = 0; j < dim; ++j) {
-    for (size_t i = 0; i < members.size(); ++i) column[i] = members[i][j];
-    stats.center[j] = stats::Median(column);
+  std::vector<double> flat;
+  flat.reserve(members.size() * dim);
+  for (const linalg::Vector& m : members) {
+    flat.insert(flat.end(), m.begin(), m.end());
   }
-
-  // Radius: median Euclidean distance to the center.
-  std::vector<double> distances(members.size());
-  for (size_t i = 0; i < members.size(); ++i) {
-    distances[i] = std::sqrt(linalg::SquaredDistance(members[i], stats.center));
-  }
-  stats.radius = stats::Median(distances);
+  std::vector<double> distances;
+  MvbBall ball = ComputeMvbBall(flat.data(), members.size(), dim, &distances);
+  stats.center = std::move(ball.center);
+  stats.radius = ball.radius;
 
   // Mean/covariance of the in-ball points (about half of the cluster).
   linalg::Vector sum(dim, 0.0);
@@ -118,28 +143,32 @@ Result<OutlierDetectionResult> DetectOutliers(const data::Dataset& dataset,
                                 static_cast<double>(dim));
 
   // Hard-assign every point to its argmax-posterior component first; both
-  // modes need it (the membership candidate of the OD job).
+  // modes need it (the membership candidate of the OD job). Naive mode
+  // tests the same block against the EM statistics right away.
   std::vector<int32_t> hard(n, 0);
+  const bool naive = params.outlier == OutlierMode::kNaive;
   ForEachRange(n, pool, [&](size_t, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const linalg::Vector x =
-          model.Project(dataset.Row(static_cast<data::PointId>(i)));
-      hard[i] = static_cast<int32_t>(evaluator->HardAssign(x));
+    std::vector<double> xs;
+    std::vector<double> logw(GmmEvaluator::kMaxBlockRows * k);
+    uint32_t labels[GmmEvaluator::kMaxBlockRows]{};
+    double d2[GmmEvaluator::kMaxBlockRows]{};
+    for (size_t b = begin; b < end; b += GmmEvaluator::kMaxBlockRows) {
+      const size_t rows = std::min(GmmEvaluator::kMaxBlockRows, end - b);
+      model.ProjectRows(dataset, b, b + rows, xs);
+      evaluator->LogWeightedDensities(xs.data(), rows, logw.data());
+      for (size_t r = 0; r < rows; ++r) {
+        labels[r] = static_cast<uint32_t>(evaluator->ArgMax(&logw[r * k]));
+        hard[b + r] = static_cast<int32_t>(labels[r]);
+      }
+      if (!naive) continue;
+      MahalanobisToAssigned(evaluator->factors(), evaluator->means(),
+                            xs.data(), rows, labels, d2);
+      for (size_t r = 0; r < rows; ++r) {
+        result.assignment[b + r] = d2[r] > critical ? -1 : hard[b + r];
+      }
     }
   });
-
-  if (params.outlier == OutlierMode::kNaive) {
-    ForEachRange(n, pool, [&](size_t, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        const linalg::Vector x =
-            model.Project(dataset.Row(static_cast<data::PointId>(i)));
-        const double d2 = evaluator->MahalanobisSquared(
-            static_cast<size_t>(hard[i]), x);
-        result.assignment[i] = d2 > critical ? -1 : hard[i];
-      }
-    });
-    return result;
-  }
+  if (naive) return result;
 
   // ---- Robust modes (MVB / MCD) ------------------------------------------
   // Gather members per cluster (projected coordinates).
@@ -201,12 +230,19 @@ Result<OutlierDetectionResult> DetectOutliers(const data::Dataset& dataset,
   }
 
   ForEachRange(n, pool, [&](size_t, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const linalg::Vector x =
-          model.Project(dataset.Row(static_cast<data::PointId>(i)));
-      const auto c = static_cast<size_t>(hard[i]);
-      const double d2 = factors[c].MahalanobisSquared(x, centers[c]);
-      result.assignment[i] = d2 > critical ? -1 : hard[i];
+    std::vector<double> xs;
+    uint32_t labels[GmmEvaluator::kMaxBlockRows]{};
+    double d2[GmmEvaluator::kMaxBlockRows]{};
+    for (size_t b = begin; b < end; b += GmmEvaluator::kMaxBlockRows) {
+      const size_t rows = std::min(GmmEvaluator::kMaxBlockRows, end - b);
+      model.ProjectRows(dataset, b, b + rows, xs);
+      for (size_t r = 0; r < rows; ++r) {
+        labels[r] = static_cast<uint32_t>(hard[b + r]);
+      }
+      MahalanobisToAssigned(factors, centers, xs.data(), rows, labels, d2);
+      for (size_t r = 0; r < rows; ++r) {
+        result.assignment[b + r] = d2[r] > critical ? -1 : hard[b + r];
+      }
     }
   });
   return result;

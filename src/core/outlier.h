@@ -25,6 +25,13 @@ struct MvbStatistics {
   uint64_t num_in_ball = 0;
 };
 
+/// The ball of the MVB estimator: the dimension-wise median centre and
+/// the median Euclidean distance to it.
+struct MvbBall {
+  linalg::Vector center;
+  double radius = 0.0;
+};
+
 /// Outcome of the outlier detection step: the paper's "membership
 /// attribute" written back per point — the cluster id, or -1 for
 /// outliers (§5.5).
@@ -44,6 +51,14 @@ Result<OutlierDetectionResult> DetectOutliers(const data::Dataset& dataset,
                                               const GmmModel& model,
                                               const P3CParams& params,
                                               ThreadPool* pool);
+
+/// The MVB ball of `num` points with `dim` Arel coordinates each, stored
+/// row-major in `points` (point i at points[i * dim]). `distances`, when
+/// non-null, receives every point's Euclidean distance to the centre.
+/// The MR ball job emits this per split; ComputeMvbStatistics adds the
+/// in-ball moments. An empty set yields an empty centre and radius 0.
+MvbBall ComputeMvbBall(const double* points, size_t num, size_t dim,
+                       std::vector<double>* distances = nullptr);
 
 /// Computes the exact (serial-pipeline) MVB statistics of one cluster
 /// from its member coordinates in Arel space; exposed for tests and the

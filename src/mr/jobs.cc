@@ -208,17 +208,16 @@ class MomentMapper : public Mapper<int64_t, std::vector<double>> {
   void Map(RecordRange rows,
            Emitter<int64_t, std::vector<double>>& out) override {
     (void)out;
-    for (size_t i = rows.begin; i < rows.end; ++i) {
-      const auto point = static_cast<data::PointId>(i);
-      config_->model->Project(config_->dataset->Row(point), x_);
-      contributions_.clear();
-      log_likelihood_ +=
-          config_->membership->Contributions(point, x_, contributions_);
-      for (const auto& [c, weight] : contributions_) {
-        w_[c] += weight;
-        w2_[c] += weight * weight;
-        for (size_t j = 0; j < dim_; ++j) lsum_[c][j] += weight * x_[j];
-      }
+    const size_t n = rows.size();
+    config_->model->ProjectRows(*config_->dataset, rows.begin, rows.end, xs_);
+    config_->membership->Contributions(rows, xs_.data(), memberships_);
+    // Every sum runs in row order, as a row-at-a-time loop would add it.
+    for (double ll : memberships_.log_likelihood) log_likelihood_ += ll;
+    for (const auto& [r, c, weight] : memberships_.entries) {
+      w_[c] += weight;
+      w2_[c] += weight * weight;
+      double* lsum = lsum_[c].data();
+      for (size_t j = 0; j < dim_; ++j) lsum[j] += weight * xs_[j * n + r];
     }
   }
 
@@ -243,8 +242,8 @@ class MomentMapper : public Mapper<int64_t, std::vector<double>> {
   std::vector<double> w2_;
   std::vector<linalg::Vector> lsum_;
   double log_likelihood_ = 0.0;
-  linalg::Vector x_;  // the current row in Arel coordinates
-  std::vector<std::pair<uint32_t, double>> contributions_;
+  std::vector<double> xs_;  // the range in Arel coordinates, column block
+  RangeMemberships memberships_;
   resource::ScopedBytes mem_{resource::MemScope::kGmmMatrices};
 };
 
@@ -269,16 +268,15 @@ class CovarianceMapper : public Mapper<int64_t, std::vector<double>> {
   void Map(RecordRange rows,
            Emitter<int64_t, std::vector<double>>& out) override {
     (void)out;
-    for (size_t i = rows.begin; i < rows.end; ++i) {
-      const auto point = static_cast<data::PointId>(i);
-      config_->model->Project(config_->dataset->Row(point), x_);
-      contributions_.clear();
-      config_->membership->Contributions(point, x_, contributions_);
-      for (const auto& [c, weight] : contributions_) {
-        const linalg::Vector& mean = (*config_->means)[c];
-        for (size_t j = 0; j < dim_; ++j) centered_[j] = x_[j] - mean[j];
-        acc_[c].AddOuterProduct(centered_, weight);
+    const size_t n = rows.size();
+    config_->model->ProjectRows(*config_->dataset, rows.begin, rows.end, xs_);
+    config_->membership->Contributions(rows, xs_.data(), memberships_);
+    for (const auto& [r, c, weight] : memberships_.entries) {
+      const linalg::Vector& mean = (*config_->means)[c];
+      for (size_t j = 0; j < dim_; ++j) {
+        centered_[j] = xs_[j * n + r] - mean[j];
       }
+      acc_[c].AddOuterProduct(centered_, weight);
     }
   }
 
@@ -293,9 +291,9 @@ class CovarianceMapper : public Mapper<int64_t, std::vector<double>> {
   size_t k_;
   size_t dim_;
   std::vector<linalg::Matrix> acc_;
-  linalg::Vector x_;         // the current row in Arel coordinates
-  linalg::Vector centered_;  // x_ minus the contribution's mean
-  std::vector<std::pair<uint32_t, double>> contributions_;
+  std::vector<double> xs_;   // the range in Arel coordinates, column block
+  linalg::Vector centered_;  // a row of xs_ minus the contribution's mean
+  RangeMemberships memberships_;
   resource::ScopedBytes mem_{resource::MemScope::kGmmMatrices};
 };
 
@@ -313,36 +311,47 @@ class MvbBallMapper : public Mapper<int64_t, std::vector<double>> {
  public:
   explicit MvbBallMapper(const MvbBallJobConfig* config)
       : config_(config),
-        members_(config->model->num_components()) {}
+        k_(config->model->num_components()),
+        dim_(config->model->dim()),
+        logw_(core::GmmEvaluator::kMaxBlockRows * k_),
+        members_(k_),
+        counts_(k_, 0) {}
 
   void Map(RecordRange rows,
            Emitter<int64_t, std::vector<double>>& out) override {
     // "mapper j caches the set of all data points Xsplit of the current
-    // split" -- here the projected coordinates, grouped by cluster; the
-    // per-split statistics are computed in Cleanup.
+    // split" -- here the projected coordinates, one row-major buffer per
+    // cluster; the per-split balls are computed in Cleanup.
     (void)out;
-    for (size_t i = rows.begin; i < rows.end; ++i) {
-      const linalg::Vector x = config_->model->Project(
-          config_->dataset->Row(static_cast<data::PointId>(i)));
-      const size_t c = config_->evaluator->HardAssign(x);
-      members_[c].push_back(x);
+    const size_t n = rows.size();
+    config_->model->ProjectRows(*config_->dataset, rows.begin, rows.end, xs_);
+    config_->evaluator->LogWeightedDensities(xs_.data(), n, logw_.data());
+    for (size_t r = 0; r < n; ++r) {
+      const size_t c = config_->evaluator->ArgMax(&logw_[r * k_]);
+      for (size_t j = 0; j < dim_; ++j) members_[c].push_back(xs_[j * n + r]);
+      ++counts_[c];
     }
   }
 
   void Cleanup(Emitter<int64_t, std::vector<double>>& out) override {
-    for (size_t c = 0; c < members_.size(); ++c) {
-      if (members_[c].empty()) continue;
-      const core::MvbStatistics stats =
-          core::ComputeMvbStatistics(members_[c]);
-      std::vector<double> payload = stats.center;
-      payload.push_back(stats.radius);
+    for (size_t c = 0; c < k_; ++c) {
+      if (counts_[c] == 0) continue;
+      core::MvbBall ball =
+          core::ComputeMvbBall(members_[c].data(), counts_[c], dim_);
+      std::vector<double> payload = std::move(ball.center);
+      payload.push_back(ball.radius);
       out.Emit(static_cast<int64_t>(c), std::move(payload));
     }
   }
 
  private:
   const MvbBallJobConfig* config_;
-  std::vector<std::vector<linalg::Vector>> members_;
+  size_t k_;
+  size_t dim_;
+  std::vector<double> xs_;    // the range in Arel coordinates, column block
+  std::vector<double> logw_;  // its log-weighted densities, row-major
+  std::vector<std::vector<double>> members_;  // per cluster, row-major
+  std::vector<size_t> counts_;                // rows in members_[c]
 };
 
 class MvbBallReducer
@@ -383,16 +392,25 @@ struct OdJobConfig {
 
 class OdMapper : public Mapper<data::PointId, int32_t> {
  public:
-  explicit OdMapper(const OdJobConfig* config) : config_(config) {}
+  explicit OdMapper(const OdJobConfig* config)
+      : config_(config),
+        k_(config->model->num_components()),
+        logw_(core::GmmEvaluator::kMaxBlockRows * k_) {}
 
   void Map(RecordRange rows, Emitter<data::PointId, int32_t>& out) override {
-    for (size_t i = rows.begin; i < rows.end; ++i) {
-      const auto point = static_cast<data::PointId>(i);
-      config_->model->Project(config_->dataset->Row(point), x_);
-      const size_t c = config_->evaluator->HardAssign(x_);
-      const double d2 = (*config_->factors)[c].MahalanobisSquared(
-          x_, (*config_->centers)[c]);
-      const bool outlier = d2 > config_->critical;
+    const size_t n = rows.size();
+    config_->model->ProjectRows(*config_->dataset, rows.begin, rows.end, xs_);
+    config_->evaluator->LogWeightedDensities(xs_.data(), n, logw_.data());
+    uint32_t labels[core::GmmEvaluator::kMaxBlockRows]{};
+    double d2[core::GmmEvaluator::kMaxBlockRows]{};
+    for (size_t r = 0; r < n; ++r) {
+      labels[r] = static_cast<uint32_t>(
+          config_->evaluator->ArgMax(&logw_[r * k_]));
+    }
+    core::MahalanobisToAssigned(*config_->factors, *config_->centers,
+                                xs_.data(), n, labels, d2);
+    for (size_t r = 0; r < n; ++r) {
+      const bool outlier = d2[r] > config_->critical;
       if (outlier) {
         ++outliers_;
       } else {
@@ -400,9 +418,10 @@ class OdMapper : public Mapper<data::PointId, int32_t> {
         // Integer observations: the histogram's double sum stays exact,
         // so the exported bucket counts AND sum are thread-count
         // invariant.
-        out.counters().Observe("od/cluster", static_cast<double>(c));
+        out.counters().Observe("od/cluster", static_cast<double>(labels[r]));
       }
-      out.Emit(point, outlier ? -1 : static_cast<int32_t>(c));
+      out.Emit(static_cast<data::PointId>(rows.begin + r),
+               outlier ? -1 : static_cast<int32_t>(labels[r]));
     }
   }
 
@@ -413,7 +432,9 @@ class OdMapper : public Mapper<data::PointId, int32_t> {
 
  private:
   const OdJobConfig* config_;
-  linalg::Vector x_;  // the current row in Arel coordinates
+  size_t k_;
+  std::vector<double> xs_;    // the range in Arel coordinates, column block
+  std::vector<double> logw_;  // its log-weighted densities, row-major
   uint64_t outliers_ = 0;
   uint64_t members_ = 0;
 };

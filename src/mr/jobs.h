@@ -48,21 +48,41 @@ struct MomentSums {
   double log_likelihood = 0.0;         ///< sum over points (soft jobs only)
 };
 
-/// Membership oracle deciding, per point, which components it contributes
-/// to and with what weight; lets one job implementation serve EM-init
-/// (hard, by core containment), EM steps (soft responsibilities), and the
-/// MVB in-ball statistics (hard, ball-filtered).
+/// One map range's memberships (at most kMapRangeRecords rows): the
+/// (row, component, weight) contributions in ascending row order, rows
+/// counted from the range's first, and each row's log-likelihood
+/// contribution.
+struct RangeMemberships {
+  struct Entry {
+    uint32_t row;
+    uint32_t component;
+    double weight;
+  };
+  std::vector<Entry> entries;
+  std::vector<double> log_likelihood;  ///< one per row
+
+  /// Empties the entries and zeroes `rows` log-likelihood slots.
+  void Reset(size_t rows) {
+    entries.clear();
+    log_likelihood.assign(rows, 0.0);
+  }
+};
+
+/// Membership oracle deciding, for a range of points, which components
+/// each contributes to and with what weight; lets one job implementation
+/// serve EM-init (hard, by core containment), EM steps (soft
+/// responsibilities), and the MVB in-ball statistics (hard,
+/// ball-filtered).
 class MembershipFn {
  public:
   virtual ~MembershipFn() = default;
-  /// Appends (component, weight) contributions of `x` (Arel coordinates,
-  /// with `point` available for containment tests on the full row) and
-  /// returns the point's log-likelihood contribution: log p(x) for the
-  /// soft E step, which takes it from the densities it already computed
-  /// for the weights; 0 for the hard memberships.
-  virtual double Contributions(
-      data::PointId point, const linalg::Vector& x,
-      std::vector<std::pair<uint32_t, double>>& out) const = 0;
+  /// Fills `out` for rows [rows.begin, rows.end), given their Arel
+  /// projection as a column block (GmmModel::ProjectRows). A row's
+  /// log-likelihood is log p(x) for the soft E step, which takes it from
+  /// the densities it already computed for the weights; 0 for the hard
+  /// memberships.
+  virtual void Contributions(RecordRange rows, const double* xs,
+                             RangeMemberships& out) const = 0;
 };
 
 /// First EM job of a step (and of the init rounds): accumulates w_C and
@@ -82,12 +102,9 @@ Result<std::vector<linalg::Matrix>> RunCovarianceJob(
 
 /// §5.5 MVB ball job: each mapper caches its split (Map), computes the
 /// per-split dimension-wise median and median radius per cluster in
-/// Cleanup, and the reducer takes the dimension-wise median of the means
-/// and the median of the radii.
-struct MvbBall {
-  linalg::Vector center;
-  double radius = 0.0;
-};
+/// Cleanup (core::ComputeMvbBall), and the reducer takes the
+/// dimension-wise median of the centres and the median of the radii.
+using MvbBall = core::MvbBall;
 Result<std::vector<MvbBall>> RunMvbBallJob(LocalRunner& runner,
                                            const data::Dataset& dataset,
                                            const core::GmmModel& model,

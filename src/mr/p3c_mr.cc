@@ -123,20 +123,21 @@ class CoreMembership : public MembershipFn {
                  const std::vector<core::Signature>& signatures)
       : dataset_(dataset), rssc_(signatures), k_(signatures.size()) {}
 
-  double Contributions(
-      data::PointId point, const linalg::Vector& x,
-      std::vector<std::pair<uint32_t, double>>& out) const override {
-    (void)x;
+  void Contributions(RecordRange rows, const double* xs,
+                     RangeMemberships& out) const override {
+    (void)xs;
     thread_local std::vector<uint64_t> bits;
     thread_local std::vector<uint32_t> ids;
-    rssc_.Match(dataset_.Row(point), bits);
-    ids.clear();
-    core::Rssc::BitsToIds(bits, k_, ids);
-    for (uint32_t id : ids) out.emplace_back(id, 1.0);
-    return 0.0;
+    out.Reset(rows.size());
+    for (size_t i = rows.begin; i < rows.end; ++i) {
+      rssc_.Match(dataset_.Row(static_cast<data::PointId>(i)), bits);
+      ids.clear();
+      core::Rssc::BitsToIds(bits, k_, ids);
+      for (uint32_t id : ids) {
+        out.entries.push_back({static_cast<uint32_t>(i - rows.begin), id, 1.0});
+      }
+    }
   }
-
-  const core::Rssc& rssc() const { return rssc_; }
 
  private:
   const data::Dataset& dataset_;
@@ -146,29 +147,45 @@ class CoreMembership : public MembershipFn {
 
 /// EM init round 2 (§5.4): support-set members as before, and points
 /// outside every support set attach to the Mahalanobis-nearest core.
+/// A range's orphans are gathered into one block, so the nearest core
+/// costs one kernel call per component for all of them.
 class OrphanAssigningMembership : public MembershipFn {
  public:
   OrphanAssigningMembership(const CoreMembership& cores,
                             const core::GmmEvaluator& evaluator)
       : cores_(cores), evaluator_(evaluator) {}
 
-  double Contributions(
-      data::PointId point, const linalg::Vector& x,
-      std::vector<std::pair<uint32_t, double>>& out) const override {
-    const size_t before = out.size();
-    cores_.Contributions(point, x, out);
-    if (out.size() != before) return 0.0;
-    size_t best = 0;
-    double best_dist = std::numeric_limits<double>::infinity();
-    for (size_t c = 0; c < evaluator_.num_components(); ++c) {
-      const double dist = evaluator_.MahalanobisSquared(c, x);
-      if (dist < best_dist) {
-        best_dist = dist;
-        best = c;
+  void Contributions(RecordRange rows, const double* xs,
+                     RangeMemberships& out) const override {
+    thread_local RangeMemberships members;
+    thread_local std::vector<double> block;
+    cores_.Contributions(rows, xs, members);
+    const size_t n = rows.size();
+    uint32_t orphans[core::GmmEvaluator::kMaxBlockRows]{};
+    size_t m = 0;
+    size_t e = 0;
+    for (size_t r = 0; r < n; ++r) {
+      const size_t first = e;
+      while (e < members.entries.size() && members.entries[e].row == r) ++e;
+      if (e == first) orphans[m++] = static_cast<uint32_t>(r);
+    }
+    uint32_t nearest[core::GmmEvaluator::kMaxBlockRows]{};
+    core::GatherBlockRows(xs, n, evaluator_.dim(), orphans, m, block);
+    evaluator_.NearestComponents(block.data(), m, nearest);
+    // Merge back in row order, so every per-component sum keeps the
+    // association of a row-at-a-time loop.
+    out.Reset(n);
+    e = 0;
+    size_t o = 0;
+    for (size_t r = 0; r < n; ++r) {
+      if (o < m && orphans[o] == r) {
+        out.entries.push_back({static_cast<uint32_t>(r), nearest[o++], 1.0});
+        continue;
+      }
+      while (e < members.entries.size() && members.entries[e].row == r) {
+        out.entries.push_back(members.entries[e++]);
       }
     }
-    out.emplace_back(static_cast<uint32_t>(best), 1.0);
-    return 0.0;
   }
 
  private:
@@ -177,24 +194,31 @@ class OrphanAssigningMembership : public MembershipFn {
 };
 
 /// Soft EM membership: posterior responsibilities (E step). The k
-/// densities are evaluated once per point; the log-likelihood comes from
-/// the same values.
+/// densities are evaluated once per point, a block at a time; the
+/// log-likelihood comes from the same values.
 class SoftMembership : public MembershipFn {
  public:
   explicit SoftMembership(const core::GmmEvaluator& evaluator)
       : evaluator_(evaluator) {}
 
-  double Contributions(
-      data::PointId point, const linalg::Vector& x,
-      std::vector<std::pair<uint32_t, double>>& out) const override {
-    (void)point;
-    thread_local std::vector<double> r;
-    double log_likelihood = 0.0;
-    evaluator_.Responsibilities(x, r, &log_likelihood);
-    for (size_t c = 0; c < r.size(); ++c) {
-      if (r[c] > 1e-12) out.emplace_back(static_cast<uint32_t>(c), r[c]);
+  void Contributions(RecordRange rows, const double* xs,
+                     RangeMemberships& out) const override {
+    thread_local std::vector<double> logw;
+    const size_t n = rows.size();
+    const size_t k = evaluator_.num_components();
+    logw.resize(n * k);
+    evaluator_.LogWeightedDensities(xs, n, logw.data());
+    out.Reset(n);
+    for (size_t r = 0; r < n; ++r) {
+      double* resp = &logw[r * k];
+      evaluator_.Responsibilities(resp, &out.log_likelihood[r]);
+      for (size_t c = 0; c < k; ++c) {
+        if (resp[c] > 1e-12) {
+          out.entries.push_back(
+              {static_cast<uint32_t>(r), static_cast<uint32_t>(c), resp[c]});
+        }
+      }
     }
-    return log_likelihood;
   }
 
  private:
@@ -209,17 +233,25 @@ class BallMembership : public MembershipFn {
                  const std::vector<MvbBall>& balls)
       : evaluator_(evaluator), balls_(balls) {}
 
-  double Contributions(
-      data::PointId point, const linalg::Vector& x,
-      std::vector<std::pair<uint32_t, double>>& out) const override {
-    (void)point;
-    const size_t c = evaluator_.HardAssign(x);
-    const MvbBall& ball = balls_[c];
-    if (ball.center.empty()) return 0.0;
-    if (std::sqrt(linalg::SquaredDistance(x, ball.center)) <= ball.radius) {
-      out.emplace_back(static_cast<uint32_t>(c), 1.0);
+  void Contributions(RecordRange rows, const double* xs,
+                     RangeMemberships& out) const override {
+    thread_local std::vector<double> logw;
+    thread_local linalg::Vector x;
+    const size_t n = rows.size();
+    const size_t k = evaluator_.num_components();
+    logw.resize(n * k);
+    evaluator_.LogWeightedDensities(xs, n, logw.data());
+    out.Reset(n);
+    for (size_t r = 0; r < n; ++r) {
+      const size_t c = evaluator_.ArgMax(&logw[r * k]);
+      const MvbBall& ball = balls_[c];
+      if (ball.center.empty()) continue;
+      core::BlockRow(xs, n, evaluator_.dim(), r, x);
+      if (std::sqrt(linalg::SquaredDistance(x, ball.center)) <= ball.radius) {
+        out.entries.push_back(
+            {static_cast<uint32_t>(r), static_cast<uint32_t>(c), 1.0});
+      }
     }
-    return 0.0;
   }
 
  private:

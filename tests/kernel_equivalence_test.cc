@@ -12,18 +12,28 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "src/common/random.h"
 #include "src/core/gmm.h"
+#include "src/core/outlier.h"
+#include "src/core/p3c.h"
 #include "src/core/rssc.h"
 #include "src/core/signature.h"
 #include "src/core/support_counter.h"
 #include "src/data/dataset.h"
+#include "src/data/generator.h"
+#include "src/linalg/cholesky.h"
 #include "src/linalg/matrix.h"
+#include "src/mr/checkpoint.h"
+#include "src/mr/p3c_mr.h"
 #include "src/stats/histogram.h"
 
 namespace p3c::core::kernels {
@@ -77,6 +87,7 @@ TEST(KernelDispatchTest, ScalarAlwaysAvailableAndLast) {
     EXPECT_NE(ops->softmax_normalize, nullptr);
     EXPECT_NE(ops->axpy, nullptr);
     EXPECT_NE(ops->outer_accumulate, nullptr);
+    EXPECT_NE(ops->mahalanobis_rows, nullptr);
   }
 }
 
@@ -497,7 +508,232 @@ TEST_P(KernelEquivalenceTest, GmmOnePassEStepMatchesSeparateCalls) {
         EXPECT_EQ(Bits(ll), Bits(reference_ll)) << where;
         EXPECT_TRUE(std::isfinite(ll)) << where;
       }
+
+      // The rows API on one column block of all the points must give
+      // every per-point value above bit for bit.
+      const size_t rows = points.size();
+      ASSERT_LE(rows, GmmEvaluator::kMaxBlockRows);
+      std::vector<double> xs(dim * rows);
+      for (size_t r = 0; r < rows; ++r) {
+        for (size_t i = 0; i < dim; ++i) xs[i * rows + r] = points[r][i];
+      }
+      std::vector<double> logw(rows * k);
+      evaluator->LogWeightedDensities(xs.data(), rows, logw.data());
+      std::vector<uint32_t> nearest(rows);
+      evaluator->NearestComponents(xs.data(), rows, nearest.data());
+      std::vector<std::vector<double>> d2(k, std::vector<double>(rows));
+      for (size_t c = 0; c < k; ++c) {
+        evaluator->MahalanobisRows(c, xs.data(), rows, d2[c].data());
+      }
+      for (size_t r = 0; r < rows; ++r) {
+        const linalg::Vector& x = points[r];
+        const std::string where = "k=" + std::to_string(k) +
+                                  " dim=" + std::to_string(dim) +
+                                  " row=" + std::to_string(r);
+        double* row_logw = logw.data() + r * k;
+        size_t nearest_ref = 0;
+        double nearest_d2 = kInf;
+        for (size_t c = 0; c < k; ++c) {
+          EXPECT_EQ(Bits(row_logw[c]),
+                    Bits(evaluator->LogWeightedDensity(c, x)))
+              << where;
+          EXPECT_EQ(Bits(d2[c][r]), Bits(evaluator->MahalanobisSquared(c, x)))
+              << where;
+          if (d2[c][r] < nearest_d2) {
+            nearest_d2 = d2[c][r];
+            nearest_ref = c;
+          }
+        }
+        EXPECT_EQ(nearest[r], nearest_ref) << where;
+        EXPECT_EQ(evaluator->ArgMax(row_logw), evaluator->HardAssign(x))
+            << where;
+        std::vector<double> r_ref;
+        double ll_ref = 0.0;
+        const size_t argmax_ref = evaluator->Responsibilities(x, r_ref, &ll_ref);
+        double ll = 0.0;
+        EXPECT_EQ(evaluator->Responsibilities(row_logw, &ll), argmax_ref)
+            << where;
+        EXPECT_TRUE(BitEqual(std::vector<double>(row_logw, row_logw + k),
+                             r_ref))
+            << where;
+        EXPECT_EQ(Bits(ll), Bits(ll_ref)) << where;
+      }
     }
+  }
+  ASSERT_TRUE(SetBackend("auto").ok());
+}
+
+// ---- mahalanobis_rows -------------------------------------------------------
+
+TEST_P(KernelEquivalenceTest, MahalanobisRowsMatchesCholeskyReference) {
+  // Every row of the column block must equal Cholesky::MahalanobisSquared
+  // of that row bit for bit: the row counts straddle the 16-row and
+  // 4-row chunks and the scalar tail, and some rows carry NaN, +-inf or
+  // 1e300 coordinates (1e300 squares to inf inside the substitution).
+  Rng rng(43);
+  const double hostile[] = {kNan, kInf, -kInf, 1e300, -1e300};
+  for (size_t dim : {size_t{1}, size_t{2}, size_t{19}, size_t{50}}) {
+    const GmmModel model = RandomMixture(1, dim, rng);
+    const GaussianComponent& comp = model.components[0];
+    const auto chol = linalg::Cholesky::Factorize(comp.cov);
+    ASSERT_TRUE(chol.ok()) << chol.status().ToString();
+    const double* l = chol->lower().data().data();
+    for (size_t rows : {size_t{0}, size_t{1}, size_t{3}, size_t{4},
+                        size_t{15}, size_t{16}, size_t{17}, size_t{63},
+                        size_t{64}}) {
+      std::vector<double> xs(dim * rows);
+      for (double& v : xs) v = rng.Uniform(-0.5, 1.5);
+      for (size_t r = 3; r < rows; r += 7) {
+        xs[(r % dim) * rows + r] = hostile[(r / 7) % std::size(hostile)];
+      }
+      const double canary = -12345.0;
+      std::vector<double> out(rows + 1, canary);
+      ops().mahalanobis_rows(l, comp.mean.data(), xs.data(), dim, rows,
+                             out.data());
+      EXPECT_EQ(Bits(out[rows]), Bits(canary)) << "wrote past the block";
+      linalg::Vector x(dim);
+      for (size_t r = 0; r < rows; ++r) {
+        for (size_t i = 0; i < dim; ++i) x[i] = xs[i * rows + r];
+        EXPECT_EQ(Bits(out[r]), Bits(chol->MahalanobisSquared(x, comp.mean)))
+            << "dim=" << dim << " rows=" << rows << " row=" << r;
+      }
+    }
+  }
+}
+
+// ---- End to end: the pipelines under every backend ------------------------
+
+/// A clustering result as JSON, interval bounds printed round-trip exact:
+/// two runs agree on this string only if they found the same cores, Arel,
+/// clusters, points and bounds to the last bit.
+std::string ResultJson(const ClusteringResult& result) {
+  char buf[64];
+  std::string out = "{\"arel\": [";
+  for (size_t a : result.arel) out += std::to_string(a) + ",";
+  out += "], \"cores\": [";
+  for (const ClusterCore& core : result.cores) {
+    out += "\"" + core.signature.ToString() + " support " +
+           std::to_string(core.support) + "\",";
+  }
+  out += "], \"clusters\": [";
+  for (const ProjectedCluster& cluster : result.clusters) {
+    out += "{\"intervals\": [";
+    for (const Interval& iv : cluster.intervals) {
+      std::snprintf(buf, sizeof(buf), "[%zu, %.17g, %.17g],", iv.attr,
+                    iv.lower, iv.upper);
+      out += buf;
+    }
+    out += "], \"points\": [";
+    for (data::PointId p : cluster.points) out += std::to_string(p) + ",";
+    out += "]},";
+  }
+  return out + "]}";
+}
+
+TEST(KernelPipelineTest, FullMvbRunIsByteIdenticalAcrossBackendsAndThreads) {
+  // A full P3C+-MR (MVB) run touches every density path: the EM-init
+  // orphans, the soft E step, the MVB ball, in-ball and OD jobs. The
+  // point count is not a multiple of the 64-row map range, and the splits
+  // are not either, so the partial blocks and every kernel tail run too.
+  // The checkpoint record holds the fitted mixture, so comparing its
+  // bytes pins the EM model to the bit, beyond what the clusters show.
+  data::GeneratorConfig config;
+  config.num_points = 2999;
+  config.num_dims = 20;
+  config.num_clusters = 3;
+  config.seed = 19;
+  const auto data = data::GenerateSynthetic(config);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  ASSERT_NE(config.num_points % 64, 0u);
+
+  std::string reference_result;
+  std::string reference_counters;
+  std::string reference_checkpoint;
+  for (const std::string& backend : BackendNames()) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      const std::string where =
+          "backend=" + backend + " threads=" + std::to_string(threads);
+      const std::filesystem::path dir =
+          std::filesystem::temp_directory_path() /
+          ("p3c_kernel_pipeline_" + backend + "_" + std::to_string(threads));
+      std::filesystem::remove_all(dir);
+      ASSERT_TRUE(SetBackend(backend).ok());
+      mr::P3CMROptions options;
+      options.params.outlier = OutlierMode::kMVB;
+      options.runner.num_threads = threads;
+      options.runner.records_per_split = 700;
+      options.checkpoint_dir = dir.string();
+      mr::P3CMR pipeline{options};
+      const auto result = pipeline.Cluster(data->dataset);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const std::string result_json = ResultJson(*result);
+      const std::string counters_json =
+          pipeline.counters().Snapshot().ToJson();
+      std::ifstream in(dir / mr::kCheckpointFilename, std::ios::binary);
+      const std::string checkpoint{std::istreambuf_iterator<char>(in),
+                                   std::istreambuf_iterator<char>()};
+      std::filesystem::remove_all(dir);
+      ASSERT_FALSE(checkpoint.empty()) << where;
+      if (reference_result.empty()) {
+        ASSERT_FALSE(result->clusters.empty()) << where;
+        reference_result = result_json;
+        reference_counters = counters_json;
+        reference_checkpoint = checkpoint;
+        continue;
+      }
+      EXPECT_EQ(result_json, reference_result) << where;
+      EXPECT_EQ(counters_json, reference_counters) << where;
+      EXPECT_TRUE(checkpoint == reference_checkpoint) << where;
+    }
+  }
+  ASSERT_TRUE(SetBackend("auto").ok());
+}
+
+TEST(KernelPipelineTest, SerialEmAndOutliersBitIdenticalAcrossBackends) {
+  // The serial pipeline's EM init, EM and OD run the same rows API; the
+  // fitted model itself must match bit for bit, not just the clusters.
+  data::GeneratorConfig config;
+  config.num_points = 1501;
+  config.num_dims = 12;
+  config.num_clusters = 2;
+  config.min_cluster_dims = 4;
+  config.max_cluster_dims = 6;
+  config.seed = 23;
+  const auto data = data::GenerateSynthetic(config);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  P3CParams params;
+  params.outlier = OutlierMode::kNaive;
+  const std::vector<ClusterCore> cores =
+      P3CPipeline(params, 1).Cluster(data->dataset)->cores;
+  ASSERT_FALSE(cores.empty());
+  // Enough relevant attributes for the substitution order to matter.
+  ASSERT_GE(RelevantAttributeUnion(cores).size(), 4u);
+
+  ThreadPool pool(3);
+  std::vector<double> reference_model;
+  std::vector<int32_t> reference_assignment;
+  for (const std::string& backend : BackendNames()) {
+    ASSERT_TRUE(SetBackend(backend).ok());
+    auto initial = InitializeFromCores(data->dataset, cores, params, &pool);
+    ASSERT_TRUE(initial.ok()) << initial.status().ToString();
+    auto em = RunEm(data->dataset, *initial, params, &pool);
+    ASSERT_TRUE(em.ok()) << em.status().ToString();
+    auto od = DetectOutliers(data->dataset, em->model, params, &pool);
+    ASSERT_TRUE(od.ok()) << od.status().ToString();
+    std::vector<double> model = {em->log_likelihood};
+    for (const GaussianComponent& comp : em->model.components) {
+      model.push_back(comp.weight);
+      model.insert(model.end(), comp.mean.begin(), comp.mean.end());
+      model.insert(model.end(), comp.cov.data().begin(),
+                   comp.cov.data().end());
+    }
+    if (reference_model.empty()) {
+      reference_model = std::move(model);
+      reference_assignment = od->assignment;
+      continue;
+    }
+    EXPECT_TRUE(BitEqual(model, reference_model)) << backend;
+    EXPECT_EQ(od->assignment, reference_assignment) << backend;
   }
   ASSERT_TRUE(SetBackend("auto").ok());
 }

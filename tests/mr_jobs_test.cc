@@ -74,17 +74,20 @@ TEST(SupportJobTest, MatchesSerialCounter) {
 
 class UniformWeightMembership : public MembershipFn {
  public:
-  double Contributions(
-      data::PointId point, const linalg::Vector& x,
-      std::vector<std::pair<uint32_t, double>>& out) const override {
-    (void)x;
-    // Even points to component 0 with weight 1, odd to 1 with weight 0.5.
-    if (point % 2 == 0) {
-      out.emplace_back(0, 1.0);
-    } else {
-      out.emplace_back(1, 0.5);
+  void Contributions(RecordRange rows, const double* xs,
+                     RangeMemberships& out) const override {
+    (void)xs;
+    out.Reset(rows.size());
+    for (size_t i = rows.begin; i < rows.end; ++i) {
+      const auto r = static_cast<uint32_t>(i - rows.begin);
+      // Even points to component 0 with weight 1, odd to 1 with weight 0.5.
+      if (i % 2 == 0) {
+        out.entries.push_back({r, 0, 1.0});
+      } else {
+        out.entries.push_back({r, 1, 0.5});
+      }
+      out.log_likelihood[r] = 1.0;  // one per point: easy to verify the sum
     }
-    return 1.0;  // one per point: easy to verify the reducer sum
   }
 };
 
@@ -271,6 +274,29 @@ TEST(MvbBallJobTest, BallNearClusterCenter) {
       const size_t idx = static_cast<size_t>(it - arel.begin());
       EXPECT_NEAR(balls[c].center[idx], model.components[c].mean[idx], 0.1);
     }
+  }
+
+  // On one split the reducer's medians are over a single value, so the
+  // emitted ball must be exactly ComputeMvbStatistics' centre and radius
+  // of the points the evaluator hard-assigns to each cluster.
+  RunnerOptions one_split;
+  one_split.num_threads = 2;
+  one_split.records_per_split = data.dataset.num_points();
+  LocalRunner single(one_split);
+  const auto split_balls =
+      RunMvbBallJob(single, data.dataset, model, *evaluator).value();
+  std::vector<std::vector<linalg::Vector>> members(2);
+  for (size_t i = 0; i < data.dataset.num_points(); ++i) {
+    const auto x =
+        model.Project(data.dataset.Row(static_cast<data::PointId>(i)));
+    members[evaluator->HardAssign(x)].push_back(x);
+  }
+  ASSERT_EQ(split_balls.size(), 2u);
+  for (size_t c = 0; c < 2; ++c) {
+    ASSERT_FALSE(members[c].empty());
+    const core::MvbStatistics stats = core::ComputeMvbStatistics(members[c]);
+    EXPECT_EQ(split_balls[c].center, stats.center) << "cluster " << c;
+    EXPECT_EQ(split_balls[c].radius, stats.radius) << "cluster " << c;
   }
 }
 

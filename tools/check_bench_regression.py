@@ -23,6 +23,10 @@ BENCH_shuffle.json (bench_mr_shuffle):
 BENCH_kernels.json (bench_kernels):
   * The fastest non-scalar backend must hold speedup >= floor on
     rssc_support at every size >= --kernel-min-size (default 256).
+  * The avx2 backend must hold speedup >= MAHALANOBIS_ROWS_FLOOR (2x)
+    on every mahalanobis_rows row: the blocked forward substitution is
+    the E step's, MVB's and OD's per-point cost. A machine header that
+    lists avx2 without such rows fails; a machine without avx2 skips it.
   * No non-scalar row may run below MIN_DISPATCHED_SPEEDUP (0.9x) of
     scalar: bench_kernels emits a non-scalar row only for an op its
     backend overrides, and `auto` dispatches every such op, so a
@@ -60,6 +64,10 @@ from collections import defaultdict
 # Slowest speedup over scalar tolerated for any op a non-scalar backend
 # overrides (below 1.0 to absorb timer noise on near-parity ops).
 MIN_DISPATCHED_SPEEDUP = 0.9
+
+# Slowest avx2 speedup over scalar tolerated on mahalanobis_rows, beside
+# --kernel-floor's rssc_support floor.
+MAHALANOBIS_ROWS_FLOOR = 2.0
 
 
 def fail(msg):
@@ -209,6 +217,27 @@ def check_kernels(path, floor, min_size, peak_tolerance):
                 f"{field(row, 'kernel', path, i)}/{field(row, 'size', path, i)}"
                 f" backend {row['backend']} speedup {speedup:.2f}x < "
                 f"{MIN_DISPATCHED_SPEEDUP:.2f}x")
+
+    mahalanobis = [r for i, r in enumerate(rows)
+                   if field(r, "kernel", path, i) == "mahalanobis_rows"
+                   and field(r, "backend", path, i) == "avx2"]
+    if not mahalanobis:
+        if "avx2" in doc["machine"].get("kernel_backends", []):
+            failures += fail(
+                f"{path}: the machine offers avx2 but there is no avx2 "
+                "mahalanobis_rows row")
+        else:
+            print(f"{path}: no avx2 backend — mahalanobis_rows floor "
+                  "skipped")
+    for row in mahalanobis:
+        if row["speedup"] < MAHALANOBIS_ROWS_FLOOR:
+            failures += fail(
+                f"kernel floor: mahalanobis_rows at dim {row['size']}: "
+                f"avx2 speedup {row['speedup']:.2f}x < "
+                f"{MAHALANOBIS_ROWS_FLOOR:.2f}x")
+        else:
+            print(f"{path}: mahalanobis_rows/{row['size']}: avx2 "
+                  f"{row['speedup']:.2f}x >= {MAHALANOBIS_ROWS_FLOOR:.2f}x")
 
     gated = [r for i, r in enumerate(rows)
              if field(r, "kernel", path, i) == "rssc_support"
