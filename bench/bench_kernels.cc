@@ -1,7 +1,8 @@
 // Kernel-backend microbenchmark: every backend AvailableBackends()
 // reports, timed against the scalar reference on the ported hot loops —
-// RSSC support counting, histogram binning, the GMM E-step softmax and
-// the blocked Mahalanobis forward substitution — with the outputs
+// RSSC support counting (the per-point accumulate and the counter's
+// AND-popcount), histogram binning, the GMM E-step softmax and the
+// blocked Mahalanobis forward substitution — with the outputs
 // verified bit-identical in-bench (a speedup
 // that changes results is a bug, not a win). The scalar reference gets
 // every row (the peak_bytes gate compares against it); any other backend
@@ -17,8 +18,8 @@
 // and outputs_identical. tools/check_bench_regression.py gates the
 // committed numbers: the fastest non-scalar backend must hold a >= 2x
 // speedup on rssc_support at >= 256 signatures, the avx2 backend >= 2x
-// on every mahalanobis_rows row, and no non-scalar row may fall below
-// 0.9x of scalar.
+// on every mahalanobis_rows and and_popcount row, and no non-scalar row
+// may fall below 0.9x of scalar.
 
 #include <cmath>
 #include <cstdint>
@@ -87,10 +88,11 @@ double MinSeconds(const Fn& fn) {
 
 // ---- RSSC support counting --------------------------------------------------
 //
-// The Accumulate inner loop: per matched point, counters[j] += bit j of
-// the containment bitmap. Bitmaps here are dense (~75% of bits set), the
-// regime of early candidate generation where most 1-signatures contain
-// most points and where support counting dominates the profile.
+// support_accumulate: per matched point, counters[j] += bit j of the
+// containment bitmap. The library counts through and_popcount now; the
+// op stays for the pipeline bench's kernels.rssc probe. Bitmaps here are
+// dense (~75% of bits set), the regime of early candidate generation
+// where most 1-signatures contain most points.
 
 Row BenchRsscSupport(const Ops& ops, size_t num_signatures) {
   const size_t num_words = num_signatures / 64;
@@ -120,6 +122,47 @@ Row BenchRsscSupport(const Ops& ops, size_t num_signatures) {
       (bitmaps.capacity() + expected.capacity() + actual.capacity()) *
       sizeof(uint64_t)));
   Row row{"rssc_support", num_signatures, ops.name};
+  row.scalar_seconds = run(p3c::core::kernels::ScalarOps(), expected);
+  row.seconds = run(ops, actual);
+  row.speedup = row.seconds > 0.0 ? row.scalar_seconds / row.seconds : 0.0;
+  row.peak_bytes = mem.Finish();
+  row.outputs_identical = expected == actual;
+  return row;
+}
+
+// ---- RSSC counter signature pass ---------------------------------------------
+//
+// The counter's flush: per signature, AND its interval row words over a
+// 64-word chunk (4096 rows) and popcount them. 40 distinct intervals, as
+// in a wide-cores-100k batch, and `num_masks` intervals per signature.
+
+Row BenchAndPopcount(const Ops& ops, size_t num_masks) {
+  constexpr size_t kIntervals = 40;
+  constexpr size_t kWords = 64;
+  const size_t num_signatures = p3c::bench::Scaled(20000);
+  Rng rng(num_masks);
+  std::vector<uint64_t> words(kIntervals * kWords);
+  for (auto& w : words) w = rng.Next() | rng.Next();
+  std::vector<const uint64_t*> masks(num_signatures * num_masks);
+  for (auto& m : masks) m = words.data() + rng.UniformInt(kIntervals) * kWords;
+
+  auto run = [&](const Ops& backend, std::vector<uint64_t>& counts) {
+    return MinSeconds([&] {
+      for (size_t j = 0; j < num_signatures; ++j) {
+        counts[j] = backend.and_popcount(masks.data() + j * num_masks,
+                                         num_masks, kWords);
+      }
+    });
+  };
+
+  std::vector<uint64_t> expected(num_signatures);
+  std::vector<uint64_t> actual(num_signatures);
+  CellMemory mem("and_popcount");
+  mem.Charge(static_cast<int64_t>(
+      (words.capacity() + expected.capacity() + actual.capacity()) *
+          sizeof(uint64_t) +
+      masks.capacity() * sizeof(const uint64_t*)));
+  Row row{"and_popcount", num_masks, ops.name};
   row.scalar_seconds = run(p3c::core::kernels::ScalarOps(), expected);
   row.seconds = run(ops, actual);
   row.speedup = row.seconds > 0.0 ? row.scalar_seconds / row.seconds : 0.0;
@@ -285,6 +328,11 @@ int main(int argc, char** argv) {
         rows.push_back(BenchRsscSupport(*ops, sigs));
       }
     }
+    if (reference || ops->and_popcount != scalar.and_popcount) {
+      for (size_t num_masks : {size_t{2}, size_t{5}}) {
+        rows.push_back(BenchAndPopcount(*ops, num_masks));
+      }
+    }
     if (reference || ops->histogram_bin != scalar.histogram_bin) {
       for (size_t bins : {size_t{64}, size_t{256}}) {
         rows.push_back(BenchHistogram(*ops, bins));
@@ -349,7 +397,8 @@ int main(int argc, char** argv) {
       "Shape check: every backend's outputs are bit-identical to the\n"
       "scalar reference (enforced above — divergence exits non-zero);\n"
       "on an AVX2 machine the vectorized backend holds >= 2x on\n"
-      "rssc_support at >= 256 signatures and on mahalanobis_rows, and\n"
+      "rssc_support at >= 256 signatures, on mahalanobis_rows and on\n"
+      "and_popcount, and\n"
       "every overridden op >= 0.9x of scalar (gated by\n"
       "tools/check_bench_regression.py).\n");
   return 0;

@@ -14,9 +14,11 @@ namespace {
 
 std::atomic<const Ops*> g_active{nullptr};
 
+// The avx2 TU's std::popcount compiles to popcnt, so both are required.
 bool CpuHasAvx2() {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2") != 0;
+  return __builtin_cpu_supports("avx2") != 0 &&
+         __builtin_cpu_supports("popcnt") != 0;
 #else
   return false;
 #endif

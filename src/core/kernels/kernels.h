@@ -2,7 +2,7 @@
 #define P3C_CORE_KERNELS_KERNELS_H_
 
 // Runtime-dispatched compute kernels for the per-point hot loops
-// (DESIGN.md §14): RSSC bitmap matching / support counting, histogram
+// (DESIGN.md §14): RSSC bitmap matching and support counting, histogram
 // binning, and the GMM inner operations (Mahalanobis distances of a row
 // block, the E-step softmax, moment accumulation). Every backend implements
 // the same Ops table and every operation is *bit-exact* across backends —
@@ -40,11 +40,20 @@ struct Ops {
                             size_t num_masks, size_t num_words);
 
   /// counters[w * 64 + b] += (bits[w] >> b) & 1 for every word w <
-  /// num_words and bit b. The RSSC support-count accumulate over *full*
-  /// words — callers handle a partial tail word themselves so counter
-  /// storage can be sized to the live signature count.
+  /// num_words and bit b. No library path calls it any more: support
+  /// counting runs through and_popcount. It stays for the pipeline
+  /// bench's `kernels.rssc` probe and goes with the next change to that
+  /// bench.
   void (*support_accumulate)(const uint64_t* bits, size_t num_words,
                              uint64_t* counters);
+
+  /// Sum over w < num_words of popcount(masks[0][w] & ... &
+  /// masks[num_masks - 1][w]); num_masks >= 1. Each masks[i] points at
+  /// num_words consecutive words. The RSSC counter's signature pass: the
+  /// masks are a signature's per-interval row words, so the result is
+  /// the number of rows inside every interval of the signature.
+  uint64_t (*and_popcount)(const uint64_t* const* masks, size_t num_masks,
+                           size_t num_words);
 
   /// ++counts[BinIndex(xs[i * stride])] for i < n, with the paper's Eq. 8
   /// equi-width binning over [0, 1]: bin = max(1, ceil(m*x)) - 1 clamped

@@ -1,8 +1,10 @@
 // AVX2 backend. This translation unit is the only one compiled with
 // -mavx2 (see src/CMakeLists.txt); the dispatcher calls into it only
 // after __builtin_cpu_supports("avx2") says the running CPU can execute
-// it. When the toolchain cannot target AVX2 the file degrades to a stub
-// and the dispatcher falls back to scalar.
+// it. -mavx2 also lets GCC emit popcnt for std::popcount, so the
+// dispatcher checks for popcnt as well. When the toolchain cannot target
+// AVX2 the file degrades to a stub and the dispatcher falls back to
+// scalar.
 //
 // Bit-exactness vs the scalar backend (the kernel-smoke contract):
 //  - integer kernels commute trivially (AND / per-bit add);
@@ -77,6 +79,66 @@ void SupportAccumulate(const uint64_t* bits, size_t num_words,
       shift = _mm256_add_epi64(shift, four);
     }
   }
+}
+
+// AND of the masks over 4 * kVecs words starting at word w, popcounted
+// into four 64-bit lanes. Byte counts come from a 16-entry nibble table
+// (vpshufb); at most 8 per byte a vector, so the kVecs <= 8 vectors sum
+// in bytes without overflow before one vpsadbw widens them.
+template <size_t kVecs>
+inline __m256i AndPopcountBlock(const uint64_t* const* masks,
+                                size_t num_masks, size_t w) {
+  static_assert(kVecs >= 1 && kVecs <= 8);
+  __m256i v[kVecs];
+  for (size_t i = 0; i < kVecs; ++i) {
+    v[i] = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(masks[0] + w + 4 * i));
+  }
+  for (size_t m = 1; m < num_masks; ++m) {
+    const uint64_t* mask = masks[m] + w;
+    for (size_t i = 0; i < kVecs; ++i) {
+      v[i] = _mm256_and_si256(
+          v[i], _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i*>(mask + 4 * i)));
+    }
+  }
+  const __m256i table = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3,
+                                         2, 3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3,
+                                         1, 2, 2, 3, 2, 3, 3, 4);
+  const __m256i low_nibble = _mm256_set1_epi8(0x0f);
+  __m256i bytes = _mm256_setzero_si256();
+  for (size_t i = 0; i < kVecs; ++i) {
+    const __m256i lo =
+        _mm256_shuffle_epi8(table, _mm256_and_si256(v[i], low_nibble));
+    const __m256i hi = _mm256_shuffle_epi8(
+        table, _mm256_and_si256(_mm256_srli_epi16(v[i], 4), low_nibble));
+    bytes = _mm256_add_epi8(bytes, _mm256_add_epi8(lo, hi));
+  }
+  return _mm256_sad_epu8(bytes, _mm256_setzero_si256());
+}
+
+uint64_t AndPopcount(const uint64_t* const* masks, size_t num_masks,
+                     size_t num_words) {
+  // 32-word blocks keep eight vectors in registers while the masks are
+  // ANDed in; the popcounts are integers, so any grouping gives the
+  // scalar total.
+  __m256i acc = _mm256_setzero_si256();
+  size_t w = 0;
+  for (; w + 32 <= num_words; w += 32) {
+    acc = _mm256_add_epi64(acc, AndPopcountBlock<8>(masks, num_masks, w));
+  }
+  for (; w + 4 <= num_words; w += 4) {
+    acc = _mm256_add_epi64(acc, AndPopcountBlock<1>(masks, num_masks, w));
+  }
+  alignas(32) uint64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
+  uint64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
+  for (; w < num_words; ++w) {
+    uint64_t word = masks[0][w];
+    for (size_t m = 1; m < num_masks; ++m) word &= masks[m][w];
+    total += static_cast<uint64_t>(std::popcount(word));
+  }
+  return total;
 }
 
 size_t ScalarBinIndex(double x, size_t num_bins) {
@@ -225,6 +287,7 @@ const Ops* Avx2OpsOrNull() {
       "avx2",
       BitmapAndReduce,
       SupportAccumulate,
+      AndPopcount,
       HistogramBin,
       ScalarOps().softmax_normalize,
       Axpy,

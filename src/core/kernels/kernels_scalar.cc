@@ -37,6 +37,17 @@ void SupportAccumulate(const uint64_t* bits, size_t num_words,
   }
 }
 
+uint64_t AndPopcount(const uint64_t* const* masks, size_t num_masks,
+                     size_t num_words) {
+  uint64_t total = 0;
+  for (size_t w = 0; w < num_words; ++w) {
+    uint64_t word = masks[0][w];
+    for (size_t m = 1; m < num_masks; ++m) word &= masks[m][w];
+    total += static_cast<uint64_t>(std::popcount(word));
+  }
+  return total;
+}
+
 // Eq. 8 binning, defined for every double (see Ops::histogram_bin).
 // stats::BinIndex implements the same formula; the kernel-smoke suite
 // pins the two together.
@@ -103,8 +114,9 @@ void MahalanobisRows(const double* l, const double* mu, const double* xs,
 }
 
 constexpr Ops kScalarOps = {
-    "scalar",         BitmapAndReduce, SupportAccumulate, HistogramBin,
-    SoftmaxNormalize, Axpy,            OuterAccumulate,   MahalanobisRows,
+    "scalar",     BitmapAndReduce,  SupportAccumulate,
+    AndPopcount,  HistogramBin,     SoftmaxNormalize,
+    Axpy,         OuterAccumulate,  MahalanobisRows,
 };
 
 }  // namespace

@@ -161,19 +161,15 @@ Result<StreamingLightResult> StreamingLightPipeline::Run(
     std::vector<uint64_t> supports(sigs.size(), 0);
     if (sigs.empty()) return supports;
     if (before_support_scan_hook_) before_support_scan_hook_();
-    const Rssc index(sigs);
-    // Accumulate straight into the result: Rssc::Accumulate only needs
-    // one counter per live signature (no padded-lane copy-out).
+    const Rssc index(sigs, Rssc::Use::kCount);
+    Rssc::Counter scan_counter(index, supports);
     Status scan = reader->ForEachBlock(
         block_rows_, [&](data::PointId first, const data::Dataset& block) {
           (void)first;
-          std::vector<uint64_t> scratch;
-          for (size_t i = 0; i < block.num_points(); ++i) {
-            index.Accumulate(block.Row(static_cast<data::PointId>(i)),
-                             scratch, supports);
-          }
+          scan_counter.Add(block, 0, block.num_points());
           return Status::OK();
         });
+    scan_counter.Finish();
     if (!scan.ok()) {
       if (counter_status.ok()) counter_status = std::move(scan);
       supports.assign(sigs.size(), 0);

@@ -49,20 +49,15 @@ std::vector<uint64_t> CountSupports(const data::Dataset& dataset,
                                     ThreadPool* pool) {
   const size_t k = signatures.size();
   if (k == 0) return {};
-  const Rssc index(signatures);
+  const Rssc index(signatures, Rssc::Use::kCount);
   const size_t n = dataset.num_points();
 
   const size_t num_tasks = NumTasks(n, pool);
-  // One counter per live signature — Rssc::Accumulate never touches the
-  // padding lanes of its last word (see rssc.h).
   std::vector<TrackedCounts> partials(num_tasks, MakeTrackedCounts(k));
   ForEachRange(n, pool, [&](size_t task, size_t begin, size_t end) {
-    std::vector<uint64_t> scratch;
-    auto& local = partials[task];
-    for (size_t i = begin; i < end; ++i) {
-      index.Accumulate(dataset.Row(static_cast<data::PointId>(i)), scratch,
-                       local);
-    }
+    Rssc::Counter counter(index, partials[task]);
+    counter.Add(dataset, begin, end);
+    counter.Finish();
   });
 
   std::vector<uint64_t> supports(k, 0);

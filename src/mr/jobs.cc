@@ -151,23 +151,19 @@ class SupportMapper : public Mapper<int64_t, std::vector<uint64_t>> {
  public:
   explicit SupportMapper(const SupportJobConfig* config)
       : config_(config),
-        // One counter per live signature; Rssc::Accumulate never touches
-        // the padding lanes of its last bitmap word.
-        supports_(config->rssc->num_signatures(), 0) {}
+        supports_(config->rssc->num_signatures(), 0),
+        counter_(*config->rssc, supports_) {}
 
   void Map(RecordRange rows,
            Emitter<int64_t, std::vector<uint64_t>>& out) override {
     (void)out;
-    for (size_t i = rows.begin; i < rows.end; ++i) {
-      config_->rssc->Accumulate(
-          config_->dataset->Row(static_cast<data::PointId>(i)), scratch_,
-          supports_);
-    }
+    counter_.Add(*config_->dataset, rows.begin, rows.end);
     points_ += rows.size();
   }
 
   void Cleanup(Emitter<int64_t, std::vector<uint64_t>>& out) override {
     // In-mapper combining: one record per split instead of one per point.
+    counter_.Finish();
     out.counters().Increment("support/points", points_);
     out.counters().SetGauge("support/candidates",
                             static_cast<double>(supports_.size()));
@@ -176,8 +172,8 @@ class SupportMapper : public Mapper<int64_t, std::vector<uint64_t>> {
 
  private:
   const SupportJobConfig* config_;
-  std::vector<uint64_t> scratch_;
-  std::vector<uint64_t> supports_;
+  std::vector<uint64_t> supports_;  // before counter_, which adds into it
+  core::Rssc::Counter counter_;
   uint64_t points_ = 0;
 };
 
@@ -638,7 +634,9 @@ Result<std::vector<uint64_t>> RunSupportJob(
     LocalRunner& runner, const data::Dataset& dataset,
     const std::vector<core::Signature>& signatures) {
   if (signatures.empty()) return std::vector<uint64_t>{};
-  const core::Rssc rssc(signatures);  // "calculated by the main program"
+  // "Calculated by the main program": the interval table only; the
+  // per-bin masks serve Match, which this job never calls.
+  const core::Rssc rssc(signatures, core::Rssc::Use::kCount);
   SupportJobConfig config{&dataset, &rssc};
   auto run = runner.Run<int64_t, std::vector<uint64_t>, KeyedCounts>(
       "support-count", dataset.num_points(),

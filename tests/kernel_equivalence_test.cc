@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -83,6 +84,7 @@ TEST(KernelDispatchTest, ScalarAlwaysAvailableAndLast) {
   for (const Ops* ops : backends) {
     EXPECT_NE(ops->bitmap_and_reduce, nullptr);
     EXPECT_NE(ops->support_accumulate, nullptr);
+    EXPECT_NE(ops->and_popcount, nullptr);
     EXPECT_NE(ops->histogram_bin, nullptr);
     EXPECT_NE(ops->softmax_normalize, nullptr);
     EXPECT_NE(ops->axpy, nullptr);
@@ -158,6 +160,49 @@ TEST_P(KernelEquivalenceTest, SupportAccumulateMatchesScalar) {
       ScalarOps().support_accumulate(bits.data(), num_words, expected.data());
       ops().support_accumulate(bits.data(), num_words, actual.data());
       EXPECT_EQ(actual, expected) << "words=" << num_words;
+    }
+  }
+}
+
+// ---- and_popcount -----------------------------------------------------------
+
+TEST_P(KernelEquivalenceTest, AndPopcountMatchesReference) {
+  // Every mask carries one all-ones canary word past its end: a kernel
+  // that read it would count up to 64 extra bits.
+  Rng rng(41);
+  for (size_t num_words : {size_t{0}, size_t{1}, size_t{3}, size_t{4},
+                           size_t{5}, size_t{63}, size_t{64}, size_t{65}}) {
+    for (size_t num_masks = 1; num_masks <= 17; ++num_masks) {
+      for (int fill = 0; fill < 4; ++fill) {
+        std::vector<std::vector<uint64_t>> storage(
+            num_masks, std::vector<uint64_t>(num_words + 1, ~uint64_t{0}));
+        std::vector<const uint64_t*> masks(num_masks);
+        for (size_t m = 0; m < num_masks; ++m) {
+          for (size_t w = 0; w < num_words; ++w) {
+            switch (fill) {
+              case 0: storage[m][w] = 0; break;
+              case 1: storage[m][w] = ~uint64_t{0}; break;
+              case 2: storage[m][w] = rng.Next(); break;
+              // Dense words, so some bits survive a 17-mask AND.
+              default: storage[m][w] = rng.Next() | rng.Next() | rng.Next();
+            }
+          }
+          masks[m] = storage[m].data();
+        }
+        uint64_t expected = 0;
+        for (size_t w = 0; w < num_words; ++w) {
+          uint64_t word = ~uint64_t{0};
+          for (size_t m = 0; m < num_masks; ++m) word &= storage[m][w];
+          expected += static_cast<uint64_t>(std::popcount(word));
+        }
+        if (fill == 1) {
+          EXPECT_EQ(expected, num_words * 64);
+        }
+        EXPECT_EQ(ops().and_popcount(masks.data(), num_masks, num_words),
+                  expected)
+            << "words=" << num_words << " masks=" << num_masks
+            << " fill=" << fill;
+      }
     }
   }
 }
@@ -383,10 +428,9 @@ TEST_P(KernelEquivalenceTest, RsscMatchBitsIdenticalPerPoint) {
   }
 }
 
-TEST_P(KernelEquivalenceTest, AccumulateNeedsOnlyLiveCounters) {
-  // The S1 regression guard: Accumulate with `supports` sized exactly
-  // num_signatures() — one past-the-end write would be caught by ASan
-  // and by the canary below.
+TEST_P(KernelEquivalenceTest, CounterNeedsOnlyLiveCounters) {
+  // The counter adds into exactly num_signatures() counters — one
+  // past-the-end write would be caught by ASan and by the canary below.
   Rng rng(37);
   const size_t dims = 4;
   const data::Dataset dataset = MakeDataset(50, dims, rng);
@@ -394,15 +438,13 @@ TEST_P(KernelEquivalenceTest, AccumulateNeedsOnlyLiveCounters) {
     const size_t empty_at = count > 1 ? 1 : 0;
     const std::vector<Signature> sigs =
         MakeSignatures(count, dims, rng, empty_at);
-    const Rssc rssc(sigs);
+    const Rssc rssc(sigs, Rssc::Use::kCount);
     ASSERT_TRUE(SetBackend(GetParam()).ok());
     std::vector<uint64_t> storage(count + 1, 0);
     storage.back() = 0xDEADBEEFULL;  // canary just past the live lanes
-    std::vector<uint64_t> scratch;
-    for (size_t i = 0; i < dataset.num_points(); ++i) {
-      rssc.Accumulate(dataset.Row(static_cast<data::PointId>(i)), scratch,
-                      std::span<uint64_t>(storage.data(), count));
-    }
+    Rssc::Counter counter(rssc, std::span<uint64_t>(storage.data(), count));
+    counter.Add(dataset, 0, dataset.num_points());
+    counter.Finish();
     ASSERT_TRUE(SetBackend("auto").ok());
     EXPECT_EQ(storage.back(), 0xDEADBEEFULL) << "count=" << count;
     // The empty signature matches every point.

@@ -25,8 +25,10 @@ BENCH_kernels.json (bench_kernels):
     rssc_support at every size >= --kernel-min-size (default 256).
   * The avx2 backend must hold speedup >= MAHALANOBIS_ROWS_FLOOR (2x)
     on every mahalanobis_rows row: the blocked forward substitution is
-    the E step's, MVB's and OD's per-point cost. A machine header that
-    lists avx2 without such rows fails; a machine without avx2 skips it.
+    the E step's, MVB's and OD's per-point cost. Likewise
+    AND_POPCOUNT_FLOOR (2x) on every and_popcount row, the RSSC
+    counter's per-signature pass. A machine header that lists avx2
+    without such rows fails; a machine without avx2 skips them.
   * No non-scalar row may run below MIN_DISPATCHED_SPEEDUP (0.9x) of
     scalar: bench_kernels emits a non-scalar row only for an op its
     backend overrides, and `auto` dispatches every such op, so a
@@ -68,6 +70,13 @@ MIN_DISPATCHED_SPEEDUP = 0.9
 # Slowest avx2 speedup over scalar tolerated on mahalanobis_rows, beside
 # --kernel-floor's rssc_support floor.
 MAHALANOBIS_ROWS_FLOOR = 2.0
+
+# Slowest avx2 speedup over scalar tolerated on and_popcount, the RSSC
+# counter's per-signature pass.
+AND_POPCOUNT_FLOOR = 2.0
+
+AVX2_FLOORS = (("mahalanobis_rows", MAHALANOBIS_ROWS_FLOOR),
+               ("and_popcount", AND_POPCOUNT_FLOOR))
 
 
 def fail(msg):
@@ -218,26 +227,26 @@ def check_kernels(path, floor, min_size, peak_tolerance):
                 f" backend {row['backend']} speedup {speedup:.2f}x < "
                 f"{MIN_DISPATCHED_SPEEDUP:.2f}x")
 
-    mahalanobis = [r for i, r in enumerate(rows)
-                   if field(r, "kernel", path, i) == "mahalanobis_rows"
-                   and field(r, "backend", path, i) == "avx2"]
-    if not mahalanobis:
-        if "avx2" in doc["machine"].get("kernel_backends", []):
-            failures += fail(
-                f"{path}: the machine offers avx2 but there is no avx2 "
-                "mahalanobis_rows row")
-        else:
-            print(f"{path}: no avx2 backend — mahalanobis_rows floor "
-                  "skipped")
-    for row in mahalanobis:
-        if row["speedup"] < MAHALANOBIS_ROWS_FLOOR:
-            failures += fail(
-                f"kernel floor: mahalanobis_rows at dim {row['size']}: "
-                f"avx2 speedup {row['speedup']:.2f}x < "
-                f"{MAHALANOBIS_ROWS_FLOOR:.2f}x")
-        else:
-            print(f"{path}: mahalanobis_rows/{row['size']}: avx2 "
-                  f"{row['speedup']:.2f}x >= {MAHALANOBIS_ROWS_FLOOR:.2f}x")
+    for kernel, kernel_floor in AVX2_FLOORS:
+        avx2_rows = [r for i, r in enumerate(rows)
+                     if field(r, "kernel", path, i) == kernel
+                     and field(r, "backend", path, i) == "avx2"]
+        if not avx2_rows:
+            if "avx2" in doc["machine"].get("kernel_backends", []):
+                failures += fail(
+                    f"{path}: the machine offers avx2 but there is no avx2 "
+                    f"{kernel} row")
+            else:
+                print(f"{path}: no avx2 backend — {kernel} floor skipped")
+        for row in avx2_rows:
+            if row["speedup"] < kernel_floor:
+                failures += fail(
+                    f"kernel floor: {kernel} at size {row['size']}: "
+                    f"avx2 speedup {row['speedup']:.2f}x < "
+                    f"{kernel_floor:.2f}x")
+            else:
+                print(f"{path}: {kernel}/{row['size']}: avx2 "
+                      f"{row['speedup']:.2f}x >= {kernel_floor:.2f}x")
 
     gated = [r for i, r in enumerate(rows)
              if field(r, "kernel", path, i) == "rssc_support"
