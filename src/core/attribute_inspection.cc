@@ -18,9 +18,10 @@ std::vector<stats::Histogram> BuildMemberHistograms(
       stats::NumBins(rule, std::max<uint64_t>(1, members.size()));
   std::vector<stats::Histogram> histograms(
       d, stats::Histogram(static_cast<size_t>(bins)));
+  // The pipeline's histogram scan has already checked every value's
+  // range; the count is dropped.
   for (data::PointId p : members) {
-    const auto row = dataset.Row(p);
-    for (size_t j = 0; j < d; ++j) histograms[j].Add(row[j]);
+    (void)stats::AddRows(histograms, dataset.Row(p).data(), 1);
   }
   return histograms;
 }

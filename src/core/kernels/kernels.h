@@ -59,10 +59,24 @@ struct Ops {
   /// equi-width binning over [0, 1]: bin = max(1, ceil(m*x)) - 1 clamped
   /// into [0, m-1]; NaN and anything !(x > 0) land in bin 0, x >= 1 and
   /// +inf in bin m-1 (well-defined for hostile coordinates, unlike a raw
-  /// double->integer cast). `stride` lets a row-major block feed one
-  /// attribute's histogram directly. num_bins >= 1.
+  /// double->integer cast). num_bins >= 1. No library path calls it any
+  /// more: every scan bins through histogram_bin_rows. It stays for the
+  /// pipeline bench's `kernels.histogram` probe and goes with the next
+  /// change to that bench.
   void (*histogram_bin)(const double* xs, size_t n, size_t stride,
                         size_t num_bins, uint64_t* counts);
+
+  /// Bins n contiguous row-major rows of d values into d histograms of
+  /// num_bins >= 1 slots each: ++counts[j][BinIndex(rows[r * d + j])] for
+  /// r < n, j < d, with histogram_bin's Eq. 8 formula. Returns how many of
+  /// the n * d values fail x >= 0 && x <= 1 (NaN and +-inf count, -0.0
+  /// and 1.0 do not), so one pass both bins a block and checks that it
+  /// is normalized. A backend may vectorize across the attributes of a
+  /// row, whose lanes hit different histograms, and may pass bin indices
+  /// through int32 lanes: num_bins <= INT32_MAX, which stats::NumBins
+  /// guarantees (at most ceil(n^(1/3)) < 2^22 bins for any uint64 n).
+  uint64_t (*histogram_bin_rows)(const double* rows, size_t n, size_t d,
+                                 size_t num_bins, uint64_t* const* counts);
 
   /// In-place softmax over log-weighted densities (the GMM E-step
   /// responsibility normalization): m = max(logw), logw[i] =

@@ -183,6 +183,57 @@ void HistogramBin(const double* xs, size_t n, size_t stride, size_t num_bins,
   for (; i < n; ++i) ++counts[ScalarBinIndex(xs[i * stride], num_bins)];
 }
 
+uint64_t HistogramBinRows(const double* rows, size_t n, size_t d,
+                          size_t num_bins, uint64_t* const* counts) {
+  // Bin indices pass through int32 lanes: num_bins <= INT32_MAX (Ops).
+  const __m256d m = _mm256_set1_pd(static_cast<double>(num_bins));
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d one = _mm256_set1_pd(1.0);
+  const size_t vec_d = d - d % 4;
+  // Per lane, the number of vectorized values inside [0, 1]: an in-range
+  // compare mask is -1 as an integer, so subtracting it counts up.
+  __m256i inside = _mm256_setzero_si256();
+  uint64_t out_of_range = 0;
+  alignas(16) int32_t bins[4];
+  for (size_t r = 0; r < n; ++r) {
+    const double* row = rows + r * d;
+    size_t j = 0;
+    // Four consecutive attributes of one row: each lane feeds its own
+    // histogram, so the four increments never collide.
+    for (; j < vec_d; j += 4) {
+      const __m256d x = _mm256_loadu_pd(row + j);
+      // ceil(m*x) as in HistogramBin. For x > 0 it is at least 1, and
+      // min(ceil(m*x), m) - 1 is the clamped 0-based bin; the positive
+      // mask zeroes the lanes that go to bin 0 (NaN and x <= 0).
+      const __m256d scaled = _mm256_round_pd(
+          _mm256_mul_pd(m, x), _MM_FROUND_TO_POS_INF | _MM_FROUND_NO_EXC);
+      const __m256d positive = _mm256_cmp_pd(x, zero, _CMP_GT_OQ);
+      const __m256d bin = _mm256_and_pd(
+          positive, _mm256_sub_pd(_mm256_min_pd(scaled, m), one));
+      _mm_store_si128(reinterpret_cast<__m128i*>(bins),
+                      _mm256_cvttpd_epi32(bin));
+      ++counts[j][bins[0]];
+      ++counts[j + 1][bins[1]];
+      ++counts[j + 2][bins[2]];
+      ++counts[j + 3][bins[3]];
+      // Ordered compares are false on NaN, as in !(x >= 0 && x <= 1).
+      const __m256d in_range =
+          _mm256_and_pd(_mm256_cmp_pd(x, zero, _CMP_GE_OQ),
+                        _mm256_cmp_pd(x, one, _CMP_LE_OQ));
+      inside = _mm256_sub_epi64(inside, _mm256_castpd_si256(in_range));
+    }
+    for (; j < d; ++j) {
+      const double x = row[j];
+      ++counts[j][ScalarBinIndex(x, num_bins)];
+      if (!(x >= 0.0 && x <= 1.0)) ++out_of_range;
+    }
+  }
+  alignas(32) uint64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), inside);
+  const uint64_t vectorized_inside = lanes[0] + lanes[1] + lanes[2] + lanes[3];
+  return out_of_range + n * vec_d - vectorized_inside;
+}
+
 void Axpy(double* acc, const double* x, double a, size_t n) {
   const __m256d va = _mm256_set1_pd(a);
   size_t i = 0;
@@ -289,6 +340,7 @@ const Ops* Avx2OpsOrNull() {
       SupportAccumulate,
       AndPopcount,
       HistogramBin,
+      HistogramBinRows,
       ScalarOps().softmax_normalize,
       Axpy,
       OuterAccumulate,

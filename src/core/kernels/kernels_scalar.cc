@@ -63,6 +63,20 @@ void HistogramBin(const double* xs, size_t n, size_t stride, size_t num_bins,
   for (size_t i = 0; i < n; ++i) ++counts[BinIndex(xs[i * stride], num_bins)];
 }
 
+uint64_t HistogramBinRows(const double* rows, size_t n, size_t d,
+                          size_t num_bins, uint64_t* const* counts) {
+  uint64_t out_of_range = 0;
+  for (size_t r = 0; r < n; ++r) {
+    const double* row = rows + r * d;
+    for (size_t j = 0; j < d; ++j) {
+      const double x = row[j];
+      ++counts[j][BinIndex(x, num_bins)];
+      if (!(x >= 0.0 && x <= 1.0)) ++out_of_range;
+    }
+  }
+  return out_of_range;
+}
+
 size_t SoftmaxNormalize(double* logw, size_t k) {
   double max_log = -std::numeric_limits<double>::infinity();
   size_t argmax = 0;
@@ -114,9 +128,10 @@ void MahalanobisRows(const double* l, const double* mu, const double* xs,
 }
 
 constexpr Ops kScalarOps = {
-    "scalar",     BitmapAndReduce,  SupportAccumulate,
-    AndPopcount,  HistogramBin,     SoftmaxNormalize,
-    Axpy,         OuterAccumulate,  MahalanobisRows,
+    "scalar",          BitmapAndReduce,  SupportAccumulate,
+    AndPopcount,       HistogramBin,     HistogramBinRows,
+    SoftmaxNormalize,  Axpy,             OuterAccumulate,
+    MahalanobisRows,
 };
 
 }  // namespace

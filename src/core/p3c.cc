@@ -16,7 +16,9 @@ namespace {
 
 /// Per-attribute histograms of the whole dataset (the §5.1 histogram
 /// job): range-parallel partial histograms merged by a single "reducer".
-std::vector<stats::Histogram> BuildDatasetHistograms(
+/// The same scan counts the values outside [0, 1]; any such value
+/// rejects the dataset.
+Result<std::vector<stats::Histogram>> BuildDatasetHistograms(
     const data::Dataset& dataset, stats::BinningRule rule, ThreadPool* pool) {
   const size_t n = dataset.num_points();
   const size_t d = dataset.num_dims();
@@ -28,12 +30,11 @@ std::vector<stats::Histogram> BuildDatasetHistograms(
       std::max<size_t>(1, num_tasks),
       std::vector<stats::Histogram>(d,
                                     stats::Histogram(static_cast<size_t>(bins))));
+  std::vector<uint64_t> out_of_range(partials.size(), 0);
   auto scan = [&](size_t task, size_t begin, size_t end) {
-    auto& local = partials[task];
-    for (size_t i = begin; i < end; ++i) {
-      const auto row = dataset.Row(static_cast<data::PointId>(i));
-      for (size_t j = 0; j < d; ++j) local[j].Add(row[j]);
-    }
+    out_of_range[task] =
+        stats::AddRows(partials[task], dataset.values().data() + begin * d,
+                       end - begin);
   };
   if (pool == nullptr || num_tasks <= 1) {
     scan(0, 0, n);
@@ -41,6 +42,12 @@ std::vector<stats::Histogram> BuildDatasetHistograms(
     pool->ParallelFor(num_tasks, [&](size_t task) {
       scan(task, n * task / num_tasks, n * (task + 1) / num_tasks);
     });
+  }
+  for (uint64_t count : out_of_range) {
+    if (count > 0) {
+      return Status::InvalidArgument(
+          "dataset must be normalized to [0, 1]; call NormalizeMinMax first");
+    }
   }
   std::vector<stats::Histogram> merged = std::move(partials.front());
   for (size_t t = 1; t < partials.size(); ++t) {
@@ -59,20 +66,17 @@ Result<ClusteringResult> P3CPipeline::Cluster(const data::Dataset& dataset) {
   if (dataset.num_points() == 0 || dataset.num_dims() == 0) {
     return Status::InvalidArgument("dataset is empty");
   }
-  if (!dataset.IsNormalized()) {
-    return Status::InvalidArgument(
-        "dataset must be normalized to [0, 1]; call NormalizeMinMax first");
-  }
   ThreadPool* pool = pool_.get();
   ClusteringResult result;
 
-  // ---- 1. Histogram building (§5.1) -------------------------------------
-  const std::vector<stats::Histogram> histograms =
+  // ---- 1. Histogram building (§5.1), which checks the [0, 1] range -------
+  Result<std::vector<stats::Histogram>> histograms =
       BuildDatasetHistograms(dataset, params_.binning, pool);
+  if (!histograms.ok()) return histograms.status();
 
   // ---- 2. Relevant intervals (§5.2) --------------------------------------
   const std::vector<Interval> relevant =
-      FindAllRelevantIntervals(histograms, params_.alpha_chi2);
+      FindAllRelevantIntervals(*histograms, params_.alpha_chi2);
 
   // ---- 3. Cluster-core generation (§5.3) ---------------------------------
   SupportCountFn counter = [&](const std::vector<Signature>& sigs) {

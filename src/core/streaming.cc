@@ -130,16 +130,12 @@ Result<StreamingLightResult> StreamingLightPipeline::Run(
   Status pass = reader->ForEachBlock(
       block_rows_, [&](data::PointId first, const data::Dataset& block) {
         (void)first;
-        if (!block.IsNormalized()) {
+        // One kernel call bins the block and checks its range.
+        if (stats::AddRows(histograms, block.values().data(),
+                           block.num_points()) > 0) {
           return Status::InvalidArgument(
               "file contains values outside [0, 1]; normalize before "
               "writing");
-        }
-        // Column-at-a-time over the row-major block (stride = d) so each
-        // attribute's whole batch goes through one kernel call.
-        const double* values = block.values().data();
-        for (size_t j = 0; j < d; ++j) {
-          histograms[j].AddStrided(values + j, block.num_points(), d);
         }
         return Status::OK();
       });
@@ -235,8 +231,8 @@ Result<StreamingLightResult> StreamingLightPipeline::Run(
           Rssc::BitsToIds(bits, k, ids);
           if (ids.size() != 1) continue;
           const size_t c = ids[0];
+          (void)stats::AddRows(member_histograms[c], row.data(), 1);
           for (size_t j = 0; j < d; ++j) {
-            member_histograms[c][j].Add(row[j]);
             mins[c][j] = std::min(mins[c][j], row[j]);
             maxs[c][j] = std::max(maxs[c][j], row[j]);
           }

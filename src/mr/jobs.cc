@@ -99,6 +99,11 @@ struct HistogramJobConfig {
   size_t bins;
 };
 
+/// The histogram job's record for values outside [0, 1]: a one-element
+/// count, emitted only by splits that saw such a value, so a normalized
+/// dataset's records and counters are those of a plain histogram job.
+constexpr int64_t kOutOfRangeKey = -1;
+
 class HistogramMapper : public Mapper<int64_t, std::vector<uint64_t>> {
  public:
   explicit HistogramMapper(const HistogramJobConfig* config)
@@ -112,16 +117,18 @@ class HistogramMapper : public Mapper<int64_t, std::vector<uint64_t>> {
   void Map(RecordRange rows,
            Emitter<int64_t, std::vector<uint64_t>>& out) override {
     (void)out;
-    for (size_t i = rows.begin; i < rows.end; ++i) {
-      const auto row = config_->dataset->Row(static_cast<data::PointId>(i));
-      for (size_t j = 0; j < local_.size(); ++j) local_[j].Add(row[j]);
-    }
+    const double* first =
+        config_->dataset->values().data() + rows.begin * local_.size();
+    out_of_range_ += stats::AddRows(local_, first, rows.size());
     points_ += rows.size();
   }
 
   void Cleanup(Emitter<int64_t, std::vector<uint64_t>>& out) override {
     for (size_t j = 0; j < local_.size(); ++j) {
       out.Emit(static_cast<int64_t>(j), local_[j].counts());
+    }
+    if (out_of_range_ > 0) {
+      out.Emit(kOutOfRangeKey, std::vector<uint64_t>{out_of_range_});
     }
     // Flushed once per task so the per-record path stays counter-free;
     // integer-valued counters keep the exported JSON byte-identical
@@ -135,6 +142,7 @@ class HistogramMapper : public Mapper<int64_t, std::vector<uint64_t>> {
   const HistogramJobConfig* config_;
   std::vector<stats::Histogram> local_;
   uint64_t points_ = 0;
+  uint64_t out_of_range_ = 0;
   resource::ScopedBytes mem_{resource::MemScope::kHistogramBins};
 };
 
@@ -469,8 +477,9 @@ class ClusterHistogramMapper
         mem_bytes_ += static_cast<int64_t>(d * bins * sizeof(uint64_t));
         mem_.Set(mem_bytes_);
       }
-      const auto row = config_->dataset->Row(static_cast<data::PointId>(i));
-      for (size_t j = 0; j < d; ++j) cluster_local[j].Add(row[j]);
+      // Range checking is the histogram job's; the count is dropped.
+      const double* row = config_->dataset->values().data() + i * d;
+      (void)stats::AddRows(cluster_local, row, 1);
     }
   }
 
@@ -623,6 +632,12 @@ Result<std::vector<stats::Histogram>> UnpackHistograms(
     std::vector<KeyedCounts> out, size_t num_dims, size_t bins) {
   std::vector<stats::Histogram> histograms(num_dims, stats::Histogram(bins));
   for (auto& [attr, counts] : out) {
+    if (attr == kOutOfRangeKey && counts.size() == 1) {
+      return Status::InvalidArgument(StringPrintf(
+          "dataset must be normalized to [0, 1]: %llu value(s) lie "
+          "outside it; call NormalizeMinMax first",
+          static_cast<unsigned long long>(counts.front())));
+    }
     P3C_RETURN_NOT_OK(
         CheckRecord("histogram", attr, num_dims, counts.size(), bins));
     histograms[static_cast<size_t>(attr)].counts() = std::move(counts);

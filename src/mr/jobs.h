@@ -24,7 +24,8 @@ namespace p3c::mr {
 
 /// §5.1 histogram job: per-split partial histograms (in-mapper combining
 /// of Eq. 8), merged per attribute by the reducers. Returns one histogram
-/// per attribute with NumBins(rule, n) bins.
+/// per attribute with NumBins(rule, n) bins, or InvalidArgument when any
+/// value lies outside [0, 1] (the mappers count them while binning).
 ///
 /// All job wrappers below surface the engine's failure Status (a task
 /// that exhausted its attempts) instead of a value; see LocalRunner.

@@ -351,10 +351,10 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
   if (dataset.num_points() == 0 || dataset.num_dims() == 0) {
     return Status::InvalidArgument("dataset is empty");
   }
-  if (!dataset.IsNormalized()) {
-    return Status::InvalidArgument(
-        "dataset must be normalized to [0, 1]; call NormalizeMinMax first");
-  }
+  // Values outside [0, 1] are rejected by the histogram job's own scan
+  // (InvalidArgument, not retried, nothing committed). A resumed run that
+  // skips that phase holds a checkpoint whose dataset fingerprint binds
+  // it to data the job already accepted.
   const core::P3CParams& params = options_.params;
   if (!params.light && params.outlier == core::OutlierMode::kMCD) {
     return Status::NotImplemented(

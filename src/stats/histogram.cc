@@ -37,8 +37,8 @@ size_t BinIndex(double x, size_t num_bins) {
   // branches run before any double->integer cast so the formula is
   // defined for every input: NaN and !(x > 0) land in bin 0, x >= 1 and
   // +inf in the last bin (the old cast of an out-of-range/NaN double was
-  // UB). This is the kernel layer's Ops::histogram_bin contract — the
-  // kernel-smoke suite pins the two together.
+  // UB). This is the kernel layer's Ops::histogram_bin(_rows) contract —
+  // the kernel-smoke suite pins them together.
   if (!(x > 0.0)) return 0;
   const double scaled = std::ceil(static_cast<double>(num_bins) * x);
   if (scaled >= static_cast<double>(num_bins)) return num_bins - 1;
@@ -50,10 +50,20 @@ void Histogram::Add(double x) {
   ++counts_[BinIndex(x, counts_.size())];
 }
 
-void Histogram::AddStrided(const double* xs, size_t n, size_t stride) {
-  assert(!counts_.empty());
-  core::kernels::Active().histogram_bin(xs, n, stride, counts_.size(),
-                                        counts_.data());
+uint64_t AddRows(std::span<Histogram> histograms, const double* rows,
+                 size_t n) {
+  if (histograms.empty() || n == 0) return 0;
+  const size_t bins = histograms.front().num_bins();
+  // The kernel's int32 bin lanes; NumBins never exceeds this.
+  assert(bins > 0 && bins <= static_cast<size_t>(INT32_MAX));
+  thread_local std::vector<uint64_t*> counts;
+  counts.resize(histograms.size());
+  for (size_t j = 0; j < histograms.size(); ++j) {
+    assert(histograms[j].num_bins() == bins);
+    counts[j] = histograms[j].counts().data();
+  }
+  return core::kernels::Active().histogram_bin_rows(
+      rows, n, histograms.size(), bins, counts.data());
 }
 
 void Histogram::Merge(const Histogram& other) {

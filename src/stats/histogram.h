@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace p3c::stats {
@@ -41,12 +42,6 @@ class Histogram {
   /// Counts `x` in its bin per BinIndex.
   void Add(double x);
 
-  /// Counts xs[0], xs[stride], ..., xs[(n-1)*stride] — the batch entry
-  /// point, routed through the active compute kernel backend (§14).
-  /// `stride` lets a row-major block feed one attribute's histogram
-  /// directly (stride = num_dims). Bit-exact with n calls to Add().
-  void AddStrided(const double* xs, size_t n, size_t stride);
-
   /// Adds another histogram's bin counts; sizes must match. This is the
   /// reducer-side combination of per-split partial histograms (§5.1).
   void Merge(const Histogram& other);
@@ -65,6 +60,18 @@ class Histogram {
  private:
   std::vector<uint64_t> counts_;
 };
+
+/// Bins n contiguous row-major rows of histograms.size() values each,
+/// value j of every row into histograms[j] — the batch entry point of
+/// every data scan, one call of the active kernel backend's
+/// histogram_bin_rows (§14). Every histogram must have the same number
+/// of bins, at most INT32_MAX (as every NumBins count is). Bit-exact
+/// with n * histograms.size() calls to Add(). Returns how many of the
+/// values lie outside [0, 1] by Dataset::IsNormalized's test (NaN and
+/// +-inf count, -0.0 and 1.0 do not), so the scan doubles as the
+/// normalization check.
+uint64_t AddRows(std::span<Histogram> histograms, const double* rows,
+                 size_t n);
 
 }  // namespace p3c::stats
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 namespace p3c::stats {
 namespace {
@@ -31,6 +33,19 @@ TEST(BinRulesTest, Dispatch) {
   EXPECT_EQ(NumBins(BinningRule::kSturges, 1024), SturgesBins(1024));
   EXPECT_EQ(NumBins(BinningRule::kFreedmanDiaconis, 1024),
             FreedmanDiaconisBins(1024));
+}
+
+TEST(BinRulesTest, EveryBinCountFitsInt32Lanes) {
+  // AddRows requires num_bins <= INT32_MAX (the kernel's int32 bin
+  // lanes); no dataset size can make either rule exceed it.
+  for (BinningRule rule :
+       {BinningRule::kSturges, BinningRule::kFreedmanDiaconis}) {
+    EXPECT_LE(NumBins(rule, std::numeric_limits<uint64_t>::max()),
+              static_cast<uint64_t>(std::numeric_limits<int32_t>::max()));
+  }
+  EXPECT_EQ(SturgesBins(std::numeric_limits<uint64_t>::max()), 65u);
+  EXPECT_LT(FreedmanDiaconisBins(std::numeric_limits<uint64_t>::max()),
+            uint64_t{1} << 22);
 }
 
 TEST(BinIndexTest, PaperFormula) {

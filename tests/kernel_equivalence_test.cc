@@ -12,7 +12,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -86,6 +88,7 @@ TEST(KernelDispatchTest, ScalarAlwaysAvailableAndLast) {
     EXPECT_NE(ops->support_accumulate, nullptr);
     EXPECT_NE(ops->and_popcount, nullptr);
     EXPECT_NE(ops->histogram_bin, nullptr);
+    EXPECT_NE(ops->histogram_bin_rows, nullptr);
     EXPECT_NE(ops->softmax_normalize, nullptr);
     EXPECT_NE(ops->axpy, nullptr);
     EXPECT_NE(ops->outer_accumulate, nullptr);
@@ -210,11 +213,12 @@ TEST_P(KernelEquivalenceTest, AndPopcountMatchesReference) {
 // ---- histogram_bin ----------------------------------------------------------
 
 /// The hostile-coordinate zoo: every value class Eq. 8 binning must
-/// handle without UB.
+/// handle without UB, and both sides of every [0, 1] boundary.
 std::vector<double> HostileValues() {
   return {kNan,    -kInf,    kInf,  -0.0,  0.0,     1.0,
           1.5,     -0.25,    0.5,   1e-12, 1.0 - 1e-16,
-          5e-324 /* min subnormal */, 0.999999, 2.0, 1e300};
+          5e-324 /* min subnormal */, 0.999999, 2.0, 1e300,
+          std::nextafter(1.0, 2.0), DBL_MAX, -DBL_MAX};
 }
 
 TEST_P(KernelEquivalenceTest, HistogramBinMatchesScalarOnHostileValues) {
@@ -227,8 +231,8 @@ TEST_P(KernelEquivalenceTest, HistogramBinMatchesScalarOnHostileValues) {
     ops().histogram_bin(xs.data(), xs.size(), 1, num_bins, actual.data());
     EXPECT_EQ(actual, expected) << "bins=" << num_bins;
 
-    // The scalar kernel, in turn, must agree with stats::BinIndex — the
-    // pin that keeps Histogram::Add and Histogram::AddStrided identical.
+    // The scalar kernel, in turn, must agree with stats::BinIndex, the
+    // formula behind Histogram::Add.
     std::vector<uint64_t> per_element(num_bins, 0);
     for (double x : xs) ++per_element[stats::BinIndex(x, num_bins)];
     EXPECT_EQ(expected, per_element) << "bins=" << num_bins;
@@ -250,6 +254,84 @@ TEST_P(KernelEquivalenceTest, HistogramBinStridedAndRandom) {
     uint64_t total = 0;
     for (uint64_t c : actual) total += c;
     EXPECT_EQ(total, n);
+  }
+}
+
+// ---- histogram_bin_rows -----------------------------------------------------
+
+/// Dataset::IsNormalized's verdict on a single value.
+bool OutsideUnitRange(double x) {
+  return !data::Dataset::FromRowMajor({x}, 1).value().IsNormalized();
+}
+
+TEST_P(KernelEquivalenceTest, HistogramBinRowsMatchesBinIndexAndIsNormalized) {
+  Rng rng(41);
+  const std::vector<double> hostile = HostileValues();
+  for (size_t d : {size_t{1}, size_t{3}, size_t{4}, size_t{5}, size_t{100}}) {
+    for (size_t n : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                     size_t{65}}) {
+      // One value in three is hostile. A canary row of NaN follows the
+      // block: reading it would move a bin 0 count and the range count.
+      std::vector<double> rows((n + 1) * d, kNan);
+      uint64_t expected_outside = 0;
+      for (size_t i = 0; i < n * d; ++i) {
+        rows[i] = rng.UniformInt(3) == 0
+                      ? hostile[rng.UniformInt(hostile.size())]
+                      : rng.Uniform(-0.1, 1.1);
+        if (OutsideUnitRange(rows[i])) ++expected_outside;
+      }
+      if (n > 0) {
+        const auto block = data::Dataset::FromRowMajor(
+            std::vector<double>(rows.begin(),
+                                rows.begin() + static_cast<ptrdiff_t>(n * d)),
+            d);
+        EXPECT_EQ(expected_outside == 0, block.value().IsNormalized());
+      }
+      for (size_t num_bins :
+           {size_t{1}, size_t{2}, size_t{17}, size_t{80}}) {
+        // One slot past num_bins per histogram: no value may reach it.
+        std::vector<std::vector<uint64_t>> expected(
+            d, std::vector<uint64_t>(num_bins + 1, 0));
+        std::vector<std::vector<uint64_t>> actual = expected;
+        for (size_t r = 0; r < n; ++r) {
+          for (size_t j = 0; j < d; ++j) {
+            ++expected[j][stats::BinIndex(rows[r * d + j], num_bins)];
+          }
+        }
+        std::vector<uint64_t*> counts(d);
+        for (size_t j = 0; j < d; ++j) counts[j] = actual[j].data();
+        const uint64_t outside = ops().histogram_bin_rows(
+            rows.data(), n, d, num_bins, counts.data());
+        EXPECT_EQ(actual, expected)
+            << "d=" << d << " n=" << n << " bins=" << num_bins;
+        EXPECT_EQ(outside, expected_outside)
+            << "d=" << d << " n=" << n << " bins=" << num_bins;
+      }
+    }
+  }
+}
+
+TEST_P(KernelEquivalenceTest, AddRowsMatchesPerValueAdd) {
+  Rng rng(43);
+  const size_t d = 7;
+  const size_t n = 130;
+  std::vector<double> rows(n * d);
+  for (double& x : rows) x = rng.Uniform();
+  rows[5 * d + 6] = kNan;
+  rows[99 * d + 2] = 1.0;
+  std::vector<stats::Histogram> expected(d, stats::Histogram(13));
+  for (size_t i = 0; i < rows.size(); ++i) expected[i % d].Add(rows[i]);
+  std::vector<stats::Histogram> actual(d, stats::Histogram(13));
+  ASSERT_TRUE(SetBackend(GetParam()).ok());
+  // Split unevenly, as a scan's ranges and runs are.
+  uint64_t outside = stats::AddRows(actual, rows.data(), 1);
+  outside += stats::AddRows(actual, rows.data() + d, 64);
+  outside += stats::AddRows(actual, rows.data() + 65 * d, n - 65);
+  outside += stats::AddRows(actual, rows.data(), 0);
+  ASSERT_TRUE(SetBackend("auto").ok());
+  EXPECT_EQ(outside, 1u);
+  for (size_t j = 0; j < d; ++j) {
+    EXPECT_EQ(actual[j].counts(), expected[j].counts()) << "attr " << j;
   }
 }
 

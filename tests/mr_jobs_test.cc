@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -336,6 +337,22 @@ void ExpectInternalNaming(const Status& status, const std::string& job) {
   EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
   EXPECT_NE(status.message().find(job), std::string::npos)
       << status.ToString();
+}
+
+TEST(JobUnpackTest, OutOfRangeRecordRejectsTheHistogramJob) {
+  // Key -1 carries the count of values outside [0, 1]; it rejects the
+  // dataset with InvalidArgument (not retried), whatever its position.
+  std::vector<KeyedCounts> hists = {{-1, {3}}, {0, {1, 2, 3}}, {1, {4, 5, 6}}};
+  const Status status = UnpackHistograms(hists, 2, 3).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("3 value(s)"), std::string::npos)
+      << status.ToString();
+  std::rotate(hists.begin(), hists.begin() + 1, hists.end());
+  EXPECT_EQ(UnpackHistograms(hists, 2, 3).status().code(),
+            StatusCode::kInvalidArgument);
+  // A malformed -1 record is an engine fault like any unknown key.
+  hists.back().second = {3, 4};
+  ExpectInternalNaming(UnpackHistograms(hists, 2, 3).status(), "histogram");
 }
 
 TEST(JobUnpackTest, ShortPayloadsAndUnknownKeysReturnInternal) {

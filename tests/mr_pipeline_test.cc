@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "src/core/p3c.h"
 #include "src/data/generator.h"
@@ -228,6 +232,97 @@ TEST(P3CMRTest, FullMvbDeterministicAcrossThreadsAndReducers) {
     EXPECT_EQ(r.clusters, runs[0].clusters) << r.label;
     EXPECT_EQ(r.counters_json, runs[0].counters_json) << r.label;
     EXPECT_EQ(r.num_jobs, runs[0].num_jobs) << r.label;
+  }
+}
+
+// ---- The [0, 1] check inside the histogram scan -----------------------------
+
+/// A normalized 2000 x 50 dataset with one value replaced by `value`.
+data::Dataset WithOneValue(double value) {
+  data::Dataset dataset = MakeData(77, 2000).dataset;
+  dataset.Set(1234, 17, value);
+  return dataset;
+}
+
+/// Values the histogram scan must reject: each fails x >= 0 && x <= 1.
+std::vector<double> OutOfRangeValues() {
+  return {std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity(), -1e-300,
+          1.0 + 0x1.0p-52};
+}
+
+/// Boundary values inside [0, 1] by the same test.
+std::vector<double> BoundaryValues() { return {-0.0, 1.0}; }
+
+TEST(NormalizationCheckTest, MrHistogramJobRejectsOnEveryBackend) {
+  RunnerOptions in_process;
+  in_process.num_threads = 4;
+  in_process.records_per_split = 300;
+  RunnerOptions process = in_process;
+  process.backend = Backend::kProcess;
+  process.num_workers = 2;
+  for (const RunnerOptions& runner : {in_process, process}) {
+    const std::string backend =
+        runner.backend == Backend::kProcess ? "process" : "in-process";
+    for (double value : OutOfRangeValues()) {
+      const std::filesystem::path dir =
+          std::filesystem::temp_directory_path() /
+          ("p3c_norm_check_" + std::to_string(::getpid()));
+      std::filesystem::remove_all(dir);
+      P3CMROptions options;
+      options.params.light = true;
+      options.runner = runner;
+      options.retry.max_job_attempts = 3;
+      options.checkpoint_dir = dir.string();
+      P3CMR mr{options};
+      const auto result = mr.Cluster(WithOneValue(value));
+      ASSERT_FALSE(result.ok()) << backend << " value " << value;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << backend << " value " << value << ": "
+          << result.status().ToString();
+      EXPECT_NE(result.status().message().find("normalized to [0, 1]"),
+                std::string::npos)
+          << result.status().ToString();
+      // Not retried: one histogram job, and no phase committed.
+      ASSERT_EQ(mr.metrics().num_jobs(), 1u) << backend << " value " << value;
+      EXPECT_EQ(mr.metrics().jobs().front().job_name, "histogram");
+      // The checkpoint manager made the directory before the job ran;
+      // the rejection leaves it empty.
+      ASSERT_TRUE(std::filesystem::is_directory(dir))
+          << backend << " value " << value;
+      EXPECT_TRUE(std::filesystem::is_empty(dir))
+          << backend << " value " << value;
+      if (runner.backend == Backend::kProcess) {
+        // The scan ran in forked workers, not in the driver.
+        EXPECT_GT(mr.driver_metrics().Get("worker.spawn_total"), 0u);
+      }
+      std::filesystem::remove_all(dir);
+    }
+    for (double value : BoundaryValues()) {
+      P3CMROptions options;
+      options.params.light = true;
+      options.runner = runner;
+      P3CMR mr{options};
+      const auto result = mr.Cluster(WithOneValue(value));
+      EXPECT_TRUE(result.ok()) << backend << " value " << value << ": "
+                               << result.status().ToString();
+    }
+  }
+}
+
+TEST(NormalizationCheckTest, SerialPipelineRejectsInItsHistogramScan) {
+  for (double value : OutOfRangeValues()) {
+    core::P3CPipeline pipeline{core::P3CParams{}, 4};
+    const auto result = pipeline.Cluster(WithOneValue(value));
+    ASSERT_FALSE(result.ok()) << "value " << value;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << "value " << value;
+  }
+  for (double value : BoundaryValues()) {
+    core::P3CPipeline pipeline{core::P3CParams{}, 4};
+    const auto result = pipeline.Cluster(WithOneValue(value));
+    EXPECT_TRUE(result.ok()) << "value " << value << ": "
+                             << result.status().ToString();
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #ifndef _WIN32
@@ -332,6 +333,27 @@ TEST(StreamingLightTest, MidRunTruncationIsAnErrorNotEmptyResult) {
       << out.status().ToString();
   EXPECT_NE(out.status().message().find("truncated"), std::string::npos)
       << out.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(StreamingLightTest, HistogramPassRejectsValuesOutsideUnitRange) {
+  const std::string path = TempPath("streaming_range.p3cd");
+  for (double value : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(), -1e-300,
+                       1.0 + 0x1.0p-52, -0.0, 1.0}) {
+    data::Dataset dataset = MakeData(53, 2000).dataset;
+    dataset.Set(1500, 7, value);
+    ASSERT_TRUE(data::WriteBinary(dataset, path).ok());
+    StreamingLightPipeline pipeline{StreamingLightParams(), 256};
+    const auto result = pipeline.Cluster(path);
+    if (value >= 0.0 && value <= 1.0) {
+      EXPECT_TRUE(result.ok()) << value << ": " << result.status().ToString();
+    } else {
+      ASSERT_FALSE(result.ok()) << value;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << value;
+    }
+  }
   std::remove(path.c_str());
 }
 

@@ -27,8 +27,10 @@ BENCH_kernels.json (bench_kernels):
     on every mahalanobis_rows row: the blocked forward substitution is
     the E step's, MVB's and OD's per-point cost. Likewise
     AND_POPCOUNT_FLOOR (2x) on every and_popcount row, the RSSC
-    counter's per-signature pass. A machine header that lists avx2
-    without such rows fails; a machine without avx2 skips them.
+    counter's per-signature pass, and HISTOGRAM_BIN_ROWS_FLOOR (1.5x)
+    on every histogram_bin_rows row, the histogram scans' op. A machine
+    header that lists avx2 without such rows fails; a machine without
+    avx2 skips them.
   * No non-scalar row may run below MIN_DISPATCHED_SPEEDUP (0.9x) of
     scalar: bench_kernels emits a non-scalar row only for an op its
     backend overrides, and `auto` dispatches every such op, so a
@@ -75,8 +77,14 @@ MAHALANOBIS_ROWS_FLOOR = 2.0
 # counter's per-signature pass.
 AND_POPCOUNT_FLOOR = 2.0
 
+# Slowest avx2 speedup over scalar tolerated on histogram_bin_rows, the
+# op of every histogram scan (measured 2.4-4.2x on a shared 4-core host;
+# its four scalar increments per vector bound the gain).
+HISTOGRAM_BIN_ROWS_FLOOR = 1.5
+
 AVX2_FLOORS = (("mahalanobis_rows", MAHALANOBIS_ROWS_FLOOR),
-               ("and_popcount", AND_POPCOUNT_FLOOR))
+               ("and_popcount", AND_POPCOUNT_FLOOR),
+               ("histogram_bin_rows", HISTOGRAM_BIN_ROWS_FLOOR))
 
 
 def fail(msg):

@@ -26,8 +26,9 @@
 #     exceed the 1-thread time on any (records, reducers) cell, with
 #     byte-identical output everywhere;
 #   * the best vectorized kernel backend holds >= 2x over scalar on
-#     rssc_support at >= 256 signatures, and avx2 >= 2x on every
-#     mahalanobis_rows and and_popcount row, with bit-identical outputs;
+#     rssc_support at >= 256 signatures, avx2 >= 2x on every
+#     mahalanobis_rows and and_popcount row and >= 1.5x on every
+#     histogram_bin_rows row, with bit-identical outputs;
 #   * no memory inversion — the tracked peak_bytes of a shuffle cell
 #     must not grow with the thread count, and kernel backends of one
 #     cell must agree on their working set (DESIGN.md §15).
