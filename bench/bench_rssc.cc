@@ -75,7 +75,7 @@ void BM_RsscConstruction(benchmark::State& state) {
   const Fixture fx(100, static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     core::Rssc rssc(fx.signatures);
-    benchmark::DoNotOptimize(rssc.num_words());
+    benchmark::DoNotOptimize(rssc.num_intervals());
   }
 }
 

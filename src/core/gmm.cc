@@ -338,21 +338,26 @@ Result<GmmModel> InitializeFromCores(const data::Dataset& dataset,
       num_tasks, std::vector<MomentAccumulator>(k, MomentAccumulator(dim)));
   std::vector<std::vector<data::PointId>> local_orphans(num_tasks);
   ForEachRange(n, pool, [&](size_t task, size_t begin, size_t end) {
-    std::vector<uint64_t> bits;
-    std::vector<uint32_t> ids;
+    Rssc::Scratch scratch;
+    std::vector<uint64_t> words(k);
     linalg::Vector x;
     auto& accs = locals[task];
-    for (size_t i = begin; i < end; ++i) {
-      const auto row = dataset.Row(static_cast<data::PointId>(i));
-      index.Match(row, bits);
-      ids.clear();
-      Rssc::BitsToIds(bits, k, ids);
-      if (ids.empty()) {
-        local_orphans[task].push_back(static_cast<data::PointId>(i));
-        continue;
+    for (size_t group = begin; group < end; group += 64) {
+      const size_t group_end = std::min(end, group + 64);
+      index.Members(dataset, group, group_end, scratch, words);
+      uint64_t members = 0;
+      for (uint64_t word : words) members |= word;
+      for (size_t r = 0; r < group_end - group; ++r) {
+        const auto i = static_cast<data::PointId>(group + r);
+        if (((members >> r) & 1) == 0) {
+          local_orphans[task].push_back(i);
+          continue;
+        }
+        model.Project(dataset.Row(i), x);
+        for (size_t c = 0; c < k; ++c) {
+          if ((words[c] >> r) & 1) accs[c].Add(x, 1.0);
+        }
       }
-      model.Project(row, x);
-      for (uint32_t id : ids) accs[id].Add(x, 1.0);
     }
   });
   std::vector<MomentAccumulator> stats(k, MomentAccumulator(dim));

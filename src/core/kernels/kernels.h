@@ -2,7 +2,7 @@
 #define P3C_CORE_KERNELS_KERNELS_H_
 
 // Runtime-dispatched compute kernels for the per-point hot loops
-// (DESIGN.md §14): RSSC bitmap matching and support counting, histogram
+// (DESIGN.md §14): RSSC support counting, histogram
 // binning, and the GMM inner operations (Mahalanobis distances of a row
 // block, the E-step softmax, moment accumulation). Every backend implements
 // the same Ops table and every operation is *bit-exact* across backends —
@@ -33,9 +33,10 @@ struct Ops {
   const char* name;
 
   /// bits[w] &= masks[0][w] & masks[1][w] & ... for w < num_words. Each
-  /// masks[i] points at num_words consecutive words. The RSSC Match
-  /// inner loop, batched over several attributes so one pass over `bits`
-  /// amortizes the loads/stores.
+  /// masks[i] points at num_words consecutive words. No library path
+  /// calls it any more: memberships come from the RSSC's interval row
+  /// words. It stays for the pipeline bench's `kernels.rssc` probe and
+  /// goes with the next change to that bench.
   void (*bitmap_and_reduce)(uint64_t* bits, const uint64_t* const* masks,
                             size_t num_masks, size_t num_words);
 

@@ -157,7 +157,7 @@ Result<StreamingLightResult> StreamingLightPipeline::Run(
     std::vector<uint64_t> supports(sigs.size(), 0);
     if (sigs.empty()) return supports;
     if (before_support_scan_hook_) before_support_scan_hook_();
-    const Rssc index(sigs, Rssc::Use::kCount);
+    const Rssc index(sigs);
     Rssc::Counter scan_counter(index, supports);
     Status scan = reader->ForEachBlock(
         block_rows_, [&](data::PointId first, const data::Dataset& block) {
@@ -189,20 +189,28 @@ Result<StreamingLightResult> StreamingLightPipeline::Run(
     signatures.push_back(core.signature);
   }
   const Rssc index(signatures);
+  // Calls fn(i, m'(row i)) for every row i of a block, in row order.
+  Rssc::Scratch scratch;
+  std::vector<uint64_t> words(k);
+  int32_t unique[64];
+  auto for_each_unique_member = [&](const data::Dataset& block, auto&& fn) {
+    for (size_t group = 0; group < block.num_points(); group += 64) {
+      const size_t rows = std::min<size_t>(64, block.num_points() - group);
+      index.Members(block, group, group + rows, scratch, words);
+      Rssc::UniqueMembers(words, rows, unique);
+      for (size_t r = 0; r < rows; ++r) fn(group + r, unique[r]);
+    }
+  };
 
   // ---- Pass: unique-member counts (m') -----------------------------------
   std::vector<uint64_t> unique_counts(k, 0);
   pass = reader->ForEachBlock(
       block_rows_, [&](data::PointId first, const data::Dataset& block) {
         (void)first;
-        std::vector<uint64_t> bits;
-        std::vector<uint32_t> ids;
-        for (size_t i = 0; i < block.num_points(); ++i) {
-          index.Match(block.Row(static_cast<data::PointId>(i)), bits);
-          ids.clear();
-          Rssc::BitsToIds(bits, k, ids);
-          if (ids.size() == 1) ++unique_counts[ids[0]];
-        }
+        for_each_unique_member(block, [&](size_t i, int32_t c) {
+          (void)i;
+          if (c >= 0) ++unique_counts[static_cast<size_t>(c)];
+        });
         return Status::OK();
       });
   P3C_RETURN_NOT_OK(pass);
@@ -222,21 +230,16 @@ Result<StreamingLightResult> StreamingLightPipeline::Run(
   pass = reader->ForEachBlock(
       block_rows_, [&](data::PointId first, const data::Dataset& block) {
         (void)first;
-        std::vector<uint64_t> bits;
-        std::vector<uint32_t> ids;
-        for (size_t i = 0; i < block.num_points(); ++i) {
+        for_each_unique_member(block, [&](size_t i, int32_t member) {
+          if (member < 0) return;
+          const auto c = static_cast<size_t>(member);
           const auto row = block.Row(static_cast<data::PointId>(i));
-          index.Match(row, bits);
-          ids.clear();
-          Rssc::BitsToIds(bits, k, ids);
-          if (ids.size() != 1) continue;
-          const size_t c = ids[0];
           (void)stats::AddRows(member_histograms[c], row.data(), 1);
           for (size_t j = 0; j < d; ++j) {
             mins[c][j] = std::min(mins[c][j], row[j]);
             maxs[c][j] = std::max(maxs[c][j], row[j]);
           }
-        }
+        });
         return Status::OK();
       });
   P3C_RETURN_NOT_OK(pass);
@@ -282,19 +285,10 @@ Result<StreamingLightResult> StreamingLightPipeline::Run(
     std::fprintf(out, "point,cluster\n");
     pass = reader->ForEachBlock(
         block_rows_, [&](data::PointId first, const data::Dataset& block) {
-          std::vector<uint64_t> bits;
-          std::vector<uint32_t> ids;
-          for (size_t i = 0; i < block.num_points(); ++i) {
-            index.Match(block.Row(static_cast<data::PointId>(i)), bits);
-            ids.clear();
-            Rssc::BitsToIds(bits, k, ids);
-            const int value = ids.empty() ? -1
-                              : ids.size() == 1
-                                  ? static_cast<int>(ids[0])
-                                  : -2;
+          for_each_unique_member(block, [&](size_t i, int32_t member) {
             std::fprintf(out, "%llu,%d\n",
-                         static_cast<unsigned long long>(first + i), value);
-          }
+                         static_cast<unsigned long long>(first + i), member);
+          });
           return Status::OK();
         });
     P3C_RETURN_NOT_OK(pass);

@@ -1,6 +1,7 @@
 #include "src/core/support_counter.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/common/resource.h"
 
@@ -49,7 +50,7 @@ std::vector<uint64_t> CountSupports(const data::Dataset& dataset,
                                     ThreadPool* pool) {
   const size_t k = signatures.size();
   if (k == 0) return {};
-  const Rssc index(signatures, Rssc::Use::kCount);
+  const Rssc index(signatures);
   const size_t n = dataset.num_points();
 
   const size_t num_tasks = NumTasks(n, pool);
@@ -103,15 +104,16 @@ std::vector<std::vector<data::PointId>> ComputeSupportSets(
   std::vector<std::vector<std::vector<data::PointId>>> partials(
       num_tasks, std::vector<std::vector<data::PointId>>(k));
   ForEachRange(n, pool, [&](size_t task, size_t begin, size_t end) {
-    std::vector<uint64_t> bits;
-    std::vector<uint32_t> ids;
+    Rssc::Scratch scratch;
+    std::vector<uint64_t> words(k);
     auto& local = partials[task];
-    for (size_t i = begin; i < end; ++i) {
-      index.Match(dataset.Row(static_cast<data::PointId>(i)), bits);
-      ids.clear();
-      Rssc::BitsToIds(bits, k, ids);
-      for (uint32_t id : ids) {
-        local[id].push_back(static_cast<data::PointId>(i));
+    for (size_t group = begin; group < end; group += 64) {
+      index.Members(dataset, group, std::min(end, group + 64), scratch, words);
+      for (size_t j = 0; j < k; ++j) {
+        for (uint64_t word = words[j]; word != 0; word &= word - 1) {
+          local[j].push_back(
+              static_cast<data::PointId>(group + std::countr_zero(word)));
+        }
       }
     }
   });
@@ -146,17 +148,12 @@ std::vector<int32_t> UniqueAssignments(
   const Rssc index(signatures);
   ForEachRange(n, pool, [&](size_t task, size_t begin, size_t end) {
     (void)task;
-    std::vector<uint64_t> bits;
-    std::vector<uint32_t> ids;
-    for (size_t i = begin; i < end; ++i) {
-      index.Match(dataset.Row(static_cast<data::PointId>(i)), bits);
-      ids.clear();
-      Rssc::BitsToIds(bits, signatures.size(), ids);
-      if (ids.size() == 1) {
-        assignment[i] = static_cast<int32_t>(ids[0]);
-      } else if (ids.size() > 1) {
-        assignment[i] = -2;
-      }
+    Rssc::Scratch scratch;
+    std::vector<uint64_t> words(signatures.size());
+    for (size_t group = begin; group < end; group += 64) {
+      const size_t group_end = std::min(end, group + 64);
+      index.Members(dataset, group, group_end, scratch, words);
+      Rssc::UniqueMembers(words, group_end - group, &assignment[group]);
     }
   });
   return assignment;

@@ -1,6 +1,7 @@
 #include "src/mr/jobs.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -585,30 +586,29 @@ class TighteningReducer
 struct SupportSetJobConfig {
   const data::Dataset* dataset;
   const core::Rssc* rssc;
-  size_t num_signatures;
 };
 
-class SupportSetMapper
-    : public Mapper<data::PointId, std::vector<uint32_t>> {
+/// One record per map range with any member: the key is the range's
+/// first row, the value one word per core (bit r: row key + r).
+static_assert(kMapRangeRecords <= 64, "a map range must fit one word");
+class SupportSetMapper : public Mapper<data::PointId, std::vector<uint64_t>> {
  public:
   explicit SupportSetMapper(const SupportSetJobConfig* config)
-      : config_(config) {}
+      : config_(config), words_(config->rssc->num_signatures()) {}
 
   void Map(RecordRange rows,
-           Emitter<data::PointId, std::vector<uint32_t>>& out) override {
-    for (size_t i = rows.begin; i < rows.end; ++i) {
-      const auto point = static_cast<data::PointId>(i);
-      config_->rssc->Match(config_->dataset->Row(point), bits_);
-      ids_.clear();
-      core::Rssc::BitsToIds(bits_, config_->num_signatures, ids_);
-      if (!ids_.empty()) out.Emit(point, ids_);
-    }
+           Emitter<data::PointId, std::vector<uint64_t>>& out) override {
+    config_->rssc->Members(*config_->dataset, rows.begin, rows.end, scratch_,
+                           words_);
+    uint64_t members = 0;
+    for (uint64_t word : words_) members |= word;
+    if (members != 0) out.Emit(static_cast<data::PointId>(rows.begin), words_);
   }
 
  private:
   const SupportSetJobConfig* config_;
-  std::vector<uint64_t> bits_;
-  std::vector<uint32_t> ids_;
+  core::Rssc::Scratch scratch_;
+  std::vector<uint64_t> words_;
 };
 
 }  // namespace
@@ -649,9 +649,8 @@ Result<std::vector<uint64_t>> RunSupportJob(
     LocalRunner& runner, const data::Dataset& dataset,
     const std::vector<core::Signature>& signatures) {
   if (signatures.empty()) return std::vector<uint64_t>{};
-  // "Calculated by the main program": the interval table only; the
-  // per-bin masks serve Match, which this job never calls.
-  const core::Rssc rssc(signatures, core::Rssc::Use::kCount);
+  // "Calculated by the main program" and shipped to every mapper.
+  const core::Rssc rssc(signatures);
   SupportJobConfig config{&dataset, &rssc};
   auto run = runner.Run<int64_t, std::vector<uint64_t>, KeyedCounts>(
       "support-count", dataset.num_points(),
@@ -867,20 +866,59 @@ Result<std::vector<std::vector<core::Interval>>> UnpackTightening(
 Result<SupportSetJobResult> RunSupportSetJob(
     LocalRunner& runner, const data::Dataset& dataset,
     const std::vector<core::Signature>& signatures) {
-  SupportSetJobResult result;
-  result.support_sets.resize(signatures.size());
-  result.unique_assignment.assign(dataset.num_points(), -1);
-  if (signatures.empty()) return result;
+  if (signatures.empty()) {
+    return UnpackSupportSets({}, dataset.num_points(), 0);
+  }
   const core::Rssc rssc(signatures);
-  SupportSetJobConfig config{&dataset, &rssc, signatures.size()};
-  auto run = runner.RunMapOnly<data::PointId, std::vector<uint32_t>>(
+  SupportSetJobConfig config{&dataset, &rssc};
+  auto run = runner.RunMapOnly<data::PointId, std::vector<uint64_t>>(
       "support-sets", dataset.num_points(),
       [&config] { return std::make_unique<SupportSetMapper>(&config); });
   if (!run.ok()) return run.status();
-  for (auto& [point, ids] : *run) {
-    for (uint32_t id : ids) result.support_sets[id].push_back(point);
-    result.unique_assignment[point] =
-        ids.size() == 1 ? static_cast<int32_t>(ids[0]) : -2;
+  return UnpackSupportSets(*run, dataset.num_points(), signatures.size());
+}
+
+Result<SupportSetJobResult> UnpackSupportSets(
+    const std::vector<RangeWords>& out, size_t num_points,
+    size_t num_signatures) {
+  SupportSetJobResult result;
+  result.support_sets.resize(num_signatures);
+  result.unique_assignment.assign(num_points, -1);
+  // Rows below next_row belong to an earlier record.
+  size_t next_row = 0;
+  for (const auto& [key, words] : out) {
+    const size_t first = key;
+    if (first >= num_points) {
+      return Status::Internal(StringPrintf(
+          "support-sets: result key %zu outside [0, %zu)", first, num_points));
+    }
+    if (first < next_row) {
+      return Status::Internal(StringPrintf(
+          "support-sets: result key %zu overlaps the record before it, "
+          "which ends past row %zu",
+          first, next_row - 1));
+    }
+    if (words.size() != num_signatures) {
+      return Status::Internal(StringPrintf(
+          "support-sets: result for key %zu holds %zu words, expected %zu",
+          first, words.size(), num_signatures));
+    }
+    uint64_t members = 0;
+    for (uint64_t word : words) members |= word;
+    const size_t rows = std::min<size_t>(64, num_points - first);
+    if (rows < 64 && (members >> rows) != 0) {
+      return Status::Internal(StringPrintf(
+          "support-sets: result for key %zu names a row at or past %zu",
+          first, num_points));
+    }
+    next_row = first + 1 + (members == 0 ? 0 : 63 - std::countl_zero(members));
+    for (size_t j = 0; j < num_signatures; ++j) {
+      for (uint64_t word = words[j]; word != 0; word &= word - 1) {
+        result.support_sets[j].push_back(
+            static_cast<data::PointId>(first + std::countr_zero(word)));
+      }
+    }
+    core::Rssc::UniqueMembers(words, rows, &result.unique_assignment[first]);
   }
   return result;
 }

@@ -169,10 +169,12 @@ Result<std::vector<std::vector<core::Interval>>> RunTighteningJob(
     const std::vector<int32_t>& membership,
     const std::vector<std::vector<size_t>>& attrs);
 
-/// §6 support-set job (map-only, Light pipeline): emits, per point, the
-/// cluster cores whose support set contains it. Returns per-core sorted
-/// point lists plus the per-point unique assignment (m'): -1 none, -2
-/// several.
+/// §6 support-set job (map-only, Light pipeline): emits one record per
+/// map range that holds a member of any cluster core, keyed by the
+/// range's first row, whose value has one word per core (bit r set iff
+/// row key + r lies in the core's support set; core::Rssc::Members).
+/// Returns per-core sorted point lists plus the per-point unique
+/// assignment (m'): -1 none, -2 several.
 struct SupportSetJobResult {
   std::vector<std::vector<data::PointId>> support_sets;
   std::vector<int32_t> unique_assignment;
@@ -180,6 +182,18 @@ struct SupportSetJobResult {
 Result<SupportSetJobResult> RunSupportSetJob(
     LocalRunner& runner, const data::Dataset& dataset,
     const std::vector<core::Signature>& signatures);
+
+/// The support-set job's (first row, per-core words) records, in key
+/// order.
+using RangeWords = std::pair<data::PointId, std::vector<uint64_t>>;
+
+/// Unpack step of the support-set job. A key at or past `num_points`, a
+/// key at or below the last member row of the record before it, a
+/// payload other than `num_signatures` words, or a bit naming a row at
+/// or past `num_points` yields Status::Internal naming the job.
+Result<SupportSetJobResult> UnpackSupportSets(
+    const std::vector<RangeWords>& out, size_t num_points,
+    size_t num_signatures);
 
 }  // namespace p3c::mr
 

@@ -1,6 +1,7 @@
 #include "src/mr/p3c_mr.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -116,7 +117,8 @@ auto RunPipelineJob(const JobRetryPolicy& policy, const char* phase,
 
 /// Hard membership by cluster-core containment: a point contributes
 /// weight 1 to every core whose support set contains it (EM init round 1,
-/// §5.4).
+/// §5.4). A map range is one Rssc::Members group.
+static_assert(kMapRangeRecords <= 64, "a map range must fit one word");
 class CoreMembership : public MembershipFn {
  public:
   CoreMembership(const data::Dataset& dataset,
@@ -126,15 +128,19 @@ class CoreMembership : public MembershipFn {
   void Contributions(RecordRange rows, const double* xs,
                      RangeMemberships& out) const override {
     (void)xs;
-    thread_local std::vector<uint64_t> bits;
-    thread_local std::vector<uint32_t> ids;
+    thread_local core::Rssc::Scratch scratch;
+    thread_local std::vector<uint64_t> words;
     out.Reset(rows.size());
-    for (size_t i = rows.begin; i < rows.end; ++i) {
-      rssc_.Match(dataset_.Row(static_cast<data::PointId>(i)), bits);
-      ids.clear();
-      core::Rssc::BitsToIds(bits, k_, ids);
-      for (uint32_t id : ids) {
-        out.entries.push_back({static_cast<uint32_t>(i - rows.begin), id, 1.0});
+    words.resize(k_);
+    rssc_.Members(dataset_, rows.begin, rows.end, scratch, words);
+    uint64_t members = 0;
+    for (uint64_t word : words) members |= word;
+    for (; members != 0; members &= members - 1) {
+      const auto r = static_cast<uint32_t>(std::countr_zero(members));
+      for (size_t c = 0; c < k_; ++c) {
+        if ((words[c] >> r) & 1) {
+          out.entries.push_back({r, static_cast<uint32_t>(c), 1.0});
+        }
       }
     }
   }

@@ -483,30 +483,44 @@ TEST_P(KernelEquivalenceTest, RsscEndToEndMatchesScalarBackend) {
   }
 }
 
-TEST_P(KernelEquivalenceTest, RsscMatchBitsIdenticalPerPoint) {
+TEST_P(KernelEquivalenceTest, RsscMembersIdenticalPerGroup) {
+  // 130 rows: two full 64-row groups and a 2-row tail. Under every
+  // backend the membership words are the scalar backend's, their
+  // popcounts are the counter's supports, and no bit lies past a group.
   Rng rng(31);
   const size_t dims = 5;
-  const data::Dataset dataset = MakeDataset(64, dims, rng);
+  const data::Dataset dataset = MakeDataset(130, dims, rng);
+  const size_t n = dataset.num_points();
   for (size_t count : kSignatureCounts) {
-    if (count == 0) continue;  // Match needs at least one word to compare
     const std::vector<Signature> sigs =
         MakeSignatures(count, dims, rng, /*empty_at=*/0);
     const Rssc rssc(sigs);
-    std::vector<uint64_t> bits_scalar;
-    std::vector<uint64_t> bits_backend;
-    for (size_t i = 0; i < dataset.num_points(); ++i) {
+    Rssc::Scratch scratch;
+    std::vector<uint64_t> words_scalar(count);
+    std::vector<uint64_t> words_backend(count);
+    std::vector<uint64_t> popcounts(count, 0);
+    for (size_t begin = 0; begin < n; begin += 64) {
+      const size_t rows = std::min<size_t>(64, n - begin);
       ASSERT_TRUE(SetBackend("scalar").ok());
-      rssc.Match(dataset.Row(static_cast<data::PointId>(i)), bits_scalar);
+      rssc.Members(dataset, begin, begin + rows, scratch, words_scalar);
       ASSERT_TRUE(SetBackend(GetParam()).ok());
-      rssc.Match(dataset.Row(static_cast<data::PointId>(i)), bits_backend);
-      ASSERT_EQ(bits_backend, bits_scalar) << "count=" << count << " i=" << i;
+      rssc.Members(dataset, begin, begin + rows, scratch, words_backend);
+      ASSERT_EQ(words_backend, words_scalar)
+          << "count=" << count << " begin=" << begin;
+      for (size_t j = 0; j < count; ++j) {
+        if (rows < 64) {
+          EXPECT_EQ(words_backend[j] >> rows, 0u)
+              << "count=" << count << " signature " << j;
+        }
+        popcounts[j] += static_cast<uint64_t>(std::popcount(words_backend[j]));
+      }
     }
+    std::vector<uint64_t> supports(count, 0);
+    Rssc::Counter counter(rssc, supports);
+    counter.Add(dataset, 0, n);
+    counter.Finish();
     ASSERT_TRUE(SetBackend("auto").ok());
-    // Padding above num_signatures() must be clear in the last word.
-    const size_t tail = count % 64;
-    if (tail != 0) {
-      EXPECT_EQ(bits_scalar.back() >> tail, 0u) << "count=" << count;
-    }
+    EXPECT_EQ(supports, popcounts) << "count=" << count;
   }
 }
 
@@ -520,7 +534,7 @@ TEST_P(KernelEquivalenceTest, CounterNeedsOnlyLiveCounters) {
     const size_t empty_at = count > 1 ? 1 : 0;
     const std::vector<Signature> sigs =
         MakeSignatures(count, dims, rng, empty_at);
-    const Rssc rssc(sigs, Rssc::Use::kCount);
+    const Rssc rssc(sigs);
     ASSERT_TRUE(SetBackend(GetParam()).ok());
     std::vector<uint64_t> storage(count + 1, 0);
     storage.back() = 0xDEADBEEFULL;  // canary just past the live lanes

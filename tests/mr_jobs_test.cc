@@ -14,7 +14,17 @@
 #include "src/core/interval_tightening.h"
 #include "src/core/support_counter.h"
 #include "src/data/generator.h"
+#include "src/mapreduce/counters.h"
+#include "src/mapreduce/fault.h"
 #include "src/stats/chi_squared.h"
+
+#if defined(__SANITIZE_THREAD__)
+#define P3C_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define P3C_TSAN 1
+#endif
+#endif
 
 namespace p3c::mr {
 namespace {
@@ -214,7 +224,6 @@ TEST(TighteningJobTest, MatchesSerialTightening) {
 
 TEST(SupportSetJobTest, MatchesSerialSupportSets) {
   const auto data = MakeData(67, 1200);
-  LocalRunner runner = MakeRunner();
   std::vector<core::Signature> sigs;
   for (const auto& cluster : data.clusters) {
     std::vector<core::Interval> intervals;
@@ -225,11 +234,49 @@ TEST(SupportSetJobTest, MatchesSerialSupportSets) {
     }
     sigs.push_back(core::Signature::Make(std::move(intervals)).value());
   }
-  const auto job = RunSupportSetJob(runner, data.dataset, sigs).value();
   const auto serial = core::ComputeSupportSets(data.dataset, sigs, nullptr);
   const auto unique = core::UniqueAssignments(data.dataset, sigs, nullptr);
-  EXPECT_EQ(job.support_sets, serial);
-  EXPECT_EQ(job.unique_assignment, unique);
+
+  std::vector<Backend> engines = {Backend::kInProcess};
+#ifndef P3C_TSAN
+  // TSan does not support forking a multithreaded process.
+  engines.push_back(Backend::kProcess);
+#endif
+  std::string reference_counters;
+  for (Backend engine : engines) {
+    for (bool retry : {false, true}) {
+      const std::string where = std::string("engine=") + BackendName(engine) +
+                                " retry=" + std::to_string(retry);
+      Counters counters;
+      RunnerOptions options;
+      options.backend = engine;
+      options.num_threads = 4;
+      options.num_workers = 2;
+      options.records_per_split = 500;  // splits end mid map range
+      options.counters = &counters;
+      ScriptedFaultInjector injector;
+      if (retry) {
+        injector.FailOnce("support-sets", /*task_index=*/1, /*attempt=*/0);
+        options.fault_injector = &injector;
+      }
+      LocalRunner runner(options);
+      const auto job = RunSupportSetJob(runner, data.dataset, sigs);
+      ASSERT_TRUE(job.ok()) << where << ": " << job.status().ToString();
+      if (retry) {
+        EXPECT_EQ(injector.injected_faults(), 1u) << where;
+      }
+      EXPECT_EQ(job->support_sets, serial) << where;
+      EXPECT_EQ(job->unique_assignment, unique) << where;
+      const std::string json = counters.Snapshot().ToJson();
+      if (reference_counters.empty()) reference_counters = json;
+      EXPECT_EQ(json, reference_counters) << where;
+    }
+  }
+  LocalRunner runner = MakeRunner();
+  const auto none = RunSupportSetJob(runner, data.dataset, {}).value();
+  EXPECT_TRUE(none.support_sets.empty());
+  EXPECT_EQ(none.unique_assignment,
+            std::vector<int32_t>(data.dataset.num_points(), -1));
 }
 
 TEST(MvbBallJobTest, BallNearClusterCenter) {
@@ -470,6 +517,54 @@ TEST(JobUnpackTest, ShortPayloadsAndUnknownKeysReturnInternal) {
   ExpectInternalNaming(
       UnpackClusterHistograms(members, 2, bins_per_cluster).status(),
       "cluster-histograms");
+}
+
+TEST(JobUnpackTest, HostileSupportSetRecordsReturnInternal) {
+  // n = 100 rows, k = 2 cores; records are (first row, one word per core).
+  constexpr size_t kN = 100;
+  constexpr size_t kK = 2;
+  std::vector<RangeWords> records = {{0, {0b101, 0b100}},
+                                     {64, {0, uint64_t{1} << 35}}};
+  const auto sets = UnpackSupportSets(records, kN, kK);
+  ASSERT_TRUE(sets.ok()) << sets.status().ToString();
+  EXPECT_EQ(sets->support_sets,
+            (std::vector<std::vector<data::PointId>>{{0, 2}, {2, 99}}));
+  EXPECT_EQ(sets->unique_assignment[0], 0);
+  EXPECT_EQ(sets->unique_assignment[1], -1);
+  EXPECT_EQ(sets->unique_assignment[2], -2);
+  EXPECT_EQ(sets->unique_assignment[99], 1);
+
+  // A key at or past n.
+  auto hostile = records;
+  hostile[1].first = kN;
+  ExpectInternalNaming(UnpackSupportSets(hostile, kN, kK).status(),
+                       "support-sets");
+  // Keys out of order.
+  hostile = {records[1], records[0]};
+  ExpectInternalNaming(UnpackSupportSets(hostile, kN, kK).status(),
+                       "support-sets");
+  // The same key twice.
+  hostile = {records[0], records[0]};
+  ExpectInternalNaming(UnpackSupportSets(hostile, kN, kK).status(),
+                       "support-sets");
+  // A range that starts on a member row of the one before it.
+  hostile = records;
+  hostile[1].first = 2;
+  ExpectInternalNaming(UnpackSupportSets(hostile, kN, kK).status(),
+                       "support-sets");
+  // A payload other than k words.
+  hostile = records;
+  hostile[0].second.pop_back();
+  ExpectInternalNaming(UnpackSupportSets(hostile, kN, kK).status(),
+                       "support-sets");
+  hostile[0].second = {0b101, 0b100, 0};
+  ExpectInternalNaming(UnpackSupportSets(hostile, kN, kK).status(),
+                       "support-sets");
+  // A bit for row 64 + 36 = n.
+  hostile = records;
+  hostile[1].second[0] = uint64_t{1} << 36;
+  ExpectInternalNaming(UnpackSupportSets(hostile, kN, kK).status(),
+                       "support-sets");
 }
 
 }  // namespace

@@ -16,30 +16,40 @@ Signature MakeSig(std::vector<Interval> intervals) {
   return Signature::Make(std::move(intervals)).value();
 }
 
+/// Ids of the signatures whose support set holds `point`, through a
+/// one-row Members group.
+std::vector<uint32_t> MemberIds(const Rssc& rssc, std::vector<double> point) {
+  data::Dataset dataset(1, point.size());
+  for (size_t a = 0; a < point.size(); ++a) dataset.Set(0, a, point[a]);
+  Rssc::Scratch scratch;
+  std::vector<uint64_t> words(rssc.num_signatures());
+  rssc.Members(dataset, 0, 1, scratch, words);
+  std::vector<uint32_t> ids;
+  for (size_t j = 0; j < words.size(); ++j) {
+    if (words[j] & 1) ids.push_back(static_cast<uint32_t>(j));
+  }
+  return ids;
+}
+
+using Ids = std::vector<uint32_t>;
+
 TEST(RsscTest, SingleSignatureMatch) {
   const std::vector<Signature> sigs = {
       MakeSig({{0, 0.2, 0.4}, {2, 0.6, 0.8}})};
   const Rssc rssc(sigs);
-  std::vector<uint64_t> bits;
-  rssc.Match(std::vector<double>{0.3, 0.0, 0.7}, bits);
-  EXPECT_EQ(bits[0] & 1, 1u);
-  rssc.Match(std::vector<double>{0.5, 0.0, 0.7}, bits);
-  EXPECT_EQ(bits[0] & 1, 0u);
-  rssc.Match(std::vector<double>{0.3, 0.0, 0.5}, bits);
-  EXPECT_EQ(bits[0] & 1, 0u);
+  EXPECT_EQ(MemberIds(rssc, {0.3, 0.0, 0.7}), Ids{0});
+  EXPECT_EQ(MemberIds(rssc, {0.5, 0.0, 0.7}), Ids{});
+  EXPECT_EQ(MemberIds(rssc, {0.3, 0.0, 0.5}), Ids{});
 }
 
 TEST(RsscTest, ClosedBoundariesIncluded) {
   const std::vector<Signature> sigs = {MakeSig({{0, 0.2, 0.4}})};
   const Rssc rssc(sigs);
-  std::vector<uint64_t> bits;
   for (double x : {0.2, 0.4}) {  // both closed ends
-    rssc.Match(std::vector<double>{x}, bits);
-    EXPECT_EQ(bits[0] & 1, 1u) << x;
+    EXPECT_EQ(MemberIds(rssc, {x}), Ids{0}) << x;
   }
   for (double x : {0.19999999, 0.40000001}) {
-    rssc.Match(std::vector<double>{x}, bits);
-    EXPECT_EQ(bits[0] & 1, 0u) << x;
+    EXPECT_EQ(MemberIds(rssc, {x}), Ids{}) << x;
   }
 }
 
@@ -48,11 +58,8 @@ TEST(RsscTest, UnitBoundaries) {
   const std::vector<Signature> sigs = {MakeSig({{0, 0.0, 1.0}}),
                                        MakeSig({{0, 0.9, 1.0}})};
   const Rssc rssc(sigs);
-  std::vector<uint64_t> bits;
-  rssc.Match(std::vector<double>{1.0}, bits);
-  EXPECT_EQ(bits[0] & 3, 3u);
-  rssc.Match(std::vector<double>{0.0}, bits);
-  EXPECT_EQ(bits[0] & 3, 1u);
+  EXPECT_EQ(MemberIds(rssc, {1.0}), (Ids{0, 1}));
+  EXPECT_EQ(MemberIds(rssc, {0.0}), Ids{0});
 }
 
 TEST(RsscTest, IrrelevantAttributeAlwaysOne) {
@@ -61,47 +68,52 @@ TEST(RsscTest, IrrelevantAttributeAlwaysOne) {
   const std::vector<Signature> sigs = {MakeSig({{0, 0.2, 0.4}}),
                                        MakeSig({{1, 0.5, 0.6}})};
   const Rssc rssc(sigs);
-  std::vector<uint64_t> bits;
-  rssc.Match(std::vector<double>{0.3, 0.55}, bits);
-  EXPECT_EQ(bits[0] & 3, 3u);
-  rssc.Match(std::vector<double>{0.9, 0.55}, bits);
-  EXPECT_EQ(bits[0] & 3, 2u);  // only the attr-1 signature
+  EXPECT_EQ(MemberIds(rssc, {0.3, 0.55}), (Ids{0, 1}));
+  EXPECT_EQ(MemberIds(rssc, {0.9, 0.55}), Ids{1});  // only the attr-1 one
 }
 
 TEST(RsscTest, ManySignaturesAcrossWordBoundary) {
-  // 130 signatures -> 3 bit-vector words; signature i matches points in
-  // [i/130 * 0.9, i/130 * 0.9 + 0.05] on attr 0.
+  // 130 signatures, more than one word of them; signature i holds
+  // points in [i/130 * 0.9, i/130 * 0.9 + 0.05] on attr 0.
   std::vector<Signature> sigs;
   for (int i = 0; i < 130; ++i) {
     const double lo = 0.9 * i / 130.0;
     sigs.push_back(MakeSig({{0, lo, lo + 0.05}}));
   }
   const Rssc rssc(sigs);
-  EXPECT_EQ(rssc.num_words(), 3u);
-  std::vector<uint64_t> bits;
-  std::vector<uint32_t> ids;
-  rssc.Match(std::vector<double>{0.9 * 100 / 130.0 + 0.01}, bits);
-  Rssc::BitsToIds(bits, sigs.size(), ids);
-  // Signature 100 must be among the matches.
+  EXPECT_EQ(rssc.num_intervals(), 130u);
+  const double x = 0.9 * 100 / 130.0 + 0.01;
+  const Ids ids = MemberIds(rssc, {x});
+  // Signature 100 must be among the matches, and every match holds x.
   EXPECT_NE(std::find(ids.begin(), ids.end(), 100u), ids.end());
   for (uint32_t id : ids) {
-    EXPECT_TRUE(sigs[id].Contains(std::vector<double>{0.9 * 100 / 130.0 + 0.01}));
+    EXPECT_TRUE(sigs[id].Contains(std::vector<double>{x}));
   }
 }
 
-TEST(RsscTest, BitsToIdsRespectsLimit) {
-  std::vector<uint64_t> bits = {~uint64_t{0}};
-  std::vector<uint32_t> ids;
-  Rssc::BitsToIds(bits, 10, ids);
-  EXPECT_EQ(ids.size(), 10u);
+TEST(RsscTest, MembersSetNoBitPastTheGroup) {
+  // Ten rows: a signature without intervals and one holding every row
+  // set exactly the ten low bits.
+  data::Dataset dataset(10, 1);
+  for (size_t i = 0; i < 10; ++i) {
+    dataset.Set(static_cast<data::PointId>(i), 0, 0.1 * static_cast<double>(i));
+  }
+  const std::vector<Signature> sigs = {Signature(), MakeSig({{0, 0.0, 1.0}}),
+                                       MakeSig({{0, 0.25, 0.45}})};
+  const Rssc rssc(sigs);
+  Rssc::Scratch scratch;
+  std::vector<uint64_t> words(sigs.size());
+  rssc.Members(dataset, 0, 10, scratch, words);
+  EXPECT_EQ(words, (std::vector<uint64_t>{0x3FF, 0x3FF, 0b11000}));
+  // A later group reuses the scratch; bit r is row begin + r.
+  rssc.Members(dataset, 3, 5, scratch, words);
+  EXPECT_EQ(words, (std::vector<uint64_t>{0b11, 0b11, 0b11}));
 }
 
 TEST(RsscTest, EmptySignatureMatchesEverything) {
   const std::vector<Signature> sigs = {Signature()};
   const Rssc rssc(sigs);
-  std::vector<uint64_t> bits;
-  rssc.Match(std::vector<double>{0.123}, bits);
-  EXPECT_EQ(bits[0] & 1, 1u);
+  EXPECT_EQ(MemberIds(rssc, {0.123}), Ids{0});
 }
 
 // Property: RSSC-based counting agrees exactly with naive containment on

@@ -1,11 +1,14 @@
-// Support counting through Rssc::Counter (kernel-smoke): the chunked
-// interval-bitmap counter must give per-point Match's counts and naive
-// containment's, on every kernel backend, at every signature-count and
-// split shape; and RunSupportJob must be byte-identical across threads,
-// engine backends, kernel backends and retried attempts.
+// Support counting and memberships through the RSSC row words
+// (kernel-smoke): Rssc::Members must set bit r of a signature's word
+// exactly when Signature::Contains holds for row r, and the chunked
+// interval-bitmap counter must give the words' popcounts and naive
+// containment's counts, on every kernel backend, at every signature-count
+// and split shape; and RunSupportJob must be byte-identical across
+// threads, engine backends, kernel backends and retried attempts.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <csignal>
 #include <cmath>
 #include <limits>
@@ -68,7 +71,7 @@ Signature MakeSig(std::vector<Interval> intervals) {
 std::vector<uint64_t> CountBySplits(const data::Dataset& dataset,
                                     const std::vector<Signature>& sigs,
                                     size_t split_rows, bool map_ranges) {
-  const Rssc rssc(sigs, Rssc::Use::kCount);
+  const Rssc rssc(sigs);
   std::vector<uint64_t> total(sigs.size(), 0);
   std::vector<uint64_t> partial(sigs.size());
   const size_t n = dataset.num_points();
@@ -86,37 +89,35 @@ std::vector<uint64_t> CountBySplits(const data::Dataset& dataset,
   return total;
 }
 
-/// Per-point Match, bit by bit.
-std::vector<uint64_t> CountByMatch(const data::Dataset& dataset,
-                                   const std::vector<Signature>& sigs) {
+/// Popcounts of the membership words, 64 rows at a time.
+std::vector<uint64_t> CountByMembers(const data::Dataset& dataset,
+                                     const std::vector<Signature>& sigs) {
   const Rssc rssc(sigs);
+  Rssc::Scratch scratch;
+  std::vector<uint64_t> words(sigs.size());
   std::vector<uint64_t> counts(sigs.size(), 0);
-  std::vector<uint64_t> bits;
-  std::vector<uint32_t> ids;
-  for (size_t i = 0; i < dataset.num_points(); ++i) {
-    rssc.Match(dataset.Row(static_cast<data::PointId>(i)), bits);
-    ids.clear();
-    Rssc::BitsToIds(bits, sigs.size(), ids);
-    for (uint32_t id : ids) ++counts[id];
+  const size_t n = dataset.num_points();
+  for (size_t begin = 0; begin < n; begin += 64) {
+    rssc.Members(dataset, begin, std::min(n, begin + 64), scratch, words);
+    for (size_t j = 0; j < sigs.size(); ++j) {
+      counts[j] += static_cast<uint64_t>(std::popcount(words[j]));
+    }
   }
   return counts;
 }
 
-TEST_P(SupportCountTest, HostileCoordinatesLandWhereMatchPutsThem) {
-  const std::vector<double> values = {
+/// Coordinates and bounds that sit on or past the edges of [0, 1].
+const std::vector<double>& HostileValues() {
+  static const std::vector<double> values = {
       kNan, -kInf, kInf,  -0.0, 0.0,  0.2,  0.3,
       0.4,  std::nextafter(0.4, 1.0), 0.5, 1.0, kMax, -kMax};
-  const size_t m = values.size();
-  data::Dataset dataset(m * m, 3);
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t j = 0; j < m; ++j) {
-      const auto row = static_cast<data::PointId>(i * m + j);
-      dataset.Set(row, 0, values[i]);
-      dataset.Set(row, 1, values[j]);
-      dataset.Set(row, 2, values[(i + j) % m]);
-    }
-  }
-  const std::vector<Signature> sigs = {
+  return values;
+}
+
+/// Signatures over attributes 0-2 whose bounds include NaN, +-inf, -0.0,
+/// 1.0 and DBL_MAX, plus one without intervals.
+std::vector<Signature> HostileSignatures() {
+  return {
       MakeSig({{0, 0.2, 0.4}}),
       MakeSig({{0, 0.4, 0.4}}),           // lower == upper
       MakeSig({{0, 0.4, kMax}}),          // upper == DBL_MAX
@@ -128,52 +129,114 @@ TEST_P(SupportCountTest, HostileCoordinatesLandWhereMatchPutsThem) {
       MakeSig({{0, -kInf, 0.3}}),
       MakeSig({{1, 0.5, 0.5}, {2, 0.5, kMax}}),
       MakeSig({{0, kNan, 0.5}}),          // a NaN bound contains nothing
+      MakeSig({{1, -kInf, kInf}}),        // every value but NaN
+      MakeSig({{2, kInf, kInf}}),         // +inf alone
   };
-  const std::vector<uint64_t> by_match = CountByMatch(dataset, sigs);
+}
+
+TEST_P(SupportCountTest, HostileCoordinatesCountAsContainsDoes) {
+  const std::vector<double>& values = HostileValues();
+  const size_t m = values.size();
+  data::Dataset dataset(m * m, 3);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < m; ++j) {
+      const auto row = static_cast<data::PointId>(i * m + j);
+      dataset.Set(row, 0, values[i]);
+      dataset.Set(row, 1, values[j]);
+      dataset.Set(row, 2, values[(i + j) % m]);
+    }
+  }
+  const std::vector<Signature> sigs = HostileSignatures();
   const std::vector<uint64_t> naive = CountSupportsNaive(dataset, sigs, nullptr);
+  // NaN lies in no interval, and +inf in none with a finite upper bound,
+  // DBL_MAX included: the words agree with closed-interval containment
+  // on every input.
+  EXPECT_EQ(CountByMembers(dataset, sigs), naive);
   for (size_t split : {size_t{1}, size_t{64}, size_t{100}, m * m}) {
     for (bool map_ranges : {false, true}) {
-      EXPECT_EQ(CountBySplits(dataset, sigs, split, map_ranges), by_match)
+      EXPECT_EQ(CountBySplits(dataset, sigs, split, map_ranges), naive)
           << "split=" << split << " map_ranges=" << map_ranges;
     }
   }
-  EXPECT_EQ(by_match[7], dataset.num_points());
-  // Match and naive containment agree wherever every upper bound is
-  // below DBL_MAX. A NaN or +inf coordinate lands in the top bin, which
-  // only an interval whose nextafter(upper) is +inf covers: there the
-  // index counts it, and closed-interval containment does not. The
-  // paper's intervals lie in [0, 1] and never reach that bin.
-  EXPECT_EQ(by_match[10], 0u);
-  for (size_t j : {0, 1, 3, 4, 5, 6, 7, 8, 10}) {
-    EXPECT_EQ(by_match[j], naive[j]) << "signature " << j;
-  }
-  size_t top_bin_attr0 = 0;
-  size_t top_bin_sig9 = 0;
-  for (size_t i = 0; i < dataset.num_points(); ++i) {
-    const auto row = dataset.Row(static_cast<data::PointId>(i));
-    if (std::isnan(row[0]) || row[0] == kInf) ++top_bin_attr0;
-    if (row[1] == 0.5 && (std::isnan(row[2]) || row[2] == kInf)) {
-      ++top_bin_sig9;
-    }
-  }
-  EXPECT_EQ(by_match[2], naive[2] + top_bin_attr0);
-  EXPECT_EQ(by_match[9], naive[9] + top_bin_sig9);
+  EXPECT_EQ(naive[7], dataset.num_points());
+  EXPECT_EQ(naive[10], 0u);
+  // Attribute 0 takes each value on m rows: 0.4, nextafter(0.4), 0.5,
+  // 1.0 and DBL_MAX lie in [0.4, DBL_MAX]; NaN and +inf do not.
+  EXPECT_EQ(naive[2], 5 * m);
+  EXPECT_EQ(naive[11], (m - 1) * m);
+  EXPECT_EQ(naive[12], m);
 }
 
-TEST_P(SupportCountTest, AttributeBeyondTheRowReadsAsZero) {
-  // Match reads a coordinate past the row's end as 0.0; so does the
-  // counter.
+TEST_P(SupportCountTest, AttributeBeyondTheRowContainsNoRow) {
+  // Signature::Contains rejects an attribute the point does not have;
+  // so do the row words, whatever the interval.
   data::Dataset dataset(5, 2);
   for (size_t i = 0; i < 5; ++i) {
     dataset.Set(static_cast<data::PointId>(i), 0,
                 0.125 * static_cast<double>(i));
   }
-  const std::vector<Signature> sigs = {MakeSig({{7, 0.0, 0.5}}),
-                                       MakeSig({{7, 0.5, 1.0}}),
-                                       MakeSig({{0, 0.125, 0.375}, {9, 0.0, 0.0}})};
-  const std::vector<uint64_t> by_match = CountByMatch(dataset, sigs);
-  EXPECT_EQ(by_match, (std::vector<uint64_t>{5, 0, 3}));
-  EXPECT_EQ(CountBySplits(dataset, sigs, 5, false), by_match);
+  const std::vector<Signature> sigs = {
+      MakeSig({{7, 0.0, 0.5}}), MakeSig({{7, -kInf, kInf}}),
+      MakeSig({{0, 0.125, 0.375}, {9, 0.0, 0.0}}),
+      MakeSig({{0, 0.125, 0.375}})};
+  const std::vector<uint64_t> expected = {0, 0, 0, 3};
+  EXPECT_EQ(CountSupportsNaive(dataset, sigs, nullptr), expected);
+  EXPECT_EQ(CountByMembers(dataset, sigs), expected);
+  EXPECT_EQ(CountBySplits(dataset, sigs, 5, false), expected);
+}
+
+TEST_P(SupportCountTest, MembersAgreeWithContainsAndCounter) {
+  // Row counts around one group, one chunk of 64 words and a tail; a
+  // third of the coordinates are hostile values.
+  const std::vector<double>& values = HostileValues();
+  const std::vector<Signature> sigs = HostileSignatures();
+  const Rssc rssc(sigs);
+  Rng rng(41);
+  for (size_t n : {size_t{1}, size_t{63}, size_t{64}, size_t{65},
+                   size_t{4097}}) {
+    data::Dataset dataset(n, 3);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t a = 0; a < 3; ++a) {
+        dataset.Set(static_cast<data::PointId>(i), a,
+                    rng.UniformInt(3) == 0
+                        ? values[rng.UniformInt(values.size())]
+                        : rng.Uniform());
+      }
+    }
+    std::vector<uint64_t> popcounts(sigs.size(), 0);
+    Rssc::Scratch scratch;
+    std::vector<uint64_t> words(sigs.size());
+    for (size_t begin = 0; begin < n; begin += 64) {
+      const size_t rows = std::min<size_t>(64, n - begin);
+      rssc.Members(dataset, begin, begin + rows, scratch, words);
+      for (size_t j = 0; j < sigs.size(); ++j) {
+        for (size_t r = 0; r < 64; ++r) {
+          const bool bit = (words[j] >> r) & 1;
+          const bool contains =
+              r < rows && sigs[j].Contains(dataset.Row(
+                              static_cast<data::PointId>(begin + r)));
+          ASSERT_EQ(bit, contains)
+              << "n=" << n << " row=" << begin + r << " signature " << j;
+        }
+        popcounts[j] += static_cast<uint64_t>(std::popcount(words[j]));
+      }
+    }
+    std::vector<uint64_t> counted(sigs.size(), 0);
+    Rssc::Counter counter(rssc, counted);
+    counter.Add(dataset, 0, n);
+    counter.Finish();
+    EXPECT_EQ(counted, popcounts) << "n=" << n;
+  }
+}
+
+TEST(RsscUniqueMembersTest, NoneOneOrSeveral) {
+  // Rows 0-3: in no word, word 1 only, words 0 and 2, word 2 only; row 4
+  // is past `rows` and must not be written.
+  const std::vector<uint64_t> words = {0b0100, 0b0010, 0b1100};
+  int32_t out[5] = {7, 7, 7, 7, 7};
+  Rssc::UniqueMembers(words, 4, out);
+  EXPECT_EQ(std::vector<int32_t>(out, out + 5),
+            (std::vector<int32_t>{-1, 1, -2, 2, 7}));
 }
 
 /// Random signatures over `dims` attributes with bounds on a 0.05 grid,
@@ -215,9 +278,7 @@ TEST_P(SupportCountTest, EverySignatureCountAndSplitShape) {
     const std::vector<uint64_t> naive =
         CountSupportsNaive(dataset, sigs, &pool);
     EXPECT_EQ(CountSupports(dataset, sigs, &pool), naive) << count;
-    if (count <= 65) {
-      EXPECT_EQ(CountByMatch(dataset, sigs), naive) << count;
-    }
+    EXPECT_EQ(CountByMembers(dataset, sigs), naive) << count;
     for (size_t split : {size_t{1}, size_t{63}, size_t{64}, size_t{65},
                          size_t{4095}, size_t{4096}, size_t{4097},
                          size_t{10000}}) {
@@ -244,7 +305,7 @@ TEST_P(SupportCountTest, DroppedCounterLeavesNoTrace) {
     }
   }
   const std::vector<Signature> sigs = GridSignatures(300, 4, rng);
-  const Rssc rssc(sigs, Rssc::Use::kCount);
+  const Rssc rssc(sigs);
   {
     std::vector<uint64_t> abandoned(sigs.size(), 0);
     Rssc::Counter counter(rssc, abandoned);
