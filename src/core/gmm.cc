@@ -20,7 +20,7 @@ struct MomentAccumulator {
   double w = 0.0;    // wC   = sum of weights
   double w2 = 0.0;   // wC2  = sum of squared weights
   linalg::Vector sum;           // lC: sum of r * x
-  linalg::Matrix outer;         // sum of r * x x^T
+  linalg::Matrix outer;         // sum of r * x x^T, lower triangle
 
   explicit MomentAccumulator(size_t dim) : sum(dim, 0.0), outer(dim, dim) {}
 
@@ -28,7 +28,7 @@ struct MomentAccumulator {
     w += r;
     w2 += r * r;
     kernels::Active().axpy(sum.data(), x.data(), r, sum.size());
-    outer.AddOuterProduct(x, r);
+    outer.AddLowerOuterProduct(x, r);
   }
 
   void Merge(const MomentAccumulator& other) {
@@ -55,14 +55,16 @@ struct MomentAccumulator {
     }
     mean->assign(dim, 0.0);
     for (size_t i = 0; i < dim; ++i) (*mean)[i] = sum[i] / w;
-    // sum w (x - mu)(x - mu)^T = outer - w * mu mu^T.
+    // sum w (x - mu)(x - mu)^T = outer - w * mu mu^T, on the lower
+    // triangle; mirrored once the last elementwise step is done.
     *cov = outer;
     for (size_t i = 0; i < dim; ++i) {
-      for (size_t j = 0; j < dim; ++j) {
+      for (size_t j = 0; j <= i; ++j) {
         (*cov)(i, j) -= w * (*mean)[i] * (*mean)[j];
       }
     }
     *cov = cov->Scale(w / denom);
+    cov->MirrorLower();
   }
 };
 
@@ -81,18 +83,6 @@ void ForEachRange(size_t n, ThreadPool* pool, const Fn& fn) {
   pool->ParallelFor(num_tasks, [&](size_t task) {
     fn(task, n * task / num_tasks, n * (task + 1) / num_tasks);
   });
-}
-
-/// log sum_i exp(logw[i]) over k log-weighted densities: std::max for
-/// the max, an in-order exp sum, then max + log(sum). The one definition
-/// behind both LogLikelihood and Responsibilities' log-likelihood, so the
-/// two cannot drift apart.
-double LogSumExp(const double* logw, size_t k) {
-  double max_log = -std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < k; ++i) max_log = std::max(max_log, logw[i]);
-  double sum = 0.0;
-  for (size_t i = 0; i < k; ++i) sum += std::exp(logw[i] - max_log);
-  return max_log + std::log(sum);
 }
 
 /// Squared Mahalanobis distances of a column block's rows to (mu, L L^T):
@@ -238,12 +228,9 @@ void GmmEvaluator::NearestComponents(const double* xs, size_t rows,
 
 size_t GmmEvaluator::Responsibilities(double* logw,
                                       double* log_likelihood) const {
-  const size_t k = factors_.size();
-  if (log_likelihood != nullptr) *log_likelihood = LogSumExp(logw, k);
-  // In-place log-sum-exp softmax; every backend is bit-exact with the
-  // scalar reference (kernel-smoke), so results don't depend on which
-  // backend dispatch picked.
-  return kernels::Active().softmax_normalize(logw, k);
+  // One exp per entry gives both the softmax and log p(x); the kernel
+  // is scalar under every backend.
+  return kernels::SoftmaxLogSumExp(logw, factors_.size(), log_likelihood);
 }
 
 size_t GmmEvaluator::ArgMax(const double* logw) const {
@@ -289,7 +276,9 @@ double GmmEvaluator::MahalanobisSquared(size_t k,
 double GmmEvaluator::LogLikelihood(const linalg::Vector& x) const {
   std::vector<double> logw(factors_.size());
   LogWeightedDensities(x.data(), 1, logw.data());
-  return LogSumExp(logw.data(), logw.size());
+  double log_likelihood = 0.0;
+  kernels::SoftmaxLogSumExp(logw.data(), logw.size(), &log_likelihood);
+  return log_likelihood;
 }
 
 void MahalanobisToAssigned(const std::vector<linalg::Cholesky>& factors,

@@ -79,21 +79,24 @@ struct Ops {
   uint64_t (*histogram_bin_rows)(const double* rows, size_t n, size_t d,
                                  size_t num_bins, uint64_t* const* counts);
 
-  /// In-place softmax over log-weighted densities (the GMM E-step
-  /// responsibility normalization): m = max(logw), logw[i] =
-  /// exp(logw[i] - m), then divide by the in-order sum. Returns the
-  /// index of the first maximum (0 when k == 0 or nothing exceeds
-  /// -inf). exp stays scalar and the sum stays in index order in every
-  /// backend, so results are bit-exact across backends.
+  /// SoftmaxLogSumExp(logw, k, nullptr): the in-place softmax of one
+  /// row's log-weighted densities, returning the index of the first
+  /// maximum. No library path calls it through the table; it stays for
+  /// bench_kernels' softmax rows and the pipeline bench's
+  /// `kernels.softmax` probe.
   size_t (*softmax_normalize)(double* logw, size_t k);
 
   /// acc[i] += a * x[i] for i < n (weighted-moment accumulation).
   void (*axpy)(double* acc, const double* x, double a, size_t n);
 
-  /// Rank-one update of a row-major d x d matrix: for each row i with
-  /// wi = w * x[i] != 0, out[i*d + j] += wi * x[j]. The wi == 0 row skip
-  /// is part of the contract (it preserves existing entries exactly,
-  /// including signed zeros and NaN propagation).
+  /// Rank-one update of the lower triangle of a row-major d x d matrix:
+  /// for each row i with wi = w * x[i] != 0, out[i*d + j] += wi * x[j]
+  /// for j <= i, each product and sum rounded on its own (no FMA).
+  /// Entries above the diagonal are neither read nor written; a caller
+  /// that needs the full matrix mirrors it once when it has finished
+  /// (linalg::Matrix::MirrorLower). The wi == 0 row skip is part of the
+  /// contract (it preserves existing entries exactly, including signed
+  /// zeros and NaN).
   void (*outer_accumulate)(double* out, const double* x, double w, size_t d);
 
   /// Squared Mahalanobis distances of a column block of `rows` points:
@@ -112,6 +115,17 @@ struct Ops {
 
 /// The scalar reference backend (always available).
 const Ops& ScalarOps();
+
+/// One row's E step over its k log-weighted densities, with one exp per
+/// entry: m = the first maximum of logw (a value wins only when it
+/// exceeds the running maximum, which starts at -inf, so NaN never wins
+/// and a +-0 tie keeps the first), logw[i] = exp(logw[i] - m), s = their
+/// sum in index order, then logw[i] /= s. When `log_sum_exp` is non-null
+/// it receives m + log(s), log sum_i exp(logw[i]) of the input. Returns
+/// the index of the first maximum (0 when k == 0 or nothing exceeds
+/// -inf). Scalar for every backend: an AVX2 softmax ran at 0.70x
+/// (k = 4) and 0.87x (k = 16) of scalar in bench_kernels.
+size_t SoftmaxLogSumExp(double* logw, size_t k, double* log_sum_exp);
 
 /// Backends usable in this binary on this CPU, preference-ordered
 /// (fastest first, scalar last). Never empty.

@@ -249,15 +249,18 @@ void OuterAccumulate(double* out, const double* x, double w, size_t d) {
   for (size_t i = 0; i < d; ++i) {
     const double wi = w * x[i];
     if (wi == 0.0) continue;
+    // Row i's lower part, j <= i: full vectors, then the scalar tail up
+    // to the diagonal; nothing right of the diagonal is touched.
     double* row = out + i * d;
+    const size_t len = i + 1;
     const __m256d vwi = _mm256_set1_pd(wi);
     size_t j = 0;
-    for (; j + 4 <= d; j += 4) {
+    for (; j + 4 <= len; j += 4) {
       const __m256d prod = _mm256_mul_pd(vwi, _mm256_loadu_pd(x + j));
       _mm256_storeu_pd(row + j,
                        _mm256_add_pd(_mm256_loadu_pd(row + j), prod));
     }
-    for (; j < d; ++j) row[j] += wi * x[j];
+    for (; j < len; ++j) row[j] += wi * x[j];
   }
 }
 
@@ -332,8 +335,7 @@ void MahalanobisRows(const double* l, const double* mu, const double* xs,
 
 namespace detail {
 const Ops* Avx2OpsOrNull() {
-  // softmax_normalize stays scalar: an AVX2 version ran at 0.70x
-  // (k = 4) and 0.87x (k = 16) of scalar in bench_kernels.
+  // softmax_normalize stays scalar (see SoftmaxLogSumExp).
   static const Ops kAvx2Ops = {
       "avx2",
       BitmapAndReduce,

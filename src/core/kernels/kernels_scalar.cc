@@ -78,21 +78,7 @@ uint64_t HistogramBinRows(const double* rows, size_t n, size_t d,
 }
 
 size_t SoftmaxNormalize(double* logw, size_t k) {
-  double max_log = -std::numeric_limits<double>::infinity();
-  size_t argmax = 0;
-  for (size_t i = 0; i < k; ++i) {
-    if (logw[i] > max_log) {
-      max_log = logw[i];
-      argmax = i;
-    }
-  }
-  double sum = 0.0;
-  for (size_t i = 0; i < k; ++i) {
-    logw[i] = std::exp(logw[i] - max_log);
-    sum += logw[i];
-  }
-  for (size_t i = 0; i < k; ++i) logw[i] /= sum;
-  return argmax;
+  return SoftmaxLogSumExp(logw, k, nullptr);
 }
 
 void Axpy(double* acc, const double* x, double a, size_t n) {
@@ -104,7 +90,7 @@ void OuterAccumulate(double* out, const double* x, double w, size_t d) {
     const double wi = w * x[i];
     if (wi == 0.0) continue;
     double* row = out + i * d;
-    for (size_t j = 0; j < d; ++j) row[j] += wi * x[j];
+    for (size_t j = 0; j <= i; ++j) row[j] += wi * x[j];
   }
 }
 
@@ -137,5 +123,24 @@ constexpr Ops kScalarOps = {
 }  // namespace
 
 const Ops& ScalarOps() { return kScalarOps; }
+
+size_t SoftmaxLogSumExp(double* logw, size_t k, double* log_sum_exp) {
+  double max_log = -std::numeric_limits<double>::infinity();
+  size_t argmax = 0;
+  for (size_t i = 0; i < k; ++i) {
+    if (logw[i] > max_log) {
+      max_log = logw[i];
+      argmax = i;
+    }
+  }
+  double sum = 0.0;
+  for (size_t i = 0; i < k; ++i) {
+    logw[i] = std::exp(logw[i] - max_log);
+    sum += logw[i];
+  }
+  if (log_sum_exp != nullptr) *log_sum_exp = max_log + std::log(sum);
+  for (size_t i = 0; i < k; ++i) logw[i] /= sum;
+  return argmax;
+}
 
 }  // namespace p3c::core::kernels

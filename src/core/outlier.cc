@@ -86,7 +86,7 @@ MvbStatistics ComputeMvbStatistics(const std::vector<linalg::Vector>& members) {
     if (distances[i] <= stats.radius) {
       ++in_ball;
       for (size_t j = 0; j < dim; ++j) sum[j] += members[i][j];
-      outer.AddOuterProduct(members[i], 1.0);
+      outer.AddLowerOuterProduct(members[i], 1.0);
     }
   }
   stats.num_in_ball = in_ball;
@@ -106,11 +106,12 @@ MvbStatistics ComputeMvbStatistics(const std::vector<linalg::Vector>& members) {
   }
   stats.cov = outer;
   for (size_t i = 0; i < dim; ++i) {
-    for (size_t j = 0; j < dim; ++j) {
+    for (size_t j = 0; j <= i; ++j) {
       stats.cov(i, j) -= w * stats.mean[i] * stats.mean[j];
     }
   }
   stats.cov = stats.cov.Scale(1.0 / (w - 1.0));
+  stats.cov.MirrorLower();
   return stats;
 }
 

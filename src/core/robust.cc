@@ -25,9 +25,10 @@ void MeanCov(const std::vector<linalg::Vector>& members,
   for (size_t j = 0; j < dim; ++j) (*mean)[j] /= w;
   *cov = linalg::Matrix(dim, dim);
   for (uint32_t idx : subset) {
-    cov->AddOuterProduct(linalg::VecSub(members[idx], *mean), 1.0);
+    cov->AddLowerOuterProduct(linalg::VecSub(members[idx], *mean), 1.0);
   }
   *cov = cov->Scale(1.0 / w);
+  cov->MirrorLower();
 }
 
 /// Cholesky with escalating ridge; always succeeds for reasonable input.

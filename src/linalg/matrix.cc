@@ -77,9 +77,16 @@ void Matrix::AddToDiagonal(double eps) {
   for (size_t i = 0; i < rows_; ++i) (*this)(i, i) += eps;
 }
 
-void Matrix::AddOuterProduct(const Vector& v, double w) {
+void Matrix::AddLowerOuterProduct(const Vector& v, double w) {
   assert(IsSquare() && v.size() == cols_);
   core::kernels::Active().outer_accumulate(data_.data(), v.data(), w, cols_);
+}
+
+void Matrix::MirrorLower() {
+  assert(IsSquare());
+  for (size_t i = 0; i < rows_; ++i) {
+    for (size_t j = 0; j < i; ++j) (*this)(j, i) = (*this)(i, j);
+  }
 }
 
 double Matrix::MaxAbsDiff(const Matrix& other) const {

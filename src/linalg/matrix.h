@@ -53,9 +53,17 @@ class Matrix {
   /// near-singular covariance estimates).
   void AddToDiagonal(double eps);
 
-  /// Rank-1 update: this += w * v v^T (v must have cols() entries;
-  /// requires a square matrix). Used when accumulating covariances.
-  void AddOuterProduct(const Vector& v, double w);
+  /// Rank-1 update of the lower triangle: this(i, j) += (w * v[i]) * v[j]
+  /// for j <= i (v must have cols() entries; requires a square matrix).
+  /// Entries above the diagonal are left as they are. Used when
+  /// accumulating covariances: Cholesky::Factorize reads only the lower
+  /// triangle, and a caller that hands the matrix on mirrors it once
+  /// with MirrorLower after its last elementwise step.
+  void AddLowerOuterProduct(const Vector& v, double w);
+
+  /// Copies every entry below the diagonal to its mirror above it, so
+  /// the square matrix is exactly symmetric.
+  void MirrorLower();
 
   /// Max |a_ij - b_ij|; utility for tests.
   double MaxAbsDiff(const Matrix& other) const;

@@ -281,13 +281,20 @@ class CovarianceMapper : public Mapper<int64_t, std::vector<double>> {
       for (size_t j = 0; j < dim_; ++j) {
         centered_[j] = xs_[j * n + r] - mean[j];
       }
-      acc_[c].AddOuterProduct(centered_, weight);
+      acc_[c].AddLowerOuterProduct(centered_, weight);
     }
   }
 
   void Cleanup(Emitter<int64_t, std::vector<double>>& out) override {
+    // Payload: the lower triangle row by row, d(d+1)/2 values; the
+    // unpack step mirrors it.
     for (size_t c = 0; c < k_; ++c) {
-      out.Emit(static_cast<int64_t>(c), acc_[c].data());
+      std::vector<double> packed;
+      packed.reserve(dim_ * (dim_ + 1) / 2);
+      for (size_t i = 0; i < dim_; ++i) {
+        for (size_t j = 0; j <= i; ++j) packed.push_back(acc_[c](i, j));
+      }
+      out.Emit(static_cast<int64_t>(c), std::move(packed));
     }
   }
 
@@ -736,12 +743,15 @@ Result<std::vector<linalg::Matrix>> UnpackCovarianceSums(
     const std::vector<KeyedDoubles>& out, size_t k, size_t dim,
     const char* job_name) {
   std::vector<linalg::Matrix> sums(k, linalg::Matrix(dim, dim));
-  for (const auto& [key, flat] : out) {
-    P3C_RETURN_NOT_OK(CheckRecord(job_name, key, k, flat.size(), dim * dim));
+  for (const auto& [key, packed] : out) {
+    P3C_RETURN_NOT_OK(
+        CheckRecord(job_name, key, k, packed.size(), dim * (dim + 1) / 2));
     linalg::Matrix& m = sums[static_cast<size_t>(key)];
+    size_t next = 0;
     for (size_t i = 0; i < dim; ++i) {
-      for (size_t j = 0; j < dim; ++j) m(i, j) = flat[i * dim + j];
+      for (size_t j = 0; j <= i; ++j) m(i, j) = packed[next++];
     }
+    m.MirrorLower();
   }
   return sums;
 }

@@ -96,6 +96,9 @@ Result<MomentSums> RunMomentJob(LocalRunner& runner,
 
 /// Second EM job of a step: accumulates the covariance numerators
 /// sum w (x - mu)(x - mu)^T per component around the provided means.
+/// Mappers sum the lower triangle only and emit it packed, d(d+1)/2
+/// values per component; the returned matrices are mirrored, so exactly
+/// symmetric.
 Result<std::vector<linalg::Matrix>> RunCovarianceJob(
     LocalRunner& runner, const data::Dataset& dataset,
     const core::GmmModel& model, const MembershipFn& membership,

@@ -54,6 +54,14 @@ bool BitEqual(const std::vector<double>& a, const std::vector<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
+/// The bits of a double: EXPECT_EQ on these tells -0.0 from +0.0 and
+/// compares NaN payloads, where EXPECT_EQ on doubles would not.
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
 std::vector<std::string> BackendNames() {
   std::vector<std::string> names;
   for (const Ops* ops : AvailableBackends()) names.emplace_back(ops->name);
@@ -367,6 +375,97 @@ TEST_P(KernelEquivalenceTest, SoftmaxMatchesScalarBitwise) {
   }
 }
 
+/// The softmax and log-likelihood as the E step computed them before
+/// SoftmaxLogSumExp, with two exp passes: std::max for the max, an
+/// in-order exp sum and max + log(sum) for the log-likelihood, then the
+/// first-maximum softmax over the same values.
+size_t TwoPassEStep(std::vector<double>& logw, double* log_likelihood) {
+  const size_t k = logw.size();
+  double max_log = -kInf;
+  for (size_t i = 0; i < k; ++i) max_log = std::max(max_log, logw[i]);
+  double exp_sum = 0.0;
+  for (size_t i = 0; i < k; ++i) exp_sum += std::exp(logw[i] - max_log);
+  *log_likelihood = max_log + std::log(exp_sum);
+
+  double softmax_max = -kInf;
+  size_t argmax = 0;
+  for (size_t i = 0; i < k; ++i) {
+    if (logw[i] > softmax_max) {
+      softmax_max = logw[i];
+      argmax = i;
+    }
+  }
+  double sum = 0.0;
+  for (size_t i = 0; i < k; ++i) {
+    logw[i] = std::exp(logw[i] - softmax_max);
+    sum += logw[i];
+  }
+  for (size_t i = 0; i < k; ++i) logw[i] /= sum;
+  return argmax;
+}
+
+TEST_P(KernelEquivalenceTest, SoftmaxLogSumExpMatchesTwoPassBitwise) {
+  Rng rng(29);
+  std::vector<std::vector<double>> cases = {
+      {},                                  // k = 0
+      {-3.5},                              // k = 1
+      {-kInf},                             // k = 1, all -inf
+      {kNan},                              // k = 1, NaN
+      {-kInf, -kInf, -kInf},               // all -inf
+      {kNan, -1.0, -2.0},                  // NaN first: never the max
+      {-1.0, kNan, -0.5},                  // NaN in the middle
+      {-2.0, -1.0, kNan},                  // NaN last
+      {kNan, kNan},                        // only NaN
+      {0.0, -0.0},                         // +-0 tie keeps the first
+      {-0.0, 0.0, -0.0},                   // -+0 tie keeps the first
+      {-kInf, -0.0, 0.0},                  // tie after -inf
+      {kInf, -1.0},                        // +inf wins
+      {-1.0, kInf, kInf},                  // +inf tie
+      {kInf, kNan, -kInf},                 // +inf, NaN and -inf
+      {-700.0, -1.0, -700.0},              // underflow after shift
+      {-1.0, -1.0, -1.0},                  // exact tie
+  };
+  for (size_t k : {size_t{1}, size_t{2}, size_t{5}, size_t{16}}) {
+    for (int rep = 0; rep < 4; ++rep) {
+      std::vector<double> v(k);
+      for (auto& x : v) x = rng.Uniform(-60.0, 5.0);
+      cases.push_back(v);
+    }
+  }
+  std::vector<double> ties(16, -4.25);  // k = 16, every entry tied
+  cases.push_back(ties);
+  ties[9] = kNan;
+  ties[12] = -kInf;
+  cases.push_back(ties);
+
+  for (const auto& logw : cases) {
+    const std::string where = "k=" + std::to_string(logw.size());
+    std::vector<double> expected = logw;
+    double expected_ll = 0.0;
+    const size_t expected_argmax = TwoPassEStep(expected, &expected_ll);
+
+    std::vector<double> one_pass = logw;
+    double ll = 0.0;
+    EXPECT_EQ(SoftmaxLogSumExp(one_pass.data(), one_pass.size(), &ll),
+              expected_argmax)
+        << where;
+    EXPECT_EQ(Bits(ll), Bits(expected_ll)) << where;
+    EXPECT_TRUE(BitEqual(one_pass, expected)) << where;
+
+    std::vector<double> no_ll = logw;
+    EXPECT_EQ(SoftmaxLogSumExp(no_ll.data(), no_ll.size(), nullptr),
+              expected_argmax)
+        << where;
+    EXPECT_TRUE(BitEqual(no_ll, expected)) << where;
+
+    std::vector<double> table = logw;
+    EXPECT_EQ(ops().softmax_normalize(table.data(), table.size()),
+              expected_argmax)
+        << where;
+    EXPECT_TRUE(BitEqual(table, expected)) << where;
+  }
+}
+
 // ---- axpy / outer_accumulate ------------------------------------------------
 
 TEST_P(KernelEquivalenceTest, AxpyMatchesScalarBitwise) {
@@ -402,6 +501,61 @@ TEST_P(KernelEquivalenceTest, OuterAccumulateMatchesScalarBitwise) {
       ScalarOps().outer_accumulate(expected.data(), x.data(), w, d);
       ops().outer_accumulate(actual.data(), x.data(), w, d);
       EXPECT_TRUE(BitEqual(actual, expected)) << "d=" << d << " w=" << w;
+    }
+  }
+}
+
+TEST_P(KernelEquivalenceTest, OuterAccumulateTouchesOnlyTheLowerTriangle) {
+  // A NaN with a payload no arithmetic result carries, and -0.0, which
+  // any add of a product turns into +0.0 or a nonzero value: an entry
+  // that keeps either was not written.
+  const double sentinel_nan = std::bit_cast<double>(0x7ff8dead0000beefULL);
+  Rng rng(31);
+  for (size_t d : {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{5},
+                   size_t{19}, size_t{50}}) {
+    for (double w : {0.0, -0.0, 1.0, 0.37, -1.5}) {
+      const std::string where =
+          "d=" + std::to_string(d) + " w=" + std::to_string(w);
+      std::vector<double> x(d);
+      for (auto& v : x) v = rng.Gaussian();
+      // Rows whose w * x_i is 0 must be skipped whole.
+      if (d > 1) x[1] = 0.0;
+      if (d > 3) x[3] = -0.0;
+      std::vector<double> before(d * d);
+      for (size_t i = 0; i < d; ++i) {
+        for (size_t j = 0; j < d; ++j) {
+          double& v = before[i * d + j];
+          if (j > i) {
+            v = (i + j) % 2 == 0 ? sentinel_nan : -0.0;
+          } else if (x[i] == 0.0) {
+            v = j % 2 == 0 ? -0.0 : sentinel_nan;
+          } else {
+            v = rng.UniformInt(8) == 0 ? -0.0 : rng.Gaussian();
+          }
+        }
+      }
+      std::vector<double> expected = before;
+      for (size_t i = 0; i < d; ++i) {
+        const double wi = w * x[i];
+        if (wi == 0.0) continue;
+        for (size_t j = 0; j <= i; ++j) expected[i * d + j] += wi * x[j];
+      }
+      std::vector<double> actual = before;
+      ops().outer_accumulate(actual.data(), x.data(), w, d);
+      for (size_t i = 0; i < d; ++i) {
+        for (size_t j = 0; j < d; ++j) {
+          const size_t at = i * d + j;
+          EXPECT_EQ(Bits(actual[at]), Bits(expected[at]))
+              << where << " (" << i << ", " << j << ")";
+          if (j > i || w * x[i] == 0.0) {
+            EXPECT_EQ(Bits(actual[at]), Bits(before[at]))
+                << where << " (" << i << ", " << j << ")";
+          }
+        }
+      }
+      std::vector<double> scalar = before;
+      ScalarOps().outer_accumulate(scalar.data(), x.data(), w, d);
+      EXPECT_TRUE(BitEqual(actual, scalar)) << where;
     }
   }
 }
@@ -549,14 +703,6 @@ TEST_P(KernelEquivalenceTest, CounterNeedsOnlyLiveCounters) {
 }
 
 // ---- GMM one-pass E step ----------------------------------------------------
-
-/// The bits of a double: EXPECT_EQ on these tells -0.0 from +0.0 and
-/// compares NaN payloads, where EXPECT_EQ on doubles would not.
-uint64_t Bits(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
 
 /// A seeded random mixture: means in [0, 1), SPD covariances
 /// B B^T / dim + 0.01 I, random weights except component 0, which gets

@@ -88,13 +88,36 @@ TEST(MatrixTest, AddToDiagonal) {
   EXPECT_DOUBLE_EQ(a(0, 1), 0.0);
 }
 
-TEST(MatrixTest, AddOuterProduct) {
+TEST(MatrixTest, AddLowerOuterProduct) {
   Matrix a(2, 2);
-  a.AddOuterProduct({1.0, 2.0}, 2.0);
+  a(0, 1) = -7.0;  // above the diagonal: left as it is
+  a.AddLowerOuterProduct({1.0, 2.0}, 2.0);
+  EXPECT_DOUBLE_EQ(a(0, 0), 2.0);
+  EXPECT_DOUBLE_EQ(a(0, 1), -7.0);
+  EXPECT_DOUBLE_EQ(a(1, 0), 4.0);
+  EXPECT_DOUBLE_EQ(a(1, 1), 8.0);
+  a.MirrorLower();
   EXPECT_DOUBLE_EQ(a(0, 0), 2.0);
   EXPECT_DOUBLE_EQ(a(0, 1), 4.0);
   EXPECT_DOUBLE_EQ(a(1, 0), 4.0);
   EXPECT_DOUBLE_EQ(a(1, 1), 8.0);
+}
+
+TEST(MatrixTest, MirrorLowerMakesExactlySymmetric) {
+  Matrix a(3, 3);
+  for (size_t i = 0; i < 3; ++i) {
+    for (size_t j = 0; j < 3; ++j) {
+      a(i, j) = 0.1 * static_cast<double>(i) + static_cast<double>(j + 1);
+    }
+  }
+  const Matrix before = a;
+  a.MirrorLower();
+  for (size_t i = 0; i < 3; ++i) {
+    for (size_t j = 0; j <= i; ++j) {
+      EXPECT_EQ(a(i, j), before(i, j));
+      EXPECT_EQ(a(j, i), before(i, j));
+    }
+  }
 }
 
 TEST(VectorOpsTest, DotAndDistance) {

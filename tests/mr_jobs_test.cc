@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -139,30 +141,85 @@ TEST(MomentJobTest, SumsMatchDirectComputation) {
 }
 
 TEST(CovarianceJobTest, MatchesDirectOuterProducts) {
-  const auto data = MakeData(64, 600);
-  LocalRunner runner = MakeRunner();
+  constexpr size_t kN = 600;
+  constexpr size_t kPerSplit = 250;  // splits end mid map range
+  const auto data = MakeData(64, kN);
   core::GmmModel model;
-  model.arel = {1, 2};
+  model.arel = {1, 2, 4, 7, 9};  // dim 5: a 4-wide chunk and tails
+  const size_t dim = model.arel.size();
   model.components.assign(
-      2, core::GaussianComponent{linalg::Vector(2, 0.5),
-                                 linalg::Matrix::Identity(2), 0.5});
+      2, core::GaussianComponent{linalg::Vector(dim, 0.5),
+                                 linalg::Matrix::Identity(dim), 0.5});
   UniformWeightMembership membership;
-  const std::vector<linalg::Vector> means = {{0.4, 0.6}, {0.5, 0.5}};
-  const auto covs = RunCovarianceJob(runner, data.dataset, model, membership,
-                                     means, "test-covs")
-                        .value();
-  linalg::Matrix direct0(2, 2);
-  linalg::Matrix direct1(2, 2);
-  for (size_t i = 0; i < 600; ++i) {
-    const auto x = model.Project(data.dataset.Row(static_cast<data::PointId>(i)));
-    if (i % 2 == 0) {
-      direct0.AddOuterProduct(linalg::VecSub(x, means[0]), 1.0);
-    } else {
-      direct1.AddOuterProduct(linalg::VecSub(x, means[1]), 0.5);
+  const std::vector<linalg::Vector> means = {{0.4, 0.6, 0.5, 0.3, 0.7},
+                                             {0.5, 0.5, 0.2, 0.8, 0.5}};
+  // Reference: each split sums its rows' (w * x_i) * x_j in row order
+  // from zero (no FMA, rows with w * x_i == 0 skipped), and the reducer
+  // adds the split sums in split order.
+  std::vector<linalg::Matrix> reference(2, linalg::Matrix(dim, dim));
+  for (size_t begin = 0; begin < kN; begin += kPerSplit) {
+    std::vector<linalg::Matrix> split(2, linalg::Matrix(dim, dim));
+    for (size_t i = begin; i < std::min(kN, begin + kPerSplit); ++i) {
+      const size_t c = i % 2;
+      const double w = c == 0 ? 1.0 : 0.5;
+      const linalg::Vector x = linalg::VecSub(
+          model.Project(data.dataset.Row(static_cast<data::PointId>(i))),
+          means[c]);
+      for (size_t a = 0; a < dim; ++a) {
+        const double wa = w * x[a];
+        if (wa == 0.0) continue;
+        for (size_t b = 0; b <= a; ++b) split[c](a, b) += wa * x[b];
+      }
+    }
+    for (size_t c = 0; c < 2; ++c) {
+      for (size_t a = 0; a < dim; ++a) {
+        for (size_t b = 0; b <= a; ++b) reference[c](a, b) += split[c](a, b);
+      }
     }
   }
-  EXPECT_LT(covs[0].MaxAbsDiff(direct0), 1e-9);
-  EXPECT_LT(covs[1].MaxAbsDiff(direct1), 1e-9);
+
+  std::vector<Backend> engines = {Backend::kInProcess};
+#ifndef P3C_TSAN
+  // TSan does not support forking a multithreaded process.
+  engines.push_back(Backend::kProcess);
+#endif
+  for (Backend engine : engines) {
+    for (bool retry : {false, true}) {
+      const std::string where = std::string("engine=") + BackendName(engine) +
+                                " retry=" + std::to_string(retry);
+      RunnerOptions options;
+      options.backend = engine;
+      options.num_threads = 4;
+      options.num_workers = 2;
+      options.records_per_split = kPerSplit;
+      ScriptedFaultInjector injector;
+      if (retry) {
+        injector.FailOnce("test-covs", /*task_index=*/1, /*attempt=*/0);
+        options.fault_injector = &injector;
+      }
+      LocalRunner runner(options);
+      const auto covs = RunCovarianceJob(runner, data.dataset, model,
+                                         membership, means, "test-covs");
+      ASSERT_TRUE(covs.ok()) << where << ": " << covs.status().ToString();
+      if (retry) {
+        EXPECT_EQ(injector.injected_faults(), 1u) << where;
+      }
+      ASSERT_EQ(covs->size(), 2u) << where;
+      for (size_t c = 0; c < 2; ++c) {
+        const linalg::Matrix& cov = (*covs)[c];
+        for (size_t a = 0; a < dim; ++a) {
+          for (size_t b = 0; b <= a; ++b) {
+            EXPECT_EQ(std::bit_cast<uint64_t>(cov(a, b)),
+                      std::bit_cast<uint64_t>(reference[c](a, b)))
+                << where << " c=" << c << " (" << a << ", " << b << ")";
+            EXPECT_EQ(std::bit_cast<uint64_t>(cov(b, a)),
+                      std::bit_cast<uint64_t>(cov(a, b)))
+                << where << " c=" << c << " (" << b << ", " << a << ")";
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(ClusterHistogramJobTest, MatchesMemberHistograms) {
@@ -433,17 +490,18 @@ TEST(JobUnpackTest, ShortPayloadsAndUnknownKeysReturnInternal) {
       UnpackMomentSums(moments, kK, kDim, "em-step-means").status(),
       "em-step-means");
 
-  // Covariance job: a row-major dim x dim matrix per component.
-  std::vector<KeyedDoubles> covs = {{0, std::vector<double>(kDim * kDim, 1.0)},
-                                    {1, std::vector<double>(kDim * kDim, 3.0)}};
+  // Covariance job: the packed lower triangle per component.
+  constexpr size_t kPacked = kDim * (kDim + 1) / 2;
+  std::vector<KeyedDoubles> covs = {{0, std::vector<double>(kPacked, 1.0)},
+                                    {1, std::vector<double>(kPacked, 3.0)}};
   const auto matrices = UnpackCovarianceSums(covs, kK, kDim, "em-step-covs");
   ASSERT_TRUE(matrices.ok()) << matrices.status().ToString();
   EXPECT_EQ((*matrices)[1](kDim - 1, kDim - 1), 3.0);
-  covs[1].second.resize(kDim + 1);  // row 0 and one value of row 1
+  covs[1].second.resize(kDim + 1);  // rows 0 and 1 and nothing more
   ExpectInternalNaming(
       UnpackCovarianceSums(covs, kK, kDim, "em-step-covs").status(),
       "em-step-covs");
-  covs[1] = {-3, std::vector<double>(kDim * kDim, 3.0)};
+  covs[1] = {-3, std::vector<double>(kPacked, 3.0)};
   ExpectInternalNaming(
       UnpackCovarianceSums(covs, kK, kDim, "em-step-covs").status(),
       "em-step-covs");
@@ -517,6 +575,39 @@ TEST(JobUnpackTest, ShortPayloadsAndUnknownKeysReturnInternal) {
   ExpectInternalNaming(
       UnpackClusterHistograms(members, 2, bins_per_cluster).status(),
       "cluster-histograms");
+}
+
+TEST(JobUnpackTest, CovarianceSumsArePackedLowerTriangles) {
+  // dim = 3: six values per component, row by row; the unpacked matrix
+  // is the mirrored lower triangle.
+  constexpr size_t kDim = 3;
+  const std::vector<KeyedDoubles> packed = {
+      {0, {1.0, 2.0, 3.0, 4.0, 5.0, 6.0}}};
+  const auto matrices = UnpackCovarianceSums(packed, 1, kDim, "em-step-covs");
+  ASSERT_TRUE(matrices.ok()) << matrices.status().ToString();
+  const linalg::Matrix& m = (*matrices)[0];
+  const double lower[kDim][kDim] = {
+      {1.0, 2.0, 4.0}, {2.0, 3.0, 5.0}, {4.0, 5.0, 6.0}};
+  for (size_t i = 0; i < kDim; ++i) {
+    for (size_t j = 0; j < kDim; ++j) {
+      EXPECT_EQ(m(i, j), lower[i][j]) << "(" << i << ", " << j << ")";
+    }
+  }
+  // Any other length, the full d x d matrix included, is a record the
+  // job cannot have produced.
+  for (size_t length : {size_t{0}, size_t{1}, size_t{5}, size_t{7},
+                        kDim * kDim}) {
+    const std::vector<KeyedDoubles> bad = {
+        {0, std::vector<double>(length, 1.0)}};
+    ExpectInternalNaming(
+        UnpackCovarianceSums(bad, 1, kDim, "mvb-covs").status(), "mvb-covs");
+  }
+  // dim = 0 packs to nothing: an empty payload is well formed.
+  std::vector<KeyedDoubles> empty = {{0, std::vector<double>{}}};
+  EXPECT_TRUE(UnpackCovarianceSums(empty, 1, 0, "em-init-1b").ok());
+  empty[0].second.push_back(0.0);
+  ExpectInternalNaming(
+      UnpackCovarianceSums(empty, 1, 0, "em-init-1b").status(), "em-init-1b");
 }
 
 TEST(JobUnpackTest, HostileSupportSetRecordsReturnInternal) {

@@ -71,9 +71,10 @@ TEST(McdTest, BeatsClassicalUnderContamination) {
   mean[1] /= static_cast<double>(members.size());
   linalg::Matrix cov(2, 2);
   for (const auto& m : members) {
-    cov.AddOuterProduct(linalg::VecSub(m, mean), 1.0);
+    cov.AddLowerOuterProduct(linalg::VecSub(m, mean), 1.0);
   }
   cov = cov.Scale(1.0 / static_cast<double>(members.size()));
+  cov.MirrorLower();
   EXPECT_LT(mcd.cov(0, 0), cov(0, 0) / 4.0);
 }
 
