@@ -61,9 +61,10 @@ struct Metric {
 };
 
 /// A name → Metric map with the task-local accumulation API. Not
-/// thread-safe: one MetricBag belongs to one task attempt (the engine
-/// merges bags single-threaded, or under its own lock — see
-/// p3c::mr::Counters).
+/// thread-safe, and it needs no lock: every bag has one owner. A task
+/// attempt owns its emitter's bag; the engine merges the committed bags
+/// on the job thread, in split order, into the job's JobMetrics row; the
+/// job log (mr::MetricsRegistry) folds the rows into the run's counters.
 class MetricBag {
  public:
   /// Adds `delta` to the named counter.

@@ -45,10 +45,9 @@ const char* StatusCodeToString(StatusCode code);
 /// cheap to copy for the OK case and carry a message otherwise.
 ///
 /// The class itself is `[[nodiscard]]`: any call that returns a Status
-/// and ignores it is a compile-time warning (an error under
-/// P3C_WERROR=ON), and p3c_lint's p3c-unchecked-status rule enforces
-/// the same convention across files the compiler cannot see together.
-/// Discard deliberately with `(void)Expr();` plus a comment.
+/// and ignores it fails the build (the root CMakeLists.txt compiles with
+/// -Werror=unused-result). Discard deliberately with `(void)Expr();`
+/// plus a comment.
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "src/mapreduce/counters.h"
+#include "src/common/counters.h"
 
 namespace p3c::mr {
 
@@ -24,7 +24,7 @@ class Emitter {
   virtual void Emit(K key, V value) = 0;
 
   /// Task-local counters, merged by the runner after the task finishes.
-  virtual Counters& counters() = 0;
+  virtual MetricBag& counters() = 0;
 };
 
 /// A range of consecutive input records [begin, end). Map input is a

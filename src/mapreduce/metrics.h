@@ -15,6 +15,10 @@ namespace p3c::mr {
 /// through these numbers in `bench/bench_fig7_runtime`.
 struct JobMetrics {
   std::string job_name;
+  /// Pipeline phase the job ran under: the name of its `phase:*` trace
+  /// span and `mem.phase.*` memory window, stamped by the P3C+-MR
+  /// driver. Empty for jobs run outside a pipeline.
+  std::string phase;
   size_t num_splits = 0;
   size_t num_reducers = 0;
   uint64_t input_records = 0;
@@ -55,10 +59,40 @@ struct JobMetrics {
   MetricBag counters;
 };
 
-/// Accumulates the job log of one clustering run.
+/// Accumulates the job log of one clustering run — the run's one record
+/// of its MR jobs and their counters.
+///
+/// A pipeline driver adds two things to its own MetricBag, which the
+/// renderers below read when handed it: `phase.<name>.wall_seconds`
+/// gauges (the summed wall time of every run of a phase) and a
+/// `call.wall_seconds` gauge (the whole call). From them and the jobs'
+/// `phase` stamps the renderers build the phase table, and report the
+/// call's wall time that no phase covers as `unphased_seconds`.
 class MetricsRegistry {
  public:
   void Record(JobMetrics metrics) { jobs_.push_back(std::move(metrics)); }
+
+  /// Stamps `phase` on every job recorded since the log held
+  /// `first_job` rows.
+  void StampPhase(size_t first_job, const std::string& phase) {
+    for (size_t i = first_job; i < jobs_.size(); ++i) jobs_[i].phase = phase;
+  }
+
+  /// Adds `seconds` to `phase`'s wall time in a driver bag; the phase
+  /// table reads it back. Summed, so a phase that runs several times
+  /// (one per EM round, one per support batch) is one row.
+  static void AddPhaseWall(MetricBag& driver, const std::string& phase,
+                           double seconds);
+  /// Sets the whole call's wall time in a driver bag.
+  static void SetCallWall(MetricBag& driver, double seconds);
+
+  /// Counters of jobs that ran before this log began. A pipeline resumed
+  /// from a checkpoint replays the merged counters persisted with its
+  /// last completed phase here, so MergedCounters covers the phases it
+  /// skipped.
+  void ReplayCounters(const MetricBag& counters) {
+    replayed_counters_.MergeFrom(counters);
+  }
 
   [[nodiscard]] const std::vector<JobMetrics>& jobs() const { return jobs_; }
   [[nodiscard]] size_t num_jobs() const { return jobs_.size(); }
@@ -92,16 +126,22 @@ class MetricsRegistry {
   /// the storage system in a real deployment.
   [[nodiscard]] uint64_t TotalInputRecords() const;
 
-  /// Kind-aware aggregation of every successful job's counter snapshot
-  /// — equal to the RunnerOptions::counters sink of the same run.
+  /// Kind-aware fold of the replayed counters and then every job's
+  /// counters in record order. Failed jobs carry empty bags, so only
+  /// successful jobs contribute. The fold order is fixed, so the bag's
+  /// JSON is byte-identical across threads, reducers, backends, retries
+  /// and resume.
   [[nodiscard]] MetricBag MergedCounters() const;
 
   /// Multi-line human-readable table of all jobs, including the
   /// fault-tolerance columns (attempts / failures / retried tasks) and
   /// the shuffle skew ("-" for map-only jobs, whose partition vectors
-  /// are empty), followed by the merged counters rendered through
-  /// MetricBag::ToString (histograms with count/p50/p95/max columns).
-  [[nodiscard]] std::string ToString() const;
+  /// are empty). With a pipeline driver's bag the phase table follows
+  /// (wall time, job runs, input records, and the phase's peak tracked
+  /// bytes when memory tracking is on), then the unphased remainder.
+  /// The merged counters close it, rendered through MetricBag::ToString
+  /// (histograms with count/p50/p95/max columns).
+  [[nodiscard]] std::string ToString(const MetricBag* driver = nullptr) const;
 
   /// Machine-readable export of the whole registry: a JSON object with
   /// a "jobs" array (every JobMetrics field including per-job counters
@@ -110,13 +150,18 @@ class MetricsRegistry {
   /// thread counts and under injected faults; timings of course vary.
   /// When `driver` is non-null its bag is emitted under a "driver" key
   /// — the pipeline driver's own gauges (mem.* peaks, RSS samples),
-  /// which belong to no single MR job.
+  /// which belong to no single MR job — and, when it holds a call wall
+  /// time, a "phases" array plus "wall_seconds" and "unphased_seconds".
   [[nodiscard]] std::string ToJson(const MetricBag* driver = nullptr) const;
 
-  void Clear() { jobs_.clear(); }
+  void Clear() {
+    jobs_.clear();
+    replayed_counters_.Clear();
+  }
 
  private:
   std::vector<JobMetrics> jobs_;
+  MetricBag replayed_counters_;
 };
 
 }  // namespace p3c::mr

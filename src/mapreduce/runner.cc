@@ -367,17 +367,9 @@ Status LocalRunner::RecordFailure(JobMetrics& metrics,
                                   const AttemptAccounting& acct,
                                   const Stopwatch& total_watch,
                                   Status status) {
+  metrics.counters.Clear();
   RecordJob(metrics, acct, total_watch, /*succeeded=*/false);
   return status;
-}
-
-void LocalRunner::FinishSucceeded(JobMetrics& metrics,
-                                  const AttemptAccounting& acct,
-                                  const Stopwatch& total_watch,
-                                  Counters& job_counters) {
-  metrics.counters = job_counters.Snapshot();
-  RecordJob(metrics, acct, total_watch, /*succeeded=*/true);
-  if (options_.counters != nullptr) options_.counters->Merge(job_counters);
 }
 
 }  // namespace p3c::mr

@@ -19,7 +19,6 @@
 #include "src/common/sync.h"
 #include "src/common/threadpool.h"
 #include "src/common/trace.h"
-#include "src/mapreduce/counters.h"
 #include "src/mapreduce/executor.h"
 #include "src/mapreduce/fault.h"
 #include "src/mapreduce/job.h"
@@ -74,10 +73,9 @@ struct RunnerOptions {
   /// Optional fault-injection hook consulted at the start of every task
   /// attempt (see fault.h); the test substrate for the retry machinery.
   FaultInjector* fault_injector = nullptr;
-  /// Optional sink for per-job execution metrics.
+  /// Optional sink for per-job execution metrics: the job log, and
+  /// through MetricsRegistry::MergedCounters the run's merged counters.
   MetricsRegistry* metrics = nullptr;
-  /// Optional sink for merged framework counters across jobs.
-  Counters* counters = nullptr;
   /// Task-execution backend (DESIGN.md §16). kInProcess runs task
   /// bodies inline on the pool threads (the engine's native path);
   /// kProcess runs map and reduce attempts in forked worker processes
@@ -190,7 +188,6 @@ class LocalRunner {
     heartbeat.acct = &exec.acct;
     if (options_.heartbeat_seconds > 0.0) exec.heartbeat = &heartbeat;
     HeartbeatGuard heartbeat_guard(this, &heartbeat);
-    Counters job_counters;
     Tracer& tracer = Tracer::Global();
     TraceSpan job_span(
         "job:" + job_name,
@@ -207,7 +204,7 @@ class LocalRunner {
     // other map tasks still running.
     Stopwatch map_watch;
     Status map_status = MapPhase<K, V>(
-        job_name, num_records, mapper_factory, &metrics, &job_counters, exec,
+        job_name, num_records, mapper_factory, &metrics, exec,
         [&](size_t s, std::vector<std::pair<K, V>> pairs) {
           buffers.CommitMapOutput(s, std::move(pairs));
         });
@@ -428,7 +425,7 @@ class LocalRunner {
     }
     metrics.reduce_seconds = reduce_watch.ElapsedSeconds();
     metrics.output_records = output.size();
-    FinishSucceeded(metrics, exec.acct, total_watch, job_counters);
+    RecordJob(metrics, exec.acct, total_watch, /*succeeded=*/true);
     return output;
   }
 
@@ -453,7 +450,6 @@ class LocalRunner {
     heartbeat.acct = &exec.acct;
     if (options_.heartbeat_seconds > 0.0) exec.heartbeat = &heartbeat;
     HeartbeatGuard heartbeat_guard(this, &heartbeat);
-    Counters job_counters;
     TraceSpan job_span(
         "job:" + job_name,
         Tracer::Global().enabled()
@@ -464,7 +460,7 @@ class LocalRunner {
     std::vector<std::vector<std::pair<K, V>>> runs(NumSplits(num_records));
     Stopwatch map_watch;
     Status map_status = MapPhase<K, V>(
-        job_name, num_records, mapper_factory, &metrics, &job_counters, exec,
+        job_name, num_records, mapper_factory, &metrics, exec,
         [&runs](size_t s, std::vector<std::pair<K, V>> pairs) {
           std::stable_sort(
               pairs.begin(), pairs.end(),
@@ -488,7 +484,7 @@ class LocalRunner {
     metrics.shuffle_seconds = shuffle_watch.ElapsedSeconds();
 
     metrics.output_records = pairs.size();
-    FinishSucceeded(metrics, exec.acct, total_watch, job_counters);
+    RecordJob(metrics, exec.acct, total_watch, /*succeeded=*/true);
     return pairs;
   }
 
@@ -633,16 +629,11 @@ class LocalRunner {
   static void EmitHeartbeat(const HeartbeatState& state);
 
   /// Failure epilogue: records the failed job's metrics and passes the
-  /// status through. Framework counters are NOT merged — a failed job
-  /// has no observable side effects, so a pipeline-level re-run starts
-  /// from a clean slate (exactly-once).
+  /// status through. The row's counters are dropped — a failed job has
+  /// no observable side effects, so a pipeline-level re-run starts from
+  /// a clean slate (exactly-once).
   Status RecordFailure(JobMetrics& metrics, const AttemptAccounting& acct,
                        const Stopwatch& total_watch, Status status);
-  /// Success epilogue: snapshots the job's merged user counters into its
-  /// JobMetrics row, records it, and commits the counters to the
-  /// cross-job sink in one merge.
-  void FinishSucceeded(JobMetrics& metrics, const AttemptAccounting& acct,
-                       const Stopwatch& total_watch, Counters& job_counters);
   /// Stamps the attempt accounting and wall time into `metrics` and
   /// hands the row to RunnerOptions::metrics.
   void RecordJob(JobMetrics& metrics, const AttemptAccounting& acct,
@@ -667,7 +658,7 @@ class LocalRunner {
       bytes_ += SerializedSize(key) + SerializedSize(value);
       pairs_.emplace_back(std::move(key), std::move(value));
     }
-    Counters& counters() override { return counters_; }
+    MetricBag& counters() override { return counters_; }
 
     void set_cancel(CancellationToken token) { cancel_ = std::move(token); }
 
@@ -683,7 +674,7 @@ class LocalRunner {
     }
 
     std::vector<std::pair<K, V>> pairs_;
-    Counters counters_;
+    MetricBag counters_;
     uint64_t bytes_ = 0;
     /// Scoped charge shadowing pairs_'s top-level capacity; moves with
     /// the emitter, released on destruction (or explicitly after the
@@ -699,12 +690,14 @@ class LocalRunner {
   /// `commit` — still inside the worker, so per-split shuffle work
   /// (partitioning, run sorting) overlaps with other map tasks. `commit`
   /// is engine code, not a task attempt: it runs exactly once per split,
-  /// only after the split's attempts succeeded.
+  /// only after the split's attempts succeeded. The splits' counters are
+  /// merged into `metrics->counters` in split order after the parallel
+  /// loop, on the job thread.
   template <typename K, typename V>
   Status MapPhase(
       const std::string& job_name, size_t n,
       const std::function<std::unique_ptr<Mapper<K, V>>()>& mapper_factory,
-      JobMetrics* metrics, Counters* job_counters, JobExecState& exec,
+      JobMetrics* metrics, JobExecState& exec,
       const std::function<void(size_t split,
                                std::vector<std::pair<K, V>> pairs)>&
           commit) {
@@ -770,7 +763,7 @@ class LocalRunner {
             compute_split(static_cast<size_t>(s), CancellationToken{});
         wire::WireWriter w;
         w.PutU64(out.bytes_);
-        wire::EncodeMetricBag(out.counters_.Snapshot(), w);
+        wire::EncodeMetricBag(out.counters_, w);
         w.Put(out.pairs_);
         return w.Take();
       };
@@ -783,7 +776,7 @@ class LocalRunner {
         P3C_RETURN_NOT_OK(bag.status());
         r.Get(&out.pairs_);
         P3C_RETURN_NOT_OK(r.Finish());
-        out.counters_.MergeBag(*bag);
+        out.counters_ = std::move(bag).value();
         out.mem_.Set(static_cast<int64_t>(out.pairs_.capacity() *
                                           sizeof(std::pair<K, V>)));
         ctx.Commit([&] { emitters[s] = std::move(out); });
@@ -824,7 +817,7 @@ class LocalRunner {
 
     for (auto& e : emitters) {
       metrics->shuffle_bytes += e.bytes_;
-      job_counters->Merge(e.counters_);
+      metrics->counters.MergeFrom(e.counters_);
     }
     metrics->map_output_records =
         map_output_records.load(std::memory_order_relaxed);

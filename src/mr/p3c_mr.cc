@@ -36,48 +36,68 @@ bool IsRetryableJobFailure(const Status& status) {
 
 namespace {
 
-/// Runs one MR job under the pipeline's job-retry policy: retryable
-/// failures re-run the whole job (failed jobs leave no side effects, so
-/// this is safe), fatal ones and exhausted policies surface a Status
-/// naming the pipeline phase and the attempt count on top of the
-/// engine's job/task detail. A phase that has already consumed
-/// JobRetryPolicy::phase_budget_seconds of wall-clock time stops
-/// retrying and fails with a phase-tagged kDeadlineExceeded — a
-/// pathological phase (every attempt deadline-killed, every job re-run)
-/// degrades into a bounded, explained failure instead of wedging the
-/// caller.
-/// RAII memory-phase window on the global MemoryTracker. Repeated
-/// windows with the same name (job retries, the EM loop) max-merge into
-/// one mem.phase.<name>.peak_bytes gauge; inactive (tracker off) it is
-/// two relaxed loads.
-class PhaseMemWindow {
+/// What every phase run needs from the driver: the job-retry policy,
+/// the job log its jobs land in, and the driver bag its wall time goes
+/// to.
+struct PhaseContext {
+  const JobRetryPolicy& retry;
+  MetricsRegistry& log;
+  MetricBag& driver;
+};
+
+/// One run of a pipeline phase, scoped. It opens the `phase:*` trace
+/// span (the middle level of the trace hierarchy: pipeline → phase → job
+/// → task attempt) and the `mem.phase.*` memory window; repeated windows
+/// with the same name (job retries, the EM loop) max-merge into one
+/// peak gauge, and with the tracker off the window costs two relaxed
+/// loads. On exit it stamps the phase on every job the run recorded and
+/// adds the run's wall time to the phase's row in the driver bag.
+class PhaseScope {
  public:
-  explicit PhaseMemWindow(const char* phase) {
+  PhaseScope(const PhaseContext& ctx, const char* phase)
+      : ctx_(ctx),
+        phase_(phase),
+        first_job_(ctx.log.num_jobs()),
+        span_(std::string("phase:") + phase) {
     if (resource::MemoryTracker::Global().enabled()) {
-      active_ = true;
+      mem_window_ = true;
       resource::MemoryTracker::Global().BeginPhase(phase);
     }
   }
-  ~PhaseMemWindow() {
-    if (active_) resource::MemoryTracker::Global().EndPhase();
+  ~PhaseScope() {
+    if (mem_window_) resource::MemoryTracker::Global().EndPhase();
+    ctx_.log.StampPhase(first_job_, phase_);
+    MetricsRegistry::AddPhaseWall(ctx_.driver, phase_, ElapsedSeconds());
   }
-  PhaseMemWindow(const PhaseMemWindow&) = delete;
-  PhaseMemWindow& operator=(const PhaseMemWindow&) = delete;
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+
+  double ElapsedSeconds() const { return watch_.ElapsedSeconds(); }
 
  private:
-  bool active_ = false;
+  const PhaseContext& ctx_;
+  const char* phase_;
+  size_t first_job_;
+  Stopwatch watch_;
+  TraceSpan span_;
+  bool mem_window_ = false;
 };
 
+/// Runs one MR job under the pipeline's job-retry policy, inside one
+/// PhaseScope: retryable failures re-run the whole job (failed jobs
+/// leave no side effects, so this is safe), fatal ones and exhausted
+/// policies surface a Status naming the pipeline phase and the attempt
+/// count on top of the engine's job/task detail. A phase that has
+/// already consumed JobRetryPolicy::phase_budget_seconds of wall-clock
+/// time stops retrying and fails with a phase-tagged kDeadlineExceeded —
+/// a pathological phase (every attempt deadline-killed, every job
+/// re-run) degrades into a bounded, explained failure instead of
+/// wedging the caller.
 template <typename Fn>
-auto RunPipelineJob(const JobRetryPolicy& policy, const char* phase,
-                    Fn&& fn) -> decltype(fn()) {
-  // Phase span: the middle level of the trace hierarchy (pipeline →
-  // phase → job → task attempt). One span per job run, so a job-level
-  // retry shows as a second phase slice with the failure instant
-  // between them.
-  TraceSpan phase_span(std::string("phase:") + phase);
-  PhaseMemWindow mem_window(phase);
-  Stopwatch budget_watch;
+auto RunPipelineJob(const PhaseContext& ctx, const char* phase, Fn&& fn)
+    -> decltype(fn()) {
+  PhaseScope scope(ctx, phase);
+  const JobRetryPolicy& policy = ctx.retry;
   const size_t max_attempts = std::max<size_t>(1, policy.max_job_attempts);
   Status last;
   size_t attempts = 0;
@@ -100,7 +120,7 @@ auto RunPipelineJob(const JobRetryPolicy& policy, const char* phase,
       break;
     }
     if (policy.phase_budget_seconds > 0.0 &&
-        budget_watch.ElapsedSeconds() >= policy.phase_budget_seconds) {
+        scope.ElapsedSeconds() >= policy.phase_budget_seconds) {
       ++attempts;
       return Status::DeadlineExceeded(StringPrintf(
           "P3C+-MR phase '%s' exceeded its %.3fs wall-clock budget after "
@@ -318,7 +338,6 @@ Result<std::vector<linalg::Cholesky>> FactorizeAll(
 
 P3CMR::P3CMR(P3CMROptions options) : options_(std::move(options)) {
   options_.runner.metrics = &metrics_;
-  options_.runner.counters = &counters_;
   runner_ = std::make_unique<LocalRunner>(options_.runner);
 }
 
@@ -331,18 +350,20 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
                          dataset.num_points(), dataset.num_dims())
           : std::string());
   metrics_.Clear();
-  counters_.Clear();
   driver_metrics_.Clear();
   // Memory run boundary: clear peaks/phase windows from any previous
-  // run, and export the run's gauges into driver_metrics_ on every exit
-  // path (success and failure alike — a failed run's peaks still matter).
+  // run, and export the run's gauges and its wall time into
+  // driver_metrics_ on every exit path (success and failure alike — a
+  // failed run's peaks still matter).
   if (resource::MemoryTracker::Global().enabled()) {
     resource::MemoryTracker::Global().ResetRun();
   }
   struct GaugeExportOnExit {
     MetricBag* bag;
     LocalRunner* runner;
+    const Stopwatch* watch;
     ~GaugeExportOnExit() {
+      MetricsRegistry::SetCallWall(*bag, watch->ElapsedSeconds());
       if (resource::MemoryTracker::Global().enabled()) {
         resource::MemoryTracker::Global().ExportGauges(bag);
       }
@@ -353,7 +374,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
       // backend.
       bag->MergeFrom(runner->SnapshotWorkerMetrics());
     }
-  } gauge_export{&driver_metrics_, runner_.get()};
+  } gauge_export{&driver_metrics_, runner_.get(), &watch};
   if (dataset.num_points() == 0 || dataset.num_dims() == 0) {
     return Status::InvalidArgument("dataset is empty");
   }
@@ -368,7 +389,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
         "record-parallel); use core::P3CPipeline, or kMVB here");
   }
   LocalRunner& runner = *runner_;
-  const JobRetryPolicy& retry = options_.retry;
+  const PhaseContext phases{options_.retry, metrics_, driver_metrics_};
   core::ClusteringResult result;
 
   // ---- 0. Checkpoint scan (DESIGN.md §13) ---------------------------------
@@ -385,7 +406,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
     // the final counter JSON matches an uninterrupted run's byte for
     // byte. The resume bookkeeping itself goes to driver_metrics_ only.
     const std::string& last = state.completed.back();
-    counters_.MergeBag(state.counters);
+    metrics_.ReplayCounters(state.counters);
     driver_metrics_.SetGauge("checkpoint.resumed_from_phase",
                              static_cast<double>(completed));
     if (Tracer::Global().enabled()) {
@@ -417,7 +438,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
   // the phase boundary.
   auto finish_phase = [&](const char* name) -> Status {
     if (ckpt.enabled()) {
-      state.counters = counters_.Snapshot();
+      state.counters = metrics_.MergedCounters();
       P3C_RETURN_NOT_OK(ckpt.CommitPhase(name));
       if (options_.runner.fault_injector != nullptr) {
         const std::string phase_name(name);
@@ -431,7 +452,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
 
   // ---- 1. Histogram job (§5.1) -------------------------------------------
   if (completed < 1) {
-    auto histograms_result = RunPipelineJob(retry, "histogram", [&] {
+    auto histograms_result = RunPipelineJob(phases, "histogram", [&] {
       return RunHistogramJob(runner, dataset, params.binning);
     });
     if (!histograms_result.ok()) return histograms_result.status();
@@ -460,7 +481,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
           }
           return std::vector<uint64_t>(sigs.size(), 0);
         }
-        auto supports = RunPipelineJob(retry, "support-count", [&] {
+        auto supports = RunPipelineJob(phases, "support-count", [&] {
           return RunSupportJob(runner, dataset, sigs);
         });
         if (!supports.ok()) {
@@ -503,7 +524,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
   if (params.light) {
     // ---- Light path (§6) --------------------------------------------------
     if (completed < 3) {
-      auto sets = RunPipelineJob(retry, "support-sets", [&] {
+      auto sets = RunPipelineJob(phases, "support-sets", [&] {
         return RunSupportSetJob(runner, dataset, signatures);
       });
       if (!sets.ok()) return sets.status();
@@ -528,7 +549,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
       auto em_round = [&](const MembershipFn& weights, const char* phase,
                           const char* means_job,
                           const char* covs_job) -> Result<MomentSums> {
-        auto moments = RunPipelineJob(retry, phase, [&] {
+        auto moments = RunPipelineJob(phases, phase, [&] {
           return RunMomentJob(runner, dataset, model, weights, means_job);
         });
         if (!moments.ok()) return moments.status();
@@ -539,7 +560,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
             means[c][j] = moments->lsum[c][j] / moments->w[c];
           }
         }
-        auto covs = RunPipelineJob(retry, phase, [&] {
+        auto covs = RunPipelineJob(phases, phase, [&] {
           return RunCovarianceJob(runner, dataset, model, weights, means,
                                   covs_job);
         });
@@ -610,13 +631,13 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
       for (const auto& comp : model.components) covs.push_back(comp.cov);
     } else {
       // MVB: ball job + two statistics jobs (§5.5: "three MR jobs").
-      auto balls_result = RunPipelineJob(retry, "mvb", [&] {
+      auto balls_result = RunPipelineJob(phases, "mvb", [&] {
         return RunMvbBallJob(runner, dataset, model, *evaluator);
       });
       if (!balls_result.ok()) return balls_result.status();
       const std::vector<MvbBall>& balls = *balls_result;
       BallMembership ball_membership(*evaluator, balls);
-      auto mb_result = RunPipelineJob(retry, "mvb", [&] {
+      auto mb_result = RunPipelineJob(phases, "mvb", [&] {
         return RunMomentJob(runner, dataset, model, ball_membership,
                             "mvb-means");
       });
@@ -633,7 +654,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
           centers[c][j] = mb.lsum[c][j] / mb.w[c];
         }
       }
-      auto cov_sums = RunPipelineJob(retry, "mvb", [&] {
+      auto cov_sums = RunPipelineJob(phases, "mvb", [&] {
         return RunCovarianceJob(runner, dataset, model, ball_membership,
                                 centers, "mvb-covs");
       });
@@ -650,7 +671,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
     Result<std::vector<linalg::Cholesky>> factors =
         FactorizeAll(covs, params.covariance_ridge);
     if (!factors.ok()) return factors.status();
-    auto od = RunPipelineJob(retry, "outlier-detection", [&] {
+    auto od = RunPipelineJob(phases, "outlier-detection", [&] {
       return RunOdJob(runner, dataset, model, *evaluator, centers, *factors,
                       critical);
     });
@@ -681,7 +702,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
         params.binning, std::max<uint64_t>(1, member_counts[c])));
   }
   auto member_histograms_result =
-      RunPipelineJob(retry, "cluster-histograms", [&] {
+      RunPipelineJob(phases, "cluster-histograms", [&] {
         return RunClusterHistogramJob(runner, dataset, membership, k,
                                       bins_per_cluster);
       });
@@ -707,7 +728,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
     final_attrs[c] =
         core::FinalAttributes(cores[c].signature, accepted[c]);
   }
-  auto tightened_result = RunPipelineJob(retry, "interval-tightening", [&] {
+  auto tightened_result = RunPipelineJob(phases, "interval-tightening", [&] {
     return RunTighteningJob(runner, dataset, membership, final_attrs);
   });
   if (!tightened_result.ok()) return tightened_result.status();

@@ -10,7 +10,6 @@
 #include "src/core/params.h"
 #include "src/core/result.h"
 #include "src/data/dataset.h"
-#include "src/mapreduce/counters.h"
 #include "src/mapreduce/metrics.h"
 #include "src/mapreduce/runner.h"
 
@@ -104,21 +103,27 @@ class P3CMR {
   /// failing job/task, and how many job attempts were made.
   Result<core::ClusteringResult> Cluster(const data::Dataset& dataset);
 
-  /// Per-job execution log of the most recent Cluster call.
+  /// Per-job execution log of the most recent Cluster call, each row
+  /// stamped with its phase. On a resumed call it also holds the
+  /// checkpoint's replayed counters (MetricsRegistry::ReplayCounters).
   const MetricsRegistry& metrics() const { return metrics_; }
-  /// Merged framework counters of the most recent Cluster call.
-  const Counters& counters() const { return counters_; }
+  /// Merged framework counters of the most recent Cluster call: the
+  /// checkpoint's replayed bag, then the live job rows in record order.
+  /// A resumed call's bag equals an uninterrupted call's byte for byte.
+  MetricBag counters() const { return metrics_.MergedCounters(); }
   /// Driver-side observability of the most recent Cluster call:
-  /// checkpoint corruption counter, `resumed_from_phase` gauge, and
-  /// per-phase `checkpoint.write_seconds.*` gauges. Kept apart from
-  /// counters() so resume bookkeeping never perturbs the deterministic
+  /// checkpoint corruption counter, `resumed_from_phase` gauge,
+  /// per-phase `checkpoint.write_seconds.*` gauges, the phase table's
+  /// `phase.<name>.wall_seconds` gauges and the call's
+  /// `call.wall_seconds` (MetricsRegistry::AddPhaseWall / SetCallWall),
+  /// plus the `mem.*` and `worker.*` entries. Kept apart from counters()
+  /// so resume bookkeeping and timings never perturb the deterministic
   /// framework-counter JSON.
   const MetricBag& driver_metrics() const { return driver_metrics_; }
 
  private:
   P3CMROptions options_;
   MetricsRegistry metrics_;
-  Counters counters_;
   MetricBag driver_metrics_;
   std::unique_ptr<LocalRunner> runner_;
 };

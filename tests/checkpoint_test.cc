@@ -103,6 +103,7 @@ struct RunOutput {
   Status status = Status::OK();
   std::string canonical;
   std::string counters_json;
+  std::string report_json;  ///< the --metrics-out file's contents
 };
 
 RunOutput RunPipeline(const data::Dataset& dataset, P3CMROptions options,
@@ -118,7 +119,8 @@ RunOutput RunPipeline(const data::Dataset& dataset, P3CMROptions options,
     return out;
   }
   out.canonical = Canonical(*result);
-  out.counters_json = pipeline.counters().Snapshot().ToJson();
+  out.counters_json = pipeline.counters().ToJson();
+  out.report_json = pipeline.metrics().ToJson(&pipeline.driver_metrics());
   return out;
 }
 
@@ -320,6 +322,34 @@ INSTANTIATE_TEST_SUITE_P(FullAndLight, KillResumeTest,
                          [](const ::testing::TestParamInfo<bool>& variant) {
                            return variant.param ? "Light" : "Full";
                          });
+
+// The run report's counters section is the bag counters() returns: a
+// resumed run reports the counters of the phases it skipped, exactly as
+// an uninterrupted run does.
+TEST(CheckpointResume, ResumedReportCountsTheSkippedPhases) {
+  const auto data = MakeData(105);
+  for (bool light : {false, true}) {
+    SCOPED_TRACE(light ? "light" : "full");
+    const RunOutput baseline =
+        RunPipeline(data.dataset, MakeOptions(light, ""));
+    ASSERT_TRUE(baseline.status.ok());
+    const std::string dir =
+        TempDir(light ? "report_resume_light" : "report_resume_full");
+    ScriptedFaultInjector injector;
+    injector.FailAfterPhase("cluster-cores");
+    ASSERT_FALSE(
+        RunPipeline(data.dataset, MakeOptions(light, dir), &injector)
+            .status.ok());
+    const RunOutput resumed =
+        RunPipeline(data.dataset, MakeOptions(light, dir));
+    ASSERT_TRUE(resumed.status.ok());
+    EXPECT_EQ(resumed.counters_json, baseline.counters_json);
+    EXPECT_NE(resumed.report_json.find("\n  \"counters\": " +
+                                       baseline.counters_json + ","),
+              std::string::npos)
+        << resumed.report_json;
+  }
+}
 
 TEST(CheckpointResume, CheckpointingItselfDoesNotPerturbOutput) {
   const auto data = MakeData(102);

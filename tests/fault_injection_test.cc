@@ -82,7 +82,7 @@ std::vector<KeyedRecord> MakeKeyedRecords(size_t n) {
 struct RunOutcome {
   Result<std::vector<std::pair<int, int64_t>>> result =
       Status::Internal("not run");
-  Counters counters;
+  MetricBag counters;  ///< the job log's merged counters
   MetricsRegistry metrics;
 };
 
@@ -97,7 +97,6 @@ RunOutcome RunKeyedSum(
   options.max_attempts = max_attempts;
   options.fault_injector = injector;
   options.metrics = &outcome.metrics;
-  options.counters = &outcome.counters;
   if (tweak) tweak(options);
   LocalRunner runner(options);
   const auto records = MakeKeyedRecords(1000);
@@ -106,6 +105,7 @@ RunOutcome RunKeyedSum(
           "keyed-sum", records.size(),
           [&records] { return std::make_unique<KeyedSumMapper>(&records); },
           [] { return std::make_unique<Int64SumReducer>(); });
+  outcome.counters = outcome.metrics.MergedCounters();
   return outcome;
 }
 
@@ -136,7 +136,7 @@ TEST(FaultInjectionTest, FlakyMapTaskYieldsIdenticalOutputAndCounters) {
             clean.counters.GetGauge("max_abs_value"));
   // The machine-readable export is byte-identical too.
   EXPECT_EQ(flaky.counters.ToJson(), clean.counters.ToJson());
-  // The job-level snapshot embedded in JobMetrics matches the sink.
+  // The job row's bag is the run's merged counters (one job).
   EXPECT_EQ(flaky.metrics.jobs().front().counters.values(),
             flaky.counters.values());
 

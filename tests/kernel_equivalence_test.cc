@@ -952,7 +952,7 @@ TEST(KernelPipelineTest, FullMvbRunIsByteIdenticalAcrossBackendsAndThreads) {
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       const std::string result_json = ResultJson(*result);
       const std::string counters_json =
-          pipeline.counters().Snapshot().ToJson();
+          pipeline.counters().ToJson();
       std::ifstream in(dir / mr::kCheckpointFilename, std::ios::binary);
       const std::string checkpoint{std::istreambuf_iterator<char>(in),
                                    std::istreambuf_iterator<char>()};

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "src/mapreduce/counters.h"
 #include "src/mapreduce/runner.h"
 
 namespace p3c::mr {
@@ -93,12 +92,13 @@ TEST(LocalRunnerTest, DeterministicAcrossParallelism) {
 }
 
 TEST(LocalRunnerTest, CountersMerged) {
-  Counters counters;
+  MetricsRegistry metrics;
   RunnerOptions options;
   options.records_per_split = 2;
-  options.counters = &counters;
+  options.metrics = &metrics;
   LocalRunner runner(options);
   RunWordCount(runner, {"a", "b", "c", "d", "e"});
+  const MetricBag counters = metrics.MergedCounters();
   EXPECT_EQ(counters.Get("records_mapped"), 5u);
   EXPECT_EQ(counters.Get("unknown"), 0u);
 }
@@ -250,13 +250,13 @@ TEST(LocalRunnerTest, NumSplits) {
 // ---- Counters --------------------------------------------------------
 
 TEST(CountersTest, IncrementAndMerge) {
-  Counters a;
+  MetricBag a;
   a.Increment("x");
   a.Increment("x", 4);
-  Counters b;
+  MetricBag b;
   b.Increment("x", 10);
   b.Increment("y");
-  a.Merge(b);
+  a.MergeFrom(b);
   EXPECT_EQ(a.Get("x"), 15u);
   EXPECT_EQ(a.Get("y"), 1u);
   a.Clear();

@@ -16,8 +16,8 @@
 #include "src/core/interval_tightening.h"
 #include "src/core/support_counter.h"
 #include "src/data/generator.h"
-#include "src/mapreduce/counters.h"
 #include "src/mapreduce/fault.h"
+#include "src/mapreduce/metrics.h"
 #include "src/stats/chi_squared.h"
 
 #if defined(__SANITIZE_THREAD__)
@@ -304,13 +304,13 @@ TEST(SupportSetJobTest, MatchesSerialSupportSets) {
     for (bool retry : {false, true}) {
       const std::string where = std::string("engine=") + BackendName(engine) +
                                 " retry=" + std::to_string(retry);
-      Counters counters;
+      MetricsRegistry metrics;
       RunnerOptions options;
       options.backend = engine;
       options.num_threads = 4;
       options.num_workers = 2;
       options.records_per_split = 500;  // splits end mid map range
-      options.counters = &counters;
+      options.metrics = &metrics;
       ScriptedFaultInjector injector;
       if (retry) {
         injector.FailOnce("support-sets", /*task_index=*/1, /*attempt=*/0);
@@ -324,7 +324,7 @@ TEST(SupportSetJobTest, MatchesSerialSupportSets) {
       }
       EXPECT_EQ(job->support_sets, serial) << where;
       EXPECT_EQ(job->unique_assignment, unique) << where;
-      const std::string json = counters.Snapshot().ToJson();
+      const std::string json = metrics.MergedCounters().ToJson();
       if (reference_counters.empty()) reference_counters = json;
       EXPECT_EQ(json, reference_counters) << where;
     }

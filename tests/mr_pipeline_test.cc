@@ -204,7 +204,7 @@ TEST(P3CMRTest, FullMvbDeterministicAcrossThreadsAndReducers) {
     Run out{std::move(label), "", "", mr.metrics().num_jobs()};
     if (result.ok()) {
       out.clusters = CanonicalClusters(*result);
-      out.counters_json = mr.counters().Snapshot().ToJson();
+      out.counters_json = mr.counters().ToJson();
     }
     return out;
   };

@@ -361,21 +361,23 @@ TEST_F(ResourceTest, PipelineOutputIsIdenticalWithTrackingOn) {
   }
   // The mem.* gauges are the tracker's own namespace; every other
   // metric must be byte-identical across the toggle.
-  for (const auto& [name, metric] : off.counters().values()) {
-    const Metric* other = on.counters().Find(name);
+  const MetricBag off_counters = off.counters();
+  const MetricBag on_counters = on.counters();
+  for (const auto& [name, metric] : off_counters.values()) {
+    const Metric* other = on_counters.Find(name);
     ASSERT_NE(other, nullptr) << name;
     EXPECT_TRUE(metric == *other) << name;
   }
-  for (const auto& [name, metric] : on.counters().values()) {
+  for (const auto& [name, metric] : on_counters.values()) {
     if (name.rfind("mem.", 0) == 0) continue;
-    EXPECT_NE(off.counters().Find(name), nullptr) << name;
+    EXPECT_NE(off_counters.Find(name), nullptr) << name;
   }
   // The tracked run set the task peak gauge and exported the driver
   // gauges; the untracked run emitted neither.
-  EXPECT_GT(on.counters().GetGauge("mem.task.peak_bytes"), 0.0);
+  EXPECT_GT(on_counters.GetGauge("mem.task.peak_bytes"), 0.0);
   EXPECT_GT(on.driver_metrics().GetGauge("mem.total.peak_bytes"), 0.0);
   EXPECT_GT(on.driver_metrics().GetGauge("mem.dataset.peak_bytes"), 0.0);
-  EXPECT_EQ(off.counters().Find("mem.task.peak_bytes"), nullptr);
+  EXPECT_EQ(off_counters.Find("mem.task.peak_bytes"), nullptr);
   EXPECT_EQ(off.driver_metrics().Find("mem.total.peak_bytes"), nullptr);
 }
 

@@ -401,7 +401,7 @@ struct StragglerConfig {
 struct RunOutcome {
   Result<std::vector<std::pair<int, int64_t>>> result =
       Status::Internal("not run");
-  Counters counters;
+  MetricBag counters;  ///< the job log's merged counters
   MetricsRegistry metrics;
 };
 
@@ -416,7 +416,6 @@ RunOutcome RunKeyedSum(FaultInjector* injector, const StragglerConfig& cfg) {
   options.heartbeat_seconds = cfg.heartbeat_seconds;
   options.fault_injector = injector;
   options.metrics = &outcome.metrics;
-  options.counters = &outcome.counters;
   LocalRunner runner(options);
   const auto records = MakeKeyedRecords(1000, cfg.skewed_keys);
   outcome.result =
@@ -424,6 +423,7 @@ RunOutcome RunKeyedSum(FaultInjector* injector, const StragglerConfig& cfg) {
           "keyed-sum", records.size(),
           [&records] { return std::make_unique<KeyedSumMapper>(&records); },
           [] { return std::make_unique<Int64SumReducer>(); });
+  outcome.counters = outcome.metrics.MergedCounters();
   return outcome;
 }
 

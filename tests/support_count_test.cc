@@ -23,8 +23,8 @@
 #include "src/core/support_counter.h"
 #include "src/data/dataset.h"
 #include "src/data/generator.h"
-#include "src/mapreduce/counters.h"
 #include "src/mapreduce/fault.h"
+#include "src/mapreduce/metrics.h"
 #include "src/mr/jobs.h"
 
 #if defined(__SANITIZE_THREAD__)
@@ -332,13 +332,13 @@ struct SupportRun {
 
 SupportRun RunSupports(RunnerOptions options, const data::Dataset& dataset,
                        const std::vector<core::Signature>& sigs) {
-  Counters counters;
-  options.counters = &counters;
+  MetricsRegistry metrics;
+  options.metrics = &metrics;
   LocalRunner runner(options);
   auto supports = RunSupportJob(runner, dataset, sigs);
   EXPECT_TRUE(supports.ok()) << supports.status().ToString();
   if (!supports.ok()) return {};
-  return {std::move(supports).value(), counters.Snapshot().ToJson()};
+  return {std::move(supports).value(), metrics.MergedCounters().ToJson()};
 }
 
 TEST(SupportJobDeterminismTest, ByteIdenticalAcrossThreadsBackendsAndRetries) {

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -393,7 +394,7 @@ std::vector<KeyedRecord> MakeKeyedRecords(size_t n) {
 struct RunOutcome {
   Result<std::vector<std::pair<int, int64_t>>> result =
       Status::Internal("not run");
-  mr::Counters counters;
+  MetricBag counters;  ///< the job log's merged counters
   mr::MetricsRegistry metrics;
 };
 
@@ -407,7 +408,6 @@ RunOutcome RunKeyedSum(size_t threads, size_t reducers,
   options.num_reducers = reducers;
   options.fault_injector = injector;
   options.metrics = &outcome.metrics;
-  options.counters = &outcome.counters;
   mr::LocalRunner runner(options);
   const auto records = MakeKeyedRecords(num_records);
   outcome.result =
@@ -415,6 +415,7 @@ RunOutcome RunKeyedSum(size_t threads, size_t reducers,
           "keyed-sum", records.size(),
           [&records] { return std::make_unique<KeyedSumMapper>(&records); },
           [] { return std::make_unique<Int64SumReducer>(); });
+  outcome.counters = outcome.metrics.MergedCounters();
   return outcome;
 }
 
@@ -778,6 +779,281 @@ TEST(MetricsJsonTest, FailedJobExportsEmptyCounters) {
   const JsonValue& job = root.Find("jobs")->array.front();
   EXPECT_EQ(job.Find("succeeded")->boolean, false);
   EXPECT_TRUE(job.Find("counters")->object.empty());
+}
+
+// The driver's phase rows are the run report. For MR (MVB) and
+// MR-Light: every job names its phase, the phase table accounts for
+// every job run, each phase's wall time covers its jobs, and the phases
+// plus the unphased remainder give the call's wall time.
+TEST(MetricsJsonTest, PhaseTableAccountsForEveryJobAndTheCallWall) {
+  data::GeneratorConfig config;
+  config.num_points = 3000;
+  config.num_dims = 20;
+  config.num_clusters = 3;
+  config.noise_fraction = 0.10;
+  config.seed = 95;
+  const auto data = data::GenerateSynthetic(config).value();
+  for (bool light : {false, true}) {
+    SCOPED_TRACE(light ? "MR-Light" : "MR (MVB)");
+    mr::P3CMROptions options;
+    options.params.light = light;
+    mr::P3CMR pipeline{options};
+    auto result = pipeline.Cluster(data.dataset);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const mr::MetricsRegistry& log = pipeline.metrics();
+    ASSERT_GT(log.num_jobs(), 0u);
+    std::map<std::string, double> job_seconds;
+    for (const mr::JobMetrics& job : log.jobs()) {
+      EXPECT_FALSE(job.phase.empty()) << job.job_name;
+      job_seconds[job.phase] += job.total_seconds;
+    }
+
+    const JsonValue root = ParseOrDie(log.ToJson(&pipeline.driver_metrics()));
+    const JsonValue* phases = root.Find("phases");
+    ASSERT_NE(phases, nullptr);
+    double job_runs = 0.0;
+    double phase_walls = 0.0;
+    for (const JsonValue& row : phases->array) {
+      const std::string& phase = row.Find("phase")->string;
+      const double wall = row.Find("wall_seconds")->number;
+      job_runs += row.Find("job_runs")->number;
+      // Walls are printed to the microsecond.
+      EXPECT_GE(wall + 1e-6, job_seconds[phase]) << phase;
+      phase_walls += wall;
+    }
+    EXPECT_EQ(job_runs, static_cast<double>(log.num_jobs()));
+    const double unphased = root.Find("unphased_seconds")->number;
+    EXPECT_GE(unphased, 0.0);
+    EXPECT_NEAR(phase_walls + unphased, root.Find("wall_seconds")->number,
+                1e-5);
+  }
+}
+
+// ---- The job log as the run report: unit cases -----------------------
+
+mr::JobMetrics JobRow(const std::string& name, uint64_t input_records) {
+  mr::JobMetrics job;
+  job.job_name = name;
+  job.input_records = input_records;
+  return job;
+}
+
+// A resumed run's counters are the checkpoint's replayed bag folded
+// with the live job rows, in that order, and that fold is the report's
+// "counters" section.
+TEST(MetricsReportTest, MergedCountersFoldReplayedBagThenJobRows) {
+  MetricBag replayed;
+  replayed.Increment("records", 10);
+  replayed.SetGauge("peak", 7.0);
+  replayed.Observe("size", 4.0);
+  mr::JobMetrics a = JobRow("a", 0);
+  a.counters.Increment("records", 5);
+  a.counters.SetGauge("peak", 3.0);
+  a.counters.Observe("size", 100.0);
+  mr::JobMetrics b = JobRow("b", 0);
+  b.counters.Increment("records", 1);
+  b.counters.Increment("only_b", 2);
+
+  mr::MetricsRegistry log;
+  log.ReplayCounters(replayed);
+  log.Record(a);
+  log.Record(b);
+  const MetricBag merged = log.MergedCounters();
+  EXPECT_EQ(merged.Get("records"), 16u);
+  EXPECT_EQ(merged.Get("only_b"), 2u);
+  EXPECT_EQ(merged.GetGauge("peak"), 7.0);
+  const Metric* size = merged.Find("size");
+  ASSERT_NE(size, nullptr);
+  EXPECT_EQ(size->count, 2u);
+  EXPECT_EQ(size->sum, 104.0);
+  EXPECT_EQ(size->min, 4.0);
+  EXPECT_EQ(size->max, 100.0);
+
+  MetricBag expected = replayed;
+  expected.MergeFrom(a.counters);
+  expected.MergeFrom(b.counters);
+  EXPECT_EQ(merged.ToJson(), expected.ToJson());
+  const JsonValue root = ParseOrDie(log.ToJson());
+  const JsonValue* counters = root.Find("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_EQ(counters->Find("records")->Find("value")->number, 16.0);
+  EXPECT_EQ(counters->Find("peak")->Find("value")->number, 7.0);
+  EXPECT_EQ(counters->Find("only_b")->Find("value")->number, 2.0);
+}
+
+// A run resumed past its last phase records no job, yet its report
+// still carries every counter of the phases it skipped.
+TEST(MetricsReportTest, ReplayedCountersAloneFillTheReport) {
+  MetricBag replayed;
+  replayed.Increment("records", 3);
+  mr::MetricsRegistry log;
+  log.ReplayCounters(replayed);
+  EXPECT_EQ(log.num_jobs(), 0u);
+  EXPECT_EQ(log.MergedCounters().ToJson(), replayed.ToJson());
+  EXPECT_NE(log.ToString().find("counters:"), std::string::npos);
+  const JsonValue root = ParseOrDie(log.ToJson());
+  EXPECT_EQ(root.Find("counters")->Find("records")->Find("value")->number,
+            3.0);
+}
+
+TEST(MetricsReportTest, ClearDropsJobRowsAndReplayedCounters) {
+  MetricBag replayed;
+  replayed.Increment("records", 3);
+  mr::JobMetrics job = JobRow("a", 1);
+  job.counters.Increment("records", 1);
+  mr::MetricsRegistry log;
+  log.ReplayCounters(replayed);
+  log.Record(job);
+  log.Clear();
+  EXPECT_EQ(log.num_jobs(), 0u);
+  EXPECT_TRUE(log.MergedCounters().empty());
+  EXPECT_EQ(log.ToString().find("counters:"), std::string::npos);
+}
+
+TEST(MetricsReportTest, StampPhaseMarksOnlyRowsSinceTheMark) {
+  mr::MetricsRegistry log;
+  log.Record(JobRow("before-1", 1));
+  log.Record(JobRow("before-2", 1));
+  const size_t mark = log.num_jobs();
+  log.Record(JobRow("inside-1", 1));
+  log.Record(JobRow("inside-2", 1));
+  log.StampPhase(mark, "cores");
+  ASSERT_EQ(log.num_jobs(), 4u);
+  EXPECT_EQ(log.jobs()[0].phase, "");
+  EXPECT_EQ(log.jobs()[1].phase, "");
+  EXPECT_EQ(log.jobs()[2].phase, "cores");
+  EXPECT_EQ(log.jobs()[3].phase, "cores");
+  // A mark at the end of the log stamps nothing.
+  log.StampPhase(log.num_jobs(), "later");
+  EXPECT_EQ(log.jobs()[3].phase, "cores");
+}
+
+TEST(MetricsReportTest, PhaseWallSumsEveryRunOfAPhase) {
+  MetricBag driver;
+  mr::MetricsRegistry::AddPhaseWall(driver, "em", 0.25);
+  mr::MetricsRegistry::AddPhaseWall(driver, "em", 0.5);
+  mr::MetricsRegistry::AddPhaseWall(driver, "histogram", 1.0);
+  mr::MetricsRegistry::SetCallWall(driver, 2.0);
+  EXPECT_EQ(driver.GetGauge("phase.em.wall_seconds"), 0.75);
+  EXPECT_EQ(driver.GetGauge("phase.histogram.wall_seconds"), 1.0);
+  EXPECT_EQ(driver.GetGauge("call.wall_seconds"), 2.0);
+  EXPECT_EQ(driver.Find("phase.em.wall_seconds")->kind, MetricKind::kGauge);
+}
+
+// Phase rows come in the order of their first job; phases that ran no
+// job follow in name order; unstamped jobs belong to no row.
+TEST(MetricsReportTest, PhaseRowsFollowFirstJobOrderThenJoblessPhases) {
+  mr::MetricsRegistry log;
+  log.Record(JobRow("unstamped", 1000));
+  size_t mark = log.num_jobs();
+  log.Record(JobRow("b-1", 10));
+  log.StampPhase(mark, "b");
+  mark = log.num_jobs();
+  log.Record(JobRow("a-1", 20));
+  log.StampPhase(mark, "a");
+  mark = log.num_jobs();
+  log.Record(JobRow("b-2", 30));
+  log.StampPhase(mark, "b");
+
+  MetricBag driver;
+  mr::MetricsRegistry::AddPhaseWall(driver, "z", 0.5);
+  mr::MetricsRegistry::AddPhaseWall(driver, "a", 1.0);
+  mr::MetricsRegistry::AddPhaseWall(driver, "c", 0.25);
+  mr::MetricsRegistry::AddPhaseWall(driver, "b", 2.0);
+  mr::MetricsRegistry::SetCallWall(driver, 5.0);
+
+  const JsonValue root = ParseOrDie(log.ToJson(&driver));
+  const JsonValue* phases = root.Find("phases");
+  ASSERT_NE(phases, nullptr);
+  struct Want {
+    const char* phase;
+    double wall;
+    double runs;
+    double input;
+  };
+  const Want want[] = {{"b", 2.0, 2, 40}, {"a", 1.0, 1, 20},
+                       {"c", 0.25, 0, 0}, {"z", 0.5, 0, 0}};
+  ASSERT_EQ(phases->array.size(), std::size(want));
+  for (size_t i = 0; i < std::size(want); ++i) {
+    const JsonValue& row = phases->array[i];
+    EXPECT_EQ(row.Find("phase")->string, want[i].phase) << i;
+    EXPECT_EQ(row.Find("wall_seconds")->number, want[i].wall) << i;
+    EXPECT_EQ(row.Find("job_runs")->number, want[i].runs) << i;
+    EXPECT_EQ(row.Find("input_records")->number, want[i].input) << i;
+    EXPECT_EQ(row.Find("peak_bytes"), nullptr) << i;
+  }
+  EXPECT_EQ(root.Find("wall_seconds")->number, 5.0);
+  EXPECT_EQ(root.Find("unphased_seconds")->number, 1.25);
+
+  const std::string table = log.ToString(&driver);
+  EXPECT_LT(table.find("\nb "), table.find("\na "));
+  EXPECT_NE(table.find("unphased: 1.2500 s of the call's 5.0000 s"),
+            std::string::npos);
+}
+
+TEST(MetricsReportTest, UnphasedSecondsNeverGoNegative) {
+  mr::MetricsRegistry log;
+  MetricBag driver;
+  mr::MetricsRegistry::AddPhaseWall(driver, "a", 3.0);
+  mr::MetricsRegistry::SetCallWall(driver, 2.0);
+  const JsonValue root = ParseOrDie(log.ToJson(&driver));
+  EXPECT_EQ(root.Find("unphased_seconds")->number, 0.0);
+  EXPECT_NE(log.ToString(&driver).find("unphased: 0.0000 s"),
+            std::string::npos);
+}
+
+// Without a call wall time there is no phase table: a bare engine run
+// or a driver bag of gauges only exports the bag under "driver".
+TEST(MetricsReportTest, NoPhaseTableWithoutACallWall) {
+  mr::MetricsRegistry log;
+  log.Record(JobRow("a-1", 1));
+  log.StampPhase(0, "a");
+  MetricBag driver;
+  mr::MetricsRegistry::AddPhaseWall(driver, "a", 1.0);
+  for (const MetricBag* bag : {static_cast<const MetricBag*>(nullptr),
+                               static_cast<const MetricBag*>(&driver)}) {
+    const JsonValue root = ParseOrDie(log.ToJson(bag));
+    EXPECT_EQ(root.Find("phases"), nullptr);
+    EXPECT_EQ(root.Find("wall_seconds"), nullptr);
+    EXPECT_EQ(root.Find("unphased_seconds"), nullptr);
+    EXPECT_EQ(root.Find("driver") != nullptr, bag != nullptr);
+    EXPECT_EQ(log.ToString(bag).find("unphased:"), std::string::npos);
+  }
+}
+
+// The peak-bytes column is filled only for phases whose memory window
+// was tracked.
+TEST(MetricsReportTest, PeakBytesOnlyForTrackedPhases) {
+  mr::MetricsRegistry log;
+  log.Record(JobRow("a-1", 1));
+  log.StampPhase(0, "a");
+  log.Record(JobRow("b-1", 1));
+  log.StampPhase(1, "b");
+  MetricBag driver;
+  mr::MetricsRegistry::AddPhaseWall(driver, "a", 1.0);
+  mr::MetricsRegistry::AddPhaseWall(driver, "b", 1.0);
+  mr::MetricsRegistry::SetCallWall(driver, 2.0);
+  driver.SetGauge("mem.phase.a.peak_bytes", 4096.0);
+
+  const JsonValue root = ParseOrDie(log.ToJson(&driver));
+  const JsonValue* phases = root.Find("phases");
+  ASSERT_NE(phases, nullptr);
+  ASSERT_EQ(phases->array.size(), 2u);
+  ASSERT_NE(phases->array[0].Find("peak_bytes"), nullptr);
+  EXPECT_EQ(phases->array[0].Find("peak_bytes")->number, 4096.0);
+  EXPECT_EQ(phases->array[1].Find("peak_bytes"), nullptr);
+
+  const std::string table = log.ToString(&driver);
+  const size_t row_a = table.find("\na ");
+  const size_t row_b = table.find("\nb ");
+  ASSERT_NE(row_a, std::string::npos);
+  ASSERT_NE(row_b, std::string::npos);
+  const std::string line_a = table.substr(row_a + 1,
+                                          table.find('\n', row_a + 1) - row_a);
+  const std::string line_b = table.substr(row_b + 1,
+                                          table.find('\n', row_b + 1) - row_b);
+  EXPECT_NE(line_a.find(" 4096\n"), std::string::npos) << line_a;
+  EXPECT_NE(line_b.find(" -\n"), std::string::npos) << line_b;
 }
 
 // ---- partition_skew edge cases ---------------------------------------

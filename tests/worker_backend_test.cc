@@ -40,9 +40,9 @@
 #include "src/common/status.h"
 #include "src/common/trace.h"
 #include "src/data/generator.h"
-#include "src/mapreduce/counters.h"
 #include "src/mapreduce/executor.h"
 #include "src/mapreduce/fault.h"
+#include "src/mapreduce/metrics.h"
 #include "src/mapreduce/runner.h"
 #include "src/mapreduce/wire.h"
 #include "src/mr/p3c_mr.h"
@@ -250,8 +250,8 @@ struct WordCountRun {
 
 WordCountRun RunWordCount(RunnerOptions options,
                           const std::vector<std::string>& words) {
-  Counters counters;
-  options.counters = &counters;
+  MetricsRegistry metrics;
+  options.metrics = &metrics;
   LocalRunner runner(options);
   auto result =
       runner.Run<std::string, uint64_t, std::pair<std::string, uint64_t>>(
@@ -265,7 +265,7 @@ WordCountRun RunWordCount(RunnerOptions options,
     return run;
   }
   run.output = std::move(result).value();
-  run.counters_json = counters.Snapshot().ToJson();
+  run.counters_json = metrics.MergedCounters().ToJson();
   return run;
 }
 
@@ -485,7 +485,7 @@ TEST(WorkerBackendCheckpointTest, SigkillMidPhaseResumesByteIdentical) {
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   const std::string baseline_canonical = Canonical(*baseline);
   const std::string baseline_counters =
-      baseline_pipeline.counters().Snapshot().ToJson();
+      baseline_pipeline.counters().ToJson();
 
   const fs::path dir = fs::temp_directory_path() / "p3c_worker_ckpt";
   fs::remove_all(dir);
@@ -516,7 +516,7 @@ TEST(WorkerBackendCheckpointTest, SigkillMidPhaseResumesByteIdentical) {
   auto result = resumed.Cluster(data.dataset);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(Canonical(*result), baseline_canonical);
-  EXPECT_EQ(resumed.counters().Snapshot().ToJson(), baseline_counters);
+  EXPECT_EQ(resumed.counters().ToJson(), baseline_counters);
   EXPECT_EQ(LiveWorkerCount(), 0u);
   fs::remove_all(dir);
 }

@@ -1,6 +1,7 @@
 #include "tools/lint/linter.h"
 
 #include <cstddef>
+#include <set>
 #include <string>
 
 namespace p3c::lint {
@@ -79,7 +80,7 @@ bool PathEndsWith(const std::string& path, const std::string& suffix) {
 }
 
 // C++ keywords (and contextually reserved names) that can open a
-// statement but never name a Status-returning call.
+// statement but never name a declared variable or function.
 bool IsStatementKeyword(const std::string& s) {
   static const std::set<std::string> kKeywords = {
       "if",       "else",     "for",     "while",    "do",       "switch",
@@ -91,88 +92,6 @@ bool IsStatementKeyword(const std::string& s) {
       "operator", "sizeof",   "co_return", "co_await", "co_yield",
   };
   return kKeywords.count(s) > 0;
-}
-
-/// Marks token indices that begin a statement: after `;`/`{`/`}`, after
-/// `else`/`do`, and after the control clause of if/for/while/switch
-/// (so `if (cond) DropStatus();` is still caught).
-std::vector<bool> StatementStarts(const Tokens& t) {
-  std::vector<bool> starts(t.size() + 1, false);
-  if (!t.empty()) starts[0] = true;
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (t[i].kind == TokKind::kPunct &&
-        (t[i].text == ";" || t[i].text == "{" || t[i].text == "}")) {
-      starts[i + 1] = true;
-    }
-    if (IsIdent(t, i, "else") || IsIdent(t, i, "do")) starts[i + 1] = true;
-    if ((IsIdent(t, i, "if") || IsIdent(t, i, "for") ||
-         IsIdent(t, i, "while") || IsIdent(t, i, "switch")) &&
-        IsPunct(t, i + 1, "(")) {
-      const size_t after = MatchParen(t, i + 1);
-      if (after != kNpos && after < starts.size()) starts[after] = true;
-    }
-  }
-  return starts;
-}
-
-// ---------------------------------------------------------------------------
-// p3c-unchecked-status
-// ---------------------------------------------------------------------------
-
-void RuleUncheckedStatus(const std::string& path, const LexedFile& file,
-                         const StatusFnRegistry& registry,
-                         std::vector<Diagnostic>* out) {
-  const Tokens& t = file.tokens;
-  const std::vector<bool> starts = StatementStarts(t);
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (!starts[i] || !IsIdent(t, i) || IsStatementKeyword(t[i].text)) {
-      continue;
-    }
-    // Walk a qualified/member chain: a (:: . ->)-separated identifier
-    // sequence; `last` ends up as the called name, `qual` as the
-    // `::`-joined qualification since the most recent member access.
-    size_t j = i;
-    std::string last;
-    std::string qual;
-    bool pure_qualified = true;
-    while (IsIdent(t, j)) {
-      last = t[j].text;
-      if (!qual.empty()) qual += "::";
-      qual += last;
-      ++j;
-      if (IsPunct(t, j, "::")) {
-        ++j;
-        continue;
-      }
-      if (IsPunct(t, j, ".") || IsPunct(t, j, "->")) {
-        ++j;
-        pure_qualified = false;
-        qual.clear();
-        continue;
-      }
-      break;
-    }
-    if (!IsPunct(t, j, "(")) continue;
-    // An explicitly qualified call is matched against the qualified
-    // declaration names. A bare or member call is flagged only when
-    // its final name is unambiguous across the scanned set — a name
-    // also declared with a non-Status return type somewhere
-    // (Commit/Append/Take) cannot be attributed without type
-    // information, and a false positive here costs more than the
-    // false negative.
-    const bool qualified_hit = pure_qualified && qual != last &&
-                               registry.qualified.count(qual) > 0;
-    const bool bare_hit = registry.names.count(last) > 0 &&
-                          registry.non_status.count(last) == 0;
-    if (!qualified_hit && !bare_hit) continue;
-    const size_t after = MatchParen(t, j);
-    if (after == kNpos || !IsPunct(t, after, ";")) continue;
-    out->push_back(
-        {path, t[i].line, "p3c-unchecked-status",
-         "result of '" + last +
-             "' (declared to return Status/Result) is silently discarded; "
-             "check it, propagate it, or cast to (void) with a reason"});
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -522,84 +441,10 @@ std::string FormatDiagnostic(const Diagnostic& d) {
          " [" + d.rule + "]";
 }
 
-void CollectStatusReturning(const LexedFile& file,
-                            StatusFnRegistry* registry) {
-  const Tokens& t = file.tokens;
-  // Pass 1: Status/Result declarations. Walk `Foo::Bar::Baz` to the
-  // final name; require '(' right after so variable declarations
-  // (`Status st = ...;`) are not recorded. `claimed` remembers where
-  // these name chains start so pass 2 does not re-read a
-  // `Result<...> Name(` declaration as a non-Status one.
-  std::set<size_t> claimed;
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (!IsIdent(t, i)) continue;
-    size_t name_begin = kNpos;
-    if (t[i].text == "Status" && IsIdent(t, i + 1)) {
-      name_begin = i + 1;
-    } else if (t[i].text == "Result" && IsPunct(t, i + 1, "<")) {
-      const size_t after = MatchAngle(t, i + 1);
-      if (after != kNpos && IsIdent(t, after)) name_begin = after;
-    }
-    if (name_begin == kNpos) continue;
-    size_t j = name_begin;
-    std::string last;
-    std::string qual;
-    while (IsIdent(t, j)) {
-      last = t[j].text;
-      if (!qual.empty()) qual += "::";
-      qual += last;
-      ++j;
-      if (IsPunct(t, j, "::")) {
-        ++j;
-        continue;
-      }
-      break;
-    }
-    if (IsPunct(t, j, "(") && !IsStatementKeyword(last)) {
-      claimed.insert(name_begin);
-      registry->names.insert(last);
-      if (qual != last) registry->qualified.insert(qual);
-    }
-  }
-  // Pass 2: every other `Type Name(` / `Type Qualified::Name(`
-  // declaration. A final name recorded here collides with any
-  // same-named Status declaration, making bare calls to it ambiguous
-  // (`void Tracer::Append` vs `Status AtomicFileWriter::Append`). The
-  // preceding token must plausibly end a return type — an identifier
-  // or a template/pointer/reference tail — so ordinary call sites
-  // (always preceded by punctuation or a statement keyword) are never
-  // misread as declarations.
-  for (size_t i = 1; i < t.size(); ++i) {
-    if (!IsIdent(t, i) || claimed.count(i) > 0) continue;
-    const Token& prev = t[i - 1];
-    const bool after_type =
-        (prev.kind == TokKind::kIdentifier && prev.text != "Status" &&
-         prev.text != "Result" && !IsStatementKeyword(prev.text)) ||
-        (prev.kind == TokKind::kPunct &&
-         (prev.text == ">" || prev.text == ">>" || prev.text == "&" ||
-          prev.text == "*"));
-    if (!after_type) continue;
-    size_t j = i;
-    std::string last;
-    while (IsIdent(t, j)) {
-      last = t[j].text;
-      ++j;
-      if (IsPunct(t, j, "::")) {
-        ++j;
-        continue;
-      }
-      break;
-    }
-    if (IsPunct(t, j, "(") && !IsStatementKeyword(last)) {
-      registry->non_status.insert(last);
-    }
-  }
-}
-
 const std::vector<std::string>& AllRules() {
   static const std::vector<std::string> kRules = {
-      "p3c-unchecked-status",   "p3c-unordered-emit",
-      "p3c-cancellation-poll",  "p3c-no-iostream",
+      "p3c-unordered-emit",     "p3c-cancellation-poll",
+      "p3c-no-iostream",
       "p3c-banned-nondeterminism", "p3c-raw-file-write",
       "p3c-naked-mutex",        "p3c-implicit-seq-cst",
   };
@@ -608,14 +453,11 @@ const std::vector<std::string>& AllRules() {
 
 std::vector<Diagnostic> LintSource(const std::string& path,
                                    const std::string& source,
-                                   const StatusFnRegistry& registry,
                                    const std::vector<std::string>& enabled) {
   const LexedFile file = Lex(source);
   std::vector<Diagnostic> raw;
   for (const std::string& rule : enabled) {
-    if (rule == "p3c-unchecked-status") {
-      RuleUncheckedStatus(path, file, registry, &raw);
-    } else if (rule == "p3c-unordered-emit") {
+    if (rule == "p3c-unordered-emit") {
       RuleUnorderedEmit(path, file, &raw);
     } else if (rule == "p3c-cancellation-poll") {
       RuleCancellationPoll(path, file, &raw);

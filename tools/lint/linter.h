@@ -5,19 +5,16 @@
 //
 // The engine's correctness claims rest on repo-wide conventions that
 // neither the compiler nor the sanitizers enforce (DESIGN.md §12):
-// every Status/Result is checked, loops that drive user task code poll
-// their CancellationToken, unordered containers never iterate straight
-// into emitted output, logging goes through logging.h, and entropy
-// sources live only in src/common/random.cc. Each convention is a rule
+// loops that drive user task code poll their CancellationToken,
+// unordered containers never iterate straight into emitted output,
+// logging goes through logging.h, and entropy sources live only in
+// src/common/random.cc. (A discarded Status/Result is the compiler's
+// job: both are [[nodiscard]] and the build has -Werror=unused-result.) Each convention is a rule
 // here, written as token-stream pattern matching (no libclang): fast,
 // dependency-free, and precise enough that every firing is either a
 // real violation or carries an explanatory `// NOLINT(p3c-...)`.
 //
 // Rules (IDs are stable; suppressions reference them):
-//   p3c-unchecked-status       A call to a function declared to return
-//                              Status/Result<T> used as a bare
-//                              expression statement — the error is
-//                              silently dropped.
 //   p3c-unordered-emit         A range-for over a container declared
 //                              std::unordered_map/set whose body calls
 //                              Emit(...) — iteration order is
@@ -63,7 +60,6 @@
 //                              doctrine's hot gates are documented
 //                              relaxed loads).
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -81,38 +77,6 @@ struct Diagnostic {
 /// "file:line: error: message [rule]" — clang-style, clickable.
 std::string FormatDiagnostic(const Diagnostic& d);
 
-/// Functions declared (anywhere in the scanned set) to return `Status`
-/// or `Result<T>`. Built in a first pass over every input file so call
-/// sites in one file see declarations from another.
-///
-/// The registry is keyed three ways so that an unqualified name shared
-/// between a Status-returning function and an unrelated void/bool one
-/// (`AtomicFileWriter::Commit` vs `TaskContext::Commit`,
-/// `AtomicFileWriter::Append` vs `Tracer::Append`) cannot produce
-/// false positives: a bare or member call is flagged only when its
-/// final name is unambiguous across the whole scanned set, while an
-/// explicitly `Qualified::Call(...)` is matched against the qualified
-/// declaration names and flagged regardless of bare-name ambiguity.
-/// The deliberate trade-off: a *member* call that drops a Status on an
-/// ambiguous name is not flagged — attribution would need real type
-/// information, and a silent false positive costs more than this
-/// false negative.
-struct StatusFnRegistry {
-  /// Final (unqualified) declaration names: `Commit`, `WriteFrame`.
-  std::set<std::string> names;
-  /// Qualified declaration names as written: `AtomicFileWriter::Commit`.
-  std::set<std::string> qualified;
-  /// Final names that also appear as a non-Status/Result declaration
-  /// somewhere in the scanned set — ambiguous as bare-call targets.
-  std::set<std::string> non_status;
-};
-
-/// Scans one file's tokens for `Status Name(` / `Result<...> Name(`
-/// declarations, recording `Name` (and `Qualified::Name` when written
-/// qualified), plus every other `Type Name(` declaration whose final
-/// name could collide with one of them.
-void CollectStatusReturning(const LexedFile& file, StatusFnRegistry* registry);
-
 /// All rule IDs, in diagnostic order.
 const std::vector<std::string>& AllRules();
 
@@ -122,7 +86,6 @@ const std::vector<std::string>& AllRules();
 /// verbatim in diagnostics. NOLINT suppressions are already applied.
 std::vector<Diagnostic> LintSource(const std::string& path,
                                    const std::string& source,
-                                   const StatusFnRegistry& registry,
                                    const std::vector<std::string>& enabled);
 
 }  // namespace p3c::lint

@@ -5,10 +5,7 @@
 //   p3c_lint [--rules=r1,r2,...] [--json] FILE...  lint mode (default)
 //   p3c_lint --check-headers [--root=DIR] [--cxx=BIN] [--json] HEADER...
 //
-// Lint mode runs two passes: first every file is scanned for
-// Status/Result-returning declarations (so call sites in one file see
-// declarations from another), then the enabled rules run per file.
-// Diagnostics go to stdout in clang style, or — with --json — as a
+// Lint mode runs the enabled rules over each file. Diagnostics go to stdout in clang style, or — with --json — as a
 // JSON array of {"file","line","rule","message"} records so CI and
 // editors can consume findings without scraping text. The summary
 // stays on stderr and the exit-code contract is unchanged in both
@@ -226,25 +223,21 @@ int main(int argc, char** argv) {
     return failures == 0 ? 0 : 1;
   }
 
-  // Pass 1: build the Status/Result registry across every input file.
   std::vector<std::pair<std::string, std::string>> sources;
-  p3c::lint::StatusFnRegistry registry;
   for (const std::string& path : files) {
     std::string content;
     if (!ReadFile(path, &content)) {
       std::cerr << "p3c_lint: cannot read '" << path << "'\n";
       return 2;
     }
-    p3c::lint::CollectStatusReturning(p3c::lint::Lex(content), &registry);
     sources.emplace_back(path, std::move(content));
   }
 
-  // Pass 2: rules.
   size_t count = 0;
   if (json) std::cout << "[";
   for (const auto& [path, content] : sources) {
     for (const p3c::lint::Diagnostic& d :
-         p3c::lint::LintSource(path, content, registry, rules)) {
+         p3c::lint::LintSource(path, content, rules)) {
       if (json) {
         if (count > 0) std::cout << ",";
         std::cout << "\n  " << JsonRecord(d);

@@ -5,11 +5,16 @@
 //           [--noise F] [--seed S] [--binary]
 //   p3c_cli cluster  --in points.csv --algo ALGO [--out assignments.csv]
 //           [--clusters-out clusters.txt] [--normalize] [--threads T]
-//           [--theta F] [--alpha-poisson F] [--job-log]
+//           [--theta F] [--alpha-poisson F]
+//           [--job-log]                the run report as text: the job
+//                                      table, the phase table (wall s,
+//                                      jobs, input, peak bytes) and the
+//                                      merged counters (mr / mr-light)
 //           [--trace-out=trace.json]   Chrome trace-event JSON (load in
 //                                      Perfetto / chrome://tracing)
-//           [--metrics-out=m.json]     per-job MR metrics + counters
-//                                      (mr / mr-light only)
+//           [--metrics-out=m.json]     the same run report as JSON: jobs,
+//                                      phases, counters and the driver
+//                                      bag (mr / mr-light only)
 //           [--max-attempts N]         task attempts per task (>= 1)
 //           [--task-deadline S]        wall-clock deadline per task
 //                                      attempt in seconds (0 = off); a
@@ -394,13 +399,16 @@ Result<core::ClusteringResult> RunAlgo(const std::string& algo,
     mr::P3CMR pipeline{options};
     Result<core::ClusteringResult> result = pipeline.Cluster(dataset);
     if (result.ok() && args.Has("job-log")) {
-      std::printf("%s", pipeline.metrics().ToString().c_str());
+      std::printf("%s", pipeline.metrics()
+                            .ToString(&pipeline.driver_metrics())
+                            .c_str());
     }
     const std::string metrics_out = args.Get("metrics-out", "");
     if (!metrics_out.empty()) {
       // Written even when clustering failed: the per-job table up to the
       // failure is exactly what a post-mortem needs. The driver bag
-      // carries the mem.*.peak_bytes gauges when --track-memory is on.
+      // carries the phase walls, and the mem.*.peak_bytes gauges when
+      // --track-memory is on.
       const Status st = AtomicWriteFile(
           metrics_out, pipeline.metrics().ToJson(&pipeline.driver_metrics()));
       if (!st.ok()) return st;
