@@ -212,6 +212,7 @@ std::string MetricsRegistry::ToJson(const MetricBag* driver) const {
         "    {\"job_name\": \"%s\", \"num_splits\": %zu, "
         "\"num_reducers\": %zu, \"input_records\": %llu, "
         "\"map_output_records\": %llu, \"shuffle_bytes\": %llu, "
+        "\"task_peak_bytes\": %llu, "
         "\"output_records\": %llu, \"task_attempts\": %llu, "
         "\"task_failures\": %llu, \"retried_tasks\": %llu, "
         "\"killed_attempts\": %llu, \"deadline_exceeded\": %llu, "
@@ -224,6 +225,7 @@ std::string MetricsRegistry::ToJson(const MetricBag* driver) const {
         static_cast<unsigned long long>(j.input_records),
         static_cast<unsigned long long>(j.map_output_records),
         static_cast<unsigned long long>(j.shuffle_bytes),
+        static_cast<unsigned long long>(j.task_peak_bytes),
         static_cast<unsigned long long>(j.output_records),
         static_cast<unsigned long long>(j.task_attempts),
         static_cast<unsigned long long>(j.task_failures),

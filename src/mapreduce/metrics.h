@@ -24,6 +24,11 @@ struct JobMetrics {
   uint64_t input_records = 0;
   uint64_t map_output_records = 0;   ///< records entering the shuffle
   uint64_t shuffle_bytes = 0;        ///< approximate serialized volume
+  /// Largest serialized emit volume of one map task: the task-footprint
+  /// gauge of a run with the memory tracker on, 0 with it off. It sits
+  /// on the job row, not in `counters`, so the counter JSON does not
+  /// depend on whether memory was tracked.
+  uint64_t task_peak_bytes = 0;
   uint64_t output_records = 0;
   // Fault-tolerance accounting (Hadoop's failed/killed task attempt
   // counters): every map/reduce task of the job runs as one or

@@ -736,16 +736,6 @@ class LocalRunner {
                     out);
       }
       mapper->Cleanup(out);
-      if (resource::MemoryTracker::Global().enabled()) {
-        // Deterministic task-footprint gauge: serialized emit bytes,
-        // identical for every attempt of this task (and for a
-        // worker child, whose tracker enabled flag is inherited at
-        // fork). It rides the attempt-local counters, so failed
-        // attempts drop it with the attempt and the job-level merge
-        // (gauge = max) is exactly-once under retries and kills.
-        out.counters_.SetGauge("mem.task.peak_bytes",
-                               static_cast<double>(out.bytes_));
-      }
       return out;
     };
 
@@ -815,9 +805,15 @@ class LocalRunner {
     });
     if (failure.has_failed()) return failure.Take();
 
+    const bool track_memory = resource::MemoryTracker::Global().enabled();
     for (auto& e : emitters) {
       metrics->shuffle_bytes += e.bytes_;
       metrics->counters.MergeFrom(e.counters_);
+      // Only committed attempts reach `emitters`, so the task footprint
+      // counts each task once under retries and kills.
+      if (track_memory) {
+        metrics->task_peak_bytes = std::max(metrics->task_peak_bytes, e.bytes_);
+      }
     }
     metrics->map_output_records =
         map_output_records.load(std::memory_order_relaxed);

@@ -680,6 +680,151 @@ Result<std::vector<uint64_t>> UnpackSupports(std::vector<KeyedCounts> out,
   return supports;
 }
 
+void CoreMembership::Contributions(RecordRange rows, const double* xs,
+                                   RangeMemberships& out) const {
+  (void)xs;
+  thread_local core::Rssc::Scratch scratch;
+  thread_local std::vector<uint64_t> words;
+  out.Reset(rows.size());
+  words.resize(k_);
+  rssc_.Members(dataset_, rows.begin, rows.end, scratch, words);
+  uint64_t members = 0;
+  for (uint64_t word : words) members |= word;
+  for (; members != 0; members &= members - 1) {
+    const auto r = static_cast<uint32_t>(std::countr_zero(members));
+    for (size_t c = 0; c < k_; ++c) {
+      if ((words[c] >> r) & 1) {
+        out.entries.push_back({r, static_cast<uint32_t>(c), 1.0});
+      }
+    }
+  }
+}
+
+void OrphanAssigningMembership::Contributions(RecordRange rows,
+                                              const double* xs,
+                                              RangeMemberships& out) const {
+  thread_local RangeMemberships members;
+  thread_local std::vector<double> block;
+  cores_.Contributions(rows, xs, members);
+  const size_t n = rows.size();
+  uint32_t orphans[core::GmmEvaluator::kMaxBlockRows]{};
+  size_t m = 0;
+  size_t e = 0;
+  for (size_t r = 0; r < n; ++r) {
+    const size_t first = e;
+    while (e < members.entries.size() && members.entries[e].row == r) ++e;
+    if (e == first) orphans[m++] = static_cast<uint32_t>(r);
+  }
+  uint32_t nearest[core::GmmEvaluator::kMaxBlockRows]{};
+  core::GatherBlockRows(xs, n, evaluator_.dim(), orphans, m, block);
+  evaluator_.NearestComponents(block.data(), m, nearest);
+  // Merge back in row order, so every per-component sum keeps the
+  // association of a row-at-a-time loop.
+  out.Reset(n);
+  e = 0;
+  size_t o = 0;
+  for (size_t r = 0; r < n; ++r) {
+    if (o < m && orphans[o] == r) {
+      out.entries.push_back({static_cast<uint32_t>(r), nearest[o++], 1.0});
+      continue;
+    }
+    while (e < members.entries.size() && members.entries[e].row == r) {
+      out.entries.push_back(members.entries[e++]);
+    }
+  }
+}
+
+void SoftMembership::Contributions(RecordRange rows, const double* xs,
+                                   RangeMemberships& out) const {
+  thread_local std::vector<double> logw;
+  const size_t n = rows.size();
+  const size_t k = evaluator_.num_components();
+  logw.resize(n * k);
+  evaluator_.LogWeightedDensities(xs, n, logw.data());
+  out.Reset(n);
+  for (size_t r = 0; r < n; ++r) {
+    double* resp = &logw[r * k];
+    evaluator_.Responsibilities(resp, &out.log_likelihood[r]);
+    for (size_t c = 0; c < k; ++c) {
+      if (resp[c] > 1e-12) {
+        out.entries.push_back(
+            {static_cast<uint32_t>(r), static_cast<uint32_t>(c), resp[c]});
+      }
+    }
+  }
+}
+
+void BallMembership::Contributions(RecordRange rows, const double* xs,
+                                   RangeMemberships& out) const {
+  thread_local std::vector<double> logw;
+  thread_local linalg::Vector x;
+  const size_t n = rows.size();
+  const size_t k = evaluator_.num_components();
+  logw.resize(n * k);
+  evaluator_.LogWeightedDensities(xs, n, logw.data());
+  out.Reset(n);
+  for (size_t r = 0; r < n; ++r) {
+    const size_t c = evaluator_.ArgMax(&logw[r * k]);
+    const MvbBall& ball = balls_[c];
+    if (ball.center.empty()) continue;
+    core::BlockRow(xs, n, evaluator_.dim(), r, x);
+    if (std::sqrt(linalg::SquaredDistance(x, ball.center)) <= ball.radius) {
+      out.entries.push_back(
+          {static_cast<uint32_t>(r), static_cast<uint32_t>(c), 1.0});
+    }
+  }
+}
+
+MembershipRecord::MembershipRecord(const MembershipFn& inner,
+                                   size_t num_points)
+    : inner_(inner), blocks_(num_points / kMapRangeRecords + 1) {}
+
+MembershipRecord::~MembershipRecord() {
+  for (auto& block : blocks_) {
+    Copy* copy = block.load(std::memory_order_relaxed);
+    while (copy != nullptr) delete std::exchange(copy, copy->next);
+  }
+}
+
+const MembershipRecord::Copy* MembershipRecord::Find(const Copy* head,
+                                                     RecordRange rows) {
+  for (; head != nullptr; head = head->next) {
+    if (head->rows.begin == rows.begin && head->rows.end == rows.end) {
+      return head;
+    }
+  }
+  return nullptr;
+}
+
+void MembershipRecord::Contributions(RecordRange rows, const double* xs,
+                                     RangeMemberships& out) const {
+  const size_t b = rows.begin / kMapRangeRecords;
+  if (b >= blocks_.size()) {
+    inner_.Contributions(rows, xs, out);
+    return;
+  }
+  std::atomic<Copy*>& block = blocks_[b];
+  Copy* head = block.load(std::memory_order_acquire);
+  if (const Copy* copy = Find(head, rows)) {
+    out.entries.assign(copy->memberships.entries.begin(),
+                       copy->memberships.entries.end());
+    out.log_likelihood.assign(copy->memberships.log_likelihood.begin(),
+                              copy->memberships.log_likelihood.end());
+    return;
+  }
+  inner_.Contributions(rows, xs, out);
+  auto fresh = std::make_unique<Copy>(Copy{rows, out, head});
+  while (!block.compare_exchange_weak(fresh->next, fresh.get(),
+                                      std::memory_order_release,
+                                      std::memory_order_acquire)) {
+    if (Find(fresh->next, rows) != nullptr) return;  // another was first
+  }
+  const RangeMemberships& m = fresh.release()->memberships;
+  mem_.Add(static_cast<int64_t>(
+      m.entries.size() * sizeof(RangeMemberships::Entry) +
+      m.log_likelihood.size() * sizeof(double)));
+}
+
 Result<MomentSums> RunMomentJob(LocalRunner& runner,
                                 const data::Dataset& dataset,
                                 const core::GmmModel& model,

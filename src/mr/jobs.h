@@ -1,15 +1,18 @@
 #ifndef P3C_MR_JOBS_H_
 #define P3C_MR_JOBS_H_
 
+#include <atomic>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "src/common/resource.h"
 #include "src/common/status.h"
 
 #include "src/core/gmm.h"
 #include "src/core/interval.h"
 #include "src/core/outlier.h"
+#include "src/core/rssc.h"
 #include "src/core/signature.h"
 #include "src/data/dataset.h"
 #include "src/linalg/matrix.h"
@@ -74,6 +77,11 @@ struct RangeMemberships {
 /// serve EM-init (hard, by core containment), EM steps (soft
 /// responsibilities), and the MVB in-ball statistics (hard,
 /// ball-filtered).
+///
+/// Contract: `out` is a pure function of the membership's own state, the
+/// rows and `xs`. The same range gives the same bits on every call, from
+/// any thread, in any order, in any attempt, so a MembershipRecord may
+/// hand out a range's entries computed by another call.
 class MembershipFn {
  public:
   virtual ~MembershipFn() = default;
@@ -84,6 +92,113 @@ class MembershipFn {
   /// memberships.
   virtual void Contributions(RecordRange rows, const double* xs,
                              RangeMemberships& out) const = 0;
+};
+
+/// Hard membership by cluster-core containment: a point contributes
+/// weight 1 to every core whose support set contains it (EM init round 1,
+/// §5.4). A map range is one Rssc::Members group.
+class CoreMembership : public MembershipFn {
+ public:
+  CoreMembership(const data::Dataset& dataset,
+                 const std::vector<core::Signature>& signatures)
+      : dataset_(dataset), rssc_(signatures), k_(signatures.size()) {}
+
+  void Contributions(RecordRange rows, const double* xs,
+                     RangeMemberships& out) const override;
+
+ private:
+  const data::Dataset& dataset_;
+  core::Rssc rssc_;
+  size_t k_;
+};
+
+/// EM init round 2 (§5.4): support-set members as before, and points
+/// outside every support set attach to the Mahalanobis-nearest core.
+/// A range's orphans are gathered into one block, so the nearest core
+/// costs one kernel call per component for all of them.
+class OrphanAssigningMembership : public MembershipFn {
+ public:
+  OrphanAssigningMembership(const CoreMembership& cores,
+                            const core::GmmEvaluator& evaluator)
+      : cores_(cores), evaluator_(evaluator) {}
+
+  void Contributions(RecordRange rows, const double* xs,
+                     RangeMemberships& out) const override;
+
+ private:
+  const CoreMembership& cores_;
+  const core::GmmEvaluator& evaluator_;
+};
+
+/// Soft EM membership: posterior responsibilities (E step). The k
+/// densities are evaluated once per point, a block at a time; the
+/// log-likelihood comes from the same values.
+class SoftMembership : public MembershipFn {
+ public:
+  explicit SoftMembership(const core::GmmEvaluator& evaluator)
+      : evaluator_(evaluator) {}
+
+  void Contributions(RecordRange rows, const double* xs,
+                     RangeMemberships& out) const override;
+
+ private:
+  const core::GmmEvaluator& evaluator_;
+};
+
+/// MVB in-ball membership (§5.5): the point's argmax-posterior cluster,
+/// kept only when the point lies inside that cluster's ball.
+class BallMembership : public MembershipFn {
+ public:
+  BallMembership(const core::GmmEvaluator& evaluator,
+                 const std::vector<core::MvbBall>& balls)
+      : evaluator_(evaluator), balls_(balls) {}
+
+  void Contributions(RecordRange rows, const double* xs,
+                     RangeMemberships& out) const override;
+
+ private:
+  const core::GmmEvaluator& evaluator_;
+  const std::vector<core::MvbBall>& balls_;
+};
+
+/// One moment/covariance job pair's memberships, so the pair evaluates
+/// each map range once: a decorator that answers a range it has seen
+/// from its copy and every other range from the wrapped membership.
+///
+/// After the wrapped membership fills a range, the record publishes a
+/// copy keyed by that exact [begin, end): one compare-and-swap onto the
+/// list of the range's 64-row block, and the first writer wins. A later
+/// call for the same range copies it out, and a range that matches no
+/// copy exactly (another split layout) calls the wrapped membership. By
+/// MembershipFn's contract both give the same bits, so a retried,
+/// deadline-killed or duplicated attempt cannot change a sum, and a
+/// forked worker, whose copies die with it, only recomputes. The copies
+/// are charged to MemScope::kGmmMatrices until the record dies.
+class MembershipRecord : public MembershipFn {
+ public:
+  /// Records ranges of the first `num_points` rows; later rows pass
+  /// through.
+  MembershipRecord(const MembershipFn& inner, size_t num_points);
+  ~MembershipRecord() override;
+  MembershipRecord(const MembershipRecord&) = delete;
+  MembershipRecord& operator=(const MembershipRecord&) = delete;
+
+  void Contributions(RecordRange rows, const double* xs,
+                     RangeMemberships& out) const override;
+
+ private:
+  struct Copy {
+    RecordRange rows;
+    RangeMemberships memberships;
+    Copy* next;
+  };
+  static const Copy* Find(const Copy* head, RecordRange rows);
+
+  const MembershipFn& inner_;
+  /// One list per 64-row block, holding the copies of the ranges that
+  /// begin in it; published copies are never changed or unlinked.
+  mutable std::vector<std::atomic<Copy*>> blocks_;
+  mutable resource::ArenaCharge mem_{resource::MemScope::kGmmMatrices};
 };
 
 /// First EM job of a step (and of the init rounds): accumulates w_C and

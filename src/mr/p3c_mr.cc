@@ -1,7 +1,6 @@
 #include "src/mr/p3c_mr.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -15,7 +14,6 @@
 #include "src/core/attribute_inspection.h"
 #include "src/core/gmm.h"
 #include "src/core/relevant_intervals.h"
-#include "src/core/rssc.h"
 #include "src/linalg/cholesky.h"
 #include "src/mr/checkpoint.h"
 #include "src/mr/jobs.h"
@@ -135,156 +133,6 @@ auto RunPipelineJob(const PhaseContext& ctx, const char* phase, Fn&& fn)
                              phase, attempts, last.message().c_str()));
 }
 
-/// Hard membership by cluster-core containment: a point contributes
-/// weight 1 to every core whose support set contains it (EM init round 1,
-/// §5.4). A map range is one Rssc::Members group.
-static_assert(kMapRangeRecords <= 64, "a map range must fit one word");
-class CoreMembership : public MembershipFn {
- public:
-  CoreMembership(const data::Dataset& dataset,
-                 const std::vector<core::Signature>& signatures)
-      : dataset_(dataset), rssc_(signatures), k_(signatures.size()) {}
-
-  void Contributions(RecordRange rows, const double* xs,
-                     RangeMemberships& out) const override {
-    (void)xs;
-    thread_local core::Rssc::Scratch scratch;
-    thread_local std::vector<uint64_t> words;
-    out.Reset(rows.size());
-    words.resize(k_);
-    rssc_.Members(dataset_, rows.begin, rows.end, scratch, words);
-    uint64_t members = 0;
-    for (uint64_t word : words) members |= word;
-    for (; members != 0; members &= members - 1) {
-      const auto r = static_cast<uint32_t>(std::countr_zero(members));
-      for (size_t c = 0; c < k_; ++c) {
-        if ((words[c] >> r) & 1) {
-          out.entries.push_back({r, static_cast<uint32_t>(c), 1.0});
-        }
-      }
-    }
-  }
-
- private:
-  const data::Dataset& dataset_;
-  core::Rssc rssc_;
-  size_t k_;
-};
-
-/// EM init round 2 (§5.4): support-set members as before, and points
-/// outside every support set attach to the Mahalanobis-nearest core.
-/// A range's orphans are gathered into one block, so the nearest core
-/// costs one kernel call per component for all of them.
-class OrphanAssigningMembership : public MembershipFn {
- public:
-  OrphanAssigningMembership(const CoreMembership& cores,
-                            const core::GmmEvaluator& evaluator)
-      : cores_(cores), evaluator_(evaluator) {}
-
-  void Contributions(RecordRange rows, const double* xs,
-                     RangeMemberships& out) const override {
-    thread_local RangeMemberships members;
-    thread_local std::vector<double> block;
-    cores_.Contributions(rows, xs, members);
-    const size_t n = rows.size();
-    uint32_t orphans[core::GmmEvaluator::kMaxBlockRows]{};
-    size_t m = 0;
-    size_t e = 0;
-    for (size_t r = 0; r < n; ++r) {
-      const size_t first = e;
-      while (e < members.entries.size() && members.entries[e].row == r) ++e;
-      if (e == first) orphans[m++] = static_cast<uint32_t>(r);
-    }
-    uint32_t nearest[core::GmmEvaluator::kMaxBlockRows]{};
-    core::GatherBlockRows(xs, n, evaluator_.dim(), orphans, m, block);
-    evaluator_.NearestComponents(block.data(), m, nearest);
-    // Merge back in row order, so every per-component sum keeps the
-    // association of a row-at-a-time loop.
-    out.Reset(n);
-    e = 0;
-    size_t o = 0;
-    for (size_t r = 0; r < n; ++r) {
-      if (o < m && orphans[o] == r) {
-        out.entries.push_back({static_cast<uint32_t>(r), nearest[o++], 1.0});
-        continue;
-      }
-      while (e < members.entries.size() && members.entries[e].row == r) {
-        out.entries.push_back(members.entries[e++]);
-      }
-    }
-  }
-
- private:
-  const CoreMembership& cores_;
-  const core::GmmEvaluator& evaluator_;
-};
-
-/// Soft EM membership: posterior responsibilities (E step). The k
-/// densities are evaluated once per point, a block at a time; the
-/// log-likelihood comes from the same values.
-class SoftMembership : public MembershipFn {
- public:
-  explicit SoftMembership(const core::GmmEvaluator& evaluator)
-      : evaluator_(evaluator) {}
-
-  void Contributions(RecordRange rows, const double* xs,
-                     RangeMemberships& out) const override {
-    thread_local std::vector<double> logw;
-    const size_t n = rows.size();
-    const size_t k = evaluator_.num_components();
-    logw.resize(n * k);
-    evaluator_.LogWeightedDensities(xs, n, logw.data());
-    out.Reset(n);
-    for (size_t r = 0; r < n; ++r) {
-      double* resp = &logw[r * k];
-      evaluator_.Responsibilities(resp, &out.log_likelihood[r]);
-      for (size_t c = 0; c < k; ++c) {
-        if (resp[c] > 1e-12) {
-          out.entries.push_back(
-              {static_cast<uint32_t>(r), static_cast<uint32_t>(c), resp[c]});
-        }
-      }
-    }
-  }
-
- private:
-  const core::GmmEvaluator& evaluator_;
-};
-
-/// MVB in-ball membership: the point's argmax-posterior cluster, kept
-/// only when the point lies inside that cluster's ball.
-class BallMembership : public MembershipFn {
- public:
-  BallMembership(const core::GmmEvaluator& evaluator,
-                 const std::vector<MvbBall>& balls)
-      : evaluator_(evaluator), balls_(balls) {}
-
-  void Contributions(RecordRange rows, const double* xs,
-                     RangeMemberships& out) const override {
-    thread_local std::vector<double> logw;
-    thread_local linalg::Vector x;
-    const size_t n = rows.size();
-    const size_t k = evaluator_.num_components();
-    logw.resize(n * k);
-    evaluator_.LogWeightedDensities(xs, n, logw.data());
-    out.Reset(n);
-    for (size_t r = 0; r < n; ++r) {
-      const size_t c = evaluator_.ArgMax(&logw[r * k]);
-      const MvbBall& ball = balls_[c];
-      if (ball.center.empty()) continue;
-      core::BlockRow(xs, n, evaluator_.dim(), r, x);
-      if (std::sqrt(linalg::SquaredDistance(x, ball.center)) <= ball.radius) {
-        out.entries.push_back(
-            {static_cast<uint32_t>(r), static_cast<uint32_t>(c), 1.0});
-      }
-    }
-  }
-
- private:
-  const core::GmmEvaluator& evaluator_;
-  const std::vector<MvbBall>& balls_;
-};
-
 /// Turns moment/covariance job sums into component weights and
 /// covariances using the paper's unbiased weighted covariance
 /// Sigma_C = wC / (wC^2 - wC2) * sum w (x - mu)(x - mu)^T (§5.4); keeps
@@ -311,6 +159,47 @@ std::vector<linalg::Vector> Means(const core::GmmModel& model) {
   means.reserve(model.num_components());
   for (const auto& comp : model.components) means.push_back(comp.mean);
   return means;
+}
+
+/// One moment/covariance job pair (§5.4): the moment sums, the centres
+/// the covariance sums were taken around, and those sums.
+struct MomentPair {
+  MomentSums moments;
+  std::vector<linalg::Vector> centres;
+  std::vector<linalg::Matrix> cov_sums;
+};
+
+/// Runs a moment/covariance job pair under `membership`, both jobs in
+/// `phase`: the moment job, then centres lsum / w for every component
+/// with mass (the others keep `centres`), then the covariance job around
+/// them. Both jobs read one MembershipRecord, so the pair evaluates each
+/// map range's memberships once; the record dies as soon as the
+/// covariance job returns.
+Result<MomentPair> RunMomentPair(const PhaseContext& ctx, LocalRunner& runner,
+                                 const data::Dataset& dataset,
+                                 const core::GmmModel& model,
+                                 const MembershipFn& membership,
+                                 std::vector<linalg::Vector> centres,
+                                 const char* phase, const char* means_job,
+                                 const char* covs_job) {
+  MembershipRecord record(membership, dataset.num_points());
+  auto moments = RunPipelineJob(ctx, phase, [&] {
+    return RunMomentJob(runner, dataset, model, record, means_job);
+  });
+  if (!moments.ok()) return moments.status();
+  for (size_t c = 0; c < centres.size(); ++c) {
+    if (moments->w[c] < 1e-9) continue;
+    for (size_t j = 0; j < centres[c].size(); ++j) {
+      centres[c][j] = moments->lsum[c][j] / moments->w[c];
+    }
+  }
+  auto cov_sums = RunPipelineJob(ctx, phase, [&] {
+    return RunCovarianceJob(runner, dataset, model, record, centres,
+                            covs_job);
+  });
+  if (!cov_sums.ok()) return cov_sums.status();
+  return MomentPair{std::move(moments).value(), std::move(centres),
+                    std::move(cov_sums).value()};
 }
 
 Result<std::vector<linalg::Cholesky>> FactorizeAll(
@@ -360,12 +249,19 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
   }
   struct GaugeExportOnExit {
     MetricBag* bag;
+    const MetricsRegistry* log;
     LocalRunner* runner;
     const Stopwatch* watch;
     ~GaugeExportOnExit() {
       MetricsRegistry::SetCallWall(*bag, watch->ElapsedSeconds());
       if (resource::MemoryTracker::Global().enabled()) {
         resource::MemoryTracker::Global().ExportGauges(bag);
+        // The largest map task footprint of the call's jobs.
+        uint64_t task_peak = 0;
+        for (const JobMetrics& job : log->jobs()) {
+          task_peak = std::max(task_peak, job.task_peak_bytes);
+        }
+        bag->SetGauge("mem.task.peak_bytes", static_cast<double>(task_peak));
       }
       // Worker-backend observability (DESIGN.md §16): spawn/respawn/
       // kill counters and the peak worker RSS gauge land next to the
@@ -374,7 +270,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
       // backend.
       bag->MergeFrom(runner->SnapshotWorkerMetrics());
     }
-  } gauge_export{&driver_metrics_, runner_.get(), &watch};
+  } gauge_export{&driver_metrics_, &metrics_, runner_.get(), &watch};
   if (dataset.num_points() == 0 || dataset.num_dims() == 0) {
     return Status::InvalidArgument("dataset is empty");
   }
@@ -541,37 +437,22 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
     core::GmmModel& model = state.model;
     const size_t dim = result.arel.size();
     if (completed < 3) {
-      // One EM round of two jobs (§5.4): the moment job under the
-      // `weights` membership, its interim means for the covariance job,
-      // then the model update. A component with mass takes the interim
-      // means even when UpdateModel keeps its previous covariance. The
-      // EM loop reads the returned log-likelihood.
+      // One EM round (§5.4): a moment/covariance pair under the
+      // `weights` membership, then the model update. A component with
+      // mass takes the pair's centres as its means even when UpdateModel
+      // keeps its previous covariance. The EM loop reads the returned
+      // log-likelihood.
       auto em_round = [&](const MembershipFn& weights, const char* phase,
                           const char* means_job,
                           const char* covs_job) -> Result<MomentSums> {
-        auto moments = RunPipelineJob(phases, phase, [&] {
-          return RunMomentJob(runner, dataset, model, weights, means_job);
-        });
-        if (!moments.ok()) return moments.status();
-        std::vector<linalg::Vector> means = Means(model);
+        auto pair = RunMomentPair(phases, runner, dataset, model, weights,
+                                  Means(model), phase, means_job, covs_job);
+        if (!pair.ok()) return pair.status();
+        UpdateModel(pair->moments, pair->cov_sums, model);
         for (size_t c = 0; c < k; ++c) {
-          if (moments->w[c] < 1e-9) continue;
-          for (size_t j = 0; j < dim; ++j) {
-            means[c][j] = moments->lsum[c][j] / moments->w[c];
-          }
+          model.components[c].mean = std::move(pair->centres[c]);
         }
-        auto covs = RunPipelineJob(phases, phase, [&] {
-          return RunCovarianceJob(runner, dataset, model, weights, means,
-                                  covs_job);
-        });
-        if (!covs.ok()) return covs.status();
-        UpdateModel(*moments, *covs, model);
-        for (size_t c = 0; c < k; ++c) {
-          if (moments->w[c] >= 1e-9) {
-            model.components[c].mean = std::move(means[c]);
-          }
-        }
-        return moments;
+        return std::move(pair->moments);
       };
 
       // ---- EM initialization: two rounds of two jobs (§5.4) --------------
@@ -637,33 +518,25 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
       if (!balls_result.ok()) return balls_result.status();
       const std::vector<MvbBall>& balls = *balls_result;
       BallMembership ball_membership(*evaluator, balls);
-      auto mb_result = RunPipelineJob(phases, "mvb", [&] {
-        return RunMomentJob(runner, dataset, model, ball_membership,
-                            "mvb-means");
-      });
-      if (!mb_result.ok()) return mb_result.status();
-      MomentSums mb = std::move(mb_result).value();
-      centers.assign(k, linalg::Vector(dim, 0.5));
+      // A cluster without in-ball mass keeps its ball's centre, or its
+      // mean when its ball is empty.
+      std::vector<linalg::Vector> ball_centres;
       for (size_t c = 0; c < k; ++c) {
-        if (mb.w[c] < 1e-9) {
-          centers[c] = balls[c].center.empty() ? model.components[c].mean
-                                               : balls[c].center;
-          continue;
-        }
-        for (size_t j = 0; j < dim; ++j) {
-          centers[c][j] = mb.lsum[c][j] / mb.w[c];
-        }
+        ball_centres.push_back(balls[c].center.empty()
+                                   ? model.components[c].mean
+                                   : balls[c].center);
       }
-      auto cov_sums = RunPipelineJob(phases, "mvb", [&] {
-        return RunCovarianceJob(runner, dataset, model, ball_membership,
-                                centers, "mvb-covs");
-      });
-      if (!cov_sums.ok()) return cov_sums.status();
+      auto pair = RunMomentPair(phases, runner, dataset, model,
+                                ball_membership, std::move(ball_centres),
+                                "mvb", "mvb-means", "mvb-covs");
+      if (!pair.ok()) return pair.status();
+      const MomentSums& mb = pair->moments;
+      centers = std::move(pair->centres);
       covs.assign(k, linalg::Matrix::Identity(dim).Scale(1e-2));
       for (size_t c = 0; c < k; ++c) {
         const double denom = mb.w[c] * mb.w[c] - mb.w2[c];
         if (mb.w[c] >= 1e-9 && denom > 1e-12) {
-          covs[c] = (*cov_sums)[c].Scale(mb.w[c] / denom);
+          covs[c] = pair->cov_sums[c].Scale(mb.w[c] / denom);
         }
         core::ApplyMvbConsistencyCorrection(covs[c], dim);
       }

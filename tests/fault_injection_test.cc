@@ -173,8 +173,9 @@ TEST(FaultInjectionTest, TaskPeakGaugeIsExactlyOnceUnderRetry) {
   ScopedMemoryTracking tracking;
   const RunOutcome clean = RunKeyedSum(nullptr, 4);
   ASSERT_TRUE(clean.result.ok());
-  const double clean_peak = clean.counters.GetGauge("mem.task.peak_bytes");
-  EXPECT_GT(clean_peak, 0.0);
+  ASSERT_EQ(clean.metrics.num_jobs(), 1u);
+  const uint64_t clean_peak = clean.metrics.jobs().front().task_peak_bytes;
+  EXPECT_GT(clean_peak, 0u);
 
   ScriptedFaultInjector injector;
   injector.FailOnce("keyed-sum", /*task_index=*/2, /*attempt=*/0);
@@ -183,12 +184,13 @@ TEST(FaultInjectionTest, TaskPeakGaugeIsExactlyOnceUnderRetry) {
   ASSERT_TRUE(flaky.result.ok()) << flaky.result.status().ToString();
   EXPECT_EQ(injector.injected_faults(), 2u);
 
-  // mem.task.peak_bytes rides the attempt-local counters: a failed
-  // attempt's gauge dies with the attempt, the retry recomputes the
-  // same deterministic bytes, and the cross-task max-merge counts each
-  // peak exactly once — so the merged gauge matches the clean run.
+  // The job row's task peak is taken over committed attempts only: a
+  // failed attempt's bytes die with the attempt, the retry recomputes
+  // the same deterministic bytes, and the max over tasks counts each
+  // peak exactly once — so the gauge matches the clean run.
   EXPECT_EQ(*flaky.result, *clean.result);
-  EXPECT_EQ(flaky.counters.GetGauge("mem.task.peak_bytes"), clean_peak);
+  ASSERT_EQ(flaky.metrics.num_jobs(), 1u);
+  EXPECT_EQ(flaky.metrics.jobs().front().task_peak_bytes, clean_peak);
   EXPECT_EQ(flaky.counters.values(), clean.counters.values());
 }
 
@@ -214,12 +216,14 @@ TEST(FaultInjectionTest, TaskPeakGaugeIsExactlyOnceUnderDeadlineKill) {
   EXPECT_EQ(killed.metrics.jobs().front().deadline_exceeded, 1u);
   EXPECT_EQ(killed.metrics.jobs().front().retried_tasks, 1u);
 
-  // The killed attempt's counters are dropped with it and only the
-  // retry's merge, so the job gauge neither doubles nor drifts:
-  // byte-identical to the kill-free run.
+  // The killed attempt's bytes are dropped with it and only the
+  // retry's count, so the job row's gauge neither doubles nor drifts:
+  // equal to the kill-free run's.
   EXPECT_EQ(*killed.result, *clean.result);
-  EXPECT_EQ(killed.counters.GetGauge("mem.task.peak_bytes"),
-            clean.counters.GetGauge("mem.task.peak_bytes"));
+  ASSERT_EQ(clean.metrics.num_jobs(), 1u);
+  EXPECT_GT(clean.metrics.jobs().front().task_peak_bytes, 0u);
+  EXPECT_EQ(killed.metrics.jobs().front().task_peak_bytes,
+            clean.metrics.jobs().front().task_peak_bytes);
   EXPECT_EQ(killed.counters.values(), clean.counters.values());
 }
 

@@ -6,9 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/random.h"
@@ -437,6 +443,354 @@ TEST(OdJobTest, FlagsFarPoints) {
 }
 
 /// Expects an Internal status whose message names `job`.
+// ---- Membership record: one membership evaluation per job pair -------
+
+/// Wraps a membership: counts its calls and, once each, throws or stalls
+/// after filling a chosen range, modelling a map attempt that dies after
+/// the record has published the ranges before it.
+class ProbeMembership : public MembershipFn {
+ public:
+  static constexpr size_t kNever = static_cast<size_t>(-1);
+
+  explicit ProbeMembership(const MembershipFn& inner) : inner_(inner) {}
+
+  void Contributions(RecordRange rows, const double* xs,
+                     RangeMemberships& out) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    inner_.Contributions(rows, xs, out);
+    if (rows.begin == throw_at_ &&
+        !thrown_.exchange(true, std::memory_order_relaxed)) {
+      throw std::runtime_error("probe: failed after filling a range");
+    }
+    if (rows.begin == stall_at_ &&
+        !stalled_.exchange(true, std::memory_order_relaxed)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    }
+  }
+
+  size_t calls() const { return calls_.load(std::memory_order_relaxed); }
+  void ThrowOnceAt(size_t row) { throw_at_ = row; }
+  void StallOnceAt(size_t row) { stall_at_ = row; }
+
+ private:
+  const MembershipFn& inner_;
+  size_t throw_at_ = kNever;
+  size_t stall_at_ = kNever;
+  mutable std::atomic<size_t> calls_{0};
+  mutable std::atomic<bool> thrown_{false};
+  mutable std::atomic<bool> stalled_{false};
+};
+
+/// The map ranges of a job over n records split `per_split` at a time.
+std::vector<std::pair<size_t, size_t>> MapRanges(size_t n, size_t per_split) {
+  std::vector<std::pair<size_t, size_t>> ranges;
+  for (size_t split = 0; split < n; split += per_split) {
+    const size_t end = std::min(n, split + per_split);
+    for (size_t row = split; row < end; row += kMapRangeRecords) {
+      ranges.emplace_back(row, std::min(end, row + kMapRangeRecords));
+    }
+  }
+  return ranges;
+}
+
+/// A moment job and then a covariance job around its centres (lsum / w,
+/// or the model mean for a component without mass), as the driver runs
+/// them, plus the two jobs' job log.
+struct PairRun {
+  MomentSums moments;
+  std::vector<linalg::Matrix> covs;
+  MetricsRegistry log;
+};
+
+PairRun RunPair(RunnerOptions moment_options, RunnerOptions cov_options,
+                const data::Dataset& dataset, const core::GmmModel& model,
+                const MembershipFn& membership) {
+  PairRun run;
+  moment_options.metrics = &run.log;
+  cov_options.metrics = &run.log;
+  LocalRunner moment_runner(moment_options);
+  auto moments =
+      RunMomentJob(moment_runner, dataset, model, membership, "pair-means");
+  EXPECT_TRUE(moments.ok()) << moments.status().ToString();
+  if (!moments.ok()) return run;
+  run.moments = std::move(moments).value();
+  std::vector<linalg::Vector> centres;
+  for (size_t c = 0; c < model.num_components(); ++c) {
+    centres.push_back(model.components[c].mean);
+    if (run.moments.w[c] < 1e-9) continue;
+    for (size_t j = 0; j < model.dim(); ++j) {
+      centres[c][j] = run.moments.lsum[c][j] / run.moments.w[c];
+    }
+  }
+  LocalRunner cov_runner(cov_options);
+  auto covs = RunCovarianceJob(cov_runner, dataset, model, membership,
+                               centres, "pair-covs");
+  EXPECT_TRUE(covs.ok()) << covs.status().ToString();
+  if (covs.ok()) run.covs = std::move(covs).value();
+  return run;
+}
+
+void ExpectSameBits(const std::vector<double>& a, const std::vector<double>& b,
+                    const std::string& where) {
+  ASSERT_EQ(a.size(), b.size()) << where;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(a[i]), std::bit_cast<uint64_t>(b[i]))
+        << where << " [" << i << "]";
+  }
+}
+
+/// Bit-for-bit equality of two pairs' moment sums, covariance sums and
+/// counter JSON.
+void ExpectSamePair(const PairRun& got, const PairRun& want,
+                    const std::string& where) {
+  ExpectSameBits(got.moments.w, want.moments.w, where + " w");
+  ExpectSameBits(got.moments.w2, want.moments.w2, where + " w2");
+  ASSERT_EQ(got.moments.lsum.size(), want.moments.lsum.size()) << where;
+  for (size_t c = 0; c < want.moments.lsum.size(); ++c) {
+    ExpectSameBits(got.moments.lsum[c], want.moments.lsum[c],
+                   where + " lsum " + std::to_string(c));
+  }
+  ExpectSameBits({got.moments.log_likelihood}, {want.moments.log_likelihood},
+                 where + " log-likelihood");
+  ASSERT_EQ(got.covs.size(), want.covs.size()) << where;
+  for (size_t c = 0; c < want.covs.size(); ++c) {
+    for (size_t i = 0; i < want.covs[c].rows(); ++i) {
+      for (size_t j = 0; j <= i; ++j) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.covs[c](i, j)),
+                  std::bit_cast<uint64_t>(want.covs[c](i, j)))
+            << where << " cov " << c << " (" << i << ", " << j << ")";
+      }
+    }
+  }
+  EXPECT_EQ(got.log.MergedCounters().ToJson(),
+            want.log.MergedCounters().ToJson())
+      << where;
+}
+
+/// The four memberships the pipeline pairs run under, over ground-truth
+/// cores and a model centred on the hidden clusters.
+class RecordFixture {
+ public:
+  explicit RecordFixture(size_t n) : data_(MakeData(72, n)) {
+    std::vector<size_t> arel;
+    for (const auto& cluster : data_.clusters) {
+      std::vector<core::Interval> intervals;
+      for (size_t j = 0; j < cluster.relevant_attrs.size(); ++j) {
+        intervals.push_back({cluster.relevant_attrs[j],
+                             cluster.intervals[j].first,
+                             cluster.intervals[j].second});
+        arel.push_back(cluster.relevant_attrs[j]);
+      }
+      signatures_.push_back(core::Signature::Make(intervals).value());
+    }
+    std::sort(arel.begin(), arel.end());
+    arel.erase(std::unique(arel.begin(), arel.end()), arel.end());
+    model_.arel = arel;
+    for (const auto& cluster : data_.clusters) {
+      core::GaussianComponent comp;
+      comp.mean.assign(arel.size(), 0.5);
+      for (size_t j = 0; j < cluster.relevant_attrs.size(); ++j) {
+        const auto it = std::find(arel.begin(), arel.end(),
+                                  cluster.relevant_attrs[j]);
+        comp.mean[static_cast<size_t>(it - arel.begin())] =
+            0.5 * (cluster.intervals[j].first + cluster.intervals[j].second);
+      }
+      comp.cov = linalg::Matrix::Identity(arel.size()).Scale(0.02);
+      comp.weight = 0.5;
+      model_.components.push_back(std::move(comp));
+    }
+    evaluator_.emplace(core::GmmEvaluator::Make(model_, 1e-6).value());
+    LocalRunner runner = MakeRunner();
+    balls_ = RunMvbBallJob(runner, data_.dataset, model_, *evaluator_).value();
+    cores_.emplace(data_.dataset, signatures_);
+    orphans_.emplace(*cores_, *evaluator_);
+    soft_.emplace(*evaluator_);
+    ball_.emplace(*evaluator_, balls_);
+  }
+
+  const data::Dataset& dataset() const { return data_.dataset; }
+  const core::GmmModel& model() const { return model_; }
+  const MembershipFn& soft() const { return *soft_; }
+
+  std::vector<std::pair<std::string, const MembershipFn*>> memberships()
+      const {
+    return {{"core", &*cores_},
+            {"orphan-assigning", &*orphans_},
+            {"soft", &*soft_},
+            {"ball", &*ball_}};
+  }
+
+ private:
+  data::SyntheticData data_;
+  std::vector<core::Signature> signatures_;
+  core::GmmModel model_;
+  std::optional<core::GmmEvaluator> evaluator_;
+  std::vector<MvbBall> balls_;
+  std::optional<CoreMembership> cores_;
+  std::optional<OrphanAssigningMembership> orphans_;
+  std::optional<SoftMembership> soft_;
+  std::optional<BallMembership> ball_;
+};
+
+RunnerOptions PairOptions(Backend engine, size_t per_split) {
+  RunnerOptions options;
+  options.backend = engine;
+  options.num_threads = 4;
+  options.num_workers = 2;
+  options.records_per_split = per_split;
+  return options;
+}
+
+std::vector<Backend> Engines() {
+  std::vector<Backend> engines = {Backend::kInProcess};
+#ifndef P3C_TSAN
+  // TSan does not support forking a multithreaded process.
+  engines.push_back(Backend::kProcess);
+#endif
+  return engines;
+}
+
+TEST(MembershipRecordTest, PairMatchesThePairWithoutTheRecord) {
+  constexpr size_t kN = 3000;
+  constexpr size_t kPerSplit = 500;
+  const RecordFixture fixture(kN);
+  const size_t num_ranges = MapRanges(kN, kPerSplit).size();
+  for (Backend engine : Engines()) {
+    const RunnerOptions options = PairOptions(engine, kPerSplit);
+    for (const auto& [name, membership] : fixture.memberships()) {
+      const std::string where =
+          std::string("engine=") + BackendName(engine) + " " + name;
+      const PairRun plain = RunPair(options, options, fixture.dataset(),
+                                    fixture.model(), *membership);
+      ProbeMembership probe(*membership);
+      MembershipRecord record(probe, kN);
+      const PairRun recorded = RunPair(options, options, fixture.dataset(),
+                                       fixture.model(), record);
+      ExpectSamePair(recorded, plain, where);
+      // In process, one evaluation per range for both jobs. Forked
+      // workers evaluate in their own memory, so the driver's record
+      // stays empty and the covariance job's workers recompute.
+      EXPECT_EQ(probe.calls(),
+                engine == Backend::kInProcess ? num_ranges : 0u)
+          << where;
+    }
+  }
+}
+
+TEST(MembershipRecordTest, FailedAndKilledMomentAttemptsChangeNoBit) {
+  constexpr size_t kN = 3000;
+  constexpr size_t kPerSplit = 500;
+  const RecordFixture fixture(kN);
+  const size_t num_ranges = MapRanges(kN, kPerSplit).size();
+  const RunnerOptions clean = PairOptions(Backend::kInProcess, kPerSplit);
+  const PairRun plain = RunPair(clean, clean, fixture.dataset(),
+                                fixture.model(), fixture.soft());
+
+  {
+    // Split 2's attempt fails after filling its fourth range, so the
+    // record holds the three before it; the retry reads those and
+    // evaluates the failed range again.
+    ProbeMembership probe(fixture.soft());
+    probe.ThrowOnceAt(2 * kPerSplit + 3 * kMapRangeRecords);
+    MembershipRecord record(probe, kN);
+    const PairRun run =
+        RunPair(clean, clean, fixture.dataset(), fixture.model(), record);
+    ExpectSamePair(run, plain, "failed mid-attempt");
+    ASSERT_EQ(run.log.num_jobs(), 2u);
+    EXPECT_EQ(run.log.jobs()[0].task_failures, 1u);
+    EXPECT_EQ(run.log.jobs()[0].retried_tasks, 1u);
+    EXPECT_EQ(probe.calls(), num_ranges + 1);
+  }
+  {
+    // An attempt that fails before its first range publishes nothing.
+    ScriptedFaultInjector injector;
+    injector.FailOnce("pair-means", /*task_index=*/1, /*attempt=*/0);
+    RunnerOptions options = clean;
+    options.fault_injector = &injector;
+    ProbeMembership probe(fixture.soft());
+    MembershipRecord record(probe, kN);
+    const PairRun run =
+        RunPair(options, clean, fixture.dataset(), fixture.model(), record);
+    ExpectSamePair(run, plain, "failed at start");
+    EXPECT_EQ(injector.injected_faults(), 1u);
+    EXPECT_EQ(probe.calls(), num_ranges);
+  }
+  {
+    // A straggler: split 4's attempt stalls after filling its second
+    // range, the deadline kills it at the next range, and the retry
+    // reads the two ranges the killed attempt published.
+    ProbeMembership probe(fixture.soft());
+    probe.StallOnceAt(4 * kPerSplit + kMapRangeRecords);
+    RunnerOptions options = clean;
+    options.task_deadline_seconds = 0.25;
+    MembershipRecord record(probe, kN);
+    const PairRun run =
+        RunPair(options, clean, fixture.dataset(), fixture.model(), record);
+    ExpectSamePair(run, plain, "deadline-killed");
+    ASSERT_EQ(run.log.num_jobs(), 2u);
+    EXPECT_EQ(run.log.jobs()[0].deadline_exceeded, 1u);
+    EXPECT_EQ(probe.calls(), num_ranges);
+  }
+#ifndef P3C_TSAN
+  {
+    // Process backend: a SIGKILLed worker, a failed attempt and a
+    // deadline-killed straggler in the moment job. The copies die with
+    // the workers, and the sums keep their bits.
+    ScriptedFaultInjector injector;
+    injector.KillWorkerOnce("pair-means", /*task_index=*/0, /*attempt=*/0);
+    injector.FailOnce("pair-means", /*task_index=*/2, /*attempt=*/0);
+    injector.DelayOnce("pair-means", /*task_index=*/4, /*attempt=*/0,
+                       /*delay_seconds=*/30.0);
+    RunnerOptions options = PairOptions(Backend::kProcess, kPerSplit);
+    options.fault_injector = &injector;
+    options.task_deadline_seconds = 0.25;
+    MembershipRecord record(fixture.soft(), kN);
+    const PairRun run =
+        RunPair(options, PairOptions(Backend::kProcess, kPerSplit),
+                fixture.dataset(), fixture.model(), record);
+    ExpectSamePair(run, plain, "process backend");
+    EXPECT_EQ(injector.injected_faults(), 3u);
+    ASSERT_EQ(run.log.num_jobs(), 2u);
+    EXPECT_EQ(run.log.jobs()[0].deadline_exceeded, 1u);
+  }
+#endif
+}
+
+TEST(MembershipRecordTest, CovarianceJobOnOtherRangesRecomputesThem) {
+  constexpr size_t kN = 3000;
+  constexpr size_t kMomentSplit = 500;
+  constexpr size_t kCovSplit = 333;  // most ranges start elsewhere
+  const RecordFixture fixture(kN);
+  const auto moment_ranges = MapRanges(kN, kMomentSplit);
+  size_t misses = 0;
+  for (const auto& range : MapRanges(kN, kCovSplit)) {
+    if (std::find(moment_ranges.begin(), moment_ranges.end(), range) ==
+        moment_ranges.end()) {
+      ++misses;
+    }
+  }
+  ASSERT_GT(misses, 0u);
+  for (Backend engine : Engines()) {
+    const std::string where = std::string("engine=") + BackendName(engine);
+    const RunnerOptions moment_options = PairOptions(engine, kMomentSplit);
+    const RunnerOptions cov_options = PairOptions(engine, kCovSplit);
+    const PairRun plain = RunPair(moment_options, cov_options,
+                                  fixture.dataset(), fixture.model(),
+                                  fixture.soft());
+    ProbeMembership probe(fixture.soft());
+    MembershipRecord record(probe, kN);
+    const PairRun recorded = RunPair(moment_options, cov_options,
+                                     fixture.dataset(), fixture.model(),
+                                     record);
+    ExpectSamePair(recorded, plain, where);
+    if (engine == Backend::kInProcess) {
+      // Every range that matches a moment range exactly is read back;
+      // every other one is evaluated again.
+      EXPECT_EQ(probe.calls(), moment_ranges.size() + misses) << where;
+    }
+  }
+}
+
 void ExpectInternalNaming(const Status& status, const std::string& job) {
   EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
   EXPECT_NE(status.message().find(job), std::string::npos)

@@ -359,8 +359,8 @@ TEST_F(ResourceTest, PipelineOutputIsIdenticalWithTrackingOn) {
     EXPECT_EQ(result_on->clusters[c].points, result_off->clusters[c].points);
     EXPECT_EQ(result_on->clusters[c].attrs, result_off->clusters[c].attrs);
   }
-  // The mem.* gauges are the tracker's own namespace; every other
-  // metric must be byte-identical across the toggle.
+  // Every counter is byte-identical across the toggle: the memory
+  // gauges live on the job rows and in the driver bag.
   const MetricBag off_counters = off.counters();
   const MetricBag on_counters = on.counters();
   for (const auto& [name, metric] : off_counters.values()) {
@@ -369,16 +369,19 @@ TEST_F(ResourceTest, PipelineOutputIsIdenticalWithTrackingOn) {
     EXPECT_TRUE(metric == *other) << name;
   }
   for (const auto& [name, metric] : on_counters.values()) {
-    if (name.rfind("mem.", 0) == 0) continue;
     EXPECT_NE(off_counters.Find(name), nullptr) << name;
   }
+  EXPECT_EQ(on_counters.ToJson(), off_counters.ToJson());
   // The tracked run set the task peak gauge and exported the driver
   // gauges; the untracked run emitted neither.
-  EXPECT_GT(on_counters.GetGauge("mem.task.peak_bytes"), 0.0);
+  EXPECT_GT(on.driver_metrics().GetGauge("mem.task.peak_bytes"), 0.0);
   EXPECT_GT(on.driver_metrics().GetGauge("mem.total.peak_bytes"), 0.0);
   EXPECT_GT(on.driver_metrics().GetGauge("mem.dataset.peak_bytes"), 0.0);
-  EXPECT_EQ(off_counters.Find("mem.task.peak_bytes"), nullptr);
+  EXPECT_EQ(off.driver_metrics().Find("mem.task.peak_bytes"), nullptr);
   EXPECT_EQ(off.driver_metrics().Find("mem.total.peak_bytes"), nullptr);
+  for (const mr::JobMetrics& job : off.metrics().jobs()) {
+    EXPECT_EQ(job.task_peak_bytes, 0u) << job.job_name;
+  }
 }
 
 // ---- Dataset buffers ----------------------------------------------------
