@@ -1,8 +1,10 @@
-// Out-of-core scenario: cluster a binary dataset file with bounded
-// memory — the regime that motivates the paper (its largest input is
-// 0.2 TB, far beyond RAM). The streaming Light pipeline makes a constant
-// number of sequential passes over the file; memory is O(histograms +
-// candidate signatures + one block), independent of n.
+// Out-of-core scenario: cluster a binary dataset file without loading
+// it — the regime that motivates the paper (its largest input is
+// 0.2 TB, far beyond RAM). P3C+-MR-Light reads the file through a
+// data::BinaryDatasetReader: each map task reads one map range (64 rows)
+// at a time, so memory is independent of the rows. The run still holds
+// the per-point ids it returns: the m' assignment (4 bytes a row) and the
+// support sets.
 //
 //   ./build/examples/out_of_core [num_points]
 
@@ -10,9 +12,9 @@
 #include <cstdlib>
 #include <string>
 
-#include "src/core/streaming.h"
 #include "src/data/generator.h"
 #include "src/data/io.h"
+#include "src/mr/p3c_mr.h"
 
 int main(int argc, char** argv) {
   using namespace p3c;
@@ -37,24 +39,31 @@ int main(int argc, char** argv) {
                 n, static_cast<double>(n) * 50 * 8 / 1e6);
   }
 
-  // Stream-cluster it: 64k-row blocks (~25 MB resident regardless of n).
-  core::StreamingLightPipeline pipeline{core::StreamingLightParams(),
-                                        /*block_rows=*/65536};
-  Result<core::StreamingLightResult> result =
-      pipeline.ClusterAndAssign(path, "out_of_core_assignments.csv");
+  // Opening the file verifies its checksum in one pass; the rows stay on
+  // disk.
+  Result<data::BinaryDatasetReader> file =
+      data::BinaryDatasetReader::Open(path);
+  if (!file.ok()) {
+    std::fprintf(stderr, "open failed: %s\n", file.status().ToString().c_str());
+    return 1;
+  }
+  mr::P3CMROptions options;
+  options.params.light = true;
+  mr::P3CMR pipeline{options};
+  Result<core::ClusteringResult> result = pipeline.Cluster(*file);
   if (!result.ok()) {
     std::fprintf(stderr, "clustering failed: %s\n",
                  result.status().ToString().c_str());
     return 1;
   }
 
-  std::printf("\n%zu clusters in %.2f s using %zu sequential passes:\n",
-              result->clusters.size(), result->seconds, result->passes);
+  std::printf("\n%zu clusters in %.2f s using %zu MR jobs over the file:\n",
+              result->clusters.size(), result->seconds,
+              pipeline.metrics().num_jobs());
   for (size_t c = 0; c < result->clusters.size(); ++c) {
     const auto& cluster = result->clusters[c];
-    std::printf("  cluster %zu: support %llu (unique %llu), signature {",
-                c, static_cast<unsigned long long>(cluster.support),
-                static_cast<unsigned long long>(cluster.unique_members));
+    std::printf("  cluster %zu: support %zu, signature {", c,
+                cluster.points.size());
     for (size_t j = 0; j < cluster.intervals.size(); ++j) {
       std::printf("%sa%zu:[%.2f,%.2f]", j ? ", " : "",
                   cluster.intervals[j].attr, cluster.intervals[j].lower,
@@ -62,6 +71,5 @@ int main(int argc, char** argv) {
     }
     std::printf("}\n");
   }
-  std::printf("assignments: out_of_core_assignments.csv\n");
   return 0;
 }

@@ -2,6 +2,7 @@
 #define P3C_COMMON_STATUS_H_
 
 #include <cassert>
+#include <exception>
 #include <optional>
 #include <string>
 #include <utility>
@@ -149,6 +150,23 @@ class [[nodiscard]] Result {
  private:
   Status status_;
   std::optional<T> value_;
+};
+
+/// Carries a failed Status out of code that cannot return one, such as a
+/// mapper's Map. The engine's attempt boundary catches it and fails the
+/// attempt with the Status it carries, code and message unchanged; like
+/// every exception, it must not escape the library.
+class StatusError : public std::exception {
+ public:
+  explicit StatusError(Status status) : status_(std::move(status)) {}
+
+  [[nodiscard]] const Status& status() const { return status_; }
+  const char* what() const noexcept override {
+    return status_.message().c_str();
+  }
+
+ private:
+  Status status_;
 };
 
 }  // namespace p3c

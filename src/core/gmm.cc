@@ -333,7 +333,8 @@ Result<GmmModel> InitializeFromCores(const data::Dataset& dataset,
     auto& accs = locals[task];
     for (size_t group = begin; group < end; group += 64) {
       const size_t group_end = std::min(end, group + 64);
-      index.Members(dataset, group, group_end, scratch, words);
+      index.Members(dataset.values().data() + group * dataset.num_dims(),
+                    group_end - group, dataset.num_dims(), scratch, words);
       uint64_t members = 0;
       for (uint64_t word : words) members |= word;
       for (size_t r = 0; r < group_end - group; ++r) {

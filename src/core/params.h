@@ -110,20 +110,6 @@ inline P3CParams LightParams() {
   return p;
 }
 
-/// Parameter preset for the out-of-core streaming pipeline: Light plus
-/// multi-level candidate collection — every proving round is a full
-/// sequential pass over the file, so the §5.3 Tc trade-off (more counted
-/// candidates for fewer rounds) applies. Tc stays moderate: unlike a
-/// Hadoop job's fixed scheduling latency, a local pass's cost grows with
-/// the candidate count being matched, so huge batches backfire
-/// (bench_candidate_collection quantifies this).
-inline P3CParams StreamingLightParams() {
-  P3CParams p = LightParams();
-  p.multilevel_candidates = true;
-  p.t_c = 2000;
-  return p;
-}
-
 }  // namespace p3c::core
 
 #endif  // P3C_CORE_PARAMS_H_

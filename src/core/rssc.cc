@@ -93,40 +93,37 @@ Rssc::Rssc(const std::vector<Signature>& signatures)
       attrs_.capacity() * sizeof(size_t)));
 }
 
-void Rssc::IntervalWords(const data::Dataset& dataset, size_t begin,
-                         size_t end, double* columns, uint64_t* out,
+void Rssc::IntervalWords(const double* rows, size_t count, size_t dims,
+                         double* columns, uint64_t* out,
                          size_t stride) const {
-  assert(end - begin <= 64);
-  const size_t rows = end - begin;
-  const size_t dims = dataset.num_dims();
+  assert(count <= 64);
   const size_t num_slots = attrs_.size();
   // Gather row by row, so each row's cache lines are read once. A
   // coordinate past the row's end reads as NaN, which lies in no
   // interval, as Signature::Contains rejects an attribute the point
   // does not have.
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-  const double* values = dataset.values().data() + begin * dims;
-  for (size_t r = 0; r < rows; ++r) {
-    const double* row = values + r * dims;
+  for (size_t r = 0; r < count; ++r) {
+    const double* row = rows + r * dims;
     for (size_t s = 0; s < num_slots; ++s) {
       columns[s * 64 + r] = attrs_[s] < dims ? row[attrs_[s]] : kNan;
     }
   }
   for (size_t t = 0; t < intervals_.size(); ++t) {
     const SlotInterval& interval = intervals_[t];
-    out[t * stride] = RowsWithin(columns + interval.slot * 64, rows,
+    out[t * stride] = RowsWithin(columns + interval.slot * 64, count,
                                  interval.lower, interval.upper);
   }
 }
 
-void Rssc::Members(const data::Dataset& dataset, size_t begin, size_t end,
+void Rssc::Members(const double* rows, size_t count, size_t dims,
                    Scratch& scratch, std::span<uint64_t> words) const {
   assert(words.size() == num_signatures_);
   scratch.columns.resize(attrs_.size() * 64);
   scratch.interval_words.resize(intervals_.size());
-  IntervalWords(dataset, begin, end, scratch.columns.data(),
+  IntervalWords(rows, count, dims, scratch.columns.data(),
                 scratch.interval_words.data(), 1);
-  const uint64_t all_rows = AllRows(end - begin);
+  const uint64_t all_rows = AllRows(count);
   for (size_t j = 0; j < num_signatures_; ++j) {
     // A signature without intervals contains every row.
     uint64_t word = all_rows;
@@ -170,16 +167,14 @@ Rssc::Counter::Counter(const Rssc& rssc, std::span<uint64_t> supports)
       masks_.capacity() * sizeof(uint64_t*)));
 }
 
-void Rssc::Counter::Add(const data::Dataset& dataset, size_t begin,
-                        size_t end) {
+void Rssc::Counter::Add(const double* rows, size_t count, size_t dims) {
   if (rssc_.num_signatures_ == 0) return;
-  while (begin < end) {
-    const size_t group_end = std::min(end, begin + 64);
-    rssc_.IntervalWords(dataset, begin, group_end, columns_.data(),
+  for (size_t begin = 0; begin < count; begin += 64) {
+    const size_t group = std::min<size_t>(64, count - begin);
+    rssc_.IntervalWords(rows + begin * dims, group, dims, columns_.data(),
                         words_.data() + filled_words_, kChunkWords);
-    pending_rows_ += group_end - begin;
+    pending_rows_ += group;
     if (++filled_words_ == kChunkWords) Flush();
-    begin = group_end;
   }
 }
 

@@ -7,7 +7,6 @@
 
 #include "src/common/resource.h"
 #include "src/core/signature.h"
-#include "src/data/dataset.h"
 
 namespace p3c::core {
 
@@ -50,11 +49,11 @@ class Rssc {
     std::vector<uint64_t> interval_words;
   };
 
-  /// Fills `words` (num_signatures() of them) for rows [begin, end) of
-  /// `dataset`, at most 64: bit r of words[j] is set iff row begin + r
-  /// lies in SuppSet(signature j). Bits at and above end - begin are
-  /// clear.
-  void Members(const data::Dataset& dataset, size_t begin, size_t end,
+  /// Fills `words` (num_signatures() of them) for the `count` rows at
+  /// `rows`, at most 64, row-major with `dims` values each: bit r of
+  /// words[j] is set iff row r lies in SuppSet(signature j). Bits at and
+  /// above `count` are clear.
+  void Members(const double* rows, size_t count, size_t dims,
                Scratch& scratch, std::span<uint64_t> words) const;
 
   /// The Light model's m' (§6) for the first `rows` rows of a Members
@@ -77,8 +76,9 @@ class Rssc {
     /// counter.
     Counter(const Rssc& rssc, std::span<uint64_t> supports);
 
-    /// Counts rows [begin, end) of `dataset`.
-    void Add(const data::Dataset& dataset, size_t begin, size_t end);
+    /// Counts the `count` rows at `rows`, row-major with `dims` values
+    /// each.
+    void Add(const double* rows, size_t count, size_t dims);
 
     /// Counts the rows added since the last flush.
     void Finish();
@@ -110,11 +110,10 @@ class Rssc {
     double upper;
   };
 
-  /// Writes one word per distinct interval for rows [begin, end) of
-  /// `dataset`, at most 64, to out[t * stride]: bit r set iff row
-  /// begin + r lies in interval t. `columns` holds 64 doubles per
-  /// indexed attribute.
-  void IntervalWords(const data::Dataset& dataset, size_t begin, size_t end,
+  /// Writes one word per distinct interval for the `count` rows at
+  /// `rows`, at most 64, to out[t * stride]: bit r set iff row r lies in
+  /// interval t. `columns` holds 64 doubles per indexed attribute.
+  void IntervalWords(const double* rows, size_t count, size_t dims,
                      double* columns, uint64_t* out, size_t stride) const;
 
   size_t num_signatures_ = 0;

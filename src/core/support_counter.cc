@@ -57,7 +57,8 @@ std::vector<uint64_t> CountSupports(const data::Dataset& dataset,
   std::vector<TrackedCounts> partials(num_tasks, MakeTrackedCounts(k));
   ForEachRange(n, pool, [&](size_t task, size_t begin, size_t end) {
     Rssc::Counter counter(index, partials[task]);
-    counter.Add(dataset, begin, end);
+    const size_t d = dataset.num_dims();
+    counter.Add(dataset.values().data() + begin * d, end - begin, d);
     counter.Finish();
   });
 
@@ -107,8 +108,10 @@ std::vector<std::vector<data::PointId>> ComputeSupportSets(
     Rssc::Scratch scratch;
     std::vector<uint64_t> words(k);
     auto& local = partials[task];
+    const size_t d = dataset.num_dims();
     for (size_t group = begin; group < end; group += 64) {
-      index.Members(dataset, group, std::min(end, group + 64), scratch, words);
+      index.Members(dataset.values().data() + group * d,
+                    std::min<size_t>(64, end - group), d, scratch, words);
       for (size_t j = 0; j < k; ++j) {
         for (uint64_t word = words[j]; word != 0; word &= word - 1) {
           local[j].push_back(
@@ -150,10 +153,12 @@ std::vector<int32_t> UniqueAssignments(
     (void)task;
     Rssc::Scratch scratch;
     std::vector<uint64_t> words(signatures.size());
+    const size_t d = dataset.num_dims();
     for (size_t group = begin; group < end; group += 64) {
-      const size_t group_end = std::min(end, group + 64);
-      index.Members(dataset, group, group_end, scratch, words);
-      Rssc::UniqueMembers(words, group_end - group, &assignment[group]);
+      const size_t rows = std::min<size_t>(64, end - group);
+      index.Members(dataset.values().data() + group * d, rows, d, scratch,
+                    words);
+      Rssc::UniqueMembers(words, rows, &assignment[group]);
     }
   });
   return assignment;

@@ -6,7 +6,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "src/common/atomic_file.h"
 #include "src/common/string_util.h"
@@ -58,6 +61,7 @@ class File {
 
   bool ok() const { return f_ != nullptr; }
   std::FILE* get() { return f_; }
+  std::FILE* release() { return std::exchange(f_, nullptr); }
 
  private:
   std::FILE* f_;
@@ -226,6 +230,32 @@ Result<BinaryHeader> ReadBinaryHeader(std::FILE* f, const std::string& path) {
   return header;
 }
 
+Status WriteBinary(const Dataset& dataset, const std::string& path) {
+  AtomicFileWriter writer(path);
+  P3C_RETURN_NOT_OK(writer.Open());
+  const uint64_t n = dataset.num_points();
+  const uint64_t d = dataset.num_dims();
+  const auto& values = dataset.values();
+  const uint64_t checksum =
+      Hash64(values.data(), values.size() * sizeof(double));
+  P3C_RETURN_NOT_OK(writer.Append(kMagic, sizeof(kMagic)));
+  P3C_RETURN_NOT_OK(writer.Append(&kVersion, sizeof(kVersion)));
+  P3C_RETURN_NOT_OK(writer.Append(&n, sizeof(n)));
+  P3C_RETURN_NOT_OK(writer.Append(&d, sizeof(d)));
+  P3C_RETURN_NOT_OK(writer.Append(&checksum, sizeof(checksum)));
+  if (!values.empty()) {
+    P3C_RETURN_NOT_OK(
+        writer.Append(values.data(), values.size() * sizeof(double)));
+  }
+  return writer.Commit();
+}
+
+namespace {
+
+/// Checks that `file_size` is exactly header + n*d doubles — catching
+/// both truncated files and trailing garbage with a Status that names
+/// the expected and found byte counts, and rejecting a header whose
+/// payload size overflows 64 bits.
 Status ValidateBinarySize(const BinaryHeader& header, uint64_t file_size,
                           const std::string& path) {
   // Checked arithmetic: a hostile header whose n * d * 8 wraps around
@@ -254,28 +284,9 @@ Status ValidateBinarySize(const BinaryHeader& header, uint64_t file_size,
       static_cast<unsigned long long>(file_size)));
 }
 
-Status WriteBinary(const Dataset& dataset, const std::string& path) {
-  AtomicFileWriter writer(path);
-  P3C_RETURN_NOT_OK(writer.Open());
-  const uint64_t n = dataset.num_points();
-  const uint64_t d = dataset.num_dims();
-  const auto& values = dataset.values();
-  const uint64_t checksum =
-      Hash64(values.data(), values.size() * sizeof(double));
-  P3C_RETURN_NOT_OK(writer.Append(kMagic, sizeof(kMagic)));
-  P3C_RETURN_NOT_OK(writer.Append(&kVersion, sizeof(kVersion)));
-  P3C_RETURN_NOT_OK(writer.Append(&n, sizeof(n)));
-  P3C_RETURN_NOT_OK(writer.Append(&d, sizeof(d)));
-  P3C_RETURN_NOT_OK(writer.Append(&checksum, sizeof(checksum)));
-  if (!values.empty()) {
-    P3C_RETURN_NOT_OK(
-        writer.Append(values.data(), values.size() * sizeof(double)));
-  }
-  return writer.Commit();
-}
-
-Result<Dataset> ReadBinary(const std::string& path) {
-  File f(path, "rb");
+/// Opens `path` for reading, reads its header and checks the file size
+/// against it; leaves `f` at the first payload byte.
+Result<BinaryHeader> OpenContainer(const std::string& path, File& f) {
   if (!f.ok()) {
     return Status::IOError("cannot open for reading: " + path + ": " +
                            std::strerror(errno));
@@ -293,6 +304,28 @@ Result<Dataset> ReadBinary(const std::string& path) {
                  SEEK_SET) != 0) {
     return Status::IOError("seek failed: " + path);
   }
+  return header;
+}
+
+/// OK for a version-1 file (no checksum) or a matching `computed`.
+Status CheckPayloadChecksum(const BinaryHeader& header, uint64_t computed,
+                            const std::string& path) {
+  if (header.version != kVersion || computed == header.checksum) {
+    return Status::OK();
+  }
+  return Status::IOError(StringPrintf(
+      "%s: payload checksum mismatch (header %016llx, computed %016llx): "
+      "file is corrupt",
+      path.c_str(), static_cast<unsigned long long>(header.checksum),
+      static_cast<unsigned long long>(computed)));
+}
+
+}  // namespace
+
+Result<Dataset> ReadBinary(const std::string& path) {
+  File f(path, "rb");
+  Result<BinaryHeader> header = OpenContainer(path, f);
+  if (!header.ok()) return header.status();
   const uint64_t n = header->num_points;
   const uint64_t d = header->num_dims;
   std::vector<double> values;
@@ -302,19 +335,74 @@ Result<Dataset> ReadBinary(const std::string& path) {
           values.size()) {
     return Status::IOError("truncated payload: " + path);
   }
-  if (header->version == kVersion) {
-    const uint64_t checksum =
-        Hash64(values.data(), values.size() * sizeof(double));
-    if (checksum != header->checksum) {
-      return Status::IOError(StringPrintf(
-          "%s: payload checksum mismatch (header %016llx, computed %016llx): "
-          "file is corrupt",
-          path.c_str(), static_cast<unsigned long long>(header->checksum),
-          static_cast<unsigned long long>(checksum)));
-    }
-  }
+  P3C_RETURN_NOT_OK(CheckPayloadChecksum(
+      *header, Hash64(values.data(), values.size() * sizeof(double)), path));
   if (d == 0) return Dataset();
   return Dataset::FromRowMajor(std::move(values), d);
+}
+
+Result<BinaryDatasetReader> BinaryDatasetReader::Open(
+    const std::string& path) {
+  File f(path, "rb");
+  Result<BinaryHeader> header = OpenContainer(path, f);
+  if (!header.ok()) return header.status();
+  const uint64_t n = header->num_points;
+  const uint64_t d = header->num_dims;
+  Hasher checksum;
+  Hasher fingerprint;
+  fingerprint.Update(&n, sizeof(n));
+  fingerprint.Update(&d, sizeof(d));
+  std::vector<unsigned char> chunk(size_t{1} << 20);
+  // ValidateBinarySize has ruled out overflow.
+  for (uint64_t left = n * d * sizeof(double); left > 0;) {
+    const size_t bytes = static_cast<size_t>(
+        std::min<uint64_t>(left, chunk.size()));
+    if (std::fread(chunk.data(), 1, bytes, f.get()) != bytes) {
+      return Status::IOError("truncated payload: " + path);
+    }
+    checksum.Update(chunk.data(), bytes);
+    fingerprint.Update(chunk.data(), bytes);
+    left -= bytes;
+  }
+  P3C_RETURN_NOT_OK(CheckPayloadChecksum(*header, checksum.Digest(), path));
+  return BinaryDatasetReader(path, *header, fingerprint.Digest(),
+                             f.release());
+}
+
+Status BinaryDatasetReader::ReadRows(uint64_t begin, size_t count,
+                                     double* out) const {
+  if (begin > num_points() || count > num_points() - begin) {
+    return Status::OutOfRange(StringPrintf(
+        "%s: rows [%llu, %llu) lie past its %llu rows", path_.c_str(),
+        static_cast<unsigned long long>(begin),
+        static_cast<unsigned long long>(begin + count),
+        static_cast<unsigned long long>(num_points())));
+  }
+  const size_t row_bytes = static_cast<size_t>(num_dims()) * sizeof(double);
+  const size_t bytes = count * row_bytes;
+  const auto offset =
+      static_cast<off_t>(header_.header_bytes + begin * row_bytes);
+  auto* dst = reinterpret_cast<char*>(out);
+  for (size_t done = 0; done < bytes;) {
+    const ssize_t got =
+        ::pread(fileno(file_.get()), dst + done, bytes - done,
+                offset + static_cast<off_t>(done));
+    if (got < 0 && errno == EINTR) continue;
+    if (got < 0) {
+      return Status::IOError(StringPrintf("%s: read failed: %s",
+                                          path_.c_str(),
+                                          std::strerror(errno)));
+    }
+    if (got == 0) {
+      return Status::IOError(StringPrintf(
+          "%s: truncated payload: rows [%llu, %llu) end past the end of "
+          "the file",
+          path_.c_str(), static_cast<unsigned long long>(begin),
+          static_cast<unsigned long long>(begin + count)));
+    }
+    done += static_cast<size_t>(got);
+  }
+  return Status::OK();
 }
 
 namespace {

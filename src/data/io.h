@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "src/common/status.h"
@@ -84,12 +85,82 @@ struct BinaryHeader {
 /// dimensionality.
 Result<BinaryHeader> ReadBinaryHeader(std::FILE* f, const std::string& path);
 
-/// Checks that `file_size` is exactly header + n*d doubles — catching
-/// both truncated files and trailing garbage with a Status that names
-/// the expected and found byte counts, and rejecting a header whose
-/// payload size overflows 64 bits.
-Status ValidateBinarySize(const BinaryHeader& header, uint64_t file_size,
-                          const std::string& path);
+/// Row reader over the binary container written by WriteBinary, for
+/// data sets larger than memory (the paper's largest input is 0.2 TB).
+/// It keeps the file open and reads rows on demand with positioned
+/// reads, so any number of threads, and forked worker processes, may
+/// read it at once.
+class BinaryDatasetReader {
+ public:
+  /// Validates the header and that the file holds exactly the payload
+  /// the header promises, then reads the payload once in 1 MiB chunks:
+  /// a version-3 file whose checksum does not match is rejected here,
+  /// and the same pass computes fingerprint(). Every failure is an
+  /// IOError naming `path`.
+  static Result<BinaryDatasetReader> Open(const std::string& path);
+
+  [[nodiscard]] uint64_t num_points() const { return header_.num_points; }
+  [[nodiscard]] uint64_t num_dims() const { return header_.num_dims; }
+
+  /// data::Hasher over u64 n, u64 d and the payload, as read by Open:
+  /// mr::DatasetFingerprint of the loaded Dataset.
+  [[nodiscard]] uint64_t fingerprint() const { return fingerprint_; }
+
+  /// Reads rows [begin, begin + count) into `out` (count * num_dims()
+  /// doubles). A file that ends before the last of them (it shrank after
+  /// Open) gives an IOError saying "truncated"; rows past num_points()
+  /// give OutOfRange.
+  Status ReadRows(uint64_t begin, size_t count, double* out) const;
+
+ private:
+  struct Closer {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
+
+  BinaryDatasetReader(std::string path, BinaryHeader header,
+                      uint64_t fingerprint, std::FILE* file)
+      : path_(std::move(path)),
+        header_(header),
+        fingerprint_(fingerprint),
+        file_(file) {}
+
+  std::string path_;
+  BinaryHeader header_;
+  uint64_t fingerprint_ = 0;
+  /// Read only through its descriptor.
+  std::unique_ptr<std::FILE, Closer> file_;
+};
+
+/// The rows a job reads, selected by the kind of input: an in-memory
+/// Dataset, read in place, or a container read through a
+/// BinaryDatasetReader. Implicit from either, so a call written for a
+/// Dataset takes a file unchanged. It points at the dataset or reader,
+/// which must outlive it.
+class RowInput {
+ public:
+  RowInput(const Dataset& dataset)  // NOLINT(google-explicit-constructor)
+      : dataset_(&dataset),
+        num_points_(dataset.num_points()),
+        num_dims_(dataset.num_dims()) {}
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  RowInput(const BinaryDatasetReader& file)
+      : file_(&file),
+        num_points_(static_cast<size_t>(file.num_points())),
+        num_dims_(static_cast<size_t>(file.num_dims())) {}
+
+  [[nodiscard]] size_t num_points() const { return num_points_; }
+  [[nodiscard]] size_t num_dims() const { return num_dims_; }
+  /// The in-memory dataset, or null for a file.
+  [[nodiscard]] const Dataset* dataset() const { return dataset_; }
+  /// The file's reader, or null for a dataset.
+  [[nodiscard]] const BinaryDatasetReader* file() const { return file_; }
+
+ private:
+  const Dataset* dataset_ = nullptr;
+  const BinaryDatasetReader* file_ = nullptr;
+  size_t num_points_;
+  size_t num_dims_;
+};
 
 /// Generic checksummed blob container, the checkpoint sibling of the
 /// dataset container above: magic "P3CK", u32 container version, u32

@@ -248,7 +248,8 @@ class LocalRunner::TaskAttempts {
   /// Executes one attempt: fault injector, then body, with every
   /// exception converted to an AttemptOutcome. CancelledError is the
   /// cooperative-cancellation channel and is flagged separately so the
-  /// attempt can tell a killed body from a failed one.
+  /// attempt can tell a killed body from a failed one; a StatusError
+  /// fails the attempt with the Status it carries.
   AttemptOutcome RunBody(size_t attempt, const AttemptControl& ctl) {
     exec_.acct.attempts.fetch_add(1, std::memory_order_relaxed);
     if (exec_.heartbeat != nullptr) {
@@ -290,6 +291,8 @@ class LocalRunner::TaskAttempts {
     } catch (const CancelledError&) {
       out.status = Status::Internal("task attempt cancelled");
       out.cancelled = true;
+    } catch (const StatusError& e) {
+      out.status = e.status();
     } catch (const std::exception& e) {
       out.status =
           Status::Internal(StringPrintf("uncaught exception: %s", e.what()));

@@ -145,6 +145,9 @@ std::string DescribeExit(int wait_status) {
                 static_cast<uint32_t>(payload.status().code());
             result.message = payload.status().message();
           }
+        } catch (const StatusError& e) {
+          result.status_code = static_cast<uint32_t>(e.status().code());
+          result.message = e.status().message();
         } catch (const std::exception& e) {
           result.status_code = static_cast<uint32_t>(StatusCode::kInternal);
           result.message =

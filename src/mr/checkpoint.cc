@@ -281,7 +281,7 @@ Status CheckFitsRun(const PipelineCheckpoint& state, size_t n, size_t d,
 Result<PipelineCheckpoint> LoadRecord(const std::string& path,
                                       uint64_t dataset_fingerprint,
                                       uint64_t params_hash,
-                                      const data::Dataset& dataset,
+                                      const data::RowInput& input,
                                       const core::P3CParams& params) {
   Result<std::string> blob = data::ReadBlobFile(path, kCheckpointBlobKind);
   if (!blob.ok()) return blob.status();
@@ -311,20 +311,22 @@ Result<PipelineCheckpoint> LoadRecord(const std::string& path,
   }
   Result<PipelineCheckpoint> state = DecodeState(r);
   if (!state.ok()) return state.status();
-  P3C_RETURN_NOT_OK(CheckFitsRun(*state, dataset.num_points(),
-                                 dataset.num_dims(), params));
+  P3C_RETURN_NOT_OK(CheckFitsRun(*state, input.num_points(),
+                                 input.num_dims(), params));
   return state;
 }
 
 }  // namespace
 
-uint64_t DatasetFingerprint(const data::Dataset& dataset) {
-  const uint64_t n = dataset.num_points();
-  const uint64_t d = dataset.num_dims();
+uint64_t DatasetFingerprint(const data::RowInput& input) {
+  // The reader hashed the same bytes when it opened the file.
+  if (input.file() != nullptr) return input.file()->fingerprint();
+  const uint64_t n = input.num_points();
+  const uint64_t d = input.num_dims();
   data::Hasher hasher;
   hasher.Update(&n, sizeof(n));
   hasher.Update(&d, sizeof(d));
-  const auto& values = dataset.values();
+  const std::vector<double>& values = input.dataset()->values();
   hasher.Update(values.data(), values.size() * sizeof(double));
   return hasher.Digest();
 }
@@ -371,13 +373,13 @@ const std::vector<std::string>& PipelinePhases(bool light) {
 CheckpointManager::CheckpointManager(Options options)
     : options_(std::move(options)) {}
 
-void CheckpointManager::Initialize(const data::Dataset& dataset,
+void CheckpointManager::Initialize(const data::RowInput& input,
                                    const core::P3CParams& params) {
   state_ = PipelineCheckpoint();
   if (!enabled()) return;
   {
     TraceSpan span("checkpoint:fingerprint");
-    dataset_fingerprint_ = DatasetFingerprint(dataset);
+    dataset_fingerprint_ = DatasetFingerprint(input);
   }
   params_hash_ = ParamsHash(params);
   Status mkdir_status = MakeDirectories(options_.dir);
@@ -394,7 +396,7 @@ void CheckpointManager::Initialize(const data::Dataset& dataset,
     return;
   }
   Result<PipelineCheckpoint> loaded =
-      LoadRecord(path, dataset_fingerprint_, params_hash_, dataset, params);
+      LoadRecord(path, dataset_fingerprint_, params_hash_, input, params);
   if (!loaded.ok()) {
     P3C_LOG(kWarning) << "discarding checkpoint in '" << options_.dir
                       << "' and starting fresh: "

@@ -30,6 +30,7 @@
 #include "src/core/gmm.h"
 #include "src/core/params.h"
 #include "src/data/dataset.h"
+#include "src/data/io.h"
 #include "src/stats/histogram.h"
 
 namespace p3c::mr {
@@ -47,8 +48,9 @@ inline constexpr uint32_t kCheckpointBlobKind = 0x44525652;  // "DRVR"
 inline constexpr char kCheckpointFilename[] = "checkpoint.p3ck";
 
 /// data::Hasher over (n, d, raw values): identifies the exact dataset a
-/// checkpoint was taken against.
-uint64_t DatasetFingerprint(const data::Dataset& dataset);
+/// checkpoint was taken against. A file and the Dataset loaded from it
+/// have the same fingerprint.
+uint64_t DatasetFingerprint(const data::RowInput& input);
 
 /// data::Hash64 over every P3CParams field (including `light`, which selects
 /// the pipeline variant). Engine knobs (threads, reducers, splits) are
@@ -115,7 +117,7 @@ class CheckpointManager {
   /// its reason, increments kCorruptCounter, and leaves the manager in
   /// the fresh state. Never fails the run — only CommitPhase can do
   /// that.
-  void Initialize(const data::Dataset& dataset, const core::P3CParams& params);
+  void Initialize(const data::RowInput& input, const core::P3CParams& params);
 
   [[nodiscard]] size_t num_completed() const {
     return state_.completed.size();

@@ -91,12 +91,47 @@ Status CheckRecord(const char* job_name, int64_t key, size_t num_keys,
   return Status::OK();
 }
 
+/// A map task's reader of its job's rows. An in-memory input is read in
+/// place; a file is read one map range at a time into a buffer charged
+/// to MemScope::kDataset, so a task holds at most one range of it. A
+/// failed read throws StatusError, which fails the attempt with the
+/// reader's Status.
+class RangeRows {
+ public:
+  explicit RangeRows(const data::RowInput& input)
+      : file_(input.file()),
+        values_(file_ == nullptr ? input.dataset()->values().data() : nullptr),
+        dims_(input.num_dims()) {
+    if (file_ != nullptr) {
+      buffer_.resize(kMapRangeRecords * dims_);
+      mem_.Set(static_cast<int64_t>(buffer_.size() * sizeof(double)));
+    }
+  }
+
+  size_t dims() const { return dims_; }
+
+  /// The rows of `range`, row-major.
+  const double* Read(RecordRange range) {
+    if (file_ == nullptr) return values_ + range.begin * dims_;
+    Status st = file_->ReadRows(range.begin, range.size(), buffer_.data());
+    if (!st.ok()) throw StatusError(std::move(st));
+    return buffer_.data();
+  }
+
+ private:
+  const data::BinaryDatasetReader* file_;
+  const double* values_;
+  size_t dims_;
+  std::vector<double> buffer_;
+  resource::ScopedBytes mem_{resource::MemScope::kDataset};
+};
+
 // ---------------------------------------------------------------------------
 // Histogram job (§5.1)
 // ---------------------------------------------------------------------------
 
 struct HistogramJobConfig {
-  const data::Dataset* dataset;
+  const data::RowInput* input;
   size_t bins;
 };
 
@@ -109,8 +144,8 @@ class HistogramMapper : public Mapper<int64_t, std::vector<uint64_t>> {
  public:
   explicit HistogramMapper(const HistogramJobConfig* config)
       : config_(config),
-        local_(config->dataset->num_dims(),
-               stats::Histogram(config->bins)) {
+        rows_(*config->input),
+        local_(config->input->num_dims(), stats::Histogram(config->bins)) {
     mem_.Set(static_cast<int64_t>(local_.size() * config->bins *
                                   sizeof(uint64_t)));
   }
@@ -118,9 +153,7 @@ class HistogramMapper : public Mapper<int64_t, std::vector<uint64_t>> {
   void Map(RecordRange rows,
            Emitter<int64_t, std::vector<uint64_t>>& out) override {
     (void)out;
-    const double* first =
-        config_->dataset->values().data() + rows.begin * local_.size();
-    out_of_range_ += stats::AddRows(local_, first, rows.size());
+    out_of_range_ += stats::AddRows(local_, rows_.Read(rows), rows.size());
     points_ += rows.size();
   }
 
@@ -141,6 +174,7 @@ class HistogramMapper : public Mapper<int64_t, std::vector<uint64_t>> {
 
  private:
   const HistogramJobConfig* config_;
+  RangeRows rows_;
   std::vector<stats::Histogram> local_;
   uint64_t points_ = 0;
   uint64_t out_of_range_ = 0;
@@ -152,21 +186,21 @@ class HistogramMapper : public Mapper<int64_t, std::vector<uint64_t>> {
 // ---------------------------------------------------------------------------
 
 struct SupportJobConfig {
-  const data::Dataset* dataset;
+  const data::RowInput* input;
   const core::Rssc* rssc;  // "distributed cache" payload
 };
 
 class SupportMapper : public Mapper<int64_t, std::vector<uint64_t>> {
  public:
   explicit SupportMapper(const SupportJobConfig* config)
-      : config_(config),
+      : rows_(*config->input),
         supports_(config->rssc->num_signatures(), 0),
         counter_(*config->rssc, supports_) {}
 
   void Map(RecordRange rows,
            Emitter<int64_t, std::vector<uint64_t>>& out) override {
     (void)out;
-    counter_.Add(*config_->dataset, rows.begin, rows.end);
+    counter_.Add(rows_.Read(rows), rows.size(), rows_.dims());
     points_ += rows.size();
   }
 
@@ -180,7 +214,7 @@ class SupportMapper : public Mapper<int64_t, std::vector<uint64_t>> {
   }
 
  private:
-  const SupportJobConfig* config_;
+  RangeRows rows_;
   std::vector<uint64_t> supports_;  // before counter_, which adds into it
   core::Rssc::Counter counter_;
   uint64_t points_ = 0;
@@ -456,7 +490,7 @@ class OdMapper : public Mapper<data::PointId, int32_t> {
 // ---------------------------------------------------------------------------
 
 struct ClusterHistogramJobConfig {
-  const data::Dataset* dataset;
+  const data::RowInput* input;
   const std::vector<int32_t>* membership;
   const std::vector<size_t>* bins_per_cluster;
 };
@@ -466,12 +500,14 @@ class ClusterHistogramMapper
  public:
   explicit ClusterHistogramMapper(const ClusterHistogramJobConfig* config)
       : config_(config),
+        rows_(*config->input),
         local_(config->bins_per_cluster->size()) {}
 
   void Map(RecordRange rows,
            Emitter<int64_t, std::vector<uint64_t>>& out) override {
     (void)out;
-    const size_t d = config_->dataset->num_dims();
+    const size_t d = rows_.dims();
+    const double* block = rows_.Read(rows);
     for (size_t i = rows.begin; i < rows.end; ++i) {
       const int32_t c = (*config_->membership)[i];
       if (c < 0) continue;
@@ -486,13 +522,12 @@ class ClusterHistogramMapper
         mem_.Set(mem_bytes_);
       }
       // Range checking is the histogram job's; the count is dropped.
-      const double* row = config_->dataset->values().data() + i * d;
-      (void)stats::AddRows(cluster_local, row, 1);
+      (void)stats::AddRows(cluster_local, block + (i - rows.begin) * d, 1);
     }
   }
 
   void Cleanup(Emitter<int64_t, std::vector<uint64_t>>& out) override {
-    const int64_t d = static_cast<int64_t>(config_->dataset->num_dims());
+    const auto d = static_cast<int64_t>(rows_.dims());
     for (size_t c = 0; c < local_.size(); ++c) {
       for (size_t j = 0; j < local_[c].size(); ++j) {
         out.Emit(static_cast<int64_t>(c) * d + static_cast<int64_t>(j),
@@ -503,6 +538,7 @@ class ClusterHistogramMapper
 
  private:
   const ClusterHistogramJobConfig* config_;
+  RangeRows rows_;
   std::vector<std::vector<stats::Histogram>> local_;
   int64_t mem_bytes_ = 0;
   resource::ScopedBytes mem_{resource::MemScope::kHistogramBins};
@@ -513,7 +549,7 @@ class ClusterHistogramMapper
 // ---------------------------------------------------------------------------
 
 struct TighteningJobConfig {
-  const data::Dataset* dataset;
+  const data::RowInput* input;
   const std::vector<int32_t>* membership;
   const std::vector<std::vector<size_t>>* attrs;
 };
@@ -522,12 +558,14 @@ class TighteningMapper : public Mapper<int64_t, std::vector<double>> {
  public:
   explicit TighteningMapper(const TighteningJobConfig* config)
       : config_(config),
+        rows_(*config->input),
         lo_(config->attrs->size()),
         hi_(config->attrs->size()) {}
 
   void Map(RecordRange rows,
            Emitter<int64_t, std::vector<double>>& out) override {
     (void)out;
+    const double* block = rows_.Read(rows);
     for (size_t i = rows.begin; i < rows.end; ++i) {
       const int32_t c = (*config_->membership)[i];
       if (c < 0) continue;
@@ -538,7 +576,7 @@ class TighteningMapper : public Mapper<int64_t, std::vector<double>> {
         lo.assign(attrs.size(), std::numeric_limits<double>::infinity());
         hi.assign(attrs.size(), -std::numeric_limits<double>::infinity());
       }
-      const auto row = config_->dataset->Row(static_cast<data::PointId>(i));
+      const double* row = block + (i - rows.begin) * rows_.dims();
       for (size_t a = 0; a < attrs.size(); ++a) {
         lo[a] = std::min(lo[a], row[attrs[a]]);
         hi[a] = std::max(hi[a], row[attrs[a]]);
@@ -559,6 +597,7 @@ class TighteningMapper : public Mapper<int64_t, std::vector<double>> {
 
  private:
   const TighteningJobConfig* config_;
+  RangeRows rows_;
   std::vector<std::vector<double>> lo_;
   std::vector<std::vector<double>> hi_;
 };
@@ -591,7 +630,7 @@ class TighteningReducer
 // ---------------------------------------------------------------------------
 
 struct SupportSetJobConfig {
-  const data::Dataset* dataset;
+  const data::RowInput* input;
   const core::Rssc* rssc;
 };
 
@@ -601,12 +640,14 @@ static_assert(kMapRangeRecords <= 64, "a map range must fit one word");
 class SupportSetMapper : public Mapper<data::PointId, std::vector<uint64_t>> {
  public:
   explicit SupportSetMapper(const SupportSetJobConfig* config)
-      : config_(config), words_(config->rssc->num_signatures()) {}
+      : config_(config),
+        rows_(*config->input),
+        words_(config->rssc->num_signatures()) {}
 
   void Map(RecordRange rows,
            Emitter<data::PointId, std::vector<uint64_t>>& out) override {
-    config_->rssc->Members(*config_->dataset, rows.begin, rows.end, scratch_,
-                           words_);
+    config_->rssc->Members(rows_.Read(rows), rows.size(), rows_.dims(),
+                           scratch_, words_);
     uint64_t members = 0;
     for (uint64_t word : words_) members |= word;
     if (members != 0) out.Emit(static_cast<data::PointId>(rows.begin), words_);
@@ -614,6 +655,7 @@ class SupportSetMapper : public Mapper<data::PointId, std::vector<uint64_t>> {
 
  private:
   const SupportSetJobConfig* config_;
+  RangeRows rows_;
   core::Rssc::Scratch scratch_;
   std::vector<uint64_t> words_;
 };
@@ -621,18 +663,18 @@ class SupportSetMapper : public Mapper<data::PointId, std::vector<uint64_t>> {
 }  // namespace
 
 Result<std::vector<stats::Histogram>> RunHistogramJob(
-    LocalRunner& runner, const data::Dataset& dataset,
+    LocalRunner& runner, const data::RowInput& input,
     stats::BinningRule rule) {
   const size_t bins = static_cast<size_t>(
-      stats::NumBins(rule, std::max<uint64_t>(1, dataset.num_points())));
-  HistogramJobConfig config{&dataset, bins};
-  const size_t num_reducers = ReducersForKeys(runner, dataset.num_dims());
+      stats::NumBins(rule, std::max<uint64_t>(1, input.num_points())));
+  HistogramJobConfig config{&input, bins};
+  const size_t num_reducers = ReducersForKeys(runner, input.num_dims());
   auto run = runner.Run<int64_t, std::vector<uint64_t>, KeyedCounts>(
-      "histogram", dataset.num_points(),
+      "histogram", input.num_points(),
       [&config] { return std::make_unique<HistogramMapper>(&config); },
       [] { return std::make_unique<CountSumReducer>(); }, num_reducers);
   if (!run.ok()) return run.status();
-  return UnpackHistograms(std::move(*run), dataset.num_dims(), bins);
+  return UnpackHistograms(std::move(*run), input.num_dims(), bins);
 }
 
 Result<std::vector<stats::Histogram>> UnpackHistograms(
@@ -653,14 +695,14 @@ Result<std::vector<stats::Histogram>> UnpackHistograms(
 }
 
 Result<std::vector<uint64_t>> RunSupportJob(
-    LocalRunner& runner, const data::Dataset& dataset,
+    LocalRunner& runner, const data::RowInput& input,
     const std::vector<core::Signature>& signatures) {
   if (signatures.empty()) return std::vector<uint64_t>{};
   // "Calculated by the main program" and shipped to every mapper.
   const core::Rssc rssc(signatures);
-  SupportJobConfig config{&dataset, &rssc};
+  SupportJobConfig config{&input, &rssc};
   auto run = runner.Run<int64_t, std::vector<uint64_t>, KeyedCounts>(
-      "support-count", dataset.num_points(),
+      "support-count", input.num_points(),
       [&config] { return std::make_unique<SupportMapper>(&config); },
       [] { return std::make_unique<CountSumReducer>(); },
       /*num_reducers=*/1);  // the job emits a single key
@@ -685,9 +727,11 @@ void CoreMembership::Contributions(RecordRange rows, const double* xs,
   (void)xs;
   thread_local core::Rssc::Scratch scratch;
   thread_local std::vector<uint64_t> words;
-  out.Reset(rows.size());
+  out.Reset();
   words.resize(k_);
-  rssc_.Members(dataset_, rows.begin, rows.end, scratch, words);
+  const size_t d = dataset_.num_dims();
+  rssc_.Members(dataset_.values().data() + rows.begin * d, rows.size(), d,
+                scratch, words);
   uint64_t members = 0;
   for (uint64_t word : words) members |= word;
   for (; members != 0; members &= members - 1) {
@@ -720,7 +764,7 @@ void OrphanAssigningMembership::Contributions(RecordRange rows,
   evaluator_.NearestComponents(block.data(), m, nearest);
   // Merge back in row order, so every per-component sum keeps the
   // association of a row-at-a-time loop.
-  out.Reset(n);
+  out.Reset();
   e = 0;
   size_t o = 0;
   for (size_t r = 0; r < n; ++r) {
@@ -741,7 +785,8 @@ void SoftMembership::Contributions(RecordRange rows, const double* xs,
   const size_t k = evaluator_.num_components();
   logw.resize(n * k);
   evaluator_.LogWeightedDensities(xs, n, logw.data());
-  out.Reset(n);
+  out.Reset();
+  out.log_likelihood.resize(n);
   for (size_t r = 0; r < n; ++r) {
     double* resp = &logw[r * k];
     evaluator_.Responsibilities(resp, &out.log_likelihood[r]);
@@ -762,7 +807,7 @@ void BallMembership::Contributions(RecordRange rows, const double* xs,
   const size_t k = evaluator_.num_components();
   logw.resize(n * k);
   evaluator_.LogWeightedDensities(xs, n, logw.data());
-  out.Reset(n);
+  out.Reset();
   for (size_t r = 0; r < n; ++r) {
     const size_t c = evaluator_.ArgMax(&logw[r * k]);
     const MvbBall& ball = balls_[c];
@@ -944,18 +989,18 @@ Result<std::vector<int32_t>> RunOdJob(
 }
 
 Result<std::vector<std::vector<stats::Histogram>>> RunClusterHistogramJob(
-    LocalRunner& runner, const data::Dataset& dataset,
+    LocalRunner& runner, const data::RowInput& input,
     const std::vector<int32_t>& membership, size_t num_clusters,
     const std::vector<size_t>& bins_per_cluster) {
-  ClusterHistogramJobConfig config{&dataset, &membership, &bins_per_cluster};
+  ClusterHistogramJobConfig config{&input, &membership, &bins_per_cluster};
   const size_t num_reducers =
-      ReducersForKeys(runner, num_clusters * dataset.num_dims());
+      ReducersForKeys(runner, num_clusters * input.num_dims());
   auto run = runner.Run<int64_t, std::vector<uint64_t>, KeyedCounts>(
-      "cluster-histograms", dataset.num_points(),
+      "cluster-histograms", input.num_points(),
       [&config] { return std::make_unique<ClusterHistogramMapper>(&config); },
       [] { return std::make_unique<CountSumReducer>(); }, num_reducers);
   if (!run.ok()) return run.status();
-  return UnpackClusterHistograms(std::move(*run), dataset.num_dims(),
+  return UnpackClusterHistograms(std::move(*run), input.num_dims(),
                                  bins_per_cluster);
 }
 
@@ -983,13 +1028,13 @@ Result<std::vector<std::vector<stats::Histogram>>> UnpackClusterHistograms(
 }
 
 Result<std::vector<std::vector<core::Interval>>> RunTighteningJob(
-    LocalRunner& runner, const data::Dataset& dataset,
+    LocalRunner& runner, const data::RowInput& input,
     const std::vector<int32_t>& membership,
     const std::vector<std::vector<size_t>>& attrs) {
-  TighteningJobConfig config{&dataset, &membership, &attrs};
+  TighteningJobConfig config{&input, &membership, &attrs};
   const size_t num_reducers = ReducersForKeys(runner, attrs.size());
   auto run = runner.Run<int64_t, std::vector<double>, KeyedDoubles>(
-      "interval-tightening", dataset.num_points(),
+      "interval-tightening", input.num_points(),
       [&config] { return std::make_unique<TighteningMapper>(&config); },
       [] { return std::make_unique<TighteningReducer>(); }, num_reducers);
   if (!run.ok()) return run.status();
@@ -1019,18 +1064,18 @@ Result<std::vector<std::vector<core::Interval>>> UnpackTightening(
 }
 
 Result<SupportSetJobResult> RunSupportSetJob(
-    LocalRunner& runner, const data::Dataset& dataset,
+    LocalRunner& runner, const data::RowInput& input,
     const std::vector<core::Signature>& signatures) {
   if (signatures.empty()) {
-    return UnpackSupportSets({}, dataset.num_points(), 0);
+    return UnpackSupportSets({}, input.num_points(), 0);
   }
   const core::Rssc rssc(signatures);
-  SupportSetJobConfig config{&dataset, &rssc};
+  SupportSetJobConfig config{&input, &rssc};
   auto run = runner.RunMapOnly<data::PointId, std::vector<uint64_t>>(
-      "support-sets", dataset.num_points(),
+      "support-sets", input.num_points(),
       [&config] { return std::make_unique<SupportSetMapper>(&config); });
   if (!run.ok()) return run.status();
-  return UnpackSupportSets(*run, dataset.num_points(), signatures.size());
+  return UnpackSupportSets(*run, input.num_points(), signatures.size());
 }
 
 Result<SupportSetJobResult> UnpackSupportSets(

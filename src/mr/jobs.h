@@ -15,15 +15,22 @@
 #include "src/core/rssc.h"
 #include "src/core/signature.h"
 #include "src/data/dataset.h"
+#include "src/data/io.h"
 #include "src/linalg/matrix.h"
 #include "src/mapreduce/runner.h"
 #include "src/stats/histogram.h"
 
 namespace p3c::mr {
 
-// Every job reads records [0, n) of its dataset: the runner hands each
-// mapper contiguous row ranges, and the dataset itself travels through
-// the job-config pointer as a shared immutable reference.
+// Every job reads records [0, n) of its input: the runner hands each
+// mapper contiguous row ranges, and the input itself travels through
+// the job-config pointer as a shared immutable reference. The Light
+// jobs (histogram, support count, support sets, cluster histograms,
+// tightening) take a data::RowInput: an in-memory Dataset, read in
+// place, or a container file, which each map task reads one map range
+// (at most kMapRangeRecords rows) at a time. A failed read fails the
+// attempt with the reader's Status. The EM, MVB and OD jobs read a
+// Dataset.
 
 /// §5.1 histogram job: per-split partial histograms (in-mapper combining
 /// of Eq. 8), merged per attribute by the reducers. Returns one histogram
@@ -33,7 +40,7 @@ namespace p3c::mr {
 /// All job wrappers below surface the engine's failure Status (a task
 /// that exhausted its attempts) instead of a value; see LocalRunner.
 Result<std::vector<stats::Histogram>> RunHistogramJob(
-    LocalRunner& runner, const data::Dataset& dataset,
+    LocalRunner& runner, const data::RowInput& input,
     stats::BinningRule rule);
 
 /// §5.3 support-counting job: the RSSC bit masks are built by the driver
@@ -41,7 +48,7 @@ Result<std::vector<stats::Histogram>> RunHistogramJob(
 /// each mapper aggregates split-local support counts, reducers sum.
 /// Result is parallel to `signatures`.
 Result<std::vector<uint64_t>> RunSupportJob(
-    LocalRunner& runner, const data::Dataset& dataset,
+    LocalRunner& runner, const data::RowInput& input,
     const std::vector<core::Signature>& signatures);
 
 /// First/second moment sums the EM jobs of §5.4 exchange: wC, wC2 and lC.
@@ -54,8 +61,8 @@ struct MomentSums {
 
 /// One map range's memberships (at most kMapRangeRecords rows): the
 /// (row, component, weight) contributions in ascending row order, rows
-/// counted from the range's first, and each row's log-likelihood
-/// contribution.
+/// counted from the range's first, and the soft E step's per-row
+/// log-likelihood contributions.
 struct RangeMemberships {
   struct Entry {
     uint32_t row;
@@ -63,12 +70,14 @@ struct RangeMemberships {
     double weight;
   };
   std::vector<Entry> entries;
-  std::vector<double> log_likelihood;  ///< one per row
+  /// One per row from SoftMembership; empty from the hard memberships,
+  /// whose log-likelihood is 0.
+  std::vector<double> log_likelihood;
 
-  /// Empties the entries and zeroes `rows` log-likelihood slots.
-  void Reset(size_t rows) {
+  /// Empties the entries and the log-likelihoods.
+  void Reset() {
     entries.clear();
-    log_likelihood.assign(rows, 0.0);
+    log_likelihood.clear();
   }
 };
 
@@ -86,10 +95,10 @@ class MembershipFn {
  public:
   virtual ~MembershipFn() = default;
   /// Fills `out` for rows [rows.begin, rows.end), given their Arel
-  /// projection as a column block (GmmModel::ProjectRows). A row's
-  /// log-likelihood is log p(x) for the soft E step, which takes it from
-  /// the densities it already computed for the weights; 0 for the hard
-  /// memberships.
+  /// projection as a column block (GmmModel::ProjectRows). The soft E
+  /// step also fills each row's log-likelihood log p(x) from the
+  /// densities it already computed for the weights; the hard memberships
+  /// leave the log-likelihoods empty.
   virtual void Contributions(RecordRange rows, const double* xs,
                              RangeMemberships& out) const = 0;
 };
@@ -274,7 +283,7 @@ Result<std::vector<std::vector<stats::Histogram>>> UnpackClusterHistograms(
 /// point i or negative for none; returns histograms[cluster][attr] with
 /// bins from `bins_per_cluster[cluster]`.
 Result<std::vector<std::vector<stats::Histogram>>> RunClusterHistogramJob(
-    LocalRunner& runner, const data::Dataset& dataset,
+    LocalRunner& runner, const data::RowInput& input,
     const std::vector<int32_t>& membership, size_t num_clusters,
     const std::vector<size_t>& bins_per_cluster);
 
@@ -283,7 +292,7 @@ Result<std::vector<std::vector<stats::Histogram>>> RunClusterHistogramJob(
 /// intervals[cluster] parallel to attrs[cluster]; clusters without
 /// members yield empty vectors.
 Result<std::vector<std::vector<core::Interval>>> RunTighteningJob(
-    LocalRunner& runner, const data::Dataset& dataset,
+    LocalRunner& runner, const data::RowInput& input,
     const std::vector<int32_t>& membership,
     const std::vector<std::vector<size_t>>& attrs);
 
@@ -298,7 +307,7 @@ struct SupportSetJobResult {
   std::vector<int32_t> unique_assignment;
 };
 Result<SupportSetJobResult> RunSupportSetJob(
-    LocalRunner& runner, const data::Dataset& dataset,
+    LocalRunner& runner, const data::RowInput& input,
     const std::vector<core::Signature>& signatures);
 
 /// The support-set job's (first row, per-core words) records, in key

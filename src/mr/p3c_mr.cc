@@ -230,13 +230,13 @@ P3CMR::P3CMR(P3CMROptions options) : options_(std::move(options)) {
   runner_ = std::make_unique<LocalRunner>(options_.runner);
 }
 
-Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
+Result<core::ClusteringResult> P3CMR::Cluster(const data::RowInput& input) {
   Stopwatch watch;
   TraceSpan pipeline_span(
       options_.params.light ? "pipeline:p3c+-mr-light" : "pipeline:p3c+-mr",
       Tracer::Global().enabled()
           ? StringPrintf("{\"points\": %zu, \"dims\": %zu}",
-                         dataset.num_points(), dataset.num_dims())
+                         input.num_points(), input.num_dims())
           : std::string());
   metrics_.Clear();
   driver_metrics_.Clear();
@@ -271,7 +271,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
       bag->MergeFrom(runner->SnapshotWorkerMetrics());
     }
   } gauge_export{&driver_metrics_, &metrics_, runner_.get(), &watch};
-  if (dataset.num_points() == 0 || dataset.num_dims() == 0) {
+  if (input.num_points() == 0 || input.num_dims() == 0) {
     return Status::InvalidArgument("dataset is empty");
   }
   // Values outside [0, 1] are rejected by the histogram job's own scan
@@ -284,6 +284,11 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
         "OutlierMode::kMCD is serial-only (its concentration steps are not "
         "record-parallel); use core::P3CPipeline, or kMVB here");
   }
+  if (!params.light && input.dataset() == nullptr) {
+    return Status::NotImplemented(
+        "the full P3C+-MR pipeline reads an in-memory dataset; load the "
+        "file, or run the Light pipeline over it");
+  }
   LocalRunner& runner = *runner_;
   const PhaseContext phases{options_.retry, metrics_, driver_metrics_};
   core::ClusteringResult result;
@@ -293,7 +298,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
   // it when a resumed run skips the phase, and extends it when the phase
   // runs live.
   CheckpointManager ckpt({options_.checkpoint_dir, &driver_metrics_});
-  ckpt.Initialize(dataset, params);
+  ckpt.Initialize(input, params);
   PipelineCheckpoint& state = ckpt.state();
   const size_t completed = ckpt.num_completed();
   if (completed > 0) {
@@ -349,7 +354,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
   // ---- 1. Histogram job (§5.1) -------------------------------------------
   if (completed < 1) {
     auto histograms_result = RunPipelineJob(phases, "histogram", [&] {
-      return RunHistogramJob(runner, dataset, params.binning);
+      return RunHistogramJob(runner, input, params.binning);
     });
     if (!histograms_result.ok()) return histograms_result.status();
     state.histograms = std::move(histograms_result).value();
@@ -378,7 +383,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
           return std::vector<uint64_t>(sigs.size(), 0);
         }
         auto supports = RunPipelineJob(phases, "support-count", [&] {
-          return RunSupportJob(runner, dataset, sigs);
+          return RunSupportJob(runner, input, sigs);
         });
         if (!supports.ok()) {
           if (support_job_error.ok()) support_job_error = supports.status();
@@ -392,7 +397,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
   // state (the A-priori lattice frontier) is not worth persisting.
   if (completed < 2) {
     core::CoreDetectionResult detection = core::GenerateClusterCores(
-        relevant, dataset.num_points(), params, counter, &runner.pool());
+        relevant, input.num_points(), params, counter, &runner.pool());
     if (!support_job_error.ok()) return support_job_error;
     state.core_stats = detection.stats;
     state.cores = std::move(detection.cores);
@@ -421,7 +426,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
     // ---- Light path (§6) --------------------------------------------------
     if (completed < 3) {
       auto sets = RunPipelineJob(phases, "support-sets", [&] {
-        return RunSupportSetJob(runner, dataset, signatures);
+        return RunSupportSetJob(runner, input, signatures);
       });
       if (!sets.ok()) return sets.status();
       reported_points = std::move(sets->support_sets);
@@ -434,6 +439,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
     // ---- Full path: EM, then outlier detection ----------------------------
     // A run resumed after 'em-refinement' restored the converged model
     // and runs outlier detection live.
+    const data::Dataset& dataset = *input.dataset();
     core::GmmModel& model = state.model;
     const size_t dim = result.arel.size();
     if (completed < 3) {
@@ -576,7 +582,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
   }
   auto member_histograms_result =
       RunPipelineJob(phases, "cluster-histograms", [&] {
-        return RunClusterHistogramJob(runner, dataset, membership, k,
+        return RunClusterHistogramJob(runner, input, membership, k,
                                       bins_per_cluster);
       });
   if (!member_histograms_result.ok()) {
@@ -602,16 +608,17 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
         core::FinalAttributes(cores[c].signature, accepted[c]);
   }
   auto tightened_result = RunPipelineJob(phases, "interval-tightening", [&] {
-    return RunTighteningJob(runner, dataset, membership, final_attrs);
+    return RunTighteningJob(runner, input, membership, final_attrs);
   });
   if (!tightened_result.ok()) return tightened_result.status();
   const std::vector<std::vector<core::Interval>>& tightened =
       *tightened_result;
 
+  // No commit follows, so the record's point lists move into the result.
   for (size_t c = 0; c < k; ++c) {
     if (reported_points[c].empty()) continue;
     core::ProjectedCluster cluster;
-    cluster.points = reported_points[c];
+    cluster.points = std::move(reported_points[c]);
     if (member_counts[c] == 0) {
       cluster.attrs = cores[c].signature.attrs();
       cluster.intervals = cores[c].signature.intervals();

@@ -9,7 +9,7 @@
 #include "src/common/status.h"
 #include "src/core/params.h"
 #include "src/core/result.h"
-#include "src/data/dataset.h"
+#include "src/data/io.h"
 #include "src/mapreduce/metrics.h"
 #include "src/mapreduce/runner.h"
 
@@ -89,6 +89,11 @@ struct P3CMROptions {
 /// The Light pipeline replaces the EM/OD block with the support-set job
 /// and the m' unique-membership rule.
 ///
+/// The input is an in-memory Dataset or, for the Light pipeline, a
+/// container file (data::BinaryDatasetReader) whose map tasks each read
+/// one map range at a time: such a run never holds the rows, only the
+/// per-point ids it returns (the m' assignment and the support sets).
+///
 /// Job-level statistics of the most recent run are available via
 /// metrics(); the runtime figure (Fig. 7) and the job-count analysis of
 /// §7.5.2 are generated from them.
@@ -100,8 +105,10 @@ class P3CMR {
 
   /// Runs the pipeline. Same contract as core::P3CPipeline::Cluster.
   /// On an unrecoverable job failure the Status names the phase, the
-  /// failing job/task, and how many job attempts were made.
-  Result<core::ClusteringResult> Cluster(const data::Dataset& dataset);
+  /// failing job/task, and how many job attempts were made. A file input
+  /// gives the same result and counters as its loaded Dataset; the full
+  /// pipeline (`params.light == false`) on a file is NotImplemented.
+  Result<core::ClusteringResult> Cluster(const data::RowInput& input);
 
   /// Per-job execution log of the most recent Cluster call, each row
   /// stamped with its phase. On a resumed call it also holds the

@@ -133,6 +133,54 @@ TEST(CliFlagsTest, KnownFlagsPassValidation) {
   }
 }
 
+/// The bytes of the file at `path`, or "" when it cannot be read.
+std::string Slurp(const std::string& path) {
+  std::string bytes;
+  FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  char buf[4096];
+  size_t got = 0;
+  while ((got = fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, got);
+  std::fclose(f);
+  return bytes;
+}
+
+TEST(CliFileInputTest, MrLightOnAContainerWritesTheLoadedRunsFiles) {
+  // mr-light reads a .p3cd input through the file; the same points as
+  // CSV are loaded. Both runs must write the same assignments and
+  // clusters.
+  const std::string dir = ::testing::TempDir();
+  const std::string gen = " --points 3000 --dims 20 --clusters 3 --seed 9";
+  ASSERT_EQ(RunCli("generate --binary --out " + dir + "/cli_in.p3cd" + gen)
+                .exit_code,
+            0);
+  ASSERT_EQ(RunCli("generate --out " + dir + "/cli_in.csv" + gen).exit_code,
+            0);
+  for (const char* input : {"p3cd", "csv"}) {
+    const CliRun run = RunCli(
+        "cluster --algo mr-light --in " + dir + "/cli_in." + input +
+        " --out " + dir + "/cli_assign_" + input + ".csv --clusters-out " +
+        dir + "/cli_clusters_" + input + ".txt");
+    ASSERT_EQ(run.exit_code, 0) << input << "\n" << run.stderr_text;
+  }
+  const std::string assign = Slurp(dir + "/cli_assign_p3cd.csv");
+  const std::string clusters = Slurp(dir + "/cli_clusters_p3cd.txt");
+  ASSERT_FALSE(assign.empty());
+  ASSERT_FALSE(clusters.empty());
+  EXPECT_EQ(assign, Slurp(dir + "/cli_assign_csv.csv"));
+  EXPECT_EQ(clusters, Slurp(dir + "/cli_clusters_csv.txt"));
+
+  const CliRun missing =
+      RunCli("cluster --algo mr-light --in " + dir + "/cli_missing.p3cd");
+  EXPECT_EQ(missing.exit_code, 1) << missing.stderr_text;
+  for (const char* name :
+       {"cli_in.p3cd", "cli_in.csv", "cli_assign_p3cd.csv",
+        "cli_assign_csv.csv", "cli_clusters_p3cd.txt",
+        "cli_clusters_csv.txt"}) {
+    std::remove((dir + "/" + name).c_str());
+  }
+}
+
 #endif  // P3C_CLI_BIN
 
 }  // namespace

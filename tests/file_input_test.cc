@@ -1,0 +1,534 @@
+// Tests of the file input: data::BinaryDatasetReader, and P3C+-MR-Light
+// reading a container through it one map range at a time. A file-backed
+// run must give the result and counters of the in-memory run on the
+// loaded Dataset, and every fault of the file must surface as a Status.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include <unistd.h>
+
+#include "src/common/resource.h"
+#include "src/common/string_util.h"
+#include "src/core/p3c.h"
+#include "src/data/generator.h"
+#include "src/data/io.h"
+#include "src/mapreduce/fault.h"
+#include "src/mr/checkpoint.h"
+#include "src/mr/p3c_mr.h"
+
+#if defined(__SANITIZE_THREAD__)
+#define P3C_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define P3C_TSAN 1
+#endif
+#endif
+
+namespace p3c {
+namespace {
+
+using data::BinaryDatasetReader;
+
+std::string TempPath(const char* name) {
+  return std::string(::testing::TempDir()) + "/" + name;
+}
+
+data::SyntheticData MakeData(uint64_t seed, size_t n = 6000) {
+  data::GeneratorConfig config;
+  config.num_points = n;
+  config.num_dims = 30;
+  config.num_clusters = 3;
+  config.noise_fraction = 0.10;
+  config.seed = seed;
+  return data::GenerateSynthetic(config).value();
+}
+
+/// The engine backends a test can run on: TSan does not support forking
+/// a multithreaded process.
+std::vector<mr::Backend> Backends() {
+  std::vector<mr::Backend> backends = {mr::Backend::kInProcess};
+#ifndef P3C_TSAN
+  backends.push_back(mr::Backend::kProcess);
+#endif
+  return backends;
+}
+
+std::string WriteFile(const data::Dataset& dataset, const char* name) {
+  const std::string path = TempPath(name);
+  EXPECT_TRUE(data::WriteBinary(dataset, path).ok());
+  return path;
+}
+
+/// Shortens `path` by `bytes`.
+void Shrink(const std::string& path, long bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, 0, SEEK_END), 0);
+  const long size = std::ftell(f);
+  ASSERT_GT(size, bytes);
+  ASSERT_EQ(ftruncate(fileno(f), size - bytes), 0);
+  std::fclose(f);
+}
+
+/// Flips the low bit of the byte at `offset`.
+void FlipByte(const std::string& path, long offset) {
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  const int byte = std::fgetc(f);
+  ASSERT_NE(byte, EOF);
+  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  std::fputc(byte ^ 0x01, f);
+  std::fclose(f);
+}
+
+// ---- BinaryDatasetReader ----------------------------------------------------
+
+TEST(BinaryDatasetReaderTest, HeaderAndRows) {
+  const auto data = MakeData(51, 1000);
+  const std::string path = WriteFile(data.dataset, "reader.p3cd");
+  auto reader = BinaryDatasetReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ(reader->num_points(), 1000u);
+  EXPECT_EQ(reader->num_dims(), 30u);
+  // Reads of any length at any row give the stored values.
+  const std::vector<double>& want = data.dataset.values();
+  for (size_t count : {size_t{1}, size_t{64}, size_t{128}}) {
+    std::vector<double> rows(count * 30);
+    for (size_t begin = 0; begin < 1000; begin += count) {
+      const size_t n = std::min<size_t>(count, 1000 - begin);
+      ASSERT_TRUE(reader->ReadRows(begin, n, rows.data()).ok());
+      EXPECT_EQ(std::memcmp(rows.data(), want.data() + begin * 30,
+                            n * 30 * sizeof(double)),
+                0)
+          << "rows " << begin << " + " << n;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(BinaryDatasetReaderTest, RowsPastTheEndAreOutOfRange) {
+  const auto data = MakeData(52, 500);
+  const std::string path = WriteFile(data.dataset, "reader_range.p3cd");
+  auto reader = BinaryDatasetReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  std::vector<double> rows(64 * 30);
+  EXPECT_TRUE(reader->ReadRows(500, 0, rows.data()).ok());
+  EXPECT_EQ(reader->ReadRows(450, 64, rows.data()).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(reader->ReadRows(501, 0, rows.data()).code(),
+            StatusCode::kOutOfRange);
+  std::remove(path.c_str());
+}
+
+TEST(BinaryDatasetReaderTest, RejectsGarbage) {
+  const std::string path = TempPath("garbage.p3cd");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fputs("garbage bytes, definitely not a P3CD header", f);
+  std::fclose(f);
+  EXPECT_FALSE(BinaryDatasetReader::Open(path).ok());
+  std::remove(path.c_str());
+}
+
+TEST(BinaryDatasetReaderTest, MissingFileIsAnError) {
+  const auto reader = BinaryDatasetReader::Open(TempPath("nope.p3cd"));
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kIOError);
+}
+
+TEST(BinaryDatasetReaderTest, OpenRejectsTruncatedFile) {
+  const auto data = MakeData(56, 300);
+  const std::string path = WriteFile(data.dataset, "reader_trunc.p3cd");
+  Shrink(path, 8);  // drop one double
+  auto reader = BinaryDatasetReader::Open(path);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kIOError);
+  EXPECT_NE(reader.status().message().find("truncated"), std::string::npos)
+      << reader.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(BinaryDatasetReaderTest, OpenRejectsAFlippedPayloadByteAnywhere) {
+  // The size is unchanged, so only the checksum can catch the flip;
+  // Open reads the payload in 1 MiB chunks, and a 300 x 30 payload is
+  // 72,000 bytes, so these offsets include the first and last byte.
+  const auto data = MakeData(57, 300);
+  const long header = 32;
+  const long payload = 300 * 30 * 8;
+  for (long offset : {header, header + 1000, header + payload - 1}) {
+    SCOPED_TRACE("offset " + std::to_string(offset));
+    const std::string path = WriteFile(data.dataset, "reader_flip.p3cd");
+    FlipByte(path, offset);
+    auto reader = BinaryDatasetReader::Open(path);
+    ASSERT_FALSE(reader.ok());
+    EXPECT_EQ(reader.status().code(), StatusCode::kIOError);
+    EXPECT_NE(reader.status().message().find("checksum mismatch"),
+              std::string::npos)
+        << reader.status().ToString();
+    std::remove(path.c_str());
+  }
+}
+
+TEST(BinaryDatasetReaderTest, ReadAfterTheFileShrankIsAnIOError) {
+  const auto data = MakeData(58, 400);
+  const std::string path = WriteFile(data.dataset, "reader_shrink.p3cd");
+  auto reader = BinaryDatasetReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  Shrink(path, 4096);
+  std::vector<double> rows(64 * 30);
+  EXPECT_TRUE(reader->ReadRows(0, 64, rows.data()).ok());
+  const Status st = reader->ReadRows(336, 64, rows.data());
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kIOError);
+  EXPECT_NE(st.message().find("truncated"), std::string::npos)
+      << st.ToString();
+  std::remove(path.c_str());
+}
+
+TEST(BinaryDatasetReaderTest, FingerprintEqualsTheLoadedDatasets) {
+  const auto data = MakeData(59, 700);
+  const std::string path = WriteFile(data.dataset, "reader_fp.p3cd");
+  auto reader = BinaryDatasetReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(mr::DatasetFingerprint(*reader),
+            mr::DatasetFingerprint(data.dataset));
+  data::Dataset other = data.dataset;
+  other.Set(699, 29, 0.5 * other.Get(699, 29));
+  EXPECT_NE(mr::DatasetFingerprint(*reader), mr::DatasetFingerprint(other));
+  std::remove(path.c_str());
+}
+
+// ---- P3C+-MR-Light over the file --------------------------------------------
+
+/// Everything the output contract covers, bit for bit: the cores with
+/// their supports, Arel, and per cluster its attributes, intervals and
+/// points.
+std::string Canonical(const core::ClusteringResult& r) {
+  std::string out = "cores:";
+  for (const auto& core : r.cores) {
+    out += " " + core.signature.ToString() + "#" +
+           std::to_string(core.support);
+  }
+  out += "\narel:";
+  for (size_t a : r.arel) out += " " + std::to_string(a);
+  for (const auto& cluster : r.clusters) {
+    out += "\ncluster attrs:";
+    for (size_t a : cluster.attrs) out += " " + std::to_string(a);
+    out += " intervals:";
+    for (const auto& iv : cluster.intervals) {
+      out += StringPrintf(" %zu:[%a,%a]", iv.attr, iv.lower, iv.upper);
+    }
+    out += " points:";
+    for (data::PointId p : cluster.points) out += " " + std::to_string(p);
+  }
+  return out;
+}
+
+struct LightRun {
+  Status status;
+  std::string digest;
+  std::string counters_json;
+  size_t num_jobs = 0;
+};
+
+LightRun RunLight(const data::RowInput& input, mr::RunnerOptions runner,
+                  core::P3CParams params = core::LightParams()) {
+  mr::P3CMROptions options;
+  options.params = params;
+  options.runner = runner;
+  mr::P3CMR pipeline{options};
+  auto result = pipeline.Cluster(input);
+  LightRun run;
+  run.num_jobs = pipeline.metrics().num_jobs();
+  if (!result.ok()) {
+    run.status = result.status();
+    return run;
+  }
+  const std::string text = Canonical(*result);
+  run.digest = StringPrintf(
+      "%016llx",
+      static_cast<unsigned long long>(data::Hash64(text.data(), text.size())));
+  run.counters_json = pipeline.counters().ToJson();
+  return run;
+}
+
+TEST(FileInputTest, FileRunEqualsInMemoryRunOnEveryEngine) {
+  const auto data = MakeData(61);
+  const std::string path = WriteFile(data.dataset, "file_engines.p3cd");
+  auto file = BinaryDatasetReader::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+
+  mr::RunnerOptions one_thread;
+  one_thread.num_threads = 1;
+  const LightRun reference = RunLight(data.dataset, one_thread);
+  ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
+  ASSERT_NE(reference.counters_json.find("support/points"), std::string::npos);
+
+  struct Engine {
+    std::string label;
+    mr::RunnerOptions runner;
+  };
+  std::vector<Engine> engines;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    for (mr::Backend backend : Backends()) {
+      mr::RunnerOptions runner;
+      runner.num_threads = threads;
+      runner.backend = backend;
+      runner.num_workers = threads;
+      engines.push_back({StringPrintf("threads=%zu %s", threads,
+                                      backend == mr::Backend::kProcess
+                                          ? "process"
+                                          : "inprocess"),
+                         runner});
+    }
+  }
+  for (const Engine& engine : engines) {
+    SCOPED_TRACE(engine.label);
+    const LightRun run = RunLight(*file, engine.runner);
+    ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+    EXPECT_EQ(run.digest, reference.digest);
+    EXPECT_EQ(run.counters_json, reference.counters_json);
+    EXPECT_EQ(run.num_jobs, reference.num_jobs);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(FileInputTest, RetriedMapTaskLeavesResultAndCountersUnchanged) {
+  const auto data = MakeData(62, 4000);
+  const std::string path = WriteFile(data.dataset, "file_retry.p3cd");
+  auto file = BinaryDatasetReader::Open(path);
+  ASSERT_TRUE(file.ok());
+  mr::RunnerOptions clean;
+  clean.num_threads = 2;
+  const LightRun reference = RunLight(data.dataset, clean);
+  ASSERT_TRUE(reference.status.ok());
+
+  // The first attempt of every job's first map task fails; its retry
+  // reads the same rows again.
+  mr::ScriptedFaultInjector injector;
+  mr::ScriptedFaultInjector::Rule rule;
+  rule.kind = mr::TaskKind::kMap;
+  rule.task_index = 0;
+  rule.attempt = 0;
+  rule.fires = mr::ScriptedFaultInjector::kUnlimitedFires;
+  injector.AddRule(rule);
+  mr::RunnerOptions flaky = clean;
+  flaky.max_attempts = 2;
+  flaky.fault_injector = &injector;
+  const LightRun run = RunLight(*file, flaky);
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  EXPECT_EQ(run.digest, reference.digest);
+  EXPECT_EQ(run.counters_json, reference.counters_json);
+  std::remove(path.c_str());
+}
+
+TEST(FileInputTest, MatchesInMemoryLightPipeline) {
+  const auto data = MakeData(53);
+  const std::string path = WriteFile(data.dataset, "file_serial.p3cd");
+  auto file = BinaryDatasetReader::Open(path);
+  ASSERT_TRUE(file.ok());
+  core::P3CParams params = core::LightParams();
+  params.multilevel_candidates = false;
+  core::P3CPipeline in_memory{params, /*num_threads=*/1};
+  auto want = in_memory.Cluster(data.dataset);
+  ASSERT_TRUE(want.ok());
+
+  mr::P3CMROptions options;
+  options.params = params;
+  mr::P3CMR pipeline{options};
+  auto got = pipeline.Cluster(*file);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+
+  ASSERT_EQ(got->cores.size(), want->cores.size());
+  for (size_t c = 0; c < got->cores.size(); ++c) {
+    EXPECT_EQ(got->cores[c].signature, want->cores[c].signature);
+    EXPECT_EQ(got->cores[c].support, want->cores[c].support);
+  }
+  ASSERT_FALSE(got->clusters.empty());
+  ASSERT_EQ(got->clusters.size(), want->clusters.size());
+  for (size_t c = 0; c < got->clusters.size(); ++c) {
+    EXPECT_EQ(got->clusters[c].attrs, want->clusters[c].attrs);
+    ASSERT_EQ(got->clusters[c].intervals.size(),
+              want->clusters[c].intervals.size());
+    for (size_t j = 0; j < got->clusters[c].intervals.size(); ++j) {
+      EXPECT_EQ(got->clusters[c].intervals[j].lower,
+                want->clusters[c].intervals[j].lower);
+      EXPECT_EQ(got->clusters[c].intervals[j].upper,
+                want->clusters[c].intervals[j].upper);
+    }
+    // A Light cluster reports its core's whole support set.
+    EXPECT_EQ(got->clusters[c].points.size(), got->cores[c].support);
+    EXPECT_EQ(got->clusters[c].points, want->clusters[c].points);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(FileInputTest, SplitSizeDoesNotChangeResult) {
+  const auto data = MakeData(54, 3000);
+  const std::string path = WriteFile(data.dataset, "file_splits.p3cd");
+  auto file = BinaryDatasetReader::Open(path);
+  ASSERT_TRUE(file.ok());
+  const LightRun whole = RunLight(*file, mr::RunnerOptions{});
+  mr::RunnerOptions tiny;
+  tiny.records_per_split = 64;
+  const LightRun split = RunLight(*file, tiny);
+  ASSERT_TRUE(whole.status.ok()) << whole.status.ToString();
+  ASSERT_TRUE(split.status.ok()) << split.status.ToString();
+  EXPECT_EQ(split.digest, whole.digest);
+  std::remove(path.c_str());
+}
+
+/// Truncates the file once, at the start of the first support-count
+/// attempt: after the histogram job has read the whole file.
+class TruncateAtFirstSupportCount : public mr::FaultInjector {
+ public:
+  explicit TruncateAtFirstSupportCount(std::string path)
+      : path_(std::move(path)) {}
+
+  Status OnAttemptStart(const mr::TaskAttempt& attempt) override {
+    if (attempt.job_name == "support-count" && !fired_.exchange(true)) {
+      Shrink(path_, 4096);
+    }
+    return Status::OK();
+  }
+  bool fired() const { return fired_.load(); }
+
+ private:
+  std::string path_;
+  std::atomic<bool> fired_{false};
+};
+
+// A support-count job whose rows vanish mid-run must fail the pipeline
+// with the reader's IOError, never count the missing rows as zero
+// support and report a clean result.
+TEST(FileInputTest, TruncationMidRunIsAnIOErrorNotACleanResult) {
+  const auto data = MakeData(57);
+  const std::string path = WriteFile(data.dataset, "file_truncate.p3cd");
+  for (mr::Backend backend : Backends()) {
+    SCOPED_TRACE(backend == mr::Backend::kProcess ? "process" : "inprocess");
+    ASSERT_TRUE(data::WriteBinary(data.dataset, path).ok());
+    auto file = BinaryDatasetReader::Open(path);
+    ASSERT_TRUE(file.ok());
+    TruncateAtFirstSupportCount injector(path);
+    mr::RunnerOptions runner;
+    runner.num_threads = 2;
+    runner.backend = backend;
+    runner.fault_injector = &injector;
+    const LightRun run = RunLight(*file, runner);
+    ASSERT_TRUE(injector.fired()) << "no support-count attempt ran";
+    ASSERT_FALSE(run.status.ok())
+        << "a truncated file produced a clean result";
+    EXPECT_EQ(run.status.code(), StatusCode::kIOError)
+        << run.status.ToString();
+    EXPECT_NE(run.status.message().find("truncated"), std::string::npos)
+        << run.status.ToString();
+    EXPECT_NE(run.status.message().find("support-count"), std::string::npos)
+        << run.status.ToString();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(FileInputTest, HistogramJobRejectsValuesOutsideUnitRange) {
+  const std::string path = TempPath("file_range.p3cd");
+  for (double value : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(), -1e-300,
+                       1.0 + 0x1.0p-52, -0.0, 1.0}) {
+    SCOPED_TRACE(StringPrintf("value %a", value));
+    data::Dataset dataset = MakeData(53, 2000).dataset;
+    dataset.Set(1500, 7, value);
+    ASSERT_TRUE(data::WriteBinary(dataset, path).ok());
+    auto file = BinaryDatasetReader::Open(path);
+    ASSERT_TRUE(file.ok());
+    const LightRun run = RunLight(*file, mr::RunnerOptions{});
+    if (value >= 0.0 && value <= 1.0) {
+      EXPECT_TRUE(run.status.ok()) << run.status.ToString();
+    } else {
+      ASSERT_FALSE(run.status.ok());
+      EXPECT_EQ(run.status.code(), StatusCode::kInvalidArgument)
+          << run.status.ToString();
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(FileInputTest, Version1ContainerRuns) {
+  const auto data = MakeData(63, 3000);
+  const std::string path = TempPath("file_v1.p3cd");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const char magic[4] = {'P', '3', 'C', 'D'};
+  const uint32_t version = 1;
+  const uint64_t n = data.dataset.num_points();
+  const uint64_t d = data.dataset.num_dims();
+  ASSERT_EQ(std::fwrite(magic, 1, sizeof(magic), f), sizeof(magic));
+  ASSERT_EQ(std::fwrite(&version, sizeof(version), 1, f), 1u);
+  ASSERT_EQ(std::fwrite(&n, sizeof(n), 1, f), 1u);
+  ASSERT_EQ(std::fwrite(&d, sizeof(d), 1, f), 1u);
+  const auto& values = data.dataset.values();
+  ASSERT_EQ(std::fwrite(values.data(), sizeof(double), values.size(), f),
+            values.size());
+  std::fclose(f);
+  auto file = BinaryDatasetReader::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  EXPECT_EQ(mr::DatasetFingerprint(*file),
+            mr::DatasetFingerprint(data.dataset));
+  const LightRun run = RunLight(*file, mr::RunnerOptions{});
+  const LightRun reference = RunLight(data.dataset, mr::RunnerOptions{});
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  EXPECT_EQ(run.digest, reference.digest);
+  std::remove(path.c_str());
+}
+
+TEST(FileInputTest, FullPipelineOnAFileIsNotImplemented) {
+  const auto data = MakeData(64, 1000);
+  const std::string path = WriteFile(data.dataset, "file_full.p3cd");
+  auto file = BinaryDatasetReader::Open(path);
+  ASSERT_TRUE(file.ok());
+  mr::P3CMR pipeline{mr::P3CMROptions{}};
+  ASSERT_FALSE(pipeline.params().light);
+  const auto result = pipeline.Cluster(*file);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kNotImplemented);
+  EXPECT_EQ(pipeline.metrics().num_jobs(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(FileInputTest, FileRunHoldsAtMostOneMapRangeOfRowsPerThread) {
+  const size_t threads = 3;
+  const size_t dims = 30;
+  std::string path;
+  {
+    // The dataset dies before the run, so no charge of it remains.
+    const auto data = MakeData(65, 5000);
+    path = WriteFile(data.dataset, "file_memory.p3cd");
+  }
+  auto file = BinaryDatasetReader::Open(path);
+  ASSERT_TRUE(file.ok());
+  resource::MemoryTracker& tracker = resource::MemoryTracker::Global();
+  tracker.Enable(true);
+  mr::P3CMROptions options;
+  options.params.light = true;
+  options.runner.num_threads = threads;
+  mr::P3CMR pipeline{options};
+  const auto result = pipeline.Cluster(*file);
+  tracker.Enable(false);
+  tracker.ResetRun();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_FALSE(result->clusters.empty());
+  const double peak =
+      pipeline.driver_metrics().GetGauge("mem.dataset.peak_bytes");
+  EXPECT_GT(peak, 0.0);
+  EXPECT_LE(peak, static_cast<double>(threads * 64 * dims * sizeof(double)));
+  std::remove(path.c_str());
+}
+
+}  // namespace
+}  // namespace p3c

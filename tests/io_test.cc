@@ -7,7 +7,6 @@
 #include <cstring>
 #include <string>
 
-#include "src/core/streaming.h"
 #include "src/data/colon.h"
 
 namespace p3c::data {
@@ -279,14 +278,14 @@ TEST(BinaryIoTest, ReadBinaryRejectsOverflowingDimCount) {
 TEST(BinaryIoTest, ReaderOpenRejectsOverflowingPointCount) {
   const std::string path = TempPath("open_overflow_n.p3cd");
   WriteHeaderOnly(path, kWrappingCount, 1);
-  ExpectOverflowRejected(core::BinaryDatasetReader::Open(path).status());
+  ExpectOverflowRejected(BinaryDatasetReader::Open(path).status());
   std::remove(path.c_str());
 }
 
 TEST(BinaryIoTest, ReaderOpenRejectsOverflowingDimCount) {
   const std::string path = TempPath("open_overflow_d.p3cd");
   WriteHeaderOnly(path, 1, kWrappingCount);
-  ExpectOverflowRejected(core::BinaryDatasetReader::Open(path).status());
+  ExpectOverflowRejected(BinaryDatasetReader::Open(path).status());
   std::remove(path.c_str());
 }
 
@@ -313,7 +312,7 @@ TEST(BinaryIoTest, ReaderOpenRejectsRetiredVersion2) {
   const std::string path = TempPath("open_retired_v2.p3cd");
   WriteHeaderOnly(path, uint64_t{1} << 40, 1, /*version=*/2);
   ExpectRetiredVersionRejected(
-      core::BinaryDatasetReader::Open(path).status());
+      BinaryDatasetReader::Open(path).status());
   std::remove(path.c_str());
 }
 

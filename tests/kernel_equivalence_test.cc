@@ -656,9 +656,10 @@ TEST_P(KernelEquivalenceTest, RsscMembersIdenticalPerGroup) {
     for (size_t begin = 0; begin < n; begin += 64) {
       const size_t rows = std::min<size_t>(64, n - begin);
       ASSERT_TRUE(SetBackend("scalar").ok());
-      rssc.Members(dataset, begin, begin + rows, scratch, words_scalar);
+      const double* group = dataset.values().data() + begin * dims;
+      rssc.Members(group, rows, dims, scratch, words_scalar);
       ASSERT_TRUE(SetBackend(GetParam()).ok());
-      rssc.Members(dataset, begin, begin + rows, scratch, words_backend);
+      rssc.Members(group, rows, dims, scratch, words_backend);
       ASSERT_EQ(words_backend, words_scalar)
           << "count=" << count << " begin=" << begin;
       for (size_t j = 0; j < count; ++j) {
@@ -671,7 +672,7 @@ TEST_P(KernelEquivalenceTest, RsscMembersIdenticalPerGroup) {
     }
     std::vector<uint64_t> supports(count, 0);
     Rssc::Counter counter(rssc, supports);
-    counter.Add(dataset, 0, n);
+    counter.Add(dataset.values().data(), n, dims);
     counter.Finish();
     ASSERT_TRUE(SetBackend("auto").ok());
     EXPECT_EQ(supports, popcounts) << "count=" << count;
@@ -693,7 +694,7 @@ TEST_P(KernelEquivalenceTest, CounterNeedsOnlyLiveCounters) {
     std::vector<uint64_t> storage(count + 1, 0);
     storage.back() = 0xDEADBEEFULL;  // canary just past the live lanes
     Rssc::Counter counter(rssc, std::span<uint64_t>(storage.data(), count));
-    counter.Add(dataset, 0, dataset.num_points());
+    counter.Add(dataset.values().data(), dataset.num_points(), dims);
     counter.Finish();
     ASSERT_TRUE(SetBackend("auto").ok());
     EXPECT_EQ(storage.back(), 0xDEADBEEFULL) << "count=" << count;

@@ -96,7 +96,8 @@ class UniformWeightMembership : public MembershipFn {
   void Contributions(RecordRange rows, const double* xs,
                      RangeMemberships& out) const override {
     (void)xs;
-    out.Reset(rows.size());
+    out.Reset();
+    out.log_likelihood.resize(rows.size());
     for (size_t i = rows.begin; i < rows.end; ++i) {
       const auto r = static_cast<uint32_t>(i - rows.begin);
       // Even points to component 0 with weight 1, odd to 1 with weight 0.5.
@@ -787,6 +788,37 @@ TEST(MembershipRecordTest, CovarianceJobOnOtherRangesRecomputesThem) {
       // Every range that matches a moment range exactly is read back;
       // every other one is evaluated again.
       EXPECT_EQ(probe.calls(), moment_ranges.size() + misses) << where;
+    }
+  }
+}
+
+TEST(MembershipRecordTest, HardMembershipsKeepNoLogLikelihoods) {
+  constexpr size_t kN = 3000;
+  constexpr size_t kPerSplit = 500;
+  const RecordFixture fixture(kN);
+  const RunnerOptions options = PairOptions(Backend::kInProcess, kPerSplit);
+  for (const auto& [name, membership] : fixture.memberships()) {
+    const bool soft = name == "soft";
+    const PairRun plain = RunPair(options, options, fixture.dataset(),
+                                  fixture.model(), *membership);
+    MembershipRecord record(*membership, kN);
+    const PairRun recorded = RunPair(options, options, fixture.dataset(),
+                                     fixture.model(), record);
+    ExpectSamePair(recorded, plain, name);
+    // A hard membership's log-likelihood is an empty sum: +0.0.
+    if (!soft) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(plain.moments.log_likelihood), 0u)
+          << name;
+    }
+    // The copies the record answers from hold a log-likelihood per row
+    // for the soft E step only.
+    std::vector<double> xs;
+    RangeMemberships out;
+    for (const auto& [begin, end] : MapRanges(kN, kPerSplit)) {
+      fixture.model().ProjectRows(fixture.dataset(), begin, end, xs);
+      record.Contributions(RecordRange{begin, end}, xs.data(), out);
+      EXPECT_EQ(out.log_likelihood.size(), soft ? end - begin : 0u)
+          << name << " rows " << begin;
     }
   }
 }

@@ -19,11 +19,9 @@ Signature MakeSig(std::vector<Interval> intervals) {
 /// Ids of the signatures whose support set holds `point`, through a
 /// one-row Members group.
 std::vector<uint32_t> MemberIds(const Rssc& rssc, std::vector<double> point) {
-  data::Dataset dataset(1, point.size());
-  for (size_t a = 0; a < point.size(); ++a) dataset.Set(0, a, point[a]);
   Rssc::Scratch scratch;
   std::vector<uint64_t> words(rssc.num_signatures());
-  rssc.Members(dataset, 0, 1, scratch, words);
+  rssc.Members(point.data(), 1, point.size(), scratch, words);
   std::vector<uint32_t> ids;
   for (size_t j = 0; j < words.size(); ++j) {
     if (words[j] & 1) ids.push_back(static_cast<uint32_t>(j));
@@ -103,10 +101,10 @@ TEST(RsscTest, MembersSetNoBitPastTheGroup) {
   const Rssc rssc(sigs);
   Rssc::Scratch scratch;
   std::vector<uint64_t> words(sigs.size());
-  rssc.Members(dataset, 0, 10, scratch, words);
+  rssc.Members(dataset.values().data(), 10, 1, scratch, words);
   EXPECT_EQ(words, (std::vector<uint64_t>{0x3FF, 0x3FF, 0b11000}));
   // A later group reuses the scratch; bit r is row begin + r.
-  rssc.Members(dataset, 3, 5, scratch, words);
+  rssc.Members(dataset.values().data() + 3, 2, 1, scratch, words);
   EXPECT_EQ(words, (std::vector<uint64_t>{0b11, 0b11, 0b11}));
 }
 

@@ -81,7 +81,8 @@ std::vector<uint64_t> CountBySplits(const data::Dataset& dataset,
     Rssc::Counter counter(rssc, partial);
     const size_t step = map_ranges ? 64 : end - begin;
     for (size_t row = begin; row < end; row += step) {
-      counter.Add(dataset, row, std::min(end, row + step));
+      counter.Add(dataset.values().data() + row * dataset.num_dims(),
+                  std::min(end, row + step) - row, dataset.num_dims());
     }
     counter.Finish();
     for (size_t j = 0; j < sigs.size(); ++j) total[j] += partial[j];
@@ -98,7 +99,9 @@ std::vector<uint64_t> CountByMembers(const data::Dataset& dataset,
   std::vector<uint64_t> counts(sigs.size(), 0);
   const size_t n = dataset.num_points();
   for (size_t begin = 0; begin < n; begin += 64) {
-    rssc.Members(dataset, begin, std::min(n, begin + 64), scratch, words);
+    rssc.Members(dataset.values().data() + begin * dataset.num_dims(),
+                 std::min<size_t>(64, n - begin), dataset.num_dims(), scratch,
+                 words);
     for (size_t j = 0; j < sigs.size(); ++j) {
       counts[j] += static_cast<uint64_t>(std::popcount(words[j]));
     }
@@ -208,7 +211,8 @@ TEST_P(SupportCountTest, MembersAgreeWithContainsAndCounter) {
     std::vector<uint64_t> words(sigs.size());
     for (size_t begin = 0; begin < n; begin += 64) {
       const size_t rows = std::min<size_t>(64, n - begin);
-      rssc.Members(dataset, begin, begin + rows, scratch, words);
+      rssc.Members(dataset.values().data() + begin * dataset.num_dims(), rows,
+                   dataset.num_dims(), scratch, words);
       for (size_t j = 0; j < sigs.size(); ++j) {
         for (size_t r = 0; r < 64; ++r) {
           const bool bit = (words[j] >> r) & 1;
@@ -223,7 +227,7 @@ TEST_P(SupportCountTest, MembersAgreeWithContainsAndCounter) {
     }
     std::vector<uint64_t> counted(sigs.size(), 0);
     Rssc::Counter counter(rssc, counted);
-    counter.Add(dataset, 0, n);
+    counter.Add(dataset.values().data(), n, dataset.num_dims());
     counter.Finish();
     EXPECT_EQ(counted, popcounts) << "n=" << n;
   }
@@ -309,11 +313,11 @@ TEST_P(SupportCountTest, DroppedCounterLeavesNoTrace) {
   {
     std::vector<uint64_t> abandoned(sigs.size(), 0);
     Rssc::Counter counter(rssc, abandoned);
-    counter.Add(dataset, 0, 4100);  // one flush, then pending rows
+    counter.Add(dataset.values().data(), 4100, 4);  // a flush, then pending
   }
   std::vector<uint64_t> retried(sigs.size(), 0);
   Rssc::Counter counter(rssc, retried);
-  counter.Add(dataset, 0, dataset.num_points());
+  counter.Add(dataset.values().data(), dataset.num_points(), 4);
   counter.Finish();
   counter.Finish();  // a second Finish adds nothing
   EXPECT_EQ(retried, CountSupportsNaive(dataset, sigs, nullptr));

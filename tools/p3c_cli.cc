@@ -4,6 +4,10 @@
 //           [--truth clusters.txt] [--points N] [--dims D] [--clusters K]
 //           [--noise F] [--seed S] [--binary]
 //   p3c_cli cluster  --in points.csv --algo ALGO [--out assignments.csv]
+//                                      (mr-light reads a .p3cd input
+//                                      through the file, a map range at a
+//                                      time, unless --normalize has to
+//                                      rewrite the rows)
 //           [--clusters-out clusters.txt] [--normalize] [--threads T]
 //           [--theta F] [--alpha-poisson F]
 //           [--job-log]                the run report as text: the job
@@ -59,10 +63,8 @@
 //                                      backends are bit-exact, so this
 //                                      never changes results
 //           [--log-level=LEVEL]        debug|info|warning|error|off
-//           [--block-rows N]                 (streaming-light only)
 //           [--samples-per-reducer N]        (bow only)
-//           ALGO: p3c | p3c+ | light | mr | mr-light | streaming-light |
-//                 bow
+//           ALGO: p3c | p3c+ | light | mr | mr-light | bow
 //   p3c_cli evaluate --assignments a.csv --labels labels.csv
 //   p3c_cli evaluate-subspace --found f.txt --truth t.txt
 //   p3c_cli info     --in points.csv
@@ -80,6 +82,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -94,7 +97,6 @@
 #include "src/common/trace.h"
 #include "src/core/kernels/kernels.h"
 #include "src/core/p3c.h"
-#include "src/core/streaming.h"
 #include "src/data/generator.h"
 #include "src/data/io.h"
 #include "src/eval/accuracy.h"
@@ -129,8 +131,7 @@ const std::set<std::string>* CommandFlags(const std::string& command) {
         "alpha-poisson", "job-log", "metrics-out", "max-attempts",
         "task-deadline", "phase-budget", "heartbeat-seconds", "backend",
         "num-workers", "worker-heartbeat-seconds", "checkpoint-dir",
-        "crash-after-phase", "kernel-backend", "block-rows",
-        "samples-per-reducer"}},
+        "crash-after-phase", "kernel-backend", "samples-per-reducer"}},
       {"evaluate", {"assignments", "labels"}},
       {"evaluate-subspace", {"found", "truth"}},
       {"info", {"in"}},
@@ -299,8 +300,9 @@ int CmdGenerate(const Args& args) {
   return 0;
 }
 
+/// Runs `algo` on `input`, which is a file only for mr-light.
 Result<core::ClusteringResult> RunAlgo(const std::string& algo,
-                                       const data::Dataset& dataset,
+                                       const data::RowInput& input,
                                        const Args& args) {
   core::P3CParams params;
   params.theta_cc = args.GetDouble("theta", params.theta_cc);
@@ -317,16 +319,16 @@ Result<core::ClusteringResult> RunAlgo(const std::string& algo,
 
   if (algo == "p3c") {
     core::P3CPipeline pipeline{core::OriginalP3CParams(), threads};
-    return pipeline.Cluster(dataset);
+    return pipeline.Cluster(*input.dataset());
   }
   if (algo == "p3c+") {
     core::P3CPipeline pipeline{params, threads};
-    return pipeline.Cluster(dataset);
+    return pipeline.Cluster(*input.dataset());
   }
   if (algo == "light") {
     params.light = true;
     core::P3CPipeline pipeline{params, threads};
-    return pipeline.Cluster(dataset);
+    return pipeline.Cluster(*input.dataset());
   }
   if (algo == "mr" || algo == "mr-light") {
     mr::P3CMROptions options;
@@ -397,7 +399,7 @@ Result<core::ClusteringResult> RunAlgo(const std::string& algo,
       options.runner.fault_injector = crash_injector.get();
     }
     mr::P3CMR pipeline{options};
-    Result<core::ClusteringResult> result = pipeline.Cluster(dataset);
+    Result<core::ClusteringResult> result = pipeline.Cluster(input);
     if (result.ok() && args.Has("job-log")) {
       std::printf("%s", pipeline.metrics()
                             .ToString(&pipeline.driver_metrics())
@@ -423,7 +425,7 @@ Result<core::ClusteringResult> RunAlgo(const std::string& algo,
         args.GetInt("samples-per-reducer", 100000));
     options.num_threads = threads;
     bow::BoW pipeline{options};
-    return pipeline.Cluster(dataset);
+    return pipeline.Cluster(*input.dataset());
   }
   return Status::InvalidArgument("unknown --algo '" + algo + "'");
 }
@@ -431,43 +433,33 @@ Result<core::ClusteringResult> RunAlgo(const std::string& algo,
 int CmdCluster(const Args& args) {
   const std::string in = args.Get("in", "");
   if (in.empty()) return Fail("cluster requires --in");
-  if (args.Get("algo", "light") == "streaming-light") {
-    // Out-of-core path: never loads the file into memory.
-    core::StreamingLightPipeline pipeline{
-        core::StreamingLightParams(),
-        static_cast<size_t>(args.GetInt("block-rows", 65536))};
-    const std::string out = args.Get("out", "");
-    Result<core::StreamingLightResult> result =
-        out.empty() ? pipeline.Cluster(in)
-                    : pipeline.ClusterAndAssign(in, out);
-    if (!result.ok()) return Fail(result.status().ToString());
-    std::printf("streaming-light: %zu clusters in %.2f s (%zu passes)\n",
-                result->clusters.size(), result->seconds, result->passes);
-    for (size_t c = 0; c < result->clusters.size(); ++c) {
-      std::printf("  cluster %zu: support %llu (unique %llu), %zu attrs\n",
-                  c,
-                  static_cast<unsigned long long>(result->clusters[c].support),
-                  static_cast<unsigned long long>(
-                      result->clusters[c].unique_members),
-                  result->clusters[c].attrs.size());
-    }
-    if (!out.empty()) std::printf("wrote assignments to %s\n", out.c_str());
-    return 0;
-  }
-  Result<data::Dataset> dataset =
-      in.size() > 5 && in.substr(in.size() - 5) == ".p3cd"
-          ? data::ReadBinary(in)
-          : data::ReadCsv(in);
-  if (!dataset.ok()) return Fail(dataset.status().ToString());
-  if (args.Has("normalize")) dataset->NormalizeMinMax();
-
   const std::string algo = args.Get("algo", "light");
+  const bool binary = in.size() > 5 && in.substr(in.size() - 5) == ".p3cd";
+  // mr-light reads a container through the file unless --normalize has
+  // to rewrite the rows; everything else loads them.
+  std::optional<data::BinaryDatasetReader> file;
+  std::optional<data::Dataset> dataset;
+  if (binary && algo == "mr-light" && !args.Has("normalize")) {
+    Result<data::BinaryDatasetReader> reader =
+        data::BinaryDatasetReader::Open(in);
+    if (!reader.ok()) return Fail(reader.status().ToString());
+    file.emplace(std::move(reader).value());
+  } else {
+    Result<data::Dataset> loaded =
+        binary ? data::ReadBinary(in) : data::ReadCsv(in);
+    if (!loaded.ok()) return Fail(loaded.status().ToString());
+    dataset.emplace(std::move(loaded).value());
+    if (args.Has("normalize")) dataset->NormalizeMinMax();
+  }
+  const data::RowInput input =
+      file ? data::RowInput(*file) : data::RowInput(*dataset);
+
   if (args.Has("metrics-out") && algo != "mr" && algo != "mr-light") {
     std::fprintf(stderr,
                  "warning: --metrics-out only applies to --algo mr / "
                  "mr-light; ignoring\n");
   }
-  Result<core::ClusteringResult> result = RunAlgo(algo, *dataset, args);
+  Result<core::ClusteringResult> result = RunAlgo(algo, input, args);
   if (!result.ok()) return Fail(result.status().ToString());
 
   std::printf("%s: %zu clusters in %.2f s\n", algo.c_str(),
@@ -484,7 +476,7 @@ int CmdCluster(const Args& args) {
 
   const std::string out = args.Get("out", "");
   if (!out.empty()) {
-    std::vector<int> assignment(dataset->num_points(), -1);
+    std::vector<int> assignment(input.num_points(), -1);
     for (size_t c = 0; c < result->clusters.size(); ++c) {
       for (data::PointId p : result->clusters[c].points) {
         if (assignment[p] == -1) assignment[p] = static_cast<int>(c);

@@ -53,6 +53,13 @@
 #                                      # Tsan build without NDEBUG (under
 #                                      # the tier-1 RelWithDebInfo build
 #                                      # they GTEST_SKIP)
+#   tools/run_sanitizers.sh file-input-smoke
+#                                      # file-input suite (ctest -L
+#                                      # file-input-smoke): the container
+#                                      # reader and the file-backed Light
+#                                      # pipeline on hostile files, under
+#                                      # ASan only (the suite forks worker
+#                                      # processes, which TSan forbids)
 #
 # The fault-tolerance machinery (task retry, first-error-wins failure
 # slots, exception capture in ParallelFor) is concurrency-heavy; TSan on
@@ -183,12 +190,21 @@ case "${MODE}" in
       "ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1"
     run_suite "TSan sync-smoke" Tsan build-tsan "TSAN_OPTIONS=halt_on_error=1"
     ;;
+  file-input-smoke)
+    # The file input: BinaryDatasetReader parses a header and payload
+    # read from disk, and the Light jobs read rows through it one map
+    # range at a time. ASan/UBSan police the positioned reads into the
+    # range buffer and the truncated, flipped and out-of-range files.
+    LABEL="file-input-smoke"
+    run_suite "ASan+UBSan file-input-smoke" Sanitize build-asan \
+      "ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1"
+    ;;
   all)
     "$0" asan
     "$0" tsan
     ;;
   *)
-    echo "usage: $0 [asan|tsan|all|shuffle-smoke|trace-smoke|straggler-smoke|kernel-smoke|checkpoint-smoke|resource-smoke|worker-smoke|sync-smoke]" \
+    echo "usage: $0 [asan|tsan|all|shuffle-smoke|trace-smoke|straggler-smoke|kernel-smoke|checkpoint-smoke|resource-smoke|worker-smoke|sync-smoke|file-input-smoke]" \
          "[ctest -R filter]" >&2
     exit 2
     ;;
