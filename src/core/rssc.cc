@@ -55,10 +55,59 @@ uint64_t AllRows(size_t rows) {
   return rows == 64 ? ~uint64_t{0} : (uint64_t{1} << rows) - 1;
 }
 
+IntervalKey KeyOf(size_t slot, const Interval& interval) {
+  return {slot, std::bit_cast<uint64_t>(interval.lower),
+          std::bit_cast<uint64_t>(interval.upper)};
+}
+
 }  // namespace
 
-Rssc::Rssc(const std::vector<Signature>& signatures)
+IntervalIndex::IntervalIndex(const std::vector<Interval>& intervals,
+                             size_t num_points, size_t split_rows)
+    : num_points_(num_points),
+      split_rows_(std::max<size_t>(1, split_rows)),
+      ranges_per_split_((split_rows_ + 63) / 64),
+      num_ranges_(num_points / split_rows_ * ranges_per_split_ +
+                  (num_points % split_rows_ + 63) / 64) {
+  std::unordered_map<IntervalKey, uint32_t, IntervalKeyHash> seen;
+  for (const Interval& interval : intervals) {
+    if (seen.try_emplace(KeyOf(interval.attr, interval), 0).second) {
+      intervals_.push_back(interval);
+    }
+  }
+  words_.assign(intervals_.size() * num_ranges_, 0);
+  charge_.Set(static_cast<int64_t>(words_.capacity() * sizeof(uint64_t) +
+                                   intervals_.capacity() * sizeof(Interval)));
+}
+
+size_t IntervalIndex::RangeBegin(size_t i) const {
+  return i / ranges_per_split_ * split_rows_ + i % ranges_per_split_ * 64;
+}
+
+size_t IntervalIndex::RangeRows(size_t i) const {
+  const size_t begin = RangeBegin(i);
+  const size_t split_end = std::min(
+      num_points_, (begin / split_rows_ + 1) * split_rows_);
+  return std::min<size_t>(64, split_end - begin);
+}
+
+size_t IntervalIndex::RangeStartingAt(size_t row) const {
+  const size_t offset = row % split_rows_;
+  if (row >= num_points_ || offset % 64 != 0) return num_ranges_;
+  return row / split_rows_ * ranges_per_split_ + offset / 64;
+}
+
+void IntervalIndex::SetRange(size_t i, std::span<const uint64_t> words) {
+  assert(i < num_ranges_ && words.size() == intervals_.size());
+  for (size_t t = 0; t < words.size(); ++t) {
+    words_[t * num_ranges_ + i] = words[t];
+  }
+}
+
+Rssc::Rssc(const std::vector<Signature>& signatures,
+           const std::vector<Interval>& leading)
     : num_signatures_(signatures.size()) {
+  for (const Interval& interval : leading) attrs_.push_back(interval.attr);
   for (const Signature& sig : signatures) {
     for (const Interval& interval : sig.intervals()) {
       attrs_.push_back(interval.attr);
@@ -67,22 +116,26 @@ Rssc::Rssc(const std::vector<Signature>& signatures)
   std::sort(attrs_.begin(), attrs_.end());
   attrs_.erase(std::unique(attrs_.begin(), attrs_.end()), attrs_.end());
 
-  // Interval ids are first-seen; a slot is the attribute's rank in
-  // attrs_, so a group is gathered in ascending attribute order.
+  // Interval ids are first-seen, the leading intervals first; a slot is
+  // the attribute's rank in attrs_, so a group is gathered in ascending
+  // attribute order.
   std::unordered_map<IntervalKey, uint32_t, IntervalKeyHash> id_by_key;
+  auto intern = [&](const Interval& interval) {
+    const auto slot = static_cast<uint32_t>(
+        std::lower_bound(attrs_.begin(), attrs_.end(), interval.attr) -
+        attrs_.begin());
+    auto [it, added] = id_by_key.try_emplace(
+        KeyOf(slot, interval), static_cast<uint32_t>(intervals_.size()));
+    if (added) intervals_.push_back({slot, interval.lower, interval.upper});
+    return it->second;
+  };
+  for (const Interval& interval : leading) intern(interval);
+  assert(intervals_.size() == leading.size());
   sig_begin_.reserve(signatures.size() + 1);
   sig_begin_.push_back(0);
   for (const Signature& sig : signatures) {
     for (const Interval& interval : sig.intervals()) {
-      const auto slot = static_cast<uint32_t>(
-          std::lower_bound(attrs_.begin(), attrs_.end(), interval.attr) -
-          attrs_.begin());
-      const IntervalKey key{slot, std::bit_cast<uint64_t>(interval.lower),
-                            std::bit_cast<uint64_t>(interval.upper)};
-      auto [it, added] = id_by_key.try_emplace(
-          key, static_cast<uint32_t>(intervals_.size()));
-      if (added) intervals_.push_back({slot, interval.lower, interval.upper});
-      sig_intervals_.push_back(it->second);
+      sig_intervals_.push_back(intern(interval));
     }
     sig_begin_.push_back(static_cast<uint32_t>(sig_intervals_.size()));
   }
@@ -123,12 +176,24 @@ void Rssc::Members(const double* rows, size_t count, size_t dims,
   scratch.interval_words.resize(intervals_.size());
   IntervalWords(rows, count, dims, scratch.columns.data(),
                 scratch.interval_words.data(), 1);
-  const uint64_t all_rows = AllRows(count);
+  AndWords(scratch.interval_words.data(), 1, AllRows(count), words);
+}
+
+void Rssc::Members(const IntervalIndex& index, size_t range,
+                   std::span<uint64_t> words) const {
+  assert(words.size() == num_signatures_);
+  assert(intervals_.size() == index.num_intervals());
+  AndWords(index.words(0) + range, index.num_ranges(),
+           AllRows(index.RangeRows(range)), words);
+}
+
+void Rssc::AndWords(const uint64_t* base, size_t stride, uint64_t all_rows,
+                    std::span<uint64_t> words) const {
   for (size_t j = 0; j < num_signatures_; ++j) {
     // A signature without intervals contains every row.
     uint64_t word = all_rows;
     for (uint32_t i = sig_begin_[j]; i < sig_begin_[j + 1]; ++i) {
-      word &= scratch.interval_words[sig_intervals_[i]];
+      word &= base[sig_intervals_[i] * stride];
     }
     words[j] = word;
   }
@@ -151,10 +216,21 @@ void Rssc::UniqueMembers(std::span<const uint64_t> words, size_t rows,
 }
 
 Rssc::Counter::Counter(const Rssc& rssc, std::span<uint64_t> supports)
-    : rssc_(rssc),
-      supports_(supports),
-      words_(rssc.num_intervals() * kChunkWords),
-      columns_(rssc.attrs_.size() * 64) {
+    : Counter(rssc, nullptr, supports) {}
+
+Rssc::Counter::Counter(const Rssc& rssc, const IntervalIndex& index,
+                       std::span<uint64_t> supports)
+    : Counter(rssc, &index, supports) {
+  assert(rssc.num_intervals() == index.num_intervals());
+}
+
+Rssc::Counter::Counter(const Rssc& rssc, const IntervalIndex* index,
+                       std::span<uint64_t> supports)
+    : rssc_(rssc), index_(index), supports_(supports) {
+  if (index == nullptr) {
+    words_.resize(rssc.num_intervals() * kChunkWords);
+    columns_.resize(rssc.attrs_.size() * 64);
+  }
   size_t widest = 0;
   for (size_t j = 0; j < rssc.num_signatures_; ++j) {
     widest = std::max<size_t>(widest,
@@ -168,19 +244,42 @@ Rssc::Counter::Counter(const Rssc& rssc, std::span<uint64_t> supports)
 }
 
 void Rssc::Counter::Add(const double* rows, size_t count, size_t dims) {
+  assert(index_ == nullptr);
   if (rssc_.num_signatures_ == 0) return;
   for (size_t begin = 0; begin < count; begin += 64) {
     const size_t group = std::min<size_t>(64, count - begin);
+    last_word_ = filled_words_;
     rssc_.IntervalWords(rows + begin * dims, group, dims, columns_.data(),
-                        words_.data() + filled_words_, kChunkWords);
+                        words_.data() + last_word_, kChunkWords);
     pending_rows_ += group;
     if (++filled_words_ == kChunkWords) Flush();
   }
 }
 
+void Rssc::Counter::LastGroupWords(std::span<uint64_t> out) const {
+  assert(out.size() <= rssc_.num_intervals());
+  for (size_t t = 0; t < out.size(); ++t) {
+    out[t] = words_[t * kChunkWords + last_word_];
+  }
+}
+
+void Rssc::Counter::AddRange(size_t i) {
+  if (rssc_.num_signatures_ == 0) return;
+  if (filled_words_ > 0 && i != first_range_ + filled_words_) Flush();
+  if (filled_words_ == 0) first_range_ = i;
+  ++filled_words_;
+  pending_rows_ += index_->RangeRows(i);
+}
+
 void Rssc::Counter::Flush() {
   if (filled_words_ == 0) return;
   const kernels::Ops& ops = kernels::Active();
+  // Interval t's words start at base + t * stride: the gathered chunk,
+  // or the index from the first pending range.
+  const uint64_t* base =
+      index_ != nullptr ? index_->words(0) + first_range_ : words_.data();
+  const size_t stride =
+      index_ != nullptr ? index_->num_ranges() : kChunkWords;
   for (size_t j = 0; j < rssc_.num_signatures_; ++j) {
     const uint32_t first = rssc_.sig_begin_[j];
     const size_t num_masks = rssc_.sig_begin_[j + 1] - first;
@@ -190,8 +289,7 @@ void Rssc::Counter::Flush() {
       continue;
     }
     for (size_t i = 0; i < num_masks; ++i) {
-      masks_[i] = words_.data() +
-                  rssc_.sig_intervals_[first + i] * kChunkWords;
+      masks_[i] = base + rssc_.sig_intervals_[first + i] * stride;
     }
     supports_[j] += ops.and_popcount(masks_.data(), num_masks, filled_words_);
   }

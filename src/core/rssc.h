@@ -10,6 +10,52 @@
 
 namespace p3c::core {
 
+/// A run's interval row words, computed once (§5.3's distributed cache):
+/// for each of the run's intervals, one word per map range, bit r set iff
+/// row RangeBegin(i) + r satisfies x >= lower && x <= upper, Rssc's
+/// predicate. The ranges follow the MR engine's map layout: splits of
+/// `split_rows` rows from row 0, each cut into ranges of at most 64 rows
+/// from its first row, so a map task's ranges are consecutive words.
+/// Words are interval-major: words(t)[i] is interval t on range i.
+///
+/// Holds num_intervals() * num_ranges() words, about T * n / 8 bytes,
+/// charged to MemScope::kRsscIndex.
+class IntervalIndex {
+ public:
+  /// An index with every word clear. Intervals with equal bounds on the
+  /// same attribute are kept once, first occurrence first.
+  IntervalIndex(const std::vector<Interval>& intervals, size_t num_points,
+                size_t split_rows);
+
+  const std::vector<Interval>& intervals() const { return intervals_; }
+  size_t num_intervals() const { return intervals_.size(); }
+  size_t num_points() const { return num_points_; }
+  size_t num_ranges() const { return num_ranges_; }
+
+  /// First row and row count of range i < num_ranges().
+  size_t RangeBegin(size_t i) const;
+  size_t RangeRows(size_t i) const;
+  /// The range whose first row is `row`, or num_ranges() when no range
+  /// starts there.
+  size_t RangeStartingAt(size_t row) const;
+
+  /// Interval t's words, num_ranges() of them.
+  const uint64_t* words(size_t t) const {
+    return words_.data() + t * num_ranges_;
+  }
+  /// Stores range i's words, one per interval.
+  void SetRange(size_t i, std::span<const uint64_t> words);
+
+ private:
+  std::vector<Interval> intervals_;
+  size_t num_points_;
+  size_t split_rows_;
+  size_t ranges_per_split_;
+  size_t num_ranges_;
+  std::vector<uint64_t> words_;
+  resource::ScopedBytes charge_{resource::MemScope::kRsscIndex};
+};
+
 /// Rapid Signature Support Counter (§5.3): answers "which of these
 /// signatures contain each of these rows" and "how many rows does each
 /// signature contain", up to 64 consecutive rows at a time.
@@ -28,12 +74,18 @@ namespace p3c::core {
 ///  - Members: one word per signature for one group (memberships).
 ///  - Counter: keeps up to 64 words per interval, then AND-popcounts
 ///    each signature's words into its support.
+/// Both can also read an IntervalIndex's words instead of gathering rows,
+/// through the same AND loops, when the index holds every interval.
 ///
 /// The index is immutable after construction and safe to share across
 /// mapper threads — exactly the distributed-cache usage of the paper.
 class Rssc {
  public:
-  explicit Rssc(const std::vector<Signature>& signatures);
+  /// The interval table starts with `leading` (distinct intervals, such
+  /// as an IntervalIndex's, so interval t is the index's interval t),
+  /// then holds the signatures' other intervals.
+  explicit Rssc(const std::vector<Signature>& signatures,
+                const std::vector<Interval>& leading = {});
 
   size_t num_signatures() const { return num_signatures_; }
   /// Distinct intervals of the batch (entries of the interval table).
@@ -56,6 +108,12 @@ class Rssc {
   void Members(const double* rows, size_t count, size_t dims,
                Scratch& scratch, std::span<uint64_t> words) const;
 
+  /// Members for range i of `index`, read from its words. The index must
+  /// hold the whole interval table: the Rssc was built with the index's
+  /// intervals leading and num_intervals() == index.num_intervals().
+  void Members(const IntervalIndex& index, size_t range,
+               std::span<uint64_t> words) const;
+
   /// The Light model's m' (§6) for the first `rows` rows of a Members
   /// group: out[r] is the j whose words[j] alone holds bit r, -1 when no
   /// word holds it, -2 when several do. Bits at and above `rows` must be
@@ -75,10 +133,22 @@ class Rssc {
     /// `supports` holds num_signatures() counters and must outlive the
     /// counter.
     Counter(const Rssc& rssc, std::span<uint64_t> supports);
+    /// A counter that reads `index`'s words instead of rows (AddRange);
+    /// the index must hold the whole interval table, as for Members.
+    Counter(const Rssc& rssc, const IntervalIndex& index,
+            std::span<uint64_t> supports);
 
     /// Counts the `count` rows at `rows`, row-major with `dims` values
     /// each.
     void Add(const double* rows, size_t count, size_t dims);
+
+    /// Copies the words the last Add built for its last group of rows,
+    /// for the first out.size() intervals.
+    void LastGroupWords(std::span<uint64_t> out) const;
+
+    /// Counts range i of the index. Consecutive ranges are flushed
+    /// together, so a map task's ranges cost one pass per signature.
+    void AddRange(size_t i);
 
     /// Counts the rows added since the last flush.
     void Finish();
@@ -87,9 +157,12 @@ class Rssc {
     /// Words per interval kept before a signature pass (4096 rows).
     static constexpr size_t kChunkWords = 64;
 
+    Counter(const Rssc& rssc, const IntervalIndex* index,
+            std::span<uint64_t> supports);
     void Flush();
 
     const Rssc& rssc_;
+    const IntervalIndex* index_ = nullptr;
     std::span<uint64_t> supports_;
     /// Interval-major row words: words_[t * kChunkWords + w].
     std::vector<uint64_t> words_;
@@ -97,7 +170,12 @@ class Rssc {
     std::vector<double> columns_;
     /// One signature's interval word pointers, for and_popcount.
     std::vector<const uint64_t*> masks_;
+    /// Words per interval not yet flushed; with an index, they start at
+    /// range first_range_.
     size_t filled_words_ = 0;
+    size_t first_range_ = 0;
+    /// Where the last group Add gathered went in words_.
+    size_t last_word_ = 0;
     uint64_t pending_rows_ = 0;
     resource::ScopedBytes charge_{resource::MemScope::kSupportPartials};
   };
@@ -115,6 +193,11 @@ class Rssc {
   /// interval t. `columns` holds 64 doubles per indexed attribute.
   void IntervalWords(const double* rows, size_t count, size_t dims,
                      double* columns, uint64_t* out, size_t stride) const;
+
+  /// words[j] = `all_rows` AND signature j's interval words, interval t's
+  /// word read at base[t * stride].
+  void AndWords(const uint64_t* base, size_t stride, uint64_t all_rows,
+                std::span<uint64_t> words) const;
 
   size_t num_signatures_ = 0;
   std::vector<size_t> attrs_;

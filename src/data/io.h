@@ -89,9 +89,14 @@ Result<BinaryHeader> ReadBinaryHeader(std::FILE* f, const std::string& path);
 /// data sets larger than memory (the paper's largest input is 0.2 TB).
 /// It keeps the file open and reads rows on demand with positioned
 /// reads, so any number of threads, and forked worker processes, may
-/// read it at once.
+/// read it at once. ReadRows is virtual so that a test can observe which
+/// rows a job reads.
 class BinaryDatasetReader {
  public:
+  virtual ~BinaryDatasetReader() = default;
+  BinaryDatasetReader(BinaryDatasetReader&&) = default;
+  BinaryDatasetReader& operator=(BinaryDatasetReader&&) = default;
+
   /// Validates the header and that the file holds exactly the payload
   /// the header promises, then reads the payload once in 1 MiB chunks:
   /// a version-3 file whose checksum does not match is rejected here,
@@ -110,7 +115,7 @@ class BinaryDatasetReader {
   /// doubles). A file that ends before the last of them (it shrank after
   /// Open) gives an IOError saying "truncated"; rows past num_points()
   /// give OutOfRange.
-  Status ReadRows(uint64_t begin, size_t count, double* out) const;
+  virtual Status ReadRows(uint64_t begin, size_t count, double* out) const;
 
  private:
   struct Closer {

@@ -488,6 +488,10 @@ class LocalRunner {
     return pairs;
   }
 
+  /// Records per split for an n-record input: split s holds records
+  /// [s * SplitSize(n), min(n, (s + 1) * SplitSize(n))).
+  size_t SplitSize(size_t n) const;
+
   /// Number of splits the engine would cut `n` records into.
   size_t NumSplits(size_t n) const {
     if (n == 0) return 0;
@@ -608,8 +612,6 @@ class LocalRunner {
 
   // ---- Non-template engine code (runner.cc) ----------------------------
 
-  /// Records per split for an n-record input.
-  size_t SplitSize(size_t n) const;
   /// Claimant cap for the map and reduce task phases; 0 means uncapped.
   size_t ExecWidth() const;
   /// Effective reduce-partition count: per-job override, then

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <memory>
+#include <new>
 
 #include "src/common/resource.h"
 #include "src/common/string_util.h"
@@ -93,26 +95,25 @@ Status CheckRecord(const char* job_name, int64_t key, size_t num_keys,
 
 /// A map task's reader of its job's rows. An in-memory input is read in
 /// place; a file is read one map range at a time into a buffer charged
-/// to MemScope::kDataset, so a task holds at most one range of it. A
-/// failed read throws StatusError, which fails the attempt with the
-/// reader's Status.
+/// to MemScope::kDataset, so a task holds at most one range of it, and a
+/// task that reads no rows holds none. A failed read throws StatusError,
+/// which fails the attempt with the reader's Status.
 class RangeRows {
  public:
   explicit RangeRows(const data::RowInput& input)
       : file_(input.file()),
         values_(file_ == nullptr ? input.dataset()->values().data() : nullptr),
-        dims_(input.num_dims()) {
-    if (file_ != nullptr) {
-      buffer_.resize(kMapRangeRecords * dims_);
-      mem_.Set(static_cast<int64_t>(buffer_.size() * sizeof(double)));
-    }
-  }
+        dims_(input.num_dims()) {}
 
   size_t dims() const { return dims_; }
 
   /// The rows of `range`, row-major.
   const double* Read(RecordRange range) {
     if (file_ == nullptr) return values_ + range.begin * dims_;
+    if (buffer_.empty()) {
+      buffer_.resize(kMapRangeRecords * dims_);
+      mem_.Set(static_cast<int64_t>(buffer_.size() * sizeof(double)));
+    }
     Status st = file_->ReadRows(range.begin, range.size(), buffer_.data());
     if (!st.ok()) throw StatusError(std::move(st));
     return buffer_.data();
@@ -125,6 +126,32 @@ class RangeRows {
   std::vector<double> buffer_;
   resource::ScopedBytes mem_{resource::MemScope::kDataset};
 };
+
+/// The range of `index` that `rows` is, for a mapper that reads the index
+/// instead of the rows. A range the index does not hold (another split
+/// layout) fails the attempt with Status::Internal.
+size_t IndexRange(const core::IntervalIndex& index, RecordRange rows) {
+  const size_t i = index.RangeStartingAt(rows.begin);
+  if (i == index.num_ranges() || index.RangeRows(i) != rows.size()) {
+    throw StatusError(Status::Internal(StringPrintf(
+        "map range [%zu, %zu) is no range of the interval index", rows.begin,
+        rows.end)));
+  }
+  return i;
+}
+
+/// The Rssc of `signatures` for a job that may read `index`: over the
+/// index's intervals when it holds all of the signatures' (and `index`
+/// stays set), else a plain one (and `index` is cleared).
+core::Rssc MakeRssc(const std::vector<core::Signature>& signatures,
+                    const core::IntervalIndex*& index) {
+  if (index != nullptr) {
+    core::Rssc indexed(signatures, index->intervals());
+    if (indexed.num_intervals() == index->num_intervals()) return indexed;
+    index = nullptr;
+  }
+  return core::Rssc(signatures);
+}
 
 // ---------------------------------------------------------------------------
 // Histogram job (§5.1)
@@ -188,20 +215,37 @@ class HistogramMapper : public Mapper<int64_t, std::vector<uint64_t>> {
 struct SupportJobConfig {
   const data::RowInput* input;
   const core::Rssc* rssc;  // "distributed cache" payload
+  /// Read instead of the rows when set.
+  const core::IntervalIndex* index;
+  /// When nonzero, the job fills an index of the Rssc's first
+  /// `index_intervals` intervals: one record per map range.
+  size_t index_intervals;
 };
 
 class SupportMapper : public Mapper<int64_t, std::vector<uint64_t>> {
  public:
   explicit SupportMapper(const SupportJobConfig* config)
-      : rows_(*config->input),
+      : config_(config),
+        rows_(*config->input),
         supports_(config->rssc->num_signatures(), 0),
-        counter_(*config->rssc, supports_) {}
+        counter_(config->index != nullptr
+                     ? core::Rssc::Counter(*config->rssc, *config->index,
+                                           supports_)
+                     : core::Rssc::Counter(*config->rssc, supports_)) {}
 
   void Map(RecordRange rows,
            Emitter<int64_t, std::vector<uint64_t>>& out) override {
-    (void)out;
-    counter_.Add(rows_.Read(rows), rows.size(), rows_.dims());
     points_ += rows.size();
+    if (config_->index != nullptr) {
+      counter_.AddRange(IndexRange(*config_->index, rows));
+      return;
+    }
+    counter_.Add(rows_.Read(rows), rows.size(), rows_.dims());
+    if (config_->index_intervals > 0) {
+      std::vector<uint64_t> words(config_->index_intervals);
+      counter_.LastGroupWords(words);
+      out.Emit(static_cast<int64_t>(rows.begin), std::move(words));
+    }
   }
 
   void Cleanup(Emitter<int64_t, std::vector<uint64_t>>& out) override {
@@ -210,10 +254,12 @@ class SupportMapper : public Mapper<int64_t, std::vector<uint64_t>> {
     out.counters().Increment("support/points", points_);
     out.counters().SetGauge("support/candidates",
                             static_cast<double>(supports_.size()));
-    out.Emit(0, std::move(supports_));
+    out.Emit(config_->index_intervals > 0 ? kIndexingSupportsKey : 0,
+             std::move(supports_));
   }
 
  private:
+  const SupportJobConfig* config_;
   RangeRows rows_;
   std::vector<uint64_t> supports_;  // before counter_, which adds into it
   core::Rssc::Counter counter_;
@@ -632,6 +678,8 @@ class TighteningReducer
 struct SupportSetJobConfig {
   const data::RowInput* input;
   const core::Rssc* rssc;
+  /// Read instead of the rows when set.
+  const core::IntervalIndex* index;
 };
 
 /// One record per map range with any member: the key is the range's
@@ -646,8 +694,13 @@ class SupportSetMapper : public Mapper<data::PointId, std::vector<uint64_t>> {
 
   void Map(RecordRange rows,
            Emitter<data::PointId, std::vector<uint64_t>>& out) override {
-    config_->rssc->Members(rows_.Read(rows), rows.size(), rows_.dims(),
-                           scratch_, words_);
+    if (config_->index != nullptr) {
+      config_->rssc->Members(*config_->index,
+                             IndexRange(*config_->index, rows), words_);
+    } else {
+      config_->rssc->Members(rows_.Read(rows), rows.size(), rows_.dims(),
+                             scratch_, words_);
+    }
     uint64_t members = 0;
     for (uint64_t word : words_) members |= word;
     if (members != 0) out.Emit(static_cast<data::PointId>(rows.begin), words_);
@@ -696,11 +749,12 @@ Result<std::vector<stats::Histogram>> UnpackHistograms(
 
 Result<std::vector<uint64_t>> RunSupportJob(
     LocalRunner& runner, const data::RowInput& input,
-    const std::vector<core::Signature>& signatures) {
+    const std::vector<core::Signature>& signatures,
+    const core::IntervalIndex* index) {
   if (signatures.empty()) return std::vector<uint64_t>{};
   // "Calculated by the main program" and shipped to every mapper.
-  const core::Rssc rssc(signatures);
-  SupportJobConfig config{&input, &rssc};
+  const core::Rssc rssc = MakeRssc(signatures, index);
+  SupportJobConfig config{&input, &rssc, index, 0};
   auto run = runner.Run<int64_t, std::vector<uint64_t>, KeyedCounts>(
       "support-count", input.num_points(),
       [&config] { return std::make_unique<SupportMapper>(&config); },
@@ -708,6 +762,93 @@ Result<std::vector<uint64_t>> RunSupportJob(
       /*num_reducers=*/1);  // the job emits a single key
   if (!run.ok()) return run.status();
   return UnpackSupports(std::move(*run), signatures.size());
+}
+
+Result<IndexedSupports> RunIndexingSupportJob(
+    LocalRunner& runner, const data::RowInput& input,
+    const std::vector<core::Signature>& signatures,
+    const std::vector<core::Interval>& intervals) {
+  core::IntervalIndex index(intervals, input.num_points(),
+                            runner.SplitSize(input.num_points()));
+  const core::Rssc rssc(signatures, index.intervals());
+  SupportJobConfig config{&input, &rssc, nullptr, index.num_intervals()};
+  auto run = runner.Run<int64_t, std::vector<uint64_t>, KeyedCounts>(
+      "support-count", input.num_points(),
+      [&config] { return std::make_unique<SupportMapper>(&config); },
+      [] { return std::make_unique<CountSumReducer>(); },
+      /*num_reducers=*/1);  // one reduce task, as in the plain job
+  if (!run.ok()) return run.status();
+  auto supports =
+      UnpackIndexingSupports(std::move(*run), signatures.size(), index);
+  if (!supports.ok()) return supports.status();
+  return IndexedSupports{std::move(supports).value(), std::move(index)};
+}
+
+Result<std::vector<uint64_t>> UnpackIndexingSupports(
+    std::vector<KeyedCounts> out, size_t num_signatures,
+    core::IntervalIndex& index) {
+  std::vector<uint64_t> supports(num_signatures, 0);
+  const size_t n = index.num_points();
+  // Records arrive in key order: the supports, then ranges 0, 1, ...
+  size_t next = 0;
+  for (auto& [key, words] : out) {
+    if (key == kIndexingSupportsKey) {
+      if (words.size() != num_signatures) {
+        return Status::Internal(StringPrintf(
+            "support-count: supports record holds %zu values, expected %zu",
+            words.size(), num_signatures));
+      }
+      supports = std::move(words);
+      continue;
+    }
+    if (key < 0) {
+      return Status::Internal(StringPrintf(
+          "support-count: result key %lld is neither the supports' nor a row",
+          static_cast<long long>(key)));
+    }
+    const auto first = static_cast<size_t>(key);
+    const size_t i = index.RangeStartingAt(first);
+    if (first >= n || i == index.num_ranges()) {
+      return Status::Internal(StringPrintf(
+          "support-count: index record key %zu is no map range's first row "
+          "of the %zu rows",
+          first, n));
+    }
+    if (i < next) {
+      return Status::Internal(StringPrintf(
+          "support-count: index record key %zu repeats or overlaps the range "
+          "before it",
+          first));
+    }
+    if (i > next) {
+      return Status::Internal(StringPrintf(
+          "support-count: index misses the range at row %zu",
+          index.RangeBegin(next)));
+    }
+    if (words.size() != index.num_intervals()) {
+      return Status::Internal(StringPrintf(
+          "support-count: index record for key %zu holds %zu words, "
+          "expected %zu",
+          first, words.size(), index.num_intervals()));
+    }
+    const size_t rows = index.RangeRows(i);
+    for (uint64_t word : words) {
+      if (rows < 64 && (word >> rows) != 0) {
+        return Status::Internal(StringPrintf(
+            "support-count: index record for key %zu names a row at or past "
+            "%zu, its range's end",
+            first, first + rows));
+      }
+    }
+    index.SetRange(i, words);
+    ++next;
+  }
+  if (next != index.num_ranges()) {
+    return Status::Internal(StringPrintf(
+        "support-count: index misses the range at row %zu",
+        index.RangeBegin(next)));
+  }
+  return supports;
 }
 
 Result<std::vector<uint64_t>> UnpackSupports(std::vector<KeyedCounts> out,
@@ -824,10 +965,51 @@ MembershipRecord::MembershipRecord(const MembershipFn& inner,
                                    size_t num_points)
     : inner_(inner), blocks_(num_points / kMapRangeRecords + 1) {}
 
+MembershipRecord::Copy* MembershipRecord::Copy::Make(
+    RecordRange rows, const RangeMemberships& memberships, Copy* next) {
+  static_assert(sizeof(Copy) % alignof(RangeMemberships::Entry) == 0 &&
+                    sizeof(RangeMemberships::Entry) % alignof(double) == 0,
+                "a copy's arrays follow its header aligned");
+  const size_t entries = memberships.entries.size();
+  const size_t lls = memberships.log_likelihood.size();
+  void* block = ::operator new(sizeof(Copy) +
+                               entries * sizeof(RangeMemberships::Entry) +
+                               lls * sizeof(double));
+  Copy* copy = new (block) Copy{rows, next, entries, lls};
+  if (entries > 0) {
+    std::memcpy(const_cast<RangeMemberships::Entry*>(copy->entries()),
+                memberships.entries.data(),
+                entries * sizeof(RangeMemberships::Entry));
+  }
+  if (lls > 0) {
+    std::memcpy(const_cast<double*>(copy->log_likelihood()),
+                memberships.log_likelihood.data(), lls * sizeof(double));
+  }
+  return copy;
+}
+
+void MembershipRecord::Copy::Free(Copy* copy) {
+  copy->~Copy();
+  ::operator delete(copy);
+}
+
+size_t MembershipRecord::Copy::payload_bytes() const {
+  return num_entries * sizeof(RangeMemberships::Entry) +
+         num_log_likelihood * sizeof(double);
+}
+
+const RangeMemberships::Entry* MembershipRecord::Copy::entries() const {
+  return reinterpret_cast<const RangeMemberships::Entry*>(this + 1);
+}
+
+const double* MembershipRecord::Copy::log_likelihood() const {
+  return reinterpret_cast<const double*>(entries() + num_entries);
+}
+
 MembershipRecord::~MembershipRecord() {
   for (auto& block : blocks_) {
     Copy* copy = block.load(std::memory_order_relaxed);
-    while (copy != nullptr) delete std::exchange(copy, copy->next);
+    while (copy != nullptr) Copy::Free(std::exchange(copy, copy->next));
   }
 }
 
@@ -851,23 +1033,23 @@ void MembershipRecord::Contributions(RecordRange rows, const double* xs,
   std::atomic<Copy*>& block = blocks_[b];
   Copy* head = block.load(std::memory_order_acquire);
   if (const Copy* copy = Find(head, rows)) {
-    out.entries.assign(copy->memberships.entries.begin(),
-                       copy->memberships.entries.end());
-    out.log_likelihood.assign(copy->memberships.log_likelihood.begin(),
-                              copy->memberships.log_likelihood.end());
+    out.entries.assign(copy->entries(), copy->entries() + copy->num_entries);
+    out.log_likelihood.assign(
+        copy->log_likelihood(),
+        copy->log_likelihood() + copy->num_log_likelihood);
     return;
   }
   inner_.Contributions(rows, xs, out);
-  auto fresh = std::make_unique<Copy>(Copy{rows, out, head});
-  while (!block.compare_exchange_weak(fresh->next, fresh.get(),
+  Copy* fresh = Copy::Make(rows, out, head);
+  while (!block.compare_exchange_weak(fresh->next, fresh,
                                       std::memory_order_release,
                                       std::memory_order_acquire)) {
-    if (Find(fresh->next, rows) != nullptr) return;  // another was first
+    if (Find(fresh->next, rows) != nullptr) {  // another was first
+      Copy::Free(fresh);
+      return;
+    }
   }
-  const RangeMemberships& m = fresh.release()->memberships;
-  mem_.Add(static_cast<int64_t>(
-      m.entries.size() * sizeof(RangeMemberships::Entry) +
-      m.log_likelihood.size() * sizeof(double)));
+  mem_.Add(static_cast<int64_t>(fresh->payload_bytes()));
 }
 
 Result<MomentSums> RunMomentJob(LocalRunner& runner,
@@ -1065,12 +1247,13 @@ Result<std::vector<std::vector<core::Interval>>> UnpackTightening(
 
 Result<SupportSetJobResult> RunSupportSetJob(
     LocalRunner& runner, const data::RowInput& input,
-    const std::vector<core::Signature>& signatures) {
+    const std::vector<core::Signature>& signatures,
+    const core::IntervalIndex* index) {
   if (signatures.empty()) {
     return UnpackSupportSets({}, input.num_points(), 0);
   }
-  const core::Rssc rssc(signatures);
-  SupportSetJobConfig config{&input, &rssc};
+  const core::Rssc rssc = MakeRssc(signatures, index);
+  SupportSetJobConfig config{&input, &rssc, index};
   auto run = runner.RunMapOnly<data::PointId, std::vector<uint64_t>>(
       "support-sets", input.num_points(),
       [&config] { return std::make_unique<SupportSetMapper>(&config); });

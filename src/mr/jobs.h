@@ -46,10 +46,36 @@ Result<std::vector<stats::Histogram>> RunHistogramJob(
 /// §5.3 support-counting job: the RSSC bit masks are built by the driver
 /// ("calculated by the main program beforehand") and shipped to mappers;
 /// each mapper aggregates split-local support counts, reducers sum.
-/// Result is parallel to `signatures`.
+/// Result is parallel to `signatures`. When `index` holds every interval
+/// of the signatures, the mappers AND its words and read no rows;
+/// otherwise they scan the rows. The index must have been filled under
+/// `runner`'s split layout (RunIndexingSupportJob).
 Result<std::vector<uint64_t>> RunSupportJob(
     LocalRunner& runner, const data::RowInput& input,
-    const std::vector<core::Signature>& signatures);
+    const std::vector<core::Signature>& signatures,
+    const core::IntervalIndex* index = nullptr);
+
+/// A support-count job's supports and the interval index it filled.
+struct IndexedSupports {
+  std::vector<uint64_t> supports;
+  core::IntervalIndex index;
+};
+
+/// The support-count job that also fills a run's interval index: its
+/// mappers gather the words of every interval of `intervals` (the run's
+/// relevant intervals) for each map range, count `signatures` from them,
+/// and return each range's words as one record keyed by the range's
+/// first row. The supports travel under key kIndexingSupportsKey. The
+/// records are job output, so the index is the same on every backend and
+/// under retried attempts. `signatures` must not be empty.
+Result<IndexedSupports> RunIndexingSupportJob(
+    LocalRunner& runner, const data::RowInput& input,
+    const std::vector<core::Signature>& signatures,
+    const std::vector<core::Interval>& intervals);
+
+/// The key of the supports record of RunIndexingSupportJob; its range
+/// records are keyed by row, from 0.
+inline constexpr int64_t kIndexingSupportsKey = -1;
 
 /// First/second moment sums the EM jobs of §5.4 exchange: wC, wC2 and lC.
 struct MomentSums {
@@ -181,8 +207,10 @@ class BallMembership : public MembershipFn {
 /// copy exactly (another split layout) calls the wrapped membership. By
 /// MembershipFn's contract both give the same bits, so a retried,
 /// deadline-killed or duplicated attempt cannot change a sum, and a
-/// forked worker, whose copies die with it, only recomputes. The copies
-/// are charged to MemScope::kGmmMatrices until the record dies.
+/// forked worker, whose copies die with it, only recomputes. Each copy is
+/// one allocation, its entries and log-likelihoods behind its header, so
+/// the record dies in one free per range. The copies are charged to
+/// MemScope::kGmmMatrices until the record dies.
 class MembershipRecord : public MembershipFn {
  public:
   /// Records ranges of the first `num_points` rows; later rows pass
@@ -196,10 +224,22 @@ class MembershipRecord : public MembershipFn {
                      RangeMemberships& out) const override;
 
  private:
+  /// One published range. num_entries entries, then num_log_likelihood
+  /// doubles, follow the header in the same allocation.
   struct Copy {
     RecordRange rows;
-    RangeMemberships memberships;
     Copy* next;
+    size_t num_entries;
+    size_t num_log_likelihood;
+
+    /// A copy of `memberships` for `rows`, in one allocation.
+    static Copy* Make(RecordRange rows, const RangeMemberships& memberships,
+                      Copy* next);
+    static void Free(Copy* copy);
+    /// Bytes of the copy's payload behind the header.
+    size_t payload_bytes() const;
+    const RangeMemberships::Entry* entries() const;
+    const double* log_likelihood() const;
   };
   static const Copy* Find(const Copy* head, RecordRange rows);
 
@@ -275,6 +315,16 @@ Result<std::vector<stats::Histogram>> UnpackHistograms(
     std::vector<KeyedCounts> out, size_t num_dims, size_t bins);
 Result<std::vector<uint64_t>> UnpackSupports(std::vector<KeyedCounts> out,
                                              size_t num_signatures);
+/// Unpack step of RunIndexingSupportJob: returns the supports and stores
+/// every range record's words in `index`. Besides a bad supports record,
+/// a range key at or past the index's rows, a key that is no map range's
+/// first row, a range that repeats or overlaps the one before it, a
+/// missing range, a payload other than index.num_intervals() words, or a
+/// bit for a row past its range (past n for the last) yields
+/// Status::Internal naming the job.
+Result<std::vector<uint64_t>> UnpackIndexingSupports(
+    std::vector<KeyedCounts> out, size_t num_signatures,
+    core::IntervalIndex& index);
 Result<std::vector<std::vector<stats::Histogram>>> UnpackClusterHistograms(
     std::vector<KeyedCounts> out, size_t num_dims,
     const std::vector<size_t>& bins_per_cluster);
@@ -301,14 +351,16 @@ Result<std::vector<std::vector<core::Interval>>> RunTighteningJob(
 /// range's first row, whose value has one word per core (bit r set iff
 /// row key + r lies in the core's support set; core::Rssc::Members).
 /// Returns per-core sorted point lists plus the per-point unique
-/// assignment (m'): -1 none, -2 several.
+/// assignment (m'): -1 none, -2 several. As for RunSupportJob, an
+/// `index` holding every core interval replaces the row reads.
 struct SupportSetJobResult {
   std::vector<std::vector<data::PointId>> support_sets;
   std::vector<int32_t> unique_assignment;
 };
 Result<SupportSetJobResult> RunSupportSetJob(
     LocalRunner& runner, const data::RowInput& input,
-    const std::vector<core::Signature>& signatures);
+    const std::vector<core::Signature>& signatures,
+    const core::IntervalIndex* index = nullptr);
 
 /// The support-set job's (first row, per-core words) records, in key
 /// order.

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <thread>
 
 #include "src/common/logging.h"
@@ -372,6 +373,17 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::RowInput& input) {
   // nothing, so no wrong cores are derived from a failed job. The
   // cancellation poll makes mid-generation SIGTERM stop at the next
   // batch instead of grinding through the remaining proving rounds.
+  //
+  // The run's interval index (§5.3's distributed cache, DESIGN.md
+  // §14.1): the first core-generation support job also returns the row
+  // words of every relevant interval, and every later batch whose
+  // intervals it holds, and the support-set job, read those words
+  // instead of the rows. Batches carrying newer intervals (AI proving)
+  // and a run resumed past core generation scan the rows. So does a run
+  // whose index would exceed 1/8 of the dataset's bytes: T bits a row
+  // against 64·d, so T > 8·d.
+  std::optional<core::IntervalIndex> index;
+  bool fill_index = completed < 2 && relevant.size() <= 8 * input.num_dims();
   Status support_job_error;
   core::SupportCountFn counter =
       [&](const std::vector<core::Signature>& sigs) {
@@ -382,9 +394,19 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::RowInput& input) {
           }
           return std::vector<uint64_t>(sigs.size(), 0);
         }
-        auto supports = RunPipelineJob(phases, "support-count", [&] {
-          return RunSupportJob(runner, input, sigs);
-        });
+        auto supports = RunPipelineJob(
+            phases, "support-count", [&]() -> Result<std::vector<uint64_t>> {
+              if (!fill_index || sigs.empty()) {
+                return RunSupportJob(runner, input, sigs,
+                                     index ? &*index : nullptr);
+              }
+              auto indexed = RunIndexingSupportJob(runner, input, sigs,
+                                                   relevant);
+              if (!indexed.ok()) return indexed.status();
+              index.emplace(std::move(indexed->index));
+              fill_index = false;
+              return std::move(indexed->supports);
+            });
         if (!supports.ok()) {
           if (support_job_error.ok()) support_job_error = supports.status();
           return std::vector<uint64_t>(sigs.size(), 0);
@@ -399,6 +421,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::RowInput& input) {
     core::CoreDetectionResult detection = core::GenerateClusterCores(
         relevant, input.num_points(), params, counter, &runner.pool());
     if (!support_job_error.ok()) return support_job_error;
+    fill_index = false;  // later batches carry newer intervals
     state.core_stats = detection.stats;
     state.cores = std::move(detection.cores);
     P3C_RETURN_NOT_OK(finish_phase("cluster-cores"));
@@ -426,7 +449,8 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::RowInput& input) {
     // ---- Light path (§6) --------------------------------------------------
     if (completed < 3) {
       auto sets = RunPipelineJob(phases, "support-sets", [&] {
-        return RunSupportSetJob(runner, input, signatures);
+        return RunSupportSetJob(runner, input, signatures,
+                                index ? &*index : nullptr);
       });
       if (!sets.ok()) return sets.status();
       reported_points = std::move(sets->support_sets);

@@ -8,6 +8,8 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <memory>
 #include <limits>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "src/common/resource.h"
 #include "src/common/string_util.h"
 #include "src/core/p3c.h"
+#include "src/core/rssc.h"
 #include "src/data/generator.h"
 #include "src/data/io.h"
 #include "src/mapreduce/fault.h"
@@ -240,10 +243,12 @@ struct LightRun {
 };
 
 LightRun RunLight(const data::RowInput& input, mr::RunnerOptions runner,
-                  core::P3CParams params = core::LightParams()) {
+                  core::P3CParams params = core::LightParams(),
+                  const std::string& checkpoint_dir = "") {
   mr::P3CMROptions options;
   options.params = params;
   options.runner = runner;
+  options.checkpoint_dir = checkpoint_dir;
   mr::P3CMR pipeline{options};
   auto result = pipeline.Cluster(input);
   LightRun run;
@@ -498,6 +503,193 @@ TEST(FileInputTest, FullPipelineOnAFileIsNotImplemented) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotImplemented);
   EXPECT_EQ(pipeline.metrics().num_jobs(), 0u);
+  std::remove(path.c_str());
+}
+
+/// A container reader that counts the ReadRows calls and rows of each
+/// job, and the fault injector that tells it which job runs: with one
+/// worker thread in-process, attempts run one at a time, and a job's
+/// first map attempt starts its count.
+class CountingReader : public BinaryDatasetReader {
+ public:
+  struct JobReads {
+    std::string job;
+    size_t calls = 0;
+    size_t rows = 0;
+  };
+
+  explicit CountingReader(BinaryDatasetReader reader)
+      : BinaryDatasetReader(std::move(reader)) {}
+
+  Status ReadRows(uint64_t begin, size_t count, double* out) const override {
+    if (!jobs_.empty()) {
+      ++jobs_.back().calls;
+      jobs_.back().rows += count;
+    }
+    return BinaryDatasetReader::ReadRows(begin, count, out);
+  }
+
+  void StartJob(const std::string& job) const { jobs_.push_back({job}); }
+  const std::vector<JobReads>& jobs() const { return jobs_; }
+
+ private:
+  mutable std::vector<JobReads> jobs_;
+};
+
+class JobStarts : public mr::ScriptedFaultInjector {
+ public:
+  explicit JobStarts(const CountingReader& reader) : reader_(reader) {}
+
+  Status OnAttemptStart(const mr::TaskAttempt& attempt) override {
+    if (attempt.kind == mr::TaskKind::kMap && attempt.task_index == 0 &&
+        attempt.attempt == 0) {
+      reader_.StartJob(attempt.job_name);
+    }
+    return mr::ScriptedFaultInjector::OnAttemptStart(attempt);
+  }
+
+ private:
+  const CountingReader& reader_;
+};
+
+/// Each job's reads in a run with one core-generation support job that
+/// fails once: [histogram, failed support-count, the support-count jobs
+/// and support-sets before cluster-histograms, cluster-histograms, the
+/// AI-proving support-count, interval-tightening].
+struct RunReads {
+  std::vector<CountingReader::JobReads> before_histograms;
+  std::vector<CountingReader::JobReads> after_histograms;
+};
+
+RunReads SplitAtClusterHistograms(
+    const std::vector<CountingReader::JobReads>& jobs) {
+  RunReads reads;
+  bool after = false;
+  for (const auto& job : jobs) {
+    if (job.job == "cluster-histograms") after = true;
+    (after ? reads.after_histograms : reads.before_histograms).push_back(job);
+  }
+  return reads;
+}
+
+TEST(FileInputTest, IntervalIndexRemovesTheRowReads) {
+  // Two or more core-generation batches, and an AI-proving batch.
+  data::GeneratorConfig config;
+  config.num_points = 4000;
+  config.num_dims = 30;
+  config.num_clusters = 3;
+  config.noise_fraction = 0.10;
+  config.max_cluster_dims = 4;
+  config.seed = 61;
+  const auto data = data::GenerateSynthetic(config).value();
+  const size_t n = data.dataset.num_points();
+  const std::string path = WriteFile(data.dataset, "file_index.p3cd");
+  auto open_counting = [&path] {
+    auto opened = BinaryDatasetReader::Open(path);
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    return std::make_unique<CountingReader>(std::move(opened).value());
+  };
+  mr::RunnerOptions one_thread;
+  one_thread.num_threads = 1;
+  const size_t num_ranges =
+      core::IntervalIndex({}, n, mr::LocalRunner(one_thread).SplitSize(n))
+          .num_ranges();
+  const LightRun reference = RunLight(data.dataset, one_thread);
+  ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
+
+  // One thread in-process, so the reader sees one job at a time; the
+  // first support-count job fails once and the pipeline runs it again.
+  {
+    const auto file = open_counting();
+    JobStarts starts(*file);
+    starts.FailOnce("support-count", 0, 0);
+    mr::RunnerOptions counted = one_thread;
+    counted.max_attempts = 1;
+    counted.fault_injector = &starts;
+    const LightRun run = RunLight(*file, counted);
+    ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+    EXPECT_EQ(run.digest, reference.digest);
+    EXPECT_EQ(run.counters_json, reference.counters_json);
+
+    const RunReads reads = SplitAtClusterHistograms(file->jobs());
+    const auto& before = reads.before_histograms;
+    ASSERT_GE(before.size(), 5u);  // histogram, failed, >= 2 batches, sets
+    EXPECT_EQ(before[0].job, "histogram");
+    EXPECT_EQ(before[0].rows, n);
+    EXPECT_EQ(before[1].job, "support-count");
+    EXPECT_EQ(before[1].rows, 0u);  // the failed attempt read nothing
+    // The first batch reads every range and fills the index.
+    EXPECT_EQ(before[2].job, "support-count");
+    EXPECT_EQ(before[2].calls, num_ranges);
+    EXPECT_EQ(before[2].rows, n);
+    // Every later core batch, and the support sets, read no row.
+    for (size_t j = 3; j + 1 < before.size(); ++j) {
+      EXPECT_EQ(before[j].job, "support-count");
+      EXPECT_EQ(before[j].calls, 0u) << "core batch " << j - 1;
+    }
+    EXPECT_EQ(before.back().job, "support-sets");
+    EXPECT_EQ(before.back().calls, 0u);
+    // The AI-proving batch carries intervals born after the index.
+    const auto& after = reads.after_histograms;
+    ASSERT_EQ(after.size(), 3u);
+    EXPECT_EQ(after[0].rows, n);
+    EXPECT_EQ(after[1].job, "support-count");
+    EXPECT_EQ(after[1].calls, num_ranges);
+    EXPECT_EQ(after[1].rows, n);
+    EXPECT_EQ(after[2].job, "interval-tightening");
+  }
+
+  // Every engine, with the first support-count job failing once.
+  const auto file = open_counting();
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    for (mr::Backend backend : Backends()) {
+      SCOPED_TRACE(StringPrintf("threads=%zu %s", threads,
+                                backend == mr::Backend::kProcess
+                                    ? "process"
+                                    : "inprocess"));
+      mr::ScriptedFaultInjector injector;
+      injector.FailOnce("support-count", 0, 0);
+      mr::RunnerOptions runner;
+      runner.num_threads = threads;
+      runner.backend = backend;
+      runner.num_workers = threads;
+      runner.max_attempts = 1;
+      runner.fault_injector = &injector;
+      const LightRun run = RunLight(*file, runner);
+      ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+      EXPECT_EQ(injector.injected_faults(), 1u);
+      EXPECT_EQ(run.digest, reference.digest);
+      EXPECT_EQ(run.counters_json, reference.counters_json);
+    }
+  }
+
+  // A run resumed past cluster-cores has no index: its support sets scan
+  // the rows, and its output and counters are the plain run's.
+  const std::string dir = TempPath("file_index_ckpt");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  {
+    mr::ScriptedFaultInjector crash;
+    crash.FailAfterPhase("cluster-cores");
+    mr::RunnerOptions runner = one_thread;
+    runner.fault_injector = &crash;
+    const LightRun crashed =
+        RunLight(*file, runner, core::LightParams(), dir);
+    ASSERT_FALSE(crashed.status.ok());
+  }
+  const auto resumed_file = open_counting();
+  JobStarts starts(*resumed_file);
+  mr::RunnerOptions runner = one_thread;
+  runner.fault_injector = &starts;
+  const LightRun resumed =
+      RunLight(*resumed_file, runner, core::LightParams(), dir);
+  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+  EXPECT_EQ(resumed.digest, reference.digest);
+  EXPECT_EQ(resumed.counters_json, reference.counters_json);
+  ASSERT_FALSE(resumed_file->jobs().empty());
+  EXPECT_EQ(resumed_file->jobs().front().job, "support-sets");
+  EXPECT_EQ(resumed_file->jobs().front().calls, num_ranges);
+  std::filesystem::remove_all(dir);
   std::remove(path.c_str());
 }
 

@@ -1044,5 +1044,112 @@ TEST(JobUnpackTest, HostileSupportSetRecordsReturnInternal) {
                        "support-sets");
 }
 
+/// The interval-index records of a 100-row input cut into splits of 70
+/// rows: ranges [0, 64), [64, 70) and [70, 100), two intervals, and the
+/// supports of three signatures under kIndexingSupportsKey.
+struct IndexRecords {
+  static constexpr size_t kN = 100;
+  static constexpr size_t kSignatures = 3;
+  std::vector<KeyedCounts> records = {
+      {kIndexingSupportsKey, {5, 7, 9}},
+      {0, {0b101, ~uint64_t{0}}},
+      {64, {0b111111, 0}},
+      {70, {uint64_t{1} << 29, 0}}};
+
+  static core::IntervalIndex EmptyIndex() {
+    return core::IntervalIndex({{0, 0.1, 0.2}, {1, 0.3, 0.4}}, kN,
+                               /*split_rows=*/70);
+  }
+  Status Unpack(std::vector<KeyedCounts> out) const {
+    core::IntervalIndex index = EmptyIndex();
+    return UnpackIndexingSupports(std::move(out), kSignatures, index)
+        .status();
+  }
+};
+
+TEST(JobUnpackTest, IntervalIndexRecordsFillTheIndex) {
+  const IndexRecords fixture;
+  core::IntervalIndex index = IndexRecords::EmptyIndex();
+  ASSERT_EQ(index.num_ranges(), 3u);
+  EXPECT_EQ(index.RangeRows(1), 6u);
+  EXPECT_EQ(index.RangeStartingAt(70), 2u);
+  EXPECT_EQ(index.RangeStartingAt(32), index.num_ranges());
+  const auto supports = UnpackIndexingSupports(
+      fixture.records, IndexRecords::kSignatures, index);
+  ASSERT_TRUE(supports.ok()) << supports.status().ToString();
+  EXPECT_EQ(*supports, (std::vector<uint64_t>{5, 7, 9}));
+  EXPECT_EQ(std::vector<uint64_t>(index.words(0), index.words(0) + 3),
+            (std::vector<uint64_t>{0b101, 0b111111, uint64_t{1} << 29}));
+  EXPECT_EQ(std::vector<uint64_t>(index.words(1), index.words(1) + 3),
+            (std::vector<uint64_t>{~uint64_t{0}, 0, 0}));
+}
+
+TEST(JobUnpackTest, IntervalIndexKeyThatStartsNoRangeReturnsInternal) {
+  const IndexRecords fixture;
+  auto hostile = fixture.records;
+  hostile[1].first = 5;
+  ExpectInternalNaming(fixture.Unpack(hostile), "support-count");
+  hostile = fixture.records;
+  hostile[3].first = 66;  // inside the second range
+  ExpectInternalNaming(fixture.Unpack(hostile), "support-count");
+}
+
+TEST(JobUnpackTest, IntervalIndexKeyAtOrPastNReturnsInternal) {
+  const IndexRecords fixture;
+  for (int64_t key : {int64_t{100}, int64_t{128}, int64_t{140}}) {
+    auto hostile = fixture.records;
+    hostile.push_back({key, {0, 0}});
+    ExpectInternalNaming(fixture.Unpack(hostile), "support-count");
+  }
+}
+
+TEST(JobUnpackTest, IntervalIndexDuplicateOrOverlappingRangeReturnsInternal) {
+  const IndexRecords fixture;
+  auto hostile = fixture.records;
+  hostile.insert(hostile.begin() + 2, hostile[1]);  // range 0 twice
+  ExpectInternalNaming(fixture.Unpack(hostile), "support-count");
+  hostile = fixture.records;
+  std::swap(hostile[2], hostile[3]);  // out of order
+  ExpectInternalNaming(fixture.Unpack(hostile), "support-count");
+}
+
+TEST(JobUnpackTest, IntervalIndexMissingRangeReturnsInternal) {
+  const IndexRecords fixture;
+  for (size_t dropped : {size_t{1}, size_t{2}, size_t{3}}) {
+    auto hostile = fixture.records;
+    hostile.erase(hostile.begin() + static_cast<std::ptrdiff_t>(dropped));
+    ExpectInternalNaming(fixture.Unpack(hostile), "support-count");
+  }
+}
+
+TEST(JobUnpackTest, IntervalIndexPayloadOtherThanOneWordPerIntervalReturnsInternal) {
+  const IndexRecords fixture;
+  auto hostile = fixture.records;
+  hostile[2].second.pop_back();
+  ExpectInternalNaming(fixture.Unpack(hostile), "support-count");
+  hostile = fixture.records;
+  hostile[2].second.push_back(0);
+  ExpectInternalNaming(fixture.Unpack(hostile), "support-count");
+  // The supports record must hold one count per signature.
+  hostile = fixture.records;
+  hostile[0].second.pop_back();
+  ExpectInternalNaming(fixture.Unpack(hostile), "support-count");
+  hostile = fixture.records;
+  hostile[0].first = kIndexingSupportsKey - 1;
+  ExpectInternalNaming(fixture.Unpack(hostile), "support-count");
+}
+
+TEST(JobUnpackTest, IntervalIndexBitPastItsRangeReturnsInternal) {
+  const IndexRecords fixture;
+  // Row 70 + 30 = n.
+  auto hostile = fixture.records;
+  hostile[3].second[1] = uint64_t{1} << 30;
+  ExpectInternalNaming(fixture.Unpack(hostile), "support-count");
+  // Row 64 + 6 belongs to the next range.
+  hostile = fixture.records;
+  hostile[2].second[0] = uint64_t{1} << 6;
+  ExpectInternalNaming(fixture.Unpack(hostile), "support-count");
+}
+
 }  // namespace
 }  // namespace p3c::mr

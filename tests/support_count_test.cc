@@ -3,8 +3,10 @@
 // exactly when Signature::Contains holds for row r, and the chunked
 // interval-bitmap counter must give the words' popcounts and naive
 // containment's counts, on every kernel backend, at every signature-count
-// and split shape; and RunSupportJob must be byte-identical across
-// threads, engine backends, kernel backends and retried attempts.
+// and split shape; the interval index's words must agree with
+// Signature::Contains and give the row scan's supports and support sets;
+// and RunSupportJob must be byte-identical across threads, engine
+// backends, kernel backends and retried attempts.
 
 #include <gtest/gtest.h>
 
@@ -321,6 +323,92 @@ TEST_P(SupportCountTest, DroppedCounterLeavesNoTrace) {
   counter.Finish();
   counter.Finish();  // a second Finish adds nothing
   EXPECT_EQ(retried, CountSupportsNaive(dataset, sigs, nullptr));
+}
+
+TEST_P(SupportCountTest, IntervalIndexBitsAgreeWithContains) {
+  // The index of every hostile interval, filled by the indexing support
+  // job over splits that end mid map range, plus bounds of NaN, +-inf,
+  // -0.0, 1.0 and DBL_MAX, and an attribute past the rows.
+  const std::vector<double>& values = HostileValues();
+  const std::vector<Signature> sigs = HostileSignatures();
+  std::vector<Interval> intervals;
+  for (const Signature& sig : sigs) {
+    for (const Interval& interval : sig.intervals()) {
+      intervals.push_back(interval);
+    }
+  }
+  intervals.insert(intervals.end(), {{1, 0.2, kNan},
+                                     {0, -0.0, -0.0},
+                                     {1, 1.0, kMax},
+                                     {2, -kInf, -0.0},
+                                     {1, -kMax, 1.0},
+                                     {5, -kInf, kInf},
+                                     intervals.front()});
+  // A later batch: every pair of indexed intervals on two attributes.
+  std::vector<Signature> pairs;
+  for (const Interval& a : intervals) {
+    for (const Interval& b : intervals) {
+      if (a.attr < b.attr) pairs.push_back(MakeSig({a, b}));
+    }
+  }
+  Rng rng(43);
+  for (size_t n : {size_t{1}, size_t{63}, size_t{64}, size_t{65},
+                   size_t{4097}}) {
+    data::Dataset dataset(n, 3);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t a = 0; a < 3; ++a) {
+        dataset.Set(static_cast<data::PointId>(i), a,
+                    rng.UniformInt(2) == 0
+                        ? values[rng.UniformInt(values.size())]
+                        : rng.Uniform());
+      }
+    }
+    mr::RunnerOptions options;
+    options.num_threads = 2;
+    options.records_per_split = 100;
+    mr::LocalRunner runner(options);
+    auto filled = mr::RunIndexingSupportJob(runner, dataset, sigs, intervals);
+    ASSERT_TRUE(filled.ok()) << filled.status().ToString();
+    EXPECT_EQ(filled->supports, CountSupportsNaive(dataset, sigs, nullptr))
+        << "n=" << n;
+    const IntervalIndex& index = filled->index;
+    ASSERT_EQ(index.num_points(), n);
+    ASSERT_LT(index.num_intervals(), intervals.size());  // duplicates merged
+    size_t next_row = 0;
+    for (size_t i = 0; i < index.num_ranges(); ++i) {
+      const size_t begin = index.RangeBegin(i);
+      ASSERT_EQ(begin, next_row);
+      ASSERT_EQ(index.RangeStartingAt(begin), i);
+      for (size_t t = 0; t < index.num_intervals(); ++t) {
+        const Signature single = Signature::Single(index.intervals()[t]);
+        for (size_t r = 0; r < 64; ++r) {
+          const bool bit = (index.words(t)[i] >> r) & 1;
+          const bool contains =
+              r < index.RangeRows(i) &&
+              single.Contains(
+                  dataset.Row(static_cast<data::PointId>(begin + r)));
+          ASSERT_EQ(bit, contains) << "n=" << n << " row=" << begin + r
+                                   << " interval " << single.ToString();
+        }
+      }
+      next_row += index.RangeRows(i);
+    }
+    EXPECT_EQ(next_row, n);
+    // Batches and support sets read from the index equal the row scan's.
+    for (const std::vector<Signature>* batch :
+         {&sigs, static_cast<const std::vector<Signature>*>(&pairs)}) {
+      auto counted = mr::RunSupportJob(runner, dataset, *batch, &index);
+      ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+      EXPECT_EQ(*counted, CountSupportsNaive(dataset, *batch, nullptr))
+          << "n=" << n;
+      auto from_index = mr::RunSupportSetJob(runner, dataset, *batch, &index);
+      auto from_rows = mr::RunSupportSetJob(runner, dataset, *batch);
+      ASSERT_TRUE(from_index.ok()) << from_index.status().ToString();
+      ASSERT_TRUE(from_rows.ok()) << from_rows.status().ToString();
+      EXPECT_EQ(from_index->support_sets, from_rows->support_sets);
+      EXPECT_EQ(from_index->unique_assignment, from_rows->unique_assignment);
+    }
+  }
 }
 
 }  // namespace

@@ -60,6 +60,13 @@
 #                                      # pipeline on hostile files, under
 #                                      # ASan only (the suite forks worker
 #                                      # processes, which TSan forbids)
+#   tools/run_sanitizers.sh index-smoke
+#                                      # interval-index tests (ctest -R
+#                                      # IntervalIndex): the index words on
+#                                      # hostile values, its hostile unpack
+#                                      # records and the file-backed run
+#                                      # that reads no row after the first
+#                                      # core batch, under ASan+UBSan
 #
 # The fault-tolerance machinery (task retry, first-error-wins failure
 # slots, exception capture in ParallelFor) is concurrency-heavy; TSan on
@@ -199,12 +206,21 @@ case "${MODE}" in
     run_suite "ASan+UBSan file-input-smoke" Sanitize build-asan \
       "ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1"
     ;;
+  index-smoke)
+    # The run's interval index: its words are compared bit by bit with
+    # Signature::Contains, its unpack step reads hostile records, and
+    # mappers read its words at computed offsets instead of rows.
+    # ASan/UBSan police those offsets and the record checks.
+    FILTER="IntervalIndex"
+    run_suite "ASan+UBSan index-smoke" Sanitize build-asan \
+      "ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1"
+    ;;
   all)
     "$0" asan
     "$0" tsan
     ;;
   *)
-    echo "usage: $0 [asan|tsan|all|shuffle-smoke|trace-smoke|straggler-smoke|kernel-smoke|checkpoint-smoke|resource-smoke|worker-smoke|sync-smoke|file-input-smoke]" \
+    echo "usage: $0 [asan|tsan|all|shuffle-smoke|trace-smoke|straggler-smoke|kernel-smoke|checkpoint-smoke|resource-smoke|worker-smoke|sync-smoke|file-input-smoke|index-smoke]" \
          "[ctest -R filter]" >&2
     exit 2
     ;;
