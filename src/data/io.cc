@@ -352,7 +352,7 @@ Result<BinaryDatasetReader> BinaryDatasetReader::Open(
   Hasher fingerprint;
   fingerprint.Update(&n, sizeof(n));
   fingerprint.Update(&d, sizeof(d));
-  std::vector<unsigned char> chunk(size_t{1} << 20);
+  std::vector<unsigned char> chunk(kFingerprintChunkBytes);
   // ValidateBinarySize has ruled out overflow.
   for (uint64_t left = n * d * sizeof(double); left > 0;) {
     const size_t bytes = static_cast<size_t>(
@@ -361,7 +361,8 @@ Result<BinaryDatasetReader> BinaryDatasetReader::Open(
       return Status::IOError("truncated payload: " + path);
     }
     checksum.Update(chunk.data(), bytes);
-    fingerprint.Update(chunk.data(), bytes);
+    const uint64_t chunk_hash = Hash64(chunk.data(), bytes);
+    fingerprint.Update(&chunk_hash, sizeof(chunk_hash));
     left -= bytes;
   }
   P3C_RETURN_NOT_OK(CheckPayloadChecksum(*header, checksum.Digest(), path));

@@ -69,6 +69,13 @@ class Hasher {
 /// One-shot Hasher over `len` bytes.
 uint64_t Hash64(const void* data, size_t len);
 
+/// Chunk size of the dataset fingerprint (mr::DatasetFingerprint): a
+/// Hasher over u64 n, u64 d, then the Hash64 of each chunk of the
+/// row-major payload in order (the last chunk may be short). Chunks
+/// hash independently, so a loaded Dataset's can be hashed in parallel
+/// and the digest never depends on how many threads did it.
+inline constexpr size_t kFingerprintChunkBytes = size_t{1} << 20;
+
 /// Parsed header of the binary container. `header_bytes` is the payload
 /// offset (24 for v1, 32 for v3); `checksum` is 0 for v1 files.
 struct BinaryHeader {
@@ -107,7 +114,8 @@ class BinaryDatasetReader {
   [[nodiscard]] uint64_t num_points() const { return header_.num_points; }
   [[nodiscard]] uint64_t num_dims() const { return header_.num_dims; }
 
-  /// data::Hasher over u64 n, u64 d and the payload, as read by Open:
+  /// data::Hasher over u64 n, u64 d and the Hash64 of each
+  /// kFingerprintChunkBytes payload chunk, as read by Open:
   /// mr::DatasetFingerprint of the loaded Dataset.
   [[nodiscard]] uint64_t fingerprint() const { return fingerprint_; }
 

@@ -13,19 +13,26 @@
 // attempts real crash isolation: a SIGKILLed worker surfaces as a
 // failed attempt and the normal retry machinery re-runs the task.
 //
-// Phase installation: before a phase's parallel loop starts, the
-// runner installs the phase's *remote form* — a child-side compute
-// function returning serialized bytes, and a driver-side decode+commit
-// function — via BeginPhase (RAII: ScopedExecutorPhase). Backends that
-// execute remotely fork their phase pool here; the in-process backend
-// ignores it. Phases without an installed remote form (jobs with
-// non-wire-serializable types) always run inline, on every backend.
+// Job installation: when a job's map phase begins, the runner installs
+// the job's *remote form* — one child-side compute function for every
+// task of the job — via BeginJob (RAII: ScopedExecutorJob), and tears
+// it down with EndJob once the job's reduce phase is over. Backends
+// that execute remotely fork their worker pool at BeginJob and keep it
+// for both task phases: a map task runs from the input the workers
+// inherited at fork, a reduce task from its merged shuffle partition,
+// which the driver ships in the TASK frame (a Hadoop reducer fetching
+// its map output). The driver-side half of each task's remote form —
+// its input bytes and the decode+commit of its result — rides along
+// with every attempt (RemoteTask). The in-process backend ignores
+// both. Tasks without a remote form (jobs with non-wire-serializable
+// types) always run inline, on every backend.
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "src/common/cancellation.h"
@@ -88,76 +95,82 @@ struct TaskContext {
 /// In-memory body of one task attempt (the engine's native form).
 using TaskBody = std::function<Status(const TaskContext&)>;
 
-/// Child-side compute of one task of the installed phase: runs the
-/// task from the phase's immutable input and returns the serialized
-/// result payload. Executes inside a worker process — it must not
-/// touch driver-side mutable state, and it has no cancellation token
-/// (a worker is stopped with a signal, not cooperatively).
-using PhaseTaskFn = std::function<Result<std::string>(uint64_t task_index)>;
+/// Child-side compute of one task of the installed job: runs task
+/// `task_index` of `kind` from the job's immutable state and `input`,
+/// the bytes its TASK frame carried (empty for a map task, the encoded
+/// shuffle partition for a reduce task), and returns the serialized
+/// result payload. Executes inside a worker process — it must not touch
+/// driver-side mutable state, and it has no cancellation token (a
+/// worker is stopped with a signal, not cooperatively).
+using JobTaskFn = std::function<Result<std::string>(
+    TaskKind kind, uint64_t task_index, std::string_view input)>;
 
-/// Driver-side decode+commit of a payload produced by PhaseTaskFn for
-/// `task_index`. Publishes through ctx.Commit so remote results ride
-/// the same exactly-once CAS slot as inline bodies.
-using PhaseCommitFn = std::function<Status(
-    const TaskContext& ctx, uint64_t task_index, std::string payload)>;
+/// Driver-side half of the remote form of one task phase's tasks.
+struct RemoteTask {
+  /// The TASK frame's input bytes for `task_index`; null means none.
+  std::function<std::string(uint64_t task_index)> input;
+  /// Decode+commit of a payload JobTaskFn produced for `task_index`.
+  /// Publishes through ctx.Commit so remote results ride the same
+  /// exactly-once CAS slot as inline bodies.
+  std::function<Status(const TaskContext& ctx, uint64_t task_index,
+                       std::string payload)>
+      commit;
+};
 
 /// Backend interface. One executor belongs to one LocalRunner; RunAttempt
-/// is called concurrently from pool workers, BeginPhase/EndPhase only
-/// from the job thread between parallel loops.
+/// is called concurrently from pool workers, BeginJob/EndJob only from
+/// the job thread, outside the parallel loops.
 class TaskExecutor {
  public:
   virtual ~TaskExecutor() = default;
 
   virtual const char* name() const = 0;
 
-  /// Installs the remote form of the next task phase. `run`/`commit`
-  /// may be null when the phase's types cannot cross the process
-  /// boundary — the phase then runs inline on every backend.
-  virtual void BeginPhase(const std::string& job_name, TaskKind kind,
-                          size_t num_tasks, PhaseTaskFn run,
-                          PhaseCommitFn commit) = 0;
+  /// Installs the remote form of the next job, whose task phases have
+  /// at most `max_tasks` tasks each. `run` is null when no task of the
+  /// job can cross the process boundary — the job then runs inline on
+  /// every backend.
+  virtual void BeginJob(size_t max_tasks, JobTaskFn run) = 0;
 
-  /// Tears the installed phase down (process backends stop their
-  /// worker pool here). Paired with every BeginPhase.
-  virtual void EndPhase() = 0;
+  /// Tears the installed job down (process backends stop their worker
+  /// pool here). Paired with every BeginJob.
+  virtual void EndJob() = 0;
 
   /// Runs `attempt` once and publishes its result through `ctx`.
   /// `inline_body` is always available as the native in-memory
   /// execution of this attempt; backends without a usable remote path
-  /// for this task must fall back to it.
+  /// for this task (`remote` null, or no pool) must fall back to it.
   virtual Status RunAttempt(const TaskAttempt& attempt,
                             const TaskContext& ctx,
-                            const TaskBody& inline_body) = 0;
+                            const TaskBody& inline_body,
+                            const RemoteTask* remote) = 0;
 };
 
 /// The engine's native backend: every attempt runs its typed body inline
-/// on the calling thread. BeginPhase/EndPhase are no-ops.
+/// on the calling thread. BeginJob/EndJob are no-ops.
 class InProcessExecutor final : public TaskExecutor {
  public:
   const char* name() const override { return "inprocess"; }
-  void BeginPhase(const std::string&, TaskKind, size_t, PhaseTaskFn,
-                  PhaseCommitFn) override {}
-  void EndPhase() override {}
+  void BeginJob(size_t, JobTaskFn) override {}
+  void EndJob() override {}
   Status RunAttempt(const TaskAttempt&, const TaskContext& ctx,
-                    const TaskBody& inline_body) override {
+                    const TaskBody& inline_body,
+                    const RemoteTask*) override {
     return inline_body(ctx);
   }
 };
 
-/// RAII BeginPhase/EndPhase pairing for the runner's phase drivers.
-class ScopedExecutorPhase {
+/// RAII BeginJob/EndJob pairing for the runner's job drivers.
+class ScopedExecutorJob {
  public:
-  ScopedExecutorPhase(TaskExecutor* executor, const std::string& job_name,
-                      TaskKind kind, size_t num_tasks, PhaseTaskFn run,
-                      PhaseCommitFn commit)
+  ScopedExecutorJob(TaskExecutor* executor, size_t max_tasks, JobTaskFn run)
       : executor_(executor) {
-    executor_->BeginPhase(job_name, kind, num_tasks, std::move(run),
-                          std::move(commit));
+    executor_->BeginJob(max_tasks, std::move(run));
   }
-  ~ScopedExecutorPhase() { executor_->EndPhase(); }
+  ~ScopedExecutorJob() { executor_->EndJob(); }
 
-  ScopedExecutorPhase(const ScopedExecutorPhase&) = delete;
-  ScopedExecutorPhase& operator=(const ScopedExecutorPhase&) = delete;
+  ScopedExecutorJob(const ScopedExecutorJob&) = delete;
+  ScopedExecutorJob& operator=(const ScopedExecutorJob&) = delete;
 
  private:
   TaskExecutor* executor_;

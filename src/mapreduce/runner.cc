@@ -159,7 +159,7 @@ class LocalRunner::TaskAttempts {
  public:
   TaskAttempts(LocalRunner& runner, const std::string& job_name,
                TaskKind kind, size_t task, JobExecState& exec,
-               const TaskBody& body, uint32_t lane)
+               const TaskBody& body, const RemoteTask* remote, uint32_t lane)
       : runner_(runner),
         options_(runner.options_),
         job_name_(job_name),
@@ -167,6 +167,7 @@ class LocalRunner::TaskAttempts {
         task_(task),
         exec_(exec),
         body_(body),
+        remote_(remote),
         lane_(lane) {}
 
   Status Run() {
@@ -283,9 +284,9 @@ class LocalRunner::TaskAttempts {
       if (st.ok()) {
         // The backend seam: the in-process executor runs `body_` inline
         // right here; the process backend ships the task to a worker
-        // process (falling back to `body_` for phases without an
-        // installed remote form — non-wire types, degraded pools).
-        st = runner_.executor_->RunAttempt(identity, ctx, body_);
+        // process (falling back to `body_` for tasks without a remote
+        // form — non-wire types, degraded pools).
+        st = runner_.executor_->RunAttempt(identity, ctx, body_, remote_);
       }
       out.status = std::move(st);
     } catch (const CancelledError&) {
@@ -312,6 +313,7 @@ class LocalRunner::TaskAttempts {
   const size_t task_;
   JobExecState& exec_;
   const TaskBody& body_;
+  const RemoteTask* const remote_;
   const uint32_t lane_;
   /// Shared by every attempt of the task: at most one ever commits.
   std::atomic<bool> commit_slot_{false};
@@ -321,8 +323,10 @@ class LocalRunner::TaskAttempts {
 
 Status LocalRunner::ExecuteTask(const std::string& job_name, TaskKind kind,
                                 size_t task, JobExecState& exec,
-                                const TaskBody& body, uint32_t lane) {
-  return TaskAttempts(*this, job_name, kind, task, exec, body, lane).Run();
+                                const TaskBody& body,
+                                const RemoteTask* remote, uint32_t lane) {
+  return TaskAttempts(*this, job_name, kind, task, exec, body, remote, lane)
+      .Run();
 }
 
 // ---- Heartbeat and epilogues --------------------------------------------

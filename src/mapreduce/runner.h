@@ -7,7 +7,9 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -83,7 +85,7 @@ struct RunnerOptions {
   /// retried by the normal machinery. Output and counter JSON are
   /// byte-identical across backends.
   Backend backend = Backend::kInProcess;
-  /// Process backend: worker processes per phase pool; 0 means one
+  /// Process backend: worker processes per job pool; 0 means one
   /// worker per pool thread.
   size_t num_workers = 0;
   /// Process backend: a worker silent for this long is declared hung,
@@ -196,22 +198,54 @@ class LocalRunner {
                            num_records, num_partitions)
             : std::string());
 
-    ShuffleBuffers<K, V> buffers(num_partitions, NumSplits(num_records));
+    const size_t num_splits = NumSplits(num_records);
+    ShuffleBuffers<K, V> buffers(num_partitions, num_splits);
+
+    // ---- Job pool (DESIGN.md §16) ---------------------------------------
+    // A process backend forks its workers here, as the map phase begins
+    // (the fork counts as map time), and keeps them for the reduce
+    // phase: map tasks read the input the workers inherit, reduce tasks
+    // get their partition in the TASK frame. Reset once the reduce phase
+    // is over, so the pool's shutdown counts as reduce time.
+    constexpr bool kReduceRemote =
+        kPairsRemote<K, V> && wire::kIsWireSerializable<Out>;
+    JobTaskFn remote_run;
+    if constexpr (kPairsRemote<K, V>) {
+      remote_run = [this, num_records, &mapper_factory, &reducer_factory](
+                       TaskKind kind, uint64_t task,
+                       std::string_view input) -> Result<std::string> {
+        if constexpr (kReduceRemote) {
+          if (kind == TaskKind::kReduce) {
+            return RemoteReduce<K, V, Out>(input, reducer_factory);
+          }
+        }
+        return RemoteMap<K, V>(num_records, task, mapper_factory);
+      };
+    }
+    Stopwatch map_watch;
+    std::optional<ScopedExecutorJob> job_pool;
+    job_pool.emplace(executor_.get(),
+                     num_splits == 0
+                         ? 0
+                         : std::max(num_splits,
+                                    kReduceRemote ? num_partitions : 0),
+                     std::move(remote_run));
 
     // ---- Map phase -----------------------------------------------------
     // Each map task's committed output is partitioned and run-sorted
     // inside the map worker, so that part of the shuffle overlaps with
     // other map tasks still running.
-    Stopwatch map_watch;
     Status map_status = MapPhase<K, V>(
         job_name, num_records, mapper_factory, &metrics, exec,
         [&](size_t s, std::vector<std::pair<K, V>> pairs) {
           buffers.CommitMapOutput(s, std::move(pairs));
         });
-    metrics.map_seconds = map_watch.ElapsedSeconds();
     if (!map_status.ok()) {
+      job_pool.reset();
+      metrics.map_seconds = map_watch.ElapsedSeconds();
       return RecordFailure(metrics, exec.acct, total_watch, map_status);
     }
+    metrics.map_seconds = map_watch.ElapsedSeconds();
 
     // ---- Shuffle: one merge pass per partition (DESIGN.md §9) ----------
     // Shuffle bodies are pure engine compute — no task attempts, nothing
@@ -246,6 +280,7 @@ class LocalRunner {
             partition_watch.ElapsedSeconds();
       });
     } catch (const std::exception& e) {
+      job_pool.reset();
       metrics.shuffle_seconds = shuffle_watch.ElapsedSeconds();
       return RecordFailure(
           metrics, exec.acct, total_watch,
@@ -283,54 +318,37 @@ class LocalRunner {
     std::vector<std::vector<size_t>> task_group_ends(num_partitions);
     FailureSlot failure(&exec.job_cancel);
 
-    // Shared attempt computation of one reduce partition: the inline
-    // body and the worker-process child run exactly this (the child
-    // with a default, never-cancelling token — workers are stopped
-    // with signals, not cooperatively).
-    auto compute_partition = [&](size_t p, const CancellationToken& cancel) {
-      const MergedPartition<K, V>& part = buffers.partition(p);
-      std::unique_ptr<Reducer<K, V, Out>> reducer = reducer_factory();
-      // Fresh output per attempt; the merged partition is read-only
-      // so a failed attempt leaves the shuffled input intact.
-      std::pair<std::vector<Out>, std::vector<size_t>> result;
-      result.second.reserve(part.num_groups());
-      for (size_t g = 0; g < part.num_groups(); ++g) {
-        if ((g & 63u) == 0) cancel.ThrowIfCancelled();
-        reducer->Reduce(part.key(g), part.group_values(g), result.first);
-        result.second.push_back(result.first.size());
-      }
-      return result;
-    };
-
-    // Remote form of the reduce phase, when Out can cross the process
-    // boundary: the child reduces its partition from the merged
-    // buffers it inherited at fork and ships back the outputs plus
-    // group-end offsets; the driver decodes and commits through the
-    // same CAS slot as the inline body.
-    PhaseTaskFn reduce_run;
-    PhaseCommitFn reduce_commit;
-    if constexpr (wire::kIsWireSerializable<Out>) {
-      reduce_run = [&](uint64_t p) -> Result<std::string> {
-        auto result =
-            compute_partition(static_cast<size_t>(p), CancellationToken{});
-        wire::WireWriter w;
-        w.Put(result.first);
-        w.Put(std::vector<uint64_t>(result.second.begin(),
-                                    result.second.end()));
-        return w.Take();
+    // Remote form of the reduce phase: the TASK frame carries the
+    // partition's merged groups, the worker reduces them and ships back
+    // the outputs plus group-end offsets, and the driver checks those
+    // against its own partition and commits through the same CAS slot
+    // as the inline body.
+    RemoteTask reduce_remote;
+    if constexpr (kReduceRemote) {
+      reduce_remote.input = [&buffers](uint64_t p) {
+        return wire::EncodePartition(buffers.partition(p));
       };
-      reduce_commit = [&task_outputs, &task_group_ends](
-                          const TaskContext& ctx, uint64_t p,
-                          std::string payload) -> Status {
+      reduce_remote.commit = [&buffers, &task_outputs, &task_group_ends](
+                                 const TaskContext& ctx, uint64_t p,
+                                 std::string payload) -> Status {
         wire::WireReader r(payload, "reduce task payload");
         std::vector<Out> out;
-        std::vector<uint64_t> ends;
+        std::vector<size_t> ends;
         r.Get(&out);
         r.Get(&ends);
         P3C_RETURN_NOT_OK(r.Finish());
+        const bool tiles =
+            ends.size() == buffers.partition(p).num_groups() &&
+            std::is_sorted(ends.begin(), ends.end()) &&
+            (ends.empty() ? out.empty() : ends.back() == out.size());
+        if (!tiles) {
+          return Status::IOError(
+              "reduce task payload: group ends disagree with the partition "
+              "or the outputs");
+        }
         ctx.Commit([&] {
           task_outputs[p] = std::move(out);
-          task_group_ends[p].assign(ends.begin(), ends.end());
+          task_group_ends[p] = std::move(ends);
         });
         return Status::OK();
       };
@@ -338,9 +356,6 @@ class LocalRunner {
 
     {
       TraceSpan reduce_span("reduce-phase");
-      ScopedExecutorPhase reduce_phase(
-          executor_.get(), job_name, TaskKind::kReduce, num_partitions,
-          std::move(reduce_run), std::move(reduce_commit));
       pool_.ParallelForCapped(num_partitions, ExecWidth(), /*grain=*/1,
                               [&](size_t p) {
         const MergedPartition<K, V>& part = buffers.partition(p);
@@ -354,20 +369,23 @@ class LocalRunner {
         Status st = ExecuteTask(
             job_name, TaskKind::kReduce, p, exec,
             [&](const TaskContext& ctx) {
-              auto result = compute_partition(p, ctx.cancel);
+              auto result =
+                  ComputePartition<K, V, Out>(part, reducer_factory,
+                                              ctx.cancel);
               ctx.Commit([&] {
                 task_outputs[p] = std::move(result.first);
                 task_group_ends[p] = std::move(result.second);
               });
               return Status::OK();
             },
-            lane);
+            kReduceRemote ? &reduce_remote : nullptr, lane);
         if (st.ok() && exec.heartbeat != nullptr) {
           exec.heartbeat->records.fetch_add(part.values.size(),
                                             std::memory_order_relaxed);
         }
         if (!st.ok()) failure.Set(std::move(st));
       });
+      job_pool.reset();
     }
     if (failure.has_failed()) {
       metrics.reduce_seconds = reduce_watch.ElapsedSeconds();
@@ -457,16 +475,32 @@ class LocalRunner {
                            num_records)
             : std::string());
 
-    std::vector<std::vector<std::pair<K, V>>> runs(NumSplits(num_records));
+    const size_t num_splits = NumSplits(num_records);
+    std::vector<std::vector<std::pair<K, V>>> runs(num_splits);
+    JobTaskFn remote_run;
+    if constexpr (kPairsRemote<K, V>) {
+      remote_run = [this, num_records, &mapper_factory](
+                       TaskKind, uint64_t task,
+                       std::string_view) -> Result<std::string> {
+        return RemoteMap<K, V>(num_records, task, mapper_factory);
+      };
+    }
     Stopwatch map_watch;
-    Status map_status = MapPhase<K, V>(
-        job_name, num_records, mapper_factory, &metrics, exec,
-        [&runs](size_t s, std::vector<std::pair<K, V>> pairs) {
-          std::stable_sort(
-              pairs.begin(), pairs.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-          runs[s] = std::move(pairs);
-        });
+    Status map_status;
+    {
+      // The job's pool (DESIGN.md §16) lives for its only task phase.
+      ScopedExecutorJob job_pool(executor_.get(), num_splits,
+                                 std::move(remote_run));
+      map_status = MapPhase<K, V>(
+          job_name, num_records, mapper_factory, &metrics, exec,
+          [&runs](size_t s, std::vector<std::pair<K, V>> pairs) {
+            std::stable_sort(pairs.begin(), pairs.end(),
+                             [](const auto& a, const auto& b) {
+                               return a.first < b.first;
+                             });
+            runs[s] = std::move(pairs);
+          });
+    }
     metrics.map_seconds = map_watch.ElapsedSeconds();
     if (!map_status.ok()) {
       return RecordFailure(metrics, exec.acct, total_watch, map_status);
@@ -620,12 +654,13 @@ class LocalRunner {
 
   /// Runs one task as up to `max_attempts` attempts of `body`. The body
   /// must publish side effects only through TaskContext::Commit on its
-  /// success path. `lane` is the trace lane of the attempt spans (0 =
+  /// success path. `remote` is the task's remote form (null: inline on
+  /// every backend). `lane` is the trace lane of the attempt spans (0 =
   /// the executing thread's lane; reduce tasks pass their partition
   /// lane).
   Status ExecuteTask(const std::string& job_name, TaskKind kind, size_t task,
                      JobExecState& exec, const TaskBody& body,
-                     uint32_t lane = 0);
+                     const RemoteTask* remote, uint32_t lane = 0);
 
   /// One heartbeat line for the sampler (runs on the watchdog thread).
   static void EmitHeartbeat(const HeartbeatState& state);
@@ -688,6 +723,101 @@ class LocalRunner {
     uint64_t emit_calls_ = 0;
   };
 
+  template <typename K, typename V>
+  using MapperFactory = std::function<std::unique_ptr<Mapper<K, V>>()>;
+  template <typename K, typename V, typename Out>
+  using ReducerFactory =
+      std::function<std::unique_ptr<Reducer<K, V, Out>>()>;
+
+  /// Whether a job's map tasks (and with Out, its reduce tasks) can run
+  /// in worker processes.
+  template <typename K, typename V>
+  static constexpr bool kPairsRemote =
+      wire::kIsWireSerializable<std::pair<K, V>>;
+
+  /// One attempt of map task `s` over records [0, n). The inline body
+  /// and the worker process run exactly this, so the two backends
+  /// cannot diverge. A worker passes a default (never-cancelling)
+  /// token — workers are stopped with signals, not cooperatively.
+  template <typename K, typename V>
+  VectorEmitter<K, V> ComputeSplit(size_t n, size_t s,
+                                   const MapperFactory<K, V>& mapper_factory,
+                                   const CancellationToken& cancel) const {
+    const size_t per_split = SplitSize(std::max<size_t>(1, n));
+    const size_t begin = s * per_split;
+    const size_t end = std::min(n, begin + per_split);
+    // Fresh emitter per attempt: records, counters, and byte accounting
+    // of a failed attempt are discarded wholesale; only the successful
+    // attempt's output is committed to the split slot.
+    VectorEmitter<K, V> out;
+    out.set_cancel(cancel);
+    out.Reserve(end - begin);
+    std::unique_ptr<Mapper<K, V>> mapper = mapper_factory();
+    for (size_t row = begin; row < end; row += kMapRangeRecords) {
+      // Cooperative cancellation checkpoint between ranges, for mappers
+      // that emit rarely (the emitter checkpoint never fires).
+      cancel.ThrowIfCancelled();
+      mapper->Map(RecordRange{row, std::min(end, row + kMapRangeRecords)},
+                  out);
+    }
+    mapper->Cleanup(out);
+    return out;
+  }
+
+  /// One attempt of the reduce task over `part`: the outputs, and the
+  /// output end offset of every group. Shared by the inline body and the
+  /// worker process like ComputeSplit. The partition is read-only, so a
+  /// failed attempt leaves the shuffled input intact.
+  template <typename K, typename V, typename Out>
+  static std::pair<std::vector<Out>, std::vector<size_t>> ComputePartition(
+      const MergedPartition<K, V>& part,
+      const ReducerFactory<K, V, Out>& reducer_factory,
+      const CancellationToken& cancel) {
+    std::unique_ptr<Reducer<K, V, Out>> reducer = reducer_factory();
+    std::pair<std::vector<Out>, std::vector<size_t>> result;
+    result.second.reserve(part.num_groups());
+    for (size_t g = 0; g < part.num_groups(); ++g) {
+      if ((g & 63u) == 0) cancel.ThrowIfCancelled();
+      reducer->Reduce(part.key(g), part.group_values(g), result.first);
+      result.second.push_back(result.first.size());
+    }
+    return result;
+  }
+
+  /// Worker side of map task `s`: the emitter's observable state as the
+  /// RESULT payload.
+  template <typename K, typename V>
+  Result<std::string> RemoteMap(
+      size_t n, uint64_t s, const MapperFactory<K, V>& mapper_factory) const {
+    VectorEmitter<K, V> out = ComputeSplit<K, V>(
+        n, static_cast<size_t>(s), mapper_factory, CancellationToken{});
+    wire::WireWriter w;
+    // Sized once for the pairs; the counters in front of them are small.
+    w.Reserve(wire::WireWriter::SizeOf(out.pairs_) + 4096);
+    w.PutU64(out.bytes_);
+    wire::EncodeMetricBag(out.counters_, w);
+    w.Put(out.pairs_);
+    return w.Take();
+  }
+
+  /// Worker side of a reduce task: decodes the partition its TASK frame
+  /// carried, reduces it, and returns the outputs plus group ends.
+  template <typename K, typename V, typename Out>
+  static Result<std::string> RemoteReduce(
+      std::string_view input,
+      const ReducerFactory<K, V, Out>& reducer_factory) {
+    auto part = wire::DecodePartition<K, V>(input);
+    P3C_RETURN_NOT_OK(part.status());
+    auto result =
+        ComputePartition<K, V, Out>(*part, reducer_factory, CancellationToken{});
+    wire::WireWriter w;
+    w.Reserve(wire::WireWriter::SizeOf(result.first) +
+              wire::WireWriter::SizeOf(result.second));
+    w.Put(result.first);
+    w.Put(result.second);
+    return w.Take();
+  }
+
   /// Runs the map tasks and hands each split's committed output to
   /// `commit` — still inside the worker, so per-split shuffle work
   /// (partitioning, run sorting) overlaps with other map tasks. `commit`
@@ -716,51 +846,14 @@ class LocalRunner {
     std::atomic<uint64_t> map_output_records{0};
     FailureSlot failure(&exec.job_cancel);
 
-    // Shared attempt computation: the inline body and the worker-
-    // process child run exactly this, so the two backends cannot
-    // diverge. A worker child passes a default (never-cancelling)
-    // token — workers are stopped with signals, not cooperatively.
-    auto compute_split = [&](size_t s, const CancellationToken& cancel) {
-      const size_t begin = s * per_split;
-      const size_t end = std::min(n, begin + per_split);
-      // Fresh emitter per attempt: records, counters, and byte
-      // accounting of a failed attempt are discarded wholesale; only
-      // the successful attempt's output is committed to the split slot.
-      VectorEmitter<K, V> out;
-      out.set_cancel(cancel);
-      out.Reserve(end - begin);
-      std::unique_ptr<Mapper<K, V>> mapper = mapper_factory();
-      for (size_t row = begin; row < end; row += kMapRangeRecords) {
-        // Cooperative cancellation checkpoint between ranges, for
-        // mappers that emit rarely (the emitter checkpoint never fires).
-        cancel.ThrowIfCancelled();
-        mapper->Map(RecordRange{row, std::min(end, row + kMapRangeRecords)},
-                    out);
-      }
-      mapper->Cleanup(out);
-      return out;
-    };
-
     // Remote form of the map phase, when K/V can cross the process
-    // boundary: the child computes the split and serializes the
-    // emitter's observable state; the driver decodes it and commits
-    // through the same CAS slot the inline body uses. Jobs whose types
-    // are not wire-serializable leave the fns null and run inline on
-    // every backend.
-    PhaseTaskFn map_run;
-    PhaseCommitFn map_commit;
-    if constexpr (wire::kIsWireSerializable<std::pair<K, V>>) {
-      map_run = [&](uint64_t s) -> Result<std::string> {
-        VectorEmitter<K, V> out =
-            compute_split(static_cast<size_t>(s), CancellationToken{});
-        wire::WireWriter w;
-        w.PutU64(out.bytes_);
-        wire::EncodeMetricBag(out.counters_, w);
-        w.Put(out.pairs_);
-        return w.Take();
-      };
-      map_commit = [&emitters](const TaskContext& ctx, uint64_t s,
-                               std::string payload) -> Status {
+    // boundary: the worker runs RemoteMap, and the driver decodes the
+    // emitter's observable state and commits it through the same CAS
+    // slot the inline body uses.
+    RemoteTask map_remote;
+    if constexpr (kPairsRemote<K, V>) {
+      map_remote.commit = [&emitters](const TaskContext& ctx, uint64_t s,
+                                      std::string payload) -> Status {
         wire::WireReader r(payload, "map task payload");
         VectorEmitter<K, V> out;
         out.bytes_ = r.GetU64();
@@ -775,19 +868,19 @@ class LocalRunner {
         return Status::OK();
       };
     }
-    ScopedExecutorPhase map_phase(executor_.get(), job_name, TaskKind::kMap,
-                                  num_splits, std::move(map_run),
-                                  std::move(map_commit));
 
     pool_.ParallelForCapped(num_splits, ExecWidth(), /*grain=*/0,
                             [&](size_t s) {
       if (failure.has_failed()) return;
       Status st = ExecuteTask(
-          job_name, TaskKind::kMap, s, exec, [&](const TaskContext& ctx) {
-            VectorEmitter<K, V> out = compute_split(s, ctx.cancel);
+          job_name, TaskKind::kMap, s, exec,
+          [&](const TaskContext& ctx) {
+            VectorEmitter<K, V> out =
+                ComputeSplit<K, V>(n, s, mapper_factory, ctx.cancel);
             ctx.Commit([&] { emitters[s] = std::move(out); });
             return Status::OK();
-          });
+          },
+          kPairsRemote<K, V> ? &map_remote : nullptr);
       if (st.ok()) {
         map_output_records.fetch_add(emitters[s].pairs_.size(),
                                      std::memory_order_relaxed);

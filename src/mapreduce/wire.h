@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -33,6 +34,7 @@
 
 #include "src/common/counters.h"
 #include "src/common/status.h"
+#include "src/mapreduce/partition.h"
 
 namespace p3c::mr::wire {
 
@@ -41,8 +43,9 @@ namespace p3c::mr::wire {
 // ---------------------------------------------------------------------------
 
 inline constexpr char kMagic[4] = {'P', '3', 'C', 'W'};
-/// v1 sealed payloads with FNV-1a; v2 with data::Hash64.
-inline constexpr uint32_t kVersion = 2;
+/// v1 sealed payloads with FNV-1a; v2 with data::Hash64; v3 TASK frames
+/// carry the task's input bytes (a reduce task's shuffle partition).
+inline constexpr uint32_t kVersion = 3;
 /// Frame header size on the wire: magic + version + type + size + checksum.
 inline constexpr size_t kHeaderBytes = 4 + 4 + 4 + 8 + 8;
 /// Upper bound a reader accepts for one frame payload (defense against
@@ -51,7 +54,7 @@ inline constexpr uint64_t kMaxFramePayload = uint64_t{1} << 34;  // 16 GiB
 
 enum class FrameType : uint32_t {
   kHello = 1,     ///< worker → driver: pid + protocol version handshake
-  kTask = 2,      ///< driver → worker: run task (kind, index, attempt)
+  kTask = 2,      ///< driver → worker: run task (kind, index, attempt, input)
   kResult = 3,    ///< worker → driver: status + payload + counters + RSS
   kPing = 4,      ///< worker → driver: heartbeat (empty payload)
   kShutdown = 5,  ///< driver → worker: exit cleanly (empty payload)
@@ -73,6 +76,40 @@ std::string EncodeFrame(FrameType type, std::string_view payload);
 /// writers share a mutex).
 Status WriteFrame(int fd, FrameType type, std::string_view payload);
 
+/// WriteFrame of the concatenation of `parts`, without copying them
+/// into one buffer: the checksum streams over the parts, and writev
+/// sends the header and the parts as they are. TASK and RESULT frames
+/// go out this way, as a small head and their (possibly large) bytes.
+/// `fd` must block; a non-blocking fd goes through FrameWriter.
+Status WriteFrame(int fd, FrameType type,
+                  std::initializer_list<std::string_view> parts);
+
+/// One frame written as the fd takes it: the header and the parts go
+/// out with writev, uncopied, over as many calls as a non-blocking fd
+/// needs. The driver sends TASK frames this way, so that a worker that
+/// stops reading cannot hold it in a write. The parts must outlive the
+/// writer.
+class FrameWriter {
+ public:
+  FrameWriter(FrameType type, std::initializer_list<std::string_view> parts);
+  FrameWriter(const FrameWriter&) = delete;
+  FrameWriter& operator=(const FrameWriter&) = delete;
+
+  /// Writes what `fd` takes now and returns the byte count: 0 when a
+  /// non-blocking fd is full, everything left on a blocking one.
+  /// kIOError on a write error (EPIPE: the reader has gone).
+  Result<size_t> WriteSome(int fd);
+
+  bool done() const { return next_ == pending_.size(); }
+
+ private:
+  FrameType type_;
+  std::string header_;
+  /// The header, then the non-empty parts; written ones are trimmed.
+  std::vector<std::string_view> pending_;
+  size_t next_ = 0;  ///< first entry of pending_ not fully written
+};
+
 /// Incremental frame parser over a byte stream: feed bytes as they
 /// arrive, pull complete frames out. Detects bad magic, version skew,
 /// oversized lengths, and checksum mismatches as kIOError — a
@@ -82,13 +119,19 @@ class FrameReader {
   void Append(const char* data, size_t n) { buffer_.append(data, n); }
 
   /// Next complete frame, std::nullopt when more bytes are needed, or
-  /// kIOError on a malformed stream.
+  /// kIOError on a malformed stream. Once a header has arrived, the
+  /// buffer is sized for its whole frame (up to kReserveBytes).
   Result<std::optional<Frame>> Next();
 
   /// Bytes buffered but not yet consumed (diagnostics).
   size_t buffered() const { return buffer_.size() - consumed_; }
 
  private:
+  /// The most the reader reserves for a frame on its header's word,
+  /// before the payload (and with it the checksum) has arrived; larger
+  /// frames grow the buffer as they arrive.
+  static constexpr uint64_t kReserveBytes = uint64_t{1} << 26;  // 64 MiB
+
   std::string buffer_;
   size_t consumed_ = 0;
 };
@@ -159,6 +202,33 @@ class WireWriter {
     }
   }
 
+  /// Bytes Put(value) appends, so that an encoder can size its buffer
+  /// once instead of regrowing it (Reserve).
+  template <typename T>
+  static size_t SizeOf(const T& value) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      return sizeof(uint64_t) + value.size();
+    } else {
+      return sizeof(T);
+    }
+  }
+  template <typename A, typename B>
+  static size_t SizeOf(const std::pair<A, B>& value) {
+    return SizeOf(value.first) + SizeOf(value.second);
+  }
+  template <typename T>
+  static size_t SizeOf(const std::vector<T>& value) {
+    size_t bytes = sizeof(uint64_t);
+    if constexpr (std::is_trivially_copyable_v<T> &&
+                  !std::is_same_v<T, std::string>) {
+      bytes += value.size() * sizeof(T);
+    } else {
+      for (const T& v : value) bytes += SizeOf(v);
+    }
+    return bytes;
+  }
+
+  void Reserve(size_t bytes) { out_.reserve(bytes); }
   std::string Take() { return std::move(out_); }
   size_t size() const { return out_.size(); }
 
@@ -270,6 +340,8 @@ class WireReader {
   }
 
   const Status& status() const { return status_; }
+  /// Bytes not yet decoded.
+  size_t remaining() const { return data_.size() - pos_; }
 
   /// OK only when every payload byte was decoded — trailing garbage is
   /// corruption.
@@ -297,14 +369,24 @@ void EncodeMetricBag(const MetricBag& bag, WireWriter& writer);
 /// Decodes a bag; kIOError on any malformation.
 Result<MetricBag> DecodeMetricBag(WireReader& reader);
 
-/// TASK frame payload: which task of the installed phase to run.
+/// TASK frame payload: which task of the installed job to run, and the
+/// bytes it runs from beyond what the worker inherited at fork — empty
+/// for a map task, the EncodePartition bytes of a reduce task's
+/// partition.
 struct TaskFrame {
   uint32_t kind = 0;  ///< TaskKind as uint32
   uint64_t task_index = 0;
   uint64_t attempt = 0;
+  std::string input;
 };
-std::string EncodeTaskFrame(const TaskFrame& task);
-Result<TaskFrame> DecodeTaskFrame(std::string_view payload);
+/// The TASK payload up to its input bytes (their length included);
+/// the payload is this followed by task.input, sent as two parts.
+std::string EncodeTaskFrameHead(const TaskFrame& task);
+/// Decodes a TASK payload. Takes it by value: the input bytes are the
+/// payload's own, moved into the frame rather than copied. kIOError
+/// when the input length disagrees with the bytes after the task
+/// fields.
+Result<TaskFrame> DecodeTaskFrame(std::string payload);
 
 /// RESULT frame payload: the task's outcome. `payload` is the
 /// phase-specific serialized task output (empty on failure); `counters`
@@ -317,8 +399,59 @@ struct ResultFrame {
   MetricBag counters;
   std::string payload;
 };
-std::string EncodeResultFrame(const ResultFrame& result);
-Result<ResultFrame> DecodeResultFrame(std::string_view payload);
+/// The RESULT payload up to its result bytes (their length included);
+/// the payload is this followed by result.payload, sent as two parts.
+std::string EncodeResultFrameHead(const ResultFrame& result);
+/// Decodes a RESULT payload, moving (not copying) the result bytes out
+/// of it, like DecodeTaskFrame.
+Result<ResultFrame> DecodeResultFrame(std::string payload);
+
+/// A reduce task's merged shuffle partition as TASK-frame input: its
+/// group keys, group offsets and values.
+template <typename K, typename V>
+std::string EncodePartition(const MergedPartition<K, V>& part) {
+  WireWriter w;
+  w.Reserve(WireWriter::SizeOf(part.group_keys) +
+            WireWriter::SizeOf(part.group_offsets) +
+            WireWriter::SizeOf(part.values));
+  w.Put(part.group_keys);
+  w.Put(part.group_offsets);
+  w.Put(part.values);
+  return w.Take();
+}
+
+/// Decodes what EncodePartition wrote. kIOError unless every byte
+/// decodes and the groups tile the values: one offset per group plus
+/// one, starting at 0, strictly increasing (no group is empty), ending
+/// at the value count, with strictly increasing keys.
+template <typename K, typename V>
+Result<MergedPartition<K, V>> DecodePartition(std::string_view bytes) {
+  WireReader r(bytes, "reduce task partition");
+  MergedPartition<K, V> part;
+  r.Get(&part.group_keys);
+  r.Get(&part.group_offsets);
+  r.Get(&part.values);
+  P3C_RETURN_NOT_OK(r.Finish());
+  const std::vector<size_t>& offsets = part.group_offsets;
+  const auto corrupt = [](const char* what) {
+    return Status::IOError(std::string("reduce task partition: ") + what);
+  };
+  if (offsets.size() != part.group_keys.size() + 1) {
+    return corrupt("group offsets disagree with the group count");
+  }
+  if (offsets.front() != 0 || offsets.back() != part.values.size()) {
+    return corrupt("group offsets do not span the values");
+  }
+  for (size_t g = 0; g < part.group_keys.size(); ++g) {
+    if (offsets[g + 1] <= offsets[g]) {
+      return corrupt("group offsets are not increasing");
+    }
+    if (g > 0 && !(part.group_keys[g - 1] < part.group_keys[g])) {
+      return corrupt("group keys are not increasing");
+    }
+  }
+  return part;
+}
 
 /// HELLO frame payload: worker pid + protocol version.
 struct HelloFrame {

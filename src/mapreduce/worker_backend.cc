@@ -1,6 +1,7 @@
 #include "src/mapreduce/worker_backend.h"
 
 #include <errno.h>
+#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/types.h>
@@ -82,9 +83,9 @@ std::string DescribeExit(int wait_status) {
 /// it deliberately touches nothing that could depend on another
 /// thread's state — no logging, no tracing, no stdio — and leaves via
 /// _exit (which also skips LSan teardown under ASan). Reads TASK
-/// frames from `rfd`, runs the installed phase function, writes RESULT
+/// frames from `rfd`, runs the installed job function, writes RESULT
 /// frames (and heartbeat PINGs from a dedicated thread) to `wfd`.
-[[noreturn]] void WorkerChildMain(int rfd, int wfd, const PhaseTaskFn& run,
+[[noreturn]] void WorkerChildMain(int rfd, int wfd, const JobTaskFn& run,
                                   double ping_seconds) {
   ::signal(SIGPIPE, SIG_IGN);
   // Deliberately unnamed: the forked child inherits the forking
@@ -116,7 +117,8 @@ std::string DescribeExit(int wait_status) {
   });
 
   wire::FrameReader reader;
-  char buf[4096];
+  // Reduce TASK frames carry whole partitions: read in pipe-sized gulps.
+  char buf[1 << 16];
   int exit_code = 0;
   bool running = true;
   while (running) {
@@ -130,14 +132,19 @@ std::string DescribeExit(int wait_status) {
       if (frame.type == wire::FrameType::kShutdown) break;
       if (frame.type != wire::FrameType::kTask) continue;
       wire::ResultFrame result;
-      auto task = wire::DecodeTaskFrame(frame.payload);
+      auto task = wire::DecodeTaskFrame(std::move(frame.payload));
+      if (task.ok() && task->kind > static_cast<uint32_t>(TaskKind::kReduce)) {
+        task = Status::IOError(
+            StringPrintf("TASK frame: unknown task kind %u", task->kind));
+      }
       if (!task.ok()) {
         result.status_code =
             static_cast<uint32_t>(task.status().code());
         result.message = task.status().message();
       } else {
         try {
-          auto payload = run(task->task_index);
+          auto payload = run(static_cast<TaskKind>(task->kind),
+                             task->task_index, task->input);
           if (payload.ok()) {
             result.payload = std::move(*payload);
           } else {
@@ -162,7 +169,8 @@ std::string DescribeExit(int wait_status) {
       }
       MutexLock lock(write_mu);
       if (!wire::WriteFrame(wfd, wire::FrameType::kResult,
-                            wire::EncodeResultFrame(result))
+                            {wire::EncodeResultFrameHead(result),
+                             result.payload})
                .ok()) {
         exit_code = 2;  // driver went away mid-result
         running = false;
@@ -197,7 +205,7 @@ struct WorkerPoolExecutor::Impl {
     int from_child = -1;  ///< driver reads HELLO/PING/RESULT here
     bool live = false;
     bool leased = false;
-    uint64_t deaths = 0;  ///< crashes/kills in this phase (respawn count)
+    uint64_t deaths = 0;  ///< crashes/kills in this job (respawn count)
     uint64_t consecutive_respawns = 0;  ///< backoff driver; reset on RESULT
     wire::FrameReader reader;           ///< persists across tasks (PINGs)
   };
@@ -206,7 +214,7 @@ struct WorkerPoolExecutor::Impl {
 
   WorkerBackendOptions options;
 
-  /// Guards the slot inventory and phase state. A *leased* slot's
+  /// Guards the slot inventory and job state. A *leased* slot's
   /// fields are exclusively the leaseholder's and are touched without
   /// `mu` (the lease flag itself only flips under `mu`).
   ///
@@ -216,13 +224,10 @@ struct WorkerPoolExecutor::Impl {
   Mutex mu{"WorkerPoolExecutor::Impl::mu"};
   CondVar free_cv;
   std::vector<Slot> slots P3C_GUARDED_BY(mu);
-  bool phase_active P3C_GUARDED_BY(mu) = false;
-  bool phase_remote P3C_GUARDED_BY(mu) = false;
-  TaskKind phase_kind P3C_GUARDED_BY(mu) = TaskKind::kMap;
-  std::string phase_job P3C_GUARDED_BY(mu);
-  PhaseTaskFn run P3C_GUARDED_BY(mu);
-  PhaseCommitFn commit P3C_GUARDED_BY(mu);
-  /// Spawn failed: the rest of this phase executes inline.
+  /// Set between BeginJob and EndJob for a job with a remote form.
+  bool job_remote P3C_GUARDED_BY(mu) = false;
+  JobTaskFn run P3C_GUARDED_BY(mu);
+  /// Spawn failed: the rest of this job executes inline.
   bool degraded P3C_GUARDED_BY(mu) = false;
   bool degraded_logged P3C_GUARDED_BY(mu) = false;
 
@@ -266,7 +271,7 @@ struct WorkerPoolExecutor::Impl {
 
   // -- lifecycle ------------------------------------------------------------
 
-  /// Forks one worker for the installed phase. Called with `mu` held
+  /// Forks one worker for the installed job. Called with `mu` held
   /// (the slot fd inventory must be stable while the child closes the
   /// other slots' pipes).
   Status SpawnLocked(Slot& slot) P3C_REQUIRES(mu) {
@@ -324,6 +329,9 @@ struct WorkerPoolExecutor::Impl {
     }
     ::close(to_child[0]);
     ::close(from_child[1]);
+    // The driver's write end never blocks: Dispatch writes a TASK frame
+    // as the worker reads it, under the attempt's heartbeat deadline.
+    ::fcntl(to_child[1], F_SETFL, ::fcntl(to_child[1], F_GETFL) | O_NONBLOCK);
     slot.pid = pid;
     slot.to_child = to_child[1];
     slot.from_child = from_child[0];
@@ -371,22 +379,15 @@ struct WorkerPoolExecutor::Impl {
   }
 
   /// Marks the pool degraded (inline execution for the rest of the
-  /// phase) after a failed spawn. One notice per pool.
-  void Degrade(const Status& why) {
-    bool log_it = false;
-    {
-      MutexLock lock(mu);
-      degraded = true;
-      if (!degraded_logged) {
-        degraded_logged = true;
-        log_it = true;
-      }
-    }
+  /// job) after a failed spawn. One notice per pool.
+  void DegradeLocked(const Status& why) P3C_REQUIRES(mu) {
+    degraded = true;
     Count("worker.spawn_failures");
-    if (log_it) {
+    if (!degraded_logged) {
+      degraded_logged = true;
       P3C_LOG(kWarning)
           << "worker backend: process spawn failed (" << why.ToString()
-          << "); degrading to in-process execution for this phase";
+          << "); degrading to in-process execution for this job";
     }
   }
 
@@ -441,13 +442,12 @@ struct WorkerPoolExecutor::Impl {
         throw CancelledError();
       }
       chosen->consecutive_respawns += 1;
-      Status st;
       {
         MutexLock lock(mu);
-        st = SpawnLocked(*chosen);
+        const Status st = SpawnLocked(*chosen);
+        if (!st.ok()) DegradeLocked(st);
       }
-      if (!st.ok()) {
-        Degrade(st);
+      if (!chosen->live) {
         ReleaseSlot(*chosen);
         return nullptr;
       }
@@ -457,33 +457,84 @@ struct WorkerPoolExecutor::Impl {
     }
   }
 
-  /// Ships one task to a worker and waits for its RESULT, policing the
-  /// heartbeat. Returns the task's serialized payload, the task's own
-  /// failure Status, or an Internal status describing a worker death.
-  /// kNotImplemented is the internal "pool degraded, run inline"
-  /// marker. Throws CancelledError when the attempt is cancelled
-  /// mid-wait (the leased worker is SIGKILLed first — it may be mid-
-  /// task and nobody will collect its result).
+  /// The checks an attempt makes between polls while it waits on its
+  /// worker, writing the TASK frame or reading the RESULT. A cancelled
+  /// attempt kills the worker (it may be mid-task, with nobody left to
+  /// read its result) and throws CancelledError; a worker silent past
+  /// `deadline` is killed and the heartbeat timeout returned. Either
+  /// way the slot is reaped and released, and respawns on its next
+  /// lease. OK while the wait may go on.
+  Status CheckWait(Slot& slot, const TaskAttempt& attempt,
+                   const TaskContext& ctx, double deadline,
+                   double silence_budget) {
+    if (ctx.cancel.cancelled()) {
+      ReapSlot(slot, SIGKILL);
+      TraceWorker(slot, "worker killed (attempt cancelled)");
+      ReleaseSlot(slot);
+      ctx.cancel.ThrowIfCancelled();
+    }
+    if (NowSeconds() <= deadline) return Status::OK();
+    Count("worker.heartbeat_timeouts");
+    const std::string cause = ReapSlot(slot, SIGKILL);
+    TraceWorker(slot, "worker killed (heartbeat timeout)");
+    ReleaseSlot(slot);
+    return Status::Internal(StringPrintf(
+        "worker pid went silent for %.2fs on %s task %zu and was killed "
+        "(%s)",
+        silence_budget, TaskKindName(attempt.kind), attempt.task_index,
+        cause.c_str()));
+  }
+
+  /// Ships one task (with its input bytes) to a worker and waits for
+  /// its RESULT, policing the heartbeat. Returns the task's serialized
+  /// payload, the task's own failure Status, or an Internal status
+  /// describing a worker death. kNotImplemented is the internal "pool
+  /// degraded, run inline" marker. Throws CancelledError when the
+  /// attempt is cancelled mid-wait (CheckWait).
   Result<std::string> Dispatch(const TaskAttempt& attempt,
-                               const TaskContext& ctx) {
+                               const TaskContext& ctx, std::string input) {
     Slot* slot = LeaseSlot(ctx.cancel);
     if (slot == nullptr) {
       return Status::NotImplemented("worker pool degraded");
     }
 
+    const double silence_budget =
+        options.heartbeat_seconds > 0.0 ? options.heartbeat_seconds : 10.0;
     const wire::TaskFrame task{static_cast<uint32_t>(attempt.kind),
-                               attempt.task_index, attempt.attempt};
-    Status sent = wire::WriteFrame(slot->to_child, wire::FrameType::kTask,
-                                   wire::EncodeTaskFrame(task));
-    if (!sent.ok()) {
-      // The worker died between tasks; its pipe is broken. Reap and
-      // surface as a crashed attempt so the retry loop respawns.
-      const std::string cause = ReapSlot(*slot, 0);
-      TraceWorker(*slot, "worker died");
-      ReleaseSlot(*slot);
-      return Status::Internal(StringPrintf(
-          "worker for %s task %zu died before accepting the task (%s)",
-          TaskKindName(attempt.kind), attempt.task_index, cause.c_str()));
+                               attempt.task_index, attempt.attempt,
+                               std::move(input)};
+    const std::string head = wire::EncodeTaskFrameHead(task);
+    // A reduce task's frame carries its partition, more than a pipe
+    // holds: it goes out as the worker reads it, and a worker that
+    // stops reading times out like one that stops pinging.
+    wire::FrameWriter sending(wire::FrameType::kTask, {head, task.input});
+    double deadline = NowSeconds() + silence_budget;
+    for (;;) {
+      auto wrote = sending.WriteSome(slot->to_child);
+      if (!wrote.ok()) {
+        // The worker died between tasks; its pipe is broken. Reap and
+        // surface as a crashed attempt so the retry loop respawns.
+        const std::string cause = ReapSlot(*slot, 0);
+        TraceWorker(*slot, "worker died");
+        ReleaseSlot(*slot);
+        return Status::Internal(StringPrintf(
+            "worker for %s task %zu died before accepting the task (%s)",
+            TaskKindName(attempt.kind), attempt.task_index, cause.c_str()));
+      }
+      if (sending.done()) break;
+      if (*wrote > 0) deadline = NowSeconds() + silence_budget;
+      P3C_RETURN_NOT_OK(
+          CheckWait(*slot, attempt, ctx, deadline, silence_budget));
+      struct pollfd pfd;
+      pfd.fd = slot->to_child;
+      pfd.events = POLLOUT;
+      pfd.revents = 0;
+      if (::poll(&pfd, 1, /*timeout_ms=*/50) < 0 && errno != EINTR) {
+        ReapSlot(*slot, SIGKILL);
+        ReleaseSlot(*slot);
+        return Status::IOError(
+            StringPrintf("poll on worker pipe: %s", std::strerror(errno)));
+      }
     }
     TraceWorker(*slot, "task dispatched");
 
@@ -499,10 +550,8 @@ struct WorkerPoolExecutor::Impl {
       }
     }
 
-    const double silence_budget =
-        options.heartbeat_seconds > 0.0 ? options.heartbeat_seconds : 10.0;
-    double deadline = NowSeconds() + silence_budget;
-    char buf[4096];
+    deadline = NowSeconds() + silence_budget;
+    char buf[1 << 16];
     for (;;) {
       // Drain every buffered frame before blocking again.
       for (;;) {
@@ -516,7 +565,7 @@ struct WorkerPoolExecutor::Impl {
               next.status().message().c_str()));
         }
         if (!next->has_value()) break;
-        const wire::Frame& frame = **next;
+        wire::Frame frame = std::move(**next);
         deadline = NowSeconds() + silence_budget;  // any frame is liveness
         if (frame.type == wire::FrameType::kPing) continue;
         if (frame.type == wire::FrameType::kHello) {
@@ -530,7 +579,7 @@ struct WorkerPoolExecutor::Impl {
           continue;
         }
         if (frame.type == wire::FrameType::kResult) {
-          auto result = wire::DecodeResultFrame(frame.payload);
+          auto result = wire::DecodeResultFrame(std::move(frame.payload));
           if (!result.ok()) {
             ReapSlot(*slot, SIGKILL);
             ReleaseSlot(*slot);
@@ -554,26 +603,8 @@ struct WorkerPoolExecutor::Impl {
         // Unexpected frame type from a worker: ignore (forward compat).
       }
 
-      if (ctx.cancel.cancelled()) {
-        // Deadline kill: the worker may be mid-task with nobody left
-        // to read its result — kill it; the slot respawns on its next
-        // lease.
-        ReapSlot(*slot, SIGKILL);
-        TraceWorker(*slot, "worker killed (attempt cancelled)");
-        ReleaseSlot(*slot);
-        ctx.cancel.ThrowIfCancelled();
-      }
-      if (NowSeconds() > deadline) {
-        Count("worker.heartbeat_timeouts");
-        const std::string cause = ReapSlot(*slot, SIGKILL);
-        TraceWorker(*slot, "worker killed (heartbeat timeout)");
-        ReleaseSlot(*slot);
-        return Status::Internal(StringPrintf(
-            "worker pid went silent for %.2fs on %s task %zu and was "
-            "killed (%s)",
-            silence_budget, TaskKindName(attempt.kind), attempt.task_index,
-            cause.c_str()));
-      }
+      P3C_RETURN_NOT_OK(
+          CheckWait(*slot, attempt, ctx, deadline, silence_budget));
 
       struct pollfd pfd;
       pfd.fd = slot->from_child;
@@ -671,82 +702,62 @@ WorkerPoolExecutor::WorkerPoolExecutor(WorkerBackendOptions options)
 
 WorkerPoolExecutor::~WorkerPoolExecutor() { impl_->ShutdownAllWorkers(); }
 
-void WorkerPoolExecutor::BeginPhase(const std::string& job_name,
-                                    TaskKind kind, size_t num_tasks,
-                                    PhaseTaskFn run, PhaseCommitFn commit) {
+void WorkerPoolExecutor::BeginJob(size_t max_tasks, JobTaskFn run) {
   Impl& impl = *impl_;
-  {
-    MutexLock lock(impl.mu);
-    impl.phase_active = true;
-    impl.phase_kind = kind;
-    impl.phase_job = job_name;
-    impl.phase_remote = run != nullptr && commit != nullptr;
-    impl.run = std::move(run);
-    impl.commit = std::move(commit);
-    impl.degraded = false;
-  }
-  if (!impl.phase_remote || num_tasks == 0) return;
-
-  // Phase pool: fork now, while the phase's immutable state (input
-  // span, merged partitions) is exactly what the tasks will read —
-  // the children inherit it copy-on-write. Never more workers than
-  // tasks.
-  const size_t workers = std::min(impl.options.num_workers,
-                                  std::max<size_t>(1, num_tasks));
   MutexLock lock(impl.mu);
+  impl.job_remote = run != nullptr;
+  impl.run = std::move(run);
+  impl.degraded = false;
+  if (!impl.job_remote || max_tasks == 0) return;
+
+  // Job pool: fork now, while the job's immutable state (its closures,
+  // the input the map tasks read) is exactly what the tasks will read —
+  // the children inherit it copy-on-write, and reduce tasks receive
+  // their partitions over the pipe. Never more workers than tasks.
+  const size_t workers = std::min(impl.options.num_workers, max_tasks);
   impl.slots.resize(workers);
   for (size_t i = 0; i < workers; ++i) {
     impl.slots[i].index = i;
     const Status st = impl.SpawnLocked(impl.slots[i]);
     if (!st.ok()) {
-      impl.degraded = true;
-      if (!impl.degraded_logged) {
-        impl.degraded_logged = true;
-        P3C_LOG(kWarning)
-            << "worker backend: process spawn failed (" << st.ToString()
-            << "); degrading to in-process execution for this phase";
-      }
-      {
-        MutexLock mlock(impl.metrics_mu);
-        impl.metrics.Increment("worker.spawn_failures");
-      }
+      impl.DegradeLocked(st);
       break;
     }
   }
 }
 
-void WorkerPoolExecutor::EndPhase() {
+void WorkerPoolExecutor::EndJob() {
   Impl& impl = *impl_;
   impl.ShutdownAllWorkers();
   MutexLock lock(impl.mu);
-  impl.phase_active = false;
-  impl.phase_remote = false;
+  impl.job_remote = false;
   impl.run = nullptr;
-  impl.commit = nullptr;
 }
 
 Status WorkerPoolExecutor::RunAttempt(const TaskAttempt& attempt,
                                       const TaskContext& ctx,
-                                      const TaskBody& inline_body) {
+                                      const TaskBody& inline_body,
+                                      const RemoteTask* remote) {
   Impl& impl = *impl_;
-  PhaseCommitFn commit;
+  bool remote_ok = false;
   {
     MutexLock lock(impl.mu);
-    const bool remote = impl.phase_active && impl.phase_remote &&
-                        !impl.degraded && impl.phase_kind == attempt.kind &&
-                        !impl.slots.empty();
-    if (!remote) return inline_body(ctx);
-    commit = impl.commit;
+    remote_ok = remote != nullptr && impl.job_remote && !impl.degraded &&
+                !impl.slots.empty();
   }
-  auto payload = impl.Dispatch(attempt, ctx);
+  // Outside `mu`: inline bodies of concurrent attempts run in parallel.
+  if (!remote_ok) return inline_body(ctx);
+  std::string input;
+  if (remote->input != nullptr) input = remote->input(attempt.task_index);
+  auto payload = impl.Dispatch(attempt, ctx, std::move(input));
   if (!payload.ok()) {
     if (payload.status().code() == StatusCode::kNotImplemented) {
-      // Pool degraded mid-phase (spawn failure): inline fallback.
+      // Pool degraded mid-job (spawn failure): inline fallback.
       return inline_body(ctx);
     }
     return payload.status();
   }
-  return commit(ctx, attempt.task_index, std::move(*payload));
+  return remote->commit(ctx, attempt.task_index, std::move(*payload));
 }
 
 MetricBag WorkerPoolExecutor::SnapshotMetrics() const {

@@ -7,12 +7,14 @@
 // attempt-retry machinery recovers exactly as Hadoop's does when a
 // task tracker vanishes.
 //
-// Architecture (phase-scoped worker pools):
-//   - At each task phase's start the driver forks a pool of workers.
-//     A forked child inherits the phase's job closures and immutable
-//     input (the split span, the merged shuffle partitions) by
-//     copy-on-write — the C++ analog of shipping the job JAR — so
-//     nothing but task *results* ever crosses the process boundary.
+// Architecture (job-scoped worker pools):
+//   - When a job's map phase begins the driver forks a pool of workers
+//     and keeps it for the job's reduce phase. A forked child inherits
+//     the job's closures and immutable input (the split span) by
+//     copy-on-write — the C++ analog of shipping the job JAR. A map
+//     task's TASK frame names the split; a reduce task's carries its
+//     merged shuffle partition as bytes, the way a Hadoop reducer
+//     fetches its map output. Task results come back as bytes.
 //   - Driver ↔ worker speak the checksummed frame protocol of wire.h
 //     over two pipes. The worker runs one task at a time: TASK in,
 //     RESULT (payload + counters + peak RSS) out, PING heartbeats in
@@ -46,8 +48,8 @@ namespace p3c::mr {
 
 /// Knobs of the worker-process backend (RunnerOptions carries them).
 struct WorkerBackendOptions {
-  /// Worker processes per phase pool (>= 1; the pool also never forks
-  /// more workers than the phase has tasks).
+  /// Worker processes per job pool (>= 1; the pool also never forks
+  /// more workers than the job's larger task phase has tasks).
   size_t num_workers = 1;
   /// A worker silent for this long (no PING, no RESULT, no HELLO) is
   /// declared hung, SIGKILLed, and respawned. Workers ping at a quarter
@@ -57,28 +59,27 @@ struct WorkerBackendOptions {
   FaultInjector* fault_injector = nullptr;
 };
 
-/// TaskExecutor running the installed phase's tasks in forked worker
+/// TaskExecutor running the installed job's tasks in forked worker
 /// processes. Thread-safe for concurrent RunAttempt calls (pool workers
-/// lease workers under a mutex);
-/// BeginPhase/EndPhase run on the job thread between parallel loops.
+/// lease workers under a mutex); BeginJob/EndJob run on the job thread
+/// outside the parallel loops.
 class WorkerPoolExecutor final : public TaskExecutor {
  public:
   explicit WorkerPoolExecutor(WorkerBackendOptions options);
   ~WorkerPoolExecutor() override;
 
   const char* name() const override { return "process"; }
-  void BeginPhase(const std::string& job_name, TaskKind kind,
-                  size_t num_tasks, PhaseTaskFn run,
-                  PhaseCommitFn commit) override;
-  void EndPhase() override;
+  void BeginJob(size_t max_tasks, JobTaskFn run) override;
+  void EndJob() override;
   Status RunAttempt(const TaskAttempt& attempt, const TaskContext& ctx,
-                    const TaskBody& inline_body) override;
+                    const TaskBody& inline_body,
+                    const RemoteTask* remote) override;
 
   /// Driver-side worker observability: `worker.spawn_total`,
   /// `worker.respawn_total`, `worker.kill_total`,
   /// `worker.spawn_failures`, the `worker.peak_rss_bytes` gauge, and
   /// the running totals `worker.fork_seconds` (the driver's time inside
-  /// fork) and `worker.shutdown_seconds` (EndPhase's SHUTDOWN-to-reaped
+  /// fork) and `worker.shutdown_seconds` (EndJob's SHUTDOWN-to-reaped
   /// time). Every value accumulates over the executor's lifetime.
   /// Deliberately a separate bag from job counters, so backend
   /// bookkeeping never perturbs the deterministic counter JSON

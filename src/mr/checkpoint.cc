@@ -318,16 +318,30 @@ Result<PipelineCheckpoint> LoadRecord(const std::string& path,
 
 }  // namespace
 
-uint64_t DatasetFingerprint(const data::RowInput& input) {
-  // The reader hashed the same bytes when it opened the file.
+uint64_t DatasetFingerprint(const data::RowInput& input, ThreadPool* pool) {
+  // The reader hashed the same chunks when it opened the file.
   if (input.file() != nullptr) return input.file()->fingerprint();
+  const std::vector<double>& values = input.dataset()->values();
+  const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
+  const size_t size = values.size() * sizeof(double);
+  constexpr size_t kChunk = data::kFingerprintChunkBytes;
+  std::vector<uint64_t> chunk_hashes((size + kChunk - 1) / kChunk);
+  const auto hash_chunk = [&](size_t c) {
+    const size_t begin = c * kChunk;
+    chunk_hashes[c] =
+        data::Hash64(bytes + begin, std::min(kChunk, size - begin));
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(chunk_hashes.size(), /*grain=*/1, hash_chunk);
+  } else {
+    for (size_t c = 0; c < chunk_hashes.size(); ++c) hash_chunk(c);
+  }
   const uint64_t n = input.num_points();
   const uint64_t d = input.num_dims();
   data::Hasher hasher;
   hasher.Update(&n, sizeof(n));
   hasher.Update(&d, sizeof(d));
-  const std::vector<double>& values = input.dataset()->values();
-  hasher.Update(values.data(), values.size() * sizeof(double));
+  hasher.Update(chunk_hashes.data(), chunk_hashes.size() * sizeof(uint64_t));
   return hasher.Digest();
 }
 
@@ -374,12 +388,18 @@ CheckpointManager::CheckpointManager(Options options)
     : options_(std::move(options)) {}
 
 void CheckpointManager::Initialize(const data::RowInput& input,
-                                   const core::P3CParams& params) {
+                                   const core::P3CParams& params,
+                                   ThreadPool* pool) {
   state_ = PipelineCheckpoint();
   if (!enabled()) return;
   {
     TraceSpan span("checkpoint:fingerprint");
-    dataset_fingerprint_ = DatasetFingerprint(input);
+    Stopwatch watch;
+    dataset_fingerprint_ = DatasetFingerprint(input, pool);
+    if (options_.driver_metrics != nullptr) {
+      options_.driver_metrics->SetGauge("checkpoint.fingerprint_seconds",
+                                        watch.ElapsedSeconds());
+    }
   }
   params_hash_ = ParamsHash(params);
   Status mkdir_status = MakeDirectories(options_.dir);

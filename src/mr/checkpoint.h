@@ -26,6 +26,7 @@
 
 #include "src/common/counters.h"
 #include "src/common/status.h"
+#include "src/common/threadpool.h"
 #include "src/core/core_detection.h"
 #include "src/core/gmm.h"
 #include "src/core/params.h"
@@ -47,10 +48,15 @@ inline constexpr uint32_t kCheckpointBlobKind = 0x44525652;  // "DRVR"
 /// Name of the checkpoint file inside a checkpoint directory.
 inline constexpr char kCheckpointFilename[] = "checkpoint.p3ck";
 
-/// data::Hasher over (n, d, raw values): identifies the exact dataset a
-/// checkpoint was taken against. A file and the Dataset loaded from it
-/// have the same fingerprint.
-uint64_t DatasetFingerprint(const data::RowInput& input);
+/// data::Hasher over u64 n, u64 d, then the data::Hash64 of each
+/// data::kFingerprintChunkBytes chunk of the raw values in order:
+/// identifies the exact dataset a checkpoint was taken against. A file
+/// and the Dataset loaded from it have the same fingerprint (the reader
+/// hashed the file's chunks when it opened it). With a `pool`, a
+/// Dataset's chunks are hashed on it; the value is the same at every
+/// pool width and without one.
+uint64_t DatasetFingerprint(const data::RowInput& input,
+                            ThreadPool* pool = nullptr);
 
 /// data::Hash64 over every P3CParams field (including `light`, which selects
 /// the pipeline variant). Engine knobs (threads, reducers, splits) are
@@ -117,7 +123,10 @@ class CheckpointManager {
   /// its reason, increments kCorruptCounter, and leaves the manager in
   /// the fresh state. Never fails the run — only CommitPhase can do
   /// that.
-  void Initialize(const data::RowInput& input, const core::P3CParams& params);
+  /// The dataset is fingerprinted on `pool` when given; the time it
+  /// takes is the `checkpoint.fingerprint_seconds` driver gauge.
+  void Initialize(const data::RowInput& input, const core::P3CParams& params,
+                  ThreadPool* pool = nullptr);
 
   [[nodiscard]] size_t num_completed() const {
     return state_.completed.size();

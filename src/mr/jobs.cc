@@ -1264,9 +1264,9 @@ Result<SupportSetJobResult> RunSupportSetJob(
 Result<SupportSetJobResult> UnpackSupportSets(
     const std::vector<RangeWords>& out, size_t num_points,
     size_t num_signatures) {
-  SupportSetJobResult result;
-  result.support_sets.resize(num_signatures);
-  result.unique_assignment.assign(num_points, -1);
+  // Pass 1 validates every record and counts each support set, so that
+  // pass 2 fills sets sized once instead of growing them row by row.
+  std::vector<size_t> sizes(num_signatures, 0);
   // Rows below next_row belong to an earlier record.
   size_t next_row = 0;
   for (const auto& [key, words] : out) {
@@ -1287,7 +1287,10 @@ Result<SupportSetJobResult> UnpackSupportSets(
           first, words.size(), num_signatures));
     }
     uint64_t members = 0;
-    for (uint64_t word : words) members |= word;
+    for (size_t j = 0; j < num_signatures; ++j) {
+      members |= words[j];
+      sizes[j] += static_cast<size_t>(std::popcount(words[j]));
+    }
     const size_t rows = std::min<size_t>(64, num_points - first);
     if (rows < 64 && (members >> rows) != 0) {
       return Status::Internal(StringPrintf(
@@ -1295,13 +1298,23 @@ Result<SupportSetJobResult> UnpackSupportSets(
           first, num_points));
     }
     next_row = first + 1 + (members == 0 ? 0 : 63 - std::countl_zero(members));
+  }
+  SupportSetJobResult result;
+  result.support_sets.resize(num_signatures);
+  for (size_t j = 0; j < num_signatures; ++j) {
+    result.support_sets[j].reserve(sizes[j]);
+  }
+  result.unique_assignment.assign(num_points, -1);
+  for (const auto& [key, words] : out) {
+    const size_t first = key;
     for (size_t j = 0; j < num_signatures; ++j) {
       for (uint64_t word = words[j]; word != 0; word &= word - 1) {
         result.support_sets[j].push_back(
             static_cast<data::PointId>(first + std::countr_zero(word)));
       }
     }
-    core::Rssc::UniqueMembers(words, rows, &result.unique_assignment[first]);
+    core::Rssc::UniqueMembers(words, std::min<size_t>(64, num_points - first),
+                              &result.unique_assignment[first]);
   }
   return result;
 }

@@ -299,7 +299,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::RowInput& input) {
   // it when a resumed run skips the phase, and extends it when the phase
   // runs live.
   CheckpointManager ckpt({options_.checkpoint_dir, &driver_metrics_});
-  ckpt.Initialize(input, params);
+  ckpt.Initialize(input, params, &runner.pool());
   PipelineCheckpoint& state = ckpt.state();
   const size_t completed = ckpt.num_completed();
   if (completed > 0) {

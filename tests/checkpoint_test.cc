@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -526,6 +527,50 @@ TEST_F(HostileCheckpointTest, FormatVersion2RecordFallsBackCleanly) {
                   sizeof(old_version));
   ASSERT_TRUE(data::WriteBlobFile(path, kCheckpointBlobKind, payload).ok());
   ExpectCleanFallback(data_.dataset, baseline_, dir, "format-2 record");
+}
+
+TEST_F(HostileCheckpointTest, SerialFingerprintRecordFallsBackCleanly) {
+  // A record sealed when the fingerprint was one serial data::Hasher
+  // over n, d and every value byte: that digest never equals the
+  // chunked one, so the record is discarded and the run starts fresh.
+  const std::string dir = MakeCheckpoint("serial_fingerprint");
+  const std::string path = CheckpointFile(dir);
+  std::string payload = data::ReadBlobFile(path, kCheckpointBlobKind).value();
+  const uint64_t n = data_.dataset.num_points();
+  const uint64_t d = data_.dataset.num_dims();
+  const std::vector<double>& values = data_.dataset.values();
+  data::Hasher serial;
+  serial.Update(&n, sizeof(n));
+  serial.Update(&d, sizeof(d));
+  serial.Update(values.data(), values.size() * sizeof(double));
+  const uint64_t old_fingerprint = serial.Digest();
+  uint64_t sealed = 0;
+  std::memcpy(&sealed, payload.data() + 4, sizeof(sealed));
+  ASSERT_EQ(sealed, DatasetFingerprint(data_.dataset));
+  ASSERT_NE(old_fingerprint, sealed);
+  payload.replace(4, sizeof(old_fingerprint),
+                  reinterpret_cast<const char*>(&old_fingerprint),
+                  sizeof(old_fingerprint));
+  ASSERT_TRUE(data::WriteBlobFile(path, kCheckpointBlobKind, payload).ok());
+  ExpectCleanFallback(data_.dataset, baseline_, dir,
+                      "serial-fingerprint record");
+}
+
+TEST(CheckpointResume, FingerprintTimeIsADriverGauge) {
+  const auto data = MakeData(107);
+  MetricBag durable;
+  ASSERT_TRUE(RunPipeline(data.dataset,
+                          MakeOptions(true, TempDir("fingerprint_gauge")),
+                          nullptr, &durable)
+                  .status.ok());
+  EXPECT_EQ(durable.values().count("checkpoint.fingerprint_seconds"), 1u);
+  EXPECT_GT(durable.GetGauge("checkpoint.fingerprint_seconds"), 0.0);
+  // Without a checkpoint nothing is fingerprinted.
+  MetricBag plain;
+  ASSERT_TRUE(
+      RunPipeline(data.dataset, MakeOptions(true, ""), nullptr, &plain)
+          .status.ok());
+  EXPECT_EQ(plain.values().count("checkpoint.fingerprint_seconds"), 0u);
 }
 
 TEST_F(HostileCheckpointTest, BlobContainerVersion1FallsBackCleanly) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -12,12 +13,14 @@
 #include <memory>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
 
 #include "src/common/resource.h"
 #include "src/common/string_util.h"
+#include "src/common/threadpool.h"
 #include "src/core/p3c.h"
 #include "src/core/rssc.h"
 #include "src/data/generator.h"
@@ -25,6 +28,7 @@
 #include "src/mapreduce/fault.h"
 #include "src/mr/checkpoint.h"
 #include "src/mr/p3c_mr.h"
+#include "src/stats/histogram.h"
 
 #if defined(__SANITIZE_THREAD__)
 #define P3C_TSAN 1
@@ -207,6 +211,48 @@ TEST(BinaryDatasetReaderTest, FingerprintEqualsTheLoadedDatasets) {
   other.Set(699, 29, 0.5 * other.Get(699, 29));
   EXPECT_NE(mr::DatasetFingerprint(*reader), mr::DatasetFingerprint(other));
   std::remove(path.c_str());
+}
+
+TEST(BinaryDatasetReaderTest, FingerprintAgreesAtEveryPoolWidth) {
+  // Payloads below, at, and past one chunk, the last one with a short
+  // final chunk (5000 x 30 doubles = 1.14 chunks).
+  constexpr size_t kChunk = data::kFingerprintChunkBytes;
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (const auto& [n, d] : {std::pair<size_t, size_t>{700, 30},
+                             {kChunk / (32 * sizeof(double)), 32},
+                             {5000, 30}}) {
+    SCOPED_TRACE(StringPrintf("%zu x %zu", n, d));
+    data::GeneratorConfig config;
+    config.num_points = n;
+    config.num_dims = d;
+    config.num_clusters = 3;
+    config.seed = 61;
+    const data::Dataset dataset = data::GenerateSynthetic(config)->dataset;
+    const std::string path = WriteFile(dataset, "reader_fp_pool.p3cd");
+    auto reader = BinaryDatasetReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    // The definition: a Hasher over n, d and the chunk digests in order.
+    const std::vector<double>& values = dataset.values();
+    const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
+    const size_t size = values.size() * sizeof(double);
+    data::Hasher expected;
+    const uint64_t n64 = n;
+    const uint64_t d64 = d;
+    expected.Update(&n64, sizeof(n64));
+    expected.Update(&d64, sizeof(d64));
+    for (size_t begin = 0; begin < size; begin += kChunk) {
+      const uint64_t chunk =
+          data::Hash64(bytes + begin, std::min(kChunk, size - begin));
+      expected.Update(&chunk, sizeof(chunk));
+    }
+    EXPECT_EQ(reader->fingerprint(), expected.Digest());
+    EXPECT_EQ(mr::DatasetFingerprint(*reader), expected.Digest());
+    EXPECT_EQ(mr::DatasetFingerprint(dataset), expected.Digest());
+    EXPECT_EQ(mr::DatasetFingerprint(dataset, &one), expected.Digest());
+    EXPECT_EQ(mr::DatasetFingerprint(dataset, &four), expected.Digest());
+    std::remove(path.c_str());
+  }
 }
 
 // ---- P3C+-MR-Light over the file --------------------------------------------
@@ -690,6 +736,88 @@ TEST(FileInputTest, IntervalIndexRemovesTheRowReads) {
   EXPECT_EQ(resumed_file->jobs().front().job, "support-sets");
   EXPECT_EQ(resumed_file->jobs().front().calls, num_ranges);
   std::filesystem::remove_all(dir);
+  std::remove(path.c_str());
+}
+
+TEST(FileInputTest, ManyIntervalsPerAttributeScanRowsWithoutAnIndex) {
+  // d = 2 with 9 dense spikes in every other bin of each attribute, point
+  // p on spike p mod 9 of both: 18 relevant intervals, more than the 8·d
+  // = 16 an index may hold (it would take 1/8 of the dataset's bytes or
+  // more), so the run builds none and every support batch scans the rows.
+  constexpr size_t kD = 2;
+  constexpr size_t kSpikes = 9;
+  constexpr size_t kN = 72000;
+  const core::P3CParams params = core::LightParams();
+  const uint64_t bins = stats::NumBins(params.binning, kN);
+  ASSERT_GE(bins, 2 * kSpikes);
+  data::Dataset dataset(kN, kD);
+  for (size_t p = 0; p < kN; ++p) {
+    const double spike = 2.0 * static_cast<double>(p % kSpikes) + 0.5;
+    for (size_t a = 0; a < kD; ++a) {
+      const double jitter =
+          static_cast<double>((p * 7919 + a * 104729) % 1000) / 1000.0 - 0.5;
+      dataset.Set(static_cast<data::PointId>(p), a,
+                  (spike + 0.4 * jitter) / static_cast<double>(bins));
+    }
+  }
+  const std::string path = WriteFile(dataset, "file_no_index.p3cd");
+  auto opened = BinaryDatasetReader::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const CountingReader file(std::move(opened).value());
+  mr::RunnerOptions one_thread;
+  one_thread.num_threads = 1;
+  const size_t num_ranges =
+      core::IntervalIndex({}, kN, mr::LocalRunner(one_thread).SplitSize(kN))
+          .num_ranges();
+
+  core::P3CPipeline serial{params, /*num_threads=*/1};
+  auto want = serial.Cluster(dataset);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_EQ(want->cores.size(), kSpikes);
+  std::vector<core::Interval> intervals;
+  for (const auto& core : want->cores) {
+    for (const auto& iv : core.signature.intervals()) {
+      const auto same = [&iv](const core::Interval& other) {
+        return other.attr == iv.attr && other.lower == iv.lower &&
+               other.upper == iv.upper;
+      };
+      if (std::none_of(intervals.begin(), intervals.end(), same)) {
+        intervals.push_back(iv);
+      }
+    }
+  }
+  ASSERT_GT(intervals.size(), 8 * kD);
+  const std::string text = Canonical(*want);
+  const std::string want_digest = StringPrintf(
+      "%016llx",
+      static_cast<unsigned long long>(data::Hash64(text.data(), text.size())));
+
+  resource::MemoryTracker& tracker = resource::MemoryTracker::Global();
+  tracker.Enable(true);
+  tracker.ResetRun();
+  JobStarts starts(file);
+  mr::RunnerOptions counted = one_thread;
+  counted.fault_injector = &starts;
+  const LightRun run = RunLight(file, counted, params);
+  const int64_t index_peak = tracker.PeakBytes(resource::MemScope::kRsscIndex);
+  tracker.Enable(false);
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  EXPECT_EQ(run.digest, want_digest);
+  // What the RSSC objects hold, far below an index's words.
+  EXPECT_LT(index_peak,
+            static_cast<int64_t>(intervals.size() * num_ranges *
+                                 sizeof(uint64_t) / 4));
+
+  size_t support_jobs = 0;
+  for (const auto& job : file.jobs()) {
+    SCOPED_TRACE(job.job);
+    if (job.job == "support-count" || job.job == "support-sets") {
+      support_jobs += job.job == "support-count" ? 1 : 0;
+      EXPECT_EQ(job.calls, num_ranges);
+      EXPECT_EQ(job.rows, kN);
+    }
+  }
+  EXPECT_GE(support_jobs, 2u);  // the first batch and a later one
   std::remove(path.c_str());
 }
 

@@ -22,22 +22,29 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/common/cancellation.h"
 #include "src/common/counters.h"
 #include "src/common/status.h"
+#include "src/common/string_util.h"
 #include "src/common/trace.h"
 #include "src/data/generator.h"
 #include "src/mapreduce/executor.h"
@@ -192,13 +199,249 @@ TEST(WireTest, ResultFrameRoundTrips) {
   result.peak_rss_bytes = 1 << 20;
   result.counters.Increment("n", 3);
   result.payload = std::string("\x00\x01binary\xff", 9);
-  auto decoded = wire::DecodeResultFrame(EncodeResultFrame(result));
+  auto decoded = wire::DecodeResultFrame(
+      wire::EncodeResultFrameHead(result) + result.payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->status_code, result.status_code);
   EXPECT_EQ(decoded->message, result.message);
   EXPECT_EQ(decoded->peak_rss_bytes, result.peak_rss_bytes);
   EXPECT_EQ(decoded->counters.ToJson(), result.counters.ToJson());
   EXPECT_EQ(decoded->payload, result.payload);
+}
+
+TEST(WireTest, FrameWrittenInPartsReadsBackAsOne) {
+  // A head and a payload larger than the pipe: writev goes out in
+  // several short writes, and the reader returns the large frame and
+  // then the PING that follows it.
+  const std::string head = "head";
+  const std::string body(300000, 'b');
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::pipe(fds), 0);
+  std::thread writer([&] {
+    EXPECT_TRUE(
+        wire::WriteFrame(fds[1], wire::FrameType::kTask, {head, "", body})
+            .ok());
+    EXPECT_TRUE(wire::WriteFrame(fds[1], wire::FrameType::kPing, "").ok());
+    ::close(fds[1]);
+  });
+  std::string stream;
+  char buf[4096];
+  for (ssize_t n; (n = ::read(fds[0], buf, sizeof(buf))) != 0;) {
+    if (n < 0 && errno == EINTR) continue;
+    ASSERT_GT(n, 0);
+    stream.append(buf, static_cast<size_t>(n));
+  }
+  writer.join();
+  ::close(fds[0]);
+  EXPECT_EQ(stream, wire::EncodeFrame(wire::FrameType::kTask, head + body) +
+                        wire::EncodeFrame(wire::FrameType::kPing, ""));
+  wire::FrameReader reader;
+  reader.Append(stream.data(), stream.size());
+  auto task = reader.Next();
+  ASSERT_TRUE(task.ok()) << task.status().ToString();
+  ASSERT_TRUE(task->has_value());
+  EXPECT_EQ((*task)->type, wire::FrameType::kTask);
+  EXPECT_EQ((*task)->payload, head + body);
+  auto ping = reader.Next();
+  ASSERT_TRUE(ping.ok()) << ping.status().ToString();
+  ASSERT_TRUE(ping->has_value());
+  EXPECT_EQ((*ping)->type, wire::FrameType::kPing);
+  EXPECT_EQ(reader.buffered(), 0u);
+}
+
+TEST(WireTest, FrameWriterResumesOnAFullNonBlockingPipe) {
+  // A non-blocking pipe takes what fits and then reports 0 bytes; the
+  // writer resumes where it stopped once the reader drains the pipe,
+  // and a pipe whose reader has gone is a kIOError, not a signal.
+  ::signal(SIGPIPE, SIG_IGN);
+  const std::string head = "head";
+  const std::string body(300000, 'b');
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::fcntl(fds[1], F_SETFL, O_NONBLOCK), 0);
+  wire::FrameWriter writer(wire::FrameType::kTask, {head, body});
+  std::string stream;
+  char buf[1 << 16];
+  size_t full = 0;
+  while (!writer.done()) {
+    auto wrote = writer.WriteSome(fds[1]);
+    ASSERT_TRUE(wrote.ok()) << wrote.status().ToString();
+    EXPECT_GT(*wrote, 0u);
+    if (writer.done()) break;
+    // It stopped at a full pipe, which takes nothing more.
+    ++full;
+    auto again = writer.WriteSome(fds[1]);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(*again, 0u);
+    const ssize_t n = ::read(fds[0], buf, sizeof(buf));
+    ASSERT_GT(n, 0);
+    stream.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_GT(full, 0u);  // the pipe filled at least once
+  ASSERT_EQ(::fcntl(fds[0], F_SETFL, O_NONBLOCK), 0);
+  for (ssize_t n; (n = ::read(fds[0], buf, sizeof(buf))) > 0;) {
+    stream.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(stream, wire::EncodeFrame(wire::FrameType::kTask, head + body));
+  ::close(fds[0]);
+  wire::FrameWriter orphan(wire::FrameType::kPing, {});
+  auto broken = orphan.WriteSome(fds[1]);
+  ASSERT_FALSE(broken.ok());
+  EXPECT_EQ(broken.status().code(), StatusCode::kIOError);
+  ::close(fds[1]);
+}
+
+/// A TASK payload in the v2 layout: kind, index and attempt, no input.
+std::string Version2TaskPayload() {
+  wire::WireWriter w;
+  w.PutU32(static_cast<uint32_t>(TaskKind::kReduce));
+  w.PutU64(3);
+  w.PutU64(0);
+  return w.Take();
+}
+
+TEST(WireTest, TaskFrameCarriesItsInputBytes) {
+  for (const std::string& input :
+       {std::string(), std::string("\x00\x01partition\xff", 12),
+        std::string(100000, 'x')}) {
+    const wire::TaskFrame task{static_cast<uint32_t>(TaskKind::kReduce), 3,
+                               1, input};
+    auto decoded =
+        wire::DecodeTaskFrame(wire::EncodeTaskFrameHead(task) + task.input);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->kind, task.kind);
+    EXPECT_EQ(decoded->task_index, 3u);
+    EXPECT_EQ(decoded->attempt, 1u);
+    EXPECT_EQ(decoded->input, input);
+  }
+}
+
+TEST(WireTest, Version2FrameAndTaskPayloadAreRejected) {
+  // A v2 peer's frames fail at the header...
+  std::string stream =
+      wire::EncodeFrame(wire::FrameType::kTask, Version2TaskPayload());
+  const uint32_t v2 = 2;
+  std::memcpy(stream.data() + 4, &v2, sizeof(v2));
+  wire::FrameReader reader;
+  reader.Append(stream.data(), stream.size());
+  auto next = reader.Next();
+  ASSERT_FALSE(next.ok());
+  EXPECT_EQ(next.status().code(), StatusCode::kIOError);
+  EXPECT_NE(next.status().message().find("protocol version 2"),
+            std::string::npos)
+      << next.status().ToString();
+  // ...and a v2 TASK payload, which ends before the input, fails to
+  // decode instead of yielding a task without its partition.
+  auto task = wire::DecodeTaskFrame(Version2TaskPayload());
+  ASSERT_FALSE(task.ok());
+  EXPECT_EQ(task.status().code(), StatusCode::kIOError);
+}
+
+TEST(WireTest, TaskInputLengthPastThePayloadIsRejected) {
+  // Input lengths from one past the bytes present to one that would
+  // wrap the read offset: each is a kIOError, decided before any
+  // buffer of that length is allocated.
+  for (const uint64_t length :
+       {uint64_t{5}, uint64_t{1} << 40, ~uint64_t{0}}) {
+    std::string payload = Version2TaskPayload();
+    wire::WireWriter w;
+    w.PutU64(length);
+    w.PutRaw("abcd", 4);
+    payload += w.Take();
+    auto task = wire::DecodeTaskFrame(payload);
+    ASSERT_FALSE(task.ok()) << length;
+    EXPECT_EQ(task.status().code(), StatusCode::kIOError);
+  }
+}
+
+using SamplePartitionType = MergedPartition<std::string, std::vector<uint64_t>>;
+
+/// Two groups over three values, keyed by strings.
+SamplePartitionType SamplePartition() {
+  SamplePartitionType part;
+  part.group_keys = {"alpha", "beta"};
+  part.group_offsets = {0, 2, 3};
+  part.values = {{1, 2}, {}, {uint64_t{1} << 63}};
+  return part;
+}
+
+TEST(WireTest, PartitionRoundTrips) {
+  const SamplePartitionType part = SamplePartition();
+  auto decoded =
+      wire::DecodePartition<std::string, std::vector<uint64_t>>(
+          wire::EncodePartition(part));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->group_keys, part.group_keys);
+  EXPECT_EQ(decoded->group_offsets, part.group_offsets);
+  EXPECT_EQ(decoded->values, part.values);
+  // The empty partition (no groups, one offset) round-trips too.
+  MergedPartition<int64_t, double> empty;
+  empty.group_offsets = {0};
+  auto none = wire::DecodePartition<int64_t, double>(
+      wire::EncodePartition(empty));
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(none->num_groups(), 0u);
+}
+
+TEST(WireTest, TruncatedPartitionIsRejected) {
+  const std::string bytes = wire::EncodePartition(SamplePartition());
+  for (size_t keep = 0; keep < bytes.size(); ++keep) {
+    auto decoded = wire::DecodePartition<std::string, std::vector<uint64_t>>(
+        std::string_view(bytes).substr(0, keep));
+    ASSERT_FALSE(decoded.ok()) << "kept " << keep << " bytes";
+    EXPECT_EQ(decoded.status().code(), StatusCode::kIOError);
+  }
+  // Trailing bytes are corruption as well.
+  auto trailing = wire::DecodePartition<std::string, std::vector<uint64_t>>(
+      bytes + "x");
+  EXPECT_EQ(trailing.status().code(), StatusCode::kIOError);
+}
+
+TEST(WireTest, PartitionGroupsThatDisagreeWithTheValuesAreRejected) {
+  std::vector<std::pair<std::string, SamplePartitionType>> hostile;
+  auto with = [&hostile](std::string what, auto mutate) {
+    SamplePartitionType part = SamplePartition();
+    mutate(part);
+    hostile.emplace_back(std::move(what), std::move(part));
+  };
+  with("a group more than the offsets",
+       [](auto& p) { p.group_keys.push_back("gamma"); });
+  with("a group fewer than the offsets",
+       [](auto& p) { p.group_keys.pop_back(); });
+  with("no offsets at all", [](auto& p) {
+    p.group_keys.clear();
+    p.group_offsets.clear();
+  });
+  with("first offset past 0", [](auto& p) { p.group_offsets[0] = 1; });
+  with("last offset short of the values",
+       [](auto& p) { p.values.push_back({7}); });
+  with("last offset past the values", [](auto& p) { p.values.pop_back(); });
+  with("an empty group", [](auto& p) { p.group_offsets = {0, 0, 3}; });
+  with("offsets going backwards", [](auto& p) {
+    p.group_keys.push_back("gamma");
+    p.group_offsets = {0, 2, 1, 3};
+  });
+  with("an offset near 2^64",
+       [](auto& p) { p.group_offsets[1] = ~size_t{0}; });
+  with("keys out of order",
+       [](auto& p) { std::swap(p.group_keys[0], p.group_keys[1]); });
+  with("a repeated key", [](auto& p) { p.group_keys[1] = "alpha"; });
+  for (const auto& [what, part] : hostile) {
+    auto decoded = wire::DecodePartition<std::string, std::vector<uint64_t>>(
+        wire::EncodePartition(part));
+    ASSERT_FALSE(decoded.ok()) << what;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kIOError) << what;
+  }
+  // A value count far past the bytes present is refused before it is
+  // allocated: keys, offsets, then a count of 2^40 values.
+  wire::WireWriter w;
+  w.Put(std::vector<std::string>{"k"});
+  w.Put(std::vector<size_t>{0, uint64_t{1} << 40});
+  w.PutU64(uint64_t{1} << 40);
+  auto huge = wire::DecodePartition<std::string, std::vector<uint64_t>>(
+      w.Take());
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kIOError);
 }
 
 // ---------------------------------------------------------------------------
@@ -374,8 +617,159 @@ TEST(WorkerBackendTest, NoWorkersOutliveTheirJobs) {
   RunnerOptions options = ProcessOptions();
   options.fault_injector = &injector;
   ASSERT_TRUE(RunWordCount(options, words).status.ok());
-  // Every pool tears its workers down at EndPhase; nothing may leak,
-  // even on the crash-recovery path.
+  // Every pool tears its workers down at EndJob; nothing may leak, even
+  // on the crash-recovery path.
+  EXPECT_EQ(LiveWorkerCount(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Job-scoped pools: one fork per worker per job, reduce tasks included
+// ---------------------------------------------------------------------------
+
+/// 200 words in 20 splits, 2 reducers, 2 workers.
+RunnerOptions JobPoolOptions() {
+  return ProcessOptions(/*threads=*/2, /*workers=*/2);
+}
+
+TEST(WorkerJobPoolTest, OnePoolServesBothPhasesOfAJob) {
+  const std::vector<std::string> words = ManyWords(200);
+  const WordCountRun run = RunWordCount(JobPoolOptions(), words);
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  // Two workers for the whole job: none is forked for the reduce phase.
+  EXPECT_EQ(run.worker_metrics.Get("worker.spawn_total"), 2u);
+  EXPECT_EQ(run.worker_metrics.Get("worker.respawn_total"), 0u);
+  EXPECT_EQ(run.worker_metrics.Get("worker.kill_total"), 0u);
+  EXPECT_EQ(LiveWorkerCount(), 0u);
+  RunnerOptions inproc = JobPoolOptions();
+  inproc.backend = Backend::kInProcess;
+  const WordCountRun reference = RunWordCount(inproc, words);
+  EXPECT_EQ(run.output, reference.output);
+  EXPECT_EQ(run.counters_json, reference.counters_json);
+}
+
+/// Runs the word count with one scripted fault on reduce task 0,
+/// attempt 0, and checks that the job recovers byte-identically on the
+/// job's pool and leaves no worker behind.
+WordCountRun RunWithReduceFault(ScriptedFaultInjector& injector,
+                                RunnerOptions options) {
+  const std::vector<std::string> words = ManyWords(200);
+  const WordCountRun baseline = RunWordCount(JobPoolOptions(), words);
+  EXPECT_TRUE(baseline.status.ok()) << baseline.status.ToString();
+  options.fault_injector = &injector;
+  WordCountRun run = RunWordCount(options, words);
+  EXPECT_TRUE(run.status.ok()) << run.status.ToString();
+  EXPECT_EQ(injector.injected_faults(), 1u);
+  EXPECT_EQ(run.output, baseline.output);
+  EXPECT_EQ(run.counters_json, baseline.counters_json);
+  EXPECT_EQ(LiveWorkerCount(), 0u);
+  return run;
+}
+
+ScriptedFaultInjector::WorkerRule ReduceWorkerRule(int signum) {
+  ScriptedFaultInjector::WorkerRule rule;
+  rule.job_substring = "word-count";
+  rule.kind = TaskKind::kReduce;
+  rule.task_index = 0;
+  rule.attempt = 0;
+  rule.signum = signum;
+  return rule;
+}
+
+TEST(WorkerJobPoolTest, ReduceWorkerSigkillRetriesOnARespawnedWorker) {
+  // One worker: the retry cannot be absorbed by a surviving sibling.
+  ScriptedFaultInjector injector;
+  injector.AddWorkerRule(ReduceWorkerRule(SIGKILL));
+  const WordCountRun run = RunWithReduceFault(
+      injector, ProcessOptions(/*threads=*/2, /*workers=*/1));
+  EXPECT_EQ(run.worker_metrics.Get("worker.spawn_total"), 2u);
+  EXPECT_EQ(run.worker_metrics.Get("worker.respawn_total"), 1u);
+  EXPECT_EQ(run.worker_metrics.Get("worker.kill_total"), 1u);
+}
+
+TEST(WorkerJobPoolTest, ReduceWorkerSigstopTimesOutAndRetriesRespawned) {
+  ScriptedFaultInjector injector;
+  injector.AddWorkerRule(ReduceWorkerRule(SIGSTOP));
+  RunnerOptions options = ProcessOptions(/*threads=*/2, /*workers=*/1);
+  options.worker_heartbeat_seconds = 0.4;
+  const WordCountRun run = RunWithReduceFault(injector, options);
+  EXPECT_EQ(run.worker_metrics.Get("worker.heartbeat_timeouts"), 1u);
+  EXPECT_EQ(run.worker_metrics.Get("worker.respawn_total"), 1u);
+  EXPECT_GE(run.worker_metrics.Get("worker.kill_total"), 1u);
+}
+
+TEST(WorkerJobPoolTest, FailedReduceAttemptRetriesOnTheJobPool) {
+  ScriptedFaultInjector injector;
+  ScriptedFaultInjector::Rule rule;
+  rule.job_substring = "word-count";
+  rule.kind = TaskKind::kReduce;
+  rule.task_index = 0;
+  rule.attempt = 0;
+  injector.AddRule(rule);
+  const WordCountRun run = RunWithReduceFault(injector, JobPoolOptions());
+  // A failed attempt costs no worker: the retry runs on the same pool.
+  EXPECT_EQ(run.worker_metrics.Get("worker.spawn_total"), 2u);
+  EXPECT_EQ(run.worker_metrics.Get("worker.respawn_total"), 0u);
+  EXPECT_EQ(run.worker_metrics.Get("worker.kill_total"), 0u);
+}
+
+/// `n` distinct words: one reduce group each, so that the word count's
+/// reduce partition outgrows a pipe buffer.
+std::vector<std::string> DistinctWords(size_t n) {
+  std::vector<std::string> words;
+  words.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    words.push_back(StringPrintf("distinct-word-%06zu", i));
+  }
+  return words;
+}
+
+/// SIGSTOPs every live worker when the first attempt of reduce task 0
+/// starts, before the driver leases a worker for it: the task goes to a
+/// worker that was idle and now never reads its TASK frame.
+class StopWorkersBeforeReduce : public FaultInjector {
+ public:
+  Status OnAttemptStart(const TaskAttempt& attempt) override {
+    if (attempt.kind == TaskKind::kReduce && attempt.task_index == 0 &&
+        attempt.attempt == 0) {
+      stopped.fetch_add(SignalLiveWorkers(SIGSTOP));
+    }
+    return Status::OK();
+  }
+  std::atomic<size_t> stopped{0};
+};
+
+TEST(WorkerJobPoolTest, StoppedIdleWorkerTimesOutWhileItsPartitionIsSent) {
+  // About 1.7 MB of partition in one reduce task, far past a pipe's
+  // buffer: the TASK frame cannot be written to a stopped worker. The
+  // driver must time the write out like a silent worker, SIGKILL and
+  // reap the worker, and retry the task on a respawned one.
+  const std::vector<std::string> words = DistinctWords(40000);
+  RunnerOptions options = ProcessOptions(/*threads=*/2, /*workers=*/1);
+  options.records_per_split = 5000;
+  options.num_reducers = 1;
+  options.worker_heartbeat_seconds = 0.4;
+  const WordCountRun baseline = RunWordCount(options, words);
+  ASSERT_TRUE(baseline.status.ok()) << baseline.status.ToString();
+  ASSERT_EQ(baseline.output.size(), words.size());
+
+  StopWorkersBeforeReduce injector;
+  options.fault_injector = &injector;
+  auto pending = std::async(std::launch::async,
+                            [&] { return RunWordCount(options, words); });
+  if (pending.wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "the driver is still writing to a stopped worker";
+    SignalLiveWorkers(SIGKILL);  // breaks the pipe, so the run can end
+  }
+  const WordCountRun run = pending.get();
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  EXPECT_EQ(injector.stopped.load(), 1u);
+  EXPECT_EQ(run.output, baseline.output);
+  EXPECT_EQ(run.counters_json, baseline.counters_json);
+  EXPECT_EQ(run.worker_metrics.Get("worker.heartbeat_timeouts"), 1u);
+  EXPECT_EQ(run.worker_metrics.Get("worker.spawn_total"), 2u);
+  EXPECT_EQ(run.worker_metrics.Get("worker.respawn_total"), 1u);
+  EXPECT_EQ(run.worker_metrics.Get("worker.kill_total"), 1u);
   EXPECT_EQ(LiveWorkerCount(), 0u);
 }
 
@@ -410,33 +804,32 @@ TEST(WorkerBackendTest, TraceShowsOneForkSpanPerWorker) {
   EXPECT_GT(fork_spans, 0u);
 }
 
-/// Installs a phase of `workers` tasks on `executor`, forking its pool.
-void BeginIdlePhase(WorkerPoolExecutor& executor, size_t workers) {
-  executor.BeginPhase(
-      "idle", TaskKind::kMap, workers,
-      [](uint64_t) { return Result<std::string>(std::string()); },
-      [](const TaskContext&, uint64_t, std::string) { return Status::OK(); });
+/// Installs a job of `workers` tasks on `executor`, forking its pool.
+void BeginIdleJob(WorkerPoolExecutor& executor, size_t workers) {
+  executor.BeginJob(workers, [](TaskKind, uint64_t, std::string_view) {
+    return Result<std::string>(std::string());
+  });
 }
 
 TEST(WorkerBackendTest, StoppedIdleWorkerIsKilledAtShutdownDeadline) {
   // A SIGSTOPped worker never reads SHUTDOWN and never closes its pipe:
-  // EndPhase must give up on it at the 1 s deadline, SIGKILL it, reap
-  // it, and count the kill.
+  // EndJob must give up on it at the 1 s deadline, SIGKILL it, reap it,
+  // and count the kill.
   WorkerBackendOptions options;
   options.num_workers = 1;
   WorkerPoolExecutor executor(options);
-  BeginIdlePhase(executor, 1);
+  BeginIdleJob(executor, 1);
   ASSERT_EQ(LiveWorkerCount(), 1u);
   ASSERT_EQ(SignalLiveWorkers(SIGSTOP), 1u);
-  executor.EndPhase();
+  executor.EndJob();
   const MetricBag metrics = executor.SnapshotMetrics();
   EXPECT_EQ(metrics.Get("worker.kill_total"), 1u);
   EXPECT_GE(metrics.GetGauge("worker.shutdown_seconds"), 0.9);
   EXPECT_EQ(LiveWorkerCount(), 0u);
 
-  // The next phase forks a fresh, healthy pool that exits on SHUTDOWN.
-  BeginIdlePhase(executor, 1);
-  executor.EndPhase();
+  // The next job forks a fresh, healthy pool that exits on SHUTDOWN.
+  BeginIdleJob(executor, 1);
+  executor.EndJob();
   EXPECT_EQ(executor.SnapshotMetrics().Get("worker.kill_total"), 1u);
   EXPECT_EQ(LiveWorkerCount(), 0u);
 }
@@ -599,15 +992,29 @@ TEST(WorkerHarnessTest, EchoModeConformsToProtocol) {
   wire::TaskFrame task;
   task.kind = 1;
   task.task_index = 7;
+  task.input = std::string("\x00partition bytes\xff", 17) +
+               std::string(200000, 'p');  // more than one pipe buffer
   ASSERT_TRUE(wire::WriteFrame(proc.to_child, wire::FrameType::kTask,
-                               wire::EncodeTaskFrame(task))
+                               {wire::EncodeTaskFrameHead(task), task.input})
                   .ok());
   auto result = AwaitFrame(proc.from_child, reader, wire::FrameType::kResult);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   auto result_frame = wire::DecodeResultFrame(result->payload);
   ASSERT_TRUE(result_frame.ok());
-  // Echo mode: the RESULT payload is the TASK payload, verbatim.
-  EXPECT_EQ(result_frame->payload, wire::EncodeTaskFrame(task));
+  // Echo mode: the RESULT payload is the TASK frame's input, verbatim.
+  EXPECT_EQ(result_frame->status_code, 0u);
+  EXPECT_EQ(result_frame->payload, task.input);
+
+  // A v2 TASK payload (no input) is answered with the decode error.
+  ASSERT_TRUE(wire::WriteFrame(proc.to_child, wire::FrameType::kTask,
+                               Version2TaskPayload())
+                  .ok());
+  result = AwaitFrame(proc.from_child, reader, wire::FrameType::kResult);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  result_frame = wire::DecodeResultFrame(result->payload);
+  ASSERT_TRUE(result_frame.ok());
+  EXPECT_EQ(result_frame->status_code,
+            static_cast<uint32_t>(StatusCode::kIOError));
 
   ASSERT_TRUE(
       wire::WriteFrame(proc.to_child, wire::FrameType::kShutdown, "").ok());
@@ -625,7 +1032,7 @@ TEST(WorkerHarnessTest, CrashModeDiesBySigkillMidTask) {
   ASSERT_TRUE(
       AwaitFrame(proc.from_child, reader, wire::FrameType::kHello).ok());
   ASSERT_TRUE(wire::WriteFrame(proc.to_child, wire::FrameType::kTask,
-                               wire::EncodeTaskFrame(wire::TaskFrame{}))
+                               wire::EncodeTaskFrameHead(wire::TaskFrame{}))
                   .ok());
   // The driver-visible signature of a real crash: EOF, then waitpid
   // reporting death by SIGKILL.

@@ -35,7 +35,7 @@
 //                                      (forked worker processes — real
 //                                      crash isolation, byte-identical
 //                                      results)
-//           [--num-workers N]          worker processes per phase for
+//           [--num-workers N]          worker processes per MR job for
 //                                      --backend=process (0 = one per
 //                                      pool thread)
 //           [--worker-heartbeat-seconds S]  a worker silent for S seconds

@@ -10,7 +10,9 @@
 // address space with the driver — and can die for real on request.
 //
 // Modes (--mode=...):
-//   echo   RESULT echoes each TASK frame's payload back (default).
+//   echo   RESULT echoes each TASK frame's input bytes back (default);
+//          a TASK payload that does not decode gets a RESULT carrying
+//          the kIOError instead.
 //   crash  The first TASK makes the process SIGKILL itself mid-task —
 //          the driver must see EOF + waitpid(killed by signal 9).
 //   freeze The first TASK stops heartbeating and blocks forever —
@@ -96,10 +98,17 @@ int Run(const std::string& mode, double ping_seconds) {
         for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
       }
       p3c::mr::wire::ResultFrame result;
-      result.payload = std::move(frame.payload);
+      auto task = p3c::mr::wire::DecodeTaskFrame(std::move(frame.payload));
+      if (task.ok()) {
+        result.payload = std::move(task->input);
+      } else {
+        result.status_code = static_cast<uint32_t>(task.status().code());
+        result.message = task.status().message();
+      }
       std::lock_guard<std::mutex> lock(write_mu);
-      if (!p3c::mr::wire::WriteFrame(STDOUT_FILENO, FrameType::kResult,
-                                     EncodeResultFrame(result))
+      if (!p3c::mr::wire::WriteFrame(
+               STDOUT_FILENO, FrameType::kResult,
+               {p3c::mr::wire::EncodeResultFrameHead(result), result.payload})
                .ok()) {
         exit_code = 2;
         running = false;
