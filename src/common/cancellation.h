@@ -10,9 +10,9 @@
 //   - Polling (`cancelled()`) must be one relaxed atomic load — it sits
 //     in per-record map loops and per-group reduce loops.
 //   - Waiting (`WaitFor`) must wake *immediately* on Cancel(): the
-//     engine's retry backoff and the fault injector's delay/hang rules
-//     block in it, and a watchdog deadline kill must not be delayed by
-//     a sleeping worker (condvar, not sleep_for).
+//     fault injector's delay/hang rules and the worker pool's respawn
+//     backoff block in it, and a watchdog deadline kill must not be
+//     delayed by a sleeping worker (condvar, not sleep_for).
 //   - A default-constructed token is a valid "never cancelled" token so
 //     the non-straggler fast path carries no state (null shared_ptr).
 //
@@ -99,9 +99,10 @@ class CancellationToken {
   std::shared_ptr<internal::CancellationState> state_;
 };
 
-/// Owner side: created by whoever may need to stop the work (the
-/// watchdog's deadline kill, the job driver waking retry backoffs). Cancel is idempotent, sticky, and
-/// safe to call concurrently with polls and waits.
+/// Owner side: created by whoever may need to stop the work (a task
+/// attempt's control, which the watchdog's deadline kill cancels; the
+/// pipeline caller). Cancel is idempotent, sticky, and safe to call
+/// concurrently with polls and waits.
 class CancellationSource {
  public:
   CancellationSource()

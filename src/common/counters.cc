@@ -7,44 +7,6 @@
 
 namespace p3c {
 
-const char* MetricKindName(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kCounter:
-      return "counter";
-    case MetricKind::kGauge:
-      return "gauge";
-    case MetricKind::kHistogram:
-      return "histogram";
-  }
-  return "unknown";
-}
-
-size_t Metric::BucketIndex(double value) {
-  if (!(value > 1.0)) return 0;  // NaN and v <= 1 land in bucket 0
-  const double l = std::log2(value);
-  const auto idx = static_cast<size_t>(std::ceil(l));
-  return std::min(idx, kNumBuckets - 1);
-}
-
-double Metric::HistogramQuantile(double q) const {
-  if (kind != MetricKind::kHistogram || count == 0) return 0.0;
-  const double clamped_q = std::min(1.0, std::max(0.0, q));
-  // Smallest rank whose cumulative bucket count reaches the quantile.
-  const auto need = static_cast<uint64_t>(std::max(
-      1.0, std::ceil(clamped_q * static_cast<double>(count))));
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < kNumBuckets; ++i) {
-    cumulative += buckets[i];
-    if (cumulative >= need) {
-      // Bucket i holds values <= 2^i; clamp the edge to the observed
-      // range so degenerate histograms report exact values.
-      const double edge = std::ldexp(1.0, static_cast<int>(i));
-      return std::min(max, std::max(min, edge));
-    }
-  }
-  return max;
-}
-
 void Metric::MergeFrom(const Metric& other) {
   if (kind != other.kind) return;  // mixed kinds: keep ours (see header)
   switch (kind) {
@@ -54,31 +16,7 @@ void Metric::MergeFrom(const Metric& other) {
     case MetricKind::kGauge:
       sum = std::max(sum, other.sum);
       break;
-    case MetricKind::kHistogram:
-      count += other.count;
-      sum += other.sum;
-      min = std::min(min, other.min);
-      max = std::max(max, other.max);
-      for (size_t i = 0; i < kNumBuckets; ++i) buckets[i] += other.buckets[i];
-      break;
   }
-}
-
-bool Metric::operator==(const Metric& other) const {
-  return kind == other.kind && count == other.count && sum == other.sum &&
-         (min == other.min || (std::isinf(min) && std::isinf(other.min))) &&
-         (max == other.max || (std::isinf(max) && std::isinf(other.max))) &&
-         buckets == other.buckets;
-}
-
-void MetricBag::Observe(const std::string& name, double value) {
-  Metric& m = values_[name];
-  m.kind = MetricKind::kHistogram;
-  ++m.count;
-  m.sum += value;
-  m.min = std::min(m.min, value);
-  m.max = std::max(m.max, value);
-  ++m.buckets[Metric::BucketIndex(value)];
 }
 
 uint64_t MetricBag::Get(const std::string& name) const {
@@ -120,13 +58,6 @@ std::string MetricBag::ToString(const std::string& indent) const {
       case MetricKind::kGauge:
         out += StringPrintf("gauge      %.6g", m.sum);
         break;
-      case MetricKind::kHistogram:
-        out += StringPrintf(
-            "histogram  count=%llu sum=%.6g p50=%.6g p95=%.6g max=%.6g",
-            static_cast<unsigned long long>(m.count), m.sum,
-            m.HistogramQuantile(0.5), m.HistogramQuantile(0.95),
-            m.count == 0 ? 0.0 : m.max);
-        break;
     }
     out += "\n";
   }
@@ -149,25 +80,6 @@ std::string MetricBag::ToJson() const {
         out += StringPrintf("{\"kind\": \"gauge\", \"value\": %s}",
                             JsonDouble(m.sum).c_str());
         break;
-      case MetricKind::kHistogram: {
-        // Trim trailing empty buckets so small histograms stay small.
-        size_t last = Metric::kNumBuckets;
-        while (last > 0 && m.buckets[last - 1] == 0) --last;
-        std::string buckets;
-        for (size_t i = 0; i < last; ++i) {
-          buckets += StringPrintf(
-              "%s%llu", i == 0 ? "" : ", ",
-              static_cast<unsigned long long>(m.buckets[i]));
-        }
-        out += StringPrintf(
-            "{\"kind\": \"histogram\", \"count\": %llu, \"sum\": %s, "
-            "\"min\": %s, \"max\": %s, \"buckets\": [%s]}",
-            static_cast<unsigned long long>(m.count),
-            JsonDouble(m.sum).c_str(),
-            JsonDouble(m.count == 0 ? 0.0 : m.min).c_str(),
-            JsonDouble(m.count == 0 ? 0.0 : m.max).c_str(), buckets.c_str());
-        break;
-      }
     }
   }
   out += "}";

@@ -58,8 +58,8 @@ struct JobMetrics {
   std::vector<double> partition_shuffle_seconds;
   std::vector<uint64_t> partition_records;
   double partition_skew = 0.0;
-  /// Snapshot of the job's merged user counters (counter/gauge/
-  /// histogram, see src/common/counters.h). Empty for failed jobs —
+  /// Snapshot of the job's merged user counters (counters and gauges,
+  /// see src/common/counters.h). Empty for failed jobs —
   /// failed attempts and failed jobs leave no counter side effects.
   MetricBag counters;
 };
@@ -144,8 +144,7 @@ class MetricsRegistry {
   /// are empty). With a pipeline driver's bag the phase table follows
   /// (wall time, job runs, input records, and the phase's peak tracked
   /// bytes when memory tracking is on), then the unphased remainder.
-  /// The merged counters close it, rendered through MetricBag::ToString
-  /// (histograms with count/p50/p95/max columns).
+  /// The merged counters close it, rendered through MetricBag::ToString.
   [[nodiscard]] std::string ToString(const MetricBag* driver = nullptr) const;
 
   /// Machine-readable export of the whole registry: a JSON object with

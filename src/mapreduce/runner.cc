@@ -51,21 +51,6 @@ class DeadlineRegistration {
   const uint64_t id_;
 };
 
-/// Deterministic exponential backoff before retry number `retry`
-/// (1-based): min(base * 2^(retry-1), max). No jitter — retry timing
-/// must not introduce nondeterminism into tests. The sleep waits on
-/// the job's cancellation token, so a job that has already failed
-/// (FailureSlot::Set) wakes its sleeping workers immediately instead
-/// of holding a pool thread hostage for the full backoff.
-void SleepBackoff(const RunnerOptions& options, size_t retry,
-                  const CancellationToken& wake) {
-  double seconds = options.retry_backoff_seconds;
-  if (seconds <= 0.0) return;
-  for (size_t r = 1; r < retry; ++r) seconds *= 2.0;
-  seconds = std::min(seconds, options.retry_backoff_max_seconds);
-  if (seconds > 0.0) wake.WaitFor(seconds);
-}
-
 /// Kill closure for the watchdog: flags the attempt as deadline-killed,
 /// cancels it, and drops a trace instant at the kill decision. The
 /// watchdog never runs it after Deregister, so `ctl` outlives every
@@ -172,10 +157,8 @@ class LocalRunner::TaskAttempts {
 
   Status Run() {
     const size_t max_attempts = std::max<size_t>(1, options_.max_attempts);
-    const CancellationToken job_token = exec_.job_cancel.token();
     Status last;
     for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
-      if (attempt > 0) SleepBackoff(options_, attempt, job_token);
       Status st = RunAttempt(attempt);
       if (st.ok()) return st;
       if (attempt == 0 && max_attempts > 1) {

@@ -57,11 +57,6 @@ struct RunnerOptions {
   /// exception or non-OK Status) is discarded wholesale and the task is
   /// re-run from its immutable input.
   size_t max_attempts = 4;
-  /// Deterministic exponential backoff between attempts of one task:
-  /// retry r sleeps min(retry_backoff_seconds * 2^(r-1),
-  /// retry_backoff_max_seconds). 0 disables sleeping (tests).
-  double retry_backoff_seconds = 0.0;
-  double retry_backoff_max_seconds = 0.05;
   /// Wall-clock deadline per task attempt, Hadoop's
   /// `mapreduce.task.timeout` collapsed to elapsed time (there is no
   /// progress reporting in-process). 0 disables. An overdue attempt is
@@ -316,7 +311,7 @@ class LocalRunner {
     // Per-group output end offsets, recorded so the final merge can
     // stitch per-key output slices back into global key order.
     std::vector<std::vector<size_t>> task_group_ends(num_partitions);
-    FailureSlot failure(&exec.job_cancel);
+    FailureSlot failure;
 
     // Remote form of the reduce phase: the TASK frame carries the
     // partition's merged groups, the worker reduces them and ships back
@@ -568,13 +563,11 @@ class LocalRunner {
   };
 
   /// Per-job execution state shared by every task of the job: the
-  /// attempt accounting, the job-wide cancellation source that wakes
-  /// retry-backoff sleepers the moment the job has already failed, and
-  /// the heartbeat hook (null unless --heartbeat-seconds is set — the
-  /// task paths pay one null test when heartbeat is off).
+  /// attempt accounting and the heartbeat hook (null unless
+  /// --heartbeat-seconds is set — the task paths pay one null test when
+  /// heartbeat is off).
   struct JobExecState {
     AttemptAccounting acct;
-    CancellationSource job_cancel;
     HeartbeatState* heartbeat = nullptr;
   };
 
@@ -603,23 +596,15 @@ class LocalRunner {
 
   /// First-error-wins slot shared by the tasks of one phase: the first
   /// task to exhaust its attempts parks its Status here and later tasks
-  /// short-circuit via has_failed(). Setting the slot also cancels the
-  /// job's cancellation source (when wired), so workers sleeping in
-  /// retry backoff wake immediately instead of delaying the failure.
+  /// short-circuit via has_failed().
   class FailureSlot {
    public:
-    FailureSlot() = default;
-    explicit FailureSlot(CancellationSource* wake) : wake_(wake) {}
-
     void Set(Status status) {
-      {
-        MutexLock lock(mu_);
-        if (!failed_.load(std::memory_order_relaxed)) {
-          status_ = std::move(status);
-          failed_.store(true, std::memory_order_release);
-        }
+      MutexLock lock(mu_);
+      if (!failed_.load(std::memory_order_relaxed)) {
+        status_ = std::move(status);
+        failed_.store(true, std::memory_order_release);
       }
-      if (wake_ != nullptr) wake_->Cancel();
     }
     bool has_failed() const {
       return failed_.load(std::memory_order_acquire);
@@ -630,14 +615,12 @@ class LocalRunner {
     }
 
    private:
-    /// Leaf lock (Cancel() is called after it is released, so the
-    /// cancellation mutex is never nested under it).
+    /// Leaf lock.
     Mutex mu_{"FailureSlot::mu_"};
     Status status_ P3C_GUARDED_BY(mu_);
     /// Atomic (not guarded): has_failed() is the workers' per-task
     /// short-circuit poll and must stay lock-free.
     std::atomic<bool> failed_{false};
-    CancellationSource* wake_ = nullptr;
   };
 
   /// The attempts of one task — retry loop, deadline kills and their
@@ -844,7 +827,7 @@ class LocalRunner {
 
     std::vector<VectorEmitter<K, V>> emitters(num_splits);
     std::atomic<uint64_t> map_output_records{0};
-    FailureSlot failure(&exec.job_cancel);
+    FailureSlot failure;
 
     // Remote form of the map phase, when K/V can cross the process
     // boundary: the worker runs RemoteMap, and the driver decodes the

@@ -184,29 +184,31 @@ void EncodeMetricBag(const MetricBag& bag, WireWriter& writer) {
     writer.PutU32(static_cast<uint32_t>(metric.kind));
     writer.PutU64(metric.count);
     writer.PutDouble(metric.sum);
-    writer.PutDouble(metric.min);
-    writer.PutDouble(metric.max);
-    for (uint64_t bucket : metric.buckets) writer.PutU64(bucket);
   }
 }
 
 Result<MetricBag> DecodeMetricBag(WireReader& reader) {
+  // Every metric takes at least its name length, kind, count and sum.
+  constexpr size_t kMinMetricBytes = 8 + 4 + 8 + 8;
   MetricBag bag;
   const uint64_t n = reader.GetU64();
+  P3C_RETURN_NOT_OK(reader.status());
+  if (n > reader.remaining() / kMinMetricBytes) {
+    return Status::IOError(StringPrintf(
+        "metric bag: %llu metrics announced, %zu bytes follow",
+        static_cast<unsigned long long>(n), reader.remaining()));
+  }
   for (uint64_t i = 0; i < n && reader.status().ok(); ++i) {
     const std::string name = reader.GetString();
     Metric metric;
     const uint32_t kind = reader.GetU32();
-    if (kind > static_cast<uint32_t>(MetricKind::kHistogram)) {
+    if (kind > static_cast<uint32_t>(MetricKind::kGauge)) {
       return Status::IOError(
           StringPrintf("metric '%s': unknown kind %u", name.c_str(), kind));
     }
     metric.kind = static_cast<MetricKind>(kind);
     metric.count = reader.GetU64();
     metric.sum = reader.GetDouble();
-    metric.min = reader.GetDouble();
-    metric.max = reader.GetDouble();
-    for (uint64_t& bucket : metric.buckets) bucket = reader.GetU64();
     bag.Set(name, metric);
   }
   P3C_RETURN_NOT_OK(reader.status());
@@ -260,7 +262,6 @@ std::string EncodeResultFrameHead(const ResultFrame& result) {
   w.PutU32(result.status_code);
   w.PutString(result.message);
   w.PutI64(result.peak_rss_bytes);
-  EncodeMetricBag(result.counters, w);
   w.PutU64(result.payload.size());
   return w.Take();
 }
@@ -271,9 +272,6 @@ Result<ResultFrame> DecodeResultFrame(std::string payload) {
   result.status_code = r.GetU32();
   result.message = r.GetString();
   result.peak_rss_bytes = r.GetI64();
-  auto counters = DecodeMetricBag(r);
-  P3C_RETURN_NOT_OK(counters.status());
-  result.counters = std::move(*counters);
   const uint64_t payload_size = r.GetU64();
   P3C_RETURN_NOT_OK(r.status());
   const size_t rest = r.remaining();

@@ -44,8 +44,10 @@ namespace p3c::mr::wire {
 
 inline constexpr char kMagic[4] = {'P', '3', 'C', 'W'};
 /// v1 sealed payloads with FNV-1a; v2 with data::Hash64; v3 TASK frames
-/// carry the task's input bytes (a reduce task's shuffle partition).
-inline constexpr uint32_t kVersion = 3;
+/// carry the task's input bytes (a reduce task's shuffle partition); v4
+/// metrics are a kind, a count and a sum, and RESULT frames carry no
+/// counters of their own (a map task's ride in its payload).
+inline constexpr uint32_t kVersion = 4;
 /// Frame header size on the wire: magic + version + type + size + checksum.
 inline constexpr size_t kHeaderBytes = 4 + 4 + 4 + 8 + 8;
 /// Upper bound a reader accepts for one frame payload (defense against
@@ -55,7 +57,7 @@ inline constexpr uint64_t kMaxFramePayload = uint64_t{1} << 34;  // 16 GiB
 enum class FrameType : uint32_t {
   kHello = 1,     ///< worker → driver: pid + protocol version handshake
   kTask = 2,      ///< driver → worker: run task (kind, index, attempt, input)
-  kResult = 3,    ///< worker → driver: status + payload + counters + RSS
+  kResult = 3,    ///< worker → driver: status + payload + RSS
   kPing = 4,      ///< worker → driver: heartbeat (empty payload)
   kShutdown = 5,  ///< driver → worker: exit cleanly (empty payload)
 };
@@ -364,9 +366,13 @@ class WireReader {
 // Metric / task-frame codecs
 // ---------------------------------------------------------------------------
 
-/// Serializes a MetricBag (task counters crossing back to the driver).
+/// Serializes a MetricBag (a map task's counters crossing back to the
+/// driver inside its payload, and the checkpoint's merged counters):
+/// a count, then per metric its name, kind u32, count u64 and sum f64.
 void EncodeMetricBag(const MetricBag& bag, WireWriter& writer);
-/// Decodes a bag; kIOError on any malformation.
+/// Decodes a bag; kIOError on any malformation — an unknown kind, a
+/// truncated metric, or a count the remaining bytes cannot hold (caught
+/// before any metric is decoded).
 Result<MetricBag> DecodeMetricBag(WireReader& reader);
 
 /// TASK frame payload: which task of the installed job to run, and the
@@ -389,14 +395,13 @@ std::string EncodeTaskFrameHead(const TaskFrame& task);
 Result<TaskFrame> DecodeTaskFrame(std::string payload);
 
 /// RESULT frame payload: the task's outcome. `payload` is the
-/// phase-specific serialized task output (empty on failure); `counters`
-/// carries the attempt-local MetricBag; `peak_rss_bytes` is the
+/// phase-specific serialized task output (empty on failure; a map
+/// task's carries its emitter's MetricBag); `peak_rss_bytes` is the
 /// worker's /proc RSS sample (0 where /proc is unavailable).
 struct ResultFrame {
   uint32_t status_code = 0;  ///< StatusCode as uint32
   std::string message;
   int64_t peak_rss_bytes = 0;
-  MetricBag counters;
   std::string payload;
 };
 /// The RESULT payload up to its result bytes (their length included);

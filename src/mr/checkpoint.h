@@ -38,8 +38,9 @@ namespace p3c::mr {
 
 /// Version of the checkpoint record schema. Bumped whenever the encoder
 /// changes shape; a record carrying a different version is discarded as
-/// unusable (version skew), not misparsed.
-inline constexpr uint32_t kCheckpointFormatVersion = 3;
+/// unusable (version skew), not misparsed. Format 4 stores each counter
+/// as a kind, a count and a sum (format 3 carried histogram buckets).
+inline constexpr uint32_t kCheckpointFormatVersion = 4;
 
 /// P3CK blob kind tag of the checkpoint file (see data::WriteBlobFile).
 /// Public so tests can craft hostile files.

@@ -507,10 +507,6 @@ class OdMapper : public Mapper<data::PointId, int32_t> {
         ++outliers_;
       } else {
         ++members_;
-        // Integer observations: the histogram's double sum stays exact,
-        // so the exported bucket counts AND sum are thread-count
-        // invariant.
-        out.counters().Observe("od/cluster", static_cast<double>(labels[r]));
       }
       out.Emit(static_cast<data::PointId>(rows.begin + r),
                outlier ? -1 : static_cast<int32_t>(labels[r]));

@@ -1,11 +1,9 @@
 #include "src/mr/p3c_mr.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <optional>
-#include <thread>
 
 #include "src/common/logging.h"
 #include "src/common/resource.h"
@@ -101,10 +99,6 @@ auto RunPipelineJob(const PhaseContext& ctx, const char* phase, Fn&& fn)
   Status last;
   size_t attempts = 0;
   for (; attempts < max_attempts; ++attempts) {
-    if (attempts > 0 && policy.backoff_seconds > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(policy.backoff_seconds));
-    }
     auto result = fn();
     if (result.ok()) return result;
     last = result.status();

@@ -25,8 +25,6 @@ namespace p3c::mr {
 struct JobRetryPolicy {
   /// Total runs of one job, including the first (1 = no job-level retry).
   size_t max_job_attempts = 2;
-  /// Fixed sleep between job attempts; 0 disables sleeping.
-  double backoff_seconds = 0.0;
   /// Wall-clock budget per pipeline phase (0 disables): once a phase
   /// has spent this long across its job attempts, the driver stops
   /// retrying and fails the pipeline with a phase-tagged
@@ -118,14 +116,17 @@ class P3CMR {
   /// checkpoint's replayed bag, then the live job rows in record order.
   /// A resumed call's bag equals an uninterrupted call's byte for byte.
   MetricBag counters() const { return metrics_.MergedCounters(); }
-  /// Driver-side observability of the most recent Cluster call:
-  /// checkpoint corruption counter, `resumed_from_phase` gauge,
-  /// per-phase `checkpoint.write_seconds.*` gauges, the phase table's
-  /// `phase.<name>.wall_seconds` gauges and the call's
-  /// `call.wall_seconds` (MetricsRegistry::AddPhaseWall / SetCallWall),
-  /// plus the `mem.*` and `worker.*` entries. Kept apart from counters()
-  /// so resume bookkeeping and timings never perturb the deterministic
-  /// framework-counter JSON.
+  /// Driver-side observability. Rebuilt by every Cluster call, whose
+  /// own entries it holds: checkpoint corruption counter,
+  /// `resumed_from_phase` gauge, per-phase `checkpoint.write_seconds.*`
+  /// gauges, the phase table's `phase.<name>.wall_seconds` gauges and
+  /// the call's `call.wall_seconds` (MetricsRegistry::AddPhaseWall /
+  /// SetCallWall), and the `mem.*` entries. The `worker.*` entries are
+  /// the exception: they are totals over this object's lifetime
+  /// (WorkerPoolExecutor::SnapshotMetrics), so a caller wanting one
+  /// call's spawns subtracts successive values. Kept apart from
+  /// counters() so resume bookkeeping and timings never perturb the
+  /// deterministic framework-counter JSON.
   const MetricBag& driver_metrics() const { return driver_metrics_; }
 
  private:

@@ -25,6 +25,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <random>
 #include <string>
 #include <utility>
@@ -39,6 +40,7 @@
 #include "src/data/generator.h"
 #include "src/data/io.h"
 #include "src/linalg/matrix.h"
+#include "src/mapreduce/wire.h"
 #include "src/mapreduce/fault.h"
 #include "src/mr/p3c_mr.h"
 #include "src/stats/histogram.h"
@@ -527,6 +529,45 @@ TEST_F(HostileCheckpointTest, FormatVersion2RecordFallsBackCleanly) {
                   sizeof(old_version));
   ASSERT_TRUE(data::WriteBlobFile(path, kCheckpointBlobKind, payload).ok());
   ExpectCleanFallback(data_.dataset, baseline_, dir, "format-2 record");
+}
+
+TEST_F(HostileCheckpointTest, FormatVersion3RecordFallsBackCleanly) {
+  // Format 3 stored each counter with histogram fields after its kind,
+  // count and sum: a min, a max and 32 buckets. Rewrite a valid
+  // record's counter bag that way and stamp it version 3: the run must
+  // discard it and start fresh, with the uninterrupted run's output and
+  // counter JSON.
+  const std::string dir = MakeCheckpoint("format_v3");
+  const std::string path = CheckpointFile(dir);
+  std::string payload = data::ReadBlobFile(path, kCheckpointBlobKind).value();
+  CheckpointManager manager({dir, nullptr});
+  manager.Initialize(data_.dataset, MakeOptions(false, dir).params);
+  const MetricBag& counters = manager.state().counters;
+  ASSERT_FALSE(counters.empty());
+  wire::WireWriter v4;
+  wire::EncodeMetricBag(counters, v4);
+  const std::string v4_bag = v4.Take();
+  ASSERT_GE(payload.size(), v4_bag.size());
+  ASSERT_EQ(payload.substr(payload.size() - v4_bag.size()), v4_bag);
+  wire::WireWriter v3;
+  v3.PutU64(counters.values().size());
+  for (const auto& [name, metric] : counters.values()) {
+    v3.PutString(name);
+    v3.PutU32(static_cast<uint32_t>(metric.kind));
+    v3.PutU64(metric.count);
+    v3.PutDouble(metric.sum);
+    v3.PutDouble(std::numeric_limits<double>::infinity());
+    v3.PutDouble(-std::numeric_limits<double>::infinity());
+    for (int bucket = 0; bucket < 32; ++bucket) v3.PutU64(0);
+  }
+  payload.resize(payload.size() - v4_bag.size());
+  payload += v3.Take();
+  const uint32_t old_version = 3;
+  payload.replace(0, sizeof(old_version),
+                  reinterpret_cast<const char*>(&old_version),
+                  sizeof(old_version));
+  ASSERT_TRUE(data::WriteBlobFile(path, kCheckpointBlobKind, payload).ok());
+  ExpectCleanFallback(data_.dataset, baseline_, dir, "format-3 record");
 }
 
 TEST_F(HostileCheckpointTest, SerialFingerprintRecordFallsBackCleanly) {

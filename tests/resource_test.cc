@@ -294,40 +294,20 @@ TEST_F(ResourceTest, GaugeMergeTakesTheMaxAcrossBags) {
   EXPECT_EQ(b.GetGauge("mem.task.peak_bytes"), 1000.0);
 }
 
-// ---- MetricBag rendering (histogram summary columns) ------------------
+// ---- MetricBag rendering ---------------------------------------------
 
-TEST_F(ResourceTest, HistogramQuantileEstimatesFromBuckets) {
-  Metric m;
-  m.kind = MetricKind::kHistogram;
-  MetricBag bag;
-  for (int i = 1; i <= 100; ++i) bag.Observe("values", i);
-  const Metric* hist = bag.Find("values");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->count, 100u);
-  // Power-of-two buckets: estimates land within a bucket (2x) of the
-  // true quantile and clamp to the observed range.
-  const double p50 = hist->HistogramQuantile(0.5);
-  EXPECT_GE(p50, 32.0);
-  EXPECT_LE(p50, 100.0);
-  EXPECT_EQ(hist->HistogramQuantile(1.0), 100.0);
-  // Non-histograms and empties answer 0.
-  Metric counter;
-  EXPECT_EQ(counter.HistogramQuantile(0.5), 0.0);
-}
-
-TEST_F(ResourceTest, ToStringRendersHistogramSummaryColumns) {
+TEST_F(ResourceTest, ToStringRendersOneLinePerMetric) {
   MetricBag bag;
   bag.Increment("records", 5);
   bag.SetGauge("mem.total.peak_bytes", 4096.0);
-  for (int i = 1; i <= 64; ++i) bag.Observe("group_size", i);
   const std::string table = bag.ToString("  ");
   EXPECT_NE(table.find("records"), std::string::npos);
   EXPECT_NE(table.find("mem.total.peak_bytes"), std::string::npos);
-  // Histograms carry count/p50/p95/max summary columns.
-  EXPECT_NE(table.find("count=64"), std::string::npos);
-  EXPECT_NE(table.find("p50="), std::string::npos);
-  EXPECT_NE(table.find("p95="), std::string::npos);
-  EXPECT_NE(table.find("max=64"), std::string::npos);
+  // Name, kind and value; every line starts with the indent.
+  EXPECT_NE(table.find("gauge      4096"), std::string::npos);
+  EXPECT_NE(table.find("counter    5"), std::string::npos);
+  EXPECT_EQ(table.rfind("  mem.total.peak_bytes", 0), 0u);
+  EXPECT_EQ(std::count(table.begin(), table.end(), '\n'), 2);
 }
 
 // ---- End-to-end: tracking must never change results -------------------

@@ -70,7 +70,7 @@ TEST(CancellationTest, CancelIsStickyAndObservable) {
   EXPECT_TRUE(token.cancelled());
 }
 
-// The satellite fix for SleepBackoff: a sleeper parked in WaitFor must
+// A sleeper parked in WaitFor (a fault injector's delay rule) must
 // wake immediately when the source cancels, not after the full wait.
 TEST(CancellationTest, WaitForWakesEarlyOnCancel) {
   CancellationSource source;

@@ -352,10 +352,9 @@ class KeyedSumMapper : public mr::Mapper<int, int64_t> {
     for (size_t i = rows.begin; i < rows.end; ++i) {
       const KeyedRecord& record = (*records_)[i];
       out.counters().Increment("records_mapped");
-      // Integer-valued observation: the histogram's double sum stays
-      // exact, keeping the exported JSON thread-count invariant.
-      out.counters().Observe("abs_value",
-                             std::abs(static_cast<double>(record.value)));
+      // A value-dependent counter: the sum of |value| over the records.
+      out.counters().Increment("abs_value",
+                               static_cast<uint64_t>(std::abs(record.value)));
       max_abs_ = std::max<int64_t>(max_abs_, std::abs(record.value));
       out.Emit(record.key, record.value);
     }
@@ -421,51 +420,37 @@ RunOutcome RunKeyedSum(size_t threads, size_t reducers,
 
 // ---- MetricBag unit behavior -----------------------------------------
 
-TEST(MetricBagTest, CounterGaugeHistogramKinds) {
+TEST(MetricBagTest, CounterGaugeKinds) {
   MetricBag bag;
   bag.Increment("jobs", 2);
   bag.Increment("jobs");
   bag.SetGauge("level", 1.5);
   bag.SetGauge("level", 0.5);  // task-local: last write wins
-  bag.Observe("sizes", 1.0);
-  bag.Observe("sizes", 3.0);
-  bag.Observe("sizes", 1000.0);
 
   EXPECT_EQ(bag.Get("jobs"), 3u);
   EXPECT_EQ(bag.GetGauge("level"), 0.5);
-  const Metric* sizes = bag.Find("sizes");
-  ASSERT_NE(sizes, nullptr);
-  EXPECT_EQ(sizes->kind, MetricKind::kHistogram);
-  EXPECT_EQ(sizes->count, 3u);
-  EXPECT_DOUBLE_EQ(sizes->sum, 1004.0);
-  EXPECT_DOUBLE_EQ(sizes->min, 1.0);
-  EXPECT_DOUBLE_EQ(sizes->max, 1000.0);
-}
-
-TEST(MetricBagTest, BucketIndexBoundaries) {
-  EXPECT_EQ(Metric::BucketIndex(-5.0), 0u);
-  EXPECT_EQ(Metric::BucketIndex(0.0), 0u);
-  EXPECT_EQ(Metric::BucketIndex(1.0), 0u);
-  EXPECT_EQ(Metric::BucketIndex(2.0), 1u);
-  EXPECT_EQ(Metric::BucketIndex(3.0), 2u);
-  EXPECT_EQ(Metric::BucketIndex(4.0), 2u);
-  EXPECT_EQ(Metric::BucketIndex(1e300), Metric::kNumBuckets - 1);
+  // Each accessor reads only its own kind.
+  EXPECT_EQ(bag.Get("level"), 0u);
+  EXPECT_EQ(bag.GetGauge("jobs"), 0.0);
+  const Metric* jobs = bag.Find("jobs");
+  ASSERT_NE(jobs, nullptr);
+  EXPECT_EQ(jobs->kind, MetricKind::kCounter);
+  EXPECT_EQ(bag.Find("level")->kind, MetricKind::kGauge);
 }
 
 TEST(MetricBagTest, MergeSemanticsByKind) {
   MetricBag a;
   a.Increment("count", 5);
   a.SetGauge("peak", 2.0);
-  a.Observe("obs", 4.0);
 
   MetricBag b;
   b.Increment("count", 7);
   b.SetGauge("peak", 9.0);
-  b.Observe("obs", 16.0);
   b.Increment("only_b", 1);
 
   b.SetGauge("only_b_gauge", 3.5);
-  b.Observe("only_b_hist", 2.0);
+  b.SetGauge("mixed", 1.0);
+  a.Increment("mixed", 4);
 
   a.MergeFrom(b);
   EXPECT_EQ(a.Get("count"), 12u);       // counters add
@@ -474,27 +459,19 @@ TEST(MetricBagTest, MergeSemanticsByKind) {
   // Absent keys must keep their kind (a default-constructed slot would
   // be a counter and silently swallow these).
   EXPECT_EQ(a.GetGauge("only_b_gauge"), 3.5);
-  const Metric* bh = a.Find("only_b_hist");
-  ASSERT_NE(bh, nullptr);
-  EXPECT_EQ(bh->kind, MetricKind::kHistogram);
-  EXPECT_EQ(bh->count, 1u);
-  const Metric* obs = a.Find("obs");    // histograms add element-wise
-  ASSERT_NE(obs, nullptr);
-  EXPECT_EQ(obs->count, 2u);
-  EXPECT_DOUBLE_EQ(obs->sum, 20.0);
-  EXPECT_DOUBLE_EQ(obs->min, 4.0);
-  EXPECT_DOUBLE_EQ(obs->max, 16.0);
+  // Mixed kinds under one name: ours is kept, the other dropped.
+  EXPECT_EQ(a.Get("mixed"), 4u);
+  EXPECT_EQ(a.Find("mixed")->kind, MetricKind::kCounter);
 }
 
 TEST(MetricBagTest, MergeIsOrderInsensitiveForExportedJson) {
-  // Gauge max, integer counter sums, and histogram bucket adds are all
-  // order-free, so any merge order serializes identically — the property
-  // the byte-identical acceptance bar rests on.
+  // Gauge max and integer counter sums are both order-free, so any
+  // merge order serializes identically — the property the
+  // byte-identical acceptance bar rests on.
   std::vector<MetricBag> parts(3);
   for (size_t i = 0; i < parts.size(); ++i) {
     parts[i].Increment("n", i + 1);
     parts[i].SetGauge("g", static_cast<double>(10 - i));
-    parts[i].Observe("h", static_cast<double>(1 << i));
   }
   MetricBag forward;
   for (const MetricBag& p : parts) forward.MergeFrom(p);
@@ -509,19 +486,17 @@ TEST(MetricBagTest, ToJsonIsWellFormedAndTyped) {
   MetricBag bag;
   bag.Increment("quoted\"name\n", 1);  // exercises JsonEscape
   bag.SetGauge("gauge", 2.25);
-  bag.Observe("hist", 7.0);
   const JsonValue root = ParseOrDie(bag.ToJson());
   ASSERT_EQ(root.kind, JsonValue::kObject);
-  ASSERT_EQ(root.object.size(), 3u);
+  ASSERT_EQ(root.object.size(), 2u);
   const JsonValue* gauge = root.Find("gauge");
   ASSERT_NE(gauge, nullptr);
   EXPECT_EQ(gauge->Find("kind")->string, "gauge");
   EXPECT_EQ(gauge->Find("value")->number, 2.25);
-  const JsonValue* hist = root.Find("hist");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->Find("kind")->string, "histogram");
-  EXPECT_EQ(hist->Find("count")->number, 1.0);
-  EXPECT_EQ(hist->Find("buckets")->kind, JsonValue::kArray);
+  const JsonValue* counter = root.Find("quoted\"name\n");
+  ASSERT_NE(counter, nullptr);
+  EXPECT_EQ(counter->Find("kind")->string, "counter");
+  EXPECT_EQ(counter->Find("value")->number, 1.0);
 }
 
 // ---- Tracer behavior --------------------------------------------------
@@ -730,7 +705,9 @@ TEST(MetricsJsonTest, RegistryToJsonIsWellFormedAndComplete) {
   ASSERT_NE(merged, nullptr);
   EXPECT_EQ(merged->Find("records_mapped")->Find("value")->number, 500.0);
   EXPECT_EQ(merged->Find("max_abs_value")->Find("kind")->string, "gauge");
-  EXPECT_EQ(merged->Find("abs_value")->Find("kind")->string, "histogram");
+  EXPECT_EQ(merged->Find("abs_value")->Find("kind")->string, "counter");
+  // Sum of |i - 50| over the 500 records: 1275 + 449 * 450 / 2.
+  EXPECT_EQ(merged->Find("abs_value")->Find("value")->number, 102300.0);
 }
 
 TEST(MetricsJsonTest, CounterJsonByteIdenticalAcrossThreadCounts) {
@@ -758,8 +735,8 @@ TEST(MetricsJsonTest, CounterJsonByteIdenticalUnderInjectedFaults) {
   ASSERT_TRUE(faulty.result.ok()) << faulty.result.status().ToString();
   EXPECT_GT(injector.injected_faults(), 0u);
 
-  // Retried attempts left no counter side effects: gauge, histogram and
-  // counter serialization is byte-identical to the fault-free run.
+  // Retried attempts left no counter side effects: gauge and counter
+  // serialization is byte-identical to the fault-free run.
   EXPECT_EQ(faulty.metrics.MergedCounters().ToJson(),
             clean.metrics.MergedCounters().ToJson());
   EXPECT_EQ(faulty.counters.ToJson(), clean.counters.ToJson());
@@ -845,11 +822,9 @@ TEST(MetricsReportTest, MergedCountersFoldReplayedBagThenJobRows) {
   MetricBag replayed;
   replayed.Increment("records", 10);
   replayed.SetGauge("peak", 7.0);
-  replayed.Observe("size", 4.0);
   mr::JobMetrics a = JobRow("a", 0);
   a.counters.Increment("records", 5);
   a.counters.SetGauge("peak", 3.0);
-  a.counters.Observe("size", 100.0);
   mr::JobMetrics b = JobRow("b", 0);
   b.counters.Increment("records", 1);
   b.counters.Increment("only_b", 2);
@@ -862,12 +837,6 @@ TEST(MetricsReportTest, MergedCountersFoldReplayedBagThenJobRows) {
   EXPECT_EQ(merged.Get("records"), 16u);
   EXPECT_EQ(merged.Get("only_b"), 2u);
   EXPECT_EQ(merged.GetGauge("peak"), 7.0);
-  const Metric* size = merged.Find("size");
-  ASSERT_NE(size, nullptr);
-  EXPECT_EQ(size->count, 2u);
-  EXPECT_EQ(size->sum, 104.0);
-  EXPECT_EQ(size->min, 4.0);
-  EXPECT_EQ(size->max, 100.0);
 
   MetricBag expected = replayed;
   expected.MergeFrom(a.counters);

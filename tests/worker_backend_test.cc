@@ -178,18 +178,82 @@ TEST(WireTest, MetricBagRoundTrips) {
   MetricBag bag;
   bag.Increment("records", 12);
   bag.SetGauge("peak", 4096);
-  bag.Observe("latency", 0.25);
-  bag.Observe("latency", 1000.0);
   wire::WireWriter w;
   wire::EncodeMetricBag(bag, w);
   const std::string bytes = w.Take();
+  // The metric count, then per metric its name (length + bytes), kind,
+  // count and sum: 20 bytes plus the name.
+  EXPECT_EQ(bytes.size(), 8 + (8 + 7 + 20) + (8 + 4 + 20));
   wire::WireReader r(bytes, "test");
   auto decoded = wire::DecodeMetricBag(r);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ASSERT_TRUE(r.Finish().ok());
   EXPECT_EQ(decoded->ToJson(), bag.ToJson());
-  // Exact: every field of every metric, histogram buckets included.
+  // Exact: kind, count and sum of every metric.
   EXPECT_TRUE(decoded->values() == bag.values());
+}
+
+/// One encoded metric named "m" with a raw `kind` word.
+std::string MetricBytes(uint32_t kind) {
+  wire::WireWriter w;
+  w.PutU64(1);
+  w.PutString("m");
+  w.PutU32(kind);
+  w.PutU64(3);
+  w.PutDouble(0.0);
+  return w.Take();
+}
+
+TEST(WireTest, MetricOfUnknownKindIsRejected) {
+  // Kind 2 was the histogram of wire v3; it and everything above it is
+  // corruption now.
+  for (const uint32_t kind : {2u, 3u, 0xffffffffu}) {
+    SCOPED_TRACE(kind);
+    const std::string bytes = MetricBytes(kind);
+    wire::WireReader r(bytes, "test");
+    auto decoded = wire::DecodeMetricBag(r);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kIOError);
+    EXPECT_NE(decoded.status().message().find("unknown kind"),
+              std::string::npos)
+        << decoded.status().ToString();
+  }
+  const std::string gauge = MetricBytes(1);
+  wire::WireReader r(gauge, "test");
+  EXPECT_TRUE(wire::DecodeMetricBag(r).ok());
+}
+
+TEST(WireTest, TruncatedMetricIsRejected) {
+  MetricBag bag;
+  bag.Increment("records", 12);
+  bag.SetGauge("peak", 4096);
+  wire::WireWriter w;
+  wire::EncodeMetricBag(bag, w);
+  const std::string bytes = w.Take();
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    SCOPED_TRACE(len);
+    wire::WireReader r(std::string_view(bytes).substr(0, len), "test");
+    auto decoded = wire::DecodeMetricBag(r);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kIOError);
+  }
+}
+
+TEST(WireTest, MetricCountPastTheRemainingBytesIsRejected) {
+  // A count no payload could hold is refused before any metric is
+  // decoded, so it never sizes anything.
+  for (const uint64_t count : {uint64_t{2}, uint64_t{1} << 40, ~uint64_t{0}}) {
+    SCOPED_TRACE(count);
+    std::string bytes = MetricBytes(0);
+    std::memcpy(bytes.data(), &count, sizeof(count));
+    wire::WireReader r(bytes, "test");
+    auto decoded = wire::DecodeMetricBag(r);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kIOError);
+    EXPECT_NE(decoded.status().message().find("metrics announced"),
+              std::string::npos)
+        << decoded.status().ToString();
+  }
 }
 
 TEST(WireTest, ResultFrameRoundTrips) {
@@ -197,7 +261,6 @@ TEST(WireTest, ResultFrameRoundTrips) {
   result.status_code = 5;
   result.message = "it broke";
   result.peak_rss_bytes = 1 << 20;
-  result.counters.Increment("n", 3);
   result.payload = std::string("\x00\x01binary\xff", 9);
   auto decoded = wire::DecodeResultFrame(
       wire::EncodeResultFrameHead(result) + result.payload);
@@ -205,8 +268,42 @@ TEST(WireTest, ResultFrameRoundTrips) {
   EXPECT_EQ(decoded->status_code, result.status_code);
   EXPECT_EQ(decoded->message, result.message);
   EXPECT_EQ(decoded->peak_rss_bytes, result.peak_rss_bytes);
-  EXPECT_EQ(decoded->counters.ToJson(), result.counters.ToJson());
   EXPECT_EQ(decoded->payload, result.payload);
+}
+
+/// A wire-v3 RESULT payload: status, message, peak RSS, then a counter
+/// bag (here empty) in front of the payload length and bytes.
+std::string Version3ResultPayload(const std::string& payload) {
+  wire::WireWriter w;
+  w.PutU32(0);
+  w.PutString("");
+  w.PutI64(1 << 20);
+  w.PutU64(0);  // the v3 counter bag: no metrics
+  w.PutU64(payload.size());
+  return w.Take() + payload;
+}
+
+TEST(WireTest, Version3FrameAndResultPayloadAreRejected) {
+  // A v3 peer's frames fail at the header...
+  std::string stream = wire::EncodeFrame(wire::FrameType::kResult,
+                                         Version3ResultPayload("out"));
+  const uint32_t v3 = 3;
+  std::memcpy(stream.data() + 4, &v3, sizeof(v3));
+  wire::FrameReader reader;
+  reader.Append(stream.data(), stream.size());
+  auto next = reader.Next();
+  ASSERT_FALSE(next.ok());
+  EXPECT_EQ(next.status().code(), StatusCode::kIOError);
+  EXPECT_NE(next.status().message().find("protocol version 3"),
+            std::string::npos)
+      << next.status().ToString();
+  // ...and a v3 RESULT payload, whose counter bag stands where the
+  // payload length now is, fails to decode.
+  for (const std::string payload : {"", "out"}) {
+    auto result = wire::DecodeResultFrame(Version3ResultPayload(payload));
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kIOError);
+  }
 }
 
 TEST(WireTest, FrameWrittenInPartsReadsBackAsOne) {

@@ -67,6 +67,25 @@
 #                                      # records and the file-backed run
 #                                      # that reads no row after the first
 #                                      # core batch, under ASan+UBSan
+#   tools/run_sanitizers.sh codecs-smoke
+#                                      # the word-wise checksum and every
+#                                      # parser it seals (ctest -R
+#                                      # 'HashTest|BinaryIo|Wire'):
+#                                      # container and frame headers,
+#                                      # hostile metric and RESULT bytes,
+#                                      # under ASan+UBSan (CI step
+#                                      # hash-and-codecs)
+#   tools/run_sanitizers.sh em-smoke
+#                                      # the EM and covariance paths
+#                                      # (the CI step em-and-covariance's
+#                                      # -R filter) under ASan+UBSan
+#   tools/run_sanitizers.sh degenerate-smoke
+#                                      # degenerate-input suite (ctest -L
+#                                      # degenerate-smoke): a constant
+#                                      # column, fewer rows than bins, far
+#                                      # more attributes than rows and
+#                                      # NaN/±inf through both pipelines,
+#                                      # under ASan+UBSan
 #
 # The fault-tolerance machinery (task retry, first-error-wins failure
 # slots, exception capture in ParallelFor) is concurrency-heavy; TSan on
@@ -215,12 +234,38 @@ case "${MODE}" in
     run_suite "ASan+UBSan index-smoke" Sanitize build-asan \
       "ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1"
     ;;
+  codecs-smoke)
+    # Mirrors CI's hash-and-codecs step: unaligned word loads and
+    # partial-word tails of data::Hasher, and hostile container, frame,
+    # metric and RESULT bytes.
+    FILTER="HashTest|BinaryIo|Wire"
+    run_suite "ASan+UBSan codecs-smoke" Sanitize build-asan \
+      "ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1"
+    ;;
+  em-smoke)
+    # Mirrors CI's em-and-covariance step: outer products, the packed
+    # covariance payload and its unpack checks, the E step, MVB and
+    # MCD, and the membership record a moment/covariance pair shares.
+    FILTER="CovarianceJob|MomentJob|MembershipRecord|JobUnpack|Gmm|Mvb|Outlier|Robust|Matrix"
+    run_suite "ASan+UBSan em-smoke" Sanitize build-asan \
+      "ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1"
+    ;;
+  degenerate-smoke)
+    # Degenerate data through core::P3CPipeline and mr::P3CMR: empty
+    # histograms, zero-width ranges and singular covariances are where
+    # an unchecked index or division would show.
+    LABEL="degenerate-smoke"
+    run_suite "ASan+UBSan degenerate-smoke" Sanitize build-asan \
+      "ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1"
+    ;;
   all)
     "$0" asan
     "$0" tsan
+    "$0" codecs-smoke
+    "$0" em-smoke
     ;;
   *)
-    echo "usage: $0 [asan|tsan|all|shuffle-smoke|trace-smoke|straggler-smoke|kernel-smoke|checkpoint-smoke|resource-smoke|worker-smoke|sync-smoke|file-input-smoke|index-smoke]" \
+    echo "usage: $0 [asan|tsan|all|shuffle-smoke|trace-smoke|straggler-smoke|kernel-smoke|checkpoint-smoke|resource-smoke|worker-smoke|sync-smoke|file-input-smoke|index-smoke|codecs-smoke|em-smoke|degenerate-smoke]" \
          "[ctest -R filter]" >&2
     exit 2
     ;;
