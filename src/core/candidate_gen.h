@@ -13,12 +13,10 @@
 
 namespace p3c::core {
 
-/// An interned interval: its index in an IntervalTable. IDs follow the
-/// sorted Interval order, so a signature's intervals sorted by ID are
-/// sorted as in Signature, and rows of IDs compare as Signatures do.
-using IntervalId = uint32_t;
-
-/// The distinct intervals of one A-priori run, sorted, each with its ID.
+/// The distinct intervals of one A-priori run, sorted, each with its ID
+/// (an IntervalId). IDs follow the sorted Interval order, so a
+/// signature's intervals sorted by ID are sorted as in Signature, and
+/// rows of IDs compare as Signatures do.
 class IntervalTable {
  public:
   /// Sorts and de-duplicates `intervals`.
@@ -26,6 +24,9 @@ class IntervalTable {
 
   [[nodiscard]] const Interval& interval(IntervalId id) const {
     return intervals_[id];
+  }
+  [[nodiscard]] std::span<const Interval> intervals() const {
+    return intervals_;
   }
   /// Attribute of every ID, indexed by ID.
   [[nodiscard]] std::span<const size_t> attrs() const { return attrs_; }

@@ -52,14 +52,50 @@ void RowWithout(std::span<const IntervalId> row, size_t skip,
   out.erase(out.begin() + static_cast<std::ptrdiff_t>(skip));
 }
 
+/// Rows of one level a pool worker claims at a time when proving.
+constexpr size_t kProveGrain = 512;
+
+/// Whether row r of level p is proven (Definition 5), given its support
+/// and the final provenness and supports of level p - 1.
+bool Proves(const Lattice& lattice, size_t p, size_t r,
+            const IntervalTable& table, uint64_t num_points,
+            const P3CParams& params, double log_alpha) {
+  const Lattice::Level& level = lattice.levels[p];
+  const std::span<const IntervalId> row = level.sigs.row(r);
+  const double observed = static_cast<double>(level.support[r]);
+  for (size_t i = 0; i < p; ++i) {
+    const Interval& interval = table.interval(row[i]);
+    double expected;
+    if (p == 1) {
+      expected = static_cast<double>(num_points) * interval.width();
+    } else {
+      const Lattice::Level& lower = lattice.levels[p - 1];
+      const uint32_t sub_row = level.subs[r * p + i];
+      // Definition 5 recursion: all subsets proven.
+      if (lower.proven[sub_row] == 0) return false;
+      expected =
+          static_cast<double>(lower.support[sub_row]) * interval.width();
+    }
+    if (!stats::PoissonSignificantlyLargerLog(observed, expected,
+                                              log_alpha)) {
+      return false;
+    }
+    if (params.proving == ProvingMode::kPoissonAndEffectSize &&
+        !stats::EffectSizeLargeEnough(observed, expected, params.theta_cc)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Counts every not-yet-counted signature reachable from `batch` by
 /// removing intervals (downward closure), then decides provenness bottom
 /// up. Returns the number of newly proven signatures.
 size_t ProveBatch(const std::vector<IdRows>& batch,
                   const IntervalTable& table, uint64_t num_points,
                   const P3CParams& params,
-                  const SupportCountFn& count_supports, Lattice& lattice,
-                  CoreDetectionStats& stats) {
+                  const IdSupportCountFn& count_supports, ThreadPool* pool,
+                  Lattice& lattice, CoreDetectionStats& stats) {
   size_t max_p = 0;
   for (const IdRows& rows : batch) max_p = std::max(max_p, rows.p);
   lattice.Reserve(max_p);
@@ -77,7 +113,7 @@ size_t ProveBatch(const std::vector<IdRows>& batch,
     uint32_t row;
   };
   std::vector<Ref> to_count;
-  std::vector<Signature> signatures;
+  IntervalRows counted;
   {
     TraceSpan span("core:closure");
     std::vector<Ref> frontier;
@@ -109,15 +145,15 @@ size_t ProveBatch(const std::vector<IdRows>& batch,
       }
       to_count.push_back(s);
     }
-    signatures.reserve(to_count.size());
+    counted.begin.reserve(to_count.size() + 1);
     for (const Ref& s : to_count) {
-      signatures.push_back(
-          table.ToSignature(lattice.levels[s.p].sigs.row(s.row)));
+      counted.Append(lattice.levels[s.p].sigs.row(s.row));
     }
   }
 
   if (!to_count.empty()) {
-    const std::vector<uint64_t> counts = count_supports(signatures);
+    const std::vector<uint64_t> counts =
+        count_supports(table.intervals(), counted);
     for (size_t i = 0; i < to_count.size(); ++i) {
       lattice.levels[to_count[i].p].support[to_count[i].row] = counts[i];
     }
@@ -126,47 +162,26 @@ size_t ProveBatch(const std::vector<IdRows>& batch,
 
   // ---- Provenness, bottom-up by signature size -------------------------
   // A p-signature's subsets are smaller, so they are decided before it:
-  // earlier in this pass or in an earlier batch.
+  // at a lower level of this pass or in an earlier batch. Rows of one
+  // level read only lower levels, so they are decided independently.
   TraceSpan span("core:prove");
   const double log_alpha = std::log(params.alpha_poisson);
   size_t newly_proven = 0;
   for (size_t p = 1; p <= max_p; ++p) {
     Lattice::Level& level = lattice.levels[p];
-    for (size_t r = first_new[p]; r < level.sigs.size(); ++r) {
-      const std::span<const IntervalId> row = level.sigs.row(r);
-      const double observed = static_cast<double>(level.support[r]);
-      bool ok = true;
-      for (size_t i = 0; ok && i < p; ++i) {
-        const Interval& interval = table.interval(row[i]);
-        double expected;
-        if (p == 1) {
-          expected = static_cast<double>(num_points) * interval.width();
-        } else {
-          const Lattice::Level& lower = lattice.levels[p - 1];
-          const uint32_t sub_row = level.subs[r * p + i];
-          if (lower.proven[sub_row] == 0) {
-            ok = false;  // Definition 5 recursion: all subsets proven.
-            break;
-          }
-          expected =
-              static_cast<double>(lower.support[sub_row]) * interval.width();
-        }
-        if (!stats::PoissonSignificantlyLargerLog(observed, expected,
-                                                  log_alpha)) {
-          ok = false;
-          break;
-        }
-        if (params.proving == ProvingMode::kPoissonAndEffectSize &&
-            !stats::EffectSizeLargeEnough(observed, expected,
-                                          params.theta_cc)) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) {
-        level.proven[r] = 1;
-        ++newly_proven;
-      }
+    const size_t first = first_new[p];
+    const size_t count = level.sigs.size() - first;
+    const auto decide = [&](size_t i) {
+      level.proven[first + i] = Proves(lattice, p, first + i, table,
+                                       num_points, params, log_alpha);
+    };
+    if (pool != nullptr && count > kProveGrain) {
+      pool->ParallelFor(count, kProveGrain, decide);
+    } else {
+      for (size_t i = 0; i < count; ++i) decide(i);
+    }
+    for (size_t r = first; r < level.sigs.size(); ++r) {
+      newly_proven += level.proven[r];
     }
   }
   stats.num_proven += newly_proven;
@@ -269,12 +284,33 @@ CoreDetectionResult GenerateClusterCores(
     const std::vector<Interval>& relevant_intervals, uint64_t num_points,
     const P3CParams& params, const SupportCountFn& count_supports,
     ThreadPool* pool) {
+  const IdSupportCountFn count_rows = [&count_supports](
+                                          std::span<const Interval> table,
+                                          const IntervalRows& rows) {
+    std::vector<Signature> signatures;
+    signatures.reserve(rows.size());
+    std::vector<Interval> intervals;
+    for (size_t r = 0; r < rows.size(); ++r) {
+      intervals.clear();
+      for (const IntervalId id : rows.row(r)) intervals.push_back(table[id]);
+      signatures.push_back(Signature::Make(intervals).value());
+    }
+    return count_supports(signatures);
+  };
+  return GenerateClusterCores(relevant_intervals, num_points, params,
+                              count_rows, pool);
+}
+
+CoreDetectionResult GenerateClusterCores(
+    const std::vector<Interval>& relevant_intervals, uint64_t num_points,
+    const P3CParams& params, const IdSupportCountFn& count_supports,
+    ThreadPool* pool) {
   CoreDetectionResult result;
   CoreDetectionStats& stats = result.stats;
   if (relevant_intervals.empty()) return result;
 
-  // The lattice runs on interned intervals; Signatures are built only for
-  // the support counter and the returned cores.
+  // The lattice runs on interned intervals; the support counter takes
+  // them as rows, and Signatures are built only for the returned cores.
   const IntervalTable table(relevant_intervals);
   Lattice lattice;
 
@@ -304,8 +340,8 @@ CoreDetectionResult GenerateClusterCores(
 
     IdRows base;
     if (prove_now && !pending.empty()) {
-      ProveBatch(pending, table, num_points, params, count_supports, lattice,
-                 stats);
+      ProveBatch(pending, table, num_points, params, count_supports, pool,
+                 lattice, stats);
       pending.clear();
       csum = 0;
       // Continue the A-priori expansion from the proven members of the
@@ -332,7 +368,7 @@ CoreDetectionResult GenerateClusterCores(
                         << ")";
       stats.truncated = true;
       if (!pending.empty()) {
-        ProveBatch(pending, table, num_points, params, count_supports,
+        ProveBatch(pending, table, num_points, params, count_supports, pool,
                    lattice, stats);
       }
       break;
@@ -353,7 +389,7 @@ CoreDetectionResult GenerateClusterCores(
     }
     if (current.size() == 0) {
       if (!pending.empty()) {
-        ProveBatch(pending, table, num_points, params, count_supports,
+        ProveBatch(pending, table, num_points, params, count_supports, pool,
                    lattice, stats);
         pending.clear();
       }

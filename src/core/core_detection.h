@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "src/common/threadpool.h"
@@ -51,9 +52,16 @@ struct CoreDetectionResult {
   CoreDetectionStats stats;
 };
 
+/// Backend that counts Supp(S) for a batch given as rows of interval ids
+/// over `table` (the run's IntervalTable); the result is parallel to the
+/// rows. The MapReduce pipeline passes a function that runs the
+/// support-counting job of §5.3 on the rows.
+using IdSupportCountFn = std::function<std::vector<uint64_t>(
+    std::span<const Interval> table, const IntervalRows& rows)>;
+
 /// Backend that counts Supp(S) for a batch of signatures over the data.
-/// The serial pipeline passes an RSSC scan; the MapReduce pipeline passes
-/// a function that runs the support-counting job of §5.3.
+/// The serial pipeline passes an RSSC scan; attribute inspection takes
+/// one too.
 using SupportCountFn =
     std::function<std::vector<uint64_t>(const std::vector<Signature>&)>;
 
@@ -74,10 +82,21 @@ using SupportCountFn =
 /// then one batch proves them all — fewer support jobs at the price of
 /// weaker A-priori pruning.
 ///
+/// A batch's new signatures are decided level by level; the rows of one
+/// level read only lower levels, so with a `pool` a large level is
+/// decided in parallel, with the same result.
+///
 /// After proving, non-maximal signatures are dropped (Definition 5(2):
 /// keep S only if no proven strict superset exists) and, when
 /// params.redundancy_filter is set, redundant signatures are removed per
 /// Eq. 5/6.
+CoreDetectionResult GenerateClusterCores(
+    const std::vector<Interval>& relevant_intervals, uint64_t num_points,
+    const P3CParams& params, const IdSupportCountFn& count_supports,
+    ThreadPool* pool);
+
+/// GenerateClusterCores with a Signature counter: each batch's rows are
+/// turned into Signatures, in row order, for `count_supports`.
 CoreDetectionResult GenerateClusterCores(
     const std::vector<Interval>& relevant_intervals, uint64_t num_points,
     const P3CParams& params, const SupportCountFn& count_supports,

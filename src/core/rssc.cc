@@ -7,6 +7,7 @@
 #include <limits>
 #include <unordered_map>
 
+#include "src/common/string_util.h"
 #include "src/core/kernels/kernels.h"
 
 namespace p3c::core {
@@ -19,7 +20,7 @@ struct IntervalKey {
   size_t slot;
   uint64_t lower;
   uint64_t upper;
-  bool operator==(const IntervalKey&) const = default;
+  auto operator<=>(const IntervalKey&) const = default;
 };
 
 struct IntervalKeyHash {
@@ -61,6 +62,98 @@ IntervalKey KeyOf(size_t slot, const Interval& interval) {
 }
 
 }  // namespace
+
+SignatureRows InternSignatures(const std::vector<Signature>& signatures) {
+  // Distinct intervals first-seen, then ordered by attribute: a
+  // signature's intervals ascend by attribute, so its ids ascend too.
+  std::unordered_map<IntervalKey, uint32_t, IntervalKeyHash> id_by_key;
+  std::vector<Interval> distinct;
+  std::vector<uint32_t> seen;  // first-seen id of every occurrence
+  for (const Signature& sig : signatures) {
+    for (const Interval& interval : sig.intervals()) {
+      const auto [it, added] = id_by_key.try_emplace(
+          KeyOf(interval.attr, interval),
+          static_cast<uint32_t>(distinct.size()));
+      if (added) distinct.push_back(interval);
+      seen.push_back(it->second);
+    }
+  }
+  std::vector<uint32_t> order(distinct.size());
+  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&distinct](uint32_t a, uint32_t b) {
+    return KeyOf(distinct[a].attr, distinct[a]) <
+           KeyOf(distinct[b].attr, distinct[b]);
+  });
+  SignatureRows batch;
+  std::vector<IntervalId> id_of(distinct.size());
+  batch.table.reserve(distinct.size());
+  for (uint32_t k = 0; k < order.size(); ++k) {
+    id_of[order[k]] = k;
+    batch.table.push_back(distinct[order[k]]);
+  }
+  batch.rows.ids.reserve(seen.size());
+  batch.rows.begin.reserve(signatures.size() + 1);
+  size_t next = 0;
+  for (const Signature& sig : signatures) {
+    for (size_t i = 0; i < sig.size(); ++i) {
+      batch.rows.ids.push_back(id_of[seen[next++]]);
+    }
+    batch.rows.begin.push_back(static_cast<uint32_t>(batch.rows.ids.size()));
+  }
+  return batch;
+}
+
+Status CheckIntervalRows(std::span<const Interval> table,
+                         const IntervalRows& rows) {
+  if (rows.begin.empty() || rows.begin.front() != 0 ||
+      rows.begin.back() != rows.ids.size()) {
+    return Status::InvalidArgument(StringPrintf(
+        "interval rows: begin offsets must run from 0 to the %zu ids",
+        rows.ids.size()));
+  }
+  for (size_t r = 1; r < rows.begin.size(); ++r) {
+    if (rows.begin[r] < rows.begin[r - 1]) {
+      return Status::InvalidArgument(StringPrintf(
+          "interval rows: begin offsets decrease at row %zu", r - 1));
+    }
+  }
+  // Each table entry's attribute rank, for a per-row stamp of the
+  // attributes already seen.
+  std::vector<size_t> attrs;
+  attrs.reserve(table.size());
+  for (const Interval& interval : table) attrs.push_back(interval.attr);
+  std::sort(attrs.begin(), attrs.end());
+  attrs.erase(std::unique(attrs.begin(), attrs.end()), attrs.end());
+  std::vector<uint32_t> rank(table.size());
+  for (size_t t = 0; t < table.size(); ++t) {
+    rank[t] = static_cast<uint32_t>(
+        std::lower_bound(attrs.begin(), attrs.end(), table[t].attr) -
+        attrs.begin());
+  }
+  std::vector<size_t> stamp(attrs.size(), 0);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const std::span<const IntervalId> row = rows.row(r);
+    for (size_t i = 0; i < row.size(); ++i) {
+      if (row[i] >= table.size()) {
+        return Status::InvalidArgument(StringPrintf(
+            "interval rows: row %zu names interval %u of a %zu-interval "
+            "table",
+            r, row[i], table.size()));
+      }
+      if (i > 0 && row[i] <= row[i - 1]) {
+        return Status::InvalidArgument(StringPrintf(
+            "interval rows: row %zu is not strictly ascending", r));
+      }
+      if (stamp[rank[row[i]]] == r + 1) {
+        return Status::InvalidArgument(StringPrintf(
+            "interval rows: row %zu has two intervals on attribute %zu", r,
+            table[row[i]].attr));
+      }
+      stamp[rank[row[i]]] = r + 1;
+    }
+  }
+  return Status::OK();
+}
 
 IntervalIndex::IntervalIndex(const std::vector<Interval>& intervals,
                              size_t num_points, size_t split_rows)
@@ -106,13 +199,27 @@ void IntervalIndex::SetRange(size_t i, std::span<const uint64_t> words) {
 
 Rssc::Rssc(const std::vector<Signature>& signatures,
            const std::vector<Interval>& leading)
-    : num_signatures_(signatures.size()) {
-  for (const Interval& interval : leading) attrs_.push_back(interval.attr);
-  for (const Signature& sig : signatures) {
-    for (const Interval& interval : sig.intervals()) {
-      attrs_.push_back(interval.attr);
+    : Rssc(InternSignatures(signatures), leading) {}
+
+Rssc::Rssc(const SignatureRows& batch, std::span<const Interval> leading)
+    : Rssc(batch.table, batch.rows, leading) {}
+
+Rssc::Rssc(std::span<const Interval> table, const IntervalRows& rows,
+           std::span<const Interval> leading)
+    : num_signatures_(rows.size()) {
+  assert(CheckIntervalRows(table, rows).ok());
+  // The table entries the rows use, first-seen.
+  constexpr uint32_t kUnused = UINT32_MAX;
+  std::vector<uint32_t> id_of(table.size(), kUnused);
+  std::vector<IntervalId> used;
+  for (const IntervalId id : rows.ids) {
+    if (id_of[id] == kUnused) {
+      id_of[id] = 0;
+      used.push_back(id);
     }
   }
+  for (const Interval& interval : leading) attrs_.push_back(interval.attr);
+  for (const IntervalId id : used) attrs_.push_back(table[id].attr);
   std::sort(attrs_.begin(), attrs_.end());
   attrs_.erase(std::unique(attrs_.begin(), attrs_.end()), attrs_.end());
 
@@ -131,14 +238,10 @@ Rssc::Rssc(const std::vector<Signature>& signatures,
   };
   for (const Interval& interval : leading) intern(interval);
   assert(intervals_.size() == leading.size());
-  sig_begin_.reserve(signatures.size() + 1);
-  sig_begin_.push_back(0);
-  for (const Signature& sig : signatures) {
-    for (const Interval& interval : sig.intervals()) {
-      sig_intervals_.push_back(intern(interval));
-    }
-    sig_begin_.push_back(static_cast<uint32_t>(sig_intervals_.size()));
-  }
+  for (const IntervalId id : used) id_of[id] = intern(table[id]);
+  sig_begin_ = rows.begin;
+  sig_intervals_.reserve(rows.ids.size());
+  for (const IntervalId id : rows.ids) sig_intervals_.push_back(id_of[id]);
 
   index_charge_.Set(static_cast<int64_t>(
       intervals_.capacity() * sizeof(SlotInterval) +

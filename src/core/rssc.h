@@ -10,6 +10,25 @@
 
 namespace p3c::core {
 
+/// A batch of Signatures as IntervalRows over its own interval table.
+struct SignatureRows {
+  std::vector<Interval> table;
+  IntervalRows rows;
+};
+
+/// Interns `signatures` into rows, one per signature, in order. The table
+/// holds each distinct interval once (distinct attribute or bound bits,
+/// as in the Rssc's interval table), ordered by attribute, so every row
+/// is well-formed.
+SignatureRows InternSignatures(const std::vector<Signature>& signatures);
+
+/// OK iff `rows` is well-formed over `table`: `begin` starts at 0, never
+/// decreases and ends at ids.size(); every id lies below table.size();
+/// every row is strictly ascending and has at most one interval per
+/// attribute. Otherwise InvalidArgument naming the first fault found.
+Status CheckIntervalRows(std::span<const Interval> table,
+                         const IntervalRows& rows);
+
 /// A run's interval row words, computed once (§5.3's distributed cache):
 /// for each of the run's intervals, one word per map range, bit r set iff
 /// row RangeBegin(i) + r satisfies x >= lower && x <= upper, Rssc's
@@ -60,8 +79,9 @@ class IntervalIndex {
 /// signatures contain each of these rows" and "how many rows does each
 /// signature contain", up to 64 consecutive rows at a time.
 ///
-/// Construction interns every distinct interval of the batch into an
-/// interval table; a signature is its list of interval ids. A group of
+/// Construction takes the batch as rows of interval ids and gives each
+/// distinct interval of the batch an id in the Rssc's own interval
+/// table; a signature is its list of those ids. A group of
 /// at most 64 rows is gathered column-wise on the indexed attributes,
 /// and each distinct interval gets one row word: bit r set iff row r's
 /// coordinate x satisfies x >= lower && x <= upper, Interval::Contains's
@@ -81,15 +101,26 @@ class IntervalIndex {
 /// mapper threads — exactly the distributed-cache usage of the paper.
 class Rssc {
  public:
-  /// The interval table starts with `leading` (distinct intervals, such
-  /// as an IntervalIndex's, so interval t is the index's interval t),
-  /// then holds the signatures' other intervals.
+  /// The Rssc of `rows` over `table`, which CheckIntervalRows must
+  /// accept; signature j is row j. The interval table starts with
+  /// `leading` (distinct intervals, such as an IntervalIndex's, so
+  /// interval t is the index's interval t), then holds the rows' other
+  /// intervals, first-seen. Each table entry the rows use is looked up
+  /// once, however many rows hold it.
+  Rssc(std::span<const Interval> table, const IntervalRows& rows,
+       std::span<const Interval> leading = {});
+  /// The Rssc of InternSignatures(signatures): the same interval ids.
   explicit Rssc(const std::vector<Signature>& signatures,
                 const std::vector<Interval>& leading = {});
 
   size_t num_signatures() const { return num_signatures_; }
   /// Distinct intervals of the batch (entries of the interval table).
   size_t num_intervals() const { return intervals_.size(); }
+  /// Interval t of the interval table.
+  Interval interval(size_t t) const {
+    return {attrs_[intervals_[t].slot], intervals_[t].lower,
+            intervals_[t].upper};
+  }
 
   /// Attributes the index constrains (sorted). Points are only examined
   /// on these.
@@ -181,6 +212,8 @@ class Rssc {
   };
 
  private:
+  Rssc(const SignatureRows& batch, std::span<const Interval> leading);
+
   /// One distinct interval, on column `slot` (an index into attrs_).
   struct SlotInterval {
     uint32_t slot;

@@ -2,6 +2,7 @@
 #define P3C_CORE_SIGNATURE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
@@ -66,6 +67,29 @@ class Signature {
 
  private:
   std::vector<Interval> intervals_;  // sorted by attr, unique attrs
+};
+
+/// An interned interval: its index in an interval table.
+using IntervalId = uint32_t;
+
+/// A batch of signatures as rows of interval IDs over an interval table
+/// (CSR): row r is ids[begin[r], begin[r + 1]). A well-formed row is
+/// strictly ascending, with its intervals on distinct attributes
+/// (CheckIntervalRows, rssc.h).
+struct IntervalRows {
+  std::vector<uint32_t> begin = {0};
+  std::vector<IntervalId> ids;
+
+  [[nodiscard]] size_t size() const {
+    return begin.empty() ? 0 : begin.size() - 1;
+  }
+  [[nodiscard]] std::span<const IntervalId> row(size_t r) const {
+    return {ids.data() + begin[r], begin[r + 1] - begin[r]};
+  }
+  void Append(std::span<const IntervalId> row) {
+    ids.insert(ids.end(), row.begin(), row.end());
+    begin.push_back(static_cast<uint32_t>(ids.size()));
+  }
 };
 
 }  // namespace p3c::core

@@ -140,17 +140,18 @@ size_t IndexRange(const core::IntervalIndex& index, RecordRange rows) {
   return i;
 }
 
-/// The Rssc of `signatures` for a job that may read `index`: over the
-/// index's intervals when it holds all of the signatures' (and `index`
+/// The Rssc of `rows` over `table` for a job that may read `index`: over
+/// the index's intervals when it holds all of the rows' (and `index`
 /// stays set), else a plain one (and `index` is cleared).
-core::Rssc MakeRssc(const std::vector<core::Signature>& signatures,
+core::Rssc MakeRssc(std::span<const core::Interval> table,
+                    const core::IntervalRows& rows,
                     const core::IntervalIndex*& index) {
   if (index != nullptr) {
-    core::Rssc indexed(signatures, index->intervals());
+    core::Rssc indexed(table, rows, index->intervals());
     if (indexed.num_intervals() == index->num_intervals()) return indexed;
     index = nullptr;
   }
-  return core::Rssc(signatures);
+  return core::Rssc(table, rows);
 }
 
 // ---------------------------------------------------------------------------
@@ -745,11 +746,12 @@ Result<std::vector<stats::Histogram>> UnpackHistograms(
 
 Result<std::vector<uint64_t>> RunSupportJob(
     LocalRunner& runner, const data::RowInput& input,
-    const std::vector<core::Signature>& signatures,
+    std::span<const core::Interval> table, const core::IntervalRows& rows,
     const core::IntervalIndex* index) {
-  if (signatures.empty()) return std::vector<uint64_t>{};
+  P3C_RETURN_NOT_OK(core::CheckIntervalRows(table, rows));
+  if (rows.size() == 0) return std::vector<uint64_t>{};
   // "Calculated by the main program" and shipped to every mapper.
-  const core::Rssc rssc = MakeRssc(signatures, index);
+  const core::Rssc rssc = MakeRssc(table, rows, index);
   SupportJobConfig config{&input, &rssc, index, 0};
   auto run = runner.Run<int64_t, std::vector<uint64_t>, KeyedCounts>(
       "support-count", input.num_points(),
@@ -757,16 +759,25 @@ Result<std::vector<uint64_t>> RunSupportJob(
       [] { return std::make_unique<CountSumReducer>(); },
       /*num_reducers=*/1);  // the job emits a single key
   if (!run.ok()) return run.status();
-  return UnpackSupports(std::move(*run), signatures.size());
+  return UnpackSupports(std::move(*run), rows.size());
+}
+
+Result<std::vector<uint64_t>> RunSupportJob(
+    LocalRunner& runner, const data::RowInput& input,
+    const std::vector<core::Signature>& signatures,
+    const core::IntervalIndex* index) {
+  const core::SignatureRows batch = core::InternSignatures(signatures);
+  return RunSupportJob(runner, input, batch.table, batch.rows, index);
 }
 
 Result<IndexedSupports> RunIndexingSupportJob(
     LocalRunner& runner, const data::RowInput& input,
-    const std::vector<core::Signature>& signatures,
+    std::span<const core::Interval> table, const core::IntervalRows& rows,
     const std::vector<core::Interval>& intervals) {
+  P3C_RETURN_NOT_OK(core::CheckIntervalRows(table, rows));
   core::IntervalIndex index(intervals, input.num_points(),
                             runner.SplitSize(input.num_points()));
-  const core::Rssc rssc(signatures, index.intervals());
+  const core::Rssc rssc(table, rows, index.intervals());
   SupportJobConfig config{&input, &rssc, nullptr, index.num_intervals()};
   auto run = runner.Run<int64_t, std::vector<uint64_t>, KeyedCounts>(
       "support-count", input.num_points(),
@@ -774,8 +785,7 @@ Result<IndexedSupports> RunIndexingSupportJob(
       [] { return std::make_unique<CountSumReducer>(); },
       /*num_reducers=*/1);  // one reduce task, as in the plain job
   if (!run.ok()) return run.status();
-  auto supports =
-      UnpackIndexingSupports(std::move(*run), signatures.size(), index);
+  auto supports = UnpackIndexingSupports(std::move(*run), rows.size(), index);
   if (!supports.ok()) return supports.status();
   return IndexedSupports{std::move(supports).value(), std::move(index)};
 }
@@ -1248,7 +1258,8 @@ Result<SupportSetJobResult> RunSupportSetJob(
   if (signatures.empty()) {
     return UnpackSupportSets({}, input.num_points(), 0);
   }
-  const core::Rssc rssc = MakeRssc(signatures, index);
+  const core::SignatureRows batch = core::InternSignatures(signatures);
+  const core::Rssc rssc = MakeRssc(batch.table, batch.rows, index);
   SupportSetJobConfig config{&input, &rssc, index};
   auto run = runner.RunMapOnly<data::PointId, std::vector<uint64_t>>(
       "support-sets", input.num_points(),

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -46,10 +47,19 @@ Result<std::vector<stats::Histogram>> RunHistogramJob(
 /// §5.3 support-counting job: the RSSC bit masks are built by the driver
 /// ("calculated by the main program beforehand") and shipped to mappers;
 /// each mapper aggregates split-local support counts, reducers sum.
-/// Result is parallel to `signatures`. When `index` holds every interval
-/// of the signatures, the mappers AND its words and read no rows;
-/// otherwise they scan the rows. The index must have been filled under
-/// `runner`'s split layout (RunIndexingSupportJob).
+/// The batch is `rows` of interval ids over `table`; the result is
+/// parallel to the rows. Rows that core::CheckIntervalRows rejects yield
+/// its InvalidArgument and run no job. When `index` holds every interval
+/// of the rows, the mappers AND its words and read no rows; otherwise
+/// they scan the rows. The index must have been filled under `runner`'s
+/// split layout (RunIndexingSupportJob).
+Result<std::vector<uint64_t>> RunSupportJob(
+    LocalRunner& runner, const data::RowInput& input,
+    std::span<const core::Interval> table, const core::IntervalRows& rows,
+    const core::IntervalIndex* index = nullptr);
+
+/// RunSupportJob on Signatures (core::InternSignatures): the result is
+/// parallel to `signatures`.
 Result<std::vector<uint64_t>> RunSupportJob(
     LocalRunner& runner, const data::RowInput& input,
     const std::vector<core::Signature>& signatures,
@@ -63,14 +73,15 @@ struct IndexedSupports {
 
 /// The support-count job that also fills a run's interval index: its
 /// mappers gather the words of every interval of `intervals` (the run's
-/// relevant intervals) for each map range, count `signatures` from them,
-/// and return each range's words as one record keyed by the range's
-/// first row. The supports travel under key kIndexingSupportsKey. The
-/// records are job output, so the index is the same on every backend and
-/// under retried attempts. `signatures` must not be empty.
+/// relevant intervals) for each map range, count the `rows` over
+/// `table` from them, and return each range's words as one record keyed
+/// by the range's first row. The supports travel under key
+/// kIndexingSupportsKey. The records are job output, so the index is the
+/// same on every backend and under retried attempts. `rows` must not be
+/// empty, and malformed rows are rejected as by RunSupportJob.
 Result<IndexedSupports> RunIndexingSupportJob(
     LocalRunner& runner, const data::RowInput& input,
-    const std::vector<core::Signature>& signatures,
+    std::span<const core::Interval> table, const core::IntervalRows& rows,
     const std::vector<core::Interval>& intervals);
 
 /// The key of the supports record of RunIndexingSupportJob; its range

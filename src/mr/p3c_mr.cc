@@ -361,7 +361,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::RowInput& input) {
       core::FindAllRelevantIntervals(state.histograms, params.alpha_chi2);
 
   // ---- 3. Cluster-core generation with support jobs (§5.3) ----------------
-  // core::SupportCountFn cannot carry a Status, so the counter parks the
+  // A support counter cannot return a Status, so the counter parks the
   // first unrecoverable job failure here and returns zero supports; the
   // driver checks after each counter-driven stage. Zero supports prove
   // nothing, so no wrong cores are derived from a failed job. The
@@ -379,23 +379,24 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::RowInput& input) {
   std::optional<core::IntervalIndex> index;
   bool fill_index = completed < 2 && relevant.size() <= 8 * input.num_dims();
   Status support_job_error;
-  core::SupportCountFn counter =
-      [&](const std::vector<core::Signature>& sigs) {
+  core::IdSupportCountFn count_rows =
+      [&](std::span<const core::Interval> table,
+          const core::IntervalRows& rows) {
         if (options_.cancel.cancelled()) {
           if (support_job_error.ok()) {
             support_job_error =
                 Status::Cancelled("pipeline cancelled during support counting");
           }
-          return std::vector<uint64_t>(sigs.size(), 0);
+          return std::vector<uint64_t>(rows.size(), 0);
         }
         auto supports = RunPipelineJob(
             phases, "support-count", [&]() -> Result<std::vector<uint64_t>> {
-              if (!fill_index || sigs.empty()) {
-                return RunSupportJob(runner, input, sigs,
+              if (!fill_index || rows.size() == 0) {
+                return RunSupportJob(runner, input, table, rows,
                                      index ? &*index : nullptr);
               }
-              auto indexed = RunIndexingSupportJob(runner, input, sigs,
-                                                   relevant);
+              auto indexed = RunIndexingSupportJob(runner, input, table,
+                                                   rows, relevant);
               if (!indexed.ok()) return indexed.status();
               index.emplace(std::move(indexed->index));
               fill_index = false;
@@ -403,7 +404,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::RowInput& input) {
             });
         if (!supports.ok()) {
           if (support_job_error.ok()) support_job_error = supports.status();
-          return std::vector<uint64_t>(sigs.size(), 0);
+          return std::vector<uint64_t>(rows.size(), 0);
         }
         return std::move(supports).value();
       };
@@ -413,7 +414,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::RowInput& input) {
   // state (the A-priori lattice frontier) is not worth persisting.
   if (completed < 2) {
     core::CoreDetectionResult detection = core::GenerateClusterCores(
-        relevant, input.num_points(), params, counter, &runner.pool());
+        relevant, input.num_points(), params, count_rows, &runner.pool());
     if (!support_job_error.ok()) return support_job_error;
     fill_index = false;  // later batches carry newer intervals
     state.core_stats = detection.stats;
@@ -615,8 +616,12 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::RowInput& input) {
         cores[c].signature, member_histograms[c], params.alpha_chi2);
   }
   const std::vector<std::vector<core::Interval>> accepted =
-      core::ProveSuggestedIntervals(cores, suggestions, params,
-                                    counter);
+      core::ProveSuggestedIntervals(
+          cores, suggestions, params,
+          [&](const std::vector<core::Signature>& sigs) {
+            const core::SignatureRows batch = core::InternSignatures(sigs);
+            return count_rows(batch.table, batch.rows);
+          });
   if (!support_job_error.ok()) return support_job_error;
 
   // ---- Interval tightening job (§5.7) --------------------------------------

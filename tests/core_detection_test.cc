@@ -14,6 +14,7 @@
 #include "src/common/random.h"
 #include "src/common/threadpool.h"
 #include "src/core/relevant_intervals.h"
+#include "src/core/rssc.h"
 #include "src/core/support_counter.h"
 #include "src/data/generator.h"
 #include "src/stats/histogram.h"
@@ -428,7 +429,13 @@ struct StressRun {
   size_t num_intervals = 0;
 };
 
-StressRun RunLatticeStress(const P3CParams& params) {
+/// The lattice stress data and its relevant intervals.
+struct StressInput {
+  data::SyntheticData data;
+  std::vector<Interval> intervals;
+};
+
+StressInput MakeStressInput(const P3CParams& params) {
   data::GeneratorConfig config;
   config.num_points = 3000;
   config.num_dims = 10;
@@ -437,8 +444,9 @@ StressRun RunLatticeStress(const P3CParams& params) {
   config.min_cluster_dims = config.num_dims;
   config.max_cluster_dims = config.num_dims;
   config.seed = 17;
-  const data::SyntheticData data = data::GenerateSynthetic(config).value();
-  const data::Dataset& dataset = data.dataset;
+  StressInput input;
+  input.data = data::GenerateSynthetic(config).value();
+  const data::Dataset& dataset = input.data.dataset;
 
   const size_t bins = static_cast<size_t>(
       stats::NumBins(params.binning, dataset.num_points()));
@@ -448,13 +456,18 @@ StressRun RunLatticeStress(const P3CParams& params) {
     const auto row = dataset.Row(static_cast<data::PointId>(i));
     for (size_t j = 0; j < dataset.num_dims(); ++j) hists[j].Add(row[j]);
   }
+  input.intervals = FindAllRelevantIntervals(hists, params.alpha_chi2);
+  return input;
+}
+
+StressRun RunLatticeStress(const P3CParams& params) {
+  const StressInput input = MakeStressInput(params);
+  const data::Dataset& dataset = input.data.dataset;
   StressRun run;
-  const std::vector<Interval> intervals =
-      FindAllRelevantIntervals(hists, params.alpha_chi2);
-  run.num_intervals = intervals.size();
+  run.num_intervals = input.intervals.size();
   ThreadPool pool(2);
   run.result = GenerateClusterCores(
-      intervals, dataset.num_points(), params,
+      input.intervals, dataset.num_points(), params,
       [&](const std::vector<Signature>& sigs) {
         return CountSupports(dataset, sigs, &pool);
       },
@@ -560,6 +573,113 @@ TEST(LatticeStressTest, JoinPairCapTruncatesToPinnedCores) {
             "{a0:[0.866667,1], a2:[0.0666667,0.266667], a9:[0.6,0.933333]} "
             "777\n"
             "{a0:[0.866667,1], a2:[0.533333,0.866667], a9:[0.2,0.4]} 805\n");
+}
+
+// ---- Interval-id counter and the Signature adapter --------------------
+//
+// The same detection through a counter of interval-id rows (an Rssc built
+// from the rows) and through a Signature counter (CountSupports): the
+// cores, the stats and every batch handed to the counter must be equal,
+// serially and with the proving rounds on a pool.
+
+/// One detection run and the batches its counter was handed.
+struct CountedRun {
+  CoreDetectionResult result;
+  std::vector<std::vector<Signature>> batches;
+};
+
+CountedRun RunThroughIds(const StressInput& input, const P3CParams& params,
+                         ThreadPool* pool) {
+  const data::Dataset& dataset = input.data.dataset;
+  CountedRun run;
+  const IdSupportCountFn counter = [&](std::span<const Interval> table,
+                                       const IntervalRows& rows) {
+    std::vector<Signature>& batch = run.batches.emplace_back();
+    for (size_t r = 0; r < rows.size(); ++r) {
+      std::vector<Interval> intervals;
+      for (const IntervalId id : rows.row(r)) intervals.push_back(table[id]);
+      batch.push_back(Signature::Make(std::move(intervals)).value());
+    }
+    const Rssc rssc(table, rows);
+    std::vector<uint64_t> supports(rows.size(), 0);
+    Rssc::Counter count(rssc, supports);
+    count.Add(dataset.values().data(), dataset.num_points(),
+              dataset.num_dims());
+    count.Finish();
+    return supports;
+  };
+  run.result = GenerateClusterCores(input.intervals, dataset.num_points(),
+                                    params, counter, pool);
+  return run;
+}
+
+CountedRun RunThroughSignatures(const StressInput& input,
+                                const P3CParams& params, ThreadPool* pool) {
+  const data::Dataset& dataset = input.data.dataset;
+  CountedRun run;
+  const SupportCountFn counter = [&](const std::vector<Signature>& sigs) {
+    run.batches.push_back(sigs);
+    return CountSupports(dataset, sigs, nullptr);
+  };
+  run.result = GenerateClusterCores(input.intervals, dataset.num_points(),
+                                    params, counter, pool);
+  return run;
+}
+
+void ExpectSameRun(const CountedRun& a, const CountedRun& b,
+                   const std::string& where) {
+  const CoreDetectionStats& s = a.result.stats;
+  const CoreDetectionStats& t = b.result.stats;
+  EXPECT_EQ(s.num_levels, t.num_levels) << where;
+  EXPECT_EQ(s.num_candidates_generated, t.num_candidates_generated) << where;
+  EXPECT_EQ(s.num_signatures_counted, t.num_signatures_counted) << where;
+  EXPECT_EQ(s.num_proven, t.num_proven) << where;
+  EXPECT_EQ(s.num_support_batches, t.num_support_batches) << where;
+  EXPECT_EQ(s.num_maximal, t.num_maximal) << where;
+  EXPECT_EQ(s.truncated, t.truncated) << where;
+  EXPECT_EQ(s.num_after_redundancy, t.num_after_redundancy) << where;
+  ASSERT_EQ(a.result.cores.size(), b.result.cores.size()) << where;
+  for (size_t c = 0; c < a.result.cores.size(); ++c) {
+    EXPECT_EQ(a.result.cores[c].signature, b.result.cores[c].signature)
+        << where;
+    EXPECT_EQ(a.result.cores[c].support, b.result.cores[c].support) << where;
+    EXPECT_EQ(a.result.cores[c].expected_support,
+              b.result.cores[c].expected_support)
+        << where;
+  }
+  EXPECT_EQ(a.batches, b.batches) << where;
+}
+
+TEST(CoreDetectionTest, IdCounterMatchesSignatureAdapter) {
+  const StressInput input = MakeStressInput(P3CParams{});
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (bool multilevel : {false, true}) {
+    P3CParams params;
+    params.multilevel_candidates = multilevel;
+    params.t_c = 300;
+    const CountedRun reference = RunThroughSignatures(input, params, nullptr);
+    // Some batch must hold more new signatures of one size than the
+    // parallel-prove grain (512 rows), so that the pools prove a level
+    // in parallel.
+    size_t widest_level = 0;
+    for (const std::vector<Signature>& batch : reference.batches) {
+      std::vector<size_t> per_size(input.intervals.size() + 1, 0);
+      for (const Signature& sig : batch) {
+        widest_level = std::max(widest_level, ++per_size[sig.size()]);
+      }
+    }
+    EXPECT_GT(widest_level, 512u) << "multilevel=" << multilevel;
+    EXPECT_GT(reference.result.cores.size(), 0u);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+      const std::string where =
+          "multilevel=" + std::to_string(multilevel) + " threads=" +
+          std::to_string(pool == nullptr ? 0 : pool->num_threads());
+      ExpectSameRun(RunThroughIds(input, params, pool), reference, where);
+      ExpectSameRun(RunThroughSignatures(input, params, pool), reference,
+                    where);
+    }
+  }
 }
 
 // ---- Paper shape: Fig. 5 (§7.4.2) -------------------------------------

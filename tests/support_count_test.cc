@@ -5,11 +5,14 @@
 // containment's counts, on every kernel backend, at every signature-count
 // and split shape; the interval index's words must agree with
 // Signature::Contains and give the row scan's supports and support sets;
-// and RunSupportJob must be byte-identical across threads, engine
-// backends, kernel backends and retried attempts.
+// an Rssc built from interval-id rows must equal one built from the same
+// Signatures; RunSupportJob must reject malformed rows and be
+// byte-identical across threads, engine backends, kernel backends and
+// retried attempts.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <csignal>
 #include <cmath>
@@ -19,6 +22,7 @@
 
 #include "src/common/random.h"
 #include "src/common/threadpool.h"
+#include "src/core/candidate_gen.h"
 #include "src/core/kernels/kernels.h"
 #include "src/core/rssc.h"
 #include "src/core/signature.h"
@@ -367,7 +371,9 @@ TEST_P(SupportCountTest, IntervalIndexBitsAgreeWithContains) {
     options.num_threads = 2;
     options.records_per_split = 100;
     mr::LocalRunner runner(options);
-    auto filled = mr::RunIndexingSupportJob(runner, dataset, sigs, intervals);
+    const SignatureRows interned = InternSignatures(sigs);
+    auto filled = mr::RunIndexingSupportJob(runner, dataset, interned.table,
+                                            interned.rows, intervals);
     ASSERT_TRUE(filled.ok()) << filled.status().ToString();
     EXPECT_EQ(filled->supports, CountSupportsNaive(dataset, sigs, nullptr))
         << "n=" << n;
@@ -408,6 +414,156 @@ TEST_P(SupportCountTest, IntervalIndexBitsAgreeWithContains) {
       EXPECT_EQ(from_index->support_sets, from_rows->support_sets);
       EXPECT_EQ(from_index->unique_assignment, from_rows->unique_assignment);
     }
+  }
+}
+
+/// RsscRowsTest runs under every kernel backend too.
+class RsscRowsTest : public SupportCountTest {};
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, RsscRowsTest,
+                         testing::ValuesIn(KernelBackends()),
+                         [](const auto& param_info) { return param_info.param; });
+
+/// The rows of `sigs` over `table`, as core generation hands them to the
+/// support counter.
+IntervalRows RowsOver(const IntervalTable& table,
+                      const std::vector<Signature>& sigs) {
+  IntervalRows rows;
+  std::vector<IntervalId> ids;
+  for (const Signature& sig : sigs) {
+    ids.clear();
+    for (const Interval& interval : sig.intervals()) {
+      ids.push_back(table.Id(interval));
+    }
+    rows.Append(ids);
+  }
+  return rows;
+}
+
+/// Both Rsscs have the same interval table, bound bits included.
+void ExpectSameIntervals(const Rssc& a, const Rssc& b) {
+  ASSERT_EQ(a.num_intervals(), b.num_intervals());
+  for (size_t t = 0; t < a.num_intervals(); ++t) {
+    EXPECT_EQ(a.interval(t).attr, b.interval(t).attr) << t;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.interval(t).lower),
+              std::bit_cast<uint64_t>(b.interval(t).lower))
+        << t;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.interval(t).upper),
+              std::bit_cast<uint64_t>(b.interval(t).upper))
+        << t;
+  }
+}
+
+TEST_P(RsscRowsTest, RowsBuildEqualsSignatureBuild) {
+  // Random batches with a zero-interval row and duplicate rows, over a
+  // table that also holds intervals no row uses, on data with NaN and
+  // +-inf coordinates; with leading intervals (some used by no row) in a
+  // shuffled order, read from gathered rows and from an index.
+  const std::vector<double>& values = HostileValues();
+  constexpr size_t kDims = 6;
+  Rng rng(59);
+  for (size_t n : {size_t{1}, size_t{63}, size_t{64}, size_t{65},
+                   size_t{4097}}) {
+    std::vector<Signature> sigs = GridSignatures(150, kDims, rng);
+    sigs.insert(sigs.begin() + 7, Signature());
+    sigs.push_back(sigs[3]);
+    sigs.push_back(sigs[0]);
+    sigs.push_back(Signature());
+    const std::vector<Interval> unused = {
+        {0, 0.96, 0.99}, {kDims + 1, 0.0, 1.0}, {2, -kInf, kInf}};
+    std::vector<Interval> intervals = unused;
+    for (const Signature& sig : sigs) {
+      for (const Interval& interval : sig.intervals()) {
+        intervals.push_back(interval);
+      }
+    }
+    const IntervalTable table(intervals);
+    const IntervalRows rows = RowsOver(table, sigs);
+    ASSERT_TRUE(CheckIntervalRows(table.intervals(), rows).ok());
+    std::vector<Interval> shuffled(table.intervals().begin(),
+                                   table.intervals().end());
+    rng.Shuffle(shuffled);
+    const std::vector<Interval>& leading = shuffled;
+
+    data::Dataset dataset(n, kDims);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t a = 0; a < kDims; ++a) {
+        dataset.Set(static_cast<data::PointId>(i), a,
+                    rng.UniformInt(3) == 0
+                        ? values[rng.UniformInt(values.size())]
+                        : rng.Uniform());
+      }
+    }
+    const std::vector<uint64_t> naive =
+        CountSupportsNaive(dataset, sigs, nullptr);
+
+    // Gathered rows, without and with leading intervals.
+    for (const std::vector<Interval>* lead : {&unused, &leading}) {
+      const Rssc from_rows(table.intervals(), rows, *lead);
+      const Rssc from_sigs(sigs, *lead);
+      ExpectSameIntervals(from_rows, from_sigs);
+      ASSERT_EQ(from_rows.num_signatures(), sigs.size());
+      // The leading intervals first, then the rows' others first-seen.
+      std::vector<Interval> expected = *lead;
+      for (const Signature& sig : sigs) {
+        for (const Interval& interval : sig.intervals()) {
+          if (std::find(expected.begin(), expected.end(), interval) ==
+              expected.end()) {
+            expected.push_back(interval);
+          }
+        }
+      }
+      ASSERT_EQ(from_rows.num_intervals(), expected.size());
+      for (size_t t = 0; t < expected.size(); ++t) {
+        EXPECT_EQ(from_rows.interval(t), expected[t]) << t;
+      }
+      Rssc::Scratch scratch;
+      std::vector<uint64_t> a(sigs.size());
+      std::vector<uint64_t> b(sigs.size());
+      for (size_t begin = 0; begin < n; begin += 64) {
+        const double* group = dataset.values().data() + begin * kDims;
+        const size_t count = std::min<size_t>(64, n - begin);
+        from_rows.Members(group, count, kDims, scratch, a);
+        from_sigs.Members(group, count, kDims, scratch, b);
+        ASSERT_EQ(a, b) << "n=" << n << " group " << begin;
+      }
+      std::vector<uint64_t> counted(sigs.size(), 0);
+      Rssc::Counter counter(from_rows, counted);
+      counter.Add(dataset.values().data(), n, kDims);
+      counter.Finish();
+      EXPECT_EQ(counted, naive) << "n=" << n;
+    }
+
+    // The index of the shuffled intervals, read instead of the rows.
+    mr::RunnerOptions options;
+    options.num_threads = 2;
+    options.records_per_split = 100;
+    mr::LocalRunner runner(options);
+    auto filled = mr::RunIndexingSupportJob(runner, dataset, table.intervals(),
+                                            rows, leading);
+    ASSERT_TRUE(filled.ok()) << filled.status().ToString();
+    EXPECT_EQ(filled->supports, naive) << "n=" << n;
+    const IntervalIndex& index = filled->index;
+    const Rssc from_rows(table.intervals(), rows, index.intervals());
+    const Rssc from_sigs(sigs, index.intervals());
+    ExpectSameIntervals(from_rows, from_sigs);
+    ASSERT_EQ(from_rows.num_intervals(), index.num_intervals());
+    std::vector<uint64_t> a(sigs.size());
+    std::vector<uint64_t> b(sigs.size());
+    std::vector<uint64_t> from_index(sigs.size(), 0);
+    Rssc::Counter counter(from_rows, index, from_index);
+    for (size_t i = 0; i < index.num_ranges(); ++i) {
+      from_rows.Members(index, i, a);
+      from_sigs.Members(index, i, b);
+      ASSERT_EQ(a, b) << "n=" << n << " range " << i;
+      counter.AddRange(i);
+    }
+    counter.Finish();
+    EXPECT_EQ(from_index, naive) << "n=" << n;
+    auto counted =
+        mr::RunSupportJob(runner, dataset, table.intervals(), rows, &index);
+    ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+    EXPECT_EQ(*counted, naive) << "n=" << n;
   }
 }
 
@@ -502,6 +658,79 @@ TEST(SupportJobDeterminismTest, ByteIdenticalAcrossThreadsBackendsAndRetries) {
     }
   }
   ASSERT_TRUE(core::kernels::SetBackend("auto").ok());
+}
+
+
+// ---- Malformed interval-id rows -------------------------------------------
+//
+// RunSupportJob and RunIndexingSupportJob check the rows before any
+// table lookup: a malformed batch is InvalidArgument, never a read past
+// the table.
+
+class SupportJobRowsTest : public testing::Test {
+ protected:
+  /// Runs both jobs on `rows` over a three-interval table whose first two
+  /// intervals share attribute 0; both must reject them naming `what`.
+  void ExpectRejected(const core::IntervalRows& rows, const std::string& what) {
+    LocalRunner runner(RunnerOptions{});
+    const auto plain = RunSupportJob(runner, dataset_, table_, rows);
+    ASSERT_FALSE(plain.ok());
+    EXPECT_EQ(plain.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(plain.status().message().find(what), std::string::npos)
+        << plain.status().ToString();
+    const auto indexing =
+        RunIndexingSupportJob(runner, dataset_, table_, rows, table_);
+    ASSERT_FALSE(indexing.ok());
+    EXPECT_EQ(indexing.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(indexing.status().message().find(what), std::string::npos)
+        << indexing.status().ToString();
+  }
+
+  /// Rows built from `begin` and `ids` as given.
+  static core::IntervalRows Rows(std::vector<uint32_t> begin,
+                                 std::vector<core::IntervalId> ids) {
+    core::IntervalRows rows;
+    rows.begin = std::move(begin);
+    rows.ids = std::move(ids);
+    return rows;
+  }
+
+  data::Dataset dataset_{10, 2};
+  std::vector<core::Interval> table_ = {
+      {0, 0.0, 0.5}, {0, 0.5, 1.0}, {1, 0.0, 1.0}};
+};
+
+TEST_F(SupportJobRowsTest, WellFormedRowsAreCounted) {
+  LocalRunner runner(RunnerOptions{});
+  const auto counted = RunSupportJob(runner, dataset_, table_,
+                                     Rows({0, 2, 2, 3}, {0, 2, 1}));
+  ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+  EXPECT_EQ(*counted, (std::vector<uint64_t>{10, 10, 0}));
+}
+
+TEST_F(SupportJobRowsTest, IdPastTheTableIsRejected) {
+  ExpectRejected(Rows({0, 2}, {0, 3}), "row 0 names interval 3");
+  ExpectRejected(Rows({0, 1, 2}, {2, UINT32_MAX}), "row 1 names interval");
+}
+
+TEST_F(SupportJobRowsTest, RowNotStrictlyAscendingIsRejected) {
+  ExpectRejected(Rows({0, 1, 3}, {0, 2, 0}), "row 1 is not strictly ascending");
+  ExpectRejected(Rows({0, 2}, {2, 2}), "row 0 is not strictly ascending");
+}
+
+TEST_F(SupportJobRowsTest, TwoIntervalsOnOneAttributeAreRejected) {
+  ExpectRejected(Rows({0, 1, 3}, {2, 0, 1}),
+                 "row 1 has two intervals on attribute 0");
+}
+
+TEST_F(SupportJobRowsTest, BadBeginOffsetsAreRejected) {
+  // Decreasing, ending short of or past the ids, not starting at 0, or
+  // no offsets at all.
+  ExpectRejected(Rows({0, 2, 1, 3}, {0, 2, 1}), "decrease at row 1");
+  ExpectRejected(Rows({0, 1, 2}, {0, 2, 1}), "begin offsets must run");
+  ExpectRejected(Rows({0, 1, 4}, {0, 2, 1}), "begin offsets must run");
+  ExpectRejected(Rows({1, 3}, {0, 2, 1}), "begin offsets must run");
+  ExpectRejected(Rows({}, {}), "begin offsets must run");
 }
 
 }  // namespace

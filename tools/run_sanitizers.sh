@@ -62,11 +62,14 @@
 #                                      # processes, which TSan forbids)
 #   tools/run_sanitizers.sh index-smoke
 #                                      # interval-index tests (ctest -R
-#                                      # IntervalIndex): the index words on
+#                                      # IntervalIndex and the id-row
+#                                      # tests): the index words on
 #                                      # hostile values, its hostile unpack
-#                                      # records and the file-backed run
+#                                      # records, the file-backed run
 #                                      # that reads no row after the first
-#                                      # core batch, under ASan+UBSan
+#                                      # core batch, the Rssc from id rows,
+#                                      # malformed rows and the id counter,
+#                                      # under ASan+UBSan
 #   tools/run_sanitizers.sh codecs-smoke
 #                                      # the word-wise checksum and every
 #                                      # parser it seals (ctest -R
@@ -228,9 +231,13 @@ case "${MODE}" in
   index-smoke)
     # The run's interval index: its words are compared bit by bit with
     # Signature::Contains, its unpack step reads hostile records, and
-    # mappers read its words at computed offsets instead of rows.
-    # ASan/UBSan police those offsets and the record checks.
-    FILTER="IntervalIndex"
+    # mappers read its words at computed offsets instead of rows. The
+    # batches reach the job as interval-id rows: an Rssc built from
+    # rows must equal one built from Signatures, malformed rows must be
+    # rejected before any table lookup, and core generation through the
+    # id counter must equal the Signature adapter's. ASan/UBSan police
+    # those offsets, table lookups and the record checks.
+    FILTER="IntervalIndex|RsscRows|SupportJobRows|IdCounterMatchesSignatureAdapter"
     run_suite "ASan+UBSan index-smoke" Sanitize build-asan \
       "ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1"
     ;;
