@@ -63,10 +63,11 @@ void Tracer::RecordBegin(std::string name, std::string args_json,
   Append(std::move(event), lane_override);
 }
 
-void Tracer::RecordEnd(uint32_t lane_override) {
+void Tracer::RecordEnd(uint32_t lane_override, std::string args_json) {
   if (!enabled()) return;
   TraceEvent event;
   event.phase = 'E';
+  event.args_json = std::move(args_json);
   Append(std::move(event), lane_override);
 }
 

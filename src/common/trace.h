@@ -89,10 +89,11 @@ class Tracer {
 
   /// Raw event recording; prefer TraceSpan for durations. All of these
   /// are no-ops while disabled. `lane_override` 0 means the calling
-  /// thread's lane.
+  /// thread's lane. Args on an E event are merged into its span's args
+  /// by trace viewers.
   void RecordBegin(std::string name, std::string args_json = "",
                    uint32_t lane_override = 0);
-  void RecordEnd(uint32_t lane_override = 0);
+  void RecordEnd(uint32_t lane_override = 0, std::string args_json = "");
   void RecordInstant(std::string name, std::string args_json = "",
                      uint32_t lane_override = 0);
   void RecordFlowStart(uint64_t flow_id, std::string name,
@@ -170,8 +171,12 @@ class TraceSpan {
   }
 
   ~TraceSpan() {
-    if (active_) Tracer::Global().RecordEnd(lane_);
+    if (active_) Tracer::Global().RecordEnd(lane_, std::move(end_args_));
   }
+
+  /// Args known only when the span's work is done, recorded on its E
+  /// event. Callers build them only while active().
+  void SetEndArgs(std::string args_json) { end_args_ = std::move(args_json); }
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
@@ -181,6 +186,7 @@ class TraceSpan {
  private:
   uint32_t lane_;
   bool active_;
+  std::string end_args_;
 };
 
 }  // namespace p3c

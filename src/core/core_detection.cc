@@ -7,6 +7,7 @@
 #include <span>
 
 #include "src/common/logging.h"
+#include "src/common/string_util.h"
 #include "src/common/trace.h"
 #include "src/core/candidate_gen.h"
 #include "src/stats/effect_size.h"
@@ -88,9 +89,10 @@ bool Proves(const Lattice& lattice, size_t p, size_t r,
   return true;
 }
 
-/// Counts every not-yet-counted signature reachable from `batch` by
-/// removing intervals (downward closure), then decides provenness bottom
-/// up. Returns the number of newly proven signatures.
+/// Adds every signature reachable from `batch` by removing intervals
+/// (downward closure) to the lattice, counts the new ones that can still
+/// be proven, then decides provenness bottom up. Returns the number of
+/// newly proven signatures.
 size_t ProveBatch(const std::vector<IdRows>& batch,
                   const IntervalTable& table, uint64_t num_points,
                   const P3CParams& params,
@@ -114,6 +116,9 @@ size_t ProveBatch(const std::vector<IdRows>& batch,
   };
   std::vector<Ref> to_count;
   IntervalRows counted;
+  // pruned[p][r - first_new[p]]: new row r of level p has a sub-row that
+  // is not proven, so Definition 5 cannot prove it whatever its support.
+  std::vector<std::vector<char>> pruned(max_p + 1);
   {
     TraceSpan span("core:closure");
     std::vector<Ref> frontier;
@@ -145,9 +150,42 @@ size_t ProveBatch(const std::vector<IdRows>& batch,
       }
       to_count.push_back(s);
     }
+
+    // A-priori prune, bottom up: a sub-row is dead if an earlier batch
+    // left it unproven or it was pruned at the level below. Its own
+    // sub-rows stay in the closure and are counted unless pruned, since a
+    // proper subset of a pruned row may still be a maximal core.
+    size_t num_pruned = 0;
+    for (size_t p = 1; p <= max_p; ++p) {
+      const Lattice::Level& level = lattice.levels[p];
+      pruned[p].assign(level.sigs.size() - first_new[p], 0);
+      if (p == 1) continue;
+      const Lattice::Level& lower = lattice.levels[p - 1];
+      const size_t lower_first = first_new[p - 1];
+      for (size_t r = first_new[p]; r < level.sigs.size(); ++r) {
+        for (size_t i = 0; i < p; ++i) {
+          const uint32_t sub_row = level.subs[r * p + i];
+          const bool dead = sub_row < lower_first
+                                ? lower.proven[sub_row] == 0
+                                : pruned[p - 1][sub_row - lower_first] != 0;
+          if (dead) {
+            pruned[p][r - first_new[p]] = 1;
+            ++num_pruned;
+            break;
+          }
+        }
+      }
+    }
+    std::erase_if(to_count, [&](const Ref& s) {
+      return pruned[s.p][s.row - first_new[s.p]] != 0;
+    });
     counted.begin.reserve(to_count.size() + 1);
     for (const Ref& s : to_count) {
       counted.Append(lattice.levels[s.p].sigs.row(s.row));
+    }
+    if (span.active()) {
+      span.SetEndArgs(StringPrintf("{\"counted\": %zu, \"pruned\": %zu}",
+                                   to_count.size(), num_pruned));
     }
   }
 
@@ -164,6 +202,7 @@ size_t ProveBatch(const std::vector<IdRows>& batch,
   // A p-signature's subsets are smaller, so they are decided before it:
   // at a lower level of this pass or in an earlier batch. Rows of one
   // level read only lower levels, so they are decided independently.
+  // Pruned rows are not proven and were not counted.
   TraceSpan span("core:prove");
   const double log_alpha = std::log(params.alpha_poisson);
   size_t newly_proven = 0;
@@ -172,8 +211,9 @@ size_t ProveBatch(const std::vector<IdRows>& batch,
     const size_t first = first_new[p];
     const size_t count = level.sigs.size() - first;
     const auto decide = [&](size_t i) {
-      level.proven[first + i] = Proves(lattice, p, first + i, table,
-                                       num_points, params, log_alpha);
+      level.proven[first + i] =
+          pruned[p][i] == 0 && Proves(lattice, p, first + i, table,
+                                      num_points, params, log_alpha);
     };
     if (pool != nullptr && count > kProveGrain) {
       pool->ParallelFor(count, kProveGrain, decide);

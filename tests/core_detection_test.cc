@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 #include <string>
 
@@ -17,7 +18,9 @@
 #include "src/core/rssc.h"
 #include "src/core/support_counter.h"
 #include "src/data/generator.h"
+#include "src/stats/effect_size.h"
 #include "src/stats/histogram.h"
+#include "src/stats/poisson.h"
 
 namespace p3c::core {
 namespace {
@@ -367,6 +370,195 @@ TEST(CoreDetectionTest, SameAttrOtherBoundsIsNoSuperset) {
             Signature::Make({a0_other, a1, a2}).value());
 }
 
+// ---- Oracle: the proven set against Definition 5 ---------------------
+//
+// Brute force on small inputs: every signature the relevant intervals
+// form (distinct attributes) is counted by CountSupportsNaive and proven
+// by Definition 5 directly, smaller signatures first. GenerateClusterCores
+// must prove as many signatures and return the same maximal cores with
+// the same supports, however its batches are cut and pruned. Both proven
+// sets are downward closed, so equal maximal cores mean equal proven
+// sets; the count checks that again.
+
+struct Definition5 {
+  size_t num_proven = 0;
+  std::vector<ClusterCore> maximal;  // sorted by signature
+};
+
+Definition5 ProveByDefinition5(const data::Dataset& dataset,
+                               const std::vector<Interval>& intervals,
+                               const P3CParams& params) {
+  std::vector<Signature> all;
+  for (uint32_t mask = 1; mask < (1u << intervals.size()); ++mask) {
+    std::vector<Interval> members;
+    std::set<size_t> attrs;
+    for (size_t k = 0; k < intervals.size(); ++k) {
+      if ((mask >> k) & 1u) {
+        members.push_back(intervals[k]);
+        attrs.insert(intervals[k].attr);
+      }
+    }
+    if (attrs.size() == members.size()) {
+      all.push_back(Signature::Make(std::move(members)).value());
+    }
+  }
+  std::stable_sort(all.begin(), all.end(),
+                   [](const Signature& a, const Signature& b) {
+                     return a.size() < b.size();
+                   });
+  const std::vector<uint64_t> counts =
+      CountSupportsNaive(dataset, all, nullptr);
+  std::map<Signature, uint64_t> support;
+  for (size_t i = 0; i < all.size(); ++i) support[all[i]] = counts[i];
+
+  const double n = static_cast<double>(dataset.num_points());
+  const double log_alpha = std::log(params.alpha_poisson);
+  std::set<Signature> proven;
+  for (const Signature& s : all) {
+    const double observed = static_cast<double>(support[s]);
+    bool ok = true;
+    for (size_t i = 0; i < s.size() && ok; ++i) {
+      const Interval& interval = s.intervals()[i];
+      double expected = n * interval.width();
+      if (s.size() > 1) {
+        std::vector<Interval> rest = s.intervals();
+        rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(i));
+        const Signature sub = Signature::Make(std::move(rest)).value();
+        ok = proven.count(sub) != 0;
+        expected = static_cast<double>(support[sub]) * interval.width();
+      }
+      ok = ok &&
+           stats::PoissonSignificantlyLargerLog(observed, expected,
+                                                log_alpha) &&
+           (params.proving != ProvingMode::kPoissonAndEffectSize ||
+            stats::EffectSizeLargeEnough(observed, expected,
+                                         params.theta_cc));
+    }
+    if (ok) proven.insert(s);
+  }
+
+  Definition5 oracle;
+  oracle.num_proven = proven.size();
+  for (const Signature& s : proven) {
+    bool maximal = true;
+    for (const Signature& t : proven) {
+      if (t.size() > s.size() && IsSubset(s, t)) maximal = false;
+    }
+    if (!maximal) continue;
+    ClusterCore core;
+    core.signature = s;
+    core.support = support[s];
+    oracle.maximal.push_back(std::move(core));
+  }
+  return oracle;
+}
+
+void ExpectMatchesDefinition5(const CoreDetectionResult& result,
+                              const Definition5& oracle,
+                              const std::string& where) {
+  EXPECT_FALSE(result.stats.truncated) << where;
+  EXPECT_EQ(result.stats.num_proven, oracle.num_proven) << where;
+  ASSERT_EQ(result.cores.size(), oracle.maximal.size()) << where;
+  for (size_t c = 0; c < result.cores.size(); ++c) {
+    EXPECT_EQ(result.cores[c].signature, oracle.maximal[c].signature)
+        << where;
+    EXPECT_EQ(result.cores[c].support, oracle.maximal[c].support) << where;
+  }
+}
+
+TEST(CoreDetectionOracleTest, ProvenSetMatchesDefinition5) {
+  ThreadPool four(4);
+  const auto counter = [](const data::Dataset& dataset) -> SupportCountFn {
+    return [&dataset](const std::vector<Signature>& sigs) {
+      return CountSupportsNaive(dataset, sigs, nullptr);
+    };
+  };
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    data::GeneratorConfig config;
+    config.num_points = 2000;
+    config.num_dims = 10;
+    config.num_clusters = 3;
+    config.noise_fraction = 0.15;
+    config.min_cluster_dims = 4;
+    config.max_cluster_dims = 8;
+    config.seed = seed;
+    const data::SyntheticData data = data::GenerateSynthetic(config).value();
+    const data::Dataset& dataset = data.dataset;
+    P3CParams defaults;
+    defaults.redundancy_filter = false;
+    std::vector<stats::Histogram> hists(
+        dataset.num_dims(),
+        stats::Histogram(static_cast<size_t>(
+            stats::NumBins(defaults.binning, dataset.num_points()))));
+    for (size_t i = 0; i < dataset.num_points(); ++i) {
+      const auto row = dataset.Row(static_cast<data::PointId>(i));
+      for (size_t j = 0; j < dataset.num_dims(); ++j) hists[j].Add(row[j]);
+    }
+    const std::vector<Interval> intervals =
+        FindAllRelevantIntervals(hists, defaults.alpha_chi2);
+    ASSERT_LE(intervals.size(), 20u) << "seed " << seed;
+    const Definition5 oracle =
+        ProveByDefinition5(dataset, intervals, defaults);
+    EXPECT_GT(oracle.maximal.size(), 0u) << "seed " << seed;
+
+    // t_c 0 stands for multi-level collection off.
+    for (const size_t t_c : {size_t{0}, size_t{1}, size_t{300},
+                             size_t{30000}}) {
+      P3CParams params = defaults;
+      params.multilevel_candidates = t_c != 0;
+      params.t_c = t_c;
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
+        const std::string where =
+            "seed " + std::to_string(seed) + " t_c " + std::to_string(t_c) +
+            (pool == nullptr ? " serial" : " pool");
+        const CoreDetectionResult result = GenerateClusterCores(
+            intervals, dataset.num_points(), params, counter(dataset), pool);
+        ExpectMatchesDefinition5(result, oracle, where);
+      }
+    }
+  }
+
+  // A batch pruned whole: {a, b} and {a, c} are proven and join into
+  // {a, b, c}, whose sub-row {b, c} the level-2 batch left unproven. The
+  // third batch has nothing to count and proves nothing.
+  const Interval a = I(0, 0.0, 0.1);
+  const Interval b = I(1, 0.0, 0.1);
+  const Interval c = I(2, 0.0, 0.1);
+  Rng rng(5);
+  data::Dataset dataset(1000, 3);
+  for (size_t i = 0; i < dataset.num_points(); ++i) {
+    const auto id = static_cast<data::PointId>(i);
+    // 200 points in {a, b}, 200 in {a, c}, the rest outside a, b and c.
+    for (size_t j = 0; j < 3; ++j) {
+      dataset.Set(id, j, 0.2 + 0.8 * rng.Uniform());
+    }
+    if (i < 400) {
+      dataset.Set(id, 0, 0.1 * rng.Uniform());
+      dataset.Set(id, i < 200 ? 1 : 2, 0.1 * rng.Uniform());
+    }
+  }
+  P3CParams params;
+  params.redundancy_filter = false;
+  const Definition5 oracle = ProveByDefinition5(dataset, {a, b, c}, params);
+  ASSERT_EQ(oracle.maximal.size(), 2u);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
+    const std::string where = pool == nullptr ? "serial" : "pool";
+    size_t calls = 0;
+    const SupportCountFn count_calls =
+        [&](const std::vector<Signature>& sigs) {
+          ++calls;
+          return CountSupportsNaive(dataset, sigs, nullptr);
+        };
+    const CoreDetectionResult result = GenerateClusterCores(
+        {a, b, c}, dataset.num_points(), params, count_calls, pool);
+    ExpectMatchesDefinition5(result, oracle, where);
+    EXPECT_EQ(result.stats.num_support_batches, 3u) << where;
+    EXPECT_EQ(calls, 2u) << where;
+    EXPECT_EQ(result.stats.num_signatures_counted, 6u) << where;
+    EXPECT_EQ(result.stats.num_proven, 5u) << where;
+  }
+}
+
 TEST(FilterRedundantTest, EmptyAndSingle) {
   EXPECT_TRUE(FilterRedundant({}).empty());
   ClusterCore core;
@@ -435,10 +627,11 @@ struct StressInput {
   std::vector<Interval> intervals;
 };
 
-StressInput MakeStressInput(const P3CParams& params) {
+/// Clusters that are boxes over all `num_dims` attributes.
+StressInput MakeStressInput(const P3CParams& params, size_t num_dims = 10) {
   data::GeneratorConfig config;
   config.num_points = 3000;
-  config.num_dims = 10;
+  config.num_dims = num_dims;
   config.num_clusters = 3;
   config.noise_fraction = 0.20;
   config.min_cluster_dims = config.num_dims;
@@ -498,7 +691,7 @@ TEST(LatticeStressTest, FullLatticeMatchesPinnedCores) {
   const StressRun run = RunLatticeStress(P3CParams{});
   EXPECT_FALSE(run.result.stats.truncated);
   EXPECT_EQ(Describe(run),
-            "intervals=16 levels=10 generated=2737 counted=2737 proven=1455 "
+            "intervals=16 levels=10 generated=2737 counted=1473 proven=1455 "
             "batches=10 maximal=5 after_redundancy=4 truncated=0\n"
             "{a0:[0.333333,0.533333], a1:[0.533333,0.733333], "
             "a2:[0.533333,0.866667], a3:[0,0.533333], "
@@ -525,7 +718,7 @@ TEST(LatticeStressTest, CandidateCapTruncatesToPinnedCores) {
   const StressRun run = RunLatticeStress(params);
   EXPECT_TRUE(run.result.stats.truncated);
   EXPECT_EQ(Describe(run),
-            "intervals=16 levels=3 generated=985 counted=396 proven=301 "
+            "intervals=16 levels=3 generated=985 counted=319 proven=301 "
             "batches=3 maximal=212 after_redundancy=10 truncated=1\n"
             "{a0:[0.333333,0.533333], a1:[0.533333,0.733333], "
             "a5:[0,0.333333]} 787\n"
@@ -651,7 +844,9 @@ void ExpectSameRun(const CountedRun& a, const CountedRun& b,
 }
 
 TEST(CoreDetectionTest, IdCounterMatchesSignatureAdapter) {
-  const StressInput input = MakeStressInput(P3CParams{});
+  // 12 attributes: on 10, the a-priori prune leaves no batch with a
+  // counted level above the grain.
+  const StressInput input = MakeStressInput(P3CParams{}, 12);
   ThreadPool one(1);
   ThreadPool four(4);
   for (bool multilevel : {false, true}) {
@@ -661,7 +856,9 @@ TEST(CoreDetectionTest, IdCounterMatchesSignatureAdapter) {
     const CountedRun reference = RunThroughSignatures(input, params, nullptr);
     // Some batch must hold more new signatures of one size than the
     // parallel-prove grain (512 rows), so that the pools prove a level
-    // in parallel.
+    // in parallel. A level's counted rows are among its new rows (the
+    // pruned ones are not counted), so a counted level above the grain
+    // is a new level above it.
     size_t widest_level = 0;
     for (const std::vector<Signature>& batch : reference.batches) {
       std::vector<size_t> per_size(input.intervals.size() + 1, 0);

@@ -247,6 +247,8 @@ struct TraceStats {
   std::map<std::string, std::string> lane_names;  // tid -> thread_name
   std::vector<std::pair<char, uint64_t>> flows;   // (phase, id)
   size_t instants = 0;
+  /// "span.key" for every arg an E event adds to its span.
+  std::set<std::string> end_args;
 };
 
 /// Parses `json` as a trace, checks event well-formedness, per-lane B/E
@@ -284,6 +286,11 @@ void ValidateTraceInto(const std::string& json, TraceStats& stats) {
       case 'E':
         ASSERT_FALSE(stacks[lane].empty())
             << "unbalanced E on lane " << lane;
+        if (const JsonValue* args = event.Find("args")) {
+          for (const auto& [key, value] : args->object) {
+            stats.end_args.insert(stacks[lane].back() + "." + key);
+          }
+        }
         stacks[lane].pop_back();
         break;
       case 'i':
@@ -646,6 +653,10 @@ TEST(TracerTest, PipelineTraceCoversEveryRecordedJob) {
        {"core:join", "core:closure", "core:prove", "core:maximal"}) {
     EXPECT_TRUE(stats.begin_names.count(name)) << "no span " << name;
   }
+  // The closure reports what it handed to the support counter and what
+  // the a-priori prune kept from it.
+  EXPECT_TRUE(stats.end_args.count("core:closure.counted"));
+  EXPECT_TRUE(stats.end_args.count("core:closure.pruned"));
 }
 
 TEST(TracerTest, CheckpointedRunTracesTheDatasetFingerprint) {

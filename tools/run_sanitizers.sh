@@ -68,7 +68,8 @@
 #                                      # records, the file-backed run
 #                                      # that reads no row after the first
 #                                      # core batch, the Rssc from id rows,
-#                                      # malformed rows and the id counter,
+#                                      # malformed rows, the id counter and
+#                                      # the Definition 5 oracle,
 #                                      # under ASan+UBSan
 #   tools/run_sanitizers.sh codecs-smoke
 #                                      # the word-wise checksum and every
@@ -235,9 +236,10 @@ case "${MODE}" in
     # batches reach the job as interval-id rows: an Rssc built from
     # rows must equal one built from Signatures, malformed rows must be
     # rejected before any table lookup, and core generation through the
-    # id counter must equal the Signature adapter's. ASan/UBSan police
-    # those offsets, table lookups and the record checks.
-    FILTER="IntervalIndex|RsscRows|SupportJobRows|IdCounterMatchesSignatureAdapter"
+    # id counter must equal the Signature adapter's, and its pruned
+    # batches a brute-force Definition 5. ASan/UBSan police those
+    # offsets, table lookups and the record checks.
+    FILTER="IntervalIndex|RsscRows|SupportJobRows|IdCounterMatchesSignatureAdapter|ProvenSetMatchesDefinition5"
     run_suite "ASan+UBSan index-smoke" Sanitize build-asan \
       "ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1"
     ;;
