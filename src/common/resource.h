@@ -3,8 +3,8 @@
 
 // Resource observability (DESIGN.md §15): scoped memory accounting for
 // the engine's known hot structures, an OS-level RSS probe, and the
-// adapters (ScopedBytes / ArenaCharge / TrackedAllocator) that
-// instrumented call sites use to keep charges balanced.
+// adapters (ScopedBytes / ArenaCharge) that instrumented call sites use
+// to keep charges balanced.
 //
 // The tracker follows the Tracer's cost model: off by default, and when
 // off every instrumented site pays exactly one relaxed atomic load of
@@ -290,52 +290,6 @@ class ArenaCharge {
  private:
   MemScope scope_;
   std::atomic<int64_t> charged_{0};
-};
-
-/// Standard-allocator adapter: containers declared with it charge
-/// their scope on allocate and release on deallocate. Use it where the
-/// container type is local to one translation unit (cross-allocator
-/// moves degrade to copies, so it must not appear on types that move
-/// across the engine's boundaries). Charges are gated on enabled() in
-/// both directions, so Enable must only flip at allocation-quiescent
-/// points (run boundaries — same rule as the tracker itself).
-template <typename T>
-class TrackedAllocator {
- public:
-  using value_type = T;
-
-  TrackedAllocator() noexcept = default;
-  explicit TrackedAllocator(MemScope scope) noexcept : scope_(scope) {}
-  template <typename U>
-  TrackedAllocator(const TrackedAllocator<U>& other) noexcept  // NOLINT
-      : scope_(other.scope()) {}
-
-  T* allocate(size_t n) {
-    const size_t bytes = n * sizeof(T);
-    MemoryTracker::Global().Charge(scope_, static_cast<int64_t>(bytes));
-    return static_cast<T*>(::operator new(bytes));
-  }
-  void deallocate(T* p, size_t n) noexcept {
-    MemoryTracker& tracker = MemoryTracker::Global();
-    if (tracker.enabled()) {
-      tracker.Release(scope_, static_cast<int64_t>(n * sizeof(T)));
-    }
-    ::operator delete(p);
-  }
-
-  [[nodiscard]] MemScope scope() const { return scope_; }
-
-  template <typename U>
-  bool operator==(const TrackedAllocator<U>& other) const {
-    return scope_ == other.scope();
-  }
-  template <typename U>
-  bool operator!=(const TrackedAllocator<U>& other) const {
-    return !(*this == other);
-  }
-
- private:
-  MemScope scope_ = MemScope::kBench;
 };
 
 }  // namespace p3c::resource

@@ -6,29 +6,6 @@
 
 namespace p3c::core {
 
-IntervalTable::IntervalTable(std::vector<Interval> intervals)
-    : intervals_(std::move(intervals)) {
-  std::sort(intervals_.begin(), intervals_.end());
-  intervals_.erase(std::unique(intervals_.begin(), intervals_.end()),
-                   intervals_.end());
-  attrs_.reserve(intervals_.size());
-  for (const Interval& interval : intervals_) attrs_.push_back(interval.attr);
-}
-
-IntervalId IntervalTable::Id(const Interval& interval) const {
-  const auto it =
-      std::lower_bound(intervals_.begin(), intervals_.end(), interval);
-  assert(it != intervals_.end() && *it == interval);
-  return static_cast<IntervalId>(it - intervals_.begin());
-}
-
-Signature IntervalTable::ToSignature(std::span<const IntervalId> row) const {
-  std::vector<Interval> intervals;
-  intervals.reserve(row.size());
-  for (const IntervalId id : row) intervals.push_back(intervals_[id]);
-  return Signature::Make(std::move(intervals)).value();
-}
-
 size_t IdSignatureSet::Slot(std::span<const IntervalId> key) const {
   uint64_t h = 0x9e3779b97f4a7c15ull;
   for (const IntervalId id : key) {
@@ -236,21 +213,11 @@ IdRows GenerateCandidateRows(const IdRows& base,
 std::vector<Signature> GenerateCandidates(const std::vector<Signature>& base,
                                           ThreadPool* pool, size_t t_gen,
                                           CandidateGenStats* stats) {
-  std::vector<Interval> intervals;
-  for (const Signature& s : base) {
-    intervals.insert(intervals.end(), s.intervals().begin(),
-                     s.intervals().end());
-  }
-  const IntervalTable table(std::move(intervals));
+  const IntervalTable table(base);
   IdRows rows;
   rows.p = base.empty() ? 0 : base.front().size();
-  rows.ids.reserve(base.size() * rows.p);
-  for (const Signature& s : base) {
-    assert(s.size() == rows.p);
-    for (const Interval& interval : s.intervals()) {
-      rows.ids.push_back(table.Id(interval));
-    }
-  }
+  rows.ids = std::move(table.Rows(base)->ids);
+  assert(rows.ids.size() == base.size() * rows.p);
   const IdRows joined =
       GenerateCandidateRows(rows, table.attrs(), pool, t_gen, stats);
   std::vector<Signature> out;

@@ -13,33 +13,6 @@
 
 namespace p3c::core {
 
-/// The distinct intervals of one A-priori run, sorted, each with its ID
-/// (an IntervalId). IDs follow the sorted Interval order, so a
-/// signature's intervals sorted by ID are sorted as in Signature, and
-/// rows of IDs compare as Signatures do.
-class IntervalTable {
- public:
-  /// Sorts and de-duplicates `intervals`.
-  explicit IntervalTable(std::vector<Interval> intervals);
-
-  [[nodiscard]] const Interval& interval(IntervalId id) const {
-    return intervals_[id];
-  }
-  [[nodiscard]] std::span<const Interval> intervals() const {
-    return intervals_;
-  }
-  /// Attribute of every ID, indexed by ID.
-  [[nodiscard]] std::span<const size_t> attrs() const { return attrs_; }
-  /// ID of an interval of the table.
-  [[nodiscard]] IntervalId Id(const Interval& interval) const;
-  /// The signature of a sorted ID row.
-  [[nodiscard]] Signature ToSignature(std::span<const IntervalId> row) const;
-
- private:
-  std::vector<Interval> intervals_;
-  std::vector<size_t> attrs_;
-};
-
 /// p-signatures over interned intervals, row-major: row r is the sorted
 /// IDs ids[r * p, (r + 1) * p).
 struct IdRows {
@@ -116,9 +89,9 @@ IdRows GenerateCandidateRows(const IdRows& base,
                              ThreadPool* pool, size_t t_gen,
                              CandidateGenStats* stats = nullptr);
 
-/// GenerateCandidateRows on Signatures: interns the base's intervals,
-/// joins, and returns the candidates in canonical (sorted) order. Every
-/// signature of `base` has the same size.
+/// GenerateCandidateRows on Signatures: takes the base as rows over an
+/// IntervalTable of its intervals, joins, and returns the candidates in
+/// canonical (sorted) order. Every signature of `base` has the same size.
 std::vector<Signature> GenerateCandidates(
     const std::vector<Signature>& base, ThreadPool* pool, size_t t_gen,
     CandidateGenStats* stats = nullptr);

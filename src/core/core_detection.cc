@@ -190,8 +190,7 @@ size_t ProveBatch(const std::vector<IdRows>& batch,
   }
 
   if (!to_count.empty()) {
-    const std::vector<uint64_t> counts =
-        count_supports(table.intervals(), counted);
+    const std::vector<uint64_t> counts = count_supports(table, counted);
     for (size_t i = 0; i < to_count.size(); ++i) {
       lattice.levels[to_count[i].p].support[to_count[i].row] = counts[i];
     }
@@ -325,15 +324,12 @@ CoreDetectionResult GenerateClusterCores(
     const P3CParams& params, const SupportCountFn& count_supports,
     ThreadPool* pool) {
   const IdSupportCountFn count_rows = [&count_supports](
-                                          std::span<const Interval> table,
+                                          const IntervalTable& table,
                                           const IntervalRows& rows) {
     std::vector<Signature> signatures;
     signatures.reserve(rows.size());
-    std::vector<Interval> intervals;
     for (size_t r = 0; r < rows.size(); ++r) {
-      intervals.clear();
-      for (const IntervalId id : rows.row(r)) intervals.push_back(table[id]);
-      signatures.push_back(Signature::Make(intervals).value());
+      signatures.push_back(table.ToSignature(rows.row(r)));
     }
     return count_supports(signatures);
   };
@@ -359,7 +355,7 @@ CoreDetectionResult GenerateClusterCores(
   current.p = 1;
   current.ids.reserve(relevant_intervals.size());
   for (const Interval& interval : relevant_intervals) {
-    current.ids.push_back(table.Id(interval));
+    current.ids.push_back(table.Find(interval));
   }
   std::sort(current.ids.begin(), current.ids.end());
   stats.num_candidates_generated += current.size();

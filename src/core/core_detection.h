@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "src/common/threadpool.h"
@@ -57,7 +56,7 @@ struct CoreDetectionResult {
 /// rows. The MapReduce pipeline passes a function that runs the
 /// support-counting job of §5.3 on the rows.
 using IdSupportCountFn = std::function<std::vector<uint64_t>(
-    std::span<const Interval> table, const IntervalRows& rows)>;
+    const IntervalTable& table, const IntervalRows& rows)>;
 
 /// Backend that counts Supp(S) for a batch of signatures over the data.
 /// The serial pipeline passes an RSSC scan; attribute inspection takes

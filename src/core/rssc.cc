@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cstring>
 #include <limits>
-#include <unordered_map>
 
 #include "src/common/string_util.h"
 #include "src/core/kernels/kernels.h"
@@ -13,24 +12,6 @@
 namespace p3c::core {
 
 namespace {
-
-/// A distinct interval: its attribute slot and the bit patterns of its
-/// bounds.
-struct IntervalKey {
-  size_t slot;
-  uint64_t lower;
-  uint64_t upper;
-  auto operator<=>(const IntervalKey&) const = default;
-};
-
-struct IntervalKeyHash {
-  size_t operator()(const IntervalKey& key) const {
-    uint64_t h = key.slot * 0x9E3779B97F4A7C15ull;
-    h = (h ^ key.lower) * 0xBF58476D1CE4E5B9ull;
-    h = (h ^ key.upper) * 0x94D049BB133111EBull;
-    return static_cast<size_t>(h ^ (h >> 31));
-  }
-};
 
 /// Bit r set iff xs[r] >= lower && xs[r] <= upper, for r < rows <= 64.
 /// The comparisons fill a byte per row; one multiply then gathers 8 flag
@@ -56,54 +37,9 @@ uint64_t AllRows(size_t rows) {
   return rows == 64 ? ~uint64_t{0} : (uint64_t{1} << rows) - 1;
 }
 
-IntervalKey KeyOf(size_t slot, const Interval& interval) {
-  return {slot, std::bit_cast<uint64_t>(interval.lower),
-          std::bit_cast<uint64_t>(interval.upper)};
-}
-
 }  // namespace
 
-SignatureRows InternSignatures(const std::vector<Signature>& signatures) {
-  // Distinct intervals first-seen, then ordered by attribute: a
-  // signature's intervals ascend by attribute, so its ids ascend too.
-  std::unordered_map<IntervalKey, uint32_t, IntervalKeyHash> id_by_key;
-  std::vector<Interval> distinct;
-  std::vector<uint32_t> seen;  // first-seen id of every occurrence
-  for (const Signature& sig : signatures) {
-    for (const Interval& interval : sig.intervals()) {
-      const auto [it, added] = id_by_key.try_emplace(
-          KeyOf(interval.attr, interval),
-          static_cast<uint32_t>(distinct.size()));
-      if (added) distinct.push_back(interval);
-      seen.push_back(it->second);
-    }
-  }
-  std::vector<uint32_t> order(distinct.size());
-  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&distinct](uint32_t a, uint32_t b) {
-    return KeyOf(distinct[a].attr, distinct[a]) <
-           KeyOf(distinct[b].attr, distinct[b]);
-  });
-  SignatureRows batch;
-  std::vector<IntervalId> id_of(distinct.size());
-  batch.table.reserve(distinct.size());
-  for (uint32_t k = 0; k < order.size(); ++k) {
-    id_of[order[k]] = k;
-    batch.table.push_back(distinct[order[k]]);
-  }
-  batch.rows.ids.reserve(seen.size());
-  batch.rows.begin.reserve(signatures.size() + 1);
-  size_t next = 0;
-  for (const Signature& sig : signatures) {
-    for (size_t i = 0; i < sig.size(); ++i) {
-      batch.rows.ids.push_back(id_of[seen[next++]]);
-    }
-    batch.rows.begin.push_back(static_cast<uint32_t>(batch.rows.ids.size()));
-  }
-  return batch;
-}
-
-Status CheckIntervalRows(std::span<const Interval> table,
+Status CheckIntervalRows(const IntervalTable& table,
                          const IntervalRows& rows) {
   if (rows.begin.empty() || rows.begin.front() != 0 ||
       rows.begin.back() != rows.ids.size()) {
@@ -117,20 +53,8 @@ Status CheckIntervalRows(std::span<const Interval> table,
           "interval rows: begin offsets decrease at row %zu", r - 1));
     }
   }
-  // Each table entry's attribute rank, for a per-row stamp of the
-  // attributes already seen.
-  std::vector<size_t> attrs;
-  attrs.reserve(table.size());
-  for (const Interval& interval : table) attrs.push_back(interval.attr);
-  std::sort(attrs.begin(), attrs.end());
-  attrs.erase(std::unique(attrs.begin(), attrs.end()), attrs.end());
-  std::vector<uint32_t> rank(table.size());
-  for (size_t t = 0; t < table.size(); ++t) {
-    rank[t] = static_cast<uint32_t>(
-        std::lower_bound(attrs.begin(), attrs.end(), table[t].attr) -
-        attrs.begin());
-  }
-  std::vector<size_t> stamp(attrs.size(), 0);
+  // Table attributes ascend with the id, so in a strictly ascending row
+  // two intervals on one attribute are neighbours.
   for (size_t r = 0; r < rows.size(); ++r) {
     const std::span<const IntervalId> row = rows.row(r);
     for (size_t i = 0; i < row.size(); ++i) {
@@ -140,37 +64,32 @@ Status CheckIntervalRows(std::span<const Interval> table,
             "table",
             r, row[i], table.size()));
       }
-      if (i > 0 && row[i] <= row[i - 1]) {
+      if (i == 0) continue;
+      if (row[i] <= row[i - 1]) {
         return Status::InvalidArgument(StringPrintf(
             "interval rows: row %zu is not strictly ascending", r));
       }
-      if (stamp[rank[row[i]]] == r + 1) {
+      if (table.attrs()[row[i]] == table.attrs()[row[i - 1]]) {
         return Status::InvalidArgument(StringPrintf(
             "interval rows: row %zu has two intervals on attribute %zu", r,
-            table[row[i]].attr));
+            table.attrs()[row[i]]));
       }
-      stamp[rank[row[i]]] = r + 1;
     }
   }
   return Status::OK();
 }
 
-IntervalIndex::IntervalIndex(const std::vector<Interval>& intervals,
-                             size_t num_points, size_t split_rows)
-    : num_points_(num_points),
+IntervalIndex::IntervalIndex(const IntervalTable& table, size_t num_points,
+                             size_t split_rows)
+    : table_(table),
+      num_points_(num_points),
       split_rows_(std::max<size_t>(1, split_rows)),
       ranges_per_split_((split_rows_ + 63) / 64),
       num_ranges_(num_points / split_rows_ * ranges_per_split_ +
                   (num_points % split_rows_ + 63) / 64) {
-  std::unordered_map<IntervalKey, uint32_t, IntervalKeyHash> seen;
-  for (const Interval& interval : intervals) {
-    if (seen.try_emplace(KeyOf(interval.attr, interval), 0).second) {
-      intervals_.push_back(interval);
-    }
-  }
-  words_.assign(intervals_.size() * num_ranges_, 0);
+  words_.assign(table_.size() * num_ranges_, 0);
   charge_.Set(static_cast<int64_t>(words_.capacity() * sizeof(uint64_t) +
-                                   intervals_.capacity() * sizeof(Interval)));
+                                   table_.size() * sizeof(Interval)));
 }
 
 size_t IntervalIndex::RangeBegin(size_t i) const {
@@ -191,54 +110,37 @@ size_t IntervalIndex::RangeStartingAt(size_t row) const {
 }
 
 void IntervalIndex::SetRange(size_t i, std::span<const uint64_t> words) {
-  assert(i < num_ranges_ && words.size() == intervals_.size());
+  assert(i < num_ranges_ && words.size() == table_.size());
   for (size_t t = 0; t < words.size(); ++t) {
     words_[t * num_ranges_ + i] = words[t];
   }
 }
 
-Rssc::Rssc(const std::vector<Signature>& signatures,
-           const std::vector<Interval>& leading)
-    : Rssc(InternSignatures(signatures), leading) {}
+Rssc::Rssc(const std::vector<Signature>& signatures) {
+  const IntervalTable table(signatures);
+  *this = Rssc(table, *table.Rows(signatures));
+}
 
-Rssc::Rssc(const SignatureRows& batch, std::span<const Interval> leading)
-    : Rssc(batch.table, batch.rows, leading) {}
-
-Rssc::Rssc(std::span<const Interval> table, const IntervalRows& rows,
-           std::span<const Interval> leading)
+Rssc::Rssc(const IntervalTable& table, const IntervalRows& rows,
+           bool whole_table)
     : num_signatures_(rows.size()) {
   assert(CheckIntervalRows(table, rows).ok());
-  // The table entries the rows use, first-seen.
+  // id_of[t]: table entry t's id here, kUnused for an entry not kept.
+  // Entries are kept in table order, so attributes ascend with the id and
+  // a slot, the attribute's rank in attrs_, is gathered in that order.
   constexpr uint32_t kUnused = UINT32_MAX;
-  std::vector<uint32_t> id_of(table.size(), kUnused);
-  std::vector<IntervalId> used;
-  for (const IntervalId id : rows.ids) {
-    if (id_of[id] == kUnused) {
-      id_of[id] = 0;
-      used.push_back(id);
+  std::vector<uint32_t> id_of(table.size(), whole_table ? 0 : kUnused);
+  for (const IntervalId id : rows.ids) id_of[id] = 0;
+  for (size_t t = 0; t < table.size(); ++t) {
+    if (id_of[t] == kUnused) continue;
+    const Interval& interval = table.interval(static_cast<IntervalId>(t));
+    if (attrs_.empty() || attrs_.back() != interval.attr) {
+      attrs_.push_back(interval.attr);
     }
+    id_of[t] = static_cast<uint32_t>(intervals_.size());
+    intervals_.push_back({static_cast<uint32_t>(attrs_.size() - 1),
+                          interval.lower, interval.upper});
   }
-  for (const Interval& interval : leading) attrs_.push_back(interval.attr);
-  for (const IntervalId id : used) attrs_.push_back(table[id].attr);
-  std::sort(attrs_.begin(), attrs_.end());
-  attrs_.erase(std::unique(attrs_.begin(), attrs_.end()), attrs_.end());
-
-  // Interval ids are first-seen, the leading intervals first; a slot is
-  // the attribute's rank in attrs_, so a group is gathered in ascending
-  // attribute order.
-  std::unordered_map<IntervalKey, uint32_t, IntervalKeyHash> id_by_key;
-  auto intern = [&](const Interval& interval) {
-    const auto slot = static_cast<uint32_t>(
-        std::lower_bound(attrs_.begin(), attrs_.end(), interval.attr) -
-        attrs_.begin());
-    auto [it, added] = id_by_key.try_emplace(
-        KeyOf(slot, interval), static_cast<uint32_t>(intervals_.size()));
-    if (added) intervals_.push_back({slot, interval.lower, interval.upper});
-    return it->second;
-  };
-  for (const Interval& interval : leading) intern(interval);
-  assert(intervals_.size() == leading.size());
-  for (const IntervalId id : used) id_of[id] = intern(table[id]);
   sig_begin_ = rows.begin;
   sig_intervals_.reserve(rows.ids.size());
   for (const IntervalId id : rows.ids) sig_intervals_.push_back(id_of[id]);

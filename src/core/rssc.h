@@ -10,44 +10,33 @@
 
 namespace p3c::core {
 
-/// A batch of Signatures as IntervalRows over its own interval table.
-struct SignatureRows {
-  std::vector<Interval> table;
-  IntervalRows rows;
-};
-
-/// Interns `signatures` into rows, one per signature, in order. The table
-/// holds each distinct interval once (distinct attribute or bound bits,
-/// as in the Rssc's interval table), ordered by attribute, so every row
-/// is well-formed.
-SignatureRows InternSignatures(const std::vector<Signature>& signatures);
-
 /// OK iff `rows` is well-formed over `table`: `begin` starts at 0, never
 /// decreases and ends at ids.size(); every id lies below table.size();
 /// every row is strictly ascending and has at most one interval per
 /// attribute. Otherwise InvalidArgument naming the first fault found.
-Status CheckIntervalRows(std::span<const Interval> table,
-                         const IntervalRows& rows);
+Status CheckIntervalRows(const IntervalTable& table, const IntervalRows& rows);
 
 /// A run's interval row words, computed once (§5.3's distributed cache):
-/// for each of the run's intervals, one word per map range, bit r set iff
-/// row RangeBegin(i) + r satisfies x >= lower && x <= upper, Rssc's
-/// predicate. The ranges follow the MR engine's map layout: splits of
-/// `split_rows` rows from row 0, each cut into ranges of at most 64 rows
-/// from its first row, so a map task's ranges are consecutive words.
-/// Words are interval-major: words(t)[i] is interval t on range i.
+/// for each entry of the run's IntervalTable, one word per map range, bit
+/// r set iff row RangeBegin(i) + r satisfies x >= lower && x <= upper,
+/// Rssc's predicate. Interval t of the index is table id t. The ranges
+/// follow the MR engine's map layout: splits of `split_rows` rows from
+/// row 0, each cut into ranges of at most 64 rows from its first row, so
+/// a map task's ranges are consecutive words. Words are interval-major:
+/// words(t)[i] is interval t on range i.
 ///
 /// Holds num_intervals() * num_ranges() words, about T * n / 8 bytes,
 /// charged to MemScope::kRsscIndex.
 class IntervalIndex {
  public:
-  /// An index with every word clear. Intervals with equal bounds on the
-  /// same attribute are kept once, first occurrence first.
-  IntervalIndex(const std::vector<Interval>& intervals, size_t num_points,
+  /// An index over `table` (kept as a copy) with every word clear.
+  IntervalIndex(const IntervalTable& table, size_t num_points,
                 size_t split_rows);
 
-  const std::vector<Interval>& intervals() const { return intervals_; }
-  size_t num_intervals() const { return intervals_.size(); }
+  /// The table whose ids the index's intervals are; a batch reads the
+  /// index only when its rows are over an equal table.
+  const IntervalTable& table() const { return table_; }
+  size_t num_intervals() const { return table_.size(); }
   size_t num_points() const { return num_points_; }
   size_t num_ranges() const { return num_ranges_; }
 
@@ -66,7 +55,7 @@ class IntervalIndex {
   void SetRange(size_t i, std::span<const uint64_t> words);
 
  private:
-  std::vector<Interval> intervals_;
+  IntervalTable table_;
   size_t num_points_;
   size_t split_rows_;
   size_t ranges_per_split_;
@@ -79,11 +68,13 @@ class IntervalIndex {
 /// signatures contain each of these rows" and "how many rows does each
 /// signature contain", up to 64 consecutive rows at a time.
 ///
-/// Construction takes the batch as rows of interval ids and gives each
-/// distinct interval of the batch an id in the Rssc's own interval
-/// table; a signature is its list of those ids. A group of
+/// Construction takes the batch as rows of ids over an IntervalTable; a
+/// signature is its list of interval ids. The Rssc keeps the table
+/// entries it needs, in table order: every entry when it serves an
+/// IntervalIndex over the table (so its interval t is table id t and the
+/// index's interval t), else only the entries the rows use. A group of
 /// at most 64 rows is gathered column-wise on the indexed attributes,
-/// and each distinct interval gets one row word: bit r set iff row r's
+/// and each kept interval gets one row word: bit r set iff row r's
 /// coordinate x satisfies x >= lower && x <= upper, Interval::Contains's
 /// predicate. A coordinate past the row's end reads as NaN, which no
 /// interval contains. A signature's row word is the AND of its interval
@@ -95,28 +86,26 @@ class IntervalIndex {
 ///  - Counter: keeps up to 64 words per interval, then AND-popcounts
 ///    each signature's words into its support.
 /// Both can also read an IntervalIndex's words instead of gathering rows,
-/// through the same AND loops, when the index holds every interval.
+/// through the same AND loops, when the Rssc holds the whole table of
+/// the index.
 ///
 /// The index is immutable after construction and safe to share across
 /// mapper threads — exactly the distributed-cache usage of the paper.
 class Rssc {
  public:
   /// The Rssc of `rows` over `table`, which CheckIntervalRows must
-  /// accept; signature j is row j. The interval table starts with
-  /// `leading` (distinct intervals, such as an IntervalIndex's, so
-  /// interval t is the index's interval t), then holds the rows' other
-  /// intervals, first-seen. Each table entry the rows use is looked up
-  /// once, however many rows hold it.
-  Rssc(std::span<const Interval> table, const IntervalRows& rows,
-       std::span<const Interval> leading = {});
-  /// The Rssc of InternSignatures(signatures): the same interval ids.
-  explicit Rssc(const std::vector<Signature>& signatures,
-                const std::vector<Interval>& leading = {});
+  /// accept; signature j is row j. With `whole_table` it keeps every
+  /// table entry, as reading or filling an IntervalIndex over `table`
+  /// needs; otherwise the entries the rows use.
+  Rssc(const IntervalTable& table, const IntervalRows& rows,
+       bool whole_table = false);
+  /// The Rssc of `signatures` as rows over IntervalTable(signatures).
+  explicit Rssc(const std::vector<Signature>& signatures);
 
   size_t num_signatures() const { return num_signatures_; }
-  /// Distinct intervals of the batch (entries of the interval table).
+  /// Table entries kept.
   size_t num_intervals() const { return intervals_.size(); }
-  /// Interval t of the interval table.
+  /// Kept entry t.
   Interval interval(size_t t) const {
     return {attrs_[intervals_[t].slot], intervals_[t].lower,
             intervals_[t].upper};
@@ -139,9 +128,8 @@ class Rssc {
   void Members(const double* rows, size_t count, size_t dims,
                Scratch& scratch, std::span<uint64_t> words) const;
 
-  /// Members for range i of `index`, read from its words. The index must
-  /// hold the whole interval table: the Rssc was built with the index's
-  /// intervals leading and num_intervals() == index.num_intervals().
+  /// Members for range i of `index`, read from its words. The Rssc must
+  /// hold the whole table of the index (`whole_table`).
   void Members(const IntervalIndex& index, size_t range,
                std::span<uint64_t> words) const;
 
@@ -154,7 +142,7 @@ class Rssc {
 
   /// Adds Supp(signature j) over the rows it is given to supports[j].
   /// Rows are taken up to 64 at a time: each group appends one word per
-  /// distinct interval. Every 64 words, and at Finish, each signature's
+  /// kept interval. Every 64 words, and at Finish, each signature's
   /// interval words are ANDed and popcounted into its count. Counts are
   /// integers, so the result does not depend on how the rows were
   /// grouped. Counts of rows added since the last flush reach `supports`
@@ -165,7 +153,7 @@ class Rssc {
     /// counter.
     Counter(const Rssc& rssc, std::span<uint64_t> supports);
     /// A counter that reads `index`'s words instead of rows (AddRange);
-    /// the index must hold the whole interval table, as for Members.
+    /// the Rssc must hold the whole table of the index, as for Members.
     Counter(const Rssc& rssc, const IntervalIndex& index,
             std::span<uint64_t> supports);
 
@@ -212,16 +200,14 @@ class Rssc {
   };
 
  private:
-  Rssc(const SignatureRows& batch, std::span<const Interval> leading);
-
-  /// One distinct interval, on column `slot` (an index into attrs_).
+  /// One kept interval, on column `slot` (an index into attrs_).
   struct SlotInterval {
     uint32_t slot;
     double lower;
     double upper;
   };
 
-  /// Writes one word per distinct interval for the `count` rows at
+  /// Writes one word per kept interval for the `count` rows at
   /// `rows`, at most 64, to out[t * stride]: bit r set iff row r lies in
   /// interval t. `columns` holds 64 doubles per indexed attribute.
   void IntervalWords(const double* rows, size_t count, size_t dims,

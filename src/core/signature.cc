@@ -1,10 +1,53 @@
 #include "src/core/signature.h"
 
 #include <algorithm>
+#include <array>
+#include <compare>
 
 #include "src/common/string_util.h"
 
 namespace p3c::core {
+
+namespace {
+
+/// IntervalTable's order: (attr, lower, upper) under std::strong_order,
+/// whose equality is equal bits.
+std::strong_ordering Compare(const Interval& a, const Interval& b) {
+  if (const auto c = a.attr <=> b.attr; c != 0) return c;
+  if (const auto c = std::strong_order(a.lower, b.lower); c != 0) return c;
+  return std::strong_order(a.upper, b.upper);
+}
+
+bool Less(const Interval& a, const Interval& b) { return Compare(a, b) < 0; }
+
+bool Same(const Interval& a, const Interval& b) { return Compare(a, b) == 0; }
+
+/// The last interval looked up on each attribute residue mod 64, with
+/// its id. A batch of signatures repeats a few intervals many times, so
+/// most lookups end here instead of in a sort or a binary search.
+class RecentIntervals {
+ public:
+  /// The id recorded for an interval equal to `interval`, or kMissing.
+  IntervalId Find(const Interval& interval) const {
+    const Entry& entry = entries_[interval.attr % entries_.size()];
+    return entry.interval != nullptr && Same(*entry.interval, interval)
+               ? entry.id
+               : IntervalTable::kMissing;
+  }
+  /// Records `interval`, which must outlive this, with `id`.
+  void Set(const Interval& interval, IntervalId id) {
+    entries_[interval.attr % entries_.size()] = {&interval, id};
+  }
+
+ private:
+  struct Entry {
+    const Interval* interval = nullptr;
+    IntervalId id = 0;
+  };
+  std::array<Entry, 64> entries_{};
+};
+
+}  // namespace
 
 Result<Signature> Signature::Make(std::vector<Interval> intervals) {
   std::sort(intervals.begin(), intervals.end());
@@ -76,6 +119,68 @@ std::string Signature::ToString() const {
   }
   out += "}";
   return out;
+}
+
+IntervalTable::IntervalTable(std::vector<Interval> intervals)
+    : intervals_(std::move(intervals)) {
+  std::sort(intervals_.begin(), intervals_.end(), Less);
+  intervals_.erase(std::unique(intervals_.begin(), intervals_.end(), Same),
+                   intervals_.end());
+  attrs_.reserve(intervals_.size());
+  for (const Interval& interval : intervals_) attrs_.push_back(interval.attr);
+}
+
+IntervalTable::IntervalTable(const std::vector<Signature>& signatures)
+    : IntervalTable([&signatures] {
+        // RecentIntervals drops most repeats, the sort the rest.
+        RecentIntervals recent;
+        std::vector<Interval> intervals;
+        for (const Signature& sig : signatures) {
+          for (const Interval& interval : sig.intervals()) {
+            if (recent.Find(interval) != kMissing) continue;
+            recent.Set(interval, 0);
+            intervals.push_back(interval);
+          }
+        }
+        return intervals;
+      }()) {}
+
+IntervalId IntervalTable::Find(const Interval& interval) const {
+  const auto it =
+      std::lower_bound(intervals_.begin(), intervals_.end(), interval, Less);
+  if (it == intervals_.end() || !Same(*it, interval)) return kMissing;
+  return static_cast<IntervalId>(it - intervals_.begin());
+}
+
+std::optional<IntervalRows> IntervalTable::Rows(
+    const std::vector<Signature>& signatures) const {
+  RecentIntervals recent;
+  IntervalRows rows;
+  rows.begin.reserve(signatures.size() + 1);
+  for (const Signature& sig : signatures) {
+    for (const Interval& interval : sig.intervals()) {
+      IntervalId id = recent.Find(interval);
+      if (id == kMissing) {
+        id = Find(interval);
+        if (id == kMissing) return std::nullopt;
+        recent.Set(interval, id);
+      }
+      rows.ids.push_back(id);
+    }
+    rows.begin.push_back(static_cast<uint32_t>(rows.ids.size()));
+  }
+  return rows;
+}
+
+Signature IntervalTable::ToSignature(std::span<const IntervalId> row) const {
+  std::vector<Interval> intervals;
+  intervals.reserve(row.size());
+  for (const IntervalId id : row) intervals.push_back(intervals_[id]);
+  return Signature::Make(std::move(intervals)).value();
+}
+
+bool operator==(const IntervalTable& a, const IntervalTable& b) {
+  return std::ranges::equal(a.intervals_, b.intervals_, Same);
 }
 
 }  // namespace p3c::core

@@ -92,6 +92,49 @@ struct IntervalRows {
   }
 };
 
+/// The distinct intervals of a run, sorted, each with its id: the one id
+/// space that the A-priori lattice, the Rssc, the IntervalIndex and the
+/// support jobs share. Entries are ordered by (attr, lower, upper) under
+/// std::strong_order, a total order also for NaN bounds, and are distinct
+/// bit for bit: -0.0 and +0.0 bounds, or two NaN payloads, make distinct
+/// entries. Ids follow the entries' order, so a signature's intervals
+/// sorted by id are sorted by attribute as in Signature.
+class IntervalTable {
+ public:
+  static constexpr IntervalId kMissing = UINT32_MAX;
+
+  IntervalTable() = default;
+  /// Sorts and de-duplicates `intervals`.
+  explicit IntervalTable(std::vector<Interval> intervals);
+  /// The table of every interval of `signatures`.
+  explicit IntervalTable(const std::vector<Signature>& signatures);
+
+  [[nodiscard]] size_t size() const { return intervals_.size(); }
+  [[nodiscard]] const Interval& interval(IntervalId id) const {
+    return intervals_[id];
+  }
+  [[nodiscard]] std::span<const Interval> intervals() const {
+    return intervals_;
+  }
+  /// Attribute of every id, indexed by id; ascending.
+  [[nodiscard]] std::span<const size_t> attrs() const { return attrs_; }
+  /// Id of `interval`, or kMissing when the table does not hold it.
+  [[nodiscard]] IntervalId Find(const Interval& interval) const;
+  /// `signatures` as well-formed rows, one per signature in order, or
+  /// nullopt when the table misses one of their intervals.
+  [[nodiscard]] std::optional<IntervalRows> Rows(
+      const std::vector<Signature>& signatures) const;
+  /// The signature of a sorted id row.
+  [[nodiscard]] Signature ToSignature(std::span<const IntervalId> row) const;
+
+  /// The same entries bit for bit, so the same ids.
+  friend bool operator==(const IntervalTable& a, const IntervalTable& b);
+
+ private:
+  std::vector<Interval> intervals_;
+  std::vector<size_t> attrs_;
+};
+
 }  // namespace p3c::core
 
 #endif  // P3C_CORE_SIGNATURE_H_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 
 #include "src/common/resource.h"
 
@@ -9,38 +10,48 @@ namespace p3c::core {
 
 namespace {
 
-/// Per-task support counters, charged to the support-partials scope
-/// through the allocator itself — the type is local to this file, so
-/// the cross-allocator-move caveat of TrackedAllocator never applies.
-using TrackedCounts =
-    std::vector<uint64_t, resource::TrackedAllocator<uint64_t>>;
-
-TrackedCounts MakeTrackedCounts(size_t k) {
-  return TrackedCounts(k, 0,
-                       resource::TrackedAllocator<uint64_t>(
-                           resource::MemScope::kSupportPartials));
+size_t NumTasks(size_t n, ThreadPool* pool) {
+  if (pool == nullptr || n == 0) return 1;
+  return std::min(n, pool->num_threads() * 4);
 }
 
-/// Runs `fn(task, begin, end)` over `n` points split into contiguous
-/// ranges, serial when pool is null.
+/// Runs `fn(task, begin, end)` over `n` points split into NumTasks
+/// contiguous ranges, serial when pool is null.
 template <typename Fn>
-size_t ForEachRange(size_t n, ThreadPool* pool, const Fn& fn) {
+void ForEachRange(size_t n, ThreadPool* pool, const Fn& fn) {
   if (pool == nullptr || n == 0) {
     fn(0, 0, n);
-    return 1;
+    return;
   }
-  const size_t num_tasks = std::min(n, pool->num_threads() * 4);
+  const size_t num_tasks = NumTasks(n, pool);
   pool->ParallelFor(num_tasks, [&](size_t task) {
     const size_t begin = n * task / num_tasks;
     const size_t end = n * (task + 1) / num_tasks;
     fn(task, begin, end);
   });
-  return num_tasks;
 }
 
-size_t NumTasks(size_t n, ThreadPool* pool) {
-  if (pool == nullptr || n == 0) return 1;
-  return std::min(n, pool->num_threads() * 4);
+/// Runs `fn(begin, end, counts)` over ForEachRange's ranges of `n`
+/// points, each task adding into its own `k` counters, and returns their
+/// sum. The per-task counters are charged to MemScope::kSupportPartials
+/// for the call.
+template <typename Fn>
+std::vector<uint64_t> SumOverRanges(size_t n, size_t k, ThreadPool* pool,
+                                    const Fn& fn) {
+  const size_t num_tasks = NumTasks(n, pool);
+  const resource::ScopedBytes charge(
+      resource::MemScope::kSupportPartials,
+      static_cast<int64_t>(num_tasks * k * sizeof(uint64_t)));
+  std::vector<std::vector<uint64_t>> partials(num_tasks,
+                                              std::vector<uint64_t>(k, 0));
+  ForEachRange(n, pool, [&](size_t task, size_t begin, size_t end) {
+    fn(begin, end, std::span<uint64_t>(partials[task]));
+  });
+  std::vector<uint64_t> supports(k, 0);
+  for (const auto& local : partials) {
+    for (size_t j = 0; j < k; ++j) supports[j] += local[j];
+  }
+  return supports;
 }
 
 }  // namespace
@@ -51,22 +62,14 @@ std::vector<uint64_t> CountSupports(const data::Dataset& dataset,
   const size_t k = signatures.size();
   if (k == 0) return {};
   const Rssc index(signatures);
-  const size_t n = dataset.num_points();
-
-  const size_t num_tasks = NumTasks(n, pool);
-  std::vector<TrackedCounts> partials(num_tasks, MakeTrackedCounts(k));
-  ForEachRange(n, pool, [&](size_t task, size_t begin, size_t end) {
-    Rssc::Counter counter(index, partials[task]);
-    const size_t d = dataset.num_dims();
-    counter.Add(dataset.values().data() + begin * d, end - begin, d);
-    counter.Finish();
-  });
-
-  std::vector<uint64_t> supports(k, 0);
-  for (const auto& local : partials) {
-    for (size_t j = 0; j < k; ++j) supports[j] += local[j];
-  }
-  return supports;
+  const size_t d = dataset.num_dims();
+  return SumOverRanges(
+      dataset.num_points(), k, pool,
+      [&](size_t begin, size_t end, std::span<uint64_t> counts) {
+        Rssc::Counter counter(index, counts);
+        counter.Add(dataset.values().data() + begin * d, end - begin, d);
+        counter.Finish();
+      });
 }
 
 std::vector<uint64_t> CountSupportsNaive(
@@ -74,23 +77,16 @@ std::vector<uint64_t> CountSupportsNaive(
     ThreadPool* pool) {
   const size_t k = signatures.size();
   if (k == 0) return {};
-  const size_t n = dataset.num_points();
-  const size_t num_tasks = NumTasks(n, pool);
-  std::vector<TrackedCounts> partials(num_tasks, MakeTrackedCounts(k));
-  ForEachRange(n, pool, [&](size_t task, size_t begin, size_t end) {
-    auto& local = partials[task];
-    for (size_t i = begin; i < end; ++i) {
-      const auto row = dataset.Row(static_cast<data::PointId>(i));
-      for (size_t j = 0; j < k; ++j) {
-        if (signatures[j].Contains(row)) ++local[j];
-      }
-    }
-  });
-  std::vector<uint64_t> supports(k, 0);
-  for (const auto& local : partials) {
-    for (size_t j = 0; j < k; ++j) supports[j] += local[j];
-  }
-  return supports;
+  return SumOverRanges(
+      dataset.num_points(), k, pool,
+      [&](size_t begin, size_t end, std::span<uint64_t> counts) {
+        for (size_t i = begin; i < end; ++i) {
+          const auto row = dataset.Row(static_cast<data::PointId>(i));
+          for (size_t j = 0; j < k; ++j) {
+            if (signatures[j].Contains(row)) ++counts[j];
+          }
+        }
+      });
 }
 
 std::vector<std::vector<data::PointId>> ComputeSupportSets(

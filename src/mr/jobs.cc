@@ -140,18 +140,11 @@ size_t IndexRange(const core::IntervalIndex& index, RecordRange rows) {
   return i;
 }
 
-/// The Rssc of `rows` over `table` for a job that may read `index`: over
-/// the index's intervals when it holds all of the rows' (and `index`
-/// stays set), else a plain one (and `index` is cleared).
-core::Rssc MakeRssc(std::span<const core::Interval> table,
-                    const core::IntervalRows& rows,
-                    const core::IntervalIndex*& index) {
-  if (index != nullptr) {
-    core::Rssc indexed(table, rows, index->intervals());
-    if (indexed.num_intervals() == index->num_intervals()) return indexed;
-    index = nullptr;
-  }
-  return core::Rssc(table, rows);
+/// `index` when its table equals `table`, so that a batch over `table`
+/// may read it; else null.
+const core::IntervalIndex* IndexOver(const core::IntervalTable& table,
+                                     const core::IntervalIndex* index) {
+  return index != nullptr && index->table() == table ? index : nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -218,9 +211,9 @@ struct SupportJobConfig {
   const core::Rssc* rssc;  // "distributed cache" payload
   /// Read instead of the rows when set.
   const core::IntervalIndex* index;
-  /// When nonzero, the job fills an index of the Rssc's first
-  /// `index_intervals` intervals: one record per map range.
-  size_t index_intervals;
+  /// Whether the job fills an index of the Rssc's intervals (its whole
+  /// table): one record per map range.
+  bool fill_index;
 };
 
 class SupportMapper : public Mapper<int64_t, std::vector<uint64_t>> {
@@ -242,8 +235,8 @@ class SupportMapper : public Mapper<int64_t, std::vector<uint64_t>> {
       return;
     }
     counter_.Add(rows_.Read(rows), rows.size(), rows_.dims());
-    if (config_->index_intervals > 0) {
-      std::vector<uint64_t> words(config_->index_intervals);
+    if (config_->fill_index) {
+      std::vector<uint64_t> words(config_->rssc->num_intervals());
       counter_.LastGroupWords(words);
       out.Emit(static_cast<int64_t>(rows.begin), std::move(words));
     }
@@ -255,7 +248,7 @@ class SupportMapper : public Mapper<int64_t, std::vector<uint64_t>> {
     out.counters().Increment("support/points", points_);
     out.counters().SetGauge("support/candidates",
                             static_cast<double>(supports_.size()));
-    out.Emit(config_->index_intervals > 0 ? kIndexingSupportsKey : 0,
+    out.Emit(config_->fill_index ? kIndexingSupportsKey : 0,
              std::move(supports_));
   }
 
@@ -746,13 +739,14 @@ Result<std::vector<stats::Histogram>> UnpackHistograms(
 
 Result<std::vector<uint64_t>> RunSupportJob(
     LocalRunner& runner, const data::RowInput& input,
-    std::span<const core::Interval> table, const core::IntervalRows& rows,
+    const core::IntervalTable& table, const core::IntervalRows& rows,
     const core::IntervalIndex* index) {
   P3C_RETURN_NOT_OK(core::CheckIntervalRows(table, rows));
   if (rows.size() == 0) return std::vector<uint64_t>{};
+  index = IndexOver(table, index);
   // "Calculated by the main program" and shipped to every mapper.
-  const core::Rssc rssc = MakeRssc(table, rows, index);
-  SupportJobConfig config{&input, &rssc, index, 0};
+  const core::Rssc rssc(table, rows, /*whole_table=*/index != nullptr);
+  SupportJobConfig config{&input, &rssc, index, /*fill_index=*/false};
   auto run = runner.Run<int64_t, std::vector<uint64_t>, KeyedCounts>(
       "support-count", input.num_points(),
       [&config] { return std::make_unique<SupportMapper>(&config); },
@@ -766,19 +760,21 @@ Result<std::vector<uint64_t>> RunSupportJob(
     LocalRunner& runner, const data::RowInput& input,
     const std::vector<core::Signature>& signatures,
     const core::IntervalIndex* index) {
-  const core::SignatureRows batch = core::InternSignatures(signatures);
-  return RunSupportJob(runner, input, batch.table, batch.rows, index);
+  return WithSignatureRows(
+      signatures, index,
+      [&](const core::IntervalTable& table, const core::IntervalRows& rows) {
+        return RunSupportJob(runner, input, table, rows, index);
+      });
 }
 
 Result<IndexedSupports> RunIndexingSupportJob(
     LocalRunner& runner, const data::RowInput& input,
-    std::span<const core::Interval> table, const core::IntervalRows& rows,
-    const std::vector<core::Interval>& intervals) {
+    const core::IntervalTable& table, const core::IntervalRows& rows) {
   P3C_RETURN_NOT_OK(core::CheckIntervalRows(table, rows));
-  core::IntervalIndex index(intervals, input.num_points(),
+  core::IntervalIndex index(table, input.num_points(),
                             runner.SplitSize(input.num_points()));
-  const core::Rssc rssc(table, rows, index.intervals());
-  SupportJobConfig config{&input, &rssc, nullptr, index.num_intervals()};
+  const core::Rssc rssc(table, rows, /*whole_table=*/true);
+  SupportJobConfig config{&input, &rssc, nullptr, /*fill_index=*/true};
   auto run = runner.Run<int64_t, std::vector<uint64_t>, KeyedCounts>(
       "support-count", input.num_points(),
       [&config] { return std::make_unique<SupportMapper>(&config); },
@@ -1258,14 +1254,20 @@ Result<SupportSetJobResult> RunSupportSetJob(
   if (signatures.empty()) {
     return UnpackSupportSets({}, input.num_points(), 0);
   }
-  const core::SignatureRows batch = core::InternSignatures(signatures);
-  const core::Rssc rssc = MakeRssc(batch.table, batch.rows, index);
-  SupportSetJobConfig config{&input, &rssc, index};
-  auto run = runner.RunMapOnly<data::PointId, std::vector<uint64_t>>(
-      "support-sets", input.num_points(),
-      [&config] { return std::make_unique<SupportSetMapper>(&config); });
-  if (!run.ok()) return run.status();
-  return UnpackSupportSets(*run, input.num_points(), signatures.size());
+  return WithSignatureRows(
+      signatures, index,
+      [&](const core::IntervalTable& table,
+          const core::IntervalRows& rows) -> Result<SupportSetJobResult> {
+        const core::IntervalIndex* read = IndexOver(table, index);
+        const core::Rssc rssc(table, rows, /*whole_table=*/read != nullptr);
+        SupportSetJobConfig config{&input, &rssc, read};
+        auto run = runner.RunMapOnly<data::PointId, std::vector<uint64_t>>(
+            "support-sets", input.num_points(), [&config] {
+              return std::make_unique<SupportSetMapper>(&config);
+            });
+        if (!run.ok()) return run.status();
+        return UnpackSupportSets(*run, input.num_points(), signatures.size());
+      });
 }
 
 Result<SupportSetJobResult> UnpackSupportSets(

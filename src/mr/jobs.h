@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -49,21 +48,39 @@ Result<std::vector<stats::Histogram>> RunHistogramJob(
 /// each mapper aggregates split-local support counts, reducers sum.
 /// The batch is `rows` of interval ids over `table`; the result is
 /// parallel to the rows. Rows that core::CheckIntervalRows rejects yield
-/// its InvalidArgument and run no job. When `index` holds every interval
-/// of the rows, the mappers AND its words and read no rows; otherwise
-/// they scan the rows. The index must have been filled under `runner`'s
-/// split layout (RunIndexingSupportJob).
+/// its InvalidArgument and run no job. When `index` is over a table
+/// equal to `table` (the same ids), the mappers AND its words and read
+/// no rows; otherwise they scan the rows. The index must have been
+/// filled under `runner`'s split layout (RunIndexingSupportJob).
 Result<std::vector<uint64_t>> RunSupportJob(
     LocalRunner& runner, const data::RowInput& input,
-    std::span<const core::Interval> table, const core::IntervalRows& rows,
+    const core::IntervalTable& table, const core::IntervalRows& rows,
     const core::IntervalIndex* index = nullptr);
 
-/// RunSupportJob on Signatures (core::InternSignatures): the result is
-/// parallel to `signatures`.
+/// RunSupportJob on Signatures: the result is parallel to `signatures`.
+/// They go as rows over the index's table when it holds all of their
+/// intervals (WithSignatureRows), so they read the index.
 Result<std::vector<uint64_t>> RunSupportJob(
     LocalRunner& runner, const data::RowInput& input,
     const std::vector<core::Signature>& signatures,
     const core::IntervalIndex* index = nullptr);
+
+/// Calls `fn(table, rows)` with `signatures` as rows, one per signature:
+/// over `index`'s table when `index` is set and its table holds every
+/// interval of them, else over core::IntervalTable(signatures). Passed
+/// on to a support job with `index`, the first reads the index and the
+/// second scans the rows.
+template <typename Fn>
+auto WithSignatureRows(const std::vector<core::Signature>& signatures,
+                       const core::IntervalIndex* index, const Fn& fn) {
+  if (index != nullptr) {
+    if (auto rows = index->table().Rows(signatures)) {
+      return fn(index->table(), *rows);
+    }
+  }
+  const core::IntervalTable table(signatures);
+  return fn(table, *table.Rows(signatures));
+}
 
 /// A support-count job's supports and the interval index it filled.
 struct IndexedSupports {
@@ -71,18 +88,17 @@ struct IndexedSupports {
   core::IntervalIndex index;
 };
 
-/// The support-count job that also fills a run's interval index: its
-/// mappers gather the words of every interval of `intervals` (the run's
-/// relevant intervals) for each map range, count the `rows` over
-/// `table` from them, and return each range's words as one record keyed
-/// by the range's first row. The supports travel under key
-/// kIndexingSupportsKey. The records are job output, so the index is the
-/// same on every backend and under retried attempts. `rows` must not be
-/// empty, and malformed rows are rejected as by RunSupportJob.
+/// The support-count job that also fills a run's interval index over
+/// `table`: its mappers gather the words of every table entry for each
+/// map range, count the `rows` from them, and return each range's words
+/// as one record keyed by the range's first row. The supports travel
+/// under key kIndexingSupportsKey. The records are job output, so the
+/// index is the same on every backend and under retried attempts. `rows`
+/// must not be empty, and malformed rows are rejected as by
+/// RunSupportJob.
 Result<IndexedSupports> RunIndexingSupportJob(
     LocalRunner& runner, const data::RowInput& input,
-    std::span<const core::Interval> table, const core::IntervalRows& rows,
-    const std::vector<core::Interval>& intervals);
+    const core::IntervalTable& table, const core::IntervalRows& rows);
 
 /// The key of the supports record of RunIndexingSupportJob; its range
 /// records are keyed by row, from 0.
@@ -362,8 +378,9 @@ Result<std::vector<std::vector<core::Interval>>> RunTighteningJob(
 /// range's first row, whose value has one word per core (bit r set iff
 /// row key + r lies in the core's support set; core::Rssc::Members).
 /// Returns per-core sorted point lists plus the per-point unique
-/// assignment (m'): -1 none, -2 several. As for RunSupportJob, an
-/// `index` holding every core interval replaces the row reads.
+/// assignment (m'): -1 none, -2 several. As for RunSupportJob on
+/// Signatures, an `index` whose table holds every core interval replaces
+/// the row reads.
 struct SupportSetJobResult {
   std::vector<std::vector<data::PointId>> support_sets;
   std::vector<int32_t> unique_assignment;

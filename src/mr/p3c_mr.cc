@@ -370,18 +370,18 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::RowInput& input) {
   //
   // The run's interval index (§5.3's distributed cache, DESIGN.md
   // §14.1): the first core-generation support job also returns the row
-  // words of every relevant interval, and every later batch whose
-  // intervals it holds, and the support-set job, read those words
-  // instead of the rows. Batches carrying newer intervals (AI proving)
-  // and a run resumed past core generation scan the rows. So does a run
-  // whose index would exceed 1/8 of the dataset's bytes: T bits a row
-  // against 64·d, so T > 8·d.
+  // words of every entry of the run's IntervalTable (the relevant
+  // intervals). Every later core batch, which is over that table, and
+  // the support-set and AI-proving batches whose intervals it holds
+  // read those words instead of the rows. AI-proving batches carrying
+  // newer intervals and a run resumed past core generation scan the
+  // rows. So does a run whose index would exceed 1/8 of the dataset's
+  // bytes: T bits a row against 64·d, so T > 8·d.
   std::optional<core::IntervalIndex> index;
   bool fill_index = completed < 2 && relevant.size() <= 8 * input.num_dims();
   Status support_job_error;
   core::IdSupportCountFn count_rows =
-      [&](std::span<const core::Interval> table,
-          const core::IntervalRows& rows) {
+      [&](const core::IntervalTable& table, const core::IntervalRows& rows) {
         if (options_.cancel.cancelled()) {
           if (support_job_error.ok()) {
             support_job_error =
@@ -395,8 +395,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::RowInput& input) {
                 return RunSupportJob(runner, input, table, rows,
                                      index ? &*index : nullptr);
               }
-              auto indexed = RunIndexingSupportJob(runner, input, table,
-                                                   rows, relevant);
+              auto indexed = RunIndexingSupportJob(runner, input, table, rows);
               if (!indexed.ok()) return indexed.status();
               index.emplace(std::move(indexed->index));
               fill_index = false;
@@ -619,8 +618,8 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::RowInput& input) {
       core::ProveSuggestedIntervals(
           cores, suggestions, params,
           [&](const std::vector<core::Signature>& sigs) {
-            const core::SignatureRows batch = core::InternSignatures(sigs);
-            return count_rows(batch.table, batch.rows);
+            return WithSignatureRows(sigs, index ? &*index : nullptr,
+                                     count_rows);
           });
   if (!support_job_error.ok()) return support_job_error;
 

@@ -785,13 +785,11 @@ CountedRun RunThroughIds(const StressInput& input, const P3CParams& params,
                          ThreadPool* pool) {
   const data::Dataset& dataset = input.data.dataset;
   CountedRun run;
-  const IdSupportCountFn counter = [&](std::span<const Interval> table,
+  const IdSupportCountFn counter = [&](const IntervalTable& table,
                                        const IntervalRows& rows) {
     std::vector<Signature>& batch = run.batches.emplace_back();
     for (size_t r = 0; r < rows.size(); ++r) {
-      std::vector<Interval> intervals;
-      for (const IntervalId id : rows.row(r)) intervals.push_back(table[id]);
-      batch.push_back(Signature::Make(std::move(intervals)).value());
+      batch.push_back(table.ToSignature(rows.row(r)));
     }
     const Rssc rssc(table, rows);
     std::vector<uint64_t> supports(rows.size(), 0);

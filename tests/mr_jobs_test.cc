@@ -1057,8 +1057,9 @@ struct IndexRecords {
       {70, {uint64_t{1} << 29, 0}}};
 
   static core::IntervalIndex EmptyIndex() {
-    return core::IntervalIndex({{0, 0.1, 0.2}, {1, 0.3, 0.4}}, kN,
-                               /*split_rows=*/70);
+    return core::IntervalIndex(
+        core::IntervalTable({{0, 0.1, 0.2}, {1, 0.3, 0.4}}), kN,
+        /*split_rows=*/70);
   }
   Status Unpack(std::vector<KeyedCounts> out) const {
     core::IntervalIndex index = EmptyIndex();

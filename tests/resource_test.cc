@@ -1,8 +1,8 @@
 // Resource observability tests (DESIGN.md §15): the scoped memory
 // ledger's charge/peak/phase semantics, the balance guarantees of the
-// three adapters (ScopedBytes / ArenaCharge / TrackedAllocator) —
-// including a mid-run disable, which must clamp rather than drive the
-// ledger negative — the /proc RSS probe, the deterministic gauge
+// two adapters (ScopedBytes / ArenaCharge) — including a mid-run
+// disable, which must clamp rather than drive the ledger negative — the
+// /proc RSS probe, the deterministic gauge
 // export, and the end-to-end contract that turning tracking on never
 // changes pipeline output.
 //
@@ -250,18 +250,6 @@ TEST_F(ResourceTest, ArenaChargeIsThreadSafe) {
   }
   for (auto& th : workers) th.join();
   EXPECT_EQ(arena.outstanding(), 0);
-  EXPECT_EQ(t.TotalCurrentBytes(), baseline_);
-}
-
-TEST_F(ResourceTest, TrackedAllocatorChargesContainerStorage) {
-  MemoryTracker& t = MemoryTracker::Global();
-  {
-    std::vector<int64_t, TrackedAllocator<int64_t>> v{
-        TrackedAllocator<int64_t>(MemScope::kSupportPartials)};
-    v.resize(128);
-    EXPECT_GE(t.CurrentBytes(MemScope::kSupportPartials),
-              static_cast<int64_t>(128 * sizeof(int64_t)));
-  }
   EXPECT_EQ(t.TotalCurrentBytes(), baseline_);
 }
 

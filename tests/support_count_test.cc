@@ -6,9 +6,11 @@
 // and split shape; the interval index's words must agree with
 // Signature::Contains and give the row scan's supports and support sets;
 // an Rssc built from interval-id rows must equal one built from the same
-// Signatures; RunSupportJob must reject malformed rows and be
-// byte-identical across threads, engine backends, kernel backends and
-// retried attempts.
+// Signatures; IntervalTable must give NaN, signed-zero and infinite
+// bounds distinct ids in any input order, and a batch must read the index
+// only over the index's table; RunSupportJob must reject malformed rows
+// and be byte-identical across threads, engine backends, kernel backends
+// and retried attempts.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +19,10 @@
 #include <csignal>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/common/random.h"
@@ -143,7 +148,8 @@ std::vector<Signature> HostileSignatures() {
   };
 }
 
-TEST_P(SupportCountTest, HostileCoordinatesCountAsContainsDoes) {
+/// Every pair of hostile values on attributes 0 and 1, m * m rows.
+data::Dataset HostileGrid() {
   const std::vector<double>& values = HostileValues();
   const size_t m = values.size();
   data::Dataset dataset(m * m, 3);
@@ -155,6 +161,12 @@ TEST_P(SupportCountTest, HostileCoordinatesCountAsContainsDoes) {
       dataset.Set(row, 2, values[(i + j) % m]);
     }
   }
+  return dataset;
+}
+
+TEST_P(SupportCountTest, HostileCoordinatesCountAsContainsDoes) {
+  const size_t m = HostileValues().size();
+  const data::Dataset dataset = HostileGrid();
   const std::vector<Signature> sigs = HostileSignatures();
   const std::vector<uint64_t> naive = CountSupportsNaive(dataset, sigs, nullptr);
   // NaN lies in no interval, and +inf in none with a finite upper bound,
@@ -371,14 +383,15 @@ TEST_P(SupportCountTest, IntervalIndexBitsAgreeWithContains) {
     options.num_threads = 2;
     options.records_per_split = 100;
     mr::LocalRunner runner(options);
-    const SignatureRows interned = InternSignatures(sigs);
-    auto filled = mr::RunIndexingSupportJob(runner, dataset, interned.table,
-                                            interned.rows, intervals);
+    const IntervalTable table(intervals);
+    auto filled = mr::RunIndexingSupportJob(runner, dataset, table,
+                                            *table.Rows(sigs));
     ASSERT_TRUE(filled.ok()) << filled.status().ToString();
     EXPECT_EQ(filled->supports, CountSupportsNaive(dataset, sigs, nullptr))
         << "n=" << n;
     const IntervalIndex& index = filled->index;
     ASSERT_EQ(index.num_points(), n);
+    ASSERT_TRUE(index.table() == table);
     ASSERT_LT(index.num_intervals(), intervals.size());  // duplicates merged
     size_t next_row = 0;
     for (size_t i = 0; i < index.num_ranges(); ++i) {
@@ -386,7 +399,8 @@ TEST_P(SupportCountTest, IntervalIndexBitsAgreeWithContains) {
       ASSERT_EQ(begin, next_row);
       ASSERT_EQ(index.RangeStartingAt(begin), i);
       for (size_t t = 0; t < index.num_intervals(); ++t) {
-        const Signature single = Signature::Single(index.intervals()[t]);
+        const Signature single = Signature::Single(
+            index.table().interval(static_cast<IntervalId>(t)));
         for (size_t r = 0; r < 64; ++r) {
           const bool bit = (index.words(t)[i] >> r) & 1;
           const bool contains =
@@ -400,7 +414,8 @@ TEST_P(SupportCountTest, IntervalIndexBitsAgreeWithContains) {
       next_row += index.RangeRows(i);
     }
     EXPECT_EQ(next_row, n);
-    // Batches and support sets read from the index equal the row scan's.
+    // Batches and support sets read from the index (every interval of
+    // them is an index interval) equal the row scan's.
     for (const std::vector<Signature>* batch :
          {&sigs, static_cast<const std::vector<Signature>*>(&pairs)}) {
       auto counted = mr::RunSupportJob(runner, dataset, *batch, &index);
@@ -424,23 +439,7 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, RsscRowsTest,
                          testing::ValuesIn(KernelBackends()),
                          [](const auto& param_info) { return param_info.param; });
 
-/// The rows of `sigs` over `table`, as core generation hands them to the
-/// support counter.
-IntervalRows RowsOver(const IntervalTable& table,
-                      const std::vector<Signature>& sigs) {
-  IntervalRows rows;
-  std::vector<IntervalId> ids;
-  for (const Signature& sig : sigs) {
-    ids.clear();
-    for (const Interval& interval : sig.intervals()) {
-      ids.push_back(table.Id(interval));
-    }
-    rows.Append(ids);
-  }
-  return rows;
-}
-
-/// Both Rsscs have the same interval table, bound bits included.
+/// Both Rsscs keep the same intervals, bound bits included.
 void ExpectSameIntervals(const Rssc& a, const Rssc& b) {
   ASSERT_EQ(a.num_intervals(), b.num_intervals());
   for (size_t t = 0; t < a.num_intervals(); ++t) {
@@ -457,8 +456,8 @@ void ExpectSameIntervals(const Rssc& a, const Rssc& b) {
 TEST_P(RsscRowsTest, RowsBuildEqualsSignatureBuild) {
   // Random batches with a zero-interval row and duplicate rows, over a
   // table that also holds intervals no row uses, on data with NaN and
-  // +-inf coordinates; with leading intervals (some used by no row) in a
-  // shuffled order, read from gathered rows and from an index.
+  // +-inf coordinates; the Rssc keeps the rows' entries or the whole
+  // table, reading gathered rows or an index over the table.
   const std::vector<double>& values = HostileValues();
   constexpr size_t kDims = 6;
   Rng rng(59);
@@ -469,21 +468,17 @@ TEST_P(RsscRowsTest, RowsBuildEqualsSignatureBuild) {
     sigs.push_back(sigs[3]);
     sigs.push_back(sigs[0]);
     sigs.push_back(Signature());
-    const std::vector<Interval> unused = {
+    std::vector<Interval> intervals = {
         {0, 0.96, 0.99}, {kDims + 1, 0.0, 1.0}, {2, -kInf, kInf}};
-    std::vector<Interval> intervals = unused;
     for (const Signature& sig : sigs) {
       for (const Interval& interval : sig.intervals()) {
         intervals.push_back(interval);
       }
     }
+    rng.Shuffle(intervals);
     const IntervalTable table(intervals);
-    const IntervalRows rows = RowsOver(table, sigs);
-    ASSERT_TRUE(CheckIntervalRows(table.intervals(), rows).ok());
-    std::vector<Interval> shuffled(table.intervals().begin(),
-                                   table.intervals().end());
-    rng.Shuffle(shuffled);
-    const std::vector<Interval>& leading = shuffled;
+    const IntervalRows rows = *table.Rows(sigs);
+    ASSERT_TRUE(CheckIntervalRows(table, rows).ok());
 
     data::Dataset dataset(n, kDims);
     for (size_t i = 0; i < n; ++i) {
@@ -497,74 +492,173 @@ TEST_P(RsscRowsTest, RowsBuildEqualsSignatureBuild) {
     const std::vector<uint64_t> naive =
         CountSupportsNaive(dataset, sigs, nullptr);
 
-    // Gathered rows, without and with leading intervals.
-    for (const std::vector<Interval>* lead : {&unused, &leading}) {
-      const Rssc from_rows(table.intervals(), rows, *lead);
-      const Rssc from_sigs(sigs, *lead);
-      ExpectSameIntervals(from_rows, from_sigs);
-      ASSERT_EQ(from_rows.num_signatures(), sigs.size());
-      // The leading intervals first, then the rows' others first-seen.
-      std::vector<Interval> expected = *lead;
-      for (const Signature& sig : sigs) {
-        for (const Interval& interval : sig.intervals()) {
-          if (std::find(expected.begin(), expected.end(), interval) ==
-              expected.end()) {
-            expected.push_back(interval);
-          }
-        }
-      }
-      ASSERT_EQ(from_rows.num_intervals(), expected.size());
-      for (size_t t = 0; t < expected.size(); ++t) {
-        EXPECT_EQ(from_rows.interval(t), expected[t]) << t;
-      }
+    // The rows' entries in table order, which is the Signature build's
+    // table; or the whole table, entry t at id t.
+    const Rssc from_rows(table, rows);
+    const Rssc from_sigs(sigs);
+    const Rssc whole(table, rows, /*whole_table=*/true);
+    ExpectSameIntervals(from_rows, from_sigs);
+    ASSERT_EQ(from_rows.num_signatures(), sigs.size());
+    ASSERT_EQ(from_rows.num_intervals(), table.size() - 3);
+    ASSERT_EQ(whole.num_intervals(), table.size());
+    for (size_t t = 0; t < table.size(); ++t) {
+      const Interval& entry = table.interval(static_cast<IntervalId>(t));
+      EXPECT_EQ(whole.interval(t), entry) << t;
+    }
+    for (const Rssc* rssc : {&from_rows, &whole}) {
       Rssc::Scratch scratch;
       std::vector<uint64_t> a(sigs.size());
       std::vector<uint64_t> b(sigs.size());
       for (size_t begin = 0; begin < n; begin += 64) {
         const double* group = dataset.values().data() + begin * kDims;
         const size_t count = std::min<size_t>(64, n - begin);
-        from_rows.Members(group, count, kDims, scratch, a);
+        rssc->Members(group, count, kDims, scratch, a);
         from_sigs.Members(group, count, kDims, scratch, b);
         ASSERT_EQ(a, b) << "n=" << n << " group " << begin;
       }
       std::vector<uint64_t> counted(sigs.size(), 0);
-      Rssc::Counter counter(from_rows, counted);
+      Rssc::Counter counter(*rssc, counted);
       counter.Add(dataset.values().data(), n, kDims);
       counter.Finish();
       EXPECT_EQ(counted, naive) << "n=" << n;
     }
 
-    // The index of the shuffled intervals, read instead of the rows.
+    // The index over the table, read instead of the rows.
     mr::RunnerOptions options;
     options.num_threads = 2;
     options.records_per_split = 100;
     mr::LocalRunner runner(options);
-    auto filled = mr::RunIndexingSupportJob(runner, dataset, table.intervals(),
-                                            rows, leading);
+    auto filled = mr::RunIndexingSupportJob(runner, dataset, table, rows);
     ASSERT_TRUE(filled.ok()) << filled.status().ToString();
     EXPECT_EQ(filled->supports, naive) << "n=" << n;
     const IntervalIndex& index = filled->index;
-    const Rssc from_rows(table.intervals(), rows, index.intervals());
-    const Rssc from_sigs(sigs, index.intervals());
-    ExpectSameIntervals(from_rows, from_sigs);
-    ASSERT_EQ(from_rows.num_intervals(), index.num_intervals());
+    ASSERT_EQ(index.num_intervals(), table.size());
     std::vector<uint64_t> a(sigs.size());
-    std::vector<uint64_t> b(sigs.size());
     std::vector<uint64_t> from_index(sigs.size(), 0);
-    Rssc::Counter counter(from_rows, index, from_index);
+    Rssc::Counter counter(whole, index, from_index);
+    Rssc::Scratch scratch;
+    std::vector<uint64_t> b(sigs.size());
     for (size_t i = 0; i < index.num_ranges(); ++i) {
-      from_rows.Members(index, i, a);
-      from_sigs.Members(index, i, b);
+      whole.Members(index, i, a);
+      from_sigs.Members(dataset.values().data() + index.RangeBegin(i) * kDims,
+                        index.RangeRows(i), kDims, scratch, b);
       ASSERT_EQ(a, b) << "n=" << n << " range " << i;
       counter.AddRange(i);
     }
     counter.Finish();
     EXPECT_EQ(from_index, naive) << "n=" << n;
-    auto counted =
-        mr::RunSupportJob(runner, dataset, table.intervals(), rows, &index);
+    auto counted = mr::RunSupportJob(runner, dataset, table, rows, &index);
     ASSERT_TRUE(counted.ok()) << counted.status().ToString();
     EXPECT_EQ(*counted, naive) << "n=" << n;
   }
+}
+
+// ---- IntervalTable: the run's one id space --------------------------------
+
+/// (attr, lower bits, upper bits): an entry's identity.
+using EntryBits = std::tuple<size_t, uint64_t, uint64_t>;
+
+EntryBits BitsOf(const Interval& interval) {
+  return {interval.attr, std::bit_cast<uint64_t>(interval.lower),
+          std::bit_cast<uint64_t>(interval.upper)};
+}
+
+TEST(IntervalTableTest, EdgeBoundsGetDistinctIdsInAnyInputOrder) {
+  // NaN of either sign, -0.0 and +0.0, +-inf and +-DBL_MAX bounds, each
+  // given twice: one entry per distinct bit pattern, in one order.
+  const double bounds[] = {kNan, -kNan, -0.0, 0.0, -kInf, kInf, kMax, -kMax};
+  std::vector<Interval> intervals;
+  for (size_t attr : {size_t{0}, size_t{3}}) {
+    for (double lower : bounds) {
+      intervals.push_back({attr, lower, 1.0});
+      intervals.push_back({attr, 0.5, lower});
+    }
+  }
+  intervals.insert(intervals.end(), intervals.begin(), intervals.end());
+  std::set<EntryBits> distinct;
+  for (const Interval& interval : intervals) distinct.insert(BitsOf(interval));
+  ASSERT_EQ(distinct.size(), 2u * 2u * std::size(bounds));
+
+  const IntervalTable reference(intervals);
+  ASSERT_EQ(reference.size(), distinct.size());
+  for (size_t t = 1; t < reference.size(); ++t) {
+    const Interval& a = reference.interval(static_cast<IntervalId>(t - 1));
+    const Interval& b = reference.interval(static_cast<IntervalId>(t));
+    const auto order =
+        a.attr != b.attr ? a.attr <=> b.attr
+        : std::strong_order(a.lower, b.lower) != 0
+            ? std::strong_order(a.lower, b.lower)
+            : std::strong_order(a.upper, b.upper);
+    EXPECT_TRUE(order < 0) << t;
+    EXPECT_LE(reference.attrs()[t - 1], reference.attrs()[t]) << t;
+  }
+  Rng rng(17);
+  for (int round = 0; round < 20; ++round) {
+    rng.Shuffle(intervals);
+    const IntervalTable table(intervals);
+    ASSERT_TRUE(table == reference) << "round " << round;
+    for (const Interval& interval : intervals) {
+      const IntervalId id = table.Find(interval);
+      ASSERT_NE(id, IntervalTable::kMissing);
+      EXPECT_EQ(BitsOf(table.interval(id)), BitsOf(interval));
+    }
+  }
+  EXPECT_NE(reference.Find({0, -0.0, 1.0}), reference.Find({0, 0.0, 1.0}));
+  EXPECT_NE(reference.Find({3, kNan, 1.0}), reference.Find({3, -kNan, 1.0}));
+}
+
+TEST(IntervalTableTest, FindRoundTripsEveryEntryAndMissesAnAbsentOne) {
+  const std::vector<Signature> sigs = HostileSignatures();
+  const IntervalTable table(sigs);
+  for (size_t t = 0; t < table.size(); ++t) {
+    const auto id = static_cast<IntervalId>(t);
+    EXPECT_EQ(table.Find(table.interval(id)), id);
+  }
+  // {2, -0.0, 1.0} and {2, 0.0, 1.0} are entries; the others are not.
+  ASSERT_NE(table.Find({2, -0.0, 1.0}), IntervalTable::kMissing);
+  ASSERT_NE(table.Find({2, 0.0, 1.0}), IntervalTable::kMissing);
+  EXPECT_EQ(table.Find({2, -0.0, -0.0}), IntervalTable::kMissing);
+  EXPECT_EQ(table.Find({0, -kNan, 0.5}), IntervalTable::kMissing);
+  EXPECT_EQ(table.Find({0, 0.2, std::nextafter(0.4, 1.0)}),
+            IntervalTable::kMissing);
+  EXPECT_EQ(table.Find({9, 0.2, 0.4}), IntervalTable::kMissing);
+  EXPECT_EQ(IntervalTable().Find({0, 0.2, 0.4}), IntervalTable::kMissing);
+  // Rows over a table that misses one interval of the batch: none.
+  EXPECT_FALSE(IntervalTable(std::vector<Signature>(sigs.begin(),
+                                                    sigs.end() - 1))
+                   .Rows(sigs)
+                   .has_value());
+}
+
+TEST(IntervalTableTest, HostileRowsCountAsNaive) {
+  const data::Dataset dataset = HostileGrid();
+  const std::vector<Signature> sigs = HostileSignatures();
+  const IntervalTable table(sigs);
+  const std::optional<IntervalRows> rows = table.Rows(sigs);
+  ASSERT_TRUE(rows.has_value());
+  ASSERT_TRUE(CheckIntervalRows(table, *rows).ok());
+  ASSERT_EQ(rows->size(), sigs.size());
+  for (size_t r = 0; r < sigs.size(); ++r) {
+    const Signature back = table.ToSignature(rows->row(r));
+    ASSERT_EQ(back.size(), sigs[r].size()) << r;
+    for (size_t i = 0; i < back.size(); ++i) {
+      EXPECT_EQ(BitsOf(back.intervals()[i]), BitsOf(sigs[r].intervals()[i]))
+          << r;
+    }
+  }
+  const std::vector<uint64_t> naive =
+      CountSupportsNaive(dataset, sigs, nullptr);
+  std::vector<uint64_t> counted(sigs.size(), 0);
+  const Rssc rssc(table, *rows);
+  Rssc::Counter counter(rssc, counted);
+  counter.Add(dataset.values().data(), dataset.num_points(),
+              dataset.num_dims());
+  counter.Finish();
+  EXPECT_EQ(counted, naive);
+  mr::LocalRunner runner(mr::RunnerOptions{});
+  const auto job = mr::RunSupportJob(runner, dataset, table, *rows);
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  EXPECT_EQ(*job, naive);
 }
 
 }  // namespace
@@ -678,8 +772,7 @@ class SupportJobRowsTest : public testing::Test {
     EXPECT_EQ(plain.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(plain.status().message().find(what), std::string::npos)
         << plain.status().ToString();
-    const auto indexing =
-        RunIndexingSupportJob(runner, dataset_, table_, rows, table_);
+    const auto indexing = RunIndexingSupportJob(runner, dataset_, table_, rows);
     ASSERT_FALSE(indexing.ok());
     EXPECT_EQ(indexing.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(indexing.status().message().find(what), std::string::npos)
@@ -695,9 +788,16 @@ class SupportJobRowsTest : public testing::Test {
     return rows;
   }
 
+  /// An index over table_ whose words were never filled: a batch that
+  /// reads it counts no row.
+  core::IntervalIndex ClearIndex(LocalRunner& runner) const {
+    return core::IntervalIndex(table_, dataset_.num_points(),
+                               runner.SplitSize(dataset_.num_points()));
+  }
+
   data::Dataset dataset_{10, 2};
-  std::vector<core::Interval> table_ = {
-      {0, 0.0, 0.5}, {0, 0.5, 1.0}, {1, 0.0, 1.0}};
+  core::IntervalTable table_{std::vector<core::Interval>{
+      {0, 0.0, 0.5}, {0, 0.5, 1.0}, {1, 0.0, 1.0}}};
 };
 
 TEST_F(SupportJobRowsTest, WellFormedRowsAreCounted) {
@@ -706,6 +806,56 @@ TEST_F(SupportJobRowsTest, WellFormedRowsAreCounted) {
                                      Rows({0, 2, 2, 3}, {0, 2, 1}));
   ASSERT_TRUE(counted.ok()) << counted.status().ToString();
   EXPECT_EQ(*counted, (std::vector<uint64_t>{10, 10, 0}));
+}
+
+TEST_F(SupportJobRowsTest, BatchOverAnotherTableScansTheRows) {
+  LocalRunner runner(RunnerOptions{});
+  const core::IntervalIndex clear = ClearIndex(runner);
+  // table_'s first and last entries: ids 0 and 2 of table_, ids 0 and 1
+  // of the batch's own table.
+  const std::vector<core::Signature> sigs = {
+      table_.ToSignature(std::vector<core::IntervalId>{0, 2}),
+      table_.ToSignature(std::vector<core::IntervalId>{2})};
+  const std::vector<uint64_t> naive =
+      core::CountSupportsNaive(dataset_, sigs, nullptr);
+  ASSERT_EQ(naive, (std::vector<uint64_t>{10, 10}));
+  const core::IntervalTable own(sigs);
+  ASSERT_FALSE(own == table_);
+  const auto scanned =
+      RunSupportJob(runner, dataset_, own, *own.Rows(sigs), &clear);
+  ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+  EXPECT_EQ(*scanned, naive);
+  // Over an equal table the same batch reads the index.
+  const core::IntervalTable copy(std::vector<core::Interval>(
+      table_.intervals().begin(), table_.intervals().end()));
+  const auto read =
+      RunSupportJob(runner, dataset_, copy, *copy.Rows(sigs), &clear);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, (std::vector<uint64_t>{0, 0}));
+}
+
+TEST_F(SupportJobRowsTest, SignatureBatchResolvesAgainstTheIndexTable) {
+  LocalRunner runner(RunnerOptions{});
+  const core::IntervalIndex clear = ClearIndex(runner);
+  // Every interval is an entry of table_: the batch reads the index.
+  const std::vector<core::Signature> held = {
+      table_.ToSignature(std::vector<core::IntervalId>{0, 2})};
+  const auto read = RunSupportJob(runner, dataset_, held, &clear);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, std::vector<uint64_t>{0});
+  const auto sets = RunSupportSetJob(runner, dataset_, held, &clear);
+  ASSERT_TRUE(sets.ok()) << sets.status().ToString();
+  EXPECT_TRUE(sets->support_sets.front().empty());
+  // One interval is not: the batch scans the rows.
+  const std::vector<core::Signature> newer = {
+      core::Signature::Make({{0, 0.0, 0.25}, {1, 0.0, 1.0}}).value()};
+  const auto scanned = RunSupportJob(runner, dataset_, newer, &clear);
+  ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+  EXPECT_EQ(*scanned, core::CountSupportsNaive(dataset_, newer, nullptr));
+  EXPECT_EQ(*scanned, std::vector<uint64_t>{10});
+  const auto scanned_sets = RunSupportSetJob(runner, dataset_, newer, &clear);
+  ASSERT_TRUE(scanned_sets.ok()) << scanned_sets.status().ToString();
+  EXPECT_EQ(scanned_sets->support_sets.front().size(), 10u);
 }
 
 TEST_F(SupportJobRowsTest, IdPastTheTableIsRejected) {

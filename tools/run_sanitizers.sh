@@ -68,9 +68,10 @@
 #                                      # records, the file-backed run
 #                                      # that reads no row after the first
 #                                      # core batch, the Rssc from id rows,
-#                                      # malformed rows, the id counter and
-#                                      # the Definition 5 oracle,
-#                                      # under ASan+UBSan
+#                                      # malformed rows, the id counter,
+#                                      # the Definition 5 oracle, the
+#                                      # interval table and candidate
+#                                      # generation, under ASan+UBSan
 #   tools/run_sanitizers.sh codecs-smoke
 #                                      # the word-wise checksum and every
 #                                      # parser it seals (ctest -R
@@ -186,7 +187,7 @@ case "${MODE}" in
   resource-smoke)
     # The resource observability suite (DESIGN.md §15): every adapter
     # must release exactly the bytes it charged. ASan is the natural
-    # reviewer — a ledger/allocation mismatch in TrackedAllocator
+    # reviewer — a ledger/allocation mismatch in an adapter
     # surfaces as a leak or over-free, and detect_leaks=1 polices the
     # tracker's own structures; TSan exercises the relaxed-atomic
     # charge path and ArenaCharge's concurrent Add/Sub clamping.
@@ -237,9 +238,11 @@ case "${MODE}" in
     # rows must equal one built from Signatures, malformed rows must be
     # rejected before any table lookup, and core generation through the
     # id counter must equal the Signature adapter's, and its pruned
-    # batches a brute-force Definition 5. ASan/UBSan police those
-    # offsets, table lookups and the record checks.
-    FILTER="IntervalIndex|RsscRows|SupportJobRows|IdCounterMatchesSignatureAdapter|ProvenSetMatchesDefinition5"
+    # batches a brute-force Definition 5. The run's IntervalTable must
+    # give NaN and signed-zero bounds stable distinct ids, and candidate
+    # generation joins rows of its ids. ASan/UBSan police those offsets,
+    # table lookups and the record checks.
+    FILTER="IntervalIndex|RsscRows|SupportJobRows|IdCounterMatchesSignatureAdapter|ProvenSetMatchesDefinition5|IntervalTable|CandidateGen"
     run_suite "ASan+UBSan index-smoke" Sanitize build-asan \
       "ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1"
     ;;
