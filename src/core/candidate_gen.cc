@@ -1,62 +1,11 @@
 #include "src/core/candidate_gen.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
+#include <numeric>
+#include <utility>
 
 namespace p3c::core {
-
-size_t IdSignatureSet::Slot(std::span<const IntervalId> key) const {
-  uint64_t h = 0x9e3779b97f4a7c15ull;
-  for (const IntervalId id : key) {
-    h = (h ^ id) * 0xbf58476d1ce4e5b9ull;
-    h ^= h >> 31;
-  }
-  return static_cast<size_t>(h) & (slots_.size() - 1);
-}
-
-uint32_t IdSignatureSet::Find(std::span<const IntervalId> key) const {
-  if (slots_.empty()) return kMissing;
-  const size_t mask = slots_.size() - 1;
-  for (size_t s = Slot(key);; s = (s + 1) & mask) {
-    const uint32_t entry = slots_[s];
-    if (entry == 0) return kMissing;
-    if (std::ranges::equal(row(entry - 1), key)) return entry - 1;
-  }
-}
-
-std::pair<uint32_t, bool> IdSignatureSet::Insert(
-    std::span<const IntervalId> key) {
-  if (2 * (num_rows_ + 1) > slots_.size()) {
-    Rehash(std::max<size_t>(16, 2 * slots_.size()));
-  }
-  const size_t mask = slots_.size() - 1;
-  size_t s = Slot(key);
-  for (; slots_[s] != 0; s = (s + 1) & mask) {
-    if (std::ranges::equal(row(slots_[s] - 1), key)) {
-      return {slots_[s] - 1, false};
-    }
-  }
-  const auto r = static_cast<uint32_t>(num_rows_++);
-  ids_.insert(ids_.end(), key.begin(), key.end());
-  slots_[s] = r + 1;
-  return {r, true};
-}
-
-void IdSignatureSet::Reserve(size_t rows) {
-  ids_.reserve(rows * p_);
-  if (2 * rows > slots_.size()) Rehash(std::bit_ceil(2 * rows));
-}
-
-void IdSignatureSet::Rehash(size_t num_slots) {
-  slots_.assign(num_slots, 0);
-  const size_t mask = num_slots - 1;
-  for (size_t r = 0; r < num_rows_; ++r) {
-    size_t s = Slot(row(r));
-    while (slots_[s] != 0) s = (s + 1) & mask;
-    slots_[s] = static_cast<uint32_t>(r + 1);
-  }
-}
 
 namespace {
 
@@ -85,29 +34,6 @@ void RadixSort(std::vector<T>& items, size_t width, size_t radix,
   }
 }
 
-/// Joins every entry in [begin, end) with the later entries of its
-/// bucket, appending the (p+1)-rows to `out`.
-void JoinEntries(const IdRows& base, std::span<const size_t> attr_of,
-                 const std::vector<BucketEntry>& entries,
-                 const std::vector<uint32_t>& bucket_end, size_t begin,
-                 size_t end, std::vector<IntervalId>& out) {
-  const size_t p = base.p;
-  for (size_t x = begin; x < end; ++x) {
-    const std::span<const IntervalId> row = base.row(entries[x].row);
-    const size_t left_attr = attr_of[row[entries[x].skip]];
-    for (size_t y = x + 1; y < bucket_end[x]; ++y) {
-      const IntervalId right = base.row(entries[y].row)[entries[y].skip];
-      if (attr_of[right] == left_attr) continue;
-      // The union is `row` with `right` inserted in ID order.
-      const size_t pos = static_cast<size_t>(
-          std::lower_bound(row.begin(), row.end(), right) - row.begin());
-      out.insert(out.end(), row.begin(), row.begin() + pos);
-      out.push_back(right);
-      out.insert(out.end(), row.begin() + pos, row.begin() + p);
-    }
-  }
-}
-
 }  // namespace
 
 IdRows GenerateCandidateRows(const IdRows& base,
@@ -124,88 +50,124 @@ IdRows GenerateCandidateRows(const IdRows& base,
   // ---- Buckets: entries sorted by their (p-1)-subset key --------------
   std::vector<BucketEntry> entries;
   entries.reserve(k * p);
-  for (size_t r = 0; r < k; ++r) {
-    for (size_t s = 0; s < p; ++s) {
-      entries.push_back(
-          {static_cast<uint32_t>(r), static_cast<uint32_t>(s)});
-    }
+  for (uint32_t r = 0; r < k; ++r) {
+    for (uint32_t s = 0; s < p; ++s) entries.push_back({r, s});
   }
   // Key column i of an entry: its row's IDs with position `skip` removed.
   const auto key_at = [&base, p](const BucketEntry& e, size_t i) {
     return base.ids[e.row * p + i + (i >= e.skip ? 1 : 0)];
   };
   RadixSort(entries, p - 1, attr_of.size(), key_at);
-  std::vector<uint32_t> bucket_end(entries.size());
+  const auto same_key = [&](const BucketEntry& a, const BucketEntry& b) {
+    size_t i = 0;
+    while (i + 1 < p && key_at(a, i) == key_at(b, i)) ++i;
+    return i + 1 >= p;
+  };
+  // Bucket j holds the entries [start[j], start[j + 1]) in row order.
+  // Entry e leaves odd[e] out of its row; bucket_of[r * p + s] is the
+  // bucket of row r without position s; copy[r] marks a row equal to an
+  // earlier row.
+  std::vector<uint32_t> start;
+  std::vector<IntervalId> odd(k * p);
+  std::vector<uint32_t> bucket_of(k * p);
+  std::vector<char> copy(k, 0);
+  // An entry pairs with the earlier entries of its bucket. `no_join`
+  // counts the pairs whose odd intervals share an attribute: copies of
+  // one row, or rows that do not join.
   uint64_t pairs = 0;
-  for (size_t b = 0; b < entries.size();) {
-    size_t e = b + 1;
-    while (e < entries.size()) {
-      size_t i = 0;
-      while (i + 1 < p && key_at(entries[b], i) == key_at(entries[e], i)) ++i;
-      if (i + 1 < p) break;
-      ++e;
+  uint64_t no_join = 0;
+  std::vector<uint32_t> odd_in(attr_of.size(), UINT32_MAX);
+  // Per attribute: the bucket last met in, and its entries there so far.
+  std::vector<std::pair<uint32_t, uint32_t>> on_attr(
+      *std::max_element(attr_of.begin(), attr_of.end()) + 1, {UINT32_MAX, 0});
+  for (size_t e = 0; e < k * p; ++e) {
+    const BucketEntry& entry = entries[e];
+    if (e == 0 || !same_key(entries[e - 1], entry)) {
+      start.push_back(static_cast<uint32_t>(e));
     }
-    for (size_t x = b; x < e; ++x) bucket_end[x] = static_cast<uint32_t>(e);
-    pairs += static_cast<uint64_t>(e - b) * (e - b - 1) / 2;
-    b = e;
+    const auto bucket = static_cast<uint32_t>(start.size() - 1);
+    odd[e] = base.ids[entry.row * p + entry.skip];
+    bucket_of[entry.row * p + entry.skip] = bucket;
+    pairs += e - start.back();
+    // Entries are in row order, so a row is a copy when an earlier entry
+    // of its bucket has the same odd interval.
+    if (odd_in[odd[e]] == bucket) copy[entry.row] = 1;
+    odd_in[odd[e]] = bucket;
+    auto& [in, entries_on] = on_attr[attr_of[odd[e]]];
+    if (in != bucket) entries_on = 0;
+    in = bucket;
+    no_join += entries_on++;
   }
+  start.push_back(static_cast<uint32_t>(k * p));
 
-  // ---- Join within buckets ----------------------------------------------
-  const bool parallel = pool != nullptr && pairs > t_gen;
-  if (stats != nullptr) {
-    stats->num_pairs = pairs;
-    stats->parallel = parallel;
-  }
-  std::vector<std::vector<IntervalId>> partials;
-  if (!parallel) {
-    partials.resize(1);
-    JoinEntries(base, attr_of, entries, bucket_end, 0, entries.size(),
-                partials[0]);
-  } else {
-    // m = ceil(c / Tgen) "mappers", each owning a contiguous entry range
-    // of about c / m pairs.
-    const size_t num_tasks = static_cast<size_t>(std::min<uint64_t>(
-        (pairs + t_gen - 1) / t_gen, pool->num_threads() * 8));
-    std::vector<size_t> bounds = {0};
-    uint64_t seen = 0;
-    for (size_t x = 0; x < entries.size(); ++x) {
-      seen += bucket_end[x] - x - 1;
-      if (seen * num_tasks >= pairs * bounds.size() &&
-          bounds.size() < num_tasks) {
-        bounds.push_back(x + 1);
+  // ---- Scan: each candidate from one row --------------------------------
+  // Row X builds X ∪ {b} when b is the largest interval whose removal
+  // leaves a p-subset in the base. Bucket s of X offers each b with
+  // X \ {X[s]} ∪ {b} in the base (b on X[s]'s attribute joins nothing).
+  // Going down from s = p - 1, the buckets whose X[s] exceeds b rule b
+  // out before one whose X[s] is below b can build X ∪ {b}.
+  const auto scan_rows = [&](size_t begin, size_t end,
+                             std::vector<IntervalId>& rows) {
+    // met[b] = 1 + the last row that built X ∪ {b} or ruled it out.
+    std::vector<uint32_t> met(attr_of.size(), 0);
+    for (size_t x = begin; x < end; ++x) {
+      if (copy[x] != 0) continue;
+      const std::span<const IntervalId> row = base.row(x);
+      const auto stamp = static_cast<uint32_t>(x + 1);
+      for (size_t s = p; s-- > 0;) {
+        const size_t own_attr = attr_of[row[s]];
+        const uint32_t j = bucket_of[x * p + s];
+        for (uint32_t e = start[j]; e < start[j + 1]; ++e) {
+          const IntervalId b = odd[e];
+          if (attr_of[b] == own_attr || met[b] == stamp) continue;
+          met[b] = stamp;
+          if (b < row[s]) continue;
+          // X ∪ {b} is `row` with b inserted in ID order.
+          const auto pos = std::lower_bound(row.begin() + s, row.end(), b);
+          rows.insert(rows.end(), row.begin(), pos);
+          rows.push_back(b);
+          rows.insert(rows.end(), pos, row.end());
+        }
       }
     }
-    bounds.push_back(entries.size());
-    partials.resize(bounds.size() - 1);
-    pool->ParallelFor(partials.size(), [&](size_t t) {
-      JoinEntries(base, attr_of, entries, bucket_end, bounds[t],
-                  bounds[t + 1], partials[t]);
-    });
+  };
+  // In parallel, m = ceil(c / Tgen) "mappers" each scan a range of rows;
+  // no candidate comes from two of them.
+  const bool parallel = pool != nullptr && pairs > t_gen;
+  const size_t num_tasks =
+      parallel ? static_cast<size_t>(std::min<uint64_t>(
+                     {(pairs + t_gen - 1) / t_gen, pool->num_threads() * 8, k}))
+               : 1;
+  std::vector<std::vector<IntervalId>> partials(num_tasks);
+  const auto scan = [&](size_t t) {
+    scan_rows(k * t / num_tasks, k * (t + 1) / num_tasks, partials[t]);
+  };
+  if (parallel) {
+    pool->ParallelFor(num_tasks, scan);
+  } else {
+    scan(0);
   }
 
-  // ---- Collector: drop duplicates, emit in canonical order -------------
+  // ---- Emit in canonical order ------------------------------------------
   const size_t q = p + 1;
-  size_t raw = 0;
-  for (const std::vector<IntervalId>& part : partials) raw += part.size() / q;
-  IdSignatureSet unique(q);
-  unique.Reserve(raw);
-  for (const std::vector<IntervalId>& part : partials) {
-    for (size_t i = 0; i < part.size(); i += q) {
-      unique.Insert(std::span(part).subspan(i, q));
-    }
+  std::vector<IntervalId> rows = std::move(partials[0]);
+  for (size_t t = 1; t < partials.size(); ++t) {
+    rows.insert(rows.end(), partials[t].begin(), partials[t].end());
   }
-  if (stats != nullptr) stats->num_duplicates = raw - unique.size();
-  std::vector<uint32_t> order(unique.size());
-  for (size_t r = 0; r < order.size(); ++r) {
-    order[r] = static_cast<uint32_t>(r);
+  std::vector<uint32_t> order(rows.size() / q);
+  std::iota(order.begin(), order.end(), 0);
+  // Every joining pair builds a candidate; the pairs beyond each
+  // candidate's first are the duplicates.
+  if (stats != nullptr) {
+    *stats = {pairs, parallel, pairs - no_join - order.size()};
   }
-  RadixSort(order, q, attr_of.size(), [&unique](uint32_t r, size_t col) {
-    return unique.row(r)[col];
+  RadixSort(order, q, attr_of.size(), [&rows, q](uint32_t r, size_t col) {
+    return rows[r * q + col];
   });
-  out.ids.reserve(order.size() * q);
+  out.ids.reserve(rows.size());
   for (const uint32_t r : order) {
-    const std::span<const IntervalId> row = unique.row(r);
-    out.ids.insert(out.ids.end(), row.begin(), row.end());
+    out.ids.insert(out.ids.end(), rows.begin() + r * q,
+                   rows.begin() + (r + 1) * q);
   }
   return out;
 }

@@ -1,10 +1,12 @@
 #include "src/core/core_detection.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <set>
 #include <span>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
@@ -16,6 +18,78 @@
 namespace p3c::core {
 
 namespace {
+
+/// Distinct p-signatures over interned intervals with a hash index: rows
+/// keep insertion order and are found by their IDs in O(p). A row's hash
+/// is the sum of its IDs' mixes, so the hash of a row without one ID is
+/// the row's hash minus that ID's mix.
+class IdSignatureSet {
+ public:
+  static constexpr uint32_t kMissing = UINT32_MAX;
+
+  explicit IdSignatureSet(size_t p) : p_(p) {}
+
+  static uint64_t Mix(IntervalId id) {
+    const uint64_t h = (id + 0x9e3779b97f4a7c15ull) * 0xbf58476d1ce4e5b9ull;
+    return h ^ (h >> 31);
+  }
+  static uint64_t Hash(std::span<const IntervalId> key) {
+    uint64_t h = 0;
+    for (const IntervalId id : key) h += Mix(id);
+    return h;
+  }
+
+  [[nodiscard]] size_t size() const { return num_rows_; }
+  [[nodiscard]] std::span<const IntervalId> row(size_t r) const {
+    return {ids_.data() + r * p_, p_};
+  }
+  /// Row index of `key`, or kMissing (an empty slot holds 0).
+  [[nodiscard]] uint32_t Find(std::span<const IntervalId> key) const {
+    return slots_.empty() ? kMissing : slots_[Probe(key, Hash(key))] - 1;
+  }
+  /// Appends `key`, whose Hash is `hash`, unless present; returns its row
+  /// and whether it is new.
+  std::pair<uint32_t, bool> Insert(std::span<const IntervalId> key,
+                                   uint64_t hash) {
+    if (2 * (num_rows_ + 1) > slots_.size()) {
+      Rehash(std::max<size_t>(16, 2 * slots_.size()));
+    }
+    const size_t s = Probe(key, hash);
+    if (slots_[s] != 0) return {slots_[s] - 1, false};
+    ids_.insert(ids_.end(), key.begin(), key.end());
+    slots_[s] = static_cast<uint32_t>(++num_rows_);
+    return {slots_[s] - 1, true};
+  }
+  /// Sizes the index for `rows` rows without rehashing.
+  void Reserve(size_t rows) {
+    ids_.reserve(rows * p_);
+    if (2 * rows > slots_.size()) Rehash(std::bit_ceil(2 * rows));
+  }
+
+ private:
+  /// The slot holding `key`, or the empty slot it would take.
+  [[nodiscard]] size_t Probe(std::span<const IntervalId> key,
+                             uint64_t hash) const {
+    const size_t mask = slots_.size() - 1;
+    size_t s = static_cast<size_t>(hash ^ (hash >> 32)) & mask;
+    while (slots_[s] != 0 && !std::ranges::equal(row(slots_[s] - 1), key)) {
+      s = (s + 1) & mask;
+    }
+    return s;
+  }
+  void Rehash(size_t num_slots) {
+    slots_.assign(num_slots, 0);
+    for (size_t r = 0; r < num_rows_; ++r) {
+      slots_[Probe(row(r), Hash(row(r)))] = static_cast<uint32_t>(r + 1);
+    }
+  }
+
+  size_t p_;
+  size_t num_rows_ = 0;
+  std::vector<IntervalId> ids_;
+  /// Open addressing, linear probing: row + 1, 0 = empty; size 2^k.
+  std::vector<uint32_t> slots_;
+};
 
 /// Every signature counted in one detection run, interned and grouped by
 /// size: level p holds the p-signatures with their supports and
@@ -45,13 +119,6 @@ struct Lattice {
     return r != IdSignatureSet::kMissing && level.proven[r] != 0;
   }
 };
-
-/// `row` without its interval at position `skip` (the S \ {I} of Eq. 1).
-void RowWithout(std::span<const IntervalId> row, size_t skip,
-                std::vector<IntervalId>& out) {
-  out.assign(row.begin(), row.end());
-  out.erase(out.begin() + static_cast<std::ptrdiff_t>(skip));
-}
 
 /// Rows of one level a pool worker claims at a time when proving.
 constexpr size_t kProveGrain = 512;
@@ -91,13 +158,11 @@ bool Proves(const Lattice& lattice, size_t p, size_t r,
 
 /// Adds every signature reachable from `batch` by removing intervals
 /// (downward closure) to the lattice, counts the new ones that can still
-/// be proven, then decides provenness bottom up. Returns the number of
-/// newly proven signatures.
-size_t ProveBatch(const std::vector<IdRows>& batch,
-                  const IntervalTable& table, uint64_t num_points,
-                  const P3CParams& params,
-                  const IdSupportCountFn& count_supports, ThreadPool* pool,
-                  Lattice& lattice, CoreDetectionStats& stats) {
+/// be proven, then decides provenness bottom up.
+void ProveBatch(const std::vector<IdRows>& batch, const IntervalTable& table,
+                uint64_t num_points, const P3CParams& params,
+                const IdSupportCountFn& count_supports, ThreadPool* pool,
+                Lattice& lattice, CoreDetectionStats& stats) {
   size_t max_p = 0;
   for (const IdRows& rows : batch) max_p = std::max(max_p, rows.p);
   lattice.Reserve(max_p);
@@ -108,47 +173,52 @@ size_t ProveBatch(const std::vector<IdRows>& batch,
   }
 
   // ---- Downward closure of uncounted signatures -----------------------
-  // Depth-first from the batch members in batch order: the order handed
-  // to the support counter is part of the reproducible job input.
-  struct Ref {
-    size_t p;
-    uint32_t row;
-  };
-  std::vector<Ref> to_count;
+  // The batch's rows, then level by level from the top the sub-rows of
+  // every new row. The rows to count go to the support counter by level,
+  // then row: that order is part of the reproducible job input.
   IntervalRows counted;
   // pruned[p][r - first_new[p]]: new row r of level p has a sub-row that
   // is not proven, so Definition 5 cannot prove it whatever its support.
   std::vector<std::vector<char>> pruned(max_p + 1);
   {
     TraceSpan span("core:closure");
-    std::vector<Ref> frontier;
-    const auto queue = [&lattice, &frontier](std::span<const IntervalId> row) {
+    const auto insert = [&lattice](std::span<const IntervalId> row,
+                                   uint64_t hash) {
       Lattice::Level& level = lattice.levels[row.size()];
-      const auto [r, added] = level.sigs.Insert(row);
+      const auto [r, added] = level.sigs.Insert(row, hash);
       if (added) {
         level.support.push_back(0);
         level.proven.push_back(0);
         if (row.size() > 1) level.subs.resize(level.subs.size() + row.size());
-        frontier.push_back({row.size(), r});
       }
       return r;
     };
     for (const IdRows& rows : batch) {
-      for (size_t r = 0; r < rows.size(); ++r) queue(rows.row(r));
+      IdSignatureSet& level = lattice.levels[rows.p].sigs;
+      level.Reserve(level.size() + rows.size());
+      for (size_t r = 0; r < rows.size(); ++r) {
+        insert(rows.row(r), IdSignatureSet::Hash(rows.row(r)));
+      }
     }
-    std::vector<IntervalId> sub;
-    while (!frontier.empty()) {
-      const Ref s = frontier.back();
-      frontier.pop_back();
-      if (s.p > 1) {
-        Lattice::Level& level = lattice.levels[s.p];
-        const std::span<const IntervalId> row = level.sigs.row(s.row);
-        for (size_t i = 0; i < s.p; ++i) {
-          RowWithout(row, i, sub);
-          level.subs[s.row * s.p + i] = queue(sub);
+    std::vector<IntervalId> sub(max_p);
+    for (size_t p = max_p; p > 1; --p) {
+      Lattice::Level& level = lattice.levels[p];
+      // Most sub-rows are in the lattice already: reserving one more row
+      // per new row spares the rehash chain without the worst case's p.
+      IdSignatureSet& lower = lattice.levels[p - 1].sigs;
+      lower.Reserve(lower.size() + level.sigs.size() - first_new[p]);
+      for (size_t r = first_new[p]; r < level.sigs.size(); ++r) {
+        // Sub-row i is `row` without position i: sub-rows i - 1 and i
+        // differ only at position i - 1.
+        const std::span<const IntervalId> row = level.sigs.row(r);
+        const uint64_t hash = IdSignatureSet::Hash(row);
+        std::copy(row.begin() + 1, row.end(), sub.begin());
+        for (size_t i = 0; i < p; ++i) {
+          if (i > 0) sub[i - 1] = row[i - 1];
+          level.subs[r * p + i] = insert(std::span(sub).first(p - 1),
+                                         hash - IdSignatureSet::Mix(row[i]));
         }
       }
-      to_count.push_back(s);
     }
 
     // A-priori prune, bottom up: a sub-row is dead if an earlier batch
@@ -158,43 +228,41 @@ size_t ProveBatch(const std::vector<IdRows>& batch,
     size_t num_pruned = 0;
     for (size_t p = 1; p <= max_p; ++p) {
       const Lattice::Level& level = lattice.levels[p];
-      pruned[p].assign(level.sigs.size() - first_new[p], 0);
-      if (p == 1) continue;
       const Lattice::Level& lower = lattice.levels[p - 1];
       const size_t lower_first = first_new[p - 1];
+      pruned[p].assign(level.sigs.size() - first_new[p], 0);
       for (size_t r = first_new[p]; r < level.sigs.size(); ++r) {
-        for (size_t i = 0; i < p; ++i) {
+        char& dead = pruned[p][r - first_new[p]];
+        for (size_t i = 0; p > 1 && i < p && dead == 0; ++i) {
           const uint32_t sub_row = level.subs[r * p + i];
-          const bool dead = sub_row < lower_first
-                                ? lower.proven[sub_row] == 0
-                                : pruned[p - 1][sub_row - lower_first] != 0;
-          if (dead) {
-            pruned[p][r - first_new[p]] = 1;
-            ++num_pruned;
-            break;
-          }
+          dead = sub_row < lower_first
+                     ? lower.proven[sub_row] == 0
+                     : pruned[p - 1][sub_row - lower_first];
+        }
+        if (dead != 0) {
+          ++num_pruned;
+        } else {
+          counted.Append(level.sigs.row(r));
         }
       }
     }
-    std::erase_if(to_count, [&](const Ref& s) {
-      return pruned[s.p][s.row - first_new[s.p]] != 0;
-    });
-    counted.begin.reserve(to_count.size() + 1);
-    for (const Ref& s : to_count) {
-      counted.Append(lattice.levels[s.p].sigs.row(s.row));
-    }
     if (span.active()) {
       span.SetEndArgs(StringPrintf("{\"counted\": %zu, \"pruned\": %zu}",
-                                   to_count.size(), num_pruned));
+                                   counted.size(), num_pruned));
     }
   }
 
-  if (!to_count.empty()) {
+  if (counted.size() > 0) {
     const std::vector<uint64_t> counts = count_supports(table, counted);
-    for (size_t i = 0; i < to_count.size(); ++i) {
-      lattice.levels[to_count[i].p].support[to_count[i].row] = counts[i];
+    const uint64_t* count = counts.data();
+    for (size_t p = 1; p <= max_p; ++p) {
+      for (size_t r = first_new[p]; r < lattice.levels[p].sigs.size(); ++r) {
+        if (pruned[p][r - first_new[p]] == 0) {
+          lattice.levels[p].support[r] = *count++;
+        }
+      }
     }
-    stats.num_signatures_counted += to_count.size();
+    stats.num_signatures_counted += counted.size();
   }
 
   // ---- Provenness, bottom-up by signature size -------------------------
@@ -225,7 +293,6 @@ size_t ProveBatch(const std::vector<IdRows>& batch,
   }
   stats.num_proven += newly_proven;
   ++stats.num_support_batches;
-  return newly_proven;
 }
 
 /// The maximal proven signatures (Definition 5(2)) in canonical order.

@@ -178,20 +178,23 @@ Signature RandomSignature(size_t p, size_t attrs, size_t per_attr, Rng& rng) {
   return Signature::Make(std::move(intervals)).value();
 }
 
-/// A base of p-signatures in one of three shapes: every p-subset of a
+/// A base of p-signatures in one of four shapes: every p-subset of a
 /// few larger signatures (the proven lattice's shape), independent random
 /// signatures (a base that is not downward closed, as under §5.3
-/// multi-level collection), or a mix with duplicated entries.
+/// multi-level collection), a mix with duplicated entries, or the first
+/// shape with about a third of the subsets removed, so that a candidate
+/// has anywhere from 2 to p + 1 of its p-subsets in the base.
 std::vector<Signature> RandomBase(size_t p, int shape, Rng& rng) {
   const size_t attrs = p + 3;
   std::vector<Signature> base;
-  if (shape == 0) {
+  if (shape == 0 || shape == 3) {
     for (int t = 0; t < 4; ++t) {
       const Signature big = RandomSignature(p + 2, attrs, 2, rng);
       const size_t m = big.size();
       // Every p-subset of `big`: drop two of its m = p + 2 intervals.
       for (size_t x = 0; x < m; ++x) {
         for (size_t y = x + 1; y < m; ++y) {
+          if (shape == 3 && rng.UniformInt(3) == 0) continue;
           std::vector<Interval> subset;
           for (size_t k = 0; k < m; ++k) {
             if (k != x && k != y) subset.push_back(big.intervals()[k]);
@@ -219,8 +222,10 @@ TEST(CandidateGenOracleTest, MatchesAllPairsJoin) {
   ThreadPool pool(3);
   uint64_t same_attr_rejects = 0;
   uint64_t duplicates = 0;
-  for (size_t p = 1; p <= 5; ++p) {
-    for (int shape = 0; shape < 3; ++shape) {
+  for (size_t p = 1; p <= 7; ++p) {
+    for (int shape = 0; shape < 4; ++shape) {
+      // Shapes 0-2 up to p = 5; the partial lattice up to p = 7.
+      if (shape < 3 && p > 5) continue;
       for (uint64_t seed = 0; seed < 8; ++seed) {
         Rng rng(1000 * p + 100 * static_cast<uint64_t>(shape) + seed);
         const std::vector<Signature> base = RandomBase(p, shape, rng);

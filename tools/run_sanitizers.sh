@@ -70,8 +70,9 @@
 #                                      # core batch, the Rssc from id rows,
 #                                      # malformed rows, the id counter,
 #                                      # the Definition 5 oracle, the
-#                                      # interval table and candidate
-#                                      # generation, under ASan+UBSan
+#                                      # interval table, candidate
+#                                      # generation and the lattice
+#                                      # stress runs, under ASan+UBSan
 #   tools/run_sanitizers.sh codecs-smoke
 #                                      # the word-wise checksum and every
 #                                      # parser it seals (ctest -R
@@ -240,9 +241,11 @@ case "${MODE}" in
     # id counter must equal the Signature adapter's, and its pruned
     # batches a brute-force Definition 5. The run's IntervalTable must
     # give NaN and signed-zero bounds stable distinct ids, and candidate
-    # generation joins rows of its ids. ASan/UBSan police those offsets,
-    # table lookups and the record checks.
-    FILTER="IntervalIndex|RsscRows|SupportJobRows|IdCounterMatchesSignatureAdapter|ProvenSetMatchesDefinition5|IntervalTable|CandidateGen"
+    # generation joins rows of its ids; the stress lattice and the
+    # multi-level runs drive the bucket scan and the level-wise closure.
+    # ASan/UBSan police those offsets, table lookups and the record
+    # checks.
+    FILTER="IntervalIndex|RsscRows|SupportJobRows|IdCounterMatchesSignatureAdapter|ProvenSetMatchesDefinition5|IntervalTable|CandidateGen|LatticeStress|MultilevelMatchesPerLevelResults"
     run_suite "ASan+UBSan index-smoke" Sanitize build-asan \
       "ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1"
     ;;
