@@ -17,15 +17,16 @@
 // the job's *remote form* — one child-side compute function for every
 // task of the job — via BeginJob (RAII: ScopedExecutorJob), and tears
 // it down with EndJob once the job's reduce phase is over. Backends
-// that execute remotely fork their worker pool at BeginJob and keep it
-// for both task phases: a map task runs from the input the workers
-// inherited at fork, a reduce task from its merged shuffle partition,
-// which the driver ships in the TASK frame (a Hadoop reducer fetching
-// its map output). The driver-side half of each task's remote form —
-// its input bytes and the decode+commit of its result — rides along
-// with every attempt (RemoteTask). The in-process backend ignores
-// both. Tasks without a remote form (jobs with non-wire-serializable
-// types) always run inline, on every backend.
+// that execute remotely fork a job's workers as its first tasks lease
+// them and keep them for both task phases: a map task runs from the
+// input the workers inherited at fork, a reduce task from its merged
+// shuffle partition, which the driver ships in the TASK frame (a
+// Hadoop reducer fetching its map output). The driver-side half of
+// each task's remote form — its input bytes and the decode+commit of
+// its result — rides along with every attempt (RemoteTask). The
+// in-process backend ignores both. Tasks without a remote form (jobs
+// with non-wire-serializable types) always run inline, on every
+// backend.
 
 #include <atomic>
 #include <cstdint>
@@ -129,11 +130,14 @@ class TaskExecutor {
   /// Installs the remote form of the next job, whose task phases have
   /// at most `max_tasks` tasks each. `run` is null when no task of the
   /// job can cross the process boundary — the job then runs inline on
-  /// every backend.
+  /// every backend. Process backends fork nothing here: a job's first
+  /// leases fork its workers.
   virtual void BeginJob(size_t max_tasks, JobTaskFn run) = 0;
 
-  /// Tears the installed job down (process backends stop their worker
-  /// pool here). Paired with every BeginJob.
+  /// Tears the installed job down. Paired with every BeginJob. Process
+  /// backends retire the job's workers here without waiting for them to
+  /// exit; a later BeginJob, EndJob or the backend's destructor reaps
+  /// them.
   virtual void EndJob() = 0;
 
   /// Runs `attempt` once and publishes its result through `ctx`.

@@ -197,11 +197,12 @@ class LocalRunner {
     ShuffleBuffers<K, V> buffers(num_partitions, num_splits);
 
     // ---- Job pool (DESIGN.md §16) ---------------------------------------
-    // A process backend forks its workers here, as the map phase begins
-    // (the fork counts as map time), and keeps them for the reduce
-    // phase: map tasks read the input the workers inherit, reduce tasks
-    // get their partition in the TASK frame. Reset once the reduce phase
-    // is over, so the pool's shutdown counts as reduce time.
+    // A process backend installs the job here and forks its workers as
+    // the map tasks first lease them (the forks count as map time). The
+    // pool serves both task phases: map tasks read the input the workers
+    // inherit, reduce tasks get their partition in the TASK frame. Reset
+    // once reduce_seconds is taken, so the pool's retire (its own
+    // `worker:retire` span) counts as no phase's time.
     constexpr bool kReduceRemote =
         kPairsRemote<K, V> && wire::kIsWireSerializable<Out>;
     JobTaskFn remote_run;
@@ -236,8 +237,8 @@ class LocalRunner {
           buffers.CommitMapOutput(s, std::move(pairs));
         });
     if (!map_status.ok()) {
-      job_pool.reset();
       metrics.map_seconds = map_watch.ElapsedSeconds();
+      job_pool.reset();
       return RecordFailure(metrics, exec.acct, total_watch, map_status);
     }
     metrics.map_seconds = map_watch.ElapsedSeconds();
@@ -275,8 +276,8 @@ class LocalRunner {
             partition_watch.ElapsedSeconds();
       });
     } catch (const std::exception& e) {
-      job_pool.reset();
       metrics.shuffle_seconds = shuffle_watch.ElapsedSeconds();
+      job_pool.reset();
       return RecordFailure(
           metrics, exec.acct, total_watch,
           Status::Internal(StringPrintf("job '%s': shuffle merge failed: %s",
@@ -380,10 +381,10 @@ class LocalRunner {
         }
         if (!st.ok()) failure.Set(std::move(st));
       });
-      job_pool.reset();
     }
     if (failure.has_failed()) {
       metrics.reduce_seconds = reduce_watch.ElapsedSeconds();
+      job_pool.reset();
       return RecordFailure(metrics, exec.acct, total_watch, failure.Take());
     }
 
@@ -437,6 +438,7 @@ class LocalRunner {
       }
     }
     metrics.reduce_seconds = reduce_watch.ElapsedSeconds();
+    job_pool.reset();
     metrics.output_records = output.size();
     RecordJob(metrics, exec.acct, total_watch, /*succeeded=*/true);
     return output;
@@ -483,7 +485,8 @@ class LocalRunner {
     Stopwatch map_watch;
     Status map_status;
     {
-      // The job's pool (DESIGN.md §16) lives for its only task phase.
+      // The job's pool (DESIGN.md §16) lives for its only task phase; it
+      // retires once map_seconds is taken, as in Run.
       ScopedExecutorJob job_pool(executor_.get(), num_splits,
                                  std::move(remote_run));
       map_status = MapPhase<K, V>(
@@ -495,8 +498,8 @@ class LocalRunner {
                              });
             runs[s] = std::move(pairs);
           });
+      metrics.map_seconds = map_watch.ElapsedSeconds();
     }
-    metrics.map_seconds = map_watch.ElapsedSeconds();
     if (!map_status.ok()) {
       return RecordFailure(metrics, exec.acct, total_watch, map_status);
     }

@@ -329,7 +329,8 @@ class WireReader {
         return;
       }
       out->resize(n);
-      std::memcpy(out->data(), data_.data() + pos_, n * sizeof(T));
+      // An empty vector's data() may be null, which memcpy must not get.
+      if (n > 0) std::memcpy(out->data(), data_.data() + pos_, n * sizeof(T));
       pos_ += n * sizeof(T);
     } else {
       out->reserve(n);

@@ -55,6 +55,32 @@ void UnregisterWorker(pid_t pid) {
   Registry().erase(pid);
 }
 
+// The fork lock. Process-global, because a fork copies every fd of the
+// process: each child closes the driver-side pipe ends of every live
+// worker, of every executor, so that a crashed worker's EOF is never
+// masked by a sibling holding its write end. The set of those ends must
+// therefore not change while a fork runs, and a fd number must not be
+// closed (and reused, say by the input file) after a child listed it.
+// So every pipe creation, fork, and assignment or close of a
+// driver-side pipe end happens under this lock.
+//
+// Lock order: WorkerPoolExecutor::Impl::mu → ForkMutex, and ForkMutex →
+// worker::RegistryMutex and → metrics_mu (Register, Count under Spawn);
+// never the reverse. A namespace-scope object (not a leaked function-
+// local static like the registry's), so the capability annotations can
+// name it.
+Mutex g_fork_mu{"worker::ForkMutex"};
+
+/// The driver-side pipe ends of every live worker of this process.
+std::vector<int> g_driver_fds P3C_GUARDED_BY(g_fork_mu);
+
+/// Closes a driver-side pipe end and drops it from g_driver_fds.
+void CloseDriverFd(int fd) P3C_REQUIRES(g_fork_mu) {
+  if (fd < 0) return;
+  std::erase(g_driver_fds, fd);
+  ::close(fd);
+}
+
 std::atomic<bool> g_force_spawn_failure{false};
 
 double NowSeconds() {
@@ -89,7 +115,7 @@ std::string DescribeExit(int wait_status) {
                                   double ping_seconds) {
   ::signal(SIGPIPE, SIG_IGN);
   // Deliberately unnamed: the forked child inherits the forking
-  // thread's held-lock stack (SpawnLocked forks under the pool mutex),
+  // thread's held-lock stack (Spawn forks under the fork lock),
   // and an unnamed mutex stays out of the inherited order graph.
   Mutex write_mu;
   {
@@ -201,13 +227,23 @@ struct WorkerPoolExecutor::Impl {
   struct Slot {
     size_t index = 0;
     pid_t pid = -1;
-    int to_child = -1;    ///< driver writes TASK/SHUTDOWN here
-    int from_child = -1;  ///< driver reads HELLO/PING/RESULT here
+    /// The driver's pipe ends. Assigned and closed only under the fork
+    /// lock, by the slot's leaseholder or, with no lease out, by the job
+    /// thread; the leaseholder reads its own through ToChild/FromChild.
+    int to_child P3C_GUARDED_BY(g_fork_mu) = -1;    ///< TASK/SHUTDOWN
+    int from_child P3C_GUARDED_BY(g_fork_mu) = -1;  ///< HELLO/PING/RESULT
+    bool forked = false;  ///< a worker was forked for it in this job
     bool live = false;
     bool leased = false;
-    uint64_t deaths = 0;  ///< crashes/kills in this job (respawn count)
     uint64_t consecutive_respawns = 0;  ///< backoff driver; reset on RESULT
     wire::FrameReader reader;           ///< persists across tasks (PINGs)
+  };
+
+  /// A worker of an ended job: SHUTDOWN sent, pipes closed, not reaped.
+  struct Retiree {
+    pid_t pid = -1;
+    double deadline = 0.0;  ///< SIGKILLed if still running past it
+    bool killed = false;
   };
 
   explicit Impl(WorkerBackendOptions opts) : options(std::move(opts)) {}
@@ -218,12 +254,15 @@ struct WorkerPoolExecutor::Impl {
   /// fields are exclusively the leaseholder's and are touched without
   /// `mu` (the lease flag itself only flips under `mu`).
   ///
-  /// Lock order: mu → metrics_mu (Count under SpawnLocked), and
-  /// mu → worker::RegistryMutex (Register/UnregisterWorker); never the
-  /// reverse.
+  /// Lock order: mu → worker::ForkMutex → {metrics_mu,
+  /// worker::RegistryMutex}, and mu → metrics_mu, mu →
+  /// worker::RegistryMutex; never the reverse.
   Mutex mu{"WorkerPoolExecutor::Impl::mu"};
   CondVar free_cv;
   std::vector<Slot> slots P3C_GUARDED_BY(mu);
+  /// Workers of ended jobs, registered until reaped
+  /// (ReapRetireesLocked).
+  std::vector<Retiree> retirees P3C_GUARDED_BY(mu);
   /// Set between BeginJob and EndJob for a job with a remote form.
   bool job_remote P3C_GUARDED_BY(mu) = false;
   JobTaskFn run P3C_GUARDED_BY(mu);
@@ -269,15 +308,38 @@ struct WorkerPoolExecutor::Impl {
         SlotLane(slot));
   }
 
+  // -- pipe ends ------------------------------------------------------------
+
+  // The leaseholder's reads of its own slot's pipe ends. Only the
+  // leaseholder assigns or closes them while the lease is out, so its
+  // reads cannot race; the analysis cannot see a lease.
+  static int ToChild(const Slot& slot) P3C_NO_THREAD_SAFETY_ANALYSIS {
+    return slot.to_child;
+  }
+  static int FromChild(const Slot& slot) P3C_NO_THREAD_SAFETY_ANALYSIS {
+    return slot.from_child;
+  }
+
+  static void ClosePipes(Slot& slot) P3C_REQUIRES(g_fork_mu) {
+    CloseDriverFd(slot.to_child);
+    CloseDriverFd(slot.from_child);
+    slot.to_child = -1;
+    slot.from_child = -1;
+  }
+
   // -- lifecycle ------------------------------------------------------------
 
-  /// Forks one worker for the installed job. Called with `mu` held
-  /// (the slot fd inventory must be stable while the child closes the
-  /// other slots' pipes).
-  Status SpawnLocked(Slot& slot) P3C_REQUIRES(mu) {
+  /// Forks one worker for `job` into `slot`, which the caller owns: its
+  /// leaseholder, on a pool thread outside `mu`, so the other
+  /// leaseholders keep running their tasks; or BeginJob, with no lease
+  /// out. Runs under the fork lock.
+  Status Spawn(Slot& slot, const JobTaskFn& job) P3C_EXCLUDES(g_fork_mu) {
     if (g_force_spawn_failure.load(std::memory_order_relaxed)) {
       return Status::Internal("worker spawn failed (forced by test hook)");
     }
+    const double ping_seconds =
+        std::max(0.01, options.heartbeat_seconds / 4.0);
+    MutexLock fork_lock(g_fork_mu);
     int to_child[2] = {-1, -1};
     int from_child[2] = {-1, -1};
     if (::pipe(to_child) != 0) {
@@ -291,15 +353,6 @@ struct WorkerPoolExecutor::Impl {
       return Status::IOError(
           StringPrintf("pipe: %s", std::strerror(saved)));
     }
-    // Pipes of the other slots, closed in the child: a crashed worker's
-    // EOF must not be masked by a sibling still holding its write end.
-    std::vector<int> sibling_fds;
-    for (const Slot& other : slots) {
-      if (other.to_child >= 0) sibling_fds.push_back(other.to_child);
-      if (other.from_child >= 0) sibling_fds.push_back(other.from_child);
-    }
-    const double ping_seconds =
-        std::max(0.01, options.heartbeat_seconds / 4.0);
     const Stopwatch fork_watch;
     pid_t pid = -1;
     {
@@ -313,8 +366,8 @@ struct WorkerPoolExecutor::Impl {
         // so the span's end is recorded by the driver alone.
         ::close(to_child[1]);
         ::close(from_child[0]);
-        for (int fd : sibling_fds) ::close(fd);
-        WorkerChildMain(to_child[0], from_child[1], run, ping_seconds);
+        for (int fd : g_driver_fds) ::close(fd);
+        WorkerChildMain(to_child[0], from_child[1], job, ping_seconds);
       }
     }
     AddSeconds("worker.fork_seconds", fork_watch.ElapsedSeconds());
@@ -332,9 +385,12 @@ struct WorkerPoolExecutor::Impl {
     // The driver's write end never blocks: Dispatch writes a TASK frame
     // as the worker reads it, under the attempt's heartbeat deadline.
     ::fcntl(to_child[1], F_SETFL, ::fcntl(to_child[1], F_GETFL) | O_NONBLOCK);
-    slot.pid = pid;
+    g_driver_fds.push_back(to_child[1]);
+    g_driver_fds.push_back(from_child[0]);
     slot.to_child = to_child[1];
     slot.from_child = from_child[0];
+    slot.pid = pid;
+    slot.forked = true;
     slot.live = true;
     slot.reader = wire::FrameReader();
     RegisterWorker(pid);
@@ -342,10 +398,10 @@ struct WorkerPoolExecutor::Impl {
     return Status::OK();
   }
 
-  /// Declares a leased worker dead: closes its pipes, reaps the child,
+  /// Declares a leased worker dead: reaps the child, closes its pipes,
   /// and records why. `signum` != 0 first delivers that signal (the
   /// engine's SIGKILL paths). Caller must hold the lease, not `mu`.
-  std::string ReapSlot(Slot& slot, int signum) {
+  std::string ReapSlot(Slot& slot, int signum) P3C_EXCLUDES(g_fork_mu) {
     if (signum != 0 && slot.pid > 0) {
       ::kill(slot.pid, signum);
       Count("worker.kill_total");
@@ -360,13 +416,12 @@ struct WorkerPoolExecutor::Impl {
       if (reaped == slot.pid) cause = DescribeExit(wait_status);
       UnregisterWorker(slot.pid);
     }
-    if (slot.to_child >= 0) ::close(slot.to_child);
-    if (slot.from_child >= 0) ::close(slot.from_child);
-    slot.to_child = -1;
-    slot.from_child = -1;
+    {
+      MutexLock fork_lock(g_fork_mu);
+      ClosePipes(slot);
+    }
     slot.pid = -1;
     slot.live = false;
-    slot.deaths += 1;
     return cause;
   }
 
@@ -391,23 +446,77 @@ struct WorkerPoolExecutor::Impl {
     }
   }
 
+  /// Retires the installed job's pool without waiting for it: SHUTDOWN
+  /// to every live worker, the driver's pipe ends closed, and the
+  /// workers moved to `retirees` with a 1 s deadline. A retiree runs no
+  /// task, but stays registered, so SignalLiveWorkers still reaches it.
+  /// Called with no lease out.
+  void RetireSlotsLocked() P3C_REQUIRES(mu) {
+    const double deadline = NowSeconds() + 1.0;
+    MutexLock fork_lock(g_fork_mu);
+    for (Slot& slot : slots) {
+      if (!slot.live) continue;
+      // Best-effort: a worker also exits on its pipe's EOF, and one that
+      // does neither (wedged, or SIGSTOPped) is killed at its deadline.
+      (void)wire::WriteFrame(slot.to_child, wire::FrameType::kShutdown, "");
+      ClosePipes(slot);
+      retirees.push_back({slot.pid, deadline});
+    }
+    slots.clear();
+  }
+
+  /// Reaps the retirees that have exited (waitpid WNOHANG) and SIGKILLs
+  /// each one still running past its deadline, once, counting it in
+  /// `worker.kill_total`. With `wait`, returns only once all are reaped.
+  void ReapRetireesLocked(bool wait) P3C_REQUIRES(mu) {
+    for (;;) {
+      const double now = NowSeconds();
+      std::erase_if(retirees, [&](Retiree& retiree) {
+        int wait_status = 0;
+        const pid_t reaped = ::waitpid(retiree.pid, &wait_status, WNOHANG);
+        if (reaped == 0 || (reaped < 0 && errno == EINTR)) {
+          if (!retiree.killed && now >= retiree.deadline) {
+            ::kill(retiree.pid, SIGKILL);
+            Count("worker.kill_total");
+            retiree.killed = true;
+          }
+          return false;
+        }
+        // Reaped here, or already by ReapWorkers (ECHILD).
+        UnregisterWorker(retiree.pid);
+        return true;
+      });
+      if (!wait || retirees.empty()) return;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  }
+
   // -- dispatch -------------------------------------------------------------
 
-  /// Leases a slot, spawning (or respawning with capped exponential
-  /// backoff) its worker if needed. Returns nullptr when the pool has
-  /// degraded to inline execution. Throws CancelledError when `cancel`
-  /// fires while waiting.
+  /// Lease preference: a slot not yet forked in this job, so that the
+  /// job's first leases each fork their own worker; then a live worker;
+  /// then a dead slot to respawn.
+  static int LeaseRank(const Slot& slot) {
+    return !slot.forked ? 0 : slot.live ? 1 : 2;
+  }
+
+  /// Leases a slot, forking its worker on first use and respawning it
+  /// (with capped exponential backoff) after a death. Returns nullptr
+  /// when the pool has degraded to inline execution. Throws
+  /// CancelledError when `cancel` fires while waiting.
   Slot* LeaseSlot(const CancellationToken& cancel) {
     for (;;) {
       cancel.ThrowIfCancelled();
       Slot* chosen = nullptr;
+      // Stable while a lease is out: BeginJob/EndJob run outside the
+      // task phases.
+      const JobTaskFn* job = nullptr;
       {
         MutexLock lock(mu);
         if (degraded) return nullptr;
         for (Slot& slot : slots) {
           if (slot.leased) continue;
-          // Prefer a live worker over respawning a dead slot.
-          if (chosen == nullptr || (!chosen->live && slot.live)) {
+          if (chosen == nullptr || LeaseRank(slot) < LeaseRank(*chosen)) {
             chosen = &slot;
           }
         }
@@ -427,32 +536,38 @@ struct WorkerPoolExecutor::Impl {
           continue;
         }
         chosen->leased = true;
+        job = &run;
       }
       if (chosen->live) return chosen;
-      // Respawn path, outside `mu` (the slot is leased, so it is
-      // exclusively ours), re-checking cancellation across the backoff.
-      const double backoff = std::min(
-          0.02 * static_cast<double>(
-                     uint64_t{1} << std::min<uint64_t>(
-                         chosen->consecutive_respawns, 6)),
-          0.5);
-      if (chosen->consecutive_respawns > 0 && backoff > 0.0 &&
-          cancel.WaitFor(backoff)) {
-        ReleaseSlot(*chosen);
-        throw CancelledError();
+      // Fork path, outside `mu` (the slot is leased, so it is exclusively
+      // ours). A respawn re-checks cancellation across its backoff.
+      const bool respawn = chosen->forked;
+      if (respawn) {
+        const double backoff = std::min(
+            0.02 * static_cast<double>(
+                       uint64_t{1} << std::min<uint64_t>(
+                           chosen->consecutive_respawns, 6)),
+            0.5);
+        if (chosen->consecutive_respawns > 0 && backoff > 0.0 &&
+            cancel.WaitFor(backoff)) {
+          ReleaseSlot(*chosen);
+          throw CancelledError();
+        }
+        chosen->consecutive_respawns += 1;
       }
-      chosen->consecutive_respawns += 1;
-      {
-        MutexLock lock(mu);
-        const Status st = SpawnLocked(*chosen);
-        if (!st.ok()) DegradeLocked(st);
-      }
-      if (!chosen->live) {
+      const Status st = Spawn(*chosen, *job);
+      if (!st.ok()) {
+        {
+          MutexLock lock(mu);
+          DegradeLocked(st);
+        }
         ReleaseSlot(*chosen);
         return nullptr;
       }
-      Count("worker.respawn_total");
-      TraceWorker(*chosen, "worker respawn");
+      if (respawn) {
+        Count("worker.respawn_total");
+        TraceWorker(*chosen, "worker respawn");
+      }
       return chosen;
     }
   }
@@ -510,7 +625,7 @@ struct WorkerPoolExecutor::Impl {
     wire::FrameWriter sending(wire::FrameType::kTask, {head, task.input});
     double deadline = NowSeconds() + silence_budget;
     for (;;) {
-      auto wrote = sending.WriteSome(slot->to_child);
+      auto wrote = sending.WriteSome(ToChild(*slot));
       if (!wrote.ok()) {
         // The worker died between tasks; its pipe is broken. Reap and
         // surface as a crashed attempt so the retry loop respawns.
@@ -526,7 +641,7 @@ struct WorkerPoolExecutor::Impl {
       P3C_RETURN_NOT_OK(
           CheckWait(*slot, attempt, ctx, deadline, silence_budget));
       struct pollfd pfd;
-      pfd.fd = slot->to_child;
+      pfd.fd = ToChild(*slot);
       pfd.events = POLLOUT;
       pfd.revents = 0;
       if (::poll(&pfd, 1, /*timeout_ms=*/50) < 0 && errno != EINTR) {
@@ -607,7 +722,7 @@ struct WorkerPoolExecutor::Impl {
           CheckWait(*slot, attempt, ctx, deadline, silence_budget));
 
       struct pollfd pfd;
-      pfd.fd = slot->from_child;
+      pfd.fd = FromChild(*slot);
       pfd.events = POLLIN;
       pfd.revents = 0;
       const int rc = ::poll(&pfd, 1, /*timeout_ms=*/50);
@@ -618,7 +733,7 @@ struct WorkerPoolExecutor::Impl {
             StringPrintf("poll on worker pipe: %s", std::strerror(errno)));
       }
       if (rc <= 0) continue;
-      const ssize_t n = ::read(slot->from_child, buf, sizeof(buf));
+      const ssize_t n = ::read(FromChild(*slot), buf, sizeof(buf));
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) {
         // EOF: the worker is dead (crashed, SIGKILLed, or exited).
@@ -633,62 +748,6 @@ struct WorkerPoolExecutor::Impl {
     }
   }
 
-  /// Ends every live worker: SHUTDOWN to all, then wait for each
-  /// pipe's EOF (a worker closes its end only by exiting) within one
-  /// shared 1 s deadline, then reap with a blocking waitpid. A worker
-  /// still open at the deadline (wedged, or SIGSTOPped) is SIGKILLed.
-  void ShutdownAllWorkers() {
-    MutexLock lock(mu);
-    if (slots.empty()) return;
-    const Stopwatch watch;
-    std::vector<struct pollfd> pipes;
-    for (Slot& slot : slots) {
-      if (!slot.live) continue;
-      // Best-effort graceful shutdown; a wedged worker is killed below.
-      (void)wire::WriteFrame(slot.to_child, wire::FrameType::kShutdown, "");
-      pipes.push_back({slot.from_child, POLLIN, 0});
-    }
-    const double deadline = NowSeconds() + 1.0;
-    size_t open = pipes.size();
-    char buf[4096];
-    while (open > 0) {
-      const double left = deadline - NowSeconds();
-      if (left <= 0.0) break;
-      const int rc = ::poll(pipes.data(), pipes.size(),
-                            static_cast<int>(left * 1000.0) + 1);
-      if (rc < 0 && errno != EINTR) break;
-      if (rc <= 0) continue;  // revents are stale after EINTR
-      for (struct pollfd& pipe : pipes) {
-        if (pipe.fd < 0 || pipe.revents == 0) continue;
-        // Drain trailing PINGs; 0 (or a dead pipe) is the worker's exit.
-        const ssize_t n = ::read(pipe.fd, buf, sizeof(buf));
-        if (n == 0 || (n < 0 && errno != EINTR && errno != EAGAIN)) {
-          pipe.fd = -1;  // poll ignores negative fds
-          --open;
-        }
-      }
-    }
-    size_t next_pipe = 0;
-    for (Slot& slot : slots) {
-      if (!slot.live) continue;
-      if (pipes[next_pipe++].fd >= 0) {
-        ::kill(slot.pid, SIGKILL);
-        Count("worker.kill_total");
-      }
-      int wait_status = 0;
-      while (::waitpid(slot.pid, &wait_status, 0) < 0 && errno == EINTR) {
-      }
-      UnregisterWorker(slot.pid);
-      if (slot.to_child >= 0) ::close(slot.to_child);
-      if (slot.from_child >= 0) ::close(slot.from_child);
-      slot.to_child = -1;
-      slot.from_child = -1;
-      slot.pid = -1;
-      slot.live = false;
-    }
-    slots.clear();
-    AddSeconds("worker.shutdown_seconds", watch.ElapsedSeconds());
-  }
 };
 
 WorkerPoolExecutor::WorkerPoolExecutor(WorkerBackendOptions options)
@@ -698,40 +757,62 @@ WorkerPoolExecutor::WorkerPoolExecutor(WorkerBackendOptions options)
   // dispatch path handles the EPIPE as a crashed attempt, but only if
   // the default SIGPIPE disposition doesn't kill the driver first.
   ::signal(SIGPIPE, SIG_IGN);
+  // Workers fork while other pool threads run tasks, and a child blocks
+  // forever on a function-local static that another thread was still
+  // initializing at the fork. So the singletons a worker's tasks read
+  // (the memory tracker their emitters charge, the tracer it consults)
+  // are initialized here, before any fork.
+  (void)resource::MemoryTracker::Global();
+  (void)Tracer::Global();
 }
 
-WorkerPoolExecutor::~WorkerPoolExecutor() { impl_->ShutdownAllWorkers(); }
+WorkerPoolExecutor::~WorkerPoolExecutor() {
+  Impl& impl = *impl_;
+  MutexLock lock(impl.mu);
+  impl.RetireSlotsLocked();
+  impl.ReapRetireesLocked(/*wait=*/true);
+}
 
 void WorkerPoolExecutor::BeginJob(size_t max_tasks, JobTaskFn run) {
   Impl& impl = *impl_;
   MutexLock lock(impl.mu);
+  impl.ReapRetireesLocked(/*wait=*/false);
   impl.job_remote = run != nullptr;
   impl.run = std::move(run);
   impl.degraded = false;
   if (!impl.job_remote || max_tasks == 0) return;
 
-  // Job pool: fork now, while the job's immutable state (its closures,
-  // the input the map tasks read) is exactly what the tasks will read —
-  // the children inherit it copy-on-write, and reduce tasks receive
-  // their partitions over the pipe. Never more workers than tasks.
-  const size_t workers = std::min(impl.options.num_workers, max_tasks);
-  impl.slots.resize(workers);
-  for (size_t i = 0; i < workers; ++i) {
-    impl.slots[i].index = i;
-    const Status st = impl.SpawnLocked(impl.slots[i]);
-    if (!st.ok()) {
-      impl.DegradeLocked(st);
-      break;
-    }
+  // Job pool: the job's first leases each fork their slot's worker
+  // (LeaseSlot), so the first tasks start while the rest of the pool
+  // forks; only where forking beside running tasks is unsafe does the
+  // pool fork here. A child inherits the job's immutable state (its
+  // closures, the input the map tasks read) copy-on-write; reduce tasks
+  // receive their partitions over the pipe. Never more workers than
+  // tasks.
+  impl.slots.resize(std::min(impl.options.num_workers, max_tasks));
+  for (size_t i = 0; i < impl.slots.size(); ++i) {
+    Impl::Slot& slot = impl.slots[i];
+    slot.index = i;
+    if (kWorkersForkOnLease || impl.degraded) continue;
+    const Status st = impl.Spawn(slot, impl.run);
+    if (!st.ok()) impl.DegradeLocked(st);
   }
 }
 
 void WorkerPoolExecutor::EndJob() {
   Impl& impl = *impl_;
-  impl.ShutdownAllWorkers();
   MutexLock lock(impl.mu);
   impl.job_remote = false;
   impl.run = nullptr;
+  if (impl.slots.empty()) {
+    impl.ReapRetireesLocked(/*wait=*/false);
+    return;
+  }
+  TraceSpan span("worker:retire");
+  const Stopwatch watch;
+  impl.RetireSlotsLocked();
+  impl.ReapRetireesLocked(/*wait=*/false);
+  impl.AddSeconds("worker.shutdown_seconds", watch.ElapsedSeconds());
 }
 
 Status WorkerPoolExecutor::RunAttempt(const TaskAttempt& attempt,

@@ -8,13 +8,24 @@
 // task tracker vanishes.
 //
 // Architecture (job-scoped worker pools):
-//   - When a job's map phase begins the driver forks a pool of workers
-//     and keeps it for the job's reduce phase. A forked child inherits
-//     the job's closures and immutable input (the split span) by
-//     copy-on-write — the C++ analog of shipping the job JAR. A map
-//     task's TASK frame names the split; a reduce task's carries its
-//     merged shuffle partition as bytes, the way a Hadoop reducer
+//   - BeginJob installs a job and sizes its pool; it forks nothing. The
+//     job's first leases each fork their slot's worker on the leasing
+//     pool thread, so the first tasks run while the rest of the pool
+//     forks, and the pool serves the job's reduce phase too. A forked
+//     child inherits the job's closures and immutable input (the split
+//     span) by copy-on-write — the C++ analog of shipping the job JAR.
+//     A map task's TASK frame names the split; a reduce task's carries
+//     its merged shuffle partition as bytes, the way a Hadoop reducer
 //     fetches its map output. Task results come back as bytes.
+//   - Forks run under a process-wide fork lock, which also covers every
+//     creation, assignment and close of a driver-side pipe end: a child
+//     closes the driver-side ends of every live worker, so that set
+//     must be stable while it forks.
+//   - EndJob retires the pool without waiting for it: SHUTDOWN, the
+//     driver's pipe ends closed, and the workers kept registered (so
+//     SignalLiveWorkers reaches them) until the next BeginJob, EndJob
+//     or the destructor reaps them. One still running 1 s after EndJob
+//     is SIGKILLed. The destructor waits for all of them.
 //   - Driver ↔ worker speak the checksummed frame protocol of wire.h
 //     over two pipes. The worker runs one task at a time: TASK in,
 //     RESULT (payload + counters + peak RSS) out, PING heartbeats in
@@ -46,6 +57,23 @@
 
 namespace p3c::mr {
 
+/// Whether a job's workers fork on their first leases, while its first
+/// tasks run. False under AddressSanitizer: its allocator (GCC 12's
+/// libasan at least) is not fork-safe, so a child forked while another
+/// thread allocates can block forever on an allocator lock. There the
+/// whole pool forks in BeginJob, on the job thread, before any task.
+#if defined(__SANITIZE_ADDRESS__)
+inline constexpr bool kWorkersForkOnLease = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+inline constexpr bool kWorkersForkOnLease = false;
+#else
+inline constexpr bool kWorkersForkOnLease = true;
+#endif
+#else
+inline constexpr bool kWorkersForkOnLease = true;
+#endif
+
 /// Knobs of the worker-process backend (RunnerOptions carries them).
 struct WorkerBackendOptions {
   /// Worker processes per job pool (>= 1; the pool also never forks
@@ -60,9 +88,9 @@ struct WorkerBackendOptions {
 };
 
 /// TaskExecutor running the installed job's tasks in forked worker
-/// processes. Thread-safe for concurrent RunAttempt calls (pool workers
-/// lease workers under a mutex); BeginJob/EndJob run on the job thread
-/// outside the parallel loops.
+/// processes. Thread-safe for concurrent RunAttempt calls (pool threads
+/// lease workers under a mutex, and fork them under the fork lock);
+/// BeginJob/EndJob run on the job thread outside the parallel loops.
 class WorkerPoolExecutor final : public TaskExecutor {
  public:
   explicit WorkerPoolExecutor(WorkerBackendOptions options);
@@ -79,8 +107,9 @@ class WorkerPoolExecutor final : public TaskExecutor {
   /// `worker.respawn_total`, `worker.kill_total`,
   /// `worker.spawn_failures`, the `worker.peak_rss_bytes` gauge, and
   /// the running totals `worker.fork_seconds` (the driver's time inside
-  /// fork) and `worker.shutdown_seconds` (EndJob's SHUTDOWN-to-reaped
-  /// time). Every value accumulates over the executor's lifetime.
+  /// fork) and `worker.shutdown_seconds` (EndJob's time on the job
+  /// thread: retiring the pool and reaping the exited retirees). Every
+  /// value accumulates over the executor's lifetime.
   /// Deliberately a separate bag from job counters, so backend
   /// bookkeeping never perturbs the deterministic counter JSON
   /// (same split as checkpoint resume bookkeeping, §13).
@@ -99,8 +128,8 @@ class WorkerPoolExecutor final : public TaskExecutor {
 size_t SignalLiveWorkers(int signum);
 
 /// Non-blocking best-effort reap of exited worker children (waitpid
-/// WNOHANG per registered pid). Returns how many were reaped. Pool
-/// teardown already reaps its own workers; this is the CLI's final
+/// WNOHANG per registered pid). Returns how many were reaped. Executors
+/// already reap their own retired workers; this is the CLI's final
 /// sweep before exiting on a forwarded signal.
 size_t ReapWorkers();
 

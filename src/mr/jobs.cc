@@ -775,11 +775,11 @@ Result<IndexedSupports> RunIndexingSupportJob(
                             runner.SplitSize(input.num_points()));
   const core::Rssc rssc(table, rows, /*whole_table=*/true);
   SupportJobConfig config{&input, &rssc, nullptr, /*fill_index=*/true};
-  auto run = runner.Run<int64_t, std::vector<uint64_t>, KeyedCounts>(
+  // Map-only: the index words come back in the map results alone, and
+  // the driver sums the per-split supports.
+  auto run = runner.RunMapOnly<int64_t, std::vector<uint64_t>>(
       "support-count", input.num_points(),
-      [&config] { return std::make_unique<SupportMapper>(&config); },
-      [] { return std::make_unique<CountSumReducer>(); },
-      /*num_reducers=*/1);  // one reduce task, as in the plain job
+      [&config] { return std::make_unique<SupportMapper>(&config); });
   if (!run.ok()) return run.status();
   auto supports = UnpackIndexingSupports(std::move(*run), rows.size(), index);
   if (!supports.ok()) return supports.status();
@@ -791,7 +791,8 @@ Result<std::vector<uint64_t>> UnpackIndexingSupports(
     core::IntervalIndex& index) {
   std::vector<uint64_t> supports(num_signatures, 0);
   const size_t n = index.num_points();
-  // Records arrive in key order: the supports, then ranges 0, 1, ...
+  // Records arrive in key order: the splits' supports, then ranges 0,
+  // 1, ...
   size_t next = 0;
   for (auto& [key, words] : out) {
     if (key == kIndexingSupportsKey) {
@@ -800,7 +801,7 @@ Result<std::vector<uint64_t>> UnpackIndexingSupports(
             "support-count: supports record holds %zu values, expected %zu",
             words.size(), num_signatures));
       }
-      supports = std::move(words);
+      for (size_t i = 0; i < num_signatures; ++i) supports[i] += words[i];
       continue;
     }
     if (key < 0) {

@@ -91,16 +91,17 @@ struct IndexedSupports {
 /// The support-count job that also fills a run's interval index over
 /// `table`: its mappers gather the words of every table entry for each
 /// map range, count the `rows` from them, and return each range's words
-/// as one record keyed by the range's first row. The supports travel
-/// under key kIndexingSupportsKey. The records are job output, so the
-/// index is the same on every backend and under retried attempts. `rows`
-/// must not be empty, and malformed rows are rejected as by
-/// RunSupportJob.
+/// as one record keyed by the range's first row, and each split's
+/// supports as one record under key kIndexingSupportsKey. The job is
+/// map-only: the driver sums the supports records. The records are job
+/// output, so the index is the same on every backend and under retried
+/// attempts. `rows` must not be empty, and malformed rows are rejected
+/// as by RunSupportJob.
 Result<IndexedSupports> RunIndexingSupportJob(
     LocalRunner& runner, const data::RowInput& input,
     const core::IntervalTable& table, const core::IntervalRows& rows);
 
-/// The key of the supports record of RunIndexingSupportJob; its range
+/// The key of the supports records of RunIndexingSupportJob; its range
 /// records are keyed by row, from 0.
 inline constexpr int64_t kIndexingSupportsKey = -1;
 
@@ -342,13 +343,14 @@ Result<std::vector<stats::Histogram>> UnpackHistograms(
     std::vector<KeyedCounts> out, size_t num_dims, size_t bins);
 Result<std::vector<uint64_t>> UnpackSupports(std::vector<KeyedCounts> out,
                                              size_t num_signatures);
-/// Unpack step of RunIndexingSupportJob: returns the supports and stores
-/// every range record's words in `index`. Besides a bad supports record,
-/// a range key at or past the index's rows, a key that is no map range's
-/// first row, a range that repeats or overlaps the one before it, a
-/// missing range, a payload other than index.num_intervals() words, or a
-/// bit for a row past its range (past n for the last) yields
-/// Status::Internal naming the job.
+/// Unpack step of RunIndexingSupportJob: returns the sum of the supports
+/// records and stores every range record's words in `index`. A supports
+/// record of other than `num_signatures` values, a range key at or past
+/// the index's rows, a key that is no map range's first row, a range
+/// that repeats or overlaps the one before it, a missing range, a
+/// payload other than index.num_intervals() words, or a bit for a row
+/// past its range (past n for the last) yields Status::Internal naming
+/// the job.
 Result<std::vector<uint64_t>> UnpackIndexingSupports(
     std::vector<KeyedCounts> out, size_t num_signatures,
     core::IntervalIndex& index);

@@ -1085,6 +1085,31 @@ TEST(JobUnpackTest, IntervalIndexRecordsFillTheIndex) {
             (std::vector<uint64_t>{~uint64_t{0}, 0, 0}));
 }
 
+TEST(JobUnpackTest, IntervalIndexSupportsRecordsOfTheSplitsAreSummed) {
+  // The indexing job is map-only: each split emits its own supports
+  // record, and their sum is the job's supports.
+  const IndexRecords fixture;
+  auto records = fixture.records;
+  records[0].second = {1, 0, 4};
+  records.insert(records.begin() + 1, {kIndexingSupportsKey, {3, 7, 0}});
+  records.insert(records.begin() + 2, {kIndexingSupportsKey, {1, 0, 5}});
+  core::IntervalIndex index = IndexRecords::EmptyIndex();
+  const auto supports =
+      UnpackIndexingSupports(records, IndexRecords::kSignatures, index);
+  ASSERT_TRUE(supports.ok()) << supports.status().ToString();
+  EXPECT_EQ(*supports, (std::vector<uint64_t>{5, 7, 9}));
+
+  // Any one supports record of the wrong length is refused.
+  for (size_t bad : {size_t{0}, size_t{1}, size_t{2}}) {
+    auto hostile = records;
+    hostile[bad].second.push_back(0);
+    ExpectInternalNaming(fixture.Unpack(hostile), "support-count");
+    hostile = records;
+    hostile[bad].second.pop_back();
+    ExpectInternalNaming(fixture.Unpack(hostile), "support-count");
+  }
+}
+
 TEST(JobUnpackTest, IntervalIndexKeyThatStartsNoRangeReturnsInternal) {
   const IndexRecords fixture;
   auto hostile = fixture.records;

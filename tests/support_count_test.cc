@@ -755,6 +755,136 @@ TEST(SupportJobDeterminismTest, ByteIdenticalAcrossThreadsBackendsAndRetries) {
 }
 
 
+/// What the indexing job gave: its supports, its index words (interval-
+/// major, every range), the run's counter JSON and the job's log row.
+struct IndexingRun {
+  std::vector<uint64_t> supports;
+  std::vector<uint64_t> words;
+  std::string counters_json;
+  JobMetrics job;
+  size_t num_ranges = 0;
+};
+
+IndexingRun RunIndexing(RunnerOptions options, const data::Dataset& dataset,
+                        const core::IntervalTable& table,
+                        const core::IntervalRows& rows) {
+  MetricsRegistry metrics;
+  options.metrics = &metrics;
+  LocalRunner runner(options);
+  auto filled = RunIndexingSupportJob(runner, dataset, table, rows);
+  EXPECT_TRUE(filled.ok()) << filled.status().ToString();
+  if (!filled.ok() || metrics.jobs().size() != 1) return {};
+  IndexingRun run;
+  run.supports = filled->supports;
+  const core::IntervalIndex& index = filled->index;
+  for (size_t t = 0; t < index.num_intervals(); ++t) {
+    run.words.insert(run.words.end(), index.words(t),
+                     index.words(t) + index.num_ranges());
+  }
+  run.counters_json = metrics.MergedCounters().ToJson();
+  run.job = metrics.jobs().front();
+  run.num_ranges = index.num_ranges();
+  return run;
+}
+
+TEST(IndexingJobTest, MapOnlyJobEqualsTheSerialCounterOnBothBackends) {
+  // The indexing job has no reduce: the map results carry the index
+  // words and one supports record per split, which the driver sums. On
+  // both engine backends, with and without a failed-then-retried map
+  // task, that gives the serial counter's supports, every interval's
+  // Signature::Contains bits, and one counter JSON.
+  data::GeneratorConfig config;
+  config.num_points = 6001;
+  config.num_dims = 10;
+  config.num_clusters = 3;
+  config.min_cluster_dims = 2;
+  config.max_cluster_dims = 4;
+  config.seed = 37;
+  const auto data = data::GenerateSynthetic(config).value();
+  const data::Dataset& dataset = data.dataset;
+  std::vector<core::Interval> intervals;
+  for (size_t attr = 0; attr < 10; ++attr) {
+    intervals.push_back({attr, 0.1, 0.5});
+    intervals.push_back({attr, 0.4, 0.9});
+  }
+  std::vector<core::Signature> sigs;
+  for (const core::Interval& a : intervals) {
+    for (const core::Interval& b : intervals) {
+      if (a.attr < b.attr) {
+        sigs.push_back(core::Signature::Make({a, b}).value());
+      }
+    }
+  }
+  const core::IntervalTable table(intervals);
+  const core::IntervalRows rows = *table.Rows(sigs);
+  const std::vector<uint64_t> serial =
+      core::CountSupportsNaive(dataset, sigs, nullptr);
+
+  std::vector<Backend> engines = {Backend::kInProcess};
+#ifndef P3C_TSAN
+  // TSan does not support forking a multithreaded process.
+  engines.push_back(Backend::kProcess);
+#endif
+  IndexingRun reference;
+  for (Backend engine : engines) {
+    for (bool inject : {false, true}) {
+      const std::string where = std::string("engine=") +
+                                BackendName(engine) +
+                                " inject=" + std::to_string(inject);
+      RunnerOptions options;
+      options.backend = engine;
+      options.num_threads = 4;
+      options.num_workers = 2;
+      options.records_per_split = 1500;  // splits end mid map range
+      ScriptedFaultInjector injector;
+      if (inject) {
+        injector.FailOnce("support-count", 1, 0);
+        options.fault_injector = &injector;
+      }
+      const IndexingRun run = RunIndexing(options, dataset, table, rows);
+      if (inject) {
+        EXPECT_EQ(injector.injected_faults(), 1u) << where;
+      }
+      EXPECT_EQ(run.supports, serial) << where;
+      // One record per map range and one per split, and no reduce task.
+      EXPECT_EQ(run.job.num_reducers, 0u) << where;
+      EXPECT_EQ(run.job.num_splits, 5u) << where;
+      EXPECT_EQ(run.job.output_records, run.num_ranges + 5) << where;
+      if (reference.counters_json.empty()) {
+        reference = run;
+        ASSERT_FALSE(reference.counters_json.empty());
+        continue;
+      }
+      EXPECT_EQ(run.words, reference.words) << where;
+      EXPECT_EQ(run.counters_json, reference.counters_json) << where;
+    }
+  }
+  // The reference's words are every interval's Contains bits.
+  ASSERT_EQ(reference.words.size(), table.size() * reference.num_ranges);
+  const size_t split_rows = 1500;
+  size_t range = 0;
+  for (size_t begin = 0; begin < dataset.num_points(); ++range) {
+    const size_t split_end =
+        std::min(dataset.num_points(), (begin / split_rows + 1) * split_rows);
+    const size_t end = std::min(split_end, begin + 64);
+    for (size_t t = 0; t < table.size(); ++t) {
+      const core::Signature single = core::Signature::Single(
+          table.interval(static_cast<core::IntervalId>(t)));
+      uint64_t word = 0;
+      for (size_t row = begin; row < end; ++row) {
+        if (single.Contains(dataset.Row(static_cast<data::PointId>(row)))) {
+          word |= uint64_t{1} << (row - begin);
+        }
+      }
+      ASSERT_EQ(reference.words[t * reference.num_ranges + range], word)
+          << "interval " << t << " range at row " << begin;
+    }
+    begin = end;
+  }
+  EXPECT_EQ(range, reference.num_ranges);
+}
+
+
 // ---- Malformed interval-id rows -------------------------------------------
 //
 // RunSupportJob and RunIndexingSupportJob check the rows before any

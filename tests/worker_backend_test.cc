@@ -1,7 +1,7 @@
 // Tests of the multi-process worker backend (DESIGN.md §16), built as
 // its own binary so the worker-smoke ctest label can run it in
 // isolation under the sanitizer builds (ASan only: TSan forbids
-// forking from a multithreaded process). Four pillars:
+// forking from a multithreaded process). Five pillars:
 //
 //   1. Wire protocol: frames round-trip byte-exactly through the
 //      incremental reader, and every corruption — bit flip, bad magic,
@@ -15,7 +15,11 @@
 //      and the job output is still byte-identical, including when the
 //      kill lands mid-phase of a checkpointed pipeline that is then
 //      resumed.
-//   4. The exec'd harness (tools/p3c_worker) conforms to the protocol
+//   4. Worker lifecycle: a job's leases fork its pool while its first
+//      tasks run, and EndJob retires the pool without waiting for it;
+//      a retiring worker is reaped, or killed at its deadline, by the
+//      next job or the executor's end.
+//   5. The exec'd harness (tools/p3c_worker) conforms to the protocol
 //      from a process that shares no address space with the driver.
 
 #include "src/mapreduce/worker_backend.h"
@@ -27,6 +31,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -34,6 +39,7 @@
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -706,7 +712,7 @@ TEST(WorkerBackendTest, DegradesToInlineWhenSpawnFails) {
   EXPECT_EQ(degraded.worker_metrics.Get("worker.spawn_total"), 0u);
 }
 
-TEST(WorkerBackendTest, NoWorkersOutliveTheirJobs) {
+TEST(WorkerBackendTest, NoWorkersOutliveTheirRunner) {
   const std::vector<std::string> words = ManyWords(50);
   ASSERT_TRUE(RunWordCount(ProcessOptions(), words).status.ok());
   ScriptedFaultInjector injector;
@@ -714,8 +720,39 @@ TEST(WorkerBackendTest, NoWorkersOutliveTheirJobs) {
   RunnerOptions options = ProcessOptions();
   options.fault_injector = &injector;
   ASSERT_TRUE(RunWordCount(options, words).status.ok());
-  // Every pool tears its workers down at EndJob; nothing may leak, even
-  // on the crash-recovery path.
+  // A runner's executor reaps every pool it retired before it is
+  // destroyed; nothing may leak, even on the crash-recovery path.
+  EXPECT_EQ(LiveWorkerCount(), 0u);
+}
+
+TEST(WorkerBackendTest, KillsWhileFourWorkersRespawnAreByteIdentical) {
+  // Respawns fork on pool threads while other leaseholders reap their
+  // killed workers and close those pipes. Every fd close and assignment
+  // holds the fork lock, so no child closes a reused fd number (the
+  // input's, say) and no sibling masks a dead worker's EOF: every kill
+  // is seen, retried on a respawned worker, and the output is
+  // unchanged.
+  const std::vector<std::string> words = ManyWords(400);
+  RunnerOptions options = ProcessOptions(/*threads=*/4, /*workers=*/4);
+  const WordCountRun baseline = RunWordCount(options, words);
+  ASSERT_TRUE(baseline.status.ok()) << baseline.status.ToString();
+
+  ScriptedFaultInjector injector;
+  for (size_t task = 0; task < 40; task += 3) {
+    injector.KillWorkerOnce("word-count", task, 0, SIGKILL);
+  }
+  options.fault_injector = &injector;
+  const WordCountRun killed = RunWordCount(options, words);
+  ASSERT_TRUE(killed.status.ok()) << killed.status.ToString();
+  // A rule can miss: a worker that sent its RESULT before the SIGKILL
+  // landed dies idle, and the next task's attempt 0 fails to reach it.
+  EXPECT_GE(injector.injected_faults(), 4u);
+  EXPECT_EQ(killed.output, baseline.output);
+  EXPECT_EQ(killed.counters_json, baseline.counters_json);
+  EXPECT_EQ(killed.worker_metrics.Get("worker.kill_total"),
+            injector.injected_faults());
+  EXPECT_GE(killed.worker_metrics.Get("worker.respawn_total"), 1u);
+  EXPECT_EQ(killed.worker_metrics.Get("worker.heartbeat_timeouts"), 0u);
   EXPECT_EQ(LiveWorkerCount(), 0u);
 }
 
@@ -879,55 +916,212 @@ TEST(WorkerBackendTest, ForkAndShutdownTimesReported) {
   EXPECT_EQ(run.worker_metrics.Get("worker.kill_total"), 0u);
 }
 
-TEST(WorkerBackendTest, TraceShowsOneForkSpanPerWorker) {
+/// One event of an exported trace, as the lifecycle tests read it.
+struct TraceRecord {
+  std::string name;
+  char phase = 0;
+  uint64_t ts = 0;
+  uint64_t tid = 0;
+};
+
+/// The events of Tracer::ToJson, one object per line, in file order.
+std::vector<TraceRecord> ParseTrace(const std::string& json) {
+  const auto field = [](const std::string& line, const std::string& key) {
+    const size_t at = line.find("\"" + key + "\": ");
+    return at == std::string::npos ? std::string()
+                                   : line.substr(at + key.size() + 4);
+  };
+  std::vector<TraceRecord> events;
+  size_t begin = 0;
+  while (begin < json.size()) {
+    size_t end = json.find('\n', begin);
+    if (end == std::string::npos) end = json.size();
+    const std::string line = json.substr(begin, end - begin);
+    begin = end + 1;
+    const std::string name = field(line, "name");
+    if (name.empty()) continue;
+    TraceRecord event;
+    event.name = name.substr(1, name.find('"', 1) - 1);
+    event.phase = field(line, "ph")[1];
+    event.ts = std::stoull(field(line, "ts"));
+    event.tid = std::stoull(field(line, "tid"));
+    events.push_back(std::move(event));
+  }
+  return events;
+}
+
+/// Runs the word count on a traced runner and returns the run and its
+/// trace events.
+std::pair<WordCountRun, std::vector<TraceRecord>> TracedWordCount(
+    const RunnerOptions& options, const std::vector<std::string>& words) {
+  Tracer::Global().Enable(true);
+  Tracer::Global().Clear();
+  WordCountRun run = RunWordCount(options, words);
+  std::vector<TraceRecord> events = ParseTrace(Tracer::Global().ToJson());
+  Tracer::Global().Enable(false);
+  Tracer::Global().Clear();
+  return {std::move(run), std::move(events)};
+}
+
+/// End time of every `name` span: B/E pairs nest per lane, and an E
+/// event carries no name.
+std::vector<uint64_t> SpanEnds(const std::vector<TraceRecord>& events,
+                               const std::string& name) {
+  std::map<uint64_t, std::vector<std::string>> open;
+  std::vector<uint64_t> ends;
+  for (const TraceRecord& event : events) {
+    if (event.phase == 'B') open[event.tid].push_back(event.name);
+    if (event.phase != 'E' || open[event.tid].empty()) continue;
+    if (open[event.tid].back() == name) ends.push_back(event.ts);
+    open[event.tid].pop_back();
+  }
+  return ends;
+}
+
+TEST(WorkerJobPoolTest, EachJobForksOneWorkerPerSlotItsTasksLease) {
   Tracer::Global().Enable(true);
   if (!Tracer::Global().enabled()) {
     GTEST_SKIP() << "built with P3C_ENABLE_TRACING=OFF";
   }
-  Tracer::Global().Clear();
-  const WordCountRun run = RunWordCount(ProcessOptions(), ManyWords(80));
-  const std::string json = Tracer::Global().ToJson();
-  Tracer::Global().Enable(false);
-  Tracer::Global().Clear();
-  ASSERT_TRUE(run.status.ok());
-  // Each fork opens one worker:fork span on the driver (end events
-  // carry no name).
-  size_t fork_spans = 0;
-  for (size_t at = json.find("\"worker:fork\""); at != std::string::npos;
-       at = json.find("\"worker:fork\"", at + 1)) {
-    ++fork_spans;
+  // A job's first leases each fork their own slot before any takes a
+  // live worker, so the pool forks min(workers, tasks) workers: 10 map
+  // tasks fork all 4; 3 map tasks and 2 reduce tasks fork 3.
+  for (const auto& [num_words, expected] :
+       {std::pair<size_t, uint64_t>{100, 4}, {30, 3}}) {
+    RunnerOptions options = ProcessOptions(/*threads=*/4, /*workers=*/4);
+    options.num_reducers = 2;
+    const auto [run, events] =
+        TracedWordCount(options, ManyWords(num_words));
+    ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+    EXPECT_EQ(run.worker_metrics.Get("worker.spawn_total"), expected)
+        << num_words << " words";
+    EXPECT_EQ(run.worker_metrics.Get("worker.respawn_total"), 0u);
+    // One worker:fork span per fork, and one worker:retire per job.
+    EXPECT_EQ(SpanEnds(events, "worker:fork").size(), expected);
+    EXPECT_EQ(SpanEnds(events, "worker:retire").size(), 1u);
   }
-  EXPECT_EQ(fork_spans, run.worker_metrics.Get("worker.spawn_total"));
-  EXPECT_GT(fork_spans, 0u);
 }
 
-/// Installs a job of `workers` tasks on `executor`, forking its pool.
-void BeginIdleJob(WorkerPoolExecutor& executor, size_t workers) {
-  executor.BeginJob(workers, [](TaskKind, uint64_t, std::string_view) {
-    return Result<std::string>(std::string());
+TEST(WorkerJobPoolTest, FirstTaskIsDispatchedBeforeTheLastFork) {
+  if (!kWorkersForkOnLease) {
+    GTEST_SKIP() << "AddressSanitizer build: the pool forks in BeginJob";
+  }
+  Tracer::Global().Enable(true);
+  if (!Tracer::Global().enabled()) {
+    GTEST_SKIP() << "built with P3C_ENABLE_TRACING=OFF";
+  }
+  // BeginJob forks nothing: the task that leases a slot first forks its
+  // worker and is dispatched to it at once, while the other slots' forks
+  // (serialized under the fork lock) still run.
+  const auto [run, events] = TracedWordCount(
+      ProcessOptions(/*threads=*/8, /*workers=*/8), ManyWords(400));
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  ASSERT_EQ(run.worker_metrics.Get("worker.spawn_total"), 8u);
+  const std::vector<uint64_t> fork_ends = SpanEnds(events, "worker:fork");
+  ASSERT_EQ(fork_ends.size(), 8u);
+  uint64_t first_dispatch = ~uint64_t{0};
+  for (const TraceRecord& event : events) {
+    if (event.phase == 'i' && event.name == "task dispatched") {
+      first_dispatch = std::min(first_dispatch, event.ts);
+    }
+  }
+  EXPECT_LT(first_dispatch,
+            *std::max_element(fork_ends.begin(), fork_ends.end()));
+}
+
+/// Installs a job of `tasks` map tasks on `executor` and runs each task
+/// once, in order, so that its leases fork min(workers, tasks) workers.
+void RunEchoJob(WorkerPoolExecutor& executor, size_t tasks) {
+  executor.BeginJob(tasks, [](TaskKind, uint64_t task, std::string_view) {
+    return Result<std::string>(std::to_string(task));
   });
+  RemoteTask remote;
+  remote.commit = [](const TaskContext&, uint64_t task, std::string payload) {
+    return payload == std::to_string(task)
+               ? Status::OK()
+               : Status::Internal("echo task returned " + payload);
+  };
+  const std::string job = "echo";
+  for (size_t task = 0; task < tasks; ++task) {
+    const Status st = executor.RunAttempt(
+        TaskAttempt{job, TaskKind::kMap, task, 0}, TaskContext{},
+        [](const TaskContext&) { return Status::Internal("ran inline"); },
+        &remote);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
 }
 
-TEST(WorkerBackendTest, StoppedIdleWorkerIsKilledAtShutdownDeadline) {
-  // A SIGSTOPped worker never reads SHUTDOWN and never closes its pipe:
-  // EndJob must give up on it at the 1 s deadline, SIGKILL it, reap it,
-  // and count the kill.
+WorkerBackendOptions Workers(size_t num_workers) {
   WorkerBackendOptions options;
-  options.num_workers = 1;
-  WorkerPoolExecutor executor(options);
-  BeginIdleJob(executor, 1);
-  ASSERT_EQ(LiveWorkerCount(), 1u);
-  ASSERT_EQ(SignalLiveWorkers(SIGSTOP), 1u);
-  executor.EndJob();
-  const MetricBag metrics = executor.SnapshotMetrics();
-  EXPECT_EQ(metrics.Get("worker.kill_total"), 1u);
-  EXPECT_GE(metrics.GetGauge("worker.shutdown_seconds"), 0.9);
-  EXPECT_EQ(LiveWorkerCount(), 0u);
+  options.num_workers = num_workers;
+  return options;
+}
 
-  // The next job forks a fresh, healthy pool that exits on SHUTDOWN.
-  BeginIdleJob(executor, 1);
-  executor.EndJob();
-  EXPECT_EQ(executor.SnapshotMetrics().Get("worker.kill_total"), 1u);
+TEST(WorkerLifecycleTest, StoppedRetiringWorkerIsKilledOnceItsDeadlinePasses) {
+  // EndJob does not wait for its pool. A SIGSTOPped worker never reads
+  // SHUTDOWN and never exits, so it stays registered until its 1 s
+  // deadline has passed; the next reap then SIGKILLs it, counted once.
+  MetricBag metrics;
+  {
+    WorkerPoolExecutor executor(Workers(1));
+    RunEchoJob(executor, 1);
+    ASSERT_EQ(LiveWorkerCount(), 1u);
+    ASSERT_EQ(SignalLiveWorkers(SIGSTOP), 1u);
+    const auto ended = std::chrono::steady_clock::now();
+    executor.EndJob();
+    EXPECT_LT(std::chrono::steady_clock::now() - ended,
+              std::chrono::milliseconds(500));
+    EXPECT_EQ(LiveWorkerCount(), 1u);
+    EXPECT_EQ(executor.SnapshotMetrics().Get("worker.kill_total"), 0u);
+    EXPECT_LT(executor.SnapshotMetrics().GetGauge("worker.shutdown_seconds"),
+              0.5);
+
+    std::this_thread::sleep_for(std::chrono::milliseconds(1100));
+    executor.BeginJob(0, nullptr);  // past the deadline: killed
+    executor.EndJob();
+    EXPECT_EQ(executor.SnapshotMetrics().Get("worker.kill_total"), 1u);
+
+    // A later job forks a healthy pool; the killed worker is reaped
+    // without a second kill.
+    RunEchoJob(executor, 1);
+    executor.EndJob();
+    metrics = executor.SnapshotMetrics();
+  }
+  EXPECT_EQ(metrics.Get("worker.kill_total"), 1u);
+  EXPECT_EQ(metrics.Get("worker.spawn_total"), 2u);
+  EXPECT_EQ(LiveWorkerCount(), 0u);
+}
+
+TEST(WorkerLifecycleTest, NoWorkerOutlivesItsExecutor) {
+  // The destructor waits for every retiring worker, SIGKILLing the ones
+  // still running at their deadline (here, the second job's workers,
+  // SIGSTOPped before it ends so that they cannot exit).
+  {
+    WorkerPoolExecutor executor(Workers(2));
+    RunEchoJob(executor, 4);
+    executor.EndJob();
+    RunEchoJob(executor, 4);
+    EXPECT_GE(SignalLiveWorkers(SIGSTOP), 2u);
+    executor.EndJob();
+    EXPECT_GE(LiveWorkerCount(), 2u);
+  }
+  EXPECT_EQ(LiveWorkerCount(), 0u);
+}
+
+TEST(WorkerLifecycleTest, SignalLiveWorkersReachesRetiringWorkers) {
+  const auto start = std::chrono::steady_clock::now();
+  {
+    WorkerPoolExecutor executor(Workers(2));
+    RunEchoJob(executor, 2);
+    ASSERT_EQ(SignalLiveWorkers(SIGSTOP), 2u);
+    executor.EndJob();
+    // Both stay registered until a reap, so the CLI's forwarded signal
+    // still reaches them: here it ends two frozen workers before their
+    // deadline, and a signal from outside is not the executor's kill.
+    EXPECT_EQ(SignalLiveWorkers(SIGKILL), 2u);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(900));
   EXPECT_EQ(LiveWorkerCount(), 0u);
 }
 
@@ -1002,11 +1196,13 @@ TEST(WorkerBackendCheckpointTest, SigkillMidPhaseResumesByteIdentical) {
 
   // Run 2: resume from the checkpoint, still on the process backend.
   options.runner.fault_injector = nullptr;
-  P3CMR resumed{options};
-  auto result = resumed.Cluster(data.dataset);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(Canonical(*result), baseline_canonical);
-  EXPECT_EQ(resumed.counters().ToJson(), baseline_counters);
+  {
+    P3CMR resumed{options};
+    auto result = resumed.Cluster(data.dataset);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(Canonical(*result), baseline_canonical);
+    EXPECT_EQ(resumed.counters().ToJson(), baseline_counters);
+  }
   EXPECT_EQ(LiveWorkerCount(), 0u);
   fs::remove_all(dir);
 }
